@@ -1,14 +1,7 @@
 """Link-level simulator for compressive-sensing based MIMO multiplexing."""
 
 from .analysis import RipEstimate, UniquenessReport, rip_constant, spark, verify_uniqueness
-from .channel import (
-    ChannelRealization,
-    NoiseSpec,
-    apply_channel,
-    complexify,
-    realify,
-    sample_channel,
-)
+from .channel import ChannelRealization, NoiseSpec, apply_channel, sample_channel
 from .csmux import (
     MeasurementMatrix,
     MuxConfig,
@@ -44,8 +37,6 @@ from .harness import (
     SweepRow,
     TrialRecord,
     load_spec,
-    run_baseline_overload,
-    run_baseline_zf,
     run_sweep,
     run_trial,
     throughput_proxy,

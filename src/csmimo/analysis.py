@@ -17,6 +17,7 @@ from math import comb
 import numpy as np
 
 from .csmux import MeasurementMatrix
+from .detection import _colnorm2, sensing_matrix
 from .dictionary import SubblockDictionary
 from .errors import TooManyColumns
 
@@ -155,13 +156,11 @@ def verify_uniqueness(
     pairwise distance; the distinctness threshold is ``tol`` times the
     largest column norm.
     """
-    a = phi.phi @ dictionary.psi
+    a = sensing_matrix(phi, dictionary)
     d = a.shape[1]
     if d > max_columns:
         raise TooManyColumns(f"{d} columns exceed the pairwise scan cap {max_columns}")
-    norms2 = np.einsum("ij,ij->j", a.real, a.real) + np.einsum(
-        "ij,ij->j", a.imag, a.imag
-    )
+    norms2 = _colnorm2(a)
     min_d2 = np.inf
     chunk = 512
     for lo in range(0, d, chunk):

@@ -1,4 +1,4 @@
-"""Rayleigh flat-fading MIMO channel, AWGN, and the complex/real conversion.
+"""Rayleigh flat-fading MIMO channel and AWGN.
 
 The SNR convention used throughout: ``snr_db`` is the ratio of average
 received signal energy per receive antenna to the complex noise variance
@@ -11,6 +11,7 @@ dimensions, so ``sigma2 = m_tx / 10**(snr_db/10)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +37,11 @@ class ChannelRealization:
     @property
     def m_tx(self) -> int:
         return self.h.shape[1]
+
+    @cached_property
+    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Thin SVD ``(u, s, vh)`` of ``h``, computed once per draw."""
+        return np.linalg.svd(self.h, full_matrices=False)
 
 
 @dataclass(frozen=True)
@@ -85,26 +91,3 @@ def apply_channel(
     v = scale * (rng.standard_normal(h.nr) + 1j * rng.standard_normal(h.nr))
     return h.h @ z + v
 
-
-def realify(a: np.ndarray) -> np.ndarray:
-    """Map a complex matrix/vector to its real-valued equivalent.
-
-    A complex ``n x m`` matrix becomes the real ``2n x 2m`` block matrix
-    ``[[Re, -Im], [Im, Re]]``; a complex vector becomes ``[Re; Im]``.
-    Matrix-vector products commute with this embedding.
-    """
-    a = np.asarray(a)
-    if a.ndim == 1:
-        return np.concatenate([a.real, a.imag]).astype(np.float64)
-    if a.ndim == 2:
-        return np.block([[a.real, -a.imag], [a.imag, a.real]]).astype(np.float64)
-    raise DimensionMismatch(f"expected 1-D or 2-D input, got shape {a.shape}")
-
-
-def complexify(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`realify` for stacked real vectors."""
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if v.size % 2:
-        raise DimensionMismatch(f"stacked real vector must have even length, got {v.size}")
-    n = v.size // 2
-    return v[:n] + 1j * v[n:]

@@ -10,6 +10,7 @@ from . import analysis
 from .csmux import gen_phi, phi_to_text
 from .detection import SOLVERS, sensing_matrix
 from .dictionary import build_dictionary
+from .errors import CsmimoError
 from .harness import load_spec, parse_snr_grid, run_sweep
 from .modem import get_constellation
 
@@ -103,10 +104,14 @@ def _cmd_analyze(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; a bad config or input prints one line and returns 2."""
     args = _build_parser().parse_args(argv)
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    return _cmd_analyze(args)
+    command = _cmd_simulate if args.command == "simulate" else _cmd_analyze
+    try:
+        return command(args)
+    except (CsmimoError, ValueError, OSError) as exc:
+        print(f"csmimo: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ against an uncompressed system fair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,6 +93,11 @@ class MeasurementMatrix:
             raise DimensionMismatch(f"phi must be 2-D, got shape {phi.shape}")
         object.__setattr__(self, "phi", phi)
 
+    @cached_property
+    def fro2(self) -> float:
+        """Squared Frobenius norm ``||phi||_F^2``."""
+        return float(np.sum(self.phi * self.phi))
+
 
 def gen_phi(cfg: MuxConfig, rng: np.random.Generator | None = None) -> MeasurementMatrix:
     """Draw the i.i.d. Gaussian sub-block matrix for ``cfg``.
@@ -118,10 +124,9 @@ def transmit_gain(phi: MeasurementMatrix, cfg: MuxConfig) -> float:
     Equals ``sqrt(m / (j * ||phi||_F^2))``; deterministic given ``phi``, so
     the receiver can undo it exactly.
     """
-    fro2 = float(np.sum(phi.phi * phi.phi))
-    if fro2 == 0.0:
+    if phi.fro2 == 0.0:
         raise ValueError("zero measurement matrix has no transmit gain")
-    return float(np.sqrt(cfg.m / (cfg.j * fro2)))
+    return float(np.sqrt(cfg.m / (cfg.j * phi.fro2)))
 
 
 def phi_to_text(phi: MeasurementMatrix) -> str:

@@ -66,7 +66,7 @@ def zf_equalize(
         raise RankDeficientChannel(
             f"channel with {h.m_tx} inputs and {h.nr} outputs cannot be column rank"
         )
-    u, s, vh = np.linalg.svd(h.h, full_matrices=False)
+    u, s, vh = h.svd
     if s[-1] <= RANK_TOL * s[0]:
         raise RankDeficientChannel(
             f"singular value ratio {s[-1]:.3e}/{s[0]:.3e} below tolerance"
@@ -79,7 +79,7 @@ def channel_is_usable(h: ChannelRealization) -> bool:
     """True when ZF equalization of ``h`` would not raise."""
     if h.m_tx > h.nr:
         return False
-    s = np.linalg.svd(h.h, compute_uv=False)
+    s = h.svd[1]
     return bool(s[-1] > RANK_TOL * s[0])
 
 
@@ -90,53 +90,47 @@ def sensing_matrix(
     return phi.phi @ dictionary.psi
 
 
-def _resolve_sensing(phi, dictionary, sensing):
-    if sensing is not None:
-        return np.asarray(sensing, dtype=np.complex128)
-    if phi is None or dictionary is None:
-        raise ValueError("either a sensing matrix or (phi, dictionary) is required")
-    return sensing_matrix(phi, dictionary)
+def _colnorm2(a: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of every column of a complex matrix."""
+    return np.einsum("ij,ij->j", a.real, a.real) + np.einsum("ij,ij->j", a.imag, a.imag)
 
 
-def _ml_scan(z: np.ndarray, a: np.ndarray, colnorm2: np.ndarray) -> tuple[int, float]:
-    # ||z - a_k||^2 = ||z||^2 - 2 Re<a_k, z> + ||a_k||^2, scanned over all k.
-    res2 = float(z.real @ z.real + z.imag @ z.imag) - 2.0 * np.real(z.conj() @ a) + colnorm2
-    k = int(np.argmin(res2))
-    return k, float(np.sqrt(max(res2[k], 0.0)))
+def _ml_scan(
+    z: np.ndarray, a: np.ndarray, colnorm2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest column of ``a`` to each row of the ``(J, rows)`` block ``z``.
+
+    Returns the ``J`` argmin indices (ties to the lowest) and residual norms.
+    """
+    # ||z_j - a_k||^2 = ||z_j||^2 - 2 Re<a_k, z_j> + ||a_k||^2 over all j, k,
+    # accumulated in place from the -2 Re term (x - y == -y + x exactly).
+    res2 = (z.conj() @ a).real * -2.0
+    res2 += _colnorm2(z.T)[:, None]
+    res2 += colnorm2
+    k = res2.argmin(axis=1)
+    return k, np.sqrt(np.maximum(res2[np.arange(k.size), k], 0.0))
 
 
-def recover_subblock_ml(
-    z_hat_j: np.ndarray,
-    phi: MeasurementMatrix | None = None,
-    dictionary: SubblockDictionary | None = None,
-    sensing: np.ndarray | None = None,
-) -> tuple[int, float]:
+def recover_subblock_ml(z_hat_j: np.ndarray, sensing: np.ndarray) -> tuple[int, float]:
     """Exact l0 recovery of a 1-sparse sub-block by exhaustive residual scan.
 
     Returns ``(k, residual)`` where ``k`` minimizes the Euclidean distance
-    between ``z_hat_j`` and the candidate columns; ties go to the lowest
+    between ``z_hat_j`` and the columns of ``sensing``; ties go to the lowest
     index.  Cost is O(d * m/j), exact for the exhaustive dictionary where
     every valid sub-block is one column.
     """
-    a = _resolve_sensing(phi, dictionary, sensing)
+    a = np.asarray(sensing, dtype=np.complex128)
     z = np.asarray(z_hat_j, dtype=np.complex128).ravel()
     if z.size != a.shape[0]:
         raise DimensionMismatch(
             f"sub-block length {z.size} != sensing rows {a.shape[0]}"
         )
-    colnorm2 = np.einsum("ij,ij->j", a.real, a.real) + np.einsum(
-        "ij,ij->j", a.imag, a.imag
-    )
-    return _ml_scan(z, a, colnorm2)
+    k, res = _ml_scan(z[None, :], a, _colnorm2(a))
+    return int(k[0]), float(res[0])
 
 
 def recover_subblock_omp(
-    z_hat_j: np.ndarray,
-    phi: MeasurementMatrix | None = None,
-    dictionary: SubblockDictionary | None = None,
-    k_max: int = 1,
-    tol: float = 0.0,
-    sensing: np.ndarray | None = None,
+    z_hat_j: np.ndarray, sensing: np.ndarray, k_max: int = 1, tol: float = 0.0
 ) -> tuple[list[int], np.ndarray]:
     """Orthogonal matching pursuit on the sub-block candidate matrix.
 
@@ -148,7 +142,7 @@ def recover_subblock_omp(
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    a = _resolve_sensing(phi, dictionary, sensing)
+    a = np.asarray(sensing, dtype=np.complex128)
     z = np.asarray(z_hat_j, dtype=np.complex128).ravel()
     if z.size != a.shape[0]:
         raise DimensionMismatch(
@@ -180,16 +174,18 @@ def demux(
     phi: MeasurementMatrix,
     dictionary: SubblockDictionary,
     cfg: MuxConfig,
+    sensing: np.ndarray,
     solver: str = "ml",
-    sensing: np.ndarray | None = None,
     omp_tol: float = 0.0,
     oneshot_cap: int = 1 << 20,
 ) -> RecoveryResult:
     """Full receiver: equalize, split into sub-blocks, recover, reassemble.
 
-    ``solver`` picks the per-sub-block recovery: exact scan (``ml``), greedy
-    (``omp`` with one atom), or the joint search on the unequalized receive
-    vector (``oneshot``).  Note that for phase-symmetric alphabets the
+    ``sensing`` is :func:`sensing_matrix` of ``phi`` and ``dictionary``,
+    computed once per sweep by the caller.  ``solver`` picks the
+    per-sub-block recovery: exact scan of all blocks at once (``ml``),
+    greedy (``omp`` with one atom), or the joint search on the unequalized
+    receive vector (``oneshot``).  Note that for phase-symmetric alphabets the
     dictionary contains every column's complex rotations, which OMP's
     absolute-correlation rule cannot tell apart; the exact scan is the
     production detector and OMP remains a generic cross-check.
@@ -201,24 +197,16 @@ def demux(
 
     eq = zf_equalize(y, h, gain=transmit_gain(phi, cfg))
     blocks = eq.z_hat.reshape(cfg.j, cfg.subblock_rows)
-    a = _resolve_sensing(phi, dictionary, sensing)
-    colnorm2 = np.einsum("ij,ij->j", a.real, a.real) + np.einsum(
-        "ij,ij->j", a.imag, a.imag
-    )
-
-    indices = np.empty(cfg.j, dtype=np.int64)
-    residuals = np.empty(cfg.j)
-    for jj in range(cfg.j):
-        if solver == "ml":
-            k, res = _ml_scan(blocks[jj], a, colnorm2)
-        else:
-            support, _ = recover_subblock_omp(
-                blocks[jj], sensing=a, k_max=1, tol=omp_tol
-            )
-            k = support[0] if support else 0
-            res = float(np.linalg.norm(blocks[jj] - a[:, k]))
-        indices[jj] = k
-        residuals[jj] = res
+    a = np.asarray(sensing, dtype=np.complex128)
+    if solver == "ml":
+        indices, residuals = _ml_scan(blocks, a, _colnorm2(a))
+    else:
+        indices = np.empty(cfg.j, dtype=np.int64)
+        residuals = np.empty(cfg.j)
+        for jj, block in enumerate(blocks):
+            support, _ = recover_subblock_omp(block, a, k_max=1, tol=omp_tol)
+            indices[jj] = support[0] if support else 0
+            residuals[jj] = np.linalg.norm(block - a[:, indices[jj]])
     x_hat = dictionary.psi[:, indices].T.ravel()
     return RecoveryResult(indices, x_hat, residuals, eq.condition_number)
 
@@ -251,10 +239,7 @@ def _demux_oneshot(y, h, phi, dictionary, cfg, cap):
     s = contrib[0]
     for jj in range(1, cfg.j):
         s = (contrib[jj][:, :, None] + s[:, None, :]).reshape(h.nr, -1)
-    colnorm2 = np.einsum("ij,ij->j", s.real, s.real) + np.einsum(
-        "ij,ij->j", s.imag, s.imag
-    )
-    res2 = float(y.real @ y.real + y.imag @ y.imag) - 2.0 * np.real(y.conj() @ s) + colnorm2
+    res2 = float(y.real @ y.real + y.imag @ y.imag) - 2.0 * np.real(y.conj() @ s) + _colnorm2(s)
     k = int(np.argmin(res2))
     indices = np.array([(k // d**jj) % d for jj in range(cfg.j)], dtype=np.int64)
     x_hat = dictionary.psi[:, indices].T.ravel()

@@ -29,11 +29,6 @@ class SubblockDictionary:
     def d(self) -> int:
         return self.psi.shape[1]
 
-    @property
-    def point_indices(self) -> np.ndarray:
-        """``(n, d)`` array: constellation index of each tuple position."""
-        return self._point_indices
-
 
 def build_dictionary(
     c: Constellation, n: int, cap: int = 65536
@@ -48,9 +43,7 @@ def build_dictionary(
     k = np.arange(d)
     radix = q ** np.arange(n, dtype=np.int64)
     idx = (k[None, :] // radix[:, None]) % q
-    dictionary = SubblockDictionary(c.points[idx], c, n)
-    object.__setattr__(dictionary, "_point_indices", idx)
-    return dictionary
+    return SubblockDictionary(c.points[idx], c, n)
 
 
 def sparse_encode(

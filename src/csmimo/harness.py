@@ -29,6 +29,7 @@ from .channel import NoiseSpec, apply_channel, sample_channel
 from .csmux import MeasurementMatrix, MuxConfig, gen_phi, multiplex
 from .detection import SOLVERS, channel_is_usable, demux, sensing_matrix, zf_equalize
 from .dictionary import SubblockDictionary, build_dictionary
+from .errors import RankDeficientChannel
 from .modem import Constellation, get_constellation, nearest_point_indices, symbol_indices
 
 BASELINES = (None, "zf", "overload")
@@ -42,7 +43,8 @@ _MAX_CHANNEL_REDRAWS = 1000
 class ExperimentSpec:
     """Full parameterization of one sweep.
 
-    ``trials`` caps the Monte Carlo count per SNR point;
+    ``snr_db`` points must be distinct and finite, or ``inf`` for a
+    noiseless point.  ``trials`` caps the Monte Carlo count per SNR point;
     ``early_stop_errors`` ends a point once that many bit errors have been
     seen (0 disables early stopping).
     """
@@ -59,6 +61,12 @@ class ExperimentSpec:
         grid = tuple(sorted(float(s) for s in self.snr_db))
         if not grid:
             raise ValueError("SNR grid must not be empty")
+        for s in grid:
+            if np.isnan(s) or s == -np.inf:
+                raise ValueError(f"SNR grid point {s!r} dB must be finite or inf")
+        for lo, hi in zip(grid, grid[1:]):
+            if lo == hi:
+                raise ValueError(f"SNR grid repeats {lo!r} dB")
         object.__setattr__(self, "snr_db", grid)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
@@ -222,7 +230,9 @@ def _draw_usable_channel(nr, m_tx, rng):
     while not channel_is_usable(h):
         redraws += 1
         if redraws > _MAX_CHANNEL_REDRAWS:
-            raise RuntimeError("could not draw a usable channel")
+            raise RankDeficientChannel(
+                f"no usable channel in {_MAX_CHANNEL_REDRAWS} redraws"
+            )
         h = sample_channel(nr, m_tx, rng)
     return h, redraws
 
@@ -261,10 +271,7 @@ def _run_prepared_trial(prep: _Prepared, trial_index: int, snr_db: float) -> Tri
         h, redraws = _draw_usable_channel(cfg.nr, cfg.m, rng)
         noise = NoiseSpec.from_snr(snr_db, float(cfg.m))
         y = apply_channel(h, z, noise, rng)
-        rec = demux(
-            y, h, prep.phi, prep.dictionary, cfg,
-            solver=spec.solver, sensing=prep.sensing,
-        )
+        rec = demux(y, h, prep.phi, prep.dictionary, cfg, prep.sensing, solver=spec.solver)
         rx_idx = nearest_point_indices(rec.x_hat, c)
 
     rx_bits = c.labels[rx_idx].ravel()
@@ -333,16 +340,6 @@ def run_sweep(spec: ExperimentSpec, phi: MeasurementMatrix | None = None) -> Swe
     return SweepResult(spec, tuple(rows))
 
 
-def run_baseline_overload(spec: ExperimentSpec) -> SweepResult:
-    """Sweep the no-compression overload baseline for ``spec``'s setup."""
-    return run_sweep(replace(spec, baseline="overload"))
-
-
-def run_baseline_zf(spec: ExperimentSpec) -> SweepResult:
-    """Sweep plain spatial multiplexing (m streams, ZF detection)."""
-    return run_sweep(replace(spec, baseline="zf"))
-
-
 _SPEC_KEYS = {
     "nt", "nr", "l", "j", "constellation", "phi_seed", "dictionary_cap",
     "snr_db", "trials", "master_seed", "solver", "baseline", "early_stop_errors",
@@ -361,14 +358,23 @@ def parse_snr_grid(value) -> tuple[float, ...]:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"grid {text!r} must be start:step:stop")
-        start, step, stop = (float(p) for p in parts)
+        start, step, stop = (_grid_value(p, text) for p in parts)
+        if not all(np.isfinite([start, step, stop])):
+            raise ValueError(f"grid {text!r} needs finite start, step and stop")
         if step <= 0:
             raise ValueError("grid step must be positive")
         n = int(np.floor((stop - start) / step + 0.5)) + 1
         if n < 1:
             raise ValueError(f"grid {text!r} is empty")
         return tuple(start + i * step for i in range(n))
-    return tuple(float(p) for p in text.split(",") if p.strip())
+    return tuple(_grid_value(p, text) for p in text.split(",") if p.strip())
+
+
+def _grid_value(field: str, text: str) -> float:
+    try:
+        return float(field)
+    except ValueError:
+        raise ValueError(f"grid {text!r}: {field.strip()!r} is not a dB value") from None
 
 
 def spec_from_dict(raw: dict) -> ExperimentSpec:

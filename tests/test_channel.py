@@ -1,18 +1,9 @@
-"""Tests for the fading channel, noise accounting, and the real embedding."""
+"""Tests for the fading channel and noise accounting."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from csmimo.channel import (
-    ChannelRealization,
-    NoiseSpec,
-    apply_channel,
-    complexify,
-    realify,
-    sample_channel,
-)
+from csmimo.channel import ChannelRealization, NoiseSpec, apply_channel, sample_channel
 from csmimo.errors import DimensionMismatch
 
 
@@ -109,42 +100,3 @@ class TestApplyChannel:
         with pytest.raises(DimensionMismatch):
             apply_channel(h, np.zeros(2), NoiseSpec(0.0, 0.0), np.random.default_rng(0))
 
-
-class TestRealify:
-    def test_scalar_one(self):
-        np.testing.assert_array_equal(
-            realify(np.array([[1 + 0j]])), [[1.0, 0.0], [0.0, 1.0]]
-        )
-
-    def test_scalar_i_is_rotation(self):
-        np.testing.assert_array_equal(
-            realify(np.array([[1j]])), [[0.0, -1.0], [1.0, 0.0]]
-        )
-
-    def test_vector_stacking(self):
-        v = realify(np.array([1 + 2j, 3 - 4j]))
-        np.testing.assert_array_equal(v, [1.0, 3.0, 2.0, -4.0])
-
-    def test_complexify_inverts(self):
-        x = np.array([0.5 - 1j, 2 + 0.25j, -3j])
-        np.testing.assert_array_equal(complexify(realify(x)), x)
-
-    @given(seed=st.integers(0, 10_000))
-    @settings(max_examples=40, deadline=None)
-    def test_multiplication_homomorphism(self, seed):
-        """realify(h) @ realify(x) == realify(h @ x) on random instances."""
-        rng = np.random.default_rng(seed)
-        n, m = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-        h = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-        x = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        np.testing.assert_allclose(
-            realify(h) @ realify(x), realify(h @ x), atol=1e-10
-        )
-
-    @given(seed=st.integers(0, 10_000))
-    @settings(max_examples=20, deadline=None)
-    def test_addition_homomorphism(self, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        np.testing.assert_allclose(realify(a) + realify(b), realify(a + b), atol=1e-12)

@@ -63,11 +63,21 @@ def test_simulate_solver_override(tmp_path):
     assert "# solver: oneshot" in out.read_text()
 
 
-def test_simulate_rejects_bad_config(tmp_path):
+def test_simulate_rejects_bad_config(tmp_path, capsys):
+    """Bad input prints one error line on stderr and exits 2, no traceback."""
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"nt": 2, "nope": 1}))
-    with pytest.raises(ValueError):
-        main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("csmimo: error: unknown config keys: ['nope']")
+    assert err.count("\n") == 1
+
+
+def test_missing_config_file_is_one_line(tmp_path, capsys):
+    rc = main(["analyze", "--config", str(tmp_path / "absent.json")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("csmimo: error: ")
 
 
 def test_analyze_report(capsys):

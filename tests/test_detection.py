@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csmimo.channel import ChannelRealization, NoiseSpec, apply_channel, sample_channel
 from csmimo.csmux import (
@@ -13,6 +15,8 @@ from csmimo.csmux import (
     transmit_gain,
 )
 from csmimo.detection import (
+    _colnorm2,
+    _ml_scan,
     demux,
     recover_subblock_ml,
     recover_subblock_omp,
@@ -21,7 +25,7 @@ from csmimo.detection import (
 )
 from csmimo.dictionary import build_dictionary, sparse_decode
 from csmimo.errors import DictionaryTooLarge, RankDeficientChannel
-from csmimo.modem import demodulate, modulate
+from csmimo.modem import demodulate, get_constellation, modulate
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +71,7 @@ class TestMlRecovery:
     def test_noiseless_membership(self, pipeline):
         cfg, phi, dictionary = pipeline
         a = sensing_matrix(phi, dictionary)
-        k, res = recover_subblock_ml(a[:, 7], phi, dictionary)
+        k, res = recover_subblock_ml(a[:, 7], sensing=a)
         assert k == 7
         assert res < 1e-12
 
@@ -103,7 +107,7 @@ class TestMlRecovery:
         cfg = MuxConfig(nt=4, nr=4, l=4, j=4)
         dictionary = build_dictionary(qpsk, 1)
         phi = MeasurementMatrix(np.array([[1.0]]), 1.0)
-        k, res = recover_subblock_ml(np.array([0j]), phi, dictionary)
+        k, res = recover_subblock_ml(np.array([0j]), sensing_matrix(phi, dictionary))
         assert k == 0
         assert res == pytest.approx(1.0)
 
@@ -116,6 +120,32 @@ class TestMlRecovery:
             k1, _ = recover_subblock_ml(z, sensing=a)
             k2, _ = recover_subblock_ml(3.7 * z, sensing=3.7 * a)
             assert k1 == k2
+
+
+class TestMlScan:
+    @given(
+        j=st.integers(1, 10),
+        constellation=st.sampled_from(["qpsk", "qam16"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_bruteforce_argmin(self, j, constellation, seed):
+        """Each row of one J-row scan picks its own brute-force nearest column."""
+        c = get_constellation(constellation)
+        rng = np.random.default_rng(seed)
+        rows, n = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        phi = MeasurementMatrix(rng.standard_normal((rows, n)) / np.sqrt(rows), 1.0)
+        a = sensing_matrix(phi, build_dictionary(c, n))
+        truth = rng.integers(0, a.shape[1], size=j)
+        noise = rng.standard_normal((j, rows)) + 1j * rng.standard_normal((j, rows))
+        z = a[:, truth].T + 0.3 * noise
+        k, res = _ml_scan(z, a, _colnorm2(a))
+        assert k.shape == res.shape == (j,)
+        for row, k_row, res_row in zip(z, k, res):
+            diffs = a - row[:, None]
+            dist2 = (diffs.real**2 + diffs.imag**2).sum(axis=0)
+            assert k_row == np.argmin(dist2)
+            assert res_row == pytest.approx(np.sqrt(dist2[k_row]), abs=1e-9)
 
 
 class TestOmp:
@@ -165,13 +195,14 @@ class TestOmp:
     def test_k_max_validation(self, pipeline):
         cfg, phi, dictionary = pipeline
         with pytest.raises(ValueError):
-            recover_subblock_omp(np.zeros(2), phi, dictionary, k_max=0)
+            recover_subblock_omp(np.zeros(2), sensing_matrix(phi, dictionary), k_max=0)
 
 
 class TestDemux:
     def test_noiseless_end_to_end(self, pipeline, qpsk):
         """1000 random payloads through a noiseless channel come back exact."""
         cfg, phi, dictionary = pipeline
+        a = sensing_matrix(phi, dictionary)
         noiseless = NoiseSpec(float("inf"), 0.0)
         for t in range(1000):
             rng = np.random.default_rng([4242, t])
@@ -180,7 +211,7 @@ class TestDemux:
             z = multiplex(x, phi, cfg)
             h = sample_channel(cfg.nr, cfg.m, rng)
             y = apply_channel(h, z, noiseless, rng)
-            rec = demux(y, h, phi, dictionary, cfg)
+            rec = demux(y, h, phi, dictionary, cfg, a)
             np.testing.assert_array_equal(demodulate(rec.x_hat, qpsk), bits)
 
     def test_result_reassembles_decoded_blocks(self, pipeline, qpsk):
@@ -190,7 +221,7 @@ class TestDemux:
         z = multiplex(x, phi, cfg)
         h = sample_channel(cfg.nr, cfg.m, rng)
         y = apply_channel(h, z, NoiseSpec(10.0, 0.4), rng)
-        rec = demux(y, h, phi, dictionary, cfg)
+        rec = demux(y, h, phi, dictionary, cfg, sensing_matrix(phi, dictionary))
         rebuilt = np.concatenate(
             [sparse_decode(int(k), dictionary) for k in rec.s_indices]
         )
@@ -206,6 +237,7 @@ class TestDemux:
         cfg = MuxConfig(nt=4, nr=4, l=4, j=4)
         phi = identity_phi(cfg)
         dictionary = build_dictionary(qpsk, 1)
+        a = sensing_matrix(phi, dictionary)
         for t in range(400):
             rng = np.random.default_rng([31337, t])
             bits = rng.integers(0, 2, size=8, dtype=np.uint8)
@@ -213,7 +245,7 @@ class TestDemux:
             z = multiplex(x, phi, cfg)
             h = sample_channel(4, 4, rng)
             y = apply_channel(h, z, NoiseSpec(10.0, 0.4), rng)
-            rec = demux(y, h, phi, dictionary, cfg)
+            rec = demux(y, h, phi, dictionary, cfg, a)
 
             x_zf = np.linalg.inv(h.h.conj().T @ h.h) @ (h.h.conj().T @ y)
             oracle_bits = []
@@ -227,6 +259,7 @@ class TestDemux:
     def test_deep_noise_gives_chance_level(self, pipeline, qpsk):
         """At -60 dB the decisions are effectively random: BER near 1/2."""
         cfg, phi, dictionary = pipeline
+        a = sensing_matrix(phi, dictionary)
         errs = bits_total = 0
         for t in range(700):
             rng = np.random.default_rng([91, t])
@@ -235,7 +268,7 @@ class TestDemux:
             z = multiplex(x, phi, cfg)
             h = sample_channel(cfg.nr, cfg.m, rng)
             y = apply_channel(h, z, NoiseSpec.from_snr(-60.0, cfg.m), rng)
-            rec = demux(y, h, phi, dictionary, cfg)
+            rec = demux(y, h, phi, dictionary, cfg, a)
             errs += int(np.sum(demodulate(rec.x_hat, qpsk) != bits))
             bits_total += bits.size
         assert abs(errs / bits_total - 0.5) < 0.02
@@ -246,6 +279,7 @@ class TestDemux:
         its atom is the ML atom up to a per-block phase in {1, i, -1, -i}.
         """
         cfg, phi, dictionary = pipeline
+        a = sensing_matrix(phi, dictionary)
         rotations = np.array([1.0, 1j, -1.0, -1j])
         for t in range(100):
             rng = np.random.default_rng([55, t])
@@ -253,8 +287,8 @@ class TestDemux:
             z = multiplex(x, phi, cfg)
             h = sample_channel(cfg.nr, cfg.m, rng)
             y = apply_channel(h, z, NoiseSpec(float("inf"), 0.0), rng)
-            ml = demux(y, h, phi, dictionary, cfg, solver="ml")
-            omp = demux(y, h, phi, dictionary, cfg, solver="omp")
+            ml = demux(y, h, phi, dictionary, cfg, a, solver="ml")
+            omp = demux(y, h, phi, dictionary, cfg, a, solver="omp")
             for k_ml, k_omp in zip(ml.s_indices, omp.s_indices):
                 twins = rotations[:, None] * dictionary.psi[:, k_ml][None, :]
                 match = np.isclose(twins, dictionary.psi[:, k_omp][None, :]).all(axis=1)
@@ -264,7 +298,7 @@ class TestDemux:
         cfg, phi, dictionary = pipeline
         with pytest.raises(ValueError, match="unknown solver"):
             demux(np.zeros(4), sample_channel(4, 4, np.random.default_rng(0)),
-                  phi, dictionary, cfg, solver="mmse")
+                  phi, dictionary, cfg, sensing_matrix(phi, dictionary), solver="mmse")
 
 
 class TestOneshot:
@@ -272,6 +306,7 @@ class TestOneshot:
         cfg = cfg_2x2_l4
         phi = gen_phi(cfg)
         dictionary = build_dictionary(qpsk, cfg.subblock_cols)
+        a = sensing_matrix(phi, dictionary)
         for t in range(300):
             rng = np.random.default_rng([12, t])
             bits = rng.integers(0, 2, size=8, dtype=np.uint8)
@@ -279,7 +314,7 @@ class TestOneshot:
             z = multiplex(x, phi, cfg)
             h = sample_channel(cfg.nr, cfg.m, rng)
             y = apply_channel(h, z, NoiseSpec(float("inf"), 0.0), rng)
-            rec = demux(y, h, phi, dictionary, cfg, solver="oneshot")
+            rec = demux(y, h, phi, dictionary, cfg, a, solver="oneshot")
             np.testing.assert_array_equal(demodulate(rec.x_hat, qpsk), bits)
             assert np.isnan(rec.condition_number)
             assert rec.residuals.shape == (1,)
@@ -289,6 +324,7 @@ class TestOneshot:
         cfg = cfg_2x2_l4
         phi = gen_phi(cfg)
         dictionary = build_dictionary(qpsk, cfg.subblock_cols)
+        a = sensing_matrix(phi, dictionary)
         agree = 0
         for t in range(300):
             rng = np.random.default_rng([13, t])
@@ -296,8 +332,8 @@ class TestOneshot:
             z = multiplex(x, phi, cfg)
             h = sample_channel(cfg.nr, cfg.m, rng)
             y = apply_channel(h, z, NoiseSpec.from_snr(35.0, cfg.m), rng)
-            one = demux(y, h, phi, dictionary, cfg, solver="oneshot")
-            two = demux(y, h, phi, dictionary, cfg, solver="ml")
+            one = demux(y, h, phi, dictionary, cfg, a, solver="oneshot")
+            two = demux(y, h, phi, dictionary, cfg, a, solver="ml")
             agree += int(np.array_equal(one.s_indices, two.s_indices))
         assert agree >= 290
 
@@ -307,5 +343,5 @@ class TestOneshot:
         dictionary = build_dictionary(qpsk, cfg.subblock_cols)
         h = sample_channel(cfg.nr, cfg.m, np.random.default_rng(0))
         with pytest.raises(DictionaryTooLarge):
-            demux(np.zeros(2), h, phi, dictionary, cfg,
+            demux(np.zeros(2), h, phi, dictionary, cfg, sensing_matrix(phi, dictionary),
                   solver="oneshot", oneshot_cap=10)

@@ -1,0 +1,79 @@
+"""Golden sweep CSVs: short runs of every shipped mode, pinned byte for byte.
+
+Each file under ``tests/golden/`` is the exact ``SweepResult.to_csv`` output
+of one case in :data:`CASES`.  A change to the trial path must leave these
+bytes unchanged; if a golden file ever has to change, CHANGES.md says why.
+The numbers depend on numpy and on its BLAS/LAPACK build, so
+``versions.json`` records the stack the files were made on, and a mismatch
+reports both that stack and the one the test ran on.
+
+Regenerate (only for an intended, explained change of results):
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from conftest import recipe_path
+from csmimo.harness import load_spec, run_sweep
+
+GOLDEN = Path(__file__).parent / "golden"
+SNR_DB = (0.0, 10.0, 20.0)
+TRIALS = 300
+
+# case name -> (recipe, solver, baseline); each recipe keeps its own seeds
+# and early-stop threshold, so the 0 dB rows also pin the early-stop index.
+CASES = {
+    f"{recipe}_{mode}": (recipe, solver, baseline)
+    for recipe in ("mimo2x2_l4", "mimo4x4_l8", "mimo20x20_l40")
+    for mode, solver, baseline in (
+        ("ml", "ml", None),
+        ("zf", "ml", "zf"),
+        ("overload", "ml", "overload"),
+        ("oneshot", "oneshot", None),
+    )
+    # d**J joint candidates: 4**2**2 and 4**4**2 are small, 4**4**10 is not
+    if not (mode == "oneshot" and recipe == "mimo20x20_l40")
+}
+
+
+def sweep_csv(name: str) -> str:
+    recipe, solver, baseline = CASES[name]
+    spec = load_spec(recipe_path(f"{recipe}.json"))
+    spec = replace(spec, snr_db=SNR_DB, trials=TRIALS, solver=solver, baseline=baseline)
+    return run_sweep(spec).to_csv()
+
+
+def stack_versions() -> dict[str, str]:
+    """numpy version and the BLAS/LAPACK build it reports."""
+    info = {"numpy": np.__version__}
+    try:
+        deps = np.show_config(mode="dicts")["Build Dependencies"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no dict mode
+        return info
+    for lib in ("blas", "lapack"):
+        if lib in deps:
+            info[lib] = f"{deps[lib].get('name')} {deps[lib].get('version')}"
+    return info
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_csv(name):
+    expected = (GOLDEN / f"{name}.csv").read_text(encoding="ascii")
+    made_on = json.loads((GOLDEN / "versions.json").read_text())
+    assert sweep_csv(name) == expected, (
+        f"{name}.csv no longer matches; files made on {made_on}, "
+        f"this run on {stack_versions()}"
+    )
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for case in sorted(CASES):
+        (GOLDEN / f"{case}.csv").write_text(sweep_csv(case), encoding="ascii", newline="\n")
+    (GOLDEN / "versions.json").write_text(json.dumps(stack_versions(), indent=2) + "\n")

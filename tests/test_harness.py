@@ -1,19 +1,20 @@
 """Tests for the Monte Carlo driver, baselines, config files, and CSV."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from csmimo.channel import ChannelRealization
 from csmimo.csmux import MuxConfig, identity_phi
+from csmimo.errors import RankDeficientChannel
 from csmimo.harness import (
     CSV_HEADER,
     ExperimentSpec,
     SweepRow,
     load_spec,
     parse_snr_grid,
-    run_baseline_overload,
-    run_baseline_zf,
     run_sweep,
     run_trial,
     spec_from_dict,
@@ -67,6 +68,16 @@ class TestRunTrial:
     def test_negative_trial_index_rejected(self):
         with pytest.raises(ValueError):
             run_trial(small_spec(), -1)
+
+    def test_redraw_exhaustion_raises_rank_deficient(self, monkeypatch):
+        """A channel that never becomes usable ends the trial with the
+        library's rank error once the redraw budget is spent."""
+        rank_one = ChannelRealization(np.ones((4, 4), dtype=complex))
+        monkeypatch.setattr(
+            "csmimo.harness.sample_channel", lambda nr, m_tx, rng: rank_one
+        )
+        with pytest.raises(RankDeficientChannel, match="redraws"):
+            run_trial(small_spec(), 0)
 
 
 class TestExperimentSpec:
@@ -174,8 +185,8 @@ class TestBaselines:
 
     def test_baseline_helpers(self):
         spec = small_spec(snr_db=(INF,), trials=30)
-        assert run_baseline_zf(spec).rows[0].ber == 0.0
-        assert run_baseline_overload(spec).rows[0].ber > 0.0
+        assert run_sweep(replace(spec, baseline="zf")).rows[0].ber == 0.0
+        assert run_sweep(replace(spec, baseline="overload")).rows[0].ber > 0.0
 
 
 class TestThroughputAndCi:
@@ -222,6 +233,15 @@ class TestConfigFiles:
             parse_snr_grid("0:0:10")
         with pytest.raises(ValueError):
             parse_snr_grid("0:2")
+        with pytest.raises(ValueError, match="'0:2:': '' is not a dB value"):
+            parse_snr_grid("0:2:")
+        with pytest.raises(ValueError, match="'x' is not a dB value"):
+            parse_snr_grid("1,x")
+        with pytest.raises(ValueError, match="finite"):
+            parse_snr_grid("0:2:inf")
+        for grid, named in (("nan", "nan"), ("-inf,0", "-inf"), ("5,5", "5.0")):
+            with pytest.raises(ValueError, match=f"SNR grid .*{named} dB"):
+                small_spec(snr_db=parse_snr_grid(grid))
 
     def test_unknown_keys_rejected(self):
         raw = {"nt": 2, "nr": 2, "l": 4, "j": 2, "snr_db": [0], "trials": 1,
