@@ -6,8 +6,9 @@ sub-blocks; each sub-block is matched against the exhaustive candidate
 dictionary through the compression matrix.  Because every sub-block is
 exactly 1-sparse over that dictionary, the l0 problem is solved exactly by
 a minimum-residual scan over all columns.  OMP is kept as the generic
-greedy solver, and a one-shot mode performs the joint search directly on
-the received vector without equalizing first.
+greedy solver, and a one-shot mode finds the exact joint ML choice of all
+sub-blocks directly on the received vector, without equalizing first, by a
+block sphere search after a QR factorization of the channel.
 """
 
 from __future__ import annotations
@@ -184,16 +185,18 @@ def demux(
     ``sensing`` is :func:`sensing_matrix` of ``phi`` and ``dictionary``,
     computed once per sweep by the caller.  ``solver`` picks the
     per-sub-block recovery: exact scan of all blocks at once (``ml``),
-    greedy (``omp`` with one atom), or the joint search on the unequalized
-    receive vector (``oneshot``).  Note that for phase-symmetric alphabets the
-    dictionary contains every column's complex rotations, which OMP's
-    absolute-correlation rule cannot tell apart; the exact scan is the
-    production detector and OMP remains a generic cross-check.
+    greedy (``omp`` with one atom), or exact joint ML on the unequalized
+    receive vector by block sphere search (``oneshot``), whose cost falls
+    with SNR and which may score at most ``oneshot_cap`` candidates before
+    it raises :class:`DictionaryTooLarge`.  Note that for phase-symmetric
+    alphabets the dictionary contains every column's complex rotations,
+    which OMP's absolute-correlation rule cannot tell apart; the exact scan
+    is the production detector and OMP remains a generic cross-check.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}; choose from {SOLVERS}")
     if solver == "oneshot":
-        return _demux_oneshot(y, h, phi, dictionary, cfg, cap=oneshot_cap)
+        return _demux_oneshot(y, h, phi, dictionary, cfg, sensing, cap=oneshot_cap)
 
     eq = zf_equalize(y, h, gain=transmit_gain(phi, cfg))
     blocks = eq.z_hat.reshape(cfg.j, cfg.subblock_rows)
@@ -211,37 +214,68 @@ def demux(
     return RecoveryResult(indices, x_hat, residuals, eq.condition_number)
 
 
-def _demux_oneshot(y, h, phi, dictionary, cfg, cap):
-    """Joint exact search over all per-block index combinations.
+def _demux_oneshot(y, h, phi, dictionary, cfg, sensing, cap):
+    """Exact joint ML over all per-block index combinations by sphere search.
 
     Works on the raw receive vector with the composed channel, compression
     and dictionary, so no equalization (or channel invertibility) is
-    needed.  The candidate count d**j grows exponentially with the number
-    of sub-blocks and is rejected above ``cap``.
+    needed.  After ``h = QR`` the metric ``||Q^H y - R z||^2`` is
+    block-upper-triangular, so a depth-first search fixes the last
+    sub-block first, visits each level's ``d`` candidates in increasing
+    partial metric (Schnorr-Euchner order) and prunes a branch as soon as
+    its partial metric exceeds the best full metric found so far.  Ties go
+    to the lowest joint index ``sum k_j d**j``.  ``cap`` bounds the number
+    of candidates scored (visited nodes times ``d``); running out raises
+    :class:`DictionaryTooLarge` rather than returning a truncated answer.
     """
     y = np.asarray(y, dtype=np.complex128).ravel()
-    if y.size != h.nr:
-        raise DimensionMismatch(f"received vector length {y.size} != nr {h.nr}")
-    d = dictionary.d
-    total = d**cfg.j
-    if total > cap:
-        raise DictionaryTooLarge(
-            f"joint search over {d}^{cfg.j} = {total} candidates exceeds cap {cap}"
+    if h.h.shape != (y.size, cfg.m):
+        raise DimensionMismatch(
+            f"channel shape {h.h.shape} != ({y.size}, {cfg.m}) "
+            f"for {y.size} receive and {cfg.m} transmit dimensions"
         )
-    g = transmit_gain(phi, cfg)
-    # Per-block contribution of each candidate column to the received vector.
-    contrib = []
-    for jj in range(cfg.j):
-        h_block = h.h[:, jj * cfg.subblock_rows : (jj + 1) * cfg.subblock_rows]
-        contrib.append((h_block @ phi.phi * g) @ dictionary.psi)
-    # Expand sums over blocks; block jj contributes with stride d**jj, so the
-    # joint index decodes as k_jj = (k // d**jj) % d.
-    s = contrib[0]
-    for jj in range(1, cfg.j):
-        s = (contrib[jj][:, :, None] + s[:, None, :]).reshape(h.nr, -1)
-    res2 = float(y.real @ y.real + y.imag @ y.imag) - 2.0 * np.real(y.conj() @ s) + _colnorm2(s)
-    k = int(np.argmin(res2))
-    indices = np.array([(k // d**jj) % d for jj in range(cfg.j)], dtype=np.int64)
+    if not (np.isfinite(y).all() and np.isfinite(h.h).all()):
+        raise ValueError("receive vector and channel must be finite")
+    rows, d = cfg.subblock_rows, dictionary.d
+    q, r = np.linalg.qr(h.h, mode="complete")
+    yq = q.conj().T @ y
+    # contrib[i, :, k]: rotated receive contribution of candidate k placed in
+    # sub-block i; rows below block i are zero since r is upper triangular.
+    a = sensing * transmit_gain(phi, cfg)
+    contrib = r.reshape(-1, cfg.j, rows).transpose(1, 0, 2) @ a
+    best = np.inf
+    best_path = [d] * cfg.j  # above every joint index
+    path = [0] * cfg.j
+    scored = 0
+
+    def search(level, target, partial):
+        nonlocal best, best_path, scored
+        if scored + d > cap:
+            raise DictionaryTooLarge(
+                f"joint search needs more than {cap} scored candidates "
+                f"({d} per node over {cfg.j} sub-blocks)"
+            )
+        scored += d
+        lo = level * rows
+        diff = target[lo : lo + rows, None] - contrib[level, lo : lo + rows]
+        metric = partial + (diff.real**2 + diff.imag**2).sum(axis=0)
+        if level == 0:
+            k = int(metric.argmin())
+            path[0] = k
+            # the joint index orders by the last sub-block first
+            if metric[k] < best or (metric[k] == best and path[::-1] < best_path):
+                best, best_path = float(metric[k]), path[::-1]
+            return
+        for k in np.argsort(metric, kind="stable"):
+            if metric[k] > best:
+                break
+            path[level] = int(k)
+            search(level - 1, target[:lo] - contrib[level, :lo, k], metric[k])
+
+    search(cfg.j - 1, yq, 0.0)
+    indices = np.array(best_path[::-1], dtype=np.int64)
     x_hat = dictionary.psi[:, indices].T.ravel()
-    residual = float(np.sqrt(max(res2[k], 0.0)))
+    # rows of Q^H y below m are out of reach of every R z
+    out = yq[cfg.m :]
+    residual = np.sqrt(best + float(out.real @ out.real + out.imag @ out.imag))
     return RecoveryResult(indices, x_hat, np.array([residual]), float("nan"))

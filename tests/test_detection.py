@@ -1,5 +1,7 @@
 """Tests for equalization and the sparse recovery solvers."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,8 +26,11 @@ from csmimo.detection import (
     zf_equalize,
 )
 from csmimo.dictionary import build_dictionary, sparse_decode
-from csmimo.errors import DictionaryTooLarge, RankDeficientChannel
+from csmimo.errors import DictionaryTooLarge, DimensionMismatch, RankDeficientChannel
+from csmimo.harness import load_spec, run_sweep
 from csmimo.modem import demodulate, get_constellation, modulate
+
+from conftest import recipe_path
 
 
 @pytest.fixture(scope="module")
@@ -301,7 +306,127 @@ class TestDemux:
                   phi, dictionary, cfg, sensing_matrix(phi, dictionary), solver="mmse")
 
 
+def _joint_ml_oracle(y, h, phi, dictionary, cfg):
+    """Brute-force joint ML: score all ``d**J`` transmit vectors directly.
+
+    Joint index ``n`` holds sub-block ``j``'s column ``(n // d**j) % d``;
+    ``argmin`` keeps the lowest joint index on ties.  Returns the per-block
+    indices and the residual norm.
+    """
+    d = dictionary.d
+    digits = (np.arange(d**cfg.j)[None, :] // d ** np.arange(cfg.j)[:, None]) % d
+    x = dictionary.psi[:, digits].transpose(1, 0, 2).reshape(cfg.l, -1)
+    z = np.kron(np.eye(cfg.j), phi.phi) @ x * transmit_gain(phi, cfg)
+    metric = (np.abs(y[:, None] - h.h @ z) ** 2).sum(axis=0)
+    n = int(np.argmin(metric))
+    return digits[:, n], float(np.sqrt(metric[n]))
+
+
+@st.composite
+def _joint_cases(draw):
+    """Small setups with enumerable ``d**J``: (cfg, y, h, phi, dictionary)."""
+    name = draw(st.sampled_from(["qpsk", "qam16"]))
+    rows = draw(st.sampled_from([1, 2]))
+    cols = draw(st.integers(rows, 2)) if name == "qpsk" else rows
+    d = get_constellation(name).order ** cols
+    j = draw(st.integers(1, max(k for k in range(1, 5) if d**k <= 65536)))
+    m = j * rows
+    # nr - m extra receive rows; -1 leaves fewer rows than transmit dimensions
+    nr = m + draw(st.integers(-1 if m > 1 else 0, 2))
+    cfg = MuxConfig(nt=m, nr=max(nr, m), l=j * cols, j=j,
+                    phi_seed=draw(st.integers(0, 2**32 - 1)), constellation=name)
+    defect = draw(st.sampled_from([None, "zero", "copy"]))
+    snr = draw(st.one_of(st.just(float("inf")), st.floats(-5.0, 40.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    phi = gen_phi(cfg)
+    dictionary = build_dictionary(get_constellation(name), cols)
+    x = dictionary.psi[:, rng.integers(0, d, size=j)].T.ravel()
+    h = sample_channel(nr, m, rng).h
+    src, dst = rng.permutation(m + 1)[:2] % m
+    if defect == "zero":
+        h[:, dst] = 0.0
+    elif defect == "copy" and src != dst:
+        # A scaled copy: a plain one across two one-row sub-blocks would make
+        # swapped candidates tie exactly, leaving the index to rounding.
+        h[:, dst] = (rng.standard_normal() + 1j * rng.standard_normal()) * h[:, src]
+    h = ChannelRealization(h)
+    y = apply_channel(h, multiplex(x, phi, cfg), NoiseSpec.from_snr(snr, m), rng)
+    return cfg, y, h, phi, dictionary
+
+
 class TestOneshot:
+    @given(case=_joint_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force_oracle(self, case):
+        """Sphere search indices equal the d**J enumeration's, J = 1..4."""
+        cfg, y, h, phi, dictionary = case
+        rec = demux(y, h, phi, dictionary, cfg, sensing_matrix(phi, dictionary),
+                    solver="oneshot")
+        k, res = _joint_ml_oracle(y, h, phi, dictionary, cfg)
+        np.testing.assert_array_equal(rec.s_indices, k)
+        np.testing.assert_allclose(rec.residuals[0], res, rtol=1e-6, atol=1e-9)
+
+    def test_residual_is_direct_norm(self, qpsk, pipeline):
+        cfg, phi, dictionary = pipeline
+        a = sensing_matrix(phi, dictionary)
+        g = transmit_gain(phi, cfg)
+        for t in range(200):
+            rng = np.random.default_rng([31, t])
+            x = qpsk.points[rng.integers(0, 4, size=cfg.l)]
+            h = sample_channel(cfg.nr, cfg.m, rng)
+            snr = float("inf") if t % 2 else 40.0 * rng.random()
+            y = apply_channel(h, multiplex(x, phi, cfg), NoiseSpec.from_snr(snr, cfg.m), rng)
+            rec = demux(y, h, phi, dictionary, cfg, a, solver="oneshot")
+            z_hat = (rec.x_hat.reshape(cfg.j, -1) @ phi.phi.T).ravel() * g
+            direct = np.linalg.norm(y - h.h @ z_hat)
+            if t % 2:
+                assert rec.residuals[0] <= 1e-12 * np.linalg.norm(y)
+            else:
+                np.testing.assert_allclose(rec.residuals[0], direct, rtol=1e-9)
+
+    def test_cap_never_truncates(self, qpsk):
+        """Every budget either raises or returns the unbudgeted answer."""
+        cfg = MuxConfig(nt=4, nr=4, l=8, j=4, phi_seed=5)
+        phi = gen_phi(cfg)
+        dictionary = build_dictionary(qpsk, cfg.subblock_cols)
+        a = sensing_matrix(phi, dictionary)
+        rng = np.random.default_rng(8)
+        h = sample_channel(cfg.nr, cfg.m, rng)
+        y = apply_channel(h, multiplex(qpsk.points[rng.integers(0, 4, size=8)], phi, cfg),
+                          NoiseSpec.from_snr(-5.0, cfg.m), rng)
+        full = demux(y, h, phi, dictionary, cfg, a, solver="oneshot")
+        raised = 0
+        for cap in range(dictionary.d, 64 * dictionary.d, dictionary.d):
+            try:
+                rec = demux(y, h, phi, dictionary, cfg, a, solver="oneshot",
+                            oneshot_cap=cap)
+            except DictionaryTooLarge:
+                raised += 1
+                continue
+            np.testing.assert_array_equal(rec.s_indices, full.s_indices)
+            assert rec.residuals[0] == full.residuals[0]
+        assert raised >= cfg.j
+
+    def test_wrong_channel_shape_rejected(self, pipeline):
+        cfg, phi, dictionary = pipeline
+        h = sample_channel(cfg.nr, cfg.m - 1, np.random.default_rng(0))
+        with pytest.raises(DimensionMismatch, match="channel shape"):
+            demux(np.zeros(cfg.nr), h, phi, dictionary, cfg,
+                  sensing_matrix(phi, dictionary), solver="oneshot")
+
+    def test_non_finite_input_rejected(self, pipeline):
+        cfg, phi, dictionary = pipeline
+        h = sample_channel(cfg.nr, cfg.m, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="finite"):
+            demux(np.full(cfg.nr, np.nan), h, phi, dictionary, cfg,
+                  sensing_matrix(phi, dictionary), solver="oneshot")
+
+    def test_paper_20x20_recipe_noiseless(self):
+        spec = replace(load_spec(recipe_path("mimo20x20_l40.json")),
+                       solver="oneshot", snr_db=(float("inf"),), trials=50)
+        row = run_sweep(spec).rows[0]
+        assert row.trials == 50 and row.bit_errors == 0
+
     def test_noiseless_exact(self, qpsk, cfg_2x2_l4):
         cfg = cfg_2x2_l4
         phi = gen_phi(cfg)
