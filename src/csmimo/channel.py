@@ -6,10 +6,15 @@ received signal energy per receive antenna to the complex noise variance
 per complex dimension and i.i.d. unit-variance channel gains, the received
 signal energy per antenna equals the number of transmitted complex
 dimensions, so ``sigma2 = m_tx / 10**(snr_db/10)``.
+
+A :class:`ChannelRealization` may hold a stack of draws with leading trial
+axes, shape ``(..., nr, m_tx)``; :func:`apply_channel` then takes one
+transmit vector and one generator per trial.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,27 +25,33 @@ from .errors import DimensionMismatch
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One draw of an ``nr x m_tx`` complex channel matrix."""
+    """One draw of an ``nr x m_tx`` complex channel matrix, or a stack of
+    draws of shape ``(..., nr, m_tx)`` with one leading index per trial."""
 
     h: np.ndarray
 
     def __post_init__(self) -> None:
         h = np.asarray(self.h, dtype=np.complex128)
-        if h.ndim != 2:
+        if h.ndim < 2:
             raise DimensionMismatch(f"channel matrix must be 2-D, got shape {h.shape}")
         object.__setattr__(self, "h", h)
 
     @property
     def nr(self) -> int:
-        return self.h.shape[0]
+        return self.h.shape[-2]
 
     @property
     def m_tx(self) -> int:
-        return self.h.shape[1]
+        return self.h.shape[-1]
+
+    @property
+    def stack_shape(self) -> tuple[int, ...]:
+        """Leading trial axes; ``()`` for a single draw."""
+        return self.h.shape[:-2]
 
     @cached_property
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Thin SVD ``(u, s, vh)`` of ``h``, computed once per draw."""
+        """Thin SVD ``(u, s, vh)`` of every matrix, computed once per draw."""
         return np.linalg.svd(self.h, full_matrices=False)
 
 
@@ -79,15 +90,31 @@ def apply_channel(
     h: ChannelRealization,
     z: np.ndarray,
     noise: NoiseSpec,
-    rng: np.random.Generator,
+    rng: np.random.Generator | Sequence[np.random.Generator],
 ) -> np.ndarray:
-    """Return ``h @ z + v`` with ``v`` i.i.d. CN(0, sigma2) per receive antenna."""
-    z = np.asarray(z, dtype=np.complex128).ravel()
-    if z.size != h.m_tx:
+    """Return ``h @ z + v`` with ``v`` i.i.d. CN(0, sigma2) per receive antenna.
+
+    The noise draws the real parts, then the imaginary parts, from ``rng``.
+    For a stack of channels, ``z`` has shape ``(..., m_tx)`` and ``rng``
+    holds one generator per trial in row-major order; each trial's noise
+    comes from its own generator, exactly as for a single channel.
+    """
+    z = np.asarray(z, dtype=np.complex128)
+    if not h.stack_shape:
+        z, rng = z.ravel(), [rng]
+    if z.shape != h.stack_shape + (h.m_tx,):
         raise DimensionMismatch(
-            f"transmit vector length {z.size} does not match channel columns {h.m_tx}"
+            f"transmit vectors of shape {z.shape} do not match channel columns {h.m_tx}"
+            f" for trials {h.stack_shape}"
         )
-    scale = np.sqrt(noise.sigma2 / 2.0)
-    v = scale * (rng.standard_normal(h.nr) + 1j * rng.standard_normal(h.nr))
-    return h.h @ z + v
+    if len(rng) != z[..., 0].size:
+        raise DimensionMismatch(f"{len(rng)} generators for {z[..., 0].size} trials")
+    re = np.empty((len(rng), h.nr))
+    im = np.empty((len(rng), h.nr))
+    for i, g in enumerate(rng):
+        re[i] = g.standard_normal(h.nr)
+        im[i] = g.standard_normal(h.nr)
+    v = np.sqrt(noise.sigma2 / 2.0) * (re + 1j * im)
+    # stacked matrix-vector products, bit for bit the single-draw ones
+    return (h.h @ z[..., None])[..., 0] + v.reshape(z.shape[:-1] + (h.nr,))
 

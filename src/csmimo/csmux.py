@@ -10,6 +10,7 @@ against an uncompressed system fair.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -17,6 +18,23 @@ import numpy as np
 
 from .errors import BadSubblockShape, DictionaryTooLarge, DimensionMismatch
 from .modem import get_constellation
+
+
+def require_ints(obj, *names: str) -> None:
+    """Check that the named fields of a frozen dataclass hold integers.
+
+    Python and numpy integers pass and are stored as ``int``; floats,
+    booleans and anything else raise a one-line ``ValueError`` naming the
+    field.
+    """
+    for name in names:
+        value = getattr(obj, name)
+        try:
+            if isinstance(value, (bool, np.bool_)):
+                raise TypeError
+            object.__setattr__(obj, name, operator.index(value))
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -38,6 +56,7 @@ class MuxConfig:
     dictionary_cap: int = 65536
 
     def __post_init__(self) -> None:
+        require_ints(self, "nt", "nr", "l", "j", "phi_seed", "dictionary_cap")
         if self.nt < 1 or self.nr < 1:
             raise ValueError("antenna counts must be positive")
         if self.l < 1 or self.j < 1:
@@ -158,16 +177,19 @@ def multiplex(x: np.ndarray, phi: MeasurementMatrix, cfg: MuxConfig) -> np.ndarr
 
     The real matrix acts identically on real and imaginary parts.  Output is
     the concatenation of ``phi @ x_group`` over the ``j`` groups, scaled by
-    :func:`transmit_gain`.
+    :func:`transmit_gain`.  Leading axes of ``x`` index trials: ``(..., l)``
+    symbols give ``(..., m)`` transmit vectors, each bit for bit the single
+    trial's.
     """
-    x = np.asarray(x, dtype=np.complex128).ravel()
-    if x.size != cfg.l:
-        raise DimensionMismatch(f"expected {cfg.l} symbols, got {x.size}")
+    x = np.asarray(x, dtype=np.complex128)
+    if x.shape[-1:] != (cfg.l,):
+        raise DimensionMismatch(f"expected {cfg.l} symbols per trial, got shape {x.shape}")
     if phi.phi.shape != (cfg.subblock_rows, cfg.subblock_cols):
         raise DimensionMismatch(
             f"phi shape {phi.phi.shape} does not match "
             f"({cfg.subblock_rows}, {cfg.subblock_cols})"
         )
-    groups = x.reshape(cfg.j, cfg.subblock_cols)
+    # one (j, cols) @ (cols, rows) product per trial, as for a single trial
+    groups = x.reshape(x.shape[:-1] + (cfg.j, cfg.subblock_cols))
     z = groups @ phi.phi.T
-    return z.ravel() * transmit_gain(phi, cfg)
+    return z.reshape(x.shape[:-1] + (cfg.m,)) * transmit_gain(phi, cfg)

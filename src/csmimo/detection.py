@@ -29,10 +29,13 @@ SOLVERS = ("ml", "omp", "oneshot")
 
 @dataclass(frozen=True)
 class EqualizerOutput:
-    """Equalized vector plus the channel condition number as a diagnostic."""
+    """Equalized vector plus the channel condition number as a diagnostic.
+
+    For a stack of channels both carry the leading trial axes.
+    """
 
     z_hat: np.ndarray
-    condition_number: float
+    condition_number: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -41,13 +44,14 @@ class RecoveryResult:
 
     ``residuals`` holds one value per sub-block for the two-step solvers;
     the one-shot solver reports a single joint residual instead, and has no
-    equalizer condition number (``nan``).
+    equalizer condition number (``nan``).  For a stack of channels every
+    field carries the leading trial axes.
     """
 
     s_indices: np.ndarray
     x_hat: np.ndarray
     residuals: np.ndarray
-    condition_number: float
+    condition_number: float | np.ndarray
 
 
 def zf_equalize(
@@ -58,30 +62,41 @@ def zf_equalize(
     Solves ``min ||h z - y||`` and divides out ``gain`` (the transmit power
     normalization).  Raises :class:`RankDeficientChannel` when the smallest
     singular value falls below ``RANK_TOL`` times the largest, or when the
-    system is underdetermined.
+    system is underdetermined.  A stack of channels takes ``y`` of shape
+    ``(..., nr)`` and equalizes every trial, bit for bit as one at a time.
     """
-    y = np.asarray(y, dtype=np.complex128).ravel()
-    if y.size != h.nr:
-        raise DimensionMismatch(f"received vector length {y.size} != nr {h.nr}")
+    y = np.asarray(y, dtype=np.complex128)
+    if not h.stack_shape:
+        y = y.ravel()
+    if y.shape != h.stack_shape + (h.nr,):
+        raise DimensionMismatch(
+            f"received vectors of shape {y.shape} do not match nr {h.nr}"
+            f" for trials {h.stack_shape}"
+        )
     if h.m_tx > h.nr:
         raise RankDeficientChannel(
             f"channel with {h.m_tx} inputs and {h.nr} outputs cannot be column rank"
         )
     u, s, vh = h.svd
-    if s[-1] <= RANK_TOL * s[0]:
+    bad = s[..., -1] <= RANK_TOL * s[..., 0]
+    if bad.any():
+        worst = s[np.unravel_index(bad.argmax(), bad.shape)]
         raise RankDeficientChannel(
-            f"singular value ratio {s[-1]:.3e}/{s[0]:.3e} below tolerance"
+            f"singular value ratio {worst[-1]:.3e}/{worst[0]:.3e} below tolerance"
         )
-    z_hat = vh.conj().T @ ((u.conj().T @ y) / s)
-    return EqualizerOutput(z_hat / gain, float(s[0] / s[-1]))
+    # stacked matrix-vector products, bit for bit the single-channel ones
+    w = (u.conj().swapaxes(-1, -2) @ y[..., None]) / s[..., None]
+    z_hat = (vh.conj().swapaxes(-1, -2) @ w)[..., 0]
+    return EqualizerOutput(z_hat / gain, (s[..., 0] / s[..., -1])[()])
 
 
-def channel_is_usable(h: ChannelRealization) -> bool:
-    """True when ZF equalization of ``h`` would not raise."""
+def channel_is_usable(h: ChannelRealization) -> bool | np.ndarray:
+    """True when ZF equalization of ``h`` would not raise; one flag per trial
+    for a stack of channels."""
     if h.m_tx > h.nr:
-        return False
+        return np.zeros(h.stack_shape, dtype=bool)[()]
     s = h.svd[1]
-    return bool(s[-1] > RANK_TOL * s[0])
+    return (s[..., -1] > RANK_TOL * s[..., 0])[()]
 
 
 def sensing_matrix(
@@ -99,17 +114,21 @@ def _colnorm2(a: np.ndarray) -> np.ndarray:
 def _ml_scan(
     z: np.ndarray, a: np.ndarray, colnorm2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest column of ``a`` to each row of the ``(J, rows)`` block ``z``.
+    """Nearest column of ``a`` to each row of the ``(..., J, rows)`` blocks ``z``.
 
-    Returns the ``J`` argmin indices (ties to the lowest) and residual norms.
+    Returns the ``(..., J)`` argmin indices (ties to the lowest) and
+    residual norms.  ``colnorm2`` is :func:`_colnorm2` of ``a``.
     """
     # ||z_j - a_k||^2 = ||z_j||^2 - 2 Re<a_k, z_j> + ||a_k||^2 over all j, k,
     # accumulated in place from the -2 Re term (x - y == -y + x exactly).
+    # The product runs as one (J, rows) @ (rows, d) call per leading index:
+    # merging trials into one taller product can change the last bit.
     res2 = (z.conj() @ a).real * -2.0
-    res2 += _colnorm2(z.T)[:, None]
+    res2 += _colnorm2(z.reshape(-1, z.shape[-1]).T).reshape(z.shape[:-1] + (1,))
     res2 += colnorm2
-    k = res2.argmin(axis=1)
-    return k, np.sqrt(np.maximum(res2[np.arange(k.size), k], 0.0))
+    k = res2.argmin(axis=-1)
+    best = res2.reshape(k.size, -1)[np.arange(k.size), k.ravel()].reshape(k.shape)
+    return k, np.sqrt(np.maximum(best, 0.0))
 
 
 def recover_subblock_ml(z_hat_j: np.ndarray, sensing: np.ndarray) -> tuple[int, float]:
@@ -179,11 +198,16 @@ def demux(
     solver: str = "ml",
     omp_tol: float = 0.0,
     oneshot_cap: int = 1 << 20,
+    *,
+    colnorm2: np.ndarray | None = None,
 ) -> RecoveryResult:
     """Full receiver: equalize, split into sub-blocks, recover, reassemble.
 
     ``sensing`` is :func:`sensing_matrix` of ``phi`` and ``dictionary``,
-    computed once per sweep by the caller.  ``solver`` picks the
+    computed once per sweep by the caller, who may also pass its squared
+    column norms ``colnorm2`` (otherwise computed per call).  A stack of
+    channels takes ``y`` of shape ``(..., nr)`` and detects every trial in
+    one pass, bit for bit as one at a time.  ``solver`` picks the
     per-sub-block recovery: exact scan of all blocks at once (``ml``),
     greedy (``omp`` with one atom), or exact joint ML on the unequalized
     receive vector by block sphere search (``oneshot``), whose cost falls
@@ -199,19 +223,25 @@ def demux(
         return _demux_oneshot(y, h, phi, dictionary, cfg, sensing, cap=oneshot_cap)
 
     eq = zf_equalize(y, h, gain=transmit_gain(phi, cfg))
-    blocks = eq.z_hat.reshape(cfg.j, cfg.subblock_rows)
+    blocks = eq.z_hat.reshape(h.stack_shape + (cfg.j, cfg.subblock_rows))
     a = np.asarray(sensing, dtype=np.complex128)
     if solver == "ml":
-        indices, residuals = _ml_scan(blocks, a, _colnorm2(a))
+        indices, residuals = _ml_scan(blocks, a, _colnorm2(a) if colnorm2 is None else colnorm2)
     else:
-        indices = np.empty(cfg.j, dtype=np.int64)
-        residuals = np.empty(cfg.j)
-        for jj, block in enumerate(blocks):
-            support, _ = recover_subblock_omp(block, a, k_max=1, tol=omp_tol)
+        indices = np.empty(blocks.shape[:-1], dtype=np.int64)
+        residuals = np.empty(blocks.shape[:-1])
+        for jj in np.ndindex(indices.shape):
+            support, _ = recover_subblock_omp(blocks[jj], a, k_max=1, tol=omp_tol)
             indices[jj] = support[0] if support else 0
-            residuals[jj] = np.linalg.norm(block - a[:, indices[jj]])
-    x_hat = dictionary.psi[:, indices].T.ravel()
-    return RecoveryResult(indices, x_hat, residuals, eq.condition_number)
+            residuals[jj] = np.linalg.norm(blocks[jj] - a[:, indices[jj]])
+    return RecoveryResult(
+        indices, _reassemble(dictionary, indices, cfg), residuals, eq.condition_number
+    )
+
+
+def _reassemble(dictionary: SubblockDictionary, indices: np.ndarray, cfg: MuxConfig):
+    """Symbol vectors ``(..., l)`` of the per-block dictionary columns ``(..., J)``."""
+    return dictionary.psi.T[indices].reshape(indices.shape[:-1] + (cfg.l,))
 
 
 def _demux_oneshot(y, h, phi, dictionary, cfg, sensing, cap):
@@ -228,20 +258,32 @@ def _demux_oneshot(y, h, phi, dictionary, cfg, sensing, cap):
     of candidates scored (visited nodes times ``d``); running out raises
     :class:`DictionaryTooLarge` rather than returning a truncated answer.
     """
-    y = np.asarray(y, dtype=np.complex128).ravel()
-    if h.h.shape != (y.size, cfg.m):
+    y = np.asarray(y, dtype=np.complex128)
+    if not h.stack_shape:
+        y = y.ravel()
+    if h.h.shape != y.shape + (cfg.m,):
         raise DimensionMismatch(
-            f"channel shape {h.h.shape} != ({y.size}, {cfg.m}) "
-            f"for {y.size} receive and {cfg.m} transmit dimensions"
+            f"channel shape {h.h.shape} != {y.shape + (cfg.m,)} "
+            f"for {y.shape[-1]} receive and {cfg.m} transmit dimensions"
         )
     if not (np.isfinite(y).all() and np.isfinite(h.h).all()):
         raise ValueError("receive vector and channel must be finite")
-    rows, d = cfg.subblock_rows, dictionary.d
-    q, r = np.linalg.qr(h.h, mode="complete")
+    a = sensing * transmit_gain(phi, cfg)
+    indices = np.empty(h.stack_shape + (cfg.j,), dtype=np.int64)
+    residuals = np.empty(h.stack_shape + (1,))
+    for t in np.ndindex(h.stack_shape):
+        indices[t], residuals[t] = _sphere_search(y[t], h.h[t], a, cfg, dictionary.d, cap)
+    nan = np.full(h.stack_shape, np.nan)[()]
+    return RecoveryResult(indices, _reassemble(dictionary, indices, cfg), residuals, nan)
+
+
+def _sphere_search(y, h, a, cfg, d, cap):
+    """Joint indices and residual of one trial; ``a`` is the gain-scaled sensing."""
+    rows = cfg.subblock_rows
+    q, r = np.linalg.qr(h, mode="complete")
     yq = q.conj().T @ y
     # contrib[i, :, k]: rotated receive contribution of candidate k placed in
     # sub-block i; rows below block i are zero since r is upper triangular.
-    a = sensing * transmit_gain(phi, cfg)
     contrib = r.reshape(-1, cfg.j, rows).transpose(1, 0, 2) @ a
     best = np.inf
     best_path = [d] * cfg.j  # above every joint index
@@ -273,9 +315,6 @@ def _demux_oneshot(y, h, phi, dictionary, cfg, sensing, cap):
             search(level - 1, target[:lo] - contrib[level, :lo, k], metric[k])
 
     search(cfg.j - 1, yq, 0.0)
-    indices = np.array(best_path[::-1], dtype=np.int64)
-    x_hat = dictionary.psi[:, indices].T.ravel()
     # rows of Q^H y below m are out of reach of every R z
     out = yq[cfg.m :]
-    residual = np.sqrt(best + float(out.real @ out.real + out.imag @ out.imag))
-    return RecoveryResult(indices, x_hat, np.array([residual]), float("nan"))
+    return best_path[::-1], np.sqrt(best + float(out.real @ out.real + out.imag @ out.imag))

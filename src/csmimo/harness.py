@@ -8,10 +8,21 @@ trial index reuses the same bits/channel across SNR points (common random
 numbers).  Sweeps stop early at an SNR point once enough bit errors have
 accumulated for a stable estimate, up to the configured trial cap.
 
+Trials run in chunks of consecutive indices.  Each trial of a chunk draws
+from its own generator in a fixed order (bits, then the channel and any
+redraws, then the noise); everything else runs once per chunk on stacked
+arrays through the same receiver functions a single trial uses, so every
+decision is bit for bit the one-at-a-time result.  The chunk size follows
+from a fixed working-set budget and from early-stop progress, and a chunk
+that runs past the trial where early stop fires is cut back to that trial,
+so the CSV does not depend on it.
+
 Two baselines bound the scheme: plain spatial multiplexing with ZF
 detection (``m`` streams), and the naive overload that crams all ``l``
 streams onto the ``m`` spatial streams by plain summation instead of a
-designed compression.  The summed mapping duplicates columns of the
+designed compression.  Plain ZF runs the compressed-sensing receiver with
+``l = j = m`` and an identity matrix, whose per-symbol scan is ZF slicing.
+The summed mapping of the overload baseline duplicates columns of the
 composed channel, so the receiver faces an underdetermined least-squares
 problem that fails even without noise.
 """
@@ -22,12 +33,14 @@ import json
 from dataclasses import dataclass, replace
 from math import sqrt
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .channel import NoiseSpec, apply_channel, sample_channel
-from .csmux import MeasurementMatrix, MuxConfig, gen_phi, multiplex
-from .detection import SOLVERS, channel_is_usable, demux, sensing_matrix, zf_equalize
+from .channel import ChannelRealization, NoiseSpec, apply_channel, sample_channel
+from .csmux import MeasurementMatrix, MuxConfig, gen_phi, identity_phi, multiplex, require_ints
+from .detection import SOLVERS, _colnorm2, channel_is_usable, demux, sensing_matrix
+from .detection import zf_equalize  # noqa: F401  (perfbench traces it by this name)
 from .dictionary import SubblockDictionary, build_dictionary
 from .errors import RankDeficientChannel
 from .modem import Constellation, get_constellation, nearest_point_indices, symbol_indices
@@ -38,6 +51,11 @@ CSV_HEADER = "snr_db,trials,bits,bit_errors,ber,sym_errors,ser,throughput,ci_low
 
 _MAX_CHANNEL_REDRAWS = 1000
 
+# Working-set budget of one chunk, in bytes, and the part of it each trial
+# takes whatever its shape: a generator object is about 1.7 kB.
+_CHUNK_BYTES = 1 << 20
+_TRIAL_BYTES = 2048
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -46,7 +64,7 @@ class ExperimentSpec:
     ``snr_db`` points must be distinct and finite, or ``inf`` for a
     noiseless point.  ``trials`` caps the Monte Carlo count per SNR point;
     ``early_stop_errors`` ends a point once that many bit errors have been
-    seen (0 disables early stopping).
+    seen (0 disables early stopping).  Counts and seeds must be integers.
     """
 
     config: MuxConfig
@@ -58,6 +76,7 @@ class ExperimentSpec:
     early_stop_errors: int = 200
 
     def __post_init__(self) -> None:
+        require_ints(self, "trials", "master_seed", "early_stop_errors")
         grid = tuple(sorted(float(s) for s in self.snr_db))
         if not grid:
             raise ValueError("SNR grid must not be empty")
@@ -205,87 +224,136 @@ def throughput_proxy(ber_row: SweepRow, spec: ExperimentSpec) -> float:
 
 @dataclass(frozen=True)
 class _Prepared:
-    """Per-sweep precomputation shared by all trials."""
+    """Per-sweep precomputation shared by all trials.
+
+    ``cfg`` and ``solver`` are what the trials run: the spec's, except that
+    the ``zf`` baseline runs the ``ml`` scan on ``l = j = m`` with an
+    identity ``phi``.  The overload baseline has no ``phi``.  ``colnorm2``
+    holds the squared column norms of ``sensing``; ``chunk_cap`` is the
+    most trials whose stacked arrays fit in ``_CHUNK_BYTES``.
+    """
 
     spec: ExperimentSpec
+    cfg: MuxConfig
+    solver: str
     modem: Constellation
     phi: MeasurementMatrix | None
     dictionary: SubblockDictionary | None
     sensing: np.ndarray | None
+    colnorm2: np.ndarray | None
+    chunk_cap: int
+
+
+def _chunk_cap(cfg: MuxConfig, scan_entries: int) -> int:
+    """Trials per chunk within ``_CHUNK_BYTES``: the generator, the channel
+    and its SVD factors at 16 B per complex entry, and 24 B per candidate
+    the ``ml`` scan scores."""
+    per_trial = _TRIAL_BYTES + 16 * (2 * cfg.nr * cfg.m + cfg.m * cfg.m) + 24 * scan_entries
+    return max(1, _CHUNK_BYTES // per_trial)
 
 
 def _prepare(spec: ExperimentSpec, phi: MeasurementMatrix | None = None) -> _Prepared:
-    cfg = spec.config
+    cfg, solver = spec.config, spec.solver
     c = get_constellation(cfg.constellation)
-    if spec.baseline is not None:
-        return _Prepared(spec, c, None, None, None)
+    if spec.baseline == "overload":
+        return _Prepared(spec, cfg, solver, c, None, None, None, None, _chunk_cap(cfg, 0))
+    if spec.baseline == "zf":
+        cfg = replace(cfg, l=cfg.m, j=cfg.m)
+        phi, solver = identity_phi(cfg), "ml"
     phi_m = phi if phi is not None else gen_phi(cfg)
     dictionary = build_dictionary(c, cfg.subblock_cols, cap=cfg.dictionary_cap)
-    return _Prepared(spec, c, phi_m, dictionary, sensing_matrix(phi_m, dictionary))
+    sensing = sensing_matrix(phi_m, dictionary)
+    scan = cfg.j * dictionary.d if solver == "ml" else 0
+    return _Prepared(
+        spec, cfg, solver, c, phi_m, dictionary, sensing, _colnorm2(sensing),
+        _chunk_cap(cfg, scan),
+    )
 
 
-def _draw_usable_channel(nr, m_tx, rng):
-    redraws = 0
-    h = sample_channel(nr, m_tx, rng)
-    while not channel_is_usable(h):
-        redraws += 1
-        if redraws > _MAX_CHANNEL_REDRAWS:
-            raise RankDeficientChannel(
-                f"no usable channel in {_MAX_CHANNEL_REDRAWS} redraws"
-            )
-        h = sample_channel(nr, m_tx, rng)
-    return h, redraws
+class _Chunk(NamedTuple):
+    """Per-trial outcome of a chunk; bit arrays are ``(n, bits per trial)``."""
+
+    tx_bits: np.ndarray
+    rx_bits: np.ndarray
+    bit_errors: np.ndarray
+    symbol_errors: np.ndarray
+    redraws: np.ndarray
 
 
-def _run_prepared_trial(prep: _Prepared, trial_index: int, snr_db: float) -> TrialRecord:
-    spec = prep.spec
-    cfg = spec.config
-    c = prep.modem
-    rng = np.random.default_rng([spec.master_seed, trial_index])
+def _usable_channels(h: np.ndarray, rngs) -> tuple[ChannelRealization, np.ndarray]:
+    """The stack ``h`` with every unusable draw replaced by redraws from its
+    own trial's generator, and the redraw count per trial."""
+    redraws = np.zeros(len(rngs), dtype=np.int64)
+    channel = ChannelRealization(h)
+    for i in np.flatnonzero(~channel_is_usable(channel)):
+        draw = None
+        while draw is None or not channel_is_usable(draw):
+            redraws[i] += 1
+            if redraws[i] > _MAX_CHANNEL_REDRAWS:
+                raise RankDeficientChannel(
+                    f"no usable channel in {_MAX_CHANNEL_REDRAWS} redraws"
+                )
+            draw = sample_channel(channel.nr, channel.m_tx, rngs[i])
+        h[i] = draw.h
+    return (ChannelRealization(h) if redraws.any() else channel), redraws
 
-    n_streams = spec.streams
-    tx_bits = rng.integers(0, 2, size=n_streams * c.bits_per_symbol, dtype=np.uint8)
-    tx_idx = symbol_indices(tx_bits, c)
+
+def _run_chunk(prep: _Prepared, t0: int, n: int, snr_db: float) -> _Chunk:
+    """Trials ``t0 .. t0+n-1`` at one SNR point in one stacked pass."""
+    spec, cfg, c = prep.spec, prep.cfg, prep.modem
+    rngs = [np.random.default_rng([spec.master_seed, t]) for t in range(t0, t0 + n)]
+    tx_bits = np.empty((n, cfg.l * c.bits_per_symbol), dtype=np.uint8)
+    h = np.empty((n, cfg.nr, cfg.m), dtype=np.complex128)
+    for i, rng in enumerate(rngs):
+        tx_bits[i] = rng.integers(0, 2, size=tx_bits.shape[1], dtype=np.uint8)
+        h[i] = sample_channel(cfg.nr, cfg.m, rng).h
+    tx_idx = symbol_indices(tx_bits, c).reshape(n, cfg.l)
     x = c.points[tx_idx]
-    redraws = 0
+    noise = NoiseSpec.from_snr(snr_db, float(cfg.m))
 
-    if spec.baseline == "zf":
-        h, redraws = _draw_usable_channel(cfg.nr, n_streams, rng)
-        noise = NoiseSpec.from_snr(snr_db, float(n_streams))
-        y = apply_channel(h, x, noise, rng)
-        rx_idx = nearest_point_indices(zf_equalize(y, h).z_hat, c)
-    elif spec.baseline == "overload":
-        # l streams summed onto the m spatial streams, unit energy per
-        # transmit dimension; the composed channel has duplicated columns
+    if prep.phi is None:
+        # overload: l streams summed onto the m spatial streams, unit energy
+        # per transmit dimension; the composed channel has duplicated columns
         copies = cfg.l // cfg.m
         stack = np.hstack([np.eye(cfg.m)] * copies) / np.sqrt(copies)
-        z = stack @ x
-        h = sample_channel(cfg.nr, cfg.m, rng)
-        noise = NoiseSpec.from_snr(snr_db, float(cfg.m))
-        y = apply_channel(h, z, noise, rng)
+        redraws = np.zeros(n, dtype=np.int64)
+        y = apply_channel(ChannelRealization(h), (stack @ x[..., None])[..., 0], noise, rngs)
         # minimum-norm least squares on the underdetermined composed system
-        x_ls = np.linalg.lstsq(h.h @ stack, y, rcond=None)[0]
-        rx_idx = nearest_point_indices(x_ls, c)
+        x_hat = np.stack(
+            [np.linalg.lstsq(h_i @ stack, y_i, rcond=None)[0] for h_i, y_i in zip(h, y)]
+        )
     else:
         z = multiplex(x, prep.phi, cfg)
-        h, redraws = _draw_usable_channel(cfg.nr, cfg.m, rng)
-        noise = NoiseSpec.from_snr(snr_db, float(cfg.m))
-        y = apply_channel(h, z, noise, rng)
-        rec = demux(y, h, prep.phi, prep.dictionary, cfg, prep.sensing, solver=spec.solver)
-        rx_idx = nearest_point_indices(rec.x_hat, c)
+        channel, redraws = _usable_channels(h, rngs)
+        y = apply_channel(channel, z, noise, rngs)
+        x_hat = demux(
+            y, channel, prep.phi, prep.dictionary, cfg, prep.sensing,
+            solver=prep.solver, colnorm2=prep.colnorm2,
+        ).x_hat
 
-    rx_bits = c.labels[rx_idx].ravel()
-    return TrialRecord(
-        trial_index=trial_index,
-        snr_db=snr_db,
-        bits=tx_bits.size,
-        bit_errors=int(np.sum(tx_bits != rx_bits)),
-        symbols=n_streams,
-        symbol_errors=int(np.sum(tx_idx != rx_idx)),
-        redraws=redraws,
-        tx_bits=tx_bits,
-        rx_bits=rx_bits,
+    rx_idx = nearest_point_indices(x_hat, c).reshape(n, cfg.l)
+    rx_bits = c.labels[rx_idx].reshape(n, -1)
+    return _Chunk(
+        tx_bits,
+        rx_bits,
+        (tx_bits != rx_bits).sum(axis=1),
+        (tx_idx != rx_idx).sum(axis=1),
+        redraws,
     )
+
+
+def _chunk_size(spec: ExperimentSpec, cap: int, done: int, errors: int) -> int:
+    """Trials in the next chunk of an SNR point after ``done`` trials.
+
+    Without early stop it is the memory cap.  Otherwise the chunk doubles
+    (1, 2, 4, ...) until a first error, then it is the expected number of
+    trials left to the stop at the error rate seen so far.
+    """
+    size = min(spec.trials - done, cap)
+    target = spec.early_stop_errors
+    if target:
+        size = min(size, done + 1 if errors == 0 else -(-(target - errors) * done // errors))
+    return size
 
 
 def run_trial(
@@ -296,41 +364,75 @@ def run_trial(
 ) -> TrialRecord:
     """Run one deterministic trial; defaults to the first SNR grid point.
 
-    ``phi`` overrides the seeded Gaussian draw (e.g. an identity matrix for
-    degenerate-equivalence checks).
+    The trial is a chunk of one through the sweep engine, so its bits equal
+    those the trial has inside any sweep.  ``phi`` overrides the seeded
+    Gaussian draw (e.g. an identity matrix for degenerate-equivalence
+    checks).
     """
     if trial_index < 0:
         raise ValueError("trial_index must be non-negative")
     point = spec.snr_db[0] if snr_db is None else float(snr_db)
-    return _run_prepared_trial(_prepare(spec, phi), trial_index, point)
+    prep = _prepare(spec, phi)
+    chunk = _run_chunk(prep, trial_index, 1, point)
+    return TrialRecord(
+        trial_index=trial_index,
+        snr_db=point,
+        bits=chunk.tx_bits.shape[1],
+        bit_errors=int(chunk.bit_errors[0]),
+        symbols=spec.streams,
+        symbol_errors=int(chunk.symbol_errors[0]),
+        redraws=int(chunk.redraws[0]),
+        tx_bits=chunk.tx_bits[0],
+        rx_bits=chunk.rx_bits[0],
+    )
 
 
 def run_sweep(spec: ExperimentSpec, phi: MeasurementMatrix | None = None) -> SweepResult:
-    """Aggregate trials over the SNR grid, early-stopping on enough errors."""
+    """Aggregate trials over the SNR grid, early-stopping on enough errors.
+
+    Trials run in chunks (see the module docstring).  A point stops at the
+    first trial whose cumulative bit errors reach ``early_stop_errors``, as
+    if trials ran one at a time: later trials of its chunk are dropped, and
+    when a chunk raises, its trials run again one at a time, so an error
+    surfaces only from a trial the sequential rule reaches.
+    """
     prep = _prepare(spec, phi)
+    target = spec.early_stop_errors
     rows = []
     for snr in spec.snr_db:
-        bits = bit_errors = symbols = sym_errors = redraws = 0
-        trials_run = 0
-        for t in range(spec.trials):
-            rec = _run_prepared_trial(prep, t, snr)
-            bits += rec.bits
-            bit_errors += rec.bit_errors
-            symbols += rec.symbols
-            sym_errors += rec.symbol_errors
-            redraws += rec.redraws
-            trials_run += 1
-            if spec.early_stop_errors and bit_errors >= spec.early_stop_errors:
-                break
+        trials = bit_errors = sym_errors = redraws = 0
+        one_by_one_until = 0
+        while trials < spec.trials and not (target and bit_errors >= target):
+            if trials < one_by_one_until:
+                n = 1
+            else:
+                n = _chunk_size(spec, prep.chunk_cap, trials, bit_errors)
+            try:
+                chunk = _run_chunk(prep, trials, n, snr)
+            except Exception:
+                # whatever a trial raises, rerun its chunk one trial at a
+                # time: the error may belong to a trial past the stop
+                if n == 1:
+                    raise
+                one_by_one_until = trials + n
+                continue
+            if target:
+                hit = np.flatnonzero(bit_errors + np.cumsum(chunk.bit_errors) >= target)
+                n = int(hit[0]) + 1 if hit.size else n
+            trials += n
+            bit_errors += int(chunk.bit_errors[:n].sum())
+            sym_errors += int(chunk.symbol_errors[:n].sum())
+            redraws += int(chunk.redraws[:n].sum())
+        bits = trials * spec.streams * prep.modem.bits_per_symbol
         ci_low, ci_high = wilson_interval(bit_errors, bits)
         row = SweepRow(
             snr_db=snr,
-            trials=trials_run,
+            trials=trials,
             bits=bits,
             bit_errors=bit_errors,
             ber=bit_errors / bits,
             sym_errors=sym_errors,
-            ser=sym_errors / symbols,
+            ser=sym_errors / (trials * spec.streams),
             throughput=0.0,
             ci_low=ci_low,
             ci_high=ci_high,
@@ -389,24 +491,32 @@ def spec_from_dict(raw: dict) -> ExperimentSpec:
     if missing:
         raise ValueError(f"missing config keys: {sorted(missing)}")
     cfg = MuxConfig(
-        nt=int(raw["nt"]),
-        nr=int(raw["nr"]),
-        l=int(raw["l"]),
-        j=int(raw["j"]),
-        phi_seed=int(raw.get("phi_seed", 0)),
+        nt=_json_int(raw["nt"]),
+        nr=_json_int(raw["nr"]),
+        l=_json_int(raw["l"]),
+        j=_json_int(raw["j"]),
+        phi_seed=_json_int(raw.get("phi_seed", 0)),
         constellation=str(raw.get("constellation", "qpsk")),
-        dictionary_cap=int(raw.get("dictionary_cap", 65536)),
+        dictionary_cap=_json_int(raw.get("dictionary_cap", 65536)),
     )
     baseline = raw.get("baseline")
     return ExperimentSpec(
         config=cfg,
         snr_db=parse_snr_grid(raw["snr_db"]),
-        trials=int(raw["trials"]),
-        master_seed=int(raw.get("master_seed", 0)),
+        trials=_json_int(raw["trials"]),
+        master_seed=_json_int(raw.get("master_seed", 0)),
         solver=str(raw.get("solver", "ml")),
         baseline=None if baseline in (None, "", "none") else str(baseline),
-        early_stop_errors=int(raw.get("early_stop_errors", 200)),
+        early_stop_errors=_json_int(raw.get("early_stop_errors", 200)),
     )
+
+
+def _json_int(value):
+    """An integral JSON number such as ``1e5`` as ``int``; anything else is
+    passed on for the spec's own integer check to reject."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
 
 
 def load_spec(path: str | Path) -> ExperimentSpec:

@@ -35,6 +35,8 @@ class Constellation:
     labels : np.ndarray
         ``(order, bits_per_symbol)`` array of 0/1; row ``i`` is the bit
         tuple of ``points[i]``.  The labeling must be a bijection.
+
+    Both arrays are read-only copies, so one instance can be shared.
     """
 
     name: str
@@ -42,8 +44,9 @@ class Constellation:
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        points = np.asarray(self.points, dtype=np.complex128)
-        labels = np.asarray(self.labels, dtype=np.uint8)
+        points = np.array(self.points, dtype=np.complex128)
+        labels = np.array(self.labels, dtype=np.uint8)
+        points.flags.writeable = labels.flags.writeable = False
         order = points.size
         b = int(round(np.log2(order))) if order > 0 else 0
         if order == 0 or 2**b != order:
@@ -94,18 +97,18 @@ def _qam16() -> Constellation:
     return Constellation("qam16", points, labels)
 
 
-_REGISTRY = {"qpsk": _qpsk, "qam16": _qam16}
+# Built once: every sweep, trial and config check shares these instances.
+_REGISTRY = {"qpsk": _qpsk(), "qam16": _qam16()}
 
 
 def get_constellation(name: str) -> Constellation:
     """Look up a constellation by config name."""
     try:
-        factory = _REGISTRY[name.lower()]
+        return _REGISTRY[name.lower()]
     except KeyError:
         raise ValueError(
             f"unknown constellation {name!r}; available: {sorted(_REGISTRY)}"
         ) from None
-    return factory()
 
 
 def symbol_indices(bits: np.ndarray, c: Constellation) -> np.ndarray:

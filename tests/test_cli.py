@@ -74,6 +74,16 @@ def test_simulate_rejects_bad_config(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_fractional_count_is_one_line(tmp_path, capsys):
+    raw = json.loads(open(recipe_path("mimo2x2_l4.json")).read())
+    cfg = tmp_path / "frac.json"
+    cfg.write_text(json.dumps({**raw, "trials": 2.7}))
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "csmimo: error: trials must be an integer, got 2.7\n"
+
+
 def test_missing_config_file_is_one_line(tmp_path, capsys):
     rc = main(["analyze", "--config", str(tmp_path / "absent.json")])
     assert rc == 2

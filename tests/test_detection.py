@@ -19,6 +19,7 @@ from csmimo.csmux import (
 from csmimo.detection import (
     _colnorm2,
     _ml_scan,
+    channel_is_usable,
     demux,
     recover_subblock_ml,
     recover_subblock_omp,
@@ -304,6 +305,50 @@ class TestDemux:
         with pytest.raises(ValueError, match="unknown solver"):
             demux(np.zeros(4), sample_channel(4, 4, np.random.default_rng(0)),
                   phi, dictionary, cfg, sensing_matrix(phi, dictionary), solver="mmse")
+
+
+class TestStackedTrials:
+    """A leading trial axis gives, bit for bit, the one-trial-at-a-time results."""
+
+    STACK = (2, 3)
+
+    def _trials(self, cfg, qpsk):
+        rngs = [np.random.default_rng([7, t]) for t in range(6)]
+        x = qpsk.points[np.stack([g.integers(0, 4, size=cfg.l) for g in rngs])]
+        h = np.stack([sample_channel(cfg.nr, cfg.m, g).h for g in rngs])
+        return x, h
+
+    def test_usability_per_trial(self, pipeline, qpsk):
+        cfg, _, _ = pipeline
+        _, h = self._trials(cfg, qpsk)
+        h[4, :, 1] = h[4, :, 0]
+        channel = ChannelRealization(h.reshape(self.STACK + h.shape[1:]))
+        assert channel_is_usable(channel).tolist() == [[True] * 3, [True, False, True]]
+        with pytest.raises(RankDeficientChannel):
+            zf_equalize(np.zeros(self.STACK + (cfg.nr,)), channel)
+
+    @pytest.mark.parametrize("solver", ["ml", "omp", "oneshot"])
+    def test_stack_equals_single_trials(self, pipeline, qpsk, solver):
+        cfg, phi, dictionary = pipeline
+        a = sensing_matrix(phi, dictionary)
+        x, h = self._trials(cfg, qpsk)
+        noise = NoiseSpec.from_snr(5.0, cfg.m)
+        z = multiplex(x.reshape(self.STACK + (cfg.l,)), phi, cfg)
+        channel = ChannelRealization(h.reshape(self.STACK + h.shape[1:]))
+        y = apply_channel(channel, z, noise, [np.random.default_rng([8, t]) for t in range(6)])
+        rec = demux(y, channel, phi, dictionary, cfg, a, solver=solver)
+        for t, at in enumerate(np.ndindex(self.STACK)):
+            single = ChannelRealization(h[t])
+            z_t = multiplex(x[t], phi, cfg)
+            y_t = apply_channel(single, z_t, noise, np.random.default_rng([8, t]))
+            one = demux(y_t, single, phi, dictionary, cfg, a, solver=solver)
+            np.testing.assert_array_equal(z[at], z_t)
+            np.testing.assert_array_equal(y[at], y_t)
+            for got, want in zip(
+                (rec.s_indices, rec.x_hat, rec.residuals, rec.condition_number),
+                (one.s_indices, one.x_hat, one.residuals, one.condition_number),
+            ):
+                np.testing.assert_array_equal(got[at], want)
 
 
 def _joint_ml_oracle(y, h, phi, dictionary, cfg):

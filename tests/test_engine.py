@@ -1,0 +1,219 @@
+"""The chunked trial engine against a sequential, one-trial-at-a-time oracle.
+
+``_sequential_trial`` is the per-trial receiver path coded directly from the
+public functions, one unstacked call each, with plain ZF slicing for the
+``zf`` baseline.  ``_sequential_rows`` aggregates it under the sequential
+early-stop rule.  ``run_sweep`` and ``run_trial`` must reproduce both
+exactly, whatever the chunk sizes.
+"""
+
+from contextlib import nullcontext
+from dataclasses import replace
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import csmimo.harness as harness
+from csmimo.channel import ChannelRealization, NoiseSpec, apply_channel, sample_channel
+from csmimo.csmux import MuxConfig, gen_phi, multiplex
+from csmimo.detection import channel_is_usable, demux, sensing_matrix, zf_equalize
+from csmimo.dictionary import build_dictionary
+from csmimo.errors import RankDeficientChannel
+from csmimo.harness import ExperimentSpec, run_sweep, run_trial, throughput_proxy, wilson_interval
+from csmimo.modem import get_constellation, nearest_point_indices, symbol_indices
+
+INF = float("inf")
+
+
+def _sequential_trial(spec, t, snr_db):
+    """One trial: ``(tx_bits, rx_bits, symbol_errors, redraws)``.
+
+    Draws from the generator of ``(master_seed, t)`` in the order bits,
+    channel (redrawn until usable), noise.  Channels come from
+    ``harness.sample_channel`` so that tests can patch it for both sides.
+    """
+    cfg = spec.config
+    c = get_constellation(cfg.constellation)
+    rng = np.random.default_rng([spec.master_seed, t])
+    tx_bits = rng.integers(0, 2, size=spec.streams * c.bits_per_symbol, dtype=np.uint8)
+    tx_idx = symbol_indices(tx_bits, c)
+    x = c.points[tx_idx]
+    m_tx = spec.streams if spec.baseline == "zf" else cfg.m
+    noise = NoiseSpec.from_snr(snr_db, float(m_tx))
+    redraws = 0
+
+    if spec.baseline == "overload":
+        copies = cfg.l // cfg.m
+        stack = np.hstack([np.eye(cfg.m)] * copies) / np.sqrt(copies)
+        h = harness.sample_channel(cfg.nr, cfg.m, rng)
+        y = apply_channel(h, stack @ x, noise, rng)
+        rx_idx = nearest_point_indices(np.linalg.lstsq(h.h @ stack, y, rcond=None)[0], c)
+    else:
+        h = harness.sample_channel(cfg.nr, m_tx, rng)
+        while not channel_is_usable(h):
+            redraws += 1
+            if redraws > 1000:
+                raise RankDeficientChannel("no usable channel in 1000 redraws")
+            h = harness.sample_channel(cfg.nr, m_tx, rng)
+        if spec.baseline == "zf":
+            y = apply_channel(h, x, noise, rng)
+            rx_idx = nearest_point_indices(zf_equalize(y, h).z_hat, c)
+        else:
+            phi = gen_phi(cfg)
+            dictionary = build_dictionary(c, cfg.subblock_cols, cap=cfg.dictionary_cap)
+            y = apply_channel(h, multiplex(x, phi, cfg), noise, rng)
+            rec = demux(y, h, phi, dictionary, cfg, sensing_matrix(phi, dictionary),
+                        solver=spec.solver)
+            rx_idx = nearest_point_indices(rec.x_hat, c)
+    rx_bits = c.labels[rx_idx].ravel()
+    return tx_bits, rx_bits, int(np.sum(tx_idx != rx_idx)), redraws
+
+
+def _sequential_rows(spec):
+    """Sweep rows from one trial at a time, stopping after the first trial
+    whose cumulative bit errors reach ``early_stop_errors``."""
+    rows = []
+    for snr in spec.snr_db:
+        trials = bits = bit_errors = sym_errors = redraws = 0
+        for t in range(spec.trials):
+            tx, rx, sym, red = _sequential_trial(spec, t, snr)
+            trials += 1
+            bits += tx.size
+            bit_errors += int(np.sum(tx != rx))
+            sym_errors += sym
+            redraws += red
+            if spec.early_stop_errors and bit_errors >= spec.early_stop_errors:
+                break
+        ci_low, ci_high = wilson_interval(bit_errors, bits)
+        row = harness.SweepRow(snr, trials, bits, bit_errors, bit_errors / bits, sym_errors,
+                               sym_errors / (trials * spec.streams), 0.0, ci_low, ci_high,
+                               redraws)
+        rows.append(replace(row, throughput=throughput_proxy(row, spec)))
+    return tuple(rows)
+
+
+def _fixed_chunks(size):
+    """Patch the engine to cut every SNR point into chunks of ``size`` trials."""
+    return mock.patch.object(
+        harness, "_chunk_size", lambda spec, cap, done, errors: min(spec.trials - done, size)
+    )
+
+
+# (nt, nr, l, j, constellation): per-block dictionaries of 16 to 256 columns
+SETUPS = (
+    (2, 2, 4, 2, "qpsk"),
+    (4, 4, 8, 2, "qpsk"),
+    (2, 3, 4, 2, "qpsk"),
+    (2, 2, 4, 2, "qam16"),
+    (2, 2, 2, 2, "qam16"),
+)
+
+
+@st.composite
+def _small_specs(draw):
+    nt, nr, l, j, name = draw(st.sampled_from(SETUPS))
+    snr = st.one_of(st.just(INF), st.floats(-5.0, 30.0))
+    return ExperimentSpec(
+        config=MuxConfig(nt=nt, nr=nr, l=l, j=j, constellation=name,
+                         phi_seed=draw(st.integers(0, 1000))),
+        snr_db=tuple(draw(st.lists(snr, min_size=1, max_size=2, unique=True))),
+        trials=draw(st.integers(1, 60)),
+        master_seed=draw(st.integers(0, 1000)),
+        solver=draw(st.sampled_from(["ml", "omp", "oneshot"])),
+        baseline=draw(st.sampled_from([None, "zf", "overload"])),
+        early_stop_errors=draw(st.sampled_from([0, 1, 3, 10, 40])),
+    )
+
+
+@given(spec=_small_specs(), cap=st.sampled_from([1, 2, 3, 7, None]))
+@settings(max_examples=80, deadline=None)
+def test_chunked_engine_matches_sequential_oracle(spec, cap):
+    """Rows and per-trial bits equal the one-at-a-time oracle for any chunk cap."""
+    with mock.patch.object(harness, "_chunk_cap", lambda cfg, scan: cap) if cap else nullcontext():
+        assert run_sweep(spec).rows == _sequential_rows(spec)
+        snr = spec.snr_db[0]
+        for t in range(min(spec.trials, 3)):
+            rec = run_trial(spec, t, snr)
+            tx, rx, sym, red = _sequential_trial(spec, t, snr)
+            np.testing.assert_array_equal(rec.tx_bits, tx)
+            np.testing.assert_array_equal(rec.rx_bits, rx)
+            assert (rec.symbol_errors, rec.redraws) == (sym, red)
+
+
+def _stop_spec(**kw):
+    defaults = dict(config=MuxConfig(nt=4, nr=4, l=8, j=2, phi_seed=880), snr_db=(4.0,),
+                    trials=200, master_seed=3, early_stop_errors=30)
+    defaults.update(kw)
+    return ExperimentSpec(**defaults)
+
+
+@pytest.mark.parametrize("where", ["inside", "last"])
+def test_early_stop_inside_and_at_end_of_chunk(where):
+    spec = _stop_spec()
+    expected = _sequential_rows(spec)
+    stop = expected[0].trials  # trials run, the last of them reaches the threshold
+    assert 1 < stop < spec.trials
+    size = stop if where == "last" else stop + 3
+    with _fixed_chunks(size):
+        assert run_sweep(spec).rows == expected
+
+
+class _RankDeficientOn:
+    """``sample_channel`` that makes chosen draws of chosen trials rank deficient.
+
+    ``chosen`` maps a trial index to the 0-based draw numbers to spoil, or to
+    ``"all"``.  The real draw is made first, so the stream advances as usual.
+    """
+
+    def __init__(self, chosen):
+        self.chosen = chosen
+        self.calls = {}
+
+    def __call__(self, nr, m_tx, rng):
+        h = sample_channel(nr, m_tx, rng)
+        held = self.calls.setdefault(id(rng), [rng, 0])
+        draw = held[1]
+        held[1] += 1
+        spoil = self.chosen.get(rng.bit_generator.seed_seq.entropy[1], ())
+        if spoil == "all" or draw in spoil:
+            return ChannelRealization(np.zeros((nr, m_tx), dtype=complex))
+        return h
+
+
+def test_redraws_inside_a_chunk_land_on_their_trial(monkeypatch):
+    """Trial 2 redraws twice and trial 4 once, inside one chunk of 10.  Each
+    trial keeps its redraws and draws its noise after them."""
+    monkeypatch.setattr(harness, "sample_channel", _RankDeficientOn({2: {0, 1}, 4: {0}}))
+    spec = _stop_spec(snr_db=(0.0,), trials=10, early_stop_errors=0)
+    prep = harness._prepare(spec)
+    assert prep.chunk_cap >= 10
+    chunk = harness._run_chunk(prep, 0, 10, 0.0)
+    for t in range(10):
+        tx, rx, sym, red = _sequential_trial(spec, t, 0.0)
+        np.testing.assert_array_equal(chunk.tx_bits[t], tx)
+        np.testing.assert_array_equal(chunk.rx_bits[t], rx)
+        assert (chunk.symbol_errors[t], chunk.redraws[t]) == (sym, red)
+    assert chunk.redraws.tolist() == [0, 0, 2, 0, 1, 0, 0, 0, 0, 0]
+    with _fixed_chunks(10):
+        assert run_sweep(spec).rows == _sequential_rows(spec)
+
+
+def test_failure_past_the_stop_does_not_surface(monkeypatch):
+    """A trial that would raise after the early-stop trial is never reached
+    one at a time, so a chunk that holds it must not fail the sweep."""
+    spec = _stop_spec()
+    stop = _sequential_rows(spec)[0].trials
+    monkeypatch.setattr(harness, "sample_channel", _RankDeficientOn({stop + 1: "all"}))
+    with _fixed_chunks(spec.trials):
+        assert run_sweep(spec).rows == _sequential_rows(spec)
+
+
+def test_failure_before_the_stop_surfaces(monkeypatch):
+    spec = _stop_spec()
+    stop = _sequential_rows(spec)[0].trials
+    monkeypatch.setattr(harness, "sample_channel", _RankDeficientOn({stop - 1: "all"}))
+    with _fixed_chunks(spec.trials), pytest.raises(RankDeficientChannel, match="redraws"):
+        run_sweep(spec)

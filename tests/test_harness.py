@@ -104,6 +104,20 @@ class TestExperimentSpec:
         spec = small_spec(snr_db=(10.0, 0.0, 4.0))
         assert spec.snr_db == (0.0, 4.0, 10.0)
 
+    def test_counts_must_be_integers(self):
+        """Floats and booleans fail at the spec with the field's name."""
+        for field, value in (("trials", 5.0), ("early_stop_errors", True),
+                             ("master_seed", 1.5)):
+            with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+                small_spec(**{field: value})
+        for field in ("nt", "nr", "l", "j", "phi_seed", "dictionary_cap"):
+            raw = dict(nt=4, nr=4, l=8, j=2, phi_seed=0, dictionary_cap=65536)
+            raw[field] = float(raw[field])
+            with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+                MuxConfig(**raw)
+        spec = small_spec(trials=np.int64(7), config=MuxConfig(nt=np.int32(4), nr=4, l=8, j=2))
+        assert type(spec.trials) is int and type(spec.config.nt) is int
+
     def test_streams_accounting(self):
         assert small_spec().streams == 8
         assert small_spec(baseline="zf").streams == 4
@@ -248,6 +262,15 @@ class TestConfigFiles:
                "turbo": True}
         with pytest.raises(ValueError, match="unknown config keys"):
             spec_from_dict(raw)
+
+    def test_integral_json_numbers_only(self):
+        raw = {"nt": 4, "nr": 4, "l": 8, "j": 2, "snr_db": [0], "trials": 1e5}
+        spec = spec_from_dict(raw)
+        assert spec.trials == 100_000 and type(spec.trials) is int
+        for key, value in (("nt", 4.9), ("trials", 2.7), ("early_stop_errors", True),
+                           ("phi_seed", "3")):
+            with pytest.raises(ValueError, match=f"^{key} must be an integer, got {value!r}$"):
+                spec_from_dict({**raw, key: value})
 
     def test_missing_keys_rejected(self):
         with pytest.raises(ValueError, match="missing config keys"):
