@@ -11,8 +11,15 @@ from .csmux import gen_phi, phi_to_text
 from .detection import SOLVERS, sensing_matrix
 from .dictionary import build_dictionary
 from .errors import CsmimoError
-from .harness import load_spec, parse_snr_grid, run_sweep
+from .harness import load_spec, run_sweep
 from .modem import get_constellation
+
+
+# simulate flag -> the ExperimentSpec field it overrides
+_OVERRIDES = {
+    "snr": "snr_db", "trials": "trials", "seed": "master_seed", "solver": "solver",
+    "baseline": "baseline",
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -41,17 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    spec = load_spec(args.config)
-    if args.snr is not None:
-        spec = replace(spec, snr_db=parse_snr_grid(args.snr))
-    if args.trials is not None:
-        spec = replace(spec, trials=args.trials)
-    if args.seed is not None:
-        spec = replace(spec, master_seed=args.seed)
-    if args.solver is not None:
-        spec = replace(spec, solver=args.solver)
-    if args.baseline is not None:
-        spec = replace(spec, baseline=args.baseline)
+    given = {f: getattr(args, a) for a, f in _OVERRIDES.items() if getattr(args, a) is not None}
+    spec = replace(load_spec(args.config), **given)
     result = run_sweep(spec)
     result.write_csv(args.out)
     mode = spec.baseline or f"cs/{spec.solver}"

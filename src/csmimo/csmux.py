@@ -11,7 +11,7 @@ against an uncompressed system fair.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -20,14 +20,14 @@ from .errors import BadSubblockShape, DictionaryTooLarge, DimensionMismatch
 from .modem import get_constellation
 
 
-def require_ints(obj, *names: str) -> None:
-    """Check that the named fields of a frozen dataclass hold integers.
+def require_ints(obj) -> None:
+    """Check that the fields of a frozen dataclass annotated ``int`` hold integers.
 
     Python and numpy integers pass and are stored as ``int``; floats,
     booleans and anything else raise a one-line ``ValueError`` naming the
-    field.
+    field.  Annotations are postponed, so a field's type is its text.
     """
-    for name in names:
+    for name in [f.name for f in fields(obj) if f.type == "int"]:
         value = getattr(obj, name)
         try:
             if isinstance(value, (bool, np.bool_)):
@@ -56,7 +56,7 @@ class MuxConfig:
     dictionary_cap: int = 65536
 
     def __post_init__(self) -> None:
-        require_ints(self, "nt", "nr", "l", "j", "phi_seed", "dictionary_cap")
+        require_ints(self)
         if self.nt < 1 or self.nr < 1:
             raise ValueError("antenna counts must be positive")
         if self.l < 1 or self.j < 1:

@@ -196,7 +196,6 @@ def demux(
     cfg: MuxConfig,
     sensing: np.ndarray,
     solver: str = "ml",
-    omp_tol: float = 0.0,
     oneshot_cap: int = 1 << 20,
     *,
     colnorm2: np.ndarray | None = None,
@@ -212,10 +211,12 @@ def demux(
     greedy (``omp`` with one atom), or exact joint ML on the unequalized
     receive vector by block sphere search (``oneshot``), whose cost falls
     with SNR and which may score at most ``oneshot_cap`` candidates before
-    it raises :class:`DictionaryTooLarge`.  Note that for phase-symmetric
-    alphabets the dictionary contains every column's complex rotations,
-    which OMP's absolute-correlation rule cannot tell apart; the exact scan
-    is the production detector and OMP remains a generic cross-check.
+    it raises :class:`DictionaryTooLarge`.  ``omp`` takes the block of its
+    picked column and drops the atom's least-squares coefficient, so a
+    column's complex rotations, which its absolute-correlation rule cannot
+    tell apart for phase-symmetric alphabets, stay unresolved; an all-zero
+    block goes to column 0.  The exact scan is the production detector and
+    OMP remains a generic cross-check.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}; choose from {SOLVERS}")
@@ -231,7 +232,7 @@ def demux(
         indices = np.empty(blocks.shape[:-1], dtype=np.int64)
         residuals = np.empty(blocks.shape[:-1])
         for jj in np.ndindex(indices.shape):
-            support, _ = recover_subblock_omp(blocks[jj], a, k_max=1, tol=omp_tol)
+            support, _ = recover_subblock_omp(blocks[jj], a, k_max=1)
             indices[jj] = support[0] if support else 0
             residuals[jj] = np.linalg.norm(blocks[jj] - a[:, indices[jj]])
     return RecoveryResult(

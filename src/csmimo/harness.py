@@ -30,7 +30,7 @@ problem that fails even without noise.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, Field, dataclass, fields, replace
 from math import sqrt
 from pathlib import Path
 from typing import NamedTuple
@@ -61,10 +61,12 @@ _TRIAL_BYTES = 2048
 class ExperimentSpec:
     """Full parameterization of one sweep.
 
-    ``snr_db`` points must be distinct and finite, or ``inf`` for a
+    ``snr_db`` takes any grid form :func:`parse_snr_grid` reads and is
+    stored sorted; its points must be distinct and finite, or ``inf`` for a
     noiseless point.  ``trials`` caps the Monte Carlo count per SNR point;
     ``early_stop_errors`` ends a point once that many bit errors have been
     seen (0 disables early stopping).  Counts and seeds must be integers.
+    Config files hold exactly these fields and those of :class:`MuxConfig`.
     """
 
     config: MuxConfig
@@ -76,13 +78,10 @@ class ExperimentSpec:
     early_stop_errors: int = 200
 
     def __post_init__(self) -> None:
-        require_ints(self, "trials", "master_seed", "early_stop_errors")
-        grid = tuple(sorted(float(s) for s in self.snr_db))
+        require_ints(self)
+        grid = tuple(sorted(_snr_point(s) for s in parse_snr_grid(self.snr_db)))
         if not grid:
             raise ValueError("SNR grid must not be empty")
-        for s in grid:
-            if np.isnan(s) or s == -np.inf:
-                raise ValueError(f"SNR grid point {s!r} dB must be finite or inf")
         for lo, hi in zip(grid, grid[1:]):
             if lo == hi:
                 raise ValueError(f"SNR grid repeats {lo!r} dB")
@@ -371,7 +370,7 @@ def run_trial(
     """
     if trial_index < 0:
         raise ValueError("trial_index must be non-negative")
-    point = spec.snr_db[0] if snr_db is None else float(snr_db)
+    point = spec.snr_db[0] if snr_db is None else _snr_point(snr_db)
     prep = _prepare(spec, phi)
     chunk = _run_chunk(prep, trial_index, 1, point)
     return TrialRecord(
@@ -442,25 +441,29 @@ def run_sweep(spec: ExperimentSpec, phi: MeasurementMatrix | None = None) -> Swe
     return SweepResult(spec, tuple(rows))
 
 
-_SPEC_KEYS = {
-    "nt", "nr", "l", "j", "constellation", "phi_seed", "dictionary_cap",
-    "snr_db", "trials", "master_seed", "solver", "baseline", "early_stop_errors",
-}
-_REQUIRED_KEYS = {"nt", "nr", "l", "j", "snr_db", "trials"}
+def _snr_point(value) -> float:
+    """One SNR point in dB, which must be finite or ``inf`` (no noise)."""
+    s = float(value)
+    if np.isnan(s) or s == -np.inf:
+        raise ValueError(f"SNR grid point {s!r} dB must be finite or inf")
+    return s
 
 
 def parse_snr_grid(value) -> tuple[float, ...]:
-    """Accept a list of dB values, ``start:step:stop`` or a comma list."""
-    if isinstance(value, (list, tuple)):
-        return tuple(float(v) for v in value)
-    if isinstance(value, (int, float)):
-        return (float(value),)
-    text = str(value).strip()
+    """dB values from text (``start:step:stop``, a comma list or ``inf``),
+    a single number, or any other iterable of numbers, in the given order."""
+    if not isinstance(value, str):
+        try:
+            points = iter(value)
+        except TypeError:  # a single number
+            points = iter((value,))
+        return tuple(_grid_value(v, value) for v in points)
+    text = value.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"grid {text!r} must be start:step:stop")
-        start, step, stop = (_grid_value(p, text) for p in parts)
+        start, step, stop = (_grid_value(p.strip(), text) for p in parts)
         if not all(np.isfinite([start, step, stop])):
             raise ValueError(f"grid {text!r} needs finite start, step and stop")
         if step <= 0:
@@ -469,54 +472,47 @@ def parse_snr_grid(value) -> tuple[float, ...]:
         if n < 1:
             raise ValueError(f"grid {text!r} is empty")
         return tuple(start + i * step for i in range(n))
-    return tuple(_grid_value(p, text) for p in text.split(",") if p.strip())
+    return tuple(_grid_value(p.strip(), text) for p in text.split(",") if p.strip())
 
 
-def _grid_value(field: str, text: str) -> float:
+def _grid_value(point, grid) -> float:
     try:
-        return float(field)
-    except ValueError:
-        raise ValueError(f"grid {text!r}: {field.strip()!r} is not a dB value") from None
+        return float(point)
+    except (TypeError, ValueError):
+        raise ValueError(f"grid {grid!r}: {point!r} is not a dB value") from None
+
+
+def _json_value(field: Field, value):
+    """A config-file value as ``field`` declares it: an integral number such
+    as ``1e5`` as ``int``, ``str(value)`` for a string and ``None`` for a
+    ``"none"`` or ``""`` baseline; the spec checks whatever else it gets."""
+    if field.type == "int" and isinstance(value, float) and value.is_integer():
+        return int(value)
+    if field.type == "str | None" and value in (None, "", "none"):
+        return None
+    if field.type in ("str", "str | None"):
+        return str(value)
+    return value
 
 
 def spec_from_dict(raw: dict) -> ExperimentSpec:
     """Build an :class:`ExperimentSpec` from config-file fields.
 
-    Unknown keys are rejected so typos fail loudly.
+    The keys are the fields of :class:`MuxConfig` and :class:`ExperimentSpec`
+    but ``config``; those without a default are required, and unknown keys
+    are rejected so typos fail loudly.
     """
-    unknown = set(raw) - _SPEC_KEYS
+    schema = {f.name: f for cls in (MuxConfig, ExperimentSpec) for f in fields(cls)}
+    del schema["config"]
+    unknown = set(raw) - set(schema)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    missing = _REQUIRED_KEYS - set(raw)
+    missing = {k for k, f in schema.items() if f.default is MISSING} - set(raw)
     if missing:
         raise ValueError(f"missing config keys: {sorted(missing)}")
-    cfg = MuxConfig(
-        nt=_json_int(raw["nt"]),
-        nr=_json_int(raw["nr"]),
-        l=_json_int(raw["l"]),
-        j=_json_int(raw["j"]),
-        phi_seed=_json_int(raw.get("phi_seed", 0)),
-        constellation=str(raw.get("constellation", "qpsk")),
-        dictionary_cap=_json_int(raw.get("dictionary_cap", 65536)),
-    )
-    baseline = raw.get("baseline")
-    return ExperimentSpec(
-        config=cfg,
-        snr_db=parse_snr_grid(raw["snr_db"]),
-        trials=_json_int(raw["trials"]),
-        master_seed=_json_int(raw.get("master_seed", 0)),
-        solver=str(raw.get("solver", "ml")),
-        baseline=None if baseline in (None, "", "none") else str(baseline),
-        early_stop_errors=_json_int(raw.get("early_stop_errors", 200)),
-    )
-
-
-def _json_int(value):
-    """An integral JSON number such as ``1e5`` as ``int``; anything else is
-    passed on for the spec's own integer check to reject."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    return value
+    values = {k: _json_value(schema[k], v) for k, v in raw.items()}
+    cfg = MuxConfig(**{f.name: values.pop(f.name) for f in fields(MuxConfig) if f.name in values})
+    return ExperimentSpec(cfg, **values)
 
 
 def load_spec(path: str | Path) -> ExperimentSpec:

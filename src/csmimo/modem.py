@@ -103,12 +103,10 @@ _REGISTRY = {"qpsk": _qpsk(), "qam16": _qam16()}
 
 def get_constellation(name: str) -> Constellation:
     """Look up a constellation by config name."""
-    try:
-        return _REGISTRY[name.lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown constellation {name!r}; available: {sorted(_REGISTRY)}"
-        ) from None
+    c = _REGISTRY.get(name.lower()) if isinstance(name, str) else None
+    if c is None:
+        raise ValueError(f"unknown constellation {name!r}; available: {sorted(_REGISTRY)}")
+    return c
 
 
 def symbol_indices(bits: np.ndarray, c: Constellation) -> np.ndarray:

@@ -39,6 +39,11 @@ class TestMuxConfig:
         with pytest.raises(DictionaryTooLarge):
             MuxConfig(nt=4, nr=4, l=36, j=2)  # 4**18 candidates per block
 
+    def test_non_string_constellation_rejected(self):
+        for name in (None, 4):
+            with pytest.raises(ValueError, match=f"^unknown constellation {name!r}; available"):
+                MuxConfig(nt=2, nr=2, l=4, j=2, constellation=name)
+
     def test_more_streams_than_m_required(self):
         with pytest.raises(ValueError):
             MuxConfig(nt=4, nr=4, l=2, j=1)

@@ -36,6 +36,7 @@ CASES = {
         ("zf", "ml", "zf"),
         ("overload", "ml", "overload"),
         ("oneshot", "oneshot", None),
+        ("omp", "omp", None),
     )
     # d**J joint candidates: 4**2**2 and 4**4**2 are small, 4**4**10 is not
     if not (mode == "oneshot" and recipe == "mimo20x20_l40")

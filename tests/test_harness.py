@@ -1,7 +1,8 @@
 """Tests for the Monte Carlo driver, baselines, config files, and CSV."""
 
 import json
-from dataclasses import replace
+import re
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
@@ -79,6 +80,12 @@ class TestRunTrial:
         with pytest.raises(RankDeficientChannel, match="redraws"):
             run_trial(small_spec(), 0)
 
+    def test_bad_snr_point_rejected(self):
+        """A trial's SNR follows the grid-point rule and is named in the error."""
+        for snr, named in ((-INF, "-inf"), (float("nan"), "nan")):
+            with pytest.raises(ValueError, match=f"^SNR grid point {named} dB must be finite"):
+                run_trial(small_spec(), 0, snr_db=snr)
+
 
 class TestExperimentSpec:
     def test_zero_trials_rejected(self):
@@ -103,6 +110,17 @@ class TestExperimentSpec:
     def test_grid_sorted(self):
         spec = small_spec(snr_db=(10.0, 0.0, 4.0))
         assert spec.snr_db == (0.0, 4.0, 10.0)
+
+    def test_grid_forms(self):
+        """Every grid form a config file or ``--snr`` takes is parsed here."""
+        assert small_spec(snr_db="20").snr_db == (20.0,)
+        assert small_spec(snr_db=20.0).snr_db == (20.0,)
+        assert small_spec(snr_db="0:10:20").snr_db == (0.0, 10.0, 20.0)
+        assert small_spec(snr_db="inf, 5").snr_db == (5.0, INF)
+        assert small_spec(snr_db=np.array([10, 0])).snr_db == (0.0, 10.0)
+        assert small_spec(snr_db=[5]).snr_db == (5.0,)
+        with pytest.raises(ValueError, match=r"^grid None: None is not a dB value$"):
+            small_spec(snr_db=None)
 
     def test_counts_must_be_integers(self):
         """Floats and booleans fail at the spec with the field's name."""
@@ -271,6 +289,25 @@ class TestConfigFiles:
                            ("phi_seed", "3")):
             with pytest.raises(ValueError, match=f"^{key} must be an integer, got {value!r}$"):
                 spec_from_dict({**raw, key: value})
+
+    def test_keys_are_the_declared_fields(self):
+        """Config keys are both classes' fields but ``config``; the required
+        ones are exactly those without a default."""
+        declared = [f for cls in (MuxConfig, ExperimentSpec) for f in fields(cls)
+                    if f.name != "config"]
+        required = sorted(f.name for f in declared if f.default is MISSING)
+        with pytest.raises(ValueError, match=re.escape(f"missing config keys: {required}")):
+            spec_from_dict({})
+        full = {"nt": 4, "nr": 4, "l": 8, "j": 2, "phi_seed": 880, "constellation": "qpsk",
+                "dictionary_cap": 256, "snr_db": [0], "trials": 3, "master_seed": 2,
+                "solver": "omp", "baseline": "zf", "early_stop_errors": 5}
+        assert set(full) == {f.name for f in declared}
+        spec = spec_from_dict(full)
+        got = {**vars(spec.config), **vars(spec)}
+        del got["config"]
+        assert got == {**full, "snr_db": (0.0,)}
+        with pytest.raises(ValueError, match=r"unknown config keys: \['config'\]"):
+            spec_from_dict({**full, "config": {}})
 
     def test_missing_keys_rejected(self):
         with pytest.raises(ValueError, match="missing config keys"):
