@@ -11,6 +11,7 @@ from .csmux import (
     transmit_gain,
 )
 from .detection import (
+    Codebook,
     EqualizerOutput,
     RecoveryResult,
     demux,

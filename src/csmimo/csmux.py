@@ -20,21 +20,25 @@ from .errors import BadSubblockShape, DictionaryTooLarge, DimensionMismatch
 from .modem import get_constellation
 
 
-def require_ints(obj) -> None:
-    """Check that the fields of a frozen dataclass annotated ``int`` hold integers.
+def require_int(value, name: str) -> int:
+    """``value`` as ``int`` if it is a Python or numpy integer; floats,
+    booleans and anything else raise a one-line ``ValueError`` naming ``name``."""
+    try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
-    Python and numpy integers pass and are stored as ``int``; floats,
-    booleans and anything else raise a one-line ``ValueError`` naming the
-    field.  Annotations are postponed, so a field's type is its text.
+
+def require_ints(obj) -> None:
+    """Check with :func:`require_int` that the fields of a frozen dataclass
+    annotated ``int`` hold integers, and store them as ``int``.
+
+    Annotations are postponed, so a field's type is its text.
     """
     for name in [f.name for f in fields(obj) if f.type == "int"]:
-        value = getattr(obj, name)
-        try:
-            if isinstance(value, (bool, np.bool_)):
-                raise TypeError
-            object.__setattr__(obj, name, operator.index(value))
-        except TypeError:
-            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        object.__setattr__(obj, name, require_int(getattr(obj, name), name))
 
 
 @dataclass(frozen=True)

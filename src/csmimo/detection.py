@@ -3,7 +3,8 @@
 The practical receiver works in two steps.  Zero-forcing equalization
 restores the compressed transmit vector, which is then split into
 sub-blocks; each sub-block is matched against the exhaustive candidate
-dictionary through the compression matrix.  Because every sub-block is
+dictionary through the compression matrix, the pair that transmitter and
+receiver share as one :class:`Codebook`.  Because every sub-block is
 exactly 1-sparse over that dictionary, the l0 problem is solved exactly by
 a minimum-residual scan over all columns.  OMP is kept as the generic
 greedy solver, and a one-shot mode finds the exact joint ML choice of all
@@ -14,6 +15,7 @@ block sphere search after a QR factorization of the channel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -111,6 +113,36 @@ def _colnorm2(a: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", a.real, a.real) + np.einsum("ij,ij->j", a.imag, a.imag)
 
 
+@dataclass(frozen=True)
+class Codebook:
+    """What transmitter and receiver share for one setup ``cfg``; ``sensing``
+    is :func:`sensing_matrix` of ``phi`` and ``dictionary``, of shape
+    ``(m/j, d)``.  The values derived from them are computed once, on first use.
+    """
+
+    cfg: MuxConfig
+    phi: MeasurementMatrix
+    dictionary: SubblockDictionary
+    sensing: np.ndarray
+
+    def __post_init__(self) -> None:
+        sensing = np.asarray(self.sensing, dtype=np.complex128)
+        want = (self.cfg.subblock_rows, self.dictionary.d)
+        if sensing.shape != want:
+            raise DimensionMismatch(f"sensing shape {sensing.shape} does not match {want}")
+        object.__setattr__(self, "sensing", sensing)
+
+    @cached_property
+    def colnorm2(self) -> np.ndarray:
+        """:func:`_colnorm2` of ``sensing``."""
+        return _colnorm2(self.sensing)
+
+    @cached_property
+    def gain(self) -> float:
+        """:func:`transmit_gain` of ``phi`` for ``cfg``."""
+        return transmit_gain(self.phi, self.cfg)
+
+
 def _ml_scan(
     z: np.ndarray, a: np.ndarray, colnorm2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -191,20 +223,14 @@ def recover_subblock_omp(
 def demux(
     y: np.ndarray,
     h: ChannelRealization,
-    phi: MeasurementMatrix,
-    dictionary: SubblockDictionary,
-    cfg: MuxConfig,
-    sensing: np.ndarray,
+    code: Codebook,
     solver: str = "ml",
     oneshot_cap: int = 1 << 20,
-    *,
-    colnorm2: np.ndarray | None = None,
 ) -> RecoveryResult:
     """Full receiver: equalize, split into sub-blocks, recover, reassemble.
 
-    ``sensing`` is :func:`sensing_matrix` of ``phi`` and ``dictionary``,
-    computed once per sweep by the caller, who may also pass its squared
-    column norms ``colnorm2`` (otherwise computed per call).  A stack of
+    ``code`` holds the setup's matrix, dictionary and sensing matrix; a
+    caller that detects many trials builds it once.  A stack of
     channels takes ``y`` of shape ``(..., nr)`` and detects every trial in
     one pass, bit for bit as one at a time.  ``solver`` picks the
     per-sub-block recovery: exact scan of all blocks at once (``ml``),
@@ -221,13 +247,13 @@ def demux(
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}; choose from {SOLVERS}")
     if solver == "oneshot":
-        return _demux_oneshot(y, h, phi, dictionary, cfg, sensing, cap=oneshot_cap)
+        return _demux_oneshot(y, h, code, cap=oneshot_cap)
 
-    eq = zf_equalize(y, h, gain=transmit_gain(phi, cfg))
+    cfg, a = code.cfg, code.sensing
+    eq = zf_equalize(y, h, gain=code.gain)
     blocks = eq.z_hat.reshape(h.stack_shape + (cfg.j, cfg.subblock_rows))
-    a = np.asarray(sensing, dtype=np.complex128)
     if solver == "ml":
-        indices, residuals = _ml_scan(blocks, a, _colnorm2(a) if colnorm2 is None else colnorm2)
+        indices, residuals = _ml_scan(blocks, a, code.colnorm2)
     else:
         indices = np.empty(blocks.shape[:-1], dtype=np.int64)
         residuals = np.empty(blocks.shape[:-1])
@@ -235,17 +261,15 @@ def demux(
             support, _ = recover_subblock_omp(blocks[jj], a, k_max=1)
             indices[jj] = support[0] if support else 0
             residuals[jj] = np.linalg.norm(blocks[jj] - a[:, indices[jj]])
-    return RecoveryResult(
-        indices, _reassemble(dictionary, indices, cfg), residuals, eq.condition_number
-    )
+    return RecoveryResult(indices, _reassemble(code, indices), residuals, eq.condition_number)
 
 
-def _reassemble(dictionary: SubblockDictionary, indices: np.ndarray, cfg: MuxConfig):
+def _reassemble(code: Codebook, indices: np.ndarray):
     """Symbol vectors ``(..., l)`` of the per-block dictionary columns ``(..., J)``."""
-    return dictionary.psi.T[indices].reshape(indices.shape[:-1] + (cfg.l,))
+    return code.dictionary.psi.T[indices].reshape(indices.shape[:-1] + (code.cfg.l,))
 
 
-def _demux_oneshot(y, h, phi, dictionary, cfg, sensing, cap):
+def _demux_oneshot(y, h, code, cap):
     """Exact joint ML over all per-block index combinations by sphere search.
 
     Works on the raw receive vector with the composed channel, compression
@@ -259,6 +283,7 @@ def _demux_oneshot(y, h, phi, dictionary, cfg, sensing, cap):
     of candidates scored (visited nodes times ``d``); running out raises
     :class:`DictionaryTooLarge` rather than returning a truncated answer.
     """
+    cfg = code.cfg
     y = np.asarray(y, dtype=np.complex128)
     if not h.stack_shape:
         y = y.ravel()
@@ -269,13 +294,13 @@ def _demux_oneshot(y, h, phi, dictionary, cfg, sensing, cap):
         )
     if not (np.isfinite(y).all() and np.isfinite(h.h).all()):
         raise ValueError("receive vector and channel must be finite")
-    a = sensing * transmit_gain(phi, cfg)
+    a = code.sensing * code.gain
     indices = np.empty(h.stack_shape + (cfg.j,), dtype=np.int64)
     residuals = np.empty(h.stack_shape + (1,))
     for t in np.ndindex(h.stack_shape):
-        indices[t], residuals[t] = _sphere_search(y[t], h.h[t], a, cfg, dictionary.d, cap)
+        indices[t], residuals[t] = _sphere_search(y[t], h.h[t], a, cfg, code.dictionary.d, cap)
     nan = np.full(h.stack_shape, np.nan)[()]
-    return RecoveryResult(indices, _reassemble(dictionary, indices, cfg), residuals, nan)
+    return RecoveryResult(indices, _reassemble(code, indices), residuals, nan)
 
 
 def _sphere_search(y, h, a, cfg, d, cap):

@@ -38,10 +38,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import ChannelRealization, NoiseSpec, apply_channel, sample_channel
-from .csmux import MeasurementMatrix, MuxConfig, gen_phi, identity_phi, multiplex, require_ints
-from .detection import SOLVERS, _colnorm2, channel_is_usable, demux, sensing_matrix
+from .csmux import MeasurementMatrix, MuxConfig, gen_phi, identity_phi, multiplex
+from .csmux import require_int, require_ints
+from .detection import SOLVERS, Codebook, channel_is_usable, demux, sensing_matrix
 from .detection import zf_equalize  # noqa: F401  (perfbench traces it by this name)
-from .dictionary import SubblockDictionary, build_dictionary
+from .dictionary import build_dictionary
 from .errors import RankDeficientChannel
 from .modem import Constellation, get_constellation, nearest_point_indices, symbol_indices
 
@@ -227,19 +228,15 @@ class _Prepared:
 
     ``cfg`` and ``solver`` are what the trials run: the spec's, except that
     the ``zf`` baseline runs the ``ml`` scan on ``l = j = m`` with an
-    identity ``phi``.  The overload baseline has no ``phi``.  ``colnorm2``
-    holds the squared column norms of ``sensing``; ``chunk_cap`` is the
-    most trials whose stacked arrays fit in ``_CHUNK_BYTES``.
+    identity ``phi``.  The overload baseline has no ``code``.  ``chunk_cap``
+    is the most trials whose stacked arrays fit in ``_CHUNK_BYTES``.
     """
 
     spec: ExperimentSpec
     cfg: MuxConfig
     solver: str
     modem: Constellation
-    phi: MeasurementMatrix | None
-    dictionary: SubblockDictionary | None
-    sensing: np.ndarray | None
-    colnorm2: np.ndarray | None
+    code: Codebook | None
     chunk_cap: int
 
 
@@ -255,18 +252,15 @@ def _prepare(spec: ExperimentSpec, phi: MeasurementMatrix | None = None) -> _Pre
     cfg, solver = spec.config, spec.solver
     c = get_constellation(cfg.constellation)
     if spec.baseline == "overload":
-        return _Prepared(spec, cfg, solver, c, None, None, None, None, _chunk_cap(cfg, 0))
+        return _Prepared(spec, cfg, solver, c, None, _chunk_cap(cfg, 0))
     if spec.baseline == "zf":
         cfg = replace(cfg, l=cfg.m, j=cfg.m)
         phi, solver = identity_phi(cfg), "ml"
     phi_m = phi if phi is not None else gen_phi(cfg)
     dictionary = build_dictionary(c, cfg.subblock_cols, cap=cfg.dictionary_cap)
-    sensing = sensing_matrix(phi_m, dictionary)
+    code = Codebook(cfg, phi_m, dictionary, sensing_matrix(phi_m, dictionary))
     scan = cfg.j * dictionary.d if solver == "ml" else 0
-    return _Prepared(
-        spec, cfg, solver, c, phi_m, dictionary, sensing, _colnorm2(sensing),
-        _chunk_cap(cfg, scan),
-    )
+    return _Prepared(spec, cfg, solver, c, code, _chunk_cap(cfg, scan))
 
 
 class _Chunk(NamedTuple):
@@ -310,7 +304,7 @@ def _run_chunk(prep: _Prepared, t0: int, n: int, snr_db: float) -> _Chunk:
     x = c.points[tx_idx]
     noise = NoiseSpec.from_snr(snr_db, float(cfg.m))
 
-    if prep.phi is None:
+    if prep.code is None:
         # overload: l streams summed onto the m spatial streams, unit energy
         # per transmit dimension; the composed channel has duplicated columns
         copies = cfg.l // cfg.m
@@ -322,13 +316,10 @@ def _run_chunk(prep: _Prepared, t0: int, n: int, snr_db: float) -> _Chunk:
             [np.linalg.lstsq(h_i @ stack, y_i, rcond=None)[0] for h_i, y_i in zip(h, y)]
         )
     else:
-        z = multiplex(x, prep.phi, cfg)
+        z = multiplex(x, prep.code.phi, cfg)
         channel, redraws = _usable_channels(h, rngs)
         y = apply_channel(channel, z, noise, rngs)
-        x_hat = demux(
-            y, channel, prep.phi, prep.dictionary, cfg, prep.sensing,
-            solver=prep.solver, colnorm2=prep.colnorm2,
-        ).x_hat
+        x_hat = demux(y, channel, prep.code, solver=prep.solver).x_hat
 
     rx_idx = nearest_point_indices(x_hat, c).reshape(n, cfg.l)
     rx_bits = c.labels[rx_idx].reshape(n, -1)
@@ -368,6 +359,7 @@ def run_trial(
     Gaussian draw (e.g. an identity matrix for degenerate-equivalence
     checks).
     """
+    trial_index = require_int(trial_index, "trial_index")
     if trial_index < 0:
         raise ValueError("trial_index must be non-negative")
     point = spec.snr_db[0] if snr_db is None else _snr_point(snr_db)
@@ -443,6 +435,8 @@ def run_sweep(spec: ExperimentSpec, phi: MeasurementMatrix | None = None) -> Swe
 
 def _snr_point(value) -> float:
     """One SNR point in dB, which must be finite or ``inf`` (no noise)."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"SNR grid point {value!r} is not a dB value")
     s = float(value)
     if np.isnan(s) or s == -np.inf:
         raise ValueError(f"SNR grid point {s!r} dB must be finite or inf")
@@ -477,6 +471,8 @@ def parse_snr_grid(value) -> tuple[float, ...]:
 
 def _grid_value(point, grid) -> float:
     try:
+        if isinstance(point, (bool, np.bool_)):
+            raise TypeError
         return float(point)
     except (TypeError, ValueError):
         raise ValueError(f"grid {grid!r}: {point!r} is not a dB value") from None

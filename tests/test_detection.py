@@ -17,6 +17,7 @@ from csmimo.csmux import (
     transmit_gain,
 )
 from csmimo.detection import (
+    Codebook,
     _colnorm2,
     _ml_scan,
     channel_is_usable,
@@ -217,7 +218,7 @@ class TestDemux:
             z = multiplex(x, phi, cfg)
             h = sample_channel(cfg.nr, cfg.m, rng)
             y = apply_channel(h, z, noiseless, rng)
-            rec = demux(y, h, phi, dictionary, cfg, a)
+            rec = demux(y, h, Codebook(cfg, phi, dictionary, a))
             np.testing.assert_array_equal(demodulate(rec.x_hat, qpsk), bits)
 
     def test_result_reassembles_decoded_blocks(self, pipeline, qpsk):
@@ -227,7 +228,7 @@ class TestDemux:
         z = multiplex(x, phi, cfg)
         h = sample_channel(cfg.nr, cfg.m, rng)
         y = apply_channel(h, z, NoiseSpec(10.0, 0.4), rng)
-        rec = demux(y, h, phi, dictionary, cfg, sensing_matrix(phi, dictionary))
+        rec = demux(y, h, Codebook(cfg, phi, dictionary, sensing_matrix(phi, dictionary)))
         rebuilt = np.concatenate(
             [sparse_decode(int(k), dictionary) for k in rec.s_indices]
         )
@@ -251,7 +252,7 @@ class TestDemux:
             z = multiplex(x, phi, cfg)
             h = sample_channel(4, 4, rng)
             y = apply_channel(h, z, NoiseSpec(10.0, 0.4), rng)
-            rec = demux(y, h, phi, dictionary, cfg, a)
+            rec = demux(y, h, Codebook(cfg, phi, dictionary, a))
 
             x_zf = np.linalg.inv(h.h.conj().T @ h.h) @ (h.h.conj().T @ y)
             oracle_bits = []
@@ -274,7 +275,7 @@ class TestDemux:
             z = multiplex(x, phi, cfg)
             h = sample_channel(cfg.nr, cfg.m, rng)
             y = apply_channel(h, z, NoiseSpec.from_snr(-60.0, cfg.m), rng)
-            rec = demux(y, h, phi, dictionary, cfg, a)
+            rec = demux(y, h, Codebook(cfg, phi, dictionary, a))
             errs += int(np.sum(demodulate(rec.x_hat, qpsk) != bits))
             bits_total += bits.size
         assert abs(errs / bits_total - 0.5) < 0.02
@@ -293,8 +294,8 @@ class TestDemux:
             z = multiplex(x, phi, cfg)
             h = sample_channel(cfg.nr, cfg.m, rng)
             y = apply_channel(h, z, NoiseSpec(float("inf"), 0.0), rng)
-            ml = demux(y, h, phi, dictionary, cfg, a, solver="ml")
-            omp = demux(y, h, phi, dictionary, cfg, a, solver="omp")
+            ml = demux(y, h, Codebook(cfg, phi, dictionary, a), solver="ml")
+            omp = demux(y, h, Codebook(cfg, phi, dictionary, a), solver="omp")
             for k_ml, k_omp in zip(ml.s_indices, omp.s_indices):
                 twins = rotations[:, None] * dictionary.psi[:, k_ml][None, :]
                 match = np.isclose(twins, dictionary.psi[:, k_omp][None, :]).all(axis=1)
@@ -304,7 +305,29 @@ class TestDemux:
         cfg, phi, dictionary = pipeline
         with pytest.raises(ValueError, match="unknown solver"):
             demux(np.zeros(4), sample_channel(4, 4, np.random.default_rng(0)),
-                  phi, dictionary, cfg, sensing_matrix(phi, dictionary), solver="mmse")
+                  Codebook(cfg, phi, dictionary, sensing_matrix(phi, dictionary)), solver="mmse")
+
+
+class TestCodebook:
+    def test_sensing_of_another_setup_rejected(self, pipeline, qpsk):
+        """A sensing matrix built for another ``j`` or constellation does not fit."""
+        cfg, phi, dictionary = pipeline
+        other_j = MuxConfig(nt=4, nr=4, l=8, j=4)
+        qam16 = build_dictionary(get_constellation("qam16"), cfg.subblock_cols)
+        for sensing in (
+            sensing_matrix(gen_phi(other_j), build_dictionary(qpsk, other_j.subblock_cols)),
+            sensing_matrix(phi, qam16),
+        ):
+            with pytest.raises(DimensionMismatch, match="sensing shape"):
+                Codebook(cfg, phi, dictionary, sensing)
+
+    def test_derived_values_are_computed_once_bit_for_bit(self, pipeline):
+        cfg, phi, dictionary = pipeline
+        a = sensing_matrix(phi, dictionary)
+        code = Codebook(cfg, phi, dictionary, a)
+        np.testing.assert_array_equal(code.colnorm2, _colnorm2(a))
+        assert code.gain == transmit_gain(phi, cfg)
+        assert code.colnorm2 is code.colnorm2
 
 
 class TestStackedTrials:
@@ -336,12 +359,12 @@ class TestStackedTrials:
         z = multiplex(x.reshape(self.STACK + (cfg.l,)), phi, cfg)
         channel = ChannelRealization(h.reshape(self.STACK + h.shape[1:]))
         y = apply_channel(channel, z, noise, [np.random.default_rng([8, t]) for t in range(6)])
-        rec = demux(y, channel, phi, dictionary, cfg, a, solver=solver)
+        rec = demux(y, channel, Codebook(cfg, phi, dictionary, a), solver=solver)
         for t, at in enumerate(np.ndindex(self.STACK)):
             single = ChannelRealization(h[t])
             z_t = multiplex(x[t], phi, cfg)
             y_t = apply_channel(single, z_t, noise, np.random.default_rng([8, t]))
-            one = demux(y_t, single, phi, dictionary, cfg, a, solver=solver)
+            one = demux(y_t, single, Codebook(cfg, phi, dictionary, a), solver=solver)
             np.testing.assert_array_equal(z[at], z_t)
             np.testing.assert_array_equal(y[at], y_t)
             for got, want in zip(
@@ -405,7 +428,7 @@ class TestOneshot:
     def test_matches_brute_force_oracle(self, case):
         """Sphere search indices equal the d**J enumeration's, J = 1..4."""
         cfg, y, h, phi, dictionary = case
-        rec = demux(y, h, phi, dictionary, cfg, sensing_matrix(phi, dictionary),
+        rec = demux(y, h, Codebook(cfg, phi, dictionary, sensing_matrix(phi, dictionary)),
                     solver="oneshot")
         k, res = _joint_ml_oracle(y, h, phi, dictionary, cfg)
         np.testing.assert_array_equal(rec.s_indices, k)
@@ -421,7 +444,7 @@ class TestOneshot:
             h = sample_channel(cfg.nr, cfg.m, rng)
             snr = float("inf") if t % 2 else 40.0 * rng.random()
             y = apply_channel(h, multiplex(x, phi, cfg), NoiseSpec.from_snr(snr, cfg.m), rng)
-            rec = demux(y, h, phi, dictionary, cfg, a, solver="oneshot")
+            rec = demux(y, h, Codebook(cfg, phi, dictionary, a), solver="oneshot")
             z_hat = (rec.x_hat.reshape(cfg.j, -1) @ phi.phi.T).ravel() * g
             direct = np.linalg.norm(y - h.h @ z_hat)
             if t % 2:
@@ -439,11 +462,11 @@ class TestOneshot:
         h = sample_channel(cfg.nr, cfg.m, rng)
         y = apply_channel(h, multiplex(qpsk.points[rng.integers(0, 4, size=8)], phi, cfg),
                           NoiseSpec.from_snr(-5.0, cfg.m), rng)
-        full = demux(y, h, phi, dictionary, cfg, a, solver="oneshot")
+        full = demux(y, h, Codebook(cfg, phi, dictionary, a), solver="oneshot")
         raised = 0
         for cap in range(dictionary.d, 64 * dictionary.d, dictionary.d):
             try:
-                rec = demux(y, h, phi, dictionary, cfg, a, solver="oneshot",
+                rec = demux(y, h, Codebook(cfg, phi, dictionary, a), solver="oneshot",
                             oneshot_cap=cap)
             except DictionaryTooLarge:
                 raised += 1
@@ -456,15 +479,17 @@ class TestOneshot:
         cfg, phi, dictionary = pipeline
         h = sample_channel(cfg.nr, cfg.m - 1, np.random.default_rng(0))
         with pytest.raises(DimensionMismatch, match="channel shape"):
-            demux(np.zeros(cfg.nr), h, phi, dictionary, cfg,
-                  sensing_matrix(phi, dictionary), solver="oneshot")
+            demux(np.zeros(cfg.nr), h,
+                  Codebook(cfg, phi, dictionary, sensing_matrix(phi, dictionary)),
+                  solver="oneshot")
 
     def test_non_finite_input_rejected(self, pipeline):
         cfg, phi, dictionary = pipeline
         h = sample_channel(cfg.nr, cfg.m, np.random.default_rng(0))
         with pytest.raises(ValueError, match="finite"):
-            demux(np.full(cfg.nr, np.nan), h, phi, dictionary, cfg,
-                  sensing_matrix(phi, dictionary), solver="oneshot")
+            demux(np.full(cfg.nr, np.nan), h,
+                  Codebook(cfg, phi, dictionary, sensing_matrix(phi, dictionary)),
+                  solver="oneshot")
 
     def test_paper_20x20_recipe_noiseless(self):
         spec = replace(load_spec(recipe_path("mimo20x20_l40.json")),
@@ -484,7 +509,7 @@ class TestOneshot:
             z = multiplex(x, phi, cfg)
             h = sample_channel(cfg.nr, cfg.m, rng)
             y = apply_channel(h, z, NoiseSpec(float("inf"), 0.0), rng)
-            rec = demux(y, h, phi, dictionary, cfg, a, solver="oneshot")
+            rec = demux(y, h, Codebook(cfg, phi, dictionary, a), solver="oneshot")
             np.testing.assert_array_equal(demodulate(rec.x_hat, qpsk), bits)
             assert np.isnan(rec.condition_number)
             assert rec.residuals.shape == (1,)
@@ -502,8 +527,8 @@ class TestOneshot:
             z = multiplex(x, phi, cfg)
             h = sample_channel(cfg.nr, cfg.m, rng)
             y = apply_channel(h, z, NoiseSpec.from_snr(35.0, cfg.m), rng)
-            one = demux(y, h, phi, dictionary, cfg, a, solver="oneshot")
-            two = demux(y, h, phi, dictionary, cfg, a, solver="ml")
+            one = demux(y, h, Codebook(cfg, phi, dictionary, a), solver="oneshot")
+            two = demux(y, h, Codebook(cfg, phi, dictionary, a), solver="ml")
             agree += int(np.array_equal(one.s_indices, two.s_indices))
         assert agree >= 290
 
@@ -513,5 +538,5 @@ class TestOneshot:
         dictionary = build_dictionary(qpsk, cfg.subblock_cols)
         h = sample_channel(cfg.nr, cfg.m, np.random.default_rng(0))
         with pytest.raises(DictionaryTooLarge):
-            demux(np.zeros(2), h, phi, dictionary, cfg, sensing_matrix(phi, dictionary),
+            demux(np.zeros(2), h, Codebook(cfg, phi, dictionary, sensing_matrix(phi, dictionary)),
                   solver="oneshot", oneshot_cap=10)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import csmimo.harness as harness
 from csmimo.channel import ChannelRealization, NoiseSpec, apply_channel, sample_channel
 from csmimo.csmux import MuxConfig, gen_phi, multiplex
-from csmimo.detection import channel_is_usable, demux, sensing_matrix, zf_equalize
+from csmimo.detection import Codebook, channel_is_usable, demux, sensing_matrix, zf_equalize
 from csmimo.dictionary import build_dictionary
 from csmimo.errors import RankDeficientChannel
 from csmimo.harness import ExperimentSpec, run_sweep, run_trial, throughput_proxy, wilson_interval
@@ -65,7 +65,7 @@ def _sequential_trial(spec, t, snr_db):
             phi = gen_phi(cfg)
             dictionary = build_dictionary(c, cfg.subblock_cols, cap=cfg.dictionary_cap)
             y = apply_channel(h, multiplex(x, phi, cfg), noise, rng)
-            rec = demux(y, h, phi, dictionary, cfg, sensing_matrix(phi, dictionary),
+            rec = demux(y, h, Codebook(cfg, phi, dictionary, sensing_matrix(phi, dictionary)),
                         solver=spec.solver)
             rx_idx = nearest_point_indices(rec.x_hat, c)
     rx_bits = c.labels[rx_idx].ravel()

@@ -70,6 +70,17 @@ class TestRunTrial:
         with pytest.raises(ValueError):
             run_trial(small_spec(), -1)
 
+    def test_trial_index_must_be_an_integer(self):
+        """The index follows the integer rule of the spec's count fields."""
+        spec = small_spec()
+        for value in (True, 1.5, "1"):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"trial_index must be an integer, got {value!r}")):
+                run_trial(spec, value)
+        rec = run_trial(spec, np.int64(3))
+        assert type(rec.trial_index) is int
+        np.testing.assert_array_equal(rec.rx_bits, run_trial(spec, 3).rx_bits)
+
     def test_redraw_exhaustion_raises_rank_deficient(self, monkeypatch):
         """A channel that never becomes usable ends the trial with the
         library's rank error once the redraw budget is spent."""
@@ -274,6 +285,17 @@ class TestConfigFiles:
         for grid, named in (("nan", "nan"), ("-inf,0", "-inf"), ("5,5", "5.0")):
             with pytest.raises(ValueError, match=f"SNR grid .*{named} dB"):
                 small_spec(snr_db=parse_snr_grid(grid))
+
+    def test_booleans_are_not_db_values(self):
+        """``true`` in a config grid or as a trial's SNR is not 1 dB."""
+        raw = {"nt": 4, "nr": 4, "l": 8, "j": 2, "trials": 1}
+        for grid in (True, [False, True], np.True_, np.array([0.0, 1.0]) > 0.5):
+            with pytest.raises(ValueError, match="is not a dB value$"):
+                spec_from_dict({**raw, "snr_db": grid})
+        for snr in (True, np.False_):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"SNR grid point {snr!r} is not a dB value")):
+                run_trial(small_spec(), 0, snr_db=snr)
 
     def test_unknown_keys_rejected(self):
         raw = {"nt": 2, "nr": 2, "l": 4, "j": 2, "snr_db": [0], "trials": 1,
