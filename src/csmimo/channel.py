@@ -9,7 +9,9 @@ dimensions, so ``sigma2 = m_tx / 10**(snr_db/10)``.
 
 A :class:`ChannelRealization` may hold a stack of draws with leading trial
 axes, shape ``(..., nr, m_tx)``; :func:`apply_channel` then takes one
-transmit vector and one generator per trial.
+transmit vector and one generator per trial.  :func:`gains` and
+:func:`received` turn standard normals drawn elsewhere into the channel and
+the noise exactly as :func:`sample_channel` and :func:`apply_channel` do.
 """
 
 from __future__ import annotations
@@ -81,9 +83,16 @@ def sample_channel(nr: int, m_tx: int, rng: np.random.Generator) -> ChannelReali
     """Draw an nr x m_tx matrix of i.i.d. circularly-symmetric CN(0, 1) gains."""
     if nr < 1 or m_tx < 1:
         raise ValueError("channel dimensions must be positive")
-    re = rng.standard_normal((nr, m_tx))
-    im = rng.standard_normal((nr, m_tx))
-    return ChannelRealization((re + 1j * im) * np.sqrt(0.5))
+    return ChannelRealization(gains(rng.standard_normal(2 * nr * m_tx), nr, m_tx))
+
+
+def gains(normals: np.ndarray, nr: int, m_tx: int) -> np.ndarray:
+    """CN(0, 1) gains of shape ``(..., nr, m_tx)`` from ``2·nr·m_tx``
+    standard normals per trial: the real parts row by row, then the
+    imaginary parts, as :func:`sample_channel` draws them."""
+    k = nr * m_tx
+    h = (normals[..., :k] + 1j * normals[..., k:]) * np.sqrt(0.5)
+    return h.reshape(normals.shape[:-1] + (nr, m_tx))
 
 
 def apply_channel(
@@ -109,12 +118,18 @@ def apply_channel(
         )
     if len(rng) != z[..., 0].size:
         raise DimensionMismatch(f"{len(rng)} generators for {z[..., 0].size} trials")
-    re = np.empty((len(rng), h.nr))
-    im = np.empty((len(rng), h.nr))
-    for i, g in enumerate(rng):
-        re[i] = g.standard_normal(h.nr)
-        im[i] = g.standard_normal(h.nr)
-    v = np.sqrt(noise.sigma2 / 2.0) * (re + 1j * im)
+    normals = np.empty((len(rng), 2 * h.nr))
+    for out, g in zip(normals, rng):
+        g.standard_normal(out=out)
+    return received(h.h, z, noise, normals.reshape(z.shape[:-1] + (2 * h.nr,)))
+
+
+def received(h: np.ndarray, z: np.ndarray, noise: NoiseSpec, normals: np.ndarray) -> np.ndarray:
+    """``h @ z`` plus CN(0, sigma2) noise made of ``2·nr`` standard normals
+    per trial, the real parts first, as :func:`apply_channel` draws them;
+    ``h`` is a channel matrix or a stack of them."""
+    nr = h.shape[-2]
+    v = np.sqrt(noise.sigma2 / 2.0) * (normals[..., :nr] + 1j * normals[..., nr:])
     # stacked matrix-vector products, bit for bit the single-draw ones
-    return (h.h @ z[..., None])[..., 0] + v.reshape(z.shape[:-1] + (h.nr,))
+    return (h @ z[..., None])[..., 0] + v
 

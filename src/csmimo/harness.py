@@ -8,14 +8,19 @@ trial index reuses the same bits/channel across SNR points (common random
 numbers).  Sweeps stop early at an SNR point once enough bit errors have
 accumulated for a stable estimate, up to the configured trial cap.
 
-Trials run in chunks of consecutive indices.  Each trial of a chunk draws
-from its own generator in a fixed order (bits, then the channel and any
-redraws, then the noise); everything else runs once per chunk on stacked
-arrays through the same receiver functions a single trial uses, so every
-decision is bit for bit the one-at-a-time result.  The chunk size follows
-from a fixed working-set budget and from early-stop progress, and a chunk
-that runs past the trial where early stop fires is cut back to that trial,
-so the CSV does not depend on it.
+Trials run in chunks of consecutive indices.  Each trial draws from its own
+generator in a fixed order: bits, then the channel and any redraws, then the
+noise.  The bits are the same at every SNR point, so a sweep builds a
+trial's generator only the first time it reaches the index, and keeps the
+bits and the generator's state after them in one record; at every point
+the trial sets that state on one reused generator and draws its channel and
+noise in one call.  A trial whose first channel is not usable is replayed
+from a fresh generator: bits, channel, redraws, then noise.  Everything else
+runs once per chunk on stacked arrays through the same receiver functions a
+single trial uses, so every decision is bit for bit the one-at-a-time
+result.  The chunk size follows from a fixed working-set budget and from
+early-stop progress, and a chunk that runs past the trial where early stop
+fires is cut back to that trial, so the CSV does not depend on it.
 
 Two baselines bound the scheme: plain spatial multiplexing with ZF
 detection (``m`` streams), and the naive overload that crams all ``l``
@@ -31,13 +36,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import MISSING, Field, dataclass, fields, replace
-from math import sqrt
+from functools import lru_cache
+from math import ceil, sqrt
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ChannelRealization, NoiseSpec, apply_channel, sample_channel
+from .channel import ChannelRealization, NoiseSpec, gains, received, sample_channel
+from .channel import apply_channel  # noqa: F401  (perfbench traces it by this name)
 from .csmux import MeasurementMatrix, MuxConfig, gen_phi, identity_phi, multiplex
 from .csmux import require_int, require_ints
 from .detection import SOLVERS, Codebook, channel_is_usable, demux, sensing_matrix
@@ -52,8 +59,11 @@ CSV_HEADER = "snr_db,trials,bits,bit_errors,ber,sym_errors,ser,throughput,ci_low
 
 _MAX_CHANNEL_REDRAWS = 1000
 
-# Working-set budget of one chunk, in bytes, and the part of it each trial
-# takes whatever its shape: a generator object is about 1.7 kB.
+_WORD = (1 << 64) - 1
+
+# Working-set budget of one chunk, in bytes, and a fixed allowance per trial
+# for what _chunk_cap does not count by shape: the trial's bits, symbols,
+# normals drawn, and transmit and receive vectors.
 _CHUNK_BYTES = 1 << 20
 _TRIAL_BYTES = 2048
 
@@ -241,9 +251,9 @@ class _Prepared:
 
 
 def _chunk_cap(cfg: MuxConfig, scan_entries: int) -> int:
-    """Trials per chunk within ``_CHUNK_BYTES``: the generator, the channel
-    and its SVD factors at 16 B per complex entry, and 24 B per candidate
-    the ``ml`` scan scores."""
+    """Trials per chunk within ``_CHUNK_BYTES``: ``_TRIAL_BYTES``, the
+    channel and its SVD factors at 16 B per complex entry, and 24 B per
+    candidate the ``ml`` scan scores."""
     per_trial = _TRIAL_BYTES + 16 * (2 * cfg.nr * cfg.m + cfg.m * cfg.m) + 24 * scan_entries
     return max(1, _CHUNK_BYTES // per_trial)
 
@@ -263,6 +273,10 @@ def _prepare(spec: ExperimentSpec, phi: MeasurementMatrix | None = None) -> _Pre
     return _Prepared(spec, cfg, solver, c, code, _chunk_cap(cfg, scan))
 
 
+# run_trial's preparation of the specs it saw last; run_sweep prepares anew
+_prepared = lru_cache(maxsize=8)(_prepare)
+
+
 class _Chunk(NamedTuple):
     """Per-trial outcome of a chunk; bit arrays are ``(n, bits per trial)``."""
 
@@ -273,52 +287,115 @@ class _Chunk(NamedTuple):
     redraws: np.ndarray
 
 
-def _usable_channels(h: np.ndarray, rngs) -> tuple[ChannelRealization, np.ndarray]:
-    """The stack ``h`` with every unusable draw replaced by redraws from its
-    own trial's generator, and the redraw count per trial."""
-    redraws = np.zeros(len(rngs), dtype=np.int64)
-    channel = ChannelRealization(h)
-    for i in np.flatnonzero(~channel_is_usable(channel)):
-        draw = None
-        while draw is None or not channel_is_usable(draw):
-            redraws[i] += 1
-            if redraws[i] > _MAX_CHANNEL_REDRAWS:
-                raise RankDeficientChannel(
-                    f"no usable channel in {_MAX_CHANNEL_REDRAWS} redraws"
-                )
-            draw = sample_channel(channel.nr, channel.m_tx, rngs[i])
-        h[i] = draw.h
-    return (ChannelRealization(h) if redraws.any() else channel), redraws
+class _Streams:
+    """The start of each trial's stream that no SNR point changes, kept for
+    one sweep: the trial's bits and its generator's state right after them.
+
+    Trial ``t`` draws from ``default_rng([master_seed, t])`` its bits, then
+    the ``2·nr·m`` normals of its channel (as :func:`sample_channel`), then
+    the ``2·nr`` of its noise (as :func:`apply_channel`).  The first time an
+    index is asked for, its generator is built and its bits and state are
+    recorded; after that the trial sets the state on one reused generator.
+    Either way the channel and the noise come from one normal draw.
+    Indices are recorded consecutively from ``start``.
+    """
+
+    def __init__(self, master_seed: int, nbits: int, start: int = 0) -> None:
+        self.seed, self.start, self.stop = master_seed, start, start
+        self.bits = np.empty((0, nbits), dtype=np.uint8)
+        # PCG64 state and increment as high and low words, then has_uint32
+        # and uinteger: what the bits leave buffered of a 64-bit word
+        self.state = np.empty((0, 6), dtype=np.uint64)
+        self.gen: np.random.Generator | None = None
+
+    def _record(self, stop: int) -> None:
+        """Record every index up to ``stop``."""
+        size = stop - self.start
+        if size > len(self.state):
+            grow = max(size, 2 * len(self.state)) - len(self.state)
+            self.bits, self.state = (
+                np.concatenate([a, np.empty((grow,) + a.shape[1:], a.dtype)])
+                for a in (self.bits, self.state)
+            )
+        for t in range(self.stop, stop):
+            g = np.random.default_rng([self.seed, t])
+            i = t - self.start
+            self.bits[i] = g.integers(0, 2, size=self.bits.shape[1], dtype=np.uint8)
+            st = g.bit_generator.state
+            s, inc = st["state"]["state"], st["state"]["inc"]
+            self.state[i] = (s >> 64, s & _WORD, inc >> 64, inc & _WORD,
+                             st["has_uint32"], st["uinteger"])
+            self.gen = g
+        self.stop = max(self.stop, stop)
+
+    def draw(self, t0: int, n: int, nr: int, m_tx: int) -> tuple[np.ndarray, ...]:
+        """Bits ``(n, nbits)``, first channels ``(n, nr, m_tx)`` and noise
+        normals ``(n, 2·nr)``, real parts first, of trials ``t0 .. t0+n-1``;
+        ``t0`` must lie within the recorded indices or right after them."""
+        if not self.start <= t0 <= self.stop:
+            raise ValueError(f"trial {t0} is not next to the recorded {self.start}..{self.stop}")
+        self._record(t0 + n)
+        rows = slice(t0 - self.start, t0 - self.start + n)
+        k = nr * m_tx
+        normals = np.empty((n, 2 * k + 2 * nr))
+        gen, bg = self.gen, self.gen.bit_generator
+        for out, (s_hi, s_lo, i_hi, i_lo, has, u) in zip(normals, self.state[rows].tolist()):
+            bg.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
+                "has_uint32": has,
+                "uinteger": u,
+            }
+            gen.standard_normal(out=out)
+        return self.bits[rows].copy(), gains(normals[:, : 2 * k], nr, m_tx), normals[:, 2 * k :]
+
+    def replay(self, t: int, nr: int, m_tx: int) -> tuple[np.ndarray, np.ndarray, int]:
+        """Trial ``t`` replayed from a fresh generator, for a first channel
+        that is not usable: its usable channel, its noise normals drawn after
+        the redraws, and the number of redraws."""
+        rng = np.random.default_rng([self.seed, t])
+        rng.integers(0, 2, size=self.bits.shape[1], dtype=np.uint8)
+        draw, redraws = sample_channel(nr, m_tx, rng), 0
+        while not channel_is_usable(draw):
+            redraws += 1
+            if redraws > _MAX_CHANNEL_REDRAWS:
+                raise RankDeficientChannel(f"no usable channel in {_MAX_CHANNEL_REDRAWS} redraws")
+            draw = sample_channel(nr, m_tx, rng)
+        return draw.h, rng.standard_normal(2 * nr), redraws
 
 
-def _run_chunk(prep: _Prepared, t0: int, n: int, snr_db: float) -> _Chunk:
-    """Trials ``t0 .. t0+n-1`` at one SNR point in one stacked pass."""
+def _run_chunk(
+    prep: _Prepared, t0: int, n: int, snr_db: float, streams: _Streams | None = None
+) -> _Chunk:
+    """Trials ``t0 .. t0+n-1`` at one SNR point in one stacked pass, drawn
+    from ``streams`` (by default a record of these trials alone)."""
     spec, cfg, c = prep.spec, prep.cfg, prep.modem
-    rngs = [np.random.default_rng([spec.master_seed, t]) for t in range(t0, t0 + n)]
-    tx_bits = np.empty((n, cfg.l * c.bits_per_symbol), dtype=np.uint8)
-    h = np.empty((n, cfg.nr, cfg.m), dtype=np.complex128)
-    for i, rng in enumerate(rngs):
-        tx_bits[i] = rng.integers(0, 2, size=tx_bits.shape[1], dtype=np.uint8)
-        h[i] = sample_channel(cfg.nr, cfg.m, rng).h
+    if streams is None:
+        streams = _Streams(spec.master_seed, cfg.l * c.bits_per_symbol, t0)
+    tx_bits, h, normals = streams.draw(t0, n, cfg.nr, cfg.m)
     tx_idx = symbol_indices(tx_bits, c).reshape(n, cfg.l)
     x = c.points[tx_idx]
     noise = NoiseSpec.from_snr(snr_db, float(cfg.m))
+    redraws = np.zeros(n, dtype=np.int64)
 
     if prep.code is None:
         # overload: l streams summed onto the m spatial streams, unit energy
         # per transmit dimension; the composed channel has duplicated columns
         copies = cfg.l // cfg.m
         stack = np.hstack([np.eye(cfg.m)] * copies) / np.sqrt(copies)
-        redraws = np.zeros(n, dtype=np.int64)
-        y = apply_channel(ChannelRealization(h), (stack @ x[..., None])[..., 0], noise, rngs)
+        y = received(h, (stack @ x[..., None])[..., 0], noise, normals)
         # minimum-norm least squares on the underdetermined composed system
         x_hat = np.stack(
             [np.linalg.lstsq(h_i @ stack, y_i, rcond=None)[0] for h_i, y_i in zip(h, y)]
         )
     else:
         z = multiplex(x, prep.code.phi, cfg)
-        channel, redraws = _usable_channels(h, rngs)
-        y = apply_channel(channel, z, noise, rngs)
+        channel = ChannelRealization(h)
+        for i in np.flatnonzero(~channel_is_usable(channel)):
+            h[i], normals[i], redraws[i] = streams.replay(t0 + i, cfg.nr, cfg.m)
+        if redraws.any():
+            channel = ChannelRealization(h)
+        y = received(h, z, noise, normals)
         x_hat = demux(y, channel, prep.code, solver=prep.solver).x_hat
 
     rx_idx = nearest_point_indices(x_hat, c).reshape(n, cfg.l)
@@ -336,13 +413,19 @@ def _chunk_size(spec: ExperimentSpec, cap: int, done: int, errors: int) -> int:
     """Trials in the next chunk of an SNR point after ``done`` trials.
 
     Without early stop it is the memory cap.  Otherwise the chunk doubles
-    (1, 2, 4, ...) until a first error, then it is the expected number of
-    trials left to the stop at the error rate seen so far.
+    (1, 2, 4, ...) until a first error, then it is the number of trials
+    expected to reach the stop at the error rate seen so far, divided by
+    ``1 + 2/sqrt(errors)``: the rate is known to about ``1/sqrt(errors)``
+    of itself, so a chunk seldom runs past the stop, where its trials are
+    dropped.
     """
     size = min(spec.trials - done, cap)
     target = spec.early_stop_errors
     if target:
-        size = min(size, done + 1 if errors == 0 else -(-(target - errors) * done // errors))
+        if errors == 0:
+            size = min(size, done + 1)
+        else:
+            size = min(size, ceil((target - errors) * done / (errors + 2 * sqrt(errors))))
     return size
 
 
@@ -363,7 +446,7 @@ def run_trial(
     if trial_index < 0:
         raise ValueError("trial_index must be non-negative")
     point = spec.snr_db[0] if snr_db is None else _snr_point(snr_db)
-    prep = _prepare(spec, phi)
+    prep = _prepare(spec, phi) if phi is not None else _prepared(spec)
     chunk = _run_chunk(prep, trial_index, 1, point)
     return TrialRecord(
         trial_index=trial_index,
@@ -388,6 +471,7 @@ def run_sweep(spec: ExperimentSpec, phi: MeasurementMatrix | None = None) -> Swe
     surfaces only from a trial the sequential rule reaches.
     """
     prep = _prepare(spec, phi)
+    streams = _Streams(spec.master_seed, prep.cfg.l * prep.modem.bits_per_symbol)
     target = spec.early_stop_errors
     rows = []
     for snr in spec.snr_db:
@@ -399,7 +483,7 @@ def run_sweep(spec: ExperimentSpec, phi: MeasurementMatrix | None = None) -> Swe
             else:
                 n = _chunk_size(spec, prep.chunk_cap, trials, bit_errors)
             try:
-                chunk = _run_chunk(prep, trials, n, snr)
+                chunk = _run_chunk(prep, trials, n, snr, streams)
             except Exception:
                 # whatever a trial raises, rerun its chunk one trial at a
                 # time: the error may belong to a trial past the stop

@@ -9,20 +9,22 @@ exactly, whatever the chunk sizes.
 
 from contextlib import nullcontext
 from dataclasses import replace
+from importlib.resources import files
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import csmimo.harness as harness
-from csmimo.channel import ChannelRealization, NoiseSpec, apply_channel, sample_channel
+from csmimo.channel import ChannelRealization, NoiseSpec, apply_channel, received, sample_channel
 from csmimo.csmux import MuxConfig, gen_phi, multiplex
 from csmimo.detection import Codebook, channel_is_usable, demux, sensing_matrix, zf_equalize
 from csmimo.dictionary import build_dictionary
 from csmimo.errors import RankDeficientChannel
-from csmimo.harness import ExperimentSpec, run_sweep, run_trial, throughput_proxy, wilson_interval
+from csmimo.harness import (ExperimentSpec, load_spec, run_sweep, run_trial, throughput_proxy,
+                            wilson_interval)
 from csmimo.modem import get_constellation, nearest_point_indices, symbol_indices
 
 INF = float("inf")
@@ -166,27 +168,46 @@ class _RankDeficientOn:
 
     ``chosen`` maps a trial index to the 0-based draw numbers to spoil, or to
     ``"all"``.  The real draw is made first, so the stream advances as usual.
+    :meth:`patch` also spoils the first channels the engine draws through
+    ``_Streams.draw``; the engine replays such a trial through
+    ``sample_channel``, where the same draws are spoiled again.
     """
 
     def __init__(self, chosen):
         self.chosen = chosen
         self.calls = {}
 
+    def _spoils(self, t, draw):
+        spoil = self.chosen.get(t, ())
+        return spoil == "all" or draw in spoil
+
     def __call__(self, nr, m_tx, rng):
         h = sample_channel(nr, m_tx, rng)
         held = self.calls.setdefault(id(rng), [rng, 0])
         draw = held[1]
         held[1] += 1
-        spoil = self.chosen.get(rng.bit_generator.seed_seq.entropy[1], ())
-        if spoil == "all" or draw in spoil:
+        if self._spoils(rng.bit_generator.seed_seq.entropy[1], draw):
             return ChannelRealization(np.zeros((nr, m_tx), dtype=complex))
         return h
+
+    def patch(self, monkeypatch):
+        streams_draw = harness._Streams.draw
+
+        def draw(streams, t0, n, nr, m_tx):
+            bits, h, noise = streams_draw(streams, t0, n, nr, m_tx)
+            for i in range(n):
+                if self._spoils(t0 + i, 0):
+                    h[i] = 0
+            return bits, h, noise
+
+        monkeypatch.setattr(harness, "sample_channel", self)
+        monkeypatch.setattr(harness._Streams, "draw", draw)
 
 
 def test_redraws_inside_a_chunk_land_on_their_trial(monkeypatch):
     """Trial 2 redraws twice and trial 4 once, inside one chunk of 10.  Each
     trial keeps its redraws and draws its noise after them."""
-    monkeypatch.setattr(harness, "sample_channel", _RankDeficientOn({2: {0, 1}, 4: {0}}))
+    _RankDeficientOn({2: {0, 1}, 4: {0}}).patch(monkeypatch)
     spec = _stop_spec(snr_db=(0.0,), trials=10, early_stop_errors=0)
     prep = harness._prepare(spec)
     assert prep.chunk_cap >= 10
@@ -206,7 +227,7 @@ def test_failure_past_the_stop_does_not_surface(monkeypatch):
     one at a time, so a chunk that holds it must not fail the sweep."""
     spec = _stop_spec()
     stop = _sequential_rows(spec)[0].trials
-    monkeypatch.setattr(harness, "sample_channel", _RankDeficientOn({stop + 1: "all"}))
+    _RankDeficientOn({stop + 1: "all"}).patch(monkeypatch)
     with _fixed_chunks(spec.trials):
         assert run_sweep(spec).rows == _sequential_rows(spec)
 
@@ -214,6 +235,77 @@ def test_failure_past_the_stop_does_not_surface(monkeypatch):
 def test_failure_before_the_stop_surfaces(monkeypatch):
     spec = _stop_spec()
     stop = _sequential_rows(spec)[0].trials
-    monkeypatch.setattr(harness, "sample_channel", _RankDeficientOn({stop - 1: "all"}))
+    _RankDeficientOn({stop - 1: "all"}).patch(monkeypatch)
     with _fixed_chunks(spec.trials), pytest.raises(RankDeficientChannel, match="redraws"):
         run_sweep(spec)
+
+
+RECIPES = ("mimo2x2_l4", "mimo4x4_l8", "mimo20x20_l40")
+
+
+def _recipe(name, **kw):
+    return replace(load_spec(files("csmimo") / "recipes" / f"{name}.json"), **kw)
+
+
+@given(
+    recipe=st.sampled_from(RECIPES),
+    baseline=st.sampled_from([None, "zf", "overload"]),
+    seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**96)),
+    points=st.lists(st.lists(st.integers(1, 6), min_size=1, max_size=4), min_size=1, max_size=3),
+)
+@example(recipe="mimo2x2_l4", baseline="zf", seed=1, points=[[3], [2, 2]])
+@settings(max_examples=60, deadline=None)
+def test_streams_equal_a_fresh_generator_per_trial(recipe, baseline, seed, points):
+    """At every point and in any chunking, the recorded streams give each trial
+    the bits, channel and noise a fresh generator draws through ``integers``,
+    ``sample_channel`` and ``apply_channel``, and leave the generator in the
+    same state.  The (2,2)-4 ``zf`` bits take half of a 64-bit word and leave
+    the other half buffered in that state."""
+    spec = _recipe(recipe, baseline=baseline, master_seed=seed)
+    cfg = spec.config
+    nbits = spec.streams * get_constellation(cfg.constellation).bits_per_symbol
+    streams = harness._Streams(seed, nbits)
+    noise = NoiseSpec(10.0, 0.3)
+    z = np.linspace(-1.0, 1.0, cfg.m) * (1 - 0.5j)
+    for sizes in points:
+        t0 = 0
+        for n in sizes:
+            bits, h, normals = streams.draw(t0, n, cfg.nr, cfg.m)
+            y = received(h, np.broadcast_to(z, (n, cfg.m)), noise, normals)
+            for i, t in enumerate(range(t0, t0 + n)):
+                rng = np.random.default_rng([seed, t])
+                np.testing.assert_array_equal(
+                    bits[i], rng.integers(0, 2, size=nbits, dtype=np.uint8))
+                channel = sample_channel(cfg.nr, cfg.m, rng)
+                np.testing.assert_array_equal(h[i], channel.h)
+                np.testing.assert_array_equal(y[i], apply_channel(channel, z, noise, rng))
+            assert streams.gen.bit_generator.state == rng.bit_generator.state
+            t0 += n
+
+
+def _trial_generators(rng_mock):
+    """Trial indices of the ``default_rng([master_seed, t])`` calls, sorted."""
+    return sorted(c.args[0][1] for c in rng_mock.call_args_list if isinstance(c.args[0], list))
+
+
+def test_one_generator_per_trial_index_and_per_redrawn_trial(monkeypatch):
+    """A sweep builds each trial index's generator once, plus one for each
+    replay of a trial whose first channel is not usable; a second sweep
+    builds the same ones again."""
+    _RankDeficientOn({2: {0}, 5: {0, 1}}).patch(monkeypatch)
+    spec = _stop_spec(snr_db=(0.0, 10.0, 20.0), trials=12, early_stop_errors=0)
+    built = []
+    for _ in range(2):
+        with mock.patch("numpy.random.default_rng", wraps=np.random.default_rng) as rng:
+            rows = run_sweep(spec).rows
+        built.append(_trial_generators(rng))
+    assert [r.redraws for r in rows] == [3, 3, 3]
+    assert built == [sorted([*range(12), 2, 2, 2, 5, 5, 5])] * 2
+
+
+def test_run_trial_seeds_only_its_trial():
+    spec = _stop_spec()
+    run_trial(spec, 0)
+    with mock.patch("numpy.random.default_rng", wraps=np.random.default_rng) as rng:
+        run_trial(spec, 7)
+    assert rng.call_args_list == [mock.call([spec.master_seed, 7])]

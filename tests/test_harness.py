@@ -3,10 +3,12 @@
 import json
 import re
 from dataclasses import MISSING, fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import csmimo.harness as harness
 from csmimo.channel import ChannelRealization
 from csmimo.csmux import MuxConfig, identity_phi
 from csmimo.errors import RankDeficientChannel
@@ -85,11 +87,30 @@ class TestRunTrial:
         """A channel that never becomes usable ends the trial with the
         library's rank error once the redraw budget is spent."""
         rank_one = ChannelRealization(np.ones((4, 4), dtype=complex))
+        streams_draw = harness._Streams.draw
+
+        def draw(*args):
+            bits, h, noise = streams_draw(*args)
+            h[:] = rank_one.h
+            return bits, h, noise
+
+        monkeypatch.setattr(harness._Streams, "draw", draw)
         monkeypatch.setattr(
             "csmimo.harness.sample_channel", lambda nr, m_tx, rng: rank_one
         )
         with pytest.raises(RankDeficientChannel, match="redraws"):
             run_trial(small_spec(), 0)
+
+    def test_repeated_trials_prepare_once(self):
+        """``run_trial`` keeps the preparation of a spec it has seen, so the
+        ``zf`` baseline's dictionary is built once for many trials."""
+        spec = small_spec(baseline="zf", master_seed=12)
+        harness._prepared.cache_clear()
+        build = harness.build_dictionary
+        with mock.patch.object(harness, "build_dictionary", wraps=build) as built:
+            records = [run_trial(spec, t) for t in (0, 1, 0)]
+        assert built.call_count == 1
+        np.testing.assert_array_equal(records[0].rx_bits, records[2].rx_bits)
 
     def test_bad_snr_point_rejected(self):
         """A trial's SNR follows the grid-point rule and is named in the error."""
