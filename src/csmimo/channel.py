@@ -8,15 +8,14 @@ signal energy per antenna equals the number of transmitted complex
 dimensions, so ``sigma2 = m_tx / 10**(snr_db/10)``.
 
 A :class:`ChannelRealization` may hold a stack of draws with leading trial
-axes, shape ``(..., nr, m_tx)``; :func:`apply_channel` then takes one
-transmit vector and one generator per trial.  :func:`gains` and
-:func:`received` turn standard normals drawn elsewhere into the channel and
-the noise exactly as :func:`sample_channel` and :func:`apply_channel` do.
+axes, shape ``(..., nr, m_tx)``.  :func:`gains` and :func:`received` turn
+standard normals drawn elsewhere into a stack of channels and received
+vectors exactly as :func:`sample_channel` and :func:`apply_channel` draw
+them for one trial.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -96,32 +95,17 @@ def gains(normals: np.ndarray, nr: int, m_tx: int) -> np.ndarray:
 
 
 def apply_channel(
-    h: ChannelRealization,
-    z: np.ndarray,
-    noise: NoiseSpec,
-    rng: np.random.Generator | Sequence[np.random.Generator],
+    h: ChannelRealization, z: np.ndarray, noise: NoiseSpec, rng: np.random.Generator
 ) -> np.ndarray:
-    """Return ``h @ z + v`` with ``v`` i.i.d. CN(0, sigma2) per receive antenna.
-
-    The noise draws the real parts, then the imaginary parts, from ``rng``.
-    For a stack of channels, ``z`` has shape ``(..., m_tx)`` and ``rng``
-    holds one generator per trial in row-major order; each trial's noise
-    comes from its own generator, exactly as for a single channel.
-    """
-    z = np.asarray(z, dtype=np.complex128)
-    if not h.stack_shape:
-        z, rng = z.ravel(), [rng]
-    if z.shape != h.stack_shape + (h.m_tx,):
+    """Return ``h @ z + v`` for one channel draw, with ``v`` i.i.d.
+    CN(0, sigma2) per receive antenna; the noise draws the real parts, then
+    the imaginary parts, from ``rng``."""
+    z = np.asarray(z, dtype=np.complex128).ravel()
+    if h.stack_shape or z.shape != (h.m_tx,):
         raise DimensionMismatch(
-            f"transmit vectors of shape {z.shape} do not match channel columns {h.m_tx}"
-            f" for trials {h.stack_shape}"
+            f"transmit vector of shape {z.shape} does not match one channel of shape {h.h.shape}"
         )
-    if len(rng) != z[..., 0].size:
-        raise DimensionMismatch(f"{len(rng)} generators for {z[..., 0].size} trials")
-    normals = np.empty((len(rng), 2 * h.nr))
-    for out, g in zip(normals, rng):
-        g.standard_normal(out=out)
-    return received(h.h, z, noise, normals.reshape(z.shape[:-1] + (2 * h.nr,)))
+    return received(h.h, z, noise, rng.standard_normal(2 * h.nr))
 
 
 def received(h: np.ndarray, z: np.ndarray, noise: NoiseSpec, normals: np.ndarray) -> np.ndarray:

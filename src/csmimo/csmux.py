@@ -114,6 +114,8 @@ class MeasurementMatrix:
         phi = np.asarray(self.phi, dtype=np.float64)
         if phi.ndim != 2:
             raise DimensionMismatch(f"phi must be 2-D, got shape {phi.shape}")
+        if not np.isfinite(phi).all():
+            raise ValueError("phi entries must be finite")
         object.__setattr__(self, "phi", phi)
 
     @cached_property

@@ -105,6 +105,11 @@ def sensing_matrix(
     phi: MeasurementMatrix, dictionary: SubblockDictionary
 ) -> np.ndarray:
     """Per-sub-block candidate matrix: compression applied to every column."""
+    if phi.phi.shape[1] != dictionary.psi.shape[0]:
+        raise DimensionMismatch(
+            f"phi has {phi.phi.shape[1]} columns for sub-blocks of"
+            f" {dictionary.psi.shape[0]} symbols"
+        )
     return phi.phi @ dictionary.psi
 
 

@@ -8,19 +8,19 @@ trial index reuses the same bits/channel across SNR points (common random
 numbers).  Sweeps stop early at an SNR point once enough bit errors have
 accumulated for a stable estimate, up to the configured trial cap.
 
-Trials run in chunks of consecutive indices.  Each trial draws from its own
-generator in a fixed order: bits, then the channel and any redraws, then the
-noise.  The bits are the same at every SNR point, so a sweep builds a
-trial's generator only the first time it reaches the index, and keeps the
-bits and the generator's state after them in one record; at every point
-the trial sets that state on one reused generator and draws its channel and
-noise in one call.  A trial whose first channel is not usable is replayed
-from a fresh generator: bits, channel, redraws, then noise.  Everything else
-runs once per chunk on stacked arrays through the same receiver functions a
-single trial uses, so every decision is bit for bit the one-at-a-time
-result.  The chunk size follows from a fixed working-set budget and from
-early-stop progress, and a chunk that runs past the trial where early stop
-fires is cut back to that trial, so the CSV does not depend on it.
+Trials run trial-major, in chunks of consecutive indices.  Each trial draws
+from its own generator in a fixed order: bits, then the channel and any
+redraws, then the noise.  None of these depend on the SNR, so a chunk is
+drawn once for every point: each trial's generator is built once, its
+channel and noise come from one normal draw, and one stacked SVD checks
+every channel.  A trial whose first channel is not usable is replayed from
+a fresh generator: bits, channel, redraws, then noise.  The chunk is then
+detected at each SNR point still running, in one stacked pass per point
+through the same receiver functions a single trial uses, so every decision
+is bit for bit the one-at-a-time result.  The chunk size follows from a
+fixed working-set budget and from the early-stop progress of the running
+points.  A point cuts the chunk back to the trial where its early stop
+fires and leaves the sweep, so the CSV does not depend on the chunk size.
 
 Two baselines bound the scheme: plain spatial multiplexing with ZF
 detection (``m`` streams), and the naive overload that crams all ``l``
@@ -58,8 +58,6 @@ BASELINES = (None, "zf", "overload")
 CSV_HEADER = "snr_db,trials,bits,bit_errors,ber,sym_errors,ser,throughput,ci_low,ci_high"
 
 _MAX_CHANNEL_REDRAWS = 1000
-
-_WORD = (1 << 64) - 1
 
 # Working-set budget of one chunk, in bytes, and a fixed allowance per trial
 # for what _chunk_cap does not count by shape: the trial's bits, symbols,
@@ -278,7 +276,8 @@ _prepared = lru_cache(maxsize=8)(_prepare)
 
 
 class _Chunk(NamedTuple):
-    """Per-trial outcome of a chunk; bit arrays are ``(n, bits per trial)``."""
+    """Per-trial outcome of a chunk at one SNR point; bit arrays are
+    ``(n, bits per trial)``."""
 
     tx_bits: np.ndarray
     rx_bits: np.ndarray
@@ -287,95 +286,50 @@ class _Chunk(NamedTuple):
     redraws: np.ndarray
 
 
-class _Streams:
-    """The start of each trial's stream that no SNR point changes, kept for
-    one sweep: the trial's bits and its generator's state right after them.
+def _draw(seed: int, t0: int, n: int, nbits: int, nr: int, m_tx: int) -> tuple[np.ndarray, ...]:
+    """Bits ``(n, nbits)``, first channels ``(n, nr, m_tx)`` and noise
+    normals ``(n, 2·nr)``, real parts first, of trials ``t0 .. t0+n-1``.
 
-    Trial ``t`` draws from ``default_rng([master_seed, t])`` its bits, then
-    the ``2·nr·m`` normals of its channel (as :func:`sample_channel`), then
-    the ``2·nr`` of its noise (as :func:`apply_channel`).  The first time an
-    index is asked for, its generator is built and its bits and state are
-    recorded; after that the trial sets the state on one reused generator.
-    Either way the channel and the noise come from one normal draw.
-    Indices are recorded consecutively from ``start``.
+    Trial ``t`` draws from ``default_rng([seed, t])`` its bits, then in one
+    normal draw the ``2·nr·m_tx`` normals of its channel (as
+    :func:`sample_channel`) and the ``2·nr`` of its noise (as
+    :func:`apply_channel`).
     """
-
-    def __init__(self, master_seed: int, nbits: int, start: int = 0) -> None:
-        self.seed, self.start, self.stop = master_seed, start, start
-        self.bits = np.empty((0, nbits), dtype=np.uint8)
-        # PCG64 state and increment as high and low words, then has_uint32
-        # and uinteger: what the bits leave buffered of a 64-bit word
-        self.state = np.empty((0, 6), dtype=np.uint64)
-        self.gen: np.random.Generator | None = None
-
-    def _record(self, stop: int) -> None:
-        """Record every index up to ``stop``."""
-        size = stop - self.start
-        if size > len(self.state):
-            grow = max(size, 2 * len(self.state)) - len(self.state)
-            self.bits, self.state = (
-                np.concatenate([a, np.empty((grow,) + a.shape[1:], a.dtype)])
-                for a in (self.bits, self.state)
-            )
-        for t in range(self.stop, stop):
-            g = np.random.default_rng([self.seed, t])
-            i = t - self.start
-            self.bits[i] = g.integers(0, 2, size=self.bits.shape[1], dtype=np.uint8)
-            st = g.bit_generator.state
-            s, inc = st["state"]["state"], st["state"]["inc"]
-            self.state[i] = (s >> 64, s & _WORD, inc >> 64, inc & _WORD,
-                             st["has_uint32"], st["uinteger"])
-            self.gen = g
-        self.stop = max(self.stop, stop)
-
-    def draw(self, t0: int, n: int, nr: int, m_tx: int) -> tuple[np.ndarray, ...]:
-        """Bits ``(n, nbits)``, first channels ``(n, nr, m_tx)`` and noise
-        normals ``(n, 2·nr)``, real parts first, of trials ``t0 .. t0+n-1``;
-        ``t0`` must lie within the recorded indices or right after them."""
-        if not self.start <= t0 <= self.stop:
-            raise ValueError(f"trial {t0} is not next to the recorded {self.start}..{self.stop}")
-        self._record(t0 + n)
-        rows = slice(t0 - self.start, t0 - self.start + n)
-        k = nr * m_tx
-        normals = np.empty((n, 2 * k + 2 * nr))
-        gen, bg = self.gen, self.gen.bit_generator
-        for out, (s_hi, s_lo, i_hi, i_lo, has, u) in zip(normals, self.state[rows].tolist()):
-            bg.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
-                "has_uint32": has,
-                "uinteger": u,
-            }
-            gen.standard_normal(out=out)
-        return self.bits[rows].copy(), gains(normals[:, : 2 * k], nr, m_tx), normals[:, 2 * k :]
-
-    def replay(self, t: int, nr: int, m_tx: int) -> tuple[np.ndarray, np.ndarray, int]:
-        """Trial ``t`` replayed from a fresh generator, for a first channel
-        that is not usable: its usable channel, its noise normals drawn after
-        the redraws, and the number of redraws."""
-        rng = np.random.default_rng([self.seed, t])
-        rng.integers(0, 2, size=self.bits.shape[1], dtype=np.uint8)
-        draw, redraws = sample_channel(nr, m_tx, rng), 0
-        while not channel_is_usable(draw):
-            redraws += 1
-            if redraws > _MAX_CHANNEL_REDRAWS:
-                raise RankDeficientChannel(f"no usable channel in {_MAX_CHANNEL_REDRAWS} redraws")
-            draw = sample_channel(nr, m_tx, rng)
-        return draw.h, rng.standard_normal(2 * nr), redraws
+    k = nr * m_tx
+    bits = np.empty((n, nbits), dtype=np.uint8)
+    normals = np.empty((n, 2 * k + 2 * nr))
+    for t, b, out in zip(range(t0, t0 + n), bits, normals):
+        rng = np.random.default_rng([seed, t])
+        b[:] = rng.integers(0, 2, size=nbits, dtype=np.uint8)
+        rng.standard_normal(out=out)
+    return bits, gains(normals[:, : 2 * k], nr, m_tx), normals[:, 2 * k :]
 
 
-def _run_chunk(
-    prep: _Prepared, t0: int, n: int, snr_db: float, streams: _Streams | None = None
-) -> _Chunk:
-    """Trials ``t0 .. t0+n-1`` at one SNR point in one stacked pass, drawn
-    from ``streams`` (by default a record of these trials alone)."""
+def _replay(
+    seed: int, t: int, nbits: int, nr: int, m_tx: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Trial ``t`` replayed from a fresh generator, for a first channel that
+    is not usable: its usable channel, its noise normals drawn after the
+    redraws, and the number of redraws."""
+    rng = np.random.default_rng([seed, t])
+    rng.integers(0, 2, size=nbits, dtype=np.uint8)
+    draw, redraws = sample_channel(nr, m_tx, rng), 0
+    while not channel_is_usable(draw):
+        redraws += 1
+        if redraws > _MAX_CHANNEL_REDRAWS:
+            raise RankDeficientChannel(f"no usable channel in {_MAX_CHANNEL_REDRAWS} redraws")
+        draw = sample_channel(nr, m_tx, rng)
+    return draw.h, rng.standard_normal(2 * nr), redraws
+
+
+def _run_chunk(prep: _Prepared, t0: int, n: int, snrs: tuple[float, ...]) -> list[_Chunk]:
+    """Trials ``t0 .. t0+n-1`` drawn once, then detected at each SNR point of
+    ``snrs`` in one stacked pass per point."""
     spec, cfg, c = prep.spec, prep.cfg, prep.modem
-    if streams is None:
-        streams = _Streams(spec.master_seed, cfg.l * c.bits_per_symbol, t0)
-    tx_bits, h, normals = streams.draw(t0, n, cfg.nr, cfg.m)
+    nbits = cfg.l * c.bits_per_symbol
+    tx_bits, h, normals = _draw(spec.master_seed, t0, n, nbits, cfg.nr, cfg.m)
     tx_idx = symbol_indices(tx_bits, c).reshape(n, cfg.l)
     x = c.points[tx_idx]
-    noise = NoiseSpec.from_snr(snr_db, float(cfg.m))
     redraws = np.zeros(n, dtype=np.int64)
 
     if prep.code is None:
@@ -383,30 +337,30 @@ def _run_chunk(
         # per transmit dimension; the composed channel has duplicated columns
         copies = cfg.l // cfg.m
         stack = np.hstack([np.eye(cfg.m)] * copies) / np.sqrt(copies)
-        y = received(h, (stack @ x[..., None])[..., 0], noise, normals)
-        # minimum-norm least squares on the underdetermined composed system
-        x_hat = np.stack(
-            [np.linalg.lstsq(h_i @ stack, y_i, rcond=None)[0] for h_i, y_i in zip(h, y)]
-        )
+        z, composed = (stack @ x[..., None])[..., 0], [h_i @ stack for h_i in h]
     else:
-        z = multiplex(x, prep.code.phi, cfg)
-        channel = ChannelRealization(h)
+        z, channel = multiplex(x, prep.code.phi, cfg), ChannelRealization(h)
         for i in np.flatnonzero(~channel_is_usable(channel)):
-            h[i], normals[i], redraws[i] = streams.replay(t0 + i, cfg.nr, cfg.m)
+            h[i], normals[i], redraws[i] = _replay(spec.master_seed, t0 + i, nbits, cfg.nr, cfg.m)
         if redraws.any():
             channel = ChannelRealization(h)
-        y = received(h, z, noise, normals)
-        x_hat = demux(y, channel, prep.code, solver=prep.solver).x_hat
 
-    rx_idx = nearest_point_indices(x_hat, c).reshape(n, cfg.l)
-    rx_bits = c.labels[rx_idx].reshape(n, -1)
-    return _Chunk(
-        tx_bits,
-        rx_bits,
-        (tx_bits != rx_bits).sum(axis=1),
-        (tx_idx != rx_idx).sum(axis=1),
-        redraws,
-    )
+    chunks = []
+    for snr_db in snrs:
+        y = received(h, z, NoiseSpec.from_snr(snr_db, float(cfg.m)), normals)
+        if prep.code is None:
+            # minimum-norm least squares on the underdetermined composed system
+            x_hat = np.stack(
+                [np.linalg.lstsq(a, y_i, rcond=None)[0] for a, y_i in zip(composed, y)]
+            )
+        else:
+            x_hat = demux(y, channel, prep.code, solver=prep.solver).x_hat
+        rx_idx = nearest_point_indices(x_hat, c).reshape(n, cfg.l)
+        rx_bits = c.labels[rx_idx].reshape(n, -1)
+        bit_errors = (tx_bits != rx_bits).sum(axis=1)
+        sym_errors = (tx_idx != rx_idx).sum(axis=1)
+        chunks.append(_Chunk(tx_bits, rx_bits, bit_errors, sym_errors, redraws))
+    return chunks
 
 
 def _chunk_size(spec: ExperimentSpec, cap: int, done: int, errors: int) -> int:
@@ -447,7 +401,7 @@ def run_trial(
         raise ValueError("trial_index must be non-negative")
     point = spec.snr_db[0] if snr_db is None else _snr_point(snr_db)
     prep = _prepare(spec, phi) if phi is not None else _prepared(spec)
-    chunk = _run_chunk(prep, trial_index, 1, point)
+    (chunk,) = _run_chunk(prep, trial_index, 1, (point,))
     return TrialRecord(
         trial_index=trial_index,
         snr_db=point,
@@ -464,40 +418,45 @@ def run_trial(
 def run_sweep(spec: ExperimentSpec, phi: MeasurementMatrix | None = None) -> SweepResult:
     """Aggregate trials over the SNR grid, early-stopping on enough errors.
 
-    Trials run in chunks (see the module docstring).  A point stops at the
-    first trial whose cumulative bit errors reach ``early_stop_errors``, as
-    if trials ran one at a time: later trials of its chunk are dropped, and
+    Trials run in chunks (see the module docstring), each drawn once and
+    detected at every SNR point still running.  A point stops at the first
+    trial whose cumulative bit errors reach ``early_stop_errors``, as if
+    trials ran one at a time: later trials of its chunk are dropped, and
     when a chunk raises, its trials run again one at a time, so an error
-    surfaces only from a trial the sequential rule reaches.
+    surfaces only from a trial the sequential rule reaches, the first such
+    trial in trial order.
     """
     prep = _prepare(spec, phi)
-    streams = _Streams(spec.master_seed, prep.cfg.l * prep.modem.bits_per_symbol)
     target = spec.early_stop_errors
-    rows = []
-    for snr in spec.snr_db:
-        trials = bit_errors = sym_errors = redraws = 0
-        one_by_one_until = 0
-        while trials < spec.trials and not (target and bit_errors >= target):
-            if trials < one_by_one_until:
-                n = 1
-            else:
-                n = _chunk_size(spec, prep.chunk_cap, trials, bit_errors)
-            try:
-                chunk = _run_chunk(prep, trials, n, snr, streams)
-            except Exception:
-                # whatever a trial raises, rerun its chunk one trial at a
-                # time: the error may belong to a trial past the stop
-                if n == 1:
-                    raise
-                one_by_one_until = trials + n
-                continue
+    # per SNR point: trials, bit errors, symbol errors and redraws kept
+    tally = np.zeros((len(spec.snr_db), 4), dtype=np.int64)
+    running = list(range(len(spec.snr_db)))
+    t0 = one_by_one_until = 0
+    while running and t0 < spec.trials:
+        if t0 < one_by_one_until:
+            n = 1
+        else:
+            n = min(_chunk_size(spec, prep.chunk_cap, t0, int(tally[p, 1])) for p in running)
+        try:
+            chunks = _run_chunk(prep, t0, n, tuple(spec.snr_db[p] for p in running))
+        except Exception:
+            # whatever a trial raises, rerun its chunk one trial at a time:
+            # the error may belong to a trial past every stop
+            if n == 1:
+                raise
+            one_by_one_until = t0 + n
+            continue
+        for p, chunk in zip(running, chunks):
+            kept = n
             if target:
-                hit = np.flatnonzero(bit_errors + np.cumsum(chunk.bit_errors) >= target)
-                n = int(hit[0]) + 1 if hit.size else n
-            trials += n
-            bit_errors += int(chunk.bit_errors[:n].sum())
-            sym_errors += int(chunk.symbol_errors[:n].sum())
-            redraws += int(chunk.redraws[:n].sum())
+                hit = np.flatnonzero(tally[p, 1] + np.cumsum(chunk.bit_errors) >= target)
+                kept = int(hit[0]) + 1 if hit.size else n
+            tally[p] += (kept, chunk.bit_errors[:kept].sum(), chunk.symbol_errors[:kept].sum(),
+                         chunk.redraws[:kept].sum())
+        t0 += n
+        running = [p for p in running if not (target and tally[p, 1] >= target)]
+    rows = []
+    for snr, (trials, bit_errors, sym_errors, redraws) in zip(spec.snr_db, tally.tolist()):
         bits = trials * spec.streams * prep.modem.bits_per_symbol
         ci_low, ci_high = wilson_interval(bit_errors, bits)
         row = SweepRow(

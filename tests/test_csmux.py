@@ -88,6 +88,13 @@ class TestGenPhi:
         with pytest.raises(ValueError):
             phi_from_text("   \n  ")
 
+    def test_non_finite_entries_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="^phi entries must be finite$"):
+                MeasurementMatrix(np.array([[1.0, bad], [0.0, 1.0]]), 1.0)
+        with pytest.raises(ValueError, match="^phi entries must be finite$"):
+            phi_from_text("nan 1 0 1\n1 inf 1 0\n")
+
     def test_spark_is_rows_plus_one(self, cfg_4x4_l8):
         """Gaussian draws are in general position: no 2 of the 2x4 columns
         are dependent, so the spark is rows + 1."""

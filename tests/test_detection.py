@@ -358,15 +358,16 @@ class TestStackedTrials:
         noise = NoiseSpec.from_snr(5.0, cfg.m)
         z = multiplex(x.reshape(self.STACK + (cfg.l,)), phi, cfg)
         channel = ChannelRealization(h.reshape(self.STACK + h.shape[1:]))
-        y = apply_channel(channel, z, noise, [np.random.default_rng([8, t]) for t in range(6)])
+        y = np.stack([
+            apply_channel(ChannelRealization(h[t]), multiplex(x[t], phi, cfg), noise,
+                          np.random.default_rng([8, t]))
+            for t in range(6)
+        ]).reshape(self.STACK + (cfg.nr,))
         rec = demux(y, channel, Codebook(cfg, phi, dictionary, a), solver=solver)
         for t, at in enumerate(np.ndindex(self.STACK)):
             single = ChannelRealization(h[t])
-            z_t = multiplex(x[t], phi, cfg)
-            y_t = apply_channel(single, z_t, noise, np.random.default_rng([8, t]))
-            one = demux(y_t, single, Codebook(cfg, phi, dictionary, a), solver=solver)
-            np.testing.assert_array_equal(z[at], z_t)
-            np.testing.assert_array_equal(y[at], y_t)
+            one = demux(y[at], single, Codebook(cfg, phi, dictionary, a), solver=solver)
+            np.testing.assert_array_equal(z[at], multiplex(x[t], phi, cfg))
             for got, want in zip(
                 (rec.s_indices, rec.x_hat, rec.residuals, rec.condition_number),
                 (one.s_indices, one.x_hat, one.residuals, one.condition_number),

@@ -121,7 +121,7 @@ def _small_specs(draw):
     return ExperimentSpec(
         config=MuxConfig(nt=nt, nr=nr, l=l, j=j, constellation=name,
                          phi_seed=draw(st.integers(0, 1000))),
-        snr_db=tuple(draw(st.lists(snr, min_size=1, max_size=2, unique=True))),
+        snr_db=tuple(draw(st.lists(snr, min_size=1, max_size=4, unique=True))),
         trials=draw(st.integers(1, 60)),
         master_seed=draw(st.integers(0, 1000)),
         solver=draw(st.sampled_from(["ml", "omp", "oneshot"])),
@@ -168,8 +168,8 @@ class _RankDeficientOn:
 
     ``chosen`` maps a trial index to the 0-based draw numbers to spoil, or to
     ``"all"``.  The real draw is made first, so the stream advances as usual.
-    :meth:`patch` also spoils the first channels the engine draws through
-    ``_Streams.draw``; the engine replays such a trial through
+    :meth:`patch` also spoils the first channels the engine draws for a chunk
+    through ``_draw``; the engine replays such a trial through
     ``sample_channel``, where the same draws are spoiled again.
     """
 
@@ -191,53 +191,69 @@ class _RankDeficientOn:
         return h
 
     def patch(self, monkeypatch):
-        streams_draw = harness._Streams.draw
+        chunk_draw = harness._draw
 
-        def draw(streams, t0, n, nr, m_tx):
-            bits, h, noise = streams_draw(streams, t0, n, nr, m_tx)
+        def draw(seed, t0, n, nbits, nr, m_tx):
+            bits, h, noise = chunk_draw(seed, t0, n, nbits, nr, m_tx)
             for i in range(n):
                 if self._spoils(t0 + i, 0):
                     h[i] = 0
             return bits, h, noise
 
         monkeypatch.setattr(harness, "sample_channel", self)
-        monkeypatch.setattr(harness._Streams, "draw", draw)
+        monkeypatch.setattr(harness, "_draw", draw)
 
 
 def test_redraws_inside_a_chunk_land_on_their_trial(monkeypatch):
     """Trial 2 redraws twice and trial 4 once, inside one chunk of 10.  Each
-    trial keeps its redraws and draws its noise after them."""
+    trial keeps its redraws and draws its noise after them, at every point."""
     _RankDeficientOn({2: {0, 1}, 4: {0}}).patch(monkeypatch)
-    spec = _stop_spec(snr_db=(0.0,), trials=10, early_stop_errors=0)
+    spec = _stop_spec(snr_db=(0.0, 10.0), trials=10, early_stop_errors=0)
     prep = harness._prepare(spec)
     assert prep.chunk_cap >= 10
-    chunk = harness._run_chunk(prep, 0, 10, 0.0)
-    for t in range(10):
-        tx, rx, sym, red = _sequential_trial(spec, t, 0.0)
-        np.testing.assert_array_equal(chunk.tx_bits[t], tx)
-        np.testing.assert_array_equal(chunk.rx_bits[t], rx)
-        assert (chunk.symbol_errors[t], chunk.redraws[t]) == (sym, red)
-    assert chunk.redraws.tolist() == [0, 0, 2, 0, 1, 0, 0, 0, 0, 0]
+    for snr, chunk in zip(spec.snr_db, harness._run_chunk(prep, 0, 10, spec.snr_db)):
+        for t in range(10):
+            tx, rx, sym, red = _sequential_trial(spec, t, snr)
+            np.testing.assert_array_equal(chunk.tx_bits[t], tx)
+            np.testing.assert_array_equal(chunk.rx_bits[t], rx)
+            assert (chunk.symbol_errors[t], chunk.redraws[t]) == (sym, red)
+        assert chunk.redraws.tolist() == [0, 0, 2, 0, 1, 0, 0, 0, 0, 0]
     with _fixed_chunks(10):
         assert run_sweep(spec).rows == _sequential_rows(spec)
 
 
+def _stops(spec):
+    """Trials each point runs one at a time; each is below the cap."""
+    stops = [row.trials for row in _sequential_rows(spec)]
+    assert max(stops) < spec.trials
+    return stops
+
+
 def test_failure_past_the_stop_does_not_surface(monkeypatch):
     """A trial that would raise after the early-stop trial is never reached
-    one at a time, so a chunk that holds it must not fail the sweep."""
-    spec = _stop_spec()
-    stop = _sequential_rows(spec)[0].trials
-    _RankDeficientOn({stop + 1: "all"}).patch(monkeypatch)
-    with _fixed_chunks(spec.trials):
-        assert run_sweep(spec).rows == _sequential_rows(spec)
+    one at a time, so a chunk that holds it must not fail the sweep.  With
+    two points, a trial past both stops is never reached either."""
+    for snr_db in [(4.0,), (4.0, 16.0)]:
+        spec = _stop_spec(snr_db=snr_db)
+        stops = _stops(spec)
+        with monkeypatch.context() as patched:
+            _RankDeficientOn({max(stops) + 1: "all"}).patch(patched)
+            with _fixed_chunks(spec.trials):
+                assert run_sweep(spec).rows == _sequential_rows(spec)
 
 
 def test_failure_before_the_stop_surfaces(monkeypatch):
-    spec = _stop_spec()
-    stop = _sequential_rows(spec)[0].trials
-    _RankDeficientOn({stop - 1: "all"}).patch(monkeypatch)
-    with _fixed_chunks(spec.trials), pytest.raises(RankDeficientChannel, match="redraws"):
-        run_sweep(spec)
+    """A trial the sequential rule reaches raises, also when only the
+    high-SNR point reaches it, past the low-SNR point's stop."""
+    one = _stop_spec()
+    two = _stop_spec(snr_db=(4.0, 16.0))
+    low, high = _stops(two)
+    assert low + 1 < high
+    for spec, bad in [(one, _stops(one)[0] - 1), (two, low + 1)]:
+        with monkeypatch.context() as patched:
+            _RankDeficientOn({bad: "all"}).patch(patched)
+            with _fixed_chunks(spec.trials), pytest.raises(RankDeficientChannel, match="redraws"):
+                run_sweep(spec)
 
 
 RECIPES = ("mimo2x2_l4", "mimo4x4_l8", "mimo20x20_l40")
@@ -251,35 +267,44 @@ def _recipe(name, **kw):
     recipe=st.sampled_from(RECIPES),
     baseline=st.sampled_from([None, "zf", "overload"]),
     seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**96)),
-    points=st.lists(st.lists(st.integers(1, 6), min_size=1, max_size=4), min_size=1, max_size=3),
+    chunkings=st.lists(st.lists(st.integers(1, 6), min_size=1, max_size=4), min_size=1,
+                       max_size=3),
 )
-@example(recipe="mimo2x2_l4", baseline="zf", seed=1, points=[[3], [2, 2]])
+@example(recipe="mimo2x2_l4", baseline="zf", seed=1, chunkings=[[3], [2, 2]])
 @settings(max_examples=60, deadline=None)
-def test_streams_equal_a_fresh_generator_per_trial(recipe, baseline, seed, points):
-    """At every point and in any chunking, the recorded streams give each trial
-    the bits, channel and noise a fresh generator draws through ``integers``,
-    ``sample_channel`` and ``apply_channel``, and leave the generator in the
-    same state.  The (2,2)-4 ``zf`` bits take half of a 64-bit word and leave
+def test_streams_equal_a_fresh_generator_per_trial(recipe, baseline, seed, chunkings):
+    """In any chunking, the chunk draw gives each trial the bits, channel and
+    noise a fresh generator draws through ``integers``, ``sample_channel``
+    and ``apply_channel``, and leaves the trial's generator in the same
+    state.  The (2,2)-4 ``zf`` bits take half of a 64-bit word and leave
     the other half buffered in that state."""
     spec = _recipe(recipe, baseline=baseline, master_seed=seed)
     cfg = spec.config
     nbits = spec.streams * get_constellation(cfg.constellation).bits_per_symbol
-    streams = harness._Streams(seed, nbits)
     noise = NoiseSpec(10.0, 0.3)
     z = np.linspace(-1.0, 1.0, cfg.m) * (1 - 0.5j)
-    for sizes in points:
+    fresh, built = np.random.default_rng, []
+
+    def build(key):
+        built.append(fresh(key))
+        return built[-1]
+
+    for sizes in chunkings:
         t0 = 0
         for n in sizes:
-            bits, h, normals = streams.draw(t0, n, cfg.nr, cfg.m)
+            built.clear()
+            with mock.patch("numpy.random.default_rng", build):
+                bits, h, normals = harness._draw(seed, t0, n, nbits, cfg.nr, cfg.m)
             y = received(h, np.broadcast_to(z, (n, cfg.m)), noise, normals)
+            assert len(built) == n
             for i, t in enumerate(range(t0, t0 + n)):
-                rng = np.random.default_rng([seed, t])
+                rng = fresh([seed, t])
                 np.testing.assert_array_equal(
                     bits[i], rng.integers(0, 2, size=nbits, dtype=np.uint8))
                 channel = sample_channel(cfg.nr, cfg.m, rng)
                 np.testing.assert_array_equal(h[i], channel.h)
                 np.testing.assert_array_equal(y[i], apply_channel(channel, z, noise, rng))
-            assert streams.gen.bit_generator.state == rng.bit_generator.state
+                assert built[i].bit_generator.state == rng.bit_generator.state
             t0 += n
 
 
@@ -290,8 +315,8 @@ def _trial_generators(rng_mock):
 
 def test_one_generator_per_trial_index_and_per_redrawn_trial(monkeypatch):
     """A sweep builds each trial index's generator once, plus one for each
-    replay of a trial whose first channel is not usable; a second sweep
-    builds the same ones again."""
+    trial whose first channel is not usable, whatever the number of SNR
+    points; a second sweep builds the same ones again."""
     _RankDeficientOn({2: {0}, 5: {0, 1}}).patch(monkeypatch)
     spec = _stop_spec(snr_db=(0.0, 10.0, 20.0), trials=12, early_stop_errors=0)
     built = []
@@ -300,7 +325,7 @@ def test_one_generator_per_trial_index_and_per_redrawn_trial(monkeypatch):
             rows = run_sweep(spec).rows
         built.append(_trial_generators(rng))
     assert [r.redraws for r in rows] == [3, 3, 3]
-    assert built == [sorted([*range(12), 2, 2, 2, 5, 5, 5])] * 2
+    assert built == [sorted([*range(12), 2, 5])] * 2
 
 
 def test_run_trial_seeds_only_its_trial():

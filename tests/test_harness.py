@@ -10,8 +10,8 @@ import pytest
 
 import csmimo.harness as harness
 from csmimo.channel import ChannelRealization
-from csmimo.csmux import MuxConfig, identity_phi
-from csmimo.errors import RankDeficientChannel
+from csmimo.csmux import MeasurementMatrix, MuxConfig, identity_phi
+from csmimo.errors import DimensionMismatch, RankDeficientChannel
 from csmimo.harness import (
     CSV_HEADER,
     ExperimentSpec,
@@ -87,14 +87,14 @@ class TestRunTrial:
         """A channel that never becomes usable ends the trial with the
         library's rank error once the redraw budget is spent."""
         rank_one = ChannelRealization(np.ones((4, 4), dtype=complex))
-        streams_draw = harness._Streams.draw
+        chunk_draw = harness._draw
 
         def draw(*args):
-            bits, h, noise = streams_draw(*args)
+            bits, h, noise = chunk_draw(*args)
             h[:] = rank_one.h
             return bits, h, noise
 
-        monkeypatch.setattr(harness._Streams, "draw", draw)
+        monkeypatch.setattr(harness, "_draw", draw)
         monkeypatch.setattr(
             "csmimo.harness.sample_channel", lambda nr, m_tx, rng: rank_one
         )
@@ -216,6 +216,16 @@ class TestRunSweep:
         spec = small_spec(snr_db=(12.0, 0.0, 6.0), trials=30)
         rows = run_sweep(spec).rows
         assert [r.snr_db for r in rows] == [0.0, 6.0, 12.0]
+
+    def test_phi_of_the_wrong_column_count_rejected(self):
+        """The (4,4)-8 sub-blocks hold 4 symbols, so a 2x3 matrix cannot
+        compress them; the sweep and a trial say so before any trial."""
+        phi = MeasurementMatrix(np.ones((2, 3)), 1.0)
+        spec = small_spec(trials=5)
+        with pytest.raises(DimensionMismatch, match="phi has 3 columns for sub-blocks of 4"):
+            run_sweep(spec, phi=phi)
+        with pytest.raises(DimensionMismatch, match="phi has 3 columns for sub-blocks of 4"):
+            run_trial(spec, 0, phi=phi)
 
 
 class TestBaselines:
