@@ -27,7 +27,13 @@ from .errors import DimensionMismatch
 @dataclass(frozen=True)
 class ChannelRealization:
     """One draw of an ``nr x m_tx`` complex channel matrix, or a stack of
-    draws of shape ``(..., nr, m_tx)`` with one leading index per trial."""
+    draws of shape ``(..., nr, m_tx)`` with one leading index per trial.
+
+    Its factorizations are cached per object, one stacked LAPACK call each
+    over the whole stack: every receiver that is handed the same object
+    shares them.  The object keeps the caller's array, so whoever writes
+    into ``h`` afterwards must build a new object.
+    """
 
     h: np.ndarray
 
@@ -54,6 +60,12 @@ class ChannelRealization:
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Thin SVD ``(u, s, vh)`` of every matrix, computed once per draw."""
         return np.linalg.svd(self.h, full_matrices=False)
+
+    @cached_property
+    def qr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Complete QR ``(q, r)`` of every matrix, computed once per draw:
+        ``q`` is ``(..., nr, nr)`` and ``r`` is ``(..., nr, m_tx)``."""
+        return np.linalg.qr(self.h, mode="complete")
 
 
 @dataclass(frozen=True)

@@ -99,24 +99,39 @@ class MuxConfig:
         return self.l // self.j
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementMatrix:
     """Real compression matrix shared by all sub-blocks.
 
     ``scale`` records the target entry standard deviation; Gaussian draws
     use ``scale = 1/sqrt(rows)`` so each column has unit expected norm.
+    ``phi`` is a read-only copy of the caller's array, so the values
+    derived from it stay valid, and two matrices are equal, with equal
+    hashes, when their shape, entry bytes and ``scale`` are.
     """
 
     phi: np.ndarray
     scale: float
 
     def __post_init__(self) -> None:
-        phi = np.asarray(self.phi, dtype=np.float64)
+        phi = np.array(self.phi, dtype=np.float64)
         if phi.ndim != 2:
             raise DimensionMismatch(f"phi must be 2-D, got shape {phi.shape}")
         if not np.isfinite(phi).all():
             raise ValueError("phi entries must be finite")
+        phi.flags.writeable = False
         object.__setattr__(self, "phi", phi)
+
+    def _key(self) -> tuple:
+        return self.phi.shape, self.phi.tobytes(), self.scale
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MeasurementMatrix):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @cached_property
     def fro2(self) -> float:
@@ -172,6 +187,11 @@ def phi_from_text(text: str) -> MeasurementMatrix:
         for line in text.strip().splitlines()
         if line.strip()
     ]
+    for i, row in enumerate(rows[1:], start=2):
+        if len(row) != len(rows[0]):
+            raise ValueError(
+                f"row {i} of the dump has {len(row)} entries, expected {len(rows[0])}"
+            )
     phi = np.array(rows, dtype=np.float64)
     if phi.ndim != 2 or phi.size == 0:
         raise ValueError("dump does not contain a matrix")

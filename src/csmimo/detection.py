@@ -10,6 +10,11 @@ a minimum-residual scan over all columns.  OMP is kept as the generic
 greedy solver, and a one-shot mode finds the exact joint ML choice of all
 sub-blocks directly on the received vector, without equalizing first, by a
 block sphere search after a QR factorization of the channel.
+
+Both factorizations, the SVD that ZF and the usability check read and the
+QR of the one-shot search, are cached on the :class:`ChannelRealization`,
+each made once per stack of channels: callers that detect the same channels
+at several SNR points pass the same object to every point.
 """
 
 from __future__ import annotations
@@ -287,6 +292,9 @@ def _demux_oneshot(y, h, code, cap):
     to the lowest joint index ``sum k_j d**j``.  ``cap`` bounds the number
     of candidates scored (visited nodes times ``d``); running out raises
     :class:`DictionaryTooLarge` rather than returning a truncated answer.
+    The QR is ``h.qr``, one stacked factorization per channel object, so
+    the SNR points of a sweep that share ``h`` also share it; every trial
+    is rotated by ``Q^H`` in one stacked product.
     """
     cfg = code.cfg
     y = np.asarray(y, dtype=np.complex128)
@@ -300,22 +308,26 @@ def _demux_oneshot(y, h, code, cap):
     if not (np.isfinite(y).all() and np.isfinite(h.h).all()):
         raise ValueError("receive vector and channel must be finite")
     a = code.sensing * code.gain
+    q, r = h.qr
+    # stacked matrix-vector products, bit for bit the single-channel ones
+    yq = (q.conj().swapaxes(-1, -2) @ y[..., None])[..., 0]
+    # blocks[..., i, :, :]: the columns of r that sub-block i multiplies
+    blocks = r.reshape(h.stack_shape + (h.nr, cfg.j, cfg.subblock_rows)).swapaxes(-3, -2)
     indices = np.empty(h.stack_shape + (cfg.j,), dtype=np.int64)
     residuals = np.empty(h.stack_shape + (1,))
     for t in np.ndindex(h.stack_shape):
-        indices[t], residuals[t] = _sphere_search(y[t], h.h[t], a, cfg, code.dictionary.d, cap)
+        # contrib[i, :, k]: rotated receive contribution of candidate k placed
+        # in sub-block i; rows below block i are zero since r is upper triangular
+        contrib = blocks[t] @ a
+        indices[t], residuals[t] = _sphere_search(yq[t], contrib, cfg, code.dictionary.d, cap)
     nan = np.full(h.stack_shape, np.nan)[()]
     return RecoveryResult(indices, _reassemble(code, indices), residuals, nan)
 
 
-def _sphere_search(y, h, a, cfg, d, cap):
-    """Joint indices and residual of one trial; ``a`` is the gain-scaled sensing."""
+def _sphere_search(yq, contrib, cfg, d, cap):
+    """Joint indices and residual of one trial from its rotated receive
+    vector ``yq = Q^H y`` and candidate contributions ``contrib = R_i a``."""
     rows = cfg.subblock_rows
-    q, r = np.linalg.qr(h, mode="complete")
-    yq = q.conj().T @ y
-    # contrib[i, :, k]: rotated receive contribution of candidate k placed in
-    # sub-block i; rows below block i are zero since r is upper triangular.
-    contrib = r.reshape(-1, cfg.j, rows).transpose(1, 0, 2) @ a
     best = np.inf
     best_path = [d] * cfg.j  # above every joint index
     path = [0] * cfg.j

@@ -17,9 +17,11 @@ every channel.  A trial whose first channel is not usable is replayed from
 a fresh generator: bits, channel, redraws, then noise.  The chunk is then
 detected at each SNR point still running, in one stacked pass per point
 through the same receiver functions a single trial uses, so every decision
-is bit for bit the one-at-a-time result.  The chunk size follows from a
-fixed working-set budget and from the early-stop progress of the running
-points.  A point cuts the chunk back to the trial where its early stop
+is bit for bit the one-at-a-time result.  Every point is handed the same
+:class:`ChannelRealization`, so the factorizations cached on it (the SVD
+for ZF, the QR for the ``oneshot`` search) are made once per chunk.  The
+chunk size follows from a fixed working-set budget and from the early-stop
+progress of the running points.  A point cuts the chunk back to the trial where its early stop
 fires and leaves the sweep, so the CSV does not depend on the chunk size.
 
 Two baselines bound the scheme: plain spatial multiplexing with ZF
@@ -251,7 +253,8 @@ class _Prepared:
 def _chunk_cap(cfg: MuxConfig, scan_entries: int) -> int:
     """Trials per chunk within ``_CHUNK_BYTES``: ``_TRIAL_BYTES``, the
     channel and its SVD factors at 16 B per complex entry, and 24 B per
-    candidate the ``ml`` scan scores."""
+    candidate the ``ml`` scan scores.  The ``oneshot`` QR factors, about
+    the size of the SVD's, are not counted."""
     per_trial = _TRIAL_BYTES + 16 * (2 * cfg.nr * cfg.m + cfg.m * cfg.m) + 24 * scan_entries
     return max(1, _CHUNK_BYTES // per_trial)
 
@@ -271,7 +274,8 @@ def _prepare(spec: ExperimentSpec, phi: MeasurementMatrix | None = None) -> _Pre
     return _Prepared(spec, cfg, solver, c, code, _chunk_cap(cfg, scan))
 
 
-# run_trial's preparation of the specs it saw last; run_sweep prepares anew
+# run_trial's preparation of the (spec, phi) pairs it saw last; run_sweep
+# prepares anew
 _prepared = lru_cache(maxsize=8)(_prepare)
 
 
@@ -394,13 +398,14 @@ def run_trial(
     The trial is a chunk of one through the sweep engine, so its bits equal
     those the trial has inside any sweep.  ``phi`` overrides the seeded
     Gaussian draw (e.g. an identity matrix for degenerate-equivalence
-    checks).
+    checks).  The preparation of the last few ``(spec, phi)`` pairs is
+    kept, so repeated calls build the codebook once.
     """
     trial_index = require_int(trial_index, "trial_index")
     if trial_index < 0:
         raise ValueError("trial_index must be non-negative")
     point = spec.snr_db[0] if snr_db is None else _snr_point(snr_db)
-    prep = _prepare(spec, phi) if phi is not None else _prepared(spec)
+    prep = _prepared(spec, phi)
     (chunk,) = _run_chunk(prep, trial_index, 1, (point,))
     return TrialRecord(
         trial_index=trial_index,

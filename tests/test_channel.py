@@ -41,6 +41,22 @@ class TestSampleChannel:
             sample_channel(0, 2, np.random.default_rng(0))
 
 
+class TestFactorizations:
+    @pytest.mark.parametrize("nr, m", [(5, 3), (3, 3), (2, 3)])
+    def test_stacked_qr_equals_single_draws(self, nr, m):
+        """One stacked QR gives, bit for bit, each draw's own complete QR."""
+        rng = np.random.default_rng(4)
+        channel = ChannelRealization(
+            np.stack([sample_channel(nr, m, rng).h for _ in range(6)]).reshape(2, 3, nr, m))
+        q, r = channel.qr
+        assert q.shape == (2, 3, nr, nr) and r.shape == (2, 3, nr, m)
+        for t in np.ndindex(2, 3):
+            want_q, want_r = np.linalg.qr(channel.h[t], mode="complete")
+            np.testing.assert_array_equal(q[t], want_q)
+            np.testing.assert_array_equal(r[t], want_r)
+        assert channel.qr is channel.qr
+
+
 class TestNoiseSpec:
     def test_sigma2_from_snr(self):
         spec = NoiseSpec.from_snr(10.0, rx_energy=4.0)

@@ -95,6 +95,33 @@ class TestGenPhi:
         with pytest.raises(ValueError, match="^phi entries must be finite$"):
             phi_from_text("nan 1 0 1\n1 inf 1 0\n")
 
+    def test_short_row_in_dump_rejected(self):
+        with pytest.raises(ValueError, match="^row 2 of the dump has 1 entries, expected 2$"):
+            phi_from_text("1 2\n3\n")
+
+    def test_keeps_a_read_only_copy(self):
+        """Writing into the caller's array afterwards changes neither the
+        matrix nor its cached gain."""
+        cfg = MuxConfig(nt=1, nr=1, l=2, j=1)
+        x = np.ones((1, 2))
+        m = MeasurementMatrix(x, 1.0)
+        assert transmit_gain(m, cfg) == pytest.approx(np.sqrt(0.5))
+        x *= 3
+        np.testing.assert_array_equal(m.phi, np.ones((1, 2)))
+        assert transmit_gain(m, cfg) == pytest.approx(np.sqrt(0.5))
+        assert transmit_gain(MeasurementMatrix(x, 1.0), cfg) == pytest.approx(np.sqrt(1 / 18))
+        with pytest.raises(ValueError, match="read-only"):
+            m.phi[0, 0] = 2.0
+
+    def test_value_equality_and_hash(self, cfg_4x4_l8):
+        a, b = gen_phi(cfg_4x4_l8), gen_phi(cfg_4x4_l8)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != MeasurementMatrix(a.phi, 2 * a.scale)
+        assert a != MeasurementMatrix(a.phi.reshape(4, 2), a.scale)
+        assert a != MeasurementMatrix(a.phi + 1.0, a.scale)
+        assert a != a.phi.tolist()
+
     def test_spark_is_rows_plus_one(self, cfg_4x4_l8):
         """Gaussian draws are in general position: no 2 of the 2x4 columns
         are dependent, so the spark is rows + 1."""

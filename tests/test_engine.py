@@ -334,3 +334,15 @@ def test_run_trial_seeds_only_its_trial():
     with mock.patch("numpy.random.default_rng", wraps=np.random.default_rng) as rng:
         run_trial(spec, 7)
     assert rng.call_args_list == [mock.call([spec.master_seed, 7])]
+
+
+def test_oneshot_sweep_factors_each_chunk_once():
+    """Every SNR point of a ``oneshot`` sweep detects a chunk with the QR
+    made once for that chunk's channels."""
+    spec = _stop_spec(snr_db=(0.0, 10.0, 20.0), trials=60, solver="oneshot")
+    with mock.patch.object(harness, "_run_chunk", wraps=harness._run_chunk) as chunks, \
+            mock.patch("numpy.linalg.qr", wraps=np.linalg.qr) as qr:
+        rows = run_sweep(spec).rows
+    assert chunks.call_count >= 2
+    assert qr.call_count == chunks.call_count
+    assert rows == _sequential_rows(spec)

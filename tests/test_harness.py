@@ -112,6 +112,18 @@ class TestRunTrial:
         assert built.call_count == 1
         np.testing.assert_array_equal(records[0].rx_bits, records[2].rx_bits)
 
+    def test_repeated_trials_with_phi_prepare_once(self):
+        """A passed ``phi`` is part of the kept preparation's key, so many
+        trials with one matrix build the dictionary once."""
+        spec = small_spec()
+        phi = identity_phi(spec.config)
+        harness._prepared.cache_clear()
+        build = harness.build_dictionary
+        with mock.patch.object(harness, "build_dictionary", wraps=build) as built:
+            for t in range(50):
+                run_trial(spec, t, phi=phi)
+        assert built.call_count == 1
+
     def test_bad_snr_point_rejected(self):
         """A trial's SNR follows the grid-point rule and is named in the error."""
         for snr, named in ((-INF, "-inf"), (float("nan"), "nan")):
