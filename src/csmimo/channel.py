@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DimensionMismatch
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelRealization:
     """One draw of an ``nr x m_tx`` complex channel matrix, or a stack of
     draws of shape ``(..., nr, m_tx)`` with one leading index per trial.
@@ -32,7 +32,8 @@ class ChannelRealization:
     Its factorizations are cached per object, one stacked LAPACK call each
     over the whole stack: every receiver that is handed the same object
     shares them.  The object keeps the caller's array, so whoever writes
-    into ``h`` afterwards must build a new object.
+    into ``h`` afterwards must build a new object.  Two realizations compare
+    and hash by identity.
     """
 
     h: np.ndarray

@@ -65,6 +65,8 @@ class MuxConfig:
             raise ValueError("antenna counts must be positive")
         if self.l < 1 or self.j < 1:
             raise ValueError("stream and sub-block counts must be positive")
+        if self.phi_seed < 0:
+            raise ValueError("phi_seed must be non-negative")
         m = self.m
         if self.l < m:
             raise ValueError(

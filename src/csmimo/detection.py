@@ -123,11 +123,23 @@ def _colnorm2(a: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", a.real, a.real) + np.einsum("ij,ij->j", a.imag, a.imag)
 
 
-@dataclass(frozen=True)
+def _scan_matrix(a: np.ndarray) -> np.ndarray:
+    """Real ``(2·rows + 1, d)`` scan matrix ``[-2 Re a; -2 Im a; ||a||²]`` of
+    a complex ``(rows, d)`` matrix; its last row is :func:`_colnorm2` of ``a``."""
+    rows = a.shape[0]
+    scan = np.empty((2 * rows + 1, a.shape[1]))
+    np.multiply(a.real, -2.0, out=scan[:rows])
+    np.multiply(a.imag, -2.0, out=scan[rows:-1])
+    scan[-1] = _colnorm2(a)
+    return scan
+
+
+@dataclass(frozen=True, eq=False)
 class Codebook:
     """What transmitter and receiver share for one setup ``cfg``; ``sensing``
     is :func:`sensing_matrix` of ``phi`` and ``dictionary``, of shape
-    ``(m/j, d)``.  The values derived from them are computed once, on first use.
+    ``(m/j, d)``.  The values derived from them are computed once, on first
+    use.  Two codebooks compare and hash by identity.
     """
 
     cfg: MuxConfig
@@ -143,9 +155,17 @@ class Codebook:
         object.__setattr__(self, "sensing", sensing)
 
     @cached_property
+    def scan(self) -> np.ndarray:
+        """:func:`_scan_matrix` of ``sensing``, the matrix the ``ml`` scan
+        multiplies; read-only."""
+        scan = _scan_matrix(self.sensing)
+        scan.flags.writeable = False
+        return scan
+
+    @cached_property
     def colnorm2(self) -> np.ndarray:
-        """:func:`_colnorm2` of ``sensing``."""
-        return _colnorm2(self.sensing)
+        """:func:`_colnorm2` of ``sensing``: the last row of ``scan``, a view."""
+        return self.scan[-1]
 
     @cached_property
     def gain(self) -> float:
@@ -153,23 +173,23 @@ class Codebook:
         return transmit_gain(self.phi, self.cfg)
 
 
-def _ml_scan(
-    z: np.ndarray, a: np.ndarray, colnorm2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _ml_scan(z: np.ndarray, scan: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest column of ``a`` to each row of the ``(..., J, rows)`` blocks ``z``.
 
-    Returns the ``(..., J)`` argmin indices (ties to the lowest) and
-    residual norms.  ``colnorm2`` is :func:`_colnorm2` of ``a``.
+    ``scan`` is :func:`_scan_matrix` of ``a``.  Returns the ``(..., J)``
+    argmin indices (ties to the lowest) and residual norms.
     """
-    # ||z_j - a_k||^2 = ||z_j||^2 - 2 Re<a_k, z_j> + ||a_k||^2 over all j, k,
-    # accumulated in place from the -2 Re term (x - y == -y + x exactly).
-    # The product runs as one (J, rows) @ (rows, d) call per leading index:
-    # merging trials into one taller product can change the last bit.
-    res2 = (z.conj() @ a).real * -2.0
-    res2 += _colnorm2(z.reshape(-1, z.shape[-1]).T).reshape(z.shape[:-1] + (1,))
-    res2 += colnorm2
-    k = res2.argmin(axis=-1)
-    best = res2.reshape(k.size, -1)[np.arange(k.size), k.ravel()].reshape(k.shape)
+    # ||z_j - a_k||^2 = ||z_j||^2 - 2 Re<a_k, z_j> + ||a_k||^2, and
+    # [Re z_j, Im z_j, 1] @ scan gives the last two terms for every k in one
+    # real product.  ||z_j||^2 is the same for every k, so it is added only
+    # to the picked entry.  The product runs as one (J, 2·rows + 1) @ scan
+    # call per leading index: merging trials into one taller product can
+    # change the last bit.
+    zr = np.concatenate((z.real, z.imag, np.ones(z.shape[:-1] + (1,))), axis=-1)
+    metric = zr @ scan
+    k = metric.argmin(axis=-1)
+    best = np.take_along_axis(metric, k[..., None], axis=-1)[..., 0]
+    best += np.einsum("...i,...i->...", zr[..., :-1], zr[..., :-1])
     return k, np.sqrt(np.maximum(best, 0.0))
 
 
@@ -187,7 +207,7 @@ def recover_subblock_ml(z_hat_j: np.ndarray, sensing: np.ndarray) -> tuple[int, 
         raise DimensionMismatch(
             f"sub-block length {z.size} != sensing rows {a.shape[0]}"
         )
-    k, res = _ml_scan(z[None, :], a, _colnorm2(a))
+    k, res = _ml_scan(z[None, :], _scan_matrix(a))
     return int(k[0]), float(res[0])
 
 
@@ -263,7 +283,7 @@ def demux(
     eq = zf_equalize(y, h, gain=code.gain)
     blocks = eq.z_hat.reshape(h.stack_shape + (cfg.j, cfg.subblock_rows))
     if solver == "ml":
-        indices, residuals = _ml_scan(blocks, a, code.colnorm2)
+        indices, residuals = _ml_scan(blocks, code.scan)
     else:
         indices = np.empty(blocks.shape[:-1], dtype=np.int64)
         residuals = np.empty(blocks.shape[:-1])

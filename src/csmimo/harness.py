@@ -250,28 +250,34 @@ class _Prepared:
     chunk_cap: int
 
 
-def _chunk_cap(cfg: MuxConfig, scan_entries: int) -> int:
+def _chunk_cap(cfg: MuxConfig, solver: str | None) -> int:
     """Trials per chunk within ``_CHUNK_BYTES``: ``_TRIAL_BYTES``, the
-    channel and its SVD factors at 16 B per complex entry, and 24 B per
-    candidate the ``ml`` scan scores.  The ``oneshot`` QR factors, about
-    the size of the SVD's, are not counted."""
-    per_trial = _TRIAL_BYTES + 16 * (2 * cfg.nr * cfg.m + cfg.m * cfg.m) + 24 * scan_entries
-    return max(1, _CHUNK_BYTES // per_trial)
+    channel and its SVD factors, and what ``solver`` holds per trial.  The
+    ``ml`` scan holds its real metric, 8 B per candidate it scores; the
+    ``oneshot`` search holds the cached QR, ``q``, its ``q.conj()``
+    temporary and ``r``.  Complex entries count 16 B.  ``None`` is a trial
+    with no detector."""
+    nr, m = cfg.nr, cfg.m
+    entries, candidates = 2 * nr * m + m * m, 0
+    if solver == "ml":
+        candidates = cfg.j * get_constellation(cfg.constellation).order ** cfg.subblock_cols
+    elif solver == "oneshot":
+        entries += 2 * nr * nr + nr * m
+    return max(1, _CHUNK_BYTES // (_TRIAL_BYTES + 16 * entries + 8 * candidates))
 
 
 def _prepare(spec: ExperimentSpec, phi: MeasurementMatrix | None = None) -> _Prepared:
     cfg, solver = spec.config, spec.solver
     c = get_constellation(cfg.constellation)
     if spec.baseline == "overload":
-        return _Prepared(spec, cfg, solver, c, None, _chunk_cap(cfg, 0))
+        return _Prepared(spec, cfg, solver, c, None, _chunk_cap(cfg, None))
     if spec.baseline == "zf":
         cfg = replace(cfg, l=cfg.m, j=cfg.m)
         phi, solver = identity_phi(cfg), "ml"
     phi_m = phi if phi is not None else gen_phi(cfg)
     dictionary = build_dictionary(c, cfg.subblock_cols, cap=cfg.dictionary_cap)
     code = Codebook(cfg, phi_m, dictionary, sensing_matrix(phi_m, dictionary))
-    scan = cfg.j * dictionary.d if solver == "ml" else 0
-    return _Prepared(spec, cfg, solver, c, code, _chunk_cap(cfg, scan))
+    return _Prepared(spec, cfg, solver, c, code, _chunk_cap(cfg, solver))
 
 
 # run_trial's preparation of the (spec, phi) pairs it saw last; run_sweep

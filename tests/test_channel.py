@@ -56,6 +56,13 @@ class TestFactorizations:
             np.testing.assert_array_equal(r[t], want_r)
         assert channel.qr is channel.qr
 
+    def test_equal_draws_compare_and_hash_by_identity(self):
+        h = sample_channel(2, 2, np.random.default_rng(5)).h
+        one, two = ChannelRealization(h), ChannelRealization(h.copy())
+        assert one == one and one != two
+        assert hash(one) == hash(one)
+        assert {one, two, one} == {one, two}
+
 
 class TestNoiseSpec:
     def test_sigma2_from_snr(self):

@@ -44,6 +44,10 @@ class TestMuxConfig:
             with pytest.raises(ValueError, match=f"^unknown constellation {name!r}; available"):
                 MuxConfig(nt=2, nr=2, l=4, j=2, constellation=name)
 
+    def test_negative_phi_seed_rejected(self):
+        with pytest.raises(ValueError, match="^phi_seed must be non-negative$"):
+            MuxConfig(nt=2, nr=2, l=4, j=2, phi_seed=-1)
+
     def test_more_streams_than_m_required(self):
         with pytest.raises(ValueError):
             MuxConfig(nt=4, nr=4, l=2, j=1)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csmimo import detection
 from csmimo.channel import ChannelRealization, NoiseSpec, apply_channel, sample_channel
 from csmimo.csmux import (
     MeasurementMatrix,
@@ -20,6 +21,7 @@ from csmimo.detection import (
     Codebook,
     _colnorm2,
     _ml_scan,
+    _scan_matrix,
     channel_is_usable,
     demux,
     recover_subblock_ml,
@@ -29,7 +31,7 @@ from csmimo.detection import (
 )
 from csmimo.dictionary import build_dictionary, sparse_decode
 from csmimo.errors import DictionaryTooLarge, DimensionMismatch, RankDeficientChannel
-from csmimo.harness import load_spec, run_sweep
+from csmimo.harness import _prepare, load_spec, run_sweep
 from csmimo.modem import demodulate, get_constellation, modulate
 
 from conftest import recipe_path
@@ -146,13 +148,47 @@ class TestMlScan:
         truth = rng.integers(0, a.shape[1], size=j)
         noise = rng.standard_normal((j, rows)) + 1j * rng.standard_normal((j, rows))
         z = a[:, truth].T + 0.3 * noise
-        k, res = _ml_scan(z, a, _colnorm2(a))
+        k, res = _ml_scan(z, _scan_matrix(a))
         assert k.shape == res.shape == (j,)
         for row, k_row, res_row in zip(z, k, res):
             diffs = a - row[:, None]
             dist2 = (diffs.real**2 + diffs.imag**2).sum(axis=0)
             assert k_row == np.argmin(dist2)
             assert res_row == pytest.approx(np.sqrt(dist2[k_row]), abs=1e-9)
+
+    @given(
+        j=st.integers(1, 10),
+        constellation=st.sampled_from(["qpsk", "qam16"]),
+        zf=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_complex_product_reference(self, j, constellation, zf, seed):
+        """The real scan picks the indices of the complex-product scan it
+        replaces, with residuals equal to rounding, for stacked blocks."""
+        c = get_constellation(constellation)
+        rng = np.random.default_rng(seed)
+        if zf:  # the zf baseline: one symbol per block and an identity phi
+            rows, n, phi = 1, 1, MeasurementMatrix(np.eye(1), 1.0)
+        else:
+            rows, n = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+            phi = MeasurementMatrix(rng.standard_normal((rows, n)) / np.sqrt(rows), 1.0)
+        a = sensing_matrix(phi, build_dictionary(c, n))
+        stack = (int(rng.integers(1, 4)),)
+        truth = rng.integers(0, a.shape[1], size=stack + (j,))
+        noise = rng.standard_normal(stack + (j, rows)) + 1j * rng.standard_normal(stack + (j, rows))
+        z = a.T[truth] + 0.3 * noise
+
+        # the complex-product formula of the scan, kept as the reference
+        res2 = (z.conj() @ a).real * -2.0
+        res2 += _colnorm2(z.reshape(-1, rows).T).reshape(z.shape[:-1] + (1,))
+        res2 += _colnorm2(a)
+        want_k = res2.argmin(axis=-1)
+        want_res = np.sqrt(np.maximum(np.take_along_axis(res2, want_k[..., None], -1)[..., 0], 0.0))
+
+        k, res = _ml_scan(z, _scan_matrix(a))
+        np.testing.assert_array_equal(k, want_k)
+        np.testing.assert_allclose(res, want_res, rtol=1e-9)
 
 
 class TestOmp:
@@ -328,6 +364,30 @@ class TestCodebook:
         np.testing.assert_array_equal(code.colnorm2, _colnorm2(a))
         assert code.gain == transmit_gain(phi, cfg)
         assert code.colnorm2 is code.colnorm2
+
+    def test_scan_is_built_once_with_colnorm2_as_its_last_row(self, pipeline, monkeypatch):
+        cfg, phi, dictionary = pipeline
+        a = sensing_matrix(phi, dictionary)
+        code = Codebook(cfg, phi, dictionary, a)
+        calls = []
+        monkeypatch.setattr(detection, "_scan_matrix", lambda m: calls.append(m) or _scan_matrix(m))
+        h = sample_channel(cfg.nr, cfg.m, np.random.default_rng(2))
+        for y in np.random.default_rng(3).standard_normal((3, cfg.nr)):
+            demux(y, h, code)
+        assert len(calls) == 1
+        rows = cfg.subblock_rows
+        np.testing.assert_array_equal(code.scan[:rows], -2.0 * a.real)
+        np.testing.assert_array_equal(code.scan[rows:-1], -2.0 * a.imag)
+        assert code.colnorm2.base is code.scan
+        np.testing.assert_array_equal(code.colnorm2, code.scan[-1])
+        assert not code.scan.flags.writeable
+
+    def test_equal_codebooks_compare_and_hash_by_identity(self):
+        spec = load_spec(recipe_path("mimo4x4_l8.json"))
+        one, two = _prepare(spec).code, _prepare(spec).code
+        assert one == one and one != two
+        assert hash(one) == hash(one)
+        assert {one, two, one} == {one, two}
 
 
 class TestStackedTrials:
