@@ -27,11 +27,13 @@ fires and leaves the sweep, so the CSV does not depend on the chunk size.
 Two baselines bound the scheme: plain spatial multiplexing with ZF
 detection (``m`` streams), and the naive overload that crams all ``l``
 streams onto the ``m`` spatial streams by plain summation instead of a
-designed compression.  Plain ZF runs the compressed-sensing receiver with
-``l = j = m`` and an identity matrix, whose per-symbol scan is ZF slicing.
-The summed mapping of the overload baseline duplicates columns of the
-composed channel, so the receiver faces an underdetermined least-squares
-problem that fails even without noise.
+designed compression.  Both send ``z = S x`` with ``S = [I ... I]/sqrt(c)``
+of ``c = streams/m`` identity blocks, the identity for ``zf``, draw and
+check their channels as the scheme does, and slice ``S^T`` of the ZF
+estimate of ``z``.  ``S`` has orthonormal rows, so ``S^T H^+`` is the
+pseudo-inverse of ``H S`` (Greville, SIAM Review 8(4), 1966): the
+minimum-norm least-squares estimate, which for the overload's duplicated
+columns fails even without noise.
 """
 
 from __future__ import annotations
@@ -47,10 +49,9 @@ import numpy as np
 
 from .channel import ChannelRealization, NoiseSpec, gains, received, sample_channel
 from .channel import apply_channel  # noqa: F401  (perfbench traces it by this name)
-from .csmux import MeasurementMatrix, MuxConfig, gen_phi, identity_phi, multiplex
+from .csmux import MeasurementMatrix, MuxConfig, gen_phi, multiplex
 from .csmux import require_int, require_ints
-from .detection import SOLVERS, Codebook, channel_is_usable, demux, sensing_matrix
-from .detection import zf_equalize  # noqa: F401  (perfbench traces it by this name)
+from .detection import SOLVERS, Codebook, channel_is_usable, demux, sensing_matrix, zf_equalize
 from .dictionary import build_dictionary
 from .errors import RankDeficientChannel
 from .modem import Constellation, get_constellation, nearest_point_indices, symbol_indices
@@ -236,15 +237,12 @@ def throughput_proxy(ber_row: SweepRow, spec: ExperimentSpec) -> float:
 class _Prepared:
     """Per-sweep precomputation shared by all trials.
 
-    ``cfg`` and ``solver`` are what the trials run: the spec's, except that
-    the ``zf`` baseline runs the ``ml`` scan on ``l = j = m`` with an
-    identity ``phi``.  The overload baseline has no ``code``.  ``chunk_cap``
-    is the most trials whose stacked arrays fit in ``_CHUNK_BYTES``.
+    ``code`` is the scheme's; a baseline has none, since it slices the ZF
+    estimate directly.  ``chunk_cap`` is the most trials whose stacked
+    arrays fit in ``_CHUNK_BYTES``.
     """
 
     spec: ExperimentSpec
-    cfg: MuxConfig
-    solver: str
     modem: Constellation
     code: Codebook | None
     chunk_cap: int
@@ -255,8 +253,8 @@ def _chunk_cap(cfg: MuxConfig, solver: str | None) -> int:
     channel and its SVD factors, and what ``solver`` holds per trial.  The
     ``ml`` scan holds its real metric, 8 B per candidate it scores; the
     ``oneshot`` search holds the cached QR, ``q``, its ``q.conj()``
-    temporary and ``r``.  Complex entries count 16 B.  ``None`` is a trial
-    with no detector."""
+    temporary and ``r``.  Complex entries count 16 B.  ``None`` is a baseline,
+    which slices its ZF estimate and holds nothing more."""
     nr, m = cfg.nr, cfg.m
     entries, candidates = 2 * nr * m + m * m, 0
     if solver == "ml":
@@ -267,17 +265,16 @@ def _chunk_cap(cfg: MuxConfig, solver: str | None) -> int:
 
 
 def _prepare(spec: ExperimentSpec, phi: MeasurementMatrix | None = None) -> _Prepared:
-    cfg, solver = spec.config, spec.solver
+    cfg = spec.config
     c = get_constellation(cfg.constellation)
-    if spec.baseline == "overload":
-        return _Prepared(spec, cfg, solver, c, None, _chunk_cap(cfg, None))
-    if spec.baseline == "zf":
-        cfg = replace(cfg, l=cfg.m, j=cfg.m)
-        phi, solver = identity_phi(cfg), "ml"
+    if spec.baseline:
+        if phi is not None:
+            raise ValueError(f"the {spec.baseline} baseline compresses nothing; it takes no phi")
+        return _Prepared(spec, c, None, _chunk_cap(cfg, None))
     phi_m = phi if phi is not None else gen_phi(cfg)
     dictionary = build_dictionary(c, cfg.subblock_cols, cap=cfg.dictionary_cap)
     code = Codebook(cfg, phi_m, dictionary, sensing_matrix(phi_m, dictionary))
-    return _Prepared(spec, cfg, solver, c, code, _chunk_cap(cfg, solver))
+    return _Prepared(spec, c, code, _chunk_cap(cfg, spec.solver))
 
 
 # run_trial's preparation of the (spec, phi) pairs it saw last; run_sweep
@@ -335,37 +332,35 @@ def _replay(
 def _run_chunk(prep: _Prepared, t0: int, n: int, snrs: tuple[float, ...]) -> list[_Chunk]:
     """Trials ``t0 .. t0+n-1`` drawn once, then detected at each SNR point of
     ``snrs`` in one stacked pass per point."""
-    spec, cfg, c = prep.spec, prep.cfg, prep.modem
-    nbits = cfg.l * c.bits_per_symbol
+    spec, cfg, c = prep.spec, prep.spec.config, prep.modem
+    nbits = spec.streams * c.bits_per_symbol
     tx_bits, h, normals = _draw(spec.master_seed, t0, n, nbits, cfg.nr, cfg.m)
-    tx_idx = symbol_indices(tx_bits, c).reshape(n, cfg.l)
+    tx_idx = symbol_indices(tx_bits, c).reshape(n, spec.streams)
     x = c.points[tx_idx]
-    redraws = np.zeros(n, dtype=np.int64)
 
     if prep.code is None:
-        # overload: l streams summed onto the m spatial streams, unit energy
-        # per transmit dimension; the composed channel has duplicated columns
-        copies = cfg.l // cfg.m
-        stack = np.hstack([np.eye(cfg.m)] * copies) / np.sqrt(copies)
-        z, composed = (stack @ x[..., None])[..., 0], [h_i @ stack for h_i in h]
+        # a baseline sums its streams onto the m spatial streams, c copies
+        # each, with unit energy per transmit dimension: z = S x
+        copies = spec.streams // cfg.m
+        spread = np.hstack([np.eye(cfg.m)] * copies) / np.sqrt(copies)
+        z = (spread @ x[..., None])[..., 0]
     else:
-        z, channel = multiplex(x, prep.code.phi, cfg), ChannelRealization(h)
-        for i in np.flatnonzero(~channel_is_usable(channel)):
-            h[i], normals[i], redraws[i] = _replay(spec.master_seed, t0 + i, nbits, cfg.nr, cfg.m)
-        if redraws.any():
-            channel = ChannelRealization(h)
+        z = multiplex(x, prep.code.phi, cfg)
+    channel, redraws = ChannelRealization(h), np.zeros(n, dtype=np.int64)
+    for i in np.flatnonzero(~channel_is_usable(channel)):
+        h[i], normals[i], redraws[i] = _replay(spec.master_seed, t0 + i, nbits, cfg.nr, cfg.m)
+    if redraws.any():
+        channel = ChannelRealization(h)
 
     chunks = []
     for snr_db in snrs:
         y = received(h, z, NoiseSpec.from_snr(snr_db, float(cfg.m)), normals)
         if prep.code is None:
-            # minimum-norm least squares on the underdetermined composed system
-            x_hat = np.stack(
-                [np.linalg.lstsq(a, y_i, rcond=None)[0] for a, y_i in zip(composed, y)]
-            )
+            # S has orthonormal rows, so S^T H^+ = (H S)^+
+            x_hat = zf_equalize(y, channel).z_hat @ spread
         else:
-            x_hat = demux(y, channel, prep.code, solver=prep.solver).x_hat
-        rx_idx = nearest_point_indices(x_hat, c).reshape(n, cfg.l)
+            x_hat = demux(y, channel, prep.code, solver=spec.solver).x_hat
+        rx_idx = nearest_point_indices(x_hat, c).reshape(n, spec.streams)
         rx_bits = c.labels[rx_idx].reshape(n, -1)
         bit_errors = (tx_bits != rx_bits).sum(axis=1)
         sym_errors = (tx_idx != rx_idx).sum(axis=1)

@@ -2,7 +2,8 @@
 
 ``_sequential_trial`` is the per-trial receiver path coded directly from the
 public functions, one unstacked call each, with plain ZF slicing for the
-``zf`` baseline.  ``_sequential_rows`` aggregates it under the sequential
+``zf`` baseline and, for ``overload``, ZF of the channel spread back over
+each stream's copies.  ``_sequential_rows`` aggregates it under the sequential
 early-stop rule.  ``run_sweep`` and ``run_trial`` must reproduce both
 exactly, whatever the chunk sizes.
 """
@@ -43,33 +44,30 @@ def _sequential_trial(spec, t, snr_db):
     tx_bits = rng.integers(0, 2, size=spec.streams * c.bits_per_symbol, dtype=np.uint8)
     tx_idx = symbol_indices(tx_bits, c)
     x = c.points[tx_idx]
-    m_tx = spec.streams if spec.baseline == "zf" else cfg.m
-    noise = NoiseSpec.from_snr(snr_db, float(m_tx))
+    noise = NoiseSpec.from_snr(snr_db, float(cfg.m))
     redraws = 0
+    h = harness.sample_channel(cfg.nr, cfg.m, rng)
+    while not channel_is_usable(h):
+        redraws += 1
+        if redraws > 1000:
+            raise RankDeficientChannel("no usable channel in 1000 redraws")
+        h = harness.sample_channel(cfg.nr, cfg.m, rng)
 
     if spec.baseline == "overload":
         copies = cfg.l // cfg.m
         stack = np.hstack([np.eye(cfg.m)] * copies) / np.sqrt(copies)
-        h = harness.sample_channel(cfg.nr, cfg.m, rng)
         y = apply_channel(h, stack @ x, noise, rng)
-        rx_idx = nearest_point_indices(np.linalg.lstsq(h.h @ stack, y, rcond=None)[0], c)
+        rx_idx = nearest_point_indices(stack.T @ zf_equalize(y, h).z_hat, c)
+    elif spec.baseline == "zf":
+        y = apply_channel(h, x, noise, rng)
+        rx_idx = nearest_point_indices(zf_equalize(y, h).z_hat, c)
     else:
-        h = harness.sample_channel(cfg.nr, m_tx, rng)
-        while not channel_is_usable(h):
-            redraws += 1
-            if redraws > 1000:
-                raise RankDeficientChannel("no usable channel in 1000 redraws")
-            h = harness.sample_channel(cfg.nr, m_tx, rng)
-        if spec.baseline == "zf":
-            y = apply_channel(h, x, noise, rng)
-            rx_idx = nearest_point_indices(zf_equalize(y, h).z_hat, c)
-        else:
-            phi = gen_phi(cfg)
-            dictionary = build_dictionary(c, cfg.subblock_cols, cap=cfg.dictionary_cap)
-            y = apply_channel(h, multiplex(x, phi, cfg), noise, rng)
-            rec = demux(y, h, Codebook(cfg, phi, dictionary, sensing_matrix(phi, dictionary)),
-                        solver=spec.solver)
-            rx_idx = nearest_point_indices(rec.x_hat, c)
+        phi = gen_phi(cfg)
+        dictionary = build_dictionary(c, cfg.subblock_cols, cap=cfg.dictionary_cap)
+        y = apply_channel(h, multiplex(x, phi, cfg), noise, rng)
+        rec = demux(y, h, Codebook(cfg, phi, dictionary, sensing_matrix(phi, dictionary)),
+                    solver=spec.solver)
+        rx_idx = nearest_point_indices(rec.x_hat, c)
     rx_bits = c.labels[rx_idx].ravel()
     return tx_bits, rx_bits, int(np.sum(tx_idx != rx_idx)), redraws
 
@@ -204,11 +202,13 @@ class _RankDeficientOn:
         monkeypatch.setattr(harness, "_draw", draw)
 
 
-def test_redraws_inside_a_chunk_land_on_their_trial(monkeypatch):
+@pytest.mark.parametrize("baseline", [None, "zf", "overload"])
+def test_redraws_inside_a_chunk_land_on_their_trial(monkeypatch, baseline):
     """Trial 2 redraws twice and trial 4 once, inside one chunk of 10.  Each
-    trial keeps its redraws and draws its noise after them, at every point."""
+    trial keeps its redraws and draws its noise after them, at every point,
+    in the scheme and in both baselines."""
     _RankDeficientOn({2: {0, 1}, 4: {0}}).patch(monkeypatch)
-    spec = _stop_spec(snr_db=(0.0, 10.0), trials=10, early_stop_errors=0)
+    spec = _stop_spec(snr_db=(0.0, 10.0), trials=10, early_stop_errors=0, baseline=baseline)
     prep = harness._prepare(spec)
     assert prep.chunk_cap >= 10
     for snr, chunk in zip(spec.snr_db, harness._run_chunk(prep, 0, 10, spec.snr_db)):

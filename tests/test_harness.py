@@ -7,10 +7,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import csmimo.harness as harness
-from csmimo.channel import ChannelRealization
+from csmimo.channel import ChannelRealization, NoiseSpec, apply_channel, sample_channel
 from csmimo.csmux import MeasurementMatrix, MuxConfig, identity_phi
+from csmimo.detection import channel_is_usable
 from csmimo.errors import DimensionMismatch, RankDeficientChannel
 from csmimo.harness import (
     CSV_HEADER,
@@ -24,6 +27,7 @@ from csmimo.harness import (
     throughput_proxy,
     wilson_interval,
 )
+from csmimo.modem import get_constellation, nearest_point_indices, symbol_indices
 
 INF = float("inf")
 
@@ -103,12 +107,17 @@ class TestRunTrial:
 
     def test_repeated_trials_prepare_once(self):
         """``run_trial`` keeps the preparation of a spec it has seen, so the
-        ``zf`` baseline's dictionary is built once for many trials."""
-        spec = small_spec(baseline="zf", master_seed=12)
+        scheme's dictionary is built once for many trials; a baseline builds
+        none."""
+        spec = small_spec(master_seed=12)
         harness._prepared.cache_clear()
         build = harness.build_dictionary
         with mock.patch.object(harness, "build_dictionary", wraps=build) as built:
             records = [run_trial(spec, t) for t in (0, 1, 0)]
+            assert built.call_count == 1
+            for baseline in ("zf", "overload"):
+                run_sweep(replace(spec, baseline=baseline, trials=5))
+                run_trial(replace(spec, baseline=baseline), 0)
         assert built.call_count == 1
         np.testing.assert_array_equal(records[0].rx_bits, records[2].rx_bits)
 
@@ -268,6 +277,51 @@ class TestBaselines:
             a = run_trial(over, t, snr_db=10.0)
             b = run_trial(zf, t, snr_db=10.0)
             np.testing.assert_array_equal(a.rx_bits, b.rx_bits)
+
+    def test_baseline_rejects_phi(self):
+        """A baseline compresses nothing, so a passed matrix is an error
+        that names the baseline, not a matrix silently left unused."""
+        phi = identity_phi(small_spec().config)
+        for baseline in ("zf", "overload"):
+            spec = small_spec(baseline=baseline, trials=5)
+            with pytest.raises(ValueError, match=f"^the {baseline} baseline .* takes no phi$"):
+                run_sweep(spec, phi)
+            with pytest.raises(ValueError, match=f"^the {baseline} baseline .* takes no phi$"):
+                run_trial(spec, 0, phi=phi)
+
+    @given(
+        m=st.integers(1, 4),
+        extra_rx=st.integers(0, 2),
+        copies=st.sampled_from([2, 3]),
+        constellation=st.sampled_from(["qpsk", "qam16"]),
+        snr_db=st.lists(st.floats(-5.0, 40.0), min_size=1, max_size=3, unique=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_overload_decisions_equal_min_norm_least_squares(
+        self, m, extra_rx, copies, constellation, snr_db, seed
+    ):
+        """At finite SNR the overload receiver, ``S^T`` of the ZF estimate,
+        decides every symbol as the minimum-norm least-squares solution of
+        the composed channel ``H S`` does, for ``nr >= m`` receive antennas."""
+        cfg = MuxConfig(nt=m, nr=m + extra_rx, l=copies * m, j=m, constellation=constellation)
+        spec = ExperimentSpec(cfg, tuple(snr_db), trials=20, master_seed=seed,
+                              baseline="overload", early_stop_errors=0)
+        c = get_constellation(constellation)
+        stack = np.hstack([np.eye(m)] * copies) / np.sqrt(copies)
+        chunks = harness._run_chunk(harness._prepare(spec), 0, spec.trials, spec.snr_db)
+        for snr, chunk in zip(spec.snr_db, chunks):
+            for t in range(spec.trials):
+                rng = np.random.default_rng([seed, t])
+                x = c.points[symbol_indices(rng.integers(0, 2, size=chunk.tx_bits.shape[1],
+                                                         dtype=np.uint8), c)]
+                h = sample_channel(cfg.nr, m, rng)
+                while not channel_is_usable(h):
+                    h = sample_channel(cfg.nr, m, rng)
+                y = apply_channel(h, stack @ x, NoiseSpec.from_snr(snr, float(m)), rng)
+                x_hat = np.linalg.lstsq(h.h @ stack, y, rcond=None)[0]
+                rx_bits = c.labels[nearest_point_indices(x_hat, c)].ravel()
+                np.testing.assert_array_equal(chunk.rx_bits[t], rx_bits)
 
     def test_baseline_helpers(self):
         spec = small_spec(snr_db=(INF,), trials=30)
