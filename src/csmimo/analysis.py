@@ -23,6 +23,9 @@ from .errors import TooManyColumns
 
 DEPENDENCE_TOL = 1e-10
 
+# most columns verify_uniqueness compares pairwise
+PAIRWISE_CAP = 4096
+
 
 @dataclass(frozen=True)
 class RipEstimate:
@@ -147,7 +150,7 @@ def verify_uniqueness(
     phi: MeasurementMatrix,
     dictionary: SubblockDictionary,
     tol: float = DEPENDENCE_TOL,
-    max_columns: int = 4096,
+    max_columns: int = PAIRWISE_CAP,
 ) -> UniquenessReport:
     """Check that all compressed candidate columns are pairwise distinct.
 

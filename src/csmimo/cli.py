@@ -84,12 +84,18 @@ def _cmd_analyze(args) -> int:
             tag = "exhaustive" if est.exhaustive else f"sampled {est.n_supports}"
             print(f"delta_{k}(phi): {est.delta:.6g} ({tag})")
     print(f"dictionary: n={dictionary.n}, d={dictionary.d} columns")
-    report = analysis.verify_uniqueness(phi, dictionary)
-    print(
-        f"uniqueness(phi*psi): unique={report.unique},"
-        f" min pairwise distance {report.min_distance:.6g}"
-        f" (threshold {report.threshold:.3g})"
-    )
+    if dictionary.d > analysis.PAIRWISE_CAP:
+        print(
+            f"uniqueness(phi*psi): skipped, d={dictionary.d} exceeds"
+            f" the pairwise scan cap {analysis.PAIRWISE_CAP}"
+        )
+    else:
+        report = analysis.verify_uniqueness(phi, dictionary)
+        print(
+            f"uniqueness(phi*psi): unique={report.unique},"
+            f" min pairwise distance {report.min_distance:.6g}"
+            f" (threshold {report.threshold:.3g})"
+        )
     composed = sensing_matrix(phi, dictionary)
     est = analysis.rip_constant(composed, 2)
     tag = "exhaustive" if est.exhaustive else f"sampled {est.n_supports}"

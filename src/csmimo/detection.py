@@ -163,9 +163,14 @@ class Codebook:
         return scan
 
     @cached_property
-    def colnorm2(self) -> np.ndarray:
-        """:func:`_colnorm2` of ``sensing``: the last row of ``scan``, a view."""
-        return self.scan[-1]
+    def omp_norms(self) -> np.ndarray:
+        """Column norms of ``sensing`` as :func:`recover_subblock_omp` forms
+        them, a zero column as ``inf``: the divisor of the ``omp`` pick's
+        normalized correlation; read-only."""
+        norms = np.linalg.norm(self.sensing, axis=0)
+        norms = np.where(norms > 0, norms, np.inf)
+        norms.flags.writeable = False
+        return norms
 
     @cached_property
     def gain(self) -> float:
@@ -209,6 +214,21 @@ def recover_subblock_ml(z_hat_j: np.ndarray, sensing: np.ndarray) -> tuple[int, 
         )
     k, res = _ml_scan(z[None, :], _scan_matrix(a))
     return int(k[0]), float(res[0])
+
+
+def _omp_pick(z: np.ndarray, code: Codebook) -> tuple[np.ndarray, np.ndarray]:
+    """One-atom OMP pick of each row of the ``(..., J, rows)`` blocks ``z``.
+
+    Returns the ``(..., J)`` indices, bit for bit the first pick of
+    :func:`recover_subblock_omp` (ties to the lowest index, an all-zero
+    block to column 0), and the residual norms of the picked columns.
+    """
+    a = code.sensing
+    # one matrix-vector product per block, the BLAS call of the reference,
+    # so the pick among a column's near-tied rotations rounds as its pick does
+    corr = np.abs(a.conj().T @ z[..., None])[..., 0] / code.omp_norms
+    k = np.where(np.linalg.norm(z, axis=-1) > 0, corr.argmax(axis=-1), 0)
+    return k, np.linalg.norm(z - a.T[k], axis=-1)
 
 
 def recover_subblock_omp(
@@ -267,30 +287,40 @@ def demux(
     greedy (``omp`` with one atom), or exact joint ML on the unequalized
     receive vector by block sphere search (``oneshot``), whose cost falls
     with SNR and which may score at most ``oneshot_cap`` candidates before
-    it raises :class:`DictionaryTooLarge`.  ``omp`` takes the block of its
-    picked column and drops the atom's least-squares coefficient, so a
-    column's complex rotations, which its absolute-correlation rule cannot
-    tell apart for phase-symmetric alphabets, stay unresolved; an all-zero
-    block goes to column 0.  The exact scan is the production detector and
-    OMP remains a generic cross-check.
+    it raises :class:`DictionaryTooLarge`.  ``omp`` is the first pick of
+    :func:`recover_subblock_omp` for every block in one stacked pass; it
+    takes the block of its picked column and drops the atom's least-squares
+    coefficient, so a column's complex rotations, which its
+    absolute-correlation rule cannot tell apart for phase-symmetric
+    alphabets, stay unresolved; an all-zero block goes to column 0.  The
+    exact scan is the production detector and OMP remains a generic
+    cross-check.  A channel that is not ``nr x m`` raises
+    :class:`DimensionMismatch`, and a receive vector or channel that is not
+    finite raises ``ValueError``.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}; choose from {SOLVERS}")
+    cfg = code.cfg
+    y = np.asarray(y, dtype=np.complex128)
+    if not h.stack_shape:
+        y = y.ravel()
+    if h.h.shape != y.shape + (cfg.m,):
+        raise DimensionMismatch(
+            f"channel shape {h.h.shape} != {y.shape + (cfg.m,)} "
+            f"for {y.shape[-1]} receive and {cfg.m} transmit dimensions"
+        )
     if solver == "oneshot":
         return _demux_oneshot(y, h, code, cap=oneshot_cap)
 
-    cfg, a = code.cfg, code.sensing
     eq = zf_equalize(y, h, gain=code.gain)
     blocks = eq.z_hat.reshape(h.stack_shape + (cfg.j, cfg.subblock_rows))
     if solver == "ml":
         indices, residuals = _ml_scan(blocks, code.scan)
     else:
-        indices = np.empty(blocks.shape[:-1], dtype=np.int64)
-        residuals = np.empty(blocks.shape[:-1])
-        for jj in np.ndindex(indices.shape):
-            support, _ = recover_subblock_omp(blocks[jj], a, k_max=1)
-            indices[jj] = support[0] if support else 0
-            residuals[jj] = np.linalg.norm(blocks[jj] - a[:, indices[jj]])
+        indices, residuals = _omp_pick(blocks, code)
+    # a receive vector that is not finite leaves no residual of its trial finite
+    if not np.isfinite(residuals).all():
+        raise ValueError("receive vector and channel must be finite")
     return RecoveryResult(indices, _reassemble(code, indices), residuals, eq.condition_number)
 
 
@@ -317,14 +347,6 @@ def _demux_oneshot(y, h, code, cap):
     is rotated by ``Q^H`` in one stacked product.
     """
     cfg = code.cfg
-    y = np.asarray(y, dtype=np.complex128)
-    if not h.stack_shape:
-        y = y.ravel()
-    if h.h.shape != y.shape + (cfg.m,):
-        raise DimensionMismatch(
-            f"channel shape {h.h.shape} != {y.shape + (cfg.m,)} "
-            f"for {y.shape[-1]} receive and {cfg.m} transmit dimensions"
-        )
     if not (np.isfinite(y).all() and np.isfinite(h.h).all()):
         raise ValueError("receive vector and channel must be finite")
     a = code.sensing * code.gain

@@ -252,16 +252,18 @@ def _chunk_cap(cfg: MuxConfig, solver: str | None) -> int:
     """Trials per chunk within ``_CHUNK_BYTES``: ``_TRIAL_BYTES``, the
     channel and its SVD factors, and what ``solver`` holds per trial.  The
     ``ml`` scan holds its real metric, 8 B per candidate it scores; the
-    ``oneshot`` search holds the cached QR, ``q``, its ``q.conj()``
-    temporary and ``r``.  Complex entries count 16 B.  ``None`` is a baseline,
-    which slices its ZF estimate and holds nothing more."""
+    ``omp`` pick holds the complex correlation, its absolute value and the
+    quotient by the column norms, 32 B per candidate; the ``oneshot``
+    search holds the cached QR, ``q``, its ``q.conj()`` temporary and ``r``.
+    Complex entries count 16 B.  ``None`` is a baseline, which slices its ZF
+    estimate and holds nothing more."""
     nr, m = cfg.nr, cfg.m
-    entries, candidates = 2 * nr * m + m * m, 0
-    if solver == "ml":
-        candidates = cfg.j * get_constellation(cfg.constellation).order ** cfg.subblock_cols
-    elif solver == "oneshot":
+    entries = 2 * nr * m + m * m
+    if solver == "oneshot":
         entries += 2 * nr * nr + nr * m
-    return max(1, _CHUNK_BYTES // (_TRIAL_BYTES + 16 * entries + 8 * candidates))
+    candidates = cfg.j * get_constellation(cfg.constellation).order ** cfg.subblock_cols
+    per_candidate = {"ml": 8, "omp": 32}.get(solver, 0)
+    return max(1, _CHUNK_BYTES // (_TRIAL_BYTES + 16 * entries + per_candidate * candidates))
 
 
 def _prepare(spec: ExperimentSpec, phi: MeasurementMatrix | None = None) -> _Prepared:

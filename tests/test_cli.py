@@ -100,6 +100,19 @@ def test_analyze_report(capsys):
     assert "delta_2(phi*psi)" in text
 
 
+def test_analyze_skips_the_pairwise_scan_past_its_cap(tmp_path, capsys):
+    """A QAM16 (4,4)-8 dictionary has d = 65536 columns, too many to compare
+    pairwise: the report says so and goes on to its last line."""
+    raw = json.loads(open(recipe_path("mimo4x4_l8.json")).read())
+    cfg = tmp_path / "qam16.json"
+    cfg.write_text(json.dumps({**raw, "constellation": "qam16"}))
+    rc = main(["analyze", "--config", str(cfg)])
+    assert rc == 0
+    text = capsys.readouterr().out
+    assert "uniqueness(phi*psi): skipped, d=65536 exceeds the pairwise scan cap 4096" in text
+    assert "delta_2(phi*psi)" in text
+
+
 def test_analyze_phi_seed_override(capsys):
     rc = main(
         ["analyze", "--config", recipe_path("mimo2x2_l4.json"), "--phi-seed", "17"]

@@ -235,6 +235,48 @@ class TestOmp:
             ml_k, _ = recover_subblock_ml(a[:, k], sensing=a)
             assert support == [ml_k] == [k]
 
+    @given(
+        rows=st.integers(1, 3),
+        j=st.integers(1, 10),
+        constellation=st.sampled_from(["qpsk", "qam16"]),
+        stack=st.sampled_from([(), (1,), (3,), (2, 2)]),
+        sigma=st.sampled_from([0.0, 0.05, 0.3, 1.0, 3.0]),
+        scale=st.sampled_from([1.0, 1.0, 1e-170]),
+        zero_column=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_stacked_pick_is_the_reference_first_pick(
+        self, rows, j, constellation, stack, sigma, scale, zero_column, seed
+    ):
+        """The stacked pick of ``demux``'s ``omp`` branch equals, block by
+        block, the first pick of ``recover_subblock_omp``: the same index,
+        bit for bit, and the residual to rounding.  Some blocks are all
+        zero, and one sensing column may be zero; at ``scale`` 1e-170 every
+        block's norm underflows to 0, so the reference sends it to column 0."""
+        c = get_constellation(constellation)
+        rng = np.random.default_rng(seed)
+        n = rows if constellation == "qam16" else int(rng.integers(rows, 4))
+        cfg = MuxConfig(nt=rows * j, nr=rows * j, l=n * j, j=j, constellation=constellation)
+        phi = MeasurementMatrix(rng.standard_normal((rows, n)) / np.sqrt(rows), 1.0)
+        dictionary = build_dictionary(c, n)
+        a = sensing_matrix(phi, dictionary)
+        if zero_column:
+            a[:, rng.integers(a.shape[1])] = 0.0
+        code = Codebook(cfg, phi, dictionary, a)
+        truth = rng.integers(0, a.shape[1], size=stack + (j,))
+        noise = rng.standard_normal(stack + (j, rows)) + 1j * rng.standard_normal(stack + (j, rows))
+        z = scale * (a.T[truth] + sigma * noise)
+        z[rng.random(stack + (j,)) < 0.2] = 0.0
+
+        k, res = detection._omp_pick(z, code)
+        assert k.shape == res.shape == stack + (j,)
+        for at in np.ndindex(k.shape):
+            support, _ = recover_subblock_omp(z[at], a, k_max=1)
+            want = support[0] if support else 0
+            assert k[at] == want
+            np.testing.assert_allclose(res[at], np.linalg.norm(z[at] - a[:, want]), rtol=1e-12)
+
     def test_k_max_validation(self, pipeline):
         cfg, phi, dictionary = pipeline
         with pytest.raises(ValueError):
@@ -343,6 +385,26 @@ class TestDemux:
             demux(np.zeros(4), sample_channel(4, 4, np.random.default_rng(0)),
                   Codebook(cfg, phi, dictionary, sensing_matrix(phi, dictionary)), solver="mmse")
 
+    @pytest.mark.parametrize("solver", ["ml", "omp", "oneshot"])
+    def test_wrong_channel_shape_rejected(self, pipeline, solver):
+        cfg, phi, dictionary = pipeline
+        h = sample_channel(cfg.nr, cfg.m - 1, np.random.default_rng(0))
+        with pytest.raises(DimensionMismatch, match="channel shape"):
+            demux(np.zeros(cfg.nr), h,
+                  Codebook(cfg, phi, dictionary, sensing_matrix(phi, dictionary)),
+                  solver=solver)
+
+    @pytest.mark.parametrize("solver", ["ml", "omp", "oneshot"])
+    def test_non_finite_input_rejected(self, pipeline, solver):
+        cfg, phi, dictionary = pipeline
+        h = sample_channel(cfg.nr, cfg.m, np.random.default_rng(0))
+        code = Codebook(cfg, phi, dictionary, sensing_matrix(phi, dictionary))
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            y = np.ones(cfg.nr, dtype=complex)
+            y[1] = bad
+            with pytest.raises(ValueError, match="receive vector and channel must be finite"):
+                demux(y, h, code, solver=solver)
+
 
 class TestCodebook:
     def test_sensing_of_another_setup_rejected(self, pipeline, qpsk):
@@ -361,9 +423,15 @@ class TestCodebook:
         cfg, phi, dictionary = pipeline
         a = sensing_matrix(phi, dictionary)
         code = Codebook(cfg, phi, dictionary, a)
-        np.testing.assert_array_equal(code.colnorm2, _colnorm2(a))
+        np.testing.assert_array_equal(code.scan[-1], _colnorm2(a))
+        np.testing.assert_array_equal(code.omp_norms, np.linalg.norm(a, axis=0))
         assert code.gain == transmit_gain(phi, cfg)
-        assert code.colnorm2 is code.colnorm2
+        norms = code.omp_norms
+        h = sample_channel(cfg.nr, cfg.m, np.random.default_rng(2))
+        for y in np.random.default_rng(3).standard_normal((3, cfg.nr)):
+            demux(y, h, code, solver="omp")
+        assert code.omp_norms is norms
+        assert not norms.flags.writeable
 
     def test_scan_is_built_once_with_colnorm2_as_its_last_row(self, pipeline, monkeypatch):
         cfg, phi, dictionary = pipeline
@@ -378,8 +446,7 @@ class TestCodebook:
         rows = cfg.subblock_rows
         np.testing.assert_array_equal(code.scan[:rows], -2.0 * a.real)
         np.testing.assert_array_equal(code.scan[rows:-1], -2.0 * a.imag)
-        assert code.colnorm2.base is code.scan
-        np.testing.assert_array_equal(code.colnorm2, code.scan[-1])
+        np.testing.assert_array_equal(code.scan[-1], _colnorm2(a))
         assert not code.scan.flags.writeable
 
     def test_equal_codebooks_compare_and_hash_by_identity(self):
@@ -535,22 +602,6 @@ class TestOneshot:
             np.testing.assert_array_equal(rec.s_indices, full.s_indices)
             assert rec.residuals[0] == full.residuals[0]
         assert raised >= cfg.j
-
-    def test_wrong_channel_shape_rejected(self, pipeline):
-        cfg, phi, dictionary = pipeline
-        h = sample_channel(cfg.nr, cfg.m - 1, np.random.default_rng(0))
-        with pytest.raises(DimensionMismatch, match="channel shape"):
-            demux(np.zeros(cfg.nr), h,
-                  Codebook(cfg, phi, dictionary, sensing_matrix(phi, dictionary)),
-                  solver="oneshot")
-
-    def test_non_finite_input_rejected(self, pipeline):
-        cfg, phi, dictionary = pipeline
-        h = sample_channel(cfg.nr, cfg.m, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="finite"):
-            demux(np.full(cfg.nr, np.nan), h,
-                  Codebook(cfg, phi, dictionary, sensing_matrix(phi, dictionary)),
-                  solver="oneshot")
 
     def test_paper_20x20_recipe_noiseless(self):
         spec = replace(load_spec(recipe_path("mimo20x20_l40.json")),

@@ -346,3 +346,10 @@ def test_oneshot_sweep_factors_each_chunk_once():
     assert chunks.call_count >= 2
     assert qr.call_count == chunks.call_count
     assert rows == _sequential_rows(spec)
+
+
+def test_a_qam16_omp_chunk_holds_one_trial():
+    """The ``omp`` pick holds 32 B for each of a (4,4)-8 QAM16 trial's
+    2 x 65536 candidates, 4 MB, so a chunk holds one trial."""
+    cfg = MuxConfig(nt=4, nr=4, l=8, j=2, constellation="qam16")
+    assert harness._chunk_cap(cfg, "omp") == 1
