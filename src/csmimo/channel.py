@@ -59,7 +59,10 @@ class ChannelRealization:
 
     @cached_property
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Thin SVD ``(u, s, vh)`` of every matrix, computed once per draw."""
+        """Thin SVD ``(u, s, vh)`` of every matrix, computed once per draw;
+        a channel that is not finite raises ``ValueError``."""
+        if not np.isfinite(self.h).all():
+            raise ValueError("channel must be finite")
         return np.linalg.svd(self.h, full_matrices=False)
 
     @cached_property

@@ -6,10 +6,15 @@ sub-blocks; each sub-block is matched against the exhaustive candidate
 dictionary through the compression matrix, the pair that transmitter and
 receiver share as one :class:`Codebook`.  Because every sub-block is
 exactly 1-sparse over that dictionary, the l0 problem is solved exactly by
-a minimum-residual scan over all columns.  OMP is kept as the generic
-greedy solver, and a one-shot mode finds the exact joint ML choice of all
-sub-blocks directly on the received vector, without equalizing first, by a
-block sphere search after a QR factorization of the channel.
+a minimum-residual scan.  The compression matrix is real, so for an
+alphabet whose points are the product set of I/Q levels the residual splits
+into a real-part and an imaginary-part term, and the scan of the ``q**n``
+columns becomes two scans of the ``√q**n`` real level tuples (the
+real-valued model of MIMO detection, Hassibi & Vikalo, IEEE T-SP 53(8),
+2005); a tied half-scan minimum is rescored jointly.  OMP is kept as the
+generic greedy solver, and a one-shot mode finds the exact joint ML choice
+of all sub-blocks directly on the received vector, without equalizing
+first, by a block sphere search after a QR factorization of the channel.
 
 Both factorizations, the SVD that ZF and the usability check read and the
 QR of the one-shot search, are cached on the :class:`ChannelRealization`,
@@ -30,6 +35,11 @@ from .dictionary import SubblockDictionary
 from .errors import DictionaryTooLarge, DimensionMismatch, RankDeficientChannel
 
 RANK_TOL = 1e-12
+
+# A half-scan metric within this fraction of ||x||² + max ||Φ P_u||² of the
+# minimum counts as tied with it.  The rounding of either scan is of order
+# 1e-15 of that sum, so beyond it the joint scan picks the same pair.
+_TIE_RTOL = 1e-9
 
 SOLVERS = ("ml", "omp", "oneshot")
 
@@ -125,11 +135,11 @@ def _colnorm2(a: np.ndarray) -> np.ndarray:
 
 def _scan_matrix(a: np.ndarray) -> np.ndarray:
     """Real ``(2·rows + 1, d)`` scan matrix ``[-2 Re a; -2 Im a; ||a||²]`` of
-    a complex ``(rows, d)`` matrix; its last row is :func:`_colnorm2` of ``a``."""
-    rows = a.shape[0]
-    scan = np.empty((2 * rows + 1, a.shape[1]))
-    np.multiply(a.real, -2.0, out=scan[:rows])
-    np.multiply(a.imag, -2.0, out=scan[rows:-1])
+    a complex ``(rows, d)`` matrix, or ``(rows + 1, d)`` ``[-2 a; ||a||²]`` of
+    a real one; its last row is :func:`_colnorm2` of ``a``."""
+    parts = (a.real, a.imag) if np.iscomplexobj(a) else (a,)
+    scan = np.empty((len(parts) * a.shape[0] + 1, a.shape[1]))
+    np.multiply(np.concatenate(parts), -2.0, out=scan[:-1])
     scan[-1] = _colnorm2(a)
     return scan
 
@@ -156,11 +166,36 @@ class Codebook:
 
     @cached_property
     def scan(self) -> np.ndarray:
-        """:func:`_scan_matrix` of ``sensing``, the matrix the ``ml`` scan
-        multiplies; read-only."""
+        """:func:`_scan_matrix` of ``sensing``, the matrix the joint ``ml``
+        scan multiplies: for a tied half-scan, or for an alphabet without
+        I/Q levels; read-only."""
         scan = _scan_matrix(self.sensing)
         scan.flags.writeable = False
         return scan
+
+    @cached_property
+    def iq_scan(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """What the I/Q-split ``ml`` scan reads, both read-only: the real
+        ``(rows + 1, p)`` :func:`_scan_matrix` ``[-2ΦP; ||ΦP||²]``, whose
+        ``P`` holds the ``p = √q**n`` tuples of the alphabet's I/Q levels
+        in the dictionary's little-endian mixed-radix order, and the
+        ``(p, p)`` dictionary column of real parts ``P[:, u]`` and imaginary
+        parts ``P[:, v]`` at ``[u, v]``.  ``None`` for an alphabet without
+        I/Q levels."""
+        c, n = self.dictionary.constellation, self.dictionary.n
+        levels = c.iq_levels
+        if levels is None:
+            return None
+        r = levels.size
+        digits = (np.arange(r**n) // r ** np.arange(n)[:, None]) % r
+        point_of = np.empty((r, r), dtype=np.int64)
+        point_of[np.searchsorted(levels, c.points.real), np.searchsorted(levels, c.points.imag)] = (
+            np.arange(c.order)
+        )
+        joint = sum(point_of[np.ix_(digit, digit)] * c.order**i for i, digit in enumerate(digits))
+        scan = _scan_matrix(self.phi.phi @ levels[digits])
+        scan.flags.writeable = joint.flags.writeable = False
+        return scan, joint
 
     @cached_property
     def omp_norms(self) -> np.ndarray:
@@ -196,6 +231,44 @@ def _ml_scan(z: np.ndarray, scan: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     best = np.take_along_axis(metric, k[..., None], axis=-1)[..., 0]
     best += np.einsum("...i,...i->...", zr[..., :-1], zr[..., :-1])
     return k, np.sqrt(np.maximum(best, 0.0))
+
+
+def _ml_split(z: np.ndarray, code: Codebook) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_ml_scan` of the ``(..., J, rows)`` blocks ``z`` against
+    ``code.scan``, scored as two real half-scans against ``code.iq_scan``.
+
+    ``||z - Φψ||² = ||Re z - Φ Re ψ||² + ||Im z - Φ Im ψ||²`` for a real
+    ``Φ``, so the joint argmin is the pair of half argmins.  The indices are
+    those of the joint scan, and the residuals equal the joint scan's to
+    rounding.  A
+    trial with a tied half minimum is rescored by the joint scan, whose tie
+    rule is the lowest joint index, and so is every trial of an alphabet
+    without I/Q levels.
+    """
+    if code.iq_scan is None:
+        return _ml_scan(z, code.scan)
+    scan, joint = code.iq_scan
+    j = z.shape[-2]
+    # rows 0 .. J-1 score the real parts of the blocks and rows J .. 2J-1
+    # the imaginary parts, in one real product per leading index
+    zr = np.empty(z.shape[:-2] + (2 * j, z.shape[-1] + 1))
+    zr[..., :j, :-1] = z.real
+    zr[..., j:, :-1] = z.imag
+    zr[..., -1] = 1.0
+    metric = zr @ scan
+    k = metric.argmin(axis=-1)
+    best = metric.reshape(-1, scan.shape[1])[np.arange(k.size), k.ravel()].reshape(k.shape)
+    xx = np.einsum("...i,...i->...", zr[..., :-1], zr[..., :-1])
+    near = metric <= (best + _TIE_RTOL * (xx + scan[-1].max()))[..., None]
+    best += xx
+    res = np.sqrt(np.maximum(best[..., :j] + best[..., j:], 0.0))
+    k = joint[k[..., :j], k[..., j:]]
+    # every half has its minimum near, one entry unless tied (or not finite)
+    if np.count_nonzero(near) != best.size:
+        tied = near.sum(axis=-1) != 1
+        again = (tied[..., :j] | tied[..., j:]).any(axis=-1)
+        k[again], res[again] = _ml_scan(z[again], code.scan)
+    return k, res
 
 
 def recover_subblock_ml(z_hat_j: np.ndarray, sensing: np.ndarray) -> tuple[int, float]:
@@ -283,7 +356,9 @@ def demux(
     caller that detects many trials builds it once.  A stack of
     channels takes ``y`` of shape ``(..., nr)`` and detects every trial in
     one pass, bit for bit as one at a time.  ``solver`` picks the
-    per-sub-block recovery: exact scan of all blocks at once (``ml``),
+    per-sub-block recovery: exact scan of all blocks at once (``ml``), two
+    real half-scans of the I/Q level tuples when the alphabet has I/Q
+    levels and a scan of all dictionary columns when it has not,
     greedy (``omp`` with one atom), or exact joint ML on the unequalized
     receive vector by block sphere search (``oneshot``), whose cost falls
     with SNR and which may score at most ``oneshot_cap`` candidates before
@@ -315,7 +390,7 @@ def demux(
     eq = zf_equalize(y, h, gain=code.gain)
     blocks = eq.z_hat.reshape(h.stack_shape + (cfg.j, cfg.subblock_rows))
     if solver == "ml":
-        indices, residuals = _ml_scan(blocks, code.scan)
+        indices, residuals = _ml_split(blocks, code)
     else:
         indices, residuals = _omp_pick(blocks, code)
     # a receive vector that is not finite leaves no residual of its trial finite

@@ -251,7 +251,9 @@ class _Prepared:
 def _chunk_cap(cfg: MuxConfig, solver: str | None) -> int:
     """Trials per chunk within ``_CHUNK_BYTES``: ``_TRIAL_BYTES``, the
     channel and its SVD factors, and what ``solver`` holds per trial.  The
-    ``ml`` scan holds its real metric, 8 B per candidate it scores; the
+    ``ml`` scan holds its real metric, 8 B per candidate it scores: the
+    ``2·J·√q**n`` I/Q level tuples of its two half-scans when the alphabet
+    has I/Q levels, else the ``J·q**n`` dictionary columns; the
     ``omp`` pick holds the complex correlation, its absolute value and the
     quotient by the column norms, 32 B per candidate; the ``oneshot``
     search holds the cached QR, ``q``, its ``q.conj()`` temporary and ``r``.
@@ -261,7 +263,11 @@ def _chunk_cap(cfg: MuxConfig, solver: str | None) -> int:
     entries = 2 * nr * m + m * m
     if solver == "oneshot":
         entries += 2 * nr * nr + nr * m
-    candidates = cfg.j * get_constellation(cfg.constellation).order ** cfg.subblock_cols
+    c, n = get_constellation(cfg.constellation), cfg.subblock_cols
+    if solver == "ml" and c.iq_levels is not None:
+        candidates = 2 * cfg.j * c.iq_levels.size**n
+    else:
+        candidates = cfg.j * c.order**n
     per_candidate = {"ml": 8, "omp": 32}.get(solver, 0)
     return max(1, _CHUNK_BYTES // (_TRIAL_BYTES + 16 * entries + per_candidate * candidates))
 

@@ -37,6 +37,8 @@ class Constellation:
         tuple of ``points[i]``.  The labeling must be a bijection.
 
     Both arrays are read-only copies, so one instance can be shared.
+    :attr:`iq_levels` holds the levels that the real and the imaginary
+    parts both take when the points are exactly their product set.
     """
 
     name: str
@@ -62,6 +64,16 @@ class Constellation:
             raise ValueError("bit labeling is not a bijection")
         index_of_label = np.empty(order, dtype=np.int64)
         index_of_label[label_ints] = np.arange(order)
+        # distinct points on a grid of levels x levels with levels**2 points;
+        # sets, not np.unique, whose first call imports numpy.ma
+        levels = np.array(sorted(set(points.real.tolist())))
+        levels.flags.writeable = False
+        is_product = (
+            levels.size**2 == order
+            and sorted(set(points.imag.tolist())) == levels.tolist()
+            and len(set(points.tolist())) == order
+        )
+        object.__setattr__(self, "_iq_levels", levels if is_product else None)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_weights", weights)
@@ -74,6 +86,13 @@ class Constellation:
     @property
     def bits_per_symbol(self) -> int:
         return self.labels.shape[1]
+
+    @property
+    def iq_levels(self) -> np.ndarray | None:
+        """Ascending levels of both the real and the imaginary parts, read-only,
+        when the points are every ``levels[a] + 1j * levels[b]`` once; ``None``
+        for any other alphabet."""
+        return self._iq_levels
 
 
 def _qpsk() -> Constellation:

@@ -32,7 +32,7 @@ from csmimo.detection import (
 from csmimo.dictionary import build_dictionary, sparse_decode
 from csmimo.errors import DictionaryTooLarge, DimensionMismatch, RankDeficientChannel
 from csmimo.harness import _prepare, load_spec, run_sweep
-from csmimo.modem import demodulate, get_constellation, modulate
+from csmimo.modem import Constellation, demodulate, get_constellation, modulate
 
 from conftest import recipe_path
 
@@ -189,6 +189,70 @@ class TestMlScan:
         k, res = _ml_scan(z, _scan_matrix(a))
         np.testing.assert_array_equal(k, want_k)
         np.testing.assert_allclose(res, want_res, rtol=1e-9)
+
+
+class TestIqSplit:
+    @given(
+        rows=st.integers(1, 3),
+        j=st.integers(1, 10),
+        constellation=st.sampled_from(["qpsk", "qam16"]),
+        stack=st.sampled_from([(), (1,), (3,), (2, 2)]),
+        tied=st.sampled_from([0.0, 0.3, 1.0]),
+        sigma=st.sampled_from([0.0, 0.1, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_demux_picks_the_joint_scan_indices(
+        self, rows, j, constellation, stack, tied, sigma, seed
+    ):
+        """``demux``'s ``ml`` branch, which scores the I/Q half-scans, picks
+        the indices of the joint ``_ml_scan`` of the same equalized blocks,
+        with residuals equal to rounding.  A ``tied`` share of the blocks is
+        tied by construction: each symbol's I and Q parts sit on a level or
+        on the midpoint of two neighbouring levels, and some blocks are 0."""
+        c = get_constellation(constellation)
+        rng = np.random.default_rng(seed)
+        n = rows if constellation == "qam16" else int(rng.integers(rows, 4))
+        cfg = MuxConfig(nt=rows * j, nr=rows * j, l=n * j, j=j, constellation=constellation)
+        phi = MeasurementMatrix(rng.standard_normal((rows, n)) / np.sqrt(rows), 1.0)
+        dictionary = build_dictionary(c, n)
+        code = Codebook(cfg, phi, dictionary, sensing_matrix(phi, dictionary))
+
+        levels = c.iq_levels
+        grid = np.concatenate((levels, (levels[:-1] + levels[1:]) / 2))
+        on_grid = grid[rng.integers(0, grid.size, stack + (j, n, 2))] @ np.array([1.0, 1j])
+        noise = rng.standard_normal(stack + (j, n)) + 1j * rng.standard_normal(stack + (j, n))
+        x = np.where(rng.random(stack + (j, 1)) < tied, on_grid, c.points[
+            rng.integers(0, c.order, stack + (j, n))] + sigma * noise)
+        x[rng.random(stack + (j,)) < tied / 3] = 0.0
+        # the identity channel hands demux these blocks, up to the gain's rounding
+        y = (x @ phi.phi.T).reshape(stack + (cfg.m,)) * code.gain
+        h = ChannelRealization(np.broadcast_to(np.eye(cfg.m), stack + (cfg.m, cfg.m)).copy())
+
+        rec = demux(y, h, code, solver="ml")
+        blocks = zf_equalize(y, h, code.gain).z_hat.reshape(stack + (j, rows))
+        want_k, want_res = _ml_scan(blocks, code.scan)
+        np.testing.assert_array_equal(rec.s_indices, want_k)
+        np.testing.assert_array_equal(rec.x_hat, dictionary.psi.T[want_k].reshape(stack + (cfg.l,)))
+        # both square roots of a rounded metric: compare the squares
+        np.testing.assert_allclose(rec.residuals**2, want_res**2, rtol=1e-9, atol=1e-12)
+
+    def test_alphabet_without_iq_levels_scans_jointly(self, pipeline):
+        """QPSK turned by 45 degrees has three levels per axis, not the
+        product set of two, so ``ml`` scans all its dictionary columns."""
+        cfg, phi, _ = pipeline
+        turned = Constellation("turned", [1, 1j, -1, -1j], [[0, 0], [0, 1], [1, 1], [1, 0]])
+        dictionary = build_dictionary(turned, cfg.subblock_cols)
+        code = Codebook(cfg, phi, dictionary, sensing_matrix(phi, dictionary))
+        assert code.iq_scan is None
+        rng = np.random.default_rng(11)
+        h = ChannelRealization(np.stack([sample_channel(cfg.nr, cfg.m, rng).h for _ in range(5)]))
+        y = rng.standard_normal((5, cfg.nr)) + 1j * rng.standard_normal((5, cfg.nr))
+        rec = demux(y, h, code)
+        blocks = zf_equalize(y, h, code.gain).z_hat.reshape(5, cfg.j, cfg.subblock_rows)
+        want_k, want_res = _ml_scan(blocks, code.scan)
+        np.testing.assert_array_equal(rec.s_indices, want_k)
+        np.testing.assert_array_equal(rec.residuals, want_res)
 
 
 class TestOmp:
@@ -405,6 +469,23 @@ class TestDemux:
             with pytest.raises(ValueError, match="receive vector and channel must be finite"):
                 demux(y, h, code, solver=solver)
 
+    @pytest.mark.parametrize("call", ["ml", "omp", "zf_equalize", "channel_is_usable"])
+    def test_non_finite_channel_rejected(self, pipeline, call):
+        """A channel holding a nan or inf fails with one line before its SVD."""
+        cfg, phi, dictionary = pipeline
+        code = Codebook(cfg, phi, dictionary, sensing_matrix(phi, dictionary))
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            h = sample_channel(cfg.nr, cfg.m, np.random.default_rng(0)).h.copy()
+            h[1, 2] = bad
+            channel = ChannelRealization(h)
+            with pytest.raises(ValueError, match="^channel must be finite$"):
+                if call == "zf_equalize":
+                    zf_equalize(np.ones(cfg.nr), channel)
+                elif call == "channel_is_usable":
+                    channel_is_usable(channel)
+                else:
+                    demux(np.ones(cfg.nr), channel, code, solver=call)
+
 
 class TestCodebook:
     def test_sensing_of_another_setup_rejected(self, pipeline, qpsk):
@@ -423,7 +504,11 @@ class TestCodebook:
         cfg, phi, dictionary = pipeline
         a = sensing_matrix(phi, dictionary)
         code = Codebook(cfg, phi, dictionary, a)
+        rows = cfg.subblock_rows
+        np.testing.assert_array_equal(code.scan[:rows], -2.0 * a.real)
+        np.testing.assert_array_equal(code.scan[rows:-1], -2.0 * a.imag)
         np.testing.assert_array_equal(code.scan[-1], _colnorm2(a))
+        assert not code.scan.flags.writeable
         np.testing.assert_array_equal(code.omp_norms, np.linalg.norm(a, axis=0))
         assert code.gain == transmit_gain(phi, cfg)
         norms = code.omp_norms
@@ -434,20 +519,31 @@ class TestCodebook:
         assert not norms.flags.writeable
 
     def test_scan_is_built_once_with_colnorm2_as_its_last_row(self, pipeline, monkeypatch):
+        """``ml`` reads the I/Q half-scan, built once and kept read-only,
+        and never builds the joint scan of the untied blocks it detects."""
         cfg, phi, dictionary = pipeline
-        a = sensing_matrix(phi, dictionary)
-        code = Codebook(cfg, phi, dictionary, a)
+        code = Codebook(cfg, phi, dictionary, sensing_matrix(phi, dictionary))
         calls = []
         monkeypatch.setattr(detection, "_scan_matrix", lambda m: calls.append(m) or _scan_matrix(m))
         h = sample_channel(cfg.nr, cfg.m, np.random.default_rng(2))
-        for y in np.random.default_rng(3).standard_normal((3, cfg.nr)):
+        ys = np.random.default_rng(3).standard_normal((6, cfg.nr))
+        demux(ys[0], h, code)
+        iq = code.iq_scan
+        for y in ys[1:]:
             demux(y, h, code)
-        assert len(calls) == 1
-        rows = cfg.subblock_rows
-        np.testing.assert_array_equal(code.scan[:rows], -2.0 * a.real)
-        np.testing.assert_array_equal(code.scan[rows:-1], -2.0 * a.imag)
-        np.testing.assert_array_equal(code.scan[-1], _colnorm2(a))
-        assert not code.scan.flags.writeable
+        assert code.iq_scan is iq
+        assert len(calls) == 1 and "scan" not in vars(code)
+
+        scan, joint = iq
+        assert not scan.flags.writeable and not joint.flags.writeable
+        levels, n = np.array([-1.0, 1.0]) / np.sqrt(2.0), dictionary.n
+        # P[i, u]: level digit i of u, little-endian, as the dictionary orders
+        p = np.array([[levels[(u >> i) & 1] for u in range(2**n)] for i in range(n)])
+        np.testing.assert_array_equal(scan[:-1], -2.0 * (phi.phi @ p))
+        np.testing.assert_array_equal(scan[-1], _colnorm2(phi.phi @ p))
+        assert sorted(joint.ravel().tolist()) == list(range(dictionary.d))
+        for (u, v), k in np.ndenumerate(joint):
+            np.testing.assert_array_equal(dictionary.psi[:, k], p[:, u] + 1j * p[:, v])
 
     def test_equal_codebooks_compare_and_hash_by_identity(self):
         spec = load_spec(recipe_path("mimo4x4_l8.json"))

@@ -348,6 +348,14 @@ def test_oneshot_sweep_factors_each_chunk_once():
     assert rows == _sequential_rows(spec)
 
 
+def test_a_qam16_ml_chunk_holds_many_trials():
+    """The ``ml`` half-scans of a (4,4)-8 QAM16 trial score 2 x 2 x 256 I/Q
+    level tuples, 8 kB, not the 2 x 65536 dictionary columns, so a chunk
+    holds many trials."""
+    cfg = MuxConfig(nt=4, nr=4, l=8, j=2, constellation="qam16")
+    assert harness._chunk_cap(cfg, "ml") >= 64
+
+
 def test_a_qam16_omp_chunk_holds_one_trial():
     """The ``omp`` pick holds 32 B for each of a (4,4)-8 QAM16 trial's
     2 x 65536 candidates, 4 MB, so a chunk holds one trial."""

@@ -26,10 +26,11 @@ GOLDEN = Path(__file__).parent / "golden"
 SNR_DB = (0.0, 10.0, 20.0)
 TRIALS = 300
 
-# case name -> (recipe, solver, baseline); each recipe keeps its own seeds
-# and early-stop threshold, so the 0 dB rows also pin the early-stop index.
+# case name -> (recipe, solver, baseline, constellation); each recipe keeps
+# its own seeds and early-stop threshold, so the 0 dB rows also pin the
+# early-stop index.
 CASES = {
-    f"{recipe}_{mode}": (recipe, solver, baseline)
+    f"{recipe}_{mode}": (recipe, solver, baseline, "qpsk")
     for recipe in ("mimo2x2_l4", "mimo4x4_l8", "mimo20x20_l40")
     for mode, solver, baseline in (
         ("ml", "ml", None),
@@ -41,12 +42,23 @@ CASES = {
     # d**J joint candidates: 4**2**2 and 4**4**2 are small, 4**4**10 is not
     if not (mode == "oneshot" and recipe == "mimo20x20_l40")
 }
+# QAM16 ml, d = 16**2 and 16**4 per sub-block: the only goldens off QPSK
+CASES.update(
+    {f"{recipe}_qam16_ml": (recipe, "ml", None, "qam16") for recipe in ("mimo2x2_l4", "mimo4x4_l8")}
+)
 
 
 def sweep_csv(name: str) -> str:
-    recipe, solver, baseline = CASES[name]
+    recipe, solver, baseline, constellation = CASES[name]
     spec = load_spec(recipe_path(f"{recipe}.json"))
-    spec = replace(spec, snr_db=SNR_DB, trials=TRIALS, solver=solver, baseline=baseline)
+    spec = replace(
+        spec,
+        config=replace(spec.config, constellation=constellation),
+        snr_db=SNR_DB,
+        trials=TRIALS,
+        solver=solver,
+        baseline=baseline,
+    )
     return run_sweep(spec).to_csv()
 
 

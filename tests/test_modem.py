@@ -75,6 +75,38 @@ class TestQam16:
         np.testing.assert_array_equal(demodulate(modulate(bits, qam16), qam16), bits)
 
 
+class TestIqLevels:
+    def test_qpsk_levels(self, qpsk):
+        np.testing.assert_array_equal(qpsk.iq_levels, np.array([-1.0, 1.0]) / SQRT2)
+
+    def test_qam16_levels(self, qam16):
+        np.testing.assert_array_equal(qam16.iq_levels, np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(10.0))
+
+    @pytest.mark.parametrize("name", ["qpsk", "qam16"])
+    def test_points_are_the_product_set(self, name):
+        c = get_constellation(name)
+        grid = c.iq_levels[:, None] + 1j * c.iq_levels[None, :]
+        assert sorted(c.points.tolist(), key=lambda p: (p.real, p.imag)) == sorted(
+            grid.ravel().tolist(), key=lambda p: (p.real, p.imag)
+        )
+        assert not c.iq_levels.flags.writeable
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            np.exp(2j * np.pi * np.arange(8) / 8),  # 8-PSK
+            np.array([1.0 + 0j, -1.0]),  # BPSK: no imaginary levels
+            # a 4 x 2 grid: the two axes take different levels
+            (np.array([-3.0, -1.0, 1.0, 3.0])[:, None] + 1j * np.array([-1.0, 1.0])).ravel()
+            / np.sqrt(6.0),
+        ],
+    )
+    def test_non_product_alphabet_has_none(self, points):
+        b = int(np.log2(points.size))
+        labels = (np.arange(points.size)[:, None] >> np.arange(b - 1, -1, -1)) & 1
+        assert Constellation("other", points, labels).iq_levels is None
+
+
 @pytest.mark.parametrize("name", ["qpsk", "qam16"])
 @given(data=st.data())
 @settings(max_examples=30, deadline=None)
