@@ -31,9 +31,10 @@ class ChannelRealization:
 
     Its factorizations are cached per object, one stacked LAPACK call each
     over the whole stack: every receiver that is handed the same object
-    shares them.  The object keeps the caller's array, so whoever writes
-    into ``h`` afterwards must build a new object.  Two realizations compare
-    and hash by identity.
+    shares them.  Both raise ``ValueError`` for a channel that is not
+    finite.  The object keeps the caller's array, so whoever writes into
+    ``h`` afterwards must build a new object.  Two realizations compare and
+    hash by identity.
     """
 
     h: np.ndarray
@@ -57,19 +58,22 @@ class ChannelRealization:
         """Leading trial axes; ``()`` for a single draw."""
         return self.h.shape[:-2]
 
-    @cached_property
-    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Thin SVD ``(u, s, vh)`` of every matrix, computed once per draw;
-        a channel that is not finite raises ``ValueError``."""
+    def _finite(self) -> np.ndarray:
+        """``h``, checked finite before LAPACK sees it."""
         if not np.isfinite(self.h).all():
             raise ValueError("channel must be finite")
-        return np.linalg.svd(self.h, full_matrices=False)
+        return self.h
+
+    @cached_property
+    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Thin SVD ``(u, s, vh)`` of every matrix, computed once per draw."""
+        return np.linalg.svd(self._finite(), full_matrices=False)
 
     @cached_property
     def qr(self) -> tuple[np.ndarray, np.ndarray]:
         """Complete QR ``(q, r)`` of every matrix, computed once per draw:
         ``q`` is ``(..., nr, nr)`` and ``r`` is ``(..., nr, m_tx)``."""
-        return np.linalg.qr(self.h, mode="complete")
+        return np.linalg.qr(self._finite(), mode="complete")
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,9 @@ from dataclasses import replace
 
 from . import analysis
 from .csmux import gen_phi, phi_to_text
-from .detection import SOLVERS, sensing_matrix
-from .dictionary import build_dictionary
+from .detection import SOLVERS, Codebook
 from .errors import CsmimoError
 from .harness import load_spec, run_sweep
-from .modem import get_constellation
 
 
 # simulate flag -> the ExperimentSpec field it overrides
@@ -67,9 +65,8 @@ def _cmd_analyze(args) -> int:
     cfg = spec.config
     if args.phi_seed is not None:
         cfg = replace(cfg, phi_seed=args.phi_seed)
-    c = get_constellation(cfg.constellation)
-    phi = gen_phi(cfg)
-    dictionary = build_dictionary(c, cfg.subblock_cols, cap=cfg.dictionary_cap)
+    code = Codebook(cfg, gen_phi(cfg))
+    phi, dictionary = code.phi, code.dictionary
 
     print(f"setup: ({cfg.nt},{cfg.nr})-{cfg.l}  [{cfg.constellation}, J={cfg.j}, rho={cfg.rho:g}]")
     print(
@@ -96,8 +93,7 @@ def _cmd_analyze(args) -> int:
             f" min pairwise distance {report.min_distance:.6g}"
             f" (threshold {report.threshold:.3g})"
         )
-    composed = sensing_matrix(phi, dictionary)
-    est = analysis.rip_constant(composed, 2)
+    est = analysis.rip_constant(code.sensing, 2)
     tag = "exhaustive" if est.exhaustive else f"sampled {est.n_supports}"
     print(f"delta_2(phi*psi): {est.delta:.6g} ({tag})")
     if args.dump_phi:

@@ -3,18 +3,17 @@
 The practical receiver works in two steps.  Zero-forcing equalization
 restores the compressed transmit vector, which is then split into
 sub-blocks; each sub-block is matched against the exhaustive candidate
-dictionary through the compression matrix, the pair that transmitter and
-receiver share as one :class:`Codebook`.  Because every sub-block is
-exactly 1-sparse over that dictionary, the l0 problem is solved exactly by
-a minimum-residual scan.  The compression matrix is real, so for an
-alphabet whose points are the product set of I/Q levels the residual splits
-into a real-part and an imaginary-part term, and the scan of the ``q**n``
-columns becomes two scans of the ``√q**n`` real level tuples (the
-real-valued model of MIMO detection, Hassibi & Vikalo, IEEE T-SP 53(8),
-2005); a tied half-scan minimum is rescored jointly.  OMP is kept as the
-generic greedy solver, and a one-shot mode finds the exact joint ML choice
-of all sub-blocks directly on the received vector, without equalizing
-first, by a block sphere search after a QR factorization of the channel.
+dictionary through the compression matrix, which transmitter and receiver
+share as one :class:`Codebook`.  Every sub-block is exactly 1-sparse over
+that dictionary, so a minimum-residual scan solves the l0 problem exactly.
+The matrix is real and both alphabets are the product set of their I/Q
+levels, so the scan of the ``q**n`` columns splits into two scans of the
+``√q**n`` real level tuples, which need no dictionary (the real-valued
+model of MIMO detection, Hassibi & Vikalo, IEEE T-SP 53(8), 2005); a tied
+half-scan minimum is rescored jointly.  OMP is kept as the generic greedy
+solver, and a one-shot mode finds the exact joint ML choice of all
+sub-blocks directly on the received vector, without equalizing first, by
+a block sphere search after a QR factorization of the channel.
 
 Both factorizations, the SVD that ZF and the usability check read and the
 QR of the one-shot search, are cached on the :class:`ChannelRealization`,
@@ -31,8 +30,9 @@ import numpy as np
 
 from .channel import ChannelRealization
 from .csmux import MeasurementMatrix, MuxConfig, transmit_gain
-from .dictionary import SubblockDictionary
+from .dictionary import SubblockDictionary, build_dictionary
 from .errors import DictionaryTooLarge, DimensionMismatch, RankDeficientChannel
+from .modem import Constellation, get_constellation
 
 RANK_TOL = 1e-12
 
@@ -146,47 +146,58 @@ def _scan_matrix(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Codebook:
-    """What transmitter and receiver share for one setup ``cfg``; ``sensing``
-    is :func:`sensing_matrix` of ``phi`` and ``dictionary``, of shape
-    ``(m/j, d)``.  The values derived from them are computed once, on first
-    use.  Two codebooks compare and hash by identity.
+    """What transmitter and receiver share for one setup ``cfg``: its
+    ``(m/j, l/j)`` sub-block matrix ``phi``.  The rest derives from the two,
+    once and on first use; ``ml`` reads no ``dictionary`` or ``sensing`` but
+    for a tied block.  Two codebooks compare and hash by identity.
     """
 
     cfg: MuxConfig
     phi: MeasurementMatrix
-    dictionary: SubblockDictionary
-    sensing: np.ndarray
 
     def __post_init__(self) -> None:
-        sensing = np.asarray(self.sensing, dtype=np.complex128)
-        want = (self.cfg.subblock_rows, self.dictionary.d)
-        if sensing.shape != want:
-            raise DimensionMismatch(f"sensing shape {sensing.shape} does not match {want}")
-        object.__setattr__(self, "sensing", sensing)
+        rows, cols = self.phi.phi.shape
+        if (rows, cols) != (self.cfg.subblock_rows, self.cfg.subblock_cols):
+            raise DimensionMismatch(
+                f"phi has {cols} columns for sub-blocks of {self.cfg.subblock_cols} symbols"
+                f" and {rows} rows for {self.cfg.subblock_rows} transmit dimensions"
+            )
+
+    @cached_property
+    def alphabet(self) -> Constellation:
+        """The registry constellation ``cfg`` names."""
+        return get_constellation(self.cfg.constellation)
+
+    @cached_property
+    def dictionary(self) -> SubblockDictionary:
+        """All ``q**(l/j)`` candidate sub-blocks, :func:`build_dictionary`."""
+        return build_dictionary(self.alphabet, self.cfg.subblock_cols, cap=self.cfg.dictionary_cap)
+
+    @cached_property
+    def sensing(self) -> np.ndarray:
+        """:func:`sensing_matrix` of ``phi`` and ``dictionary``; read-only."""
+        sensing = sensing_matrix(self.phi, self.dictionary)
+        sensing.flags.writeable = False
+        return sensing
 
     @cached_property
     def scan(self) -> np.ndarray:
         """:func:`_scan_matrix` of ``sensing``, the matrix the joint ``ml``
-        scan multiplies: for a tied half-scan, or for an alphabet without
-        I/Q levels; read-only."""
+        scan of a tied half-scan multiplies; read-only."""
         scan = _scan_matrix(self.sensing)
         scan.flags.writeable = False
         return scan
 
     @cached_property
-    def iq_scan(self) -> tuple[np.ndarray, np.ndarray] | None:
+    def iq_scan(self) -> tuple[np.ndarray, np.ndarray]:
         """What the I/Q-split ``ml`` scan reads, both read-only: the real
         ``(rows + 1, p)`` :func:`_scan_matrix` ``[-2ΦP; ||ΦP||²]``, whose
         ``P`` holds the ``p = √q**n`` tuples of the alphabet's I/Q levels
         in the dictionary's little-endian mixed-radix order, and the
         ``(p, p)`` dictionary column of real parts ``P[:, u]`` and imaginary
-        parts ``P[:, v]`` at ``[u, v]``.  ``None`` for an alphabet without
-        I/Q levels."""
-        c, n = self.dictionary.constellation, self.dictionary.n
-        levels = c.iq_levels
-        if levels is None:
-            return None
-        r = levels.size
+        parts ``P[:, v]`` at ``[u, v]``."""
+        c, n = self.alphabet, self.cfg.subblock_cols
+        levels, r = c.iq_levels, c.iq_levels.size
         digits = (np.arange(r**n) // r ** np.arange(n)[:, None]) % r
         point_of = np.empty((r, r), dtype=np.int64)
         point_of[np.searchsorted(levels, c.points.real), np.searchsorted(levels, c.points.imag)] = (
@@ -240,13 +251,9 @@ def _ml_split(z: np.ndarray, code: Codebook) -> tuple[np.ndarray, np.ndarray]:
     ``||z - Φψ||² = ||Re z - Φ Re ψ||² + ||Im z - Φ Im ψ||²`` for a real
     ``Φ``, so the joint argmin is the pair of half argmins.  The indices are
     those of the joint scan, and the residuals equal the joint scan's to
-    rounding.  A
-    trial with a tied half minimum is rescored by the joint scan, whose tie
-    rule is the lowest joint index, and so is every trial of an alphabet
-    without I/Q levels.
+    rounding.  A trial with a tied half minimum is rescored by the joint
+    scan, whose tie rule is the lowest joint index.
     """
-    if code.iq_scan is None:
-        return _ml_scan(z, code.scan)
     scan, joint = code.iq_scan
     j = z.shape[-2]
     # rows 0 .. J-1 score the real parts of the blocks and rows J .. 2J-1
@@ -263,7 +270,7 @@ def _ml_split(z: np.ndarray, code: Codebook) -> tuple[np.ndarray, np.ndarray]:
     best += xx
     res = np.sqrt(np.maximum(best[..., :j] + best[..., j:], 0.0))
     k = joint[k[..., :j], k[..., j:]]
-    # every half has its minimum near, one entry unless tied (or not finite)
+    # every half has its minimum near, one entry unless tied
     if np.count_nonzero(near) != best.size:
         tied = near.sum(axis=-1) != 1
         again = (tied[..., :j] | tied[..., j:]).any(axis=-1)
@@ -352,26 +359,24 @@ def demux(
 ) -> RecoveryResult:
     """Full receiver: equalize, split into sub-blocks, recover, reassemble.
 
-    ``code`` holds the setup's matrix, dictionary and sensing matrix; a
-    caller that detects many trials builds it once.  A stack of
-    channels takes ``y`` of shape ``(..., nr)`` and detects every trial in
-    one pass, bit for bit as one at a time.  ``solver`` picks the
-    per-sub-block recovery: exact scan of all blocks at once (``ml``), two
-    real half-scans of the I/Q level tuples when the alphabet has I/Q
-    levels and a scan of all dictionary columns when it has not,
-    greedy (``omp`` with one atom), or exact joint ML on the unequalized
-    receive vector by block sphere search (``oneshot``), whose cost falls
-    with SNR and which may score at most ``oneshot_cap`` candidates before
-    it raises :class:`DictionaryTooLarge`.  ``omp`` is the first pick of
-    :func:`recover_subblock_omp` for every block in one stacked pass; it
-    takes the block of its picked column and drops the atom's least-squares
-    coefficient, so a column's complex rotations, which its
-    absolute-correlation rule cannot tell apart for phase-symmetric
-    alphabets, stay unresolved; an all-zero block goes to column 0.  The
-    exact scan is the production detector and OMP remains a generic
-    cross-check.  A channel that is not ``nr x m`` raises
+    ``code`` holds the setup's matrix and what derives from it; a caller
+    that detects many trials builds it once.  A stack of channels takes
+    ``y`` of shape ``(..., nr)`` and detects every trial in one pass, bit
+    for bit as one at a time.  ``solver`` picks the per-sub-block recovery:
+    exact scan of all blocks at once as two real half-scans of the I/Q
+    level tuples (``ml``), greedy (``omp`` with one atom), or exact joint
+    ML on the unequalized receive vector by block sphere search
+    (``oneshot``), whose cost falls with SNR and which may score at most
+    ``oneshot_cap`` candidates before it raises :class:`DictionaryTooLarge`.
+    ``omp`` is the first pick of :func:`recover_subblock_omp` for every
+    block in one stacked pass; it takes the block of its picked column and
+    drops the atom's least-squares coefficient, so a column's complex
+    rotations, which its absolute-correlation rule cannot tell apart for
+    phase-symmetric alphabets, stay unresolved; an all-zero block goes to
+    column 0.  The exact scan is the production detector and OMP remains a
+    generic cross-check.  A channel that is not ``nr x m`` raises
     :class:`DimensionMismatch`, and a receive vector or channel that is not
-    finite raises ``ValueError``.
+    finite raises ``ValueError`` before any solver runs on it.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}; choose from {SOLVERS}")
@@ -384,6 +389,8 @@ def demux(
             f"channel shape {h.h.shape} != {y.shape + (cfg.m,)} "
             f"for {y.shape[-1]} receive and {cfg.m} transmit dimensions"
         )
+    if not np.isfinite(y).all():
+        raise ValueError("receive vector and channel must be finite")
     if solver == "oneshot":
         return _demux_oneshot(y, h, code, cap=oneshot_cap)
 
@@ -393,15 +400,15 @@ def demux(
         indices, residuals = _ml_split(blocks, code)
     else:
         indices, residuals = _omp_pick(blocks, code)
-    # a receive vector that is not finite leaves no residual of its trial finite
-    if not np.isfinite(residuals).all():
-        raise ValueError("receive vector and channel must be finite")
     return RecoveryResult(indices, _reassemble(code, indices), residuals, eq.condition_number)
 
 
 def _reassemble(code: Codebook, indices: np.ndarray):
-    """Symbol vectors ``(..., l)`` of the per-block dictionary columns ``(..., J)``."""
-    return code.dictionary.psi.T[indices].reshape(indices.shape[:-1] + (code.cfg.l,))
+    """Symbol vectors ``(..., l)`` of the per-block dictionary columns
+    ``(..., J)``, each index decoded as the dictionary orders its columns."""
+    q, n = code.alphabet.order, code.cfg.subblock_cols
+    digits = (indices[..., None] // q ** np.arange(n)) % q
+    return code.alphabet.points[digits].reshape(indices.shape[:-1] + (code.cfg.l,))
 
 
 def _demux_oneshot(y, h, code, cap):
@@ -422,8 +429,6 @@ def _demux_oneshot(y, h, code, cap):
     is rotated by ``Q^H`` in one stacked product.
     """
     cfg = code.cfg
-    if not (np.isfinite(y).all() and np.isfinite(h.h).all()):
-        raise ValueError("receive vector and channel must be finite")
     a = code.sensing * code.gain
     q, r = h.qr
     # stacked matrix-vector products, bit for bit the single-channel ones
@@ -436,7 +441,7 @@ def _demux_oneshot(y, h, code, cap):
         # contrib[i, :, k]: rotated receive contribution of candidate k placed
         # in sub-block i; rows below block i are zero since r is upper triangular
         contrib = blocks[t] @ a
-        indices[t], residuals[t] = _sphere_search(yq[t], contrib, cfg, code.dictionary.d, cap)
+        indices[t], residuals[t] = _sphere_search(yq[t], contrib, cfg, a.shape[1], cap)
     nan = np.full(h.stack_shape, np.nan)[()]
     return RecoveryResult(indices, _reassemble(code, indices), residuals, nan)
 

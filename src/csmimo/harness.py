@@ -51,8 +51,8 @@ from .channel import ChannelRealization, NoiseSpec, gains, received, sample_chan
 from .channel import apply_channel  # noqa: F401  (perfbench traces it by this name)
 from .csmux import MeasurementMatrix, MuxConfig, gen_phi, multiplex
 from .csmux import require_int, require_ints
-from .detection import SOLVERS, Codebook, channel_is_usable, demux, sensing_matrix, zf_equalize
-from .dictionary import build_dictionary
+from .detection import SOLVERS, Codebook, channel_is_usable, demux, zf_equalize
+from .detection import build_dictionary, sensing_matrix  # noqa: F401  (perfbench traces them)
 from .errors import RankDeficientChannel
 from .modem import Constellation, get_constellation, nearest_point_indices, symbol_indices
 
@@ -252,9 +252,8 @@ def _chunk_cap(cfg: MuxConfig, solver: str | None) -> int:
     """Trials per chunk within ``_CHUNK_BYTES``: ``_TRIAL_BYTES``, the
     channel and its SVD factors, and what ``solver`` holds per trial.  The
     ``ml`` scan holds its real metric, 8 B per candidate it scores: the
-    ``2·J·√q**n`` I/Q level tuples of its two half-scans when the alphabet
-    has I/Q levels, else the ``J·q**n`` dictionary columns; the
-    ``omp`` pick holds the complex correlation, its absolute value and the
+    ``2·J·√q**n`` I/Q level tuples of its two half-scans; the ``omp``
+    pick holds the complex correlation, its absolute value and the
     quotient by the column norms, 32 B per candidate; the ``oneshot``
     search holds the cached QR, ``q``, its ``q.conj()`` temporary and ``r``.
     Complex entries count 16 B.  ``None`` is a baseline, which slices its ZF
@@ -264,10 +263,7 @@ def _chunk_cap(cfg: MuxConfig, solver: str | None) -> int:
     if solver == "oneshot":
         entries += 2 * nr * nr + nr * m
     c, n = get_constellation(cfg.constellation), cfg.subblock_cols
-    if solver == "ml" and c.iq_levels is not None:
-        candidates = 2 * cfg.j * c.iq_levels.size**n
-    else:
-        candidates = cfg.j * c.order**n
+    candidates = 2 * cfg.j * c.iq_levels.size**n if solver == "ml" else cfg.j * c.order**n
     per_candidate = {"ml": 8, "omp": 32}.get(solver, 0)
     return max(1, _CHUNK_BYTES // (_TRIAL_BYTES + 16 * entries + per_candidate * candidates))
 
@@ -279,9 +275,7 @@ def _prepare(spec: ExperimentSpec, phi: MeasurementMatrix | None = None) -> _Pre
         if phi is not None:
             raise ValueError(f"the {spec.baseline} baseline compresses nothing; it takes no phi")
         return _Prepared(spec, c, None, _chunk_cap(cfg, None))
-    phi_m = phi if phi is not None else gen_phi(cfg)
-    dictionary = build_dictionary(c, cfg.subblock_cols, cap=cfg.dictionary_cap)
-    code = Codebook(cfg, phi_m, dictionary, sensing_matrix(phi_m, dictionary))
+    code = Codebook(cfg, phi if phi is not None else gen_phi(cfg))
     return _Prepared(spec, c, code, _chunk_cap(cfg, spec.solver))
 
 

@@ -32,7 +32,7 @@ from csmimo.detection import (
 from csmimo.dictionary import build_dictionary, sparse_decode
 from csmimo.errors import DictionaryTooLarge, DimensionMismatch, RankDeficientChannel
 from csmimo.harness import _prepare, load_spec, run_sweep
-from csmimo.modem import Constellation, demodulate, get_constellation, modulate
+from csmimo.modem import demodulate, get_constellation, modulate
 
 from conftest import recipe_path
 
@@ -216,7 +216,7 @@ class TestIqSplit:
         cfg = MuxConfig(nt=rows * j, nr=rows * j, l=n * j, j=j, constellation=constellation)
         phi = MeasurementMatrix(rng.standard_normal((rows, n)) / np.sqrt(rows), 1.0)
         dictionary = build_dictionary(c, n)
-        code = Codebook(cfg, phi, dictionary, sensing_matrix(phi, dictionary))
+        code = Codebook(cfg, phi)
 
         levels = c.iq_levels
         grid = np.concatenate((levels, (levels[:-1] + levels[1:]) / 2))
@@ -236,23 +236,6 @@ class TestIqSplit:
         np.testing.assert_array_equal(rec.x_hat, dictionary.psi.T[want_k].reshape(stack + (cfg.l,)))
         # both square roots of a rounded metric: compare the squares
         np.testing.assert_allclose(rec.residuals**2, want_res**2, rtol=1e-9, atol=1e-12)
-
-    def test_alphabet_without_iq_levels_scans_jointly(self, pipeline):
-        """QPSK turned by 45 degrees has three levels per axis, not the
-        product set of two, so ``ml`` scans all its dictionary columns."""
-        cfg, phi, _ = pipeline
-        turned = Constellation("turned", [1, 1j, -1, -1j], [[0, 0], [0, 1], [1, 1], [1, 0]])
-        dictionary = build_dictionary(turned, cfg.subblock_cols)
-        code = Codebook(cfg, phi, dictionary, sensing_matrix(phi, dictionary))
-        assert code.iq_scan is None
-        rng = np.random.default_rng(11)
-        h = ChannelRealization(np.stack([sample_channel(cfg.nr, cfg.m, rng).h for _ in range(5)]))
-        y = rng.standard_normal((5, cfg.nr)) + 1j * rng.standard_normal((5, cfg.nr))
-        rec = demux(y, h, code)
-        blocks = zf_equalize(y, h, code.gain).z_hat.reshape(5, cfg.j, cfg.subblock_rows)
-        want_k, want_res = _ml_scan(blocks, code.scan)
-        np.testing.assert_array_equal(rec.s_indices, want_k)
-        np.testing.assert_array_equal(rec.residuals, want_res)
 
 
 class TestOmp:
@@ -306,28 +289,29 @@ class TestOmp:
         stack=st.sampled_from([(), (1,), (3,), (2, 2)]),
         sigma=st.sampled_from([0.0, 0.05, 0.3, 1.0, 3.0]),
         scale=st.sampled_from([1.0, 1.0, 1e-170]),
-        zero_column=st.booleans(),
+        zero_columns=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=80, deadline=None)
     def test_stacked_pick_is_the_reference_first_pick(
-        self, rows, j, constellation, stack, sigma, scale, zero_column, seed
+        self, rows, j, constellation, stack, sigma, scale, zero_columns, seed
     ):
         """The stacked pick of ``demux``'s ``omp`` branch equals, block by
         block, the first pick of ``recover_subblock_omp``: the same index,
         bit for bit, and the residual to rounding.  Some blocks are all
-        zero, and one sensing column may be zero; at ``scale`` 1e-170 every
-        block's norm underflows to 0, so the reference sends it to column 0."""
-        c = get_constellation(constellation)
+        zero, and with ``zero_columns`` the first two columns of ``phi`` are
+        ones and any others zero, so every sensing column of a tuple
+        ``(p, -p, ...)`` is exactly zero; at ``scale`` 1e-170 every block's
+        norm underflows to 0, so the reference sends it to column 0."""
         rng = np.random.default_rng(seed)
         n = rows if constellation == "qam16" else int(rng.integers(rows, 4))
         cfg = MuxConfig(nt=rows * j, nr=rows * j, l=n * j, j=j, constellation=constellation)
-        phi = MeasurementMatrix(rng.standard_normal((rows, n)) / np.sqrt(rows), 1.0)
-        dictionary = build_dictionary(c, n)
-        a = sensing_matrix(phi, dictionary)
-        if zero_column:
-            a[:, rng.integers(a.shape[1])] = 0.0
-        code = Codebook(cfg, phi, dictionary, a)
+        phi = rng.standard_normal((rows, n)) / np.sqrt(rows)
+        if zero_columns and n > 1:
+            phi[:, :2], phi[:, 2:] = 1.0, 0.0
+        code = Codebook(cfg, MeasurementMatrix(phi, 1.0))
+        a = code.sensing
+        assert (np.linalg.norm(a, axis=0) == 0).any() == (zero_columns and n > 1)
         truth = rng.integers(0, a.shape[1], size=stack + (j,))
         noise = rng.standard_normal(stack + (j, rows)) + 1j * rng.standard_normal(stack + (j, rows))
         z = scale * (a.T[truth] + sigma * noise)
@@ -350,8 +334,7 @@ class TestOmp:
 class TestDemux:
     def test_noiseless_end_to_end(self, pipeline, qpsk):
         """1000 random payloads through a noiseless channel come back exact."""
-        cfg, phi, dictionary = pipeline
-        a = sensing_matrix(phi, dictionary)
+        cfg, phi, _ = pipeline
         noiseless = NoiseSpec(float("inf"), 0.0)
         for t in range(1000):
             rng = np.random.default_rng([4242, t])
@@ -360,7 +343,7 @@ class TestDemux:
             z = multiplex(x, phi, cfg)
             h = sample_channel(cfg.nr, cfg.m, rng)
             y = apply_channel(h, z, noiseless, rng)
-            rec = demux(y, h, Codebook(cfg, phi, dictionary, a))
+            rec = demux(y, h, Codebook(cfg, phi))
             np.testing.assert_array_equal(demodulate(rec.x_hat, qpsk), bits)
 
     def test_result_reassembles_decoded_blocks(self, pipeline, qpsk):
@@ -370,7 +353,7 @@ class TestDemux:
         z = multiplex(x, phi, cfg)
         h = sample_channel(cfg.nr, cfg.m, rng)
         y = apply_channel(h, z, NoiseSpec(10.0, 0.4), rng)
-        rec = demux(y, h, Codebook(cfg, phi, dictionary, sensing_matrix(phi, dictionary)))
+        rec = demux(y, h, Codebook(cfg, phi))
         rebuilt = np.concatenate(
             [sparse_decode(int(k), dictionary) for k in rec.s_indices]
         )
@@ -385,8 +368,6 @@ class TestDemux:
         """
         cfg = MuxConfig(nt=4, nr=4, l=4, j=4)
         phi = identity_phi(cfg)
-        dictionary = build_dictionary(qpsk, 1)
-        a = sensing_matrix(phi, dictionary)
         for t in range(400):
             rng = np.random.default_rng([31337, t])
             bits = rng.integers(0, 2, size=8, dtype=np.uint8)
@@ -394,7 +375,7 @@ class TestDemux:
             z = multiplex(x, phi, cfg)
             h = sample_channel(4, 4, rng)
             y = apply_channel(h, z, NoiseSpec(10.0, 0.4), rng)
-            rec = demux(y, h, Codebook(cfg, phi, dictionary, a))
+            rec = demux(y, h, Codebook(cfg, phi))
 
             x_zf = np.linalg.inv(h.h.conj().T @ h.h) @ (h.h.conj().T @ y)
             oracle_bits = []
@@ -407,8 +388,7 @@ class TestDemux:
 
     def test_deep_noise_gives_chance_level(self, pipeline, qpsk):
         """At -60 dB the decisions are effectively random: BER near 1/2."""
-        cfg, phi, dictionary = pipeline
-        a = sensing_matrix(phi, dictionary)
+        cfg, phi, _ = pipeline
         errs = bits_total = 0
         for t in range(700):
             rng = np.random.default_rng([91, t])
@@ -417,7 +397,7 @@ class TestDemux:
             z = multiplex(x, phi, cfg)
             h = sample_channel(cfg.nr, cfg.m, rng)
             y = apply_channel(h, z, NoiseSpec.from_snr(-60.0, cfg.m), rng)
-            rec = demux(y, h, Codebook(cfg, phi, dictionary, a))
+            rec = demux(y, h, Codebook(cfg, phi))
             errs += int(np.sum(demodulate(rec.x_hat, qpsk) != bits))
             bits_total += bits.size
         assert abs(errs / bits_total - 0.5) < 0.02
@@ -428,7 +408,6 @@ class TestDemux:
         its atom is the ML atom up to a per-block phase in {1, i, -1, -i}.
         """
         cfg, phi, dictionary = pipeline
-        a = sensing_matrix(phi, dictionary)
         rotations = np.array([1.0, 1j, -1.0, -1j])
         for t in range(100):
             rng = np.random.default_rng([55, t])
@@ -436,44 +415,45 @@ class TestDemux:
             z = multiplex(x, phi, cfg)
             h = sample_channel(cfg.nr, cfg.m, rng)
             y = apply_channel(h, z, NoiseSpec(float("inf"), 0.0), rng)
-            ml = demux(y, h, Codebook(cfg, phi, dictionary, a), solver="ml")
-            omp = demux(y, h, Codebook(cfg, phi, dictionary, a), solver="omp")
+            ml = demux(y, h, Codebook(cfg, phi), solver="ml")
+            omp = demux(y, h, Codebook(cfg, phi), solver="omp")
             for k_ml, k_omp in zip(ml.s_indices, omp.s_indices):
                 twins = rotations[:, None] * dictionary.psi[:, k_ml][None, :]
                 match = np.isclose(twins, dictionary.psi[:, k_omp][None, :]).all(axis=1)
                 assert match.any()
 
     def test_unknown_solver_rejected(self, pipeline):
-        cfg, phi, dictionary = pipeline
+        cfg, phi, _ = pipeline
         with pytest.raises(ValueError, match="unknown solver"):
             demux(np.zeros(4), sample_channel(4, 4, np.random.default_rng(0)),
-                  Codebook(cfg, phi, dictionary, sensing_matrix(phi, dictionary)), solver="mmse")
+                  Codebook(cfg, phi), solver="mmse")
 
     @pytest.mark.parametrize("solver", ["ml", "omp", "oneshot"])
     def test_wrong_channel_shape_rejected(self, pipeline, solver):
-        cfg, phi, dictionary = pipeline
+        cfg, phi, _ = pipeline
         h = sample_channel(cfg.nr, cfg.m - 1, np.random.default_rng(0))
         with pytest.raises(DimensionMismatch, match="channel shape"):
-            demux(np.zeros(cfg.nr), h,
-                  Codebook(cfg, phi, dictionary, sensing_matrix(phi, dictionary)),
-                  solver=solver)
+            demux(np.zeros(cfg.nr), h, Codebook(cfg, phi), solver=solver)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("solver", ["ml", "omp", "oneshot"])
     def test_non_finite_input_rejected(self, pipeline, solver):
-        cfg, phi, dictionary = pipeline
+        """Every solver rejects the receive vector before it computes with it."""
+        cfg, phi, _ = pipeline
         h = sample_channel(cfg.nr, cfg.m, np.random.default_rng(0))
-        code = Codebook(cfg, phi, dictionary, sensing_matrix(phi, dictionary))
+        code = Codebook(cfg, phi)
         for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
             y = np.ones(cfg.nr, dtype=complex)
             y[1] = bad
             with pytest.raises(ValueError, match="receive vector and channel must be finite"):
                 demux(y, h, code, solver=solver)
 
-    @pytest.mark.parametrize("call", ["ml", "omp", "zf_equalize", "channel_is_usable"])
+    @pytest.mark.parametrize("call", ["ml", "omp", "oneshot", "zf_equalize", "channel_is_usable"])
     def test_non_finite_channel_rejected(self, pipeline, call):
-        """A channel holding a nan or inf fails with one line before its SVD."""
-        cfg, phi, dictionary = pipeline
-        code = Codebook(cfg, phi, dictionary, sensing_matrix(phi, dictionary))
+        """A channel holding a nan or inf fails with one line before its SVD
+        or its QR."""
+        cfg, phi, _ = pipeline
+        code = Codebook(cfg, phi)
         for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
             h = sample_channel(cfg.nr, cfg.m, np.random.default_rng(0)).h.copy()
             h[1, 2] = bad
@@ -488,22 +468,21 @@ class TestDemux:
 
 
 class TestCodebook:
-    def test_sensing_of_another_setup_rejected(self, pipeline, qpsk):
-        """A sensing matrix built for another ``j`` or constellation does not fit."""
-        cfg, phi, dictionary = pipeline
-        other_j = MuxConfig(nt=4, nr=4, l=8, j=4)
-        qam16 = build_dictionary(get_constellation("qam16"), cfg.subblock_cols)
-        for sensing in (
-            sensing_matrix(gen_phi(other_j), build_dictionary(qpsk, other_j.subblock_cols)),
-            sensing_matrix(phi, qam16),
-        ):
-            with pytest.raises(DimensionMismatch, match="sensing shape"):
-                Codebook(cfg, phi, dictionary, sensing)
+    def test_phi_of_another_setup_rejected(self, pipeline):
+        """A matrix drawn for another ``j``, or one row short, does not fit."""
+        cfg, phi, _ = pipeline
+        other_j = gen_phi(MuxConfig(nt=4, nr=4, l=8, j=4))
+        for other in (other_j, MeasurementMatrix(phi.phi[:1], 1.0)):
+            with pytest.raises(DimensionMismatch, match="^phi has .* columns for sub-blocks of 4"):
+                Codebook(cfg, other)
 
     def test_derived_values_are_computed_once_bit_for_bit(self, pipeline):
         cfg, phi, dictionary = pipeline
         a = sensing_matrix(phi, dictionary)
-        code = Codebook(cfg, phi, dictionary, a)
+        code = Codebook(cfg, phi)
+        np.testing.assert_array_equal(code.dictionary.psi, dictionary.psi)
+        np.testing.assert_array_equal(code.sensing, a)
+        assert not code.sensing.flags.writeable
         rows = cfg.subblock_rows
         np.testing.assert_array_equal(code.scan[:rows], -2.0 * a.real)
         np.testing.assert_array_equal(code.scan[rows:-1], -2.0 * a.imag)
@@ -520,9 +499,10 @@ class TestCodebook:
 
     def test_scan_is_built_once_with_colnorm2_as_its_last_row(self, pipeline, monkeypatch):
         """``ml`` reads the I/Q half-scan, built once and kept read-only,
-        and never builds the joint scan of the untied blocks it detects."""
+        and never builds the joint scan, the dictionary or the sensing
+        matrix for the untied blocks it detects."""
         cfg, phi, dictionary = pipeline
-        code = Codebook(cfg, phi, dictionary, sensing_matrix(phi, dictionary))
+        code = Codebook(cfg, phi)
         calls = []
         monkeypatch.setattr(detection, "_scan_matrix", lambda m: calls.append(m) or _scan_matrix(m))
         h = sample_channel(cfg.nr, cfg.m, np.random.default_rng(2))
@@ -532,7 +512,8 @@ class TestCodebook:
         for y in ys[1:]:
             demux(y, h, code)
         assert code.iq_scan is iq
-        assert len(calls) == 1 and "scan" not in vars(code)
+        assert len(calls) == 1
+        assert not {"scan", "dictionary", "sensing"} & set(vars(code))
 
         scan, joint = iq
         assert not scan.flags.writeable and not joint.flags.writeable
@@ -544,6 +525,26 @@ class TestCodebook:
         assert sorted(joint.ravel().tolist()) == list(range(dictionary.d))
         for (u, v), k in np.ndenumerate(joint):
             np.testing.assert_array_equal(dictionary.psi[:, k], p[:, u] + 1j * p[:, v])
+
+    @given(
+        constellation=st.sampled_from(["qpsk", "qam16"]),
+        n=st.integers(1, 4),
+        j=st.integers(1, 3),
+        stack=st.sampled_from([(), (1,), (3,), (2, 2)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_reassemble_decodes_the_dictionary_columns(self, constellation, n, j, stack, seed):
+        """``_reassemble`` decodes each block's column index itself, bit for
+        bit the dictionary's column, and builds no dictionary."""
+        cfg = MuxConfig(nt=j, nr=j, l=n * j, j=j, constellation=constellation)
+        code = Codebook(cfg, MeasurementMatrix(np.ones((1, n)), 1.0))
+        psi = build_dictionary(get_constellation(constellation), n).psi
+        k = np.random.default_rng(seed).integers(0, psi.shape[1], size=stack + (j,))
+        k[..., 0] = psi.shape[1] - 1
+        x = detection._reassemble(code, k)
+        np.testing.assert_array_equal(x, psi.T[k].reshape(stack + (cfg.l,)))
+        assert "dictionary" not in vars(code)
 
     def test_equal_codebooks_compare_and_hash_by_identity(self):
         spec = load_spec(recipe_path("mimo4x4_l8.json"))
@@ -575,8 +576,7 @@ class TestStackedTrials:
 
     @pytest.mark.parametrize("solver", ["ml", "omp", "oneshot"])
     def test_stack_equals_single_trials(self, pipeline, qpsk, solver):
-        cfg, phi, dictionary = pipeline
-        a = sensing_matrix(phi, dictionary)
+        cfg, phi, _ = pipeline
         x, h = self._trials(cfg, qpsk)
         noise = NoiseSpec.from_snr(5.0, cfg.m)
         z = multiplex(x.reshape(self.STACK + (cfg.l,)), phi, cfg)
@@ -586,10 +586,10 @@ class TestStackedTrials:
                           np.random.default_rng([8, t]))
             for t in range(6)
         ]).reshape(self.STACK + (cfg.nr,))
-        rec = demux(y, channel, Codebook(cfg, phi, dictionary, a), solver=solver)
+        rec = demux(y, channel, Codebook(cfg, phi), solver=solver)
         for t, at in enumerate(np.ndindex(self.STACK)):
             single = ChannelRealization(h[t])
-            one = demux(y[at], single, Codebook(cfg, phi, dictionary, a), solver=solver)
+            one = demux(y[at], single, Codebook(cfg, phi), solver=solver)
             np.testing.assert_array_equal(z[at], multiplex(x[t], phi, cfg))
             for got, want in zip(
                 (rec.s_indices, rec.x_hat, rec.residuals, rec.condition_number),
@@ -652,15 +652,13 @@ class TestOneshot:
     def test_matches_brute_force_oracle(self, case):
         """Sphere search indices equal the d**J enumeration's, J = 1..4."""
         cfg, y, h, phi, dictionary = case
-        rec = demux(y, h, Codebook(cfg, phi, dictionary, sensing_matrix(phi, dictionary)),
-                    solver="oneshot")
+        rec = demux(y, h, Codebook(cfg, phi), solver="oneshot")
         k, res = _joint_ml_oracle(y, h, phi, dictionary, cfg)
         np.testing.assert_array_equal(rec.s_indices, k)
         np.testing.assert_allclose(rec.residuals[0], res, rtol=1e-6, atol=1e-9)
 
     def test_residual_is_direct_norm(self, qpsk, pipeline):
-        cfg, phi, dictionary = pipeline
-        a = sensing_matrix(phi, dictionary)
+        cfg, phi, _ = pipeline
         g = transmit_gain(phi, cfg)
         for t in range(200):
             rng = np.random.default_rng([31, t])
@@ -668,7 +666,7 @@ class TestOneshot:
             h = sample_channel(cfg.nr, cfg.m, rng)
             snr = float("inf") if t % 2 else 40.0 * rng.random()
             y = apply_channel(h, multiplex(x, phi, cfg), NoiseSpec.from_snr(snr, cfg.m), rng)
-            rec = demux(y, h, Codebook(cfg, phi, dictionary, a), solver="oneshot")
+            rec = demux(y, h, Codebook(cfg, phi), solver="oneshot")
             z_hat = (rec.x_hat.reshape(cfg.j, -1) @ phi.phi.T).ravel() * g
             direct = np.linalg.norm(y - h.h @ z_hat)
             if t % 2:
@@ -681,16 +679,15 @@ class TestOneshot:
         cfg = MuxConfig(nt=4, nr=4, l=8, j=4, phi_seed=5)
         phi = gen_phi(cfg)
         dictionary = build_dictionary(qpsk, cfg.subblock_cols)
-        a = sensing_matrix(phi, dictionary)
         rng = np.random.default_rng(8)
         h = sample_channel(cfg.nr, cfg.m, rng)
         y = apply_channel(h, multiplex(qpsk.points[rng.integers(0, 4, size=8)], phi, cfg),
                           NoiseSpec.from_snr(-5.0, cfg.m), rng)
-        full = demux(y, h, Codebook(cfg, phi, dictionary, a), solver="oneshot")
+        full = demux(y, h, Codebook(cfg, phi), solver="oneshot")
         raised = 0
         for cap in range(dictionary.d, 64 * dictionary.d, dictionary.d):
             try:
-                rec = demux(y, h, Codebook(cfg, phi, dictionary, a), solver="oneshot",
+                rec = demux(y, h, Codebook(cfg, phi), solver="oneshot",
                             oneshot_cap=cap)
             except DictionaryTooLarge:
                 raised += 1
@@ -708,8 +705,6 @@ class TestOneshot:
     def test_noiseless_exact(self, qpsk, cfg_2x2_l4):
         cfg = cfg_2x2_l4
         phi = gen_phi(cfg)
-        dictionary = build_dictionary(qpsk, cfg.subblock_cols)
-        a = sensing_matrix(phi, dictionary)
         for t in range(300):
             rng = np.random.default_rng([12, t])
             bits = rng.integers(0, 2, size=8, dtype=np.uint8)
@@ -717,7 +712,7 @@ class TestOneshot:
             z = multiplex(x, phi, cfg)
             h = sample_channel(cfg.nr, cfg.m, rng)
             y = apply_channel(h, z, NoiseSpec(float("inf"), 0.0), rng)
-            rec = demux(y, h, Codebook(cfg, phi, dictionary, a), solver="oneshot")
+            rec = demux(y, h, Codebook(cfg, phi), solver="oneshot")
             np.testing.assert_array_equal(demodulate(rec.x_hat, qpsk), bits)
             assert np.isnan(rec.condition_number)
             assert rec.residuals.shape == (1,)
@@ -726,8 +721,6 @@ class TestOneshot:
         """Both solvers pick the same candidates when noise is small."""
         cfg = cfg_2x2_l4
         phi = gen_phi(cfg)
-        dictionary = build_dictionary(qpsk, cfg.subblock_cols)
-        a = sensing_matrix(phi, dictionary)
         agree = 0
         for t in range(300):
             rng = np.random.default_rng([13, t])
@@ -735,16 +728,14 @@ class TestOneshot:
             z = multiplex(x, phi, cfg)
             h = sample_channel(cfg.nr, cfg.m, rng)
             y = apply_channel(h, z, NoiseSpec.from_snr(35.0, cfg.m), rng)
-            one = demux(y, h, Codebook(cfg, phi, dictionary, a), solver="oneshot")
-            two = demux(y, h, Codebook(cfg, phi, dictionary, a), solver="ml")
+            one = demux(y, h, Codebook(cfg, phi), solver="oneshot")
+            two = demux(y, h, Codebook(cfg, phi), solver="ml")
             agree += int(np.array_equal(one.s_indices, two.s_indices))
         assert agree >= 290
 
     def test_joint_search_cap(self, qpsk, cfg_2x2_l4):
         cfg = cfg_2x2_l4
         phi = gen_phi(cfg)
-        dictionary = build_dictionary(qpsk, cfg.subblock_cols)
         h = sample_channel(cfg.nr, cfg.m, np.random.default_rng(0))
         with pytest.raises(DictionaryTooLarge):
-            demux(np.zeros(2), h, Codebook(cfg, phi, dictionary, sensing_matrix(phi, dictionary)),
-                  solver="oneshot", oneshot_cap=10)
+            demux(np.zeros(2), h, Codebook(cfg, phi), solver="oneshot", oneshot_cap=10)

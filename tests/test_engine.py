@@ -21,8 +21,7 @@ from hypothesis import strategies as st
 import csmimo.harness as harness
 from csmimo.channel import ChannelRealization, NoiseSpec, apply_channel, received, sample_channel
 from csmimo.csmux import MuxConfig, gen_phi, multiplex
-from csmimo.detection import Codebook, channel_is_usable, demux, sensing_matrix, zf_equalize
-from csmimo.dictionary import build_dictionary
+from csmimo.detection import Codebook, channel_is_usable, demux, zf_equalize
 from csmimo.errors import RankDeficientChannel
 from csmimo.harness import (ExperimentSpec, load_spec, run_sweep, run_trial, throughput_proxy,
                             wilson_interval)
@@ -63,10 +62,8 @@ def _sequential_trial(spec, t, snr_db):
         rx_idx = nearest_point_indices(zf_equalize(y, h).z_hat, c)
     else:
         phi = gen_phi(cfg)
-        dictionary = build_dictionary(c, cfg.subblock_cols, cap=cfg.dictionary_cap)
         y = apply_channel(h, multiplex(x, phi, cfg), noise, rng)
-        rec = demux(y, h, Codebook(cfg, phi, dictionary, sensing_matrix(phi, dictionary)),
-                    solver=spec.solver)
+        rec = demux(y, h, Codebook(cfg, phi), solver=spec.solver)
         rx_idx = nearest_point_indices(rec.x_hat, c)
     rx_bits = c.labels[rx_idx].ravel()
     return tx_bits, rx_bits, int(np.sum(tx_idx != rx_idx)), redraws

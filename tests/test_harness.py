@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import csmimo.detection as detection
 import csmimo.harness as harness
 from csmimo.channel import ChannelRealization, NoiseSpec, apply_channel, sample_channel
 from csmimo.csmux import MeasurementMatrix, MuxConfig, identity_phi
@@ -107,12 +108,11 @@ class TestRunTrial:
 
     def test_repeated_trials_prepare_once(self):
         """``run_trial`` keeps the preparation of a spec it has seen, so the
-        scheme's dictionary is built once for many trials; a baseline builds
+        scheme's codebook is built once for many trials; a baseline builds
         none."""
         spec = small_spec(master_seed=12)
         harness._prepared.cache_clear()
-        build = harness.build_dictionary
-        with mock.patch.object(harness, "build_dictionary", wraps=build) as built:
+        with mock.patch.object(harness, "Codebook", wraps=harness.Codebook) as built:
             records = [run_trial(spec, t) for t in (0, 1, 0)]
             assert built.call_count == 1
             for baseline in ("zf", "overload"):
@@ -123,15 +123,40 @@ class TestRunTrial:
 
     def test_repeated_trials_with_phi_prepare_once(self):
         """A passed ``phi`` is part of the kept preparation's key, so many
-        trials with one matrix build the dictionary once."""
+        trials with one matrix build the codebook once."""
         spec = small_spec()
         phi = identity_phi(spec.config)
         harness._prepared.cache_clear()
-        build = harness.build_dictionary
-        with mock.patch.object(harness, "build_dictionary", wraps=build) as built:
+        with mock.patch.object(harness, "Codebook", wraps=harness.Codebook) as built:
             for t in range(50):
                 run_trial(spec, t, phi=phi)
         assert built.call_count == 1
+
+    @pytest.mark.parametrize("constellation", ["qpsk", "qam16"])
+    def test_only_the_dictionary_solvers_build_the_dictionary(self, monkeypatch, constellation):
+        """An ``ml`` sweep scores the I/Q level tuples and never builds the
+        ``q**n`` dictionary or its sensing matrix; ``omp`` and ``oneshot``
+        build each once per sweep, over all its chunks and SNR points, and
+        so does ``ml`` when a tied half-scan needs the joint scan: on the
+        (2,2)-4 matrix two QAM16 level pairs project to within 1e-5 of each
+        other, which ties every noiseless block.  The first chunks of a
+        sweep that stops early hold 1, 2, 4, ... trials."""
+        calls = []
+        for name in ("build_dictionary", "sensing_matrix"):
+            fn = getattr(detection, name)
+            monkeypatch.setattr(detection, name,
+                                lambda *a, fn=fn, name=name, **k: calls.append(name) or fn(*a, **k))
+        built = ["build_dictionary", "sensing_matrix"]
+        mimo4x4 = MuxConfig(nt=4, nr=4, l=8, j=2, phi_seed=880, constellation=constellation)
+        mimo2x2 = MuxConfig(nt=2, nr=2, l=4, j=2, phi_seed=3262, constellation=constellation)
+        cases = [(mimo4x4, "ml", []), (mimo2x2, "omp", built), (mimo2x2, "oneshot", built)]
+        if constellation == "qam16":
+            cases.append((mimo2x2, "ml", built))
+        for cfg, solver, want in cases:
+            calls.clear()
+            spec = small_spec(config=cfg, solver=solver, snr_db=(0.0, 10.0, 20.0, INF), trials=40)
+            run_sweep(spec)
+            assert calls == want, (cfg, solver)
 
     def test_bad_snr_point_rejected(self):
         """A trial's SNR follows the grid-point rule and is named in the error."""

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csmimo import modem
 from csmimo.errors import IndivisibleBitLength
 from csmimo.modem import (
     Constellation,
@@ -82,9 +83,12 @@ class TestIqLevels:
     def test_qam16_levels(self, qam16):
         np.testing.assert_array_equal(qam16.iq_levels, np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(10.0))
 
-    @pytest.mark.parametrize("name", ["qpsk", "qam16"])
+    @pytest.mark.parametrize("name", sorted(modem._REGISTRY))
     def test_points_are_the_product_set(self, name):
+        """Every registry alphabet has I/Q levels: a ``Codebook`` takes its
+        alphabet from the registry, and its ``ml`` scan reads them."""
         c = get_constellation(name)
+        assert c.iq_levels is not None
         grid = c.iq_levels[:, None] + 1j * c.iq_levels[None, :]
         assert sorted(c.points.tolist(), key=lambda p: (p.real, p.imag)) == sorted(
             grid.ravel().tolist(), key=lambda p: (p.real, p.imag)
