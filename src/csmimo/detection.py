@@ -9,9 +9,9 @@ that dictionary, so a minimum-residual scan solves the l0 problem exactly.
 The matrix is real and both alphabets are the product set of their I/Q
 levels, so the scan of the ``q**n`` columns splits into two scans of the
 ``√q**n`` real level tuples, which need no dictionary (the real-valued
-model of MIMO detection, Hassibi & Vikalo, IEEE T-SP 53(8), 2005); a tied
-half-scan minimum is rescored jointly.  OMP is kept as the generic greedy
-solver, and a one-shot mode finds the exact joint ML choice of all
+model of MIMO detection, Hassibi & Vikalo, IEEE T-SP 53(8), 2005); each
+half breaks ties to its lowest level tuple.  OMP is kept as the generic
+greedy solver, and a one-shot mode finds the exact joint ML choice of all
 sub-blocks directly on the received vector, without equalizing first, by
 a block sphere search after a QR factorization of the channel.
 
@@ -35,11 +35,6 @@ from .errors import DictionaryTooLarge, DimensionMismatch, RankDeficientChannel
 from .modem import Constellation, get_constellation
 
 RANK_TOL = 1e-12
-
-# A half-scan metric within this fraction of ||x||² + max ||Φ P_u||² of the
-# minimum counts as tied with it.  The rounding of either scan is of order
-# 1e-15 of that sum, so beyond it the joint scan picks the same pair.
-_TIE_RTOL = 1e-9
 
 SOLVERS = ("ml", "omp", "oneshot")
 
@@ -77,10 +72,12 @@ def zf_equalize(
     """Zero-forcing equalizer: pseudo-inverse of a full-column-rank channel.
 
     Solves ``min ||h z - y||`` and divides out ``gain`` (the transmit power
-    normalization).  Raises :class:`RankDeficientChannel` when the smallest
-    singular value falls below ``RANK_TOL`` times the largest, or when the
-    system is underdetermined.  A stack of channels takes ``y`` of shape
-    ``(..., nr)`` and equalizes every trial, bit for bit as one at a time.
+    normalization).  Raises :class:`RankDeficientChannel` where
+    :func:`channel_is_usable` is false: the system is underdetermined, or
+    the smallest singular value falls below ``RANK_TOL`` times the largest
+    (the message names the first such trial's).  A stack of channels takes
+    ``y`` of shape ``(..., nr)`` and equalizes every trial, bit for bit as
+    one at a time.
     """
     y = np.asarray(y, dtype=np.complex128)
     if not h.stack_shape:
@@ -90,17 +87,17 @@ def zf_equalize(
             f"received vectors of shape {y.shape} do not match nr {h.nr}"
             f" for trials {h.stack_shape}"
         )
-    if h.m_tx > h.nr:
-        raise RankDeficientChannel(
-            f"channel with {h.m_tx} inputs and {h.nr} outputs cannot be column rank"
-        )
-    u, s, vh = h.svd
-    bad = s[..., -1] <= RANK_TOL * s[..., 0]
-    if bad.any():
-        worst = s[np.unravel_index(bad.argmax(), bad.shape)]
+    usable = channel_is_usable(h)
+    if not np.all(usable):
+        if h.m_tx > h.nr:
+            raise RankDeficientChannel(
+                f"channel with {h.m_tx} inputs and {h.nr} outputs cannot be column rank"
+            )
+        worst = h.svd[1][np.unravel_index(np.argmin(usable), h.stack_shape)]
         raise RankDeficientChannel(
             f"singular value ratio {worst[-1]:.3e}/{worst[0]:.3e} below tolerance"
         )
+    u, s, vh = h.svd
     # stacked matrix-vector products, bit for bit the single-channel ones
     w = (u.conj().swapaxes(-1, -2) @ y[..., None]) / s[..., None]
     z_hat = (vh.conj().swapaxes(-1, -2) @ w)[..., 0]
@@ -148,8 +145,8 @@ def _scan_matrix(a: np.ndarray) -> np.ndarray:
 class Codebook:
     """What transmitter and receiver share for one setup ``cfg``: its
     ``(m/j, l/j)`` sub-block matrix ``phi``.  The rest derives from the two,
-    once and on first use; ``ml`` reads no ``dictionary`` or ``sensing`` but
-    for a tied block.  Two codebooks compare and hash by identity.
+    once and on first use; ``ml`` reads no ``dictionary`` or ``sensing``.
+    Two codebooks compare and hash by identity.
     """
 
     cfg: MuxConfig
@@ -179,14 +176,6 @@ class Codebook:
         sensing = sensing_matrix(self.phi, self.dictionary)
         sensing.flags.writeable = False
         return sensing
-
-    @cached_property
-    def scan(self) -> np.ndarray:
-        """:func:`_scan_matrix` of ``sensing``, the matrix the joint ``ml``
-        scan of a tied half-scan multiplies; read-only."""
-        scan = _scan_matrix(self.sensing)
-        scan.flags.writeable = False
-        return scan
 
     @cached_property
     def iq_scan(self) -> tuple[np.ndarray, np.ndarray]:
@@ -228,7 +217,9 @@ def _ml_scan(z: np.ndarray, scan: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest column of ``a`` to each row of the ``(..., J, rows)`` blocks ``z``.
 
     ``scan`` is :func:`_scan_matrix` of ``a``.  Returns the ``(..., J)``
-    argmin indices (ties to the lowest) and residual norms.
+    argmin indices (ties to the lowest) and residual norms.  This joint scan
+    of complex columns is the scan of :func:`recover_subblock_ml`; a sweep
+    scores the half-scans of :func:`_ml_split` instead.
     """
     # ||z_j - a_k||^2 = ||z_j||^2 - 2 Re<a_k, z_j> + ||a_k||^2, and
     # [Re z_j, Im z_j, 1] @ scan gives the last two terms for every k in one
@@ -245,14 +236,14 @@ def _ml_scan(z: np.ndarray, scan: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ml_split(z: np.ndarray, code: Codebook) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_ml_scan` of the ``(..., J, rows)`` blocks ``z`` against
-    ``code.scan``, scored as two real half-scans against ``code.iq_scan``.
+    """Nearest dictionary column to each row of the ``(..., J, rows)``
+    blocks ``z``, scored as two real half-scans against ``code.iq_scan``.
 
     ``||z - Φψ||² = ||Re z - Φ Re ψ||² + ||Im z - Φ Im ψ||²`` for a real
-    ``Φ``, so the joint argmin is the pair of half argmins.  The indices are
-    those of the joint scan, and the residuals equal the joint scan's to
-    rounding.  A trial with a tied half minimum is rescored by the joint
-    scan, whose tie rule is the lowest joint index.
+    ``Φ``, so the joint argmin is the pair of half argmins.  Returns the
+    ``(..., J)`` columns ``joint[u, v]`` of the real-part argmin ``u`` and
+    the imaginary-part argmin ``v``, each half breaking ties to its lowest
+    level tuple, and the residual norms of the same two minima.
     """
     scan, joint = code.iq_scan
     j = z.shape[-2]
@@ -265,17 +256,9 @@ def _ml_split(z: np.ndarray, code: Codebook) -> tuple[np.ndarray, np.ndarray]:
     metric = zr @ scan
     k = metric.argmin(axis=-1)
     best = metric.reshape(-1, scan.shape[1])[np.arange(k.size), k.ravel()].reshape(k.shape)
-    xx = np.einsum("...i,...i->...", zr[..., :-1], zr[..., :-1])
-    near = metric <= (best + _TIE_RTOL * (xx + scan[-1].max()))[..., None]
-    best += xx
+    best += np.einsum("...i,...i->...", zr[..., :-1], zr[..., :-1])
     res = np.sqrt(np.maximum(best[..., :j] + best[..., j:], 0.0))
-    k = joint[k[..., :j], k[..., j:]]
-    # every half has its minimum near, one entry unless tied
-    if np.count_nonzero(near) != best.size:
-        tied = near.sum(axis=-1) != 1
-        again = (tied[..., :j] | tied[..., j:]).any(axis=-1)
-        k[again], res[again] = _ml_scan(z[again], code.scan)
-    return k, res
+    return joint[k[..., :j], k[..., j:]], res
 
 
 def recover_subblock_ml(z_hat_j: np.ndarray, sensing: np.ndarray) -> tuple[int, float]:

@@ -206,10 +206,14 @@ class TestIqSplit:
         self, rows, j, constellation, stack, tied, sigma, seed
     ):
         """``demux``'s ``ml`` branch, which scores the I/Q half-scans, picks
-        the indices of the joint ``_ml_scan`` of the same equalized blocks,
-        with residuals equal to rounding.  A ``tied`` share of the blocks is
+        a column whose joint metric is the joint minimum to rounding, and
+        the index of the joint ``_ml_scan`` of the same equalized blocks on
+        every block whose minimum is unique beyond rounding; its residuals
+        are the joint scan's to rounding.  A ``tied`` share of the blocks is
         tied by construction: each symbol's I and Q parts sit on a level or
-        on the midpoint of two neighbouring levels, and some blocks are 0."""
+        on the midpoint of two neighbouring levels, and some blocks are 0.
+        A tie may go to a column other than the joint scan's: each half
+        breaks its own ties to the lowest level tuple."""
         c = get_constellation(constellation)
         rng = np.random.default_rng(seed)
         n = rows if constellation == "qam16" else int(rng.integers(rows, 4))
@@ -231,9 +235,19 @@ class TestIqSplit:
 
         rec = demux(y, h, code, solver="ml")
         blocks = zf_equalize(y, h, code.gain).z_hat.reshape(stack + (j, rows))
-        want_k, want_res = _ml_scan(blocks, code.scan)
-        np.testing.assert_array_equal(rec.s_indices, want_k)
-        np.testing.assert_array_equal(rec.x_hat, dictionary.psi.T[want_k].reshape(stack + (cfg.l,)))
+        a = code.sensing
+        diffs = blocks[..., None] - a
+        metric = (diffs.real**2 + diffs.imag**2).sum(axis=-2)
+        least = metric.min(axis=-1)
+        margin = 1e-9 * ((blocks.real**2 + blocks.imag**2).sum(axis=-1) + _colnorm2(a).max())
+        picked = np.take_along_axis(metric, rec.s_indices[..., None], axis=-1)[..., 0]
+        assert (picked <= least + margin).all()
+        unique = (metric <= (least + margin)[..., None]).sum(axis=-1) == 1
+        want_k, want_res = _ml_scan(blocks, _scan_matrix(a))
+        np.testing.assert_array_equal(rec.s_indices[unique], want_k[unique])
+        np.testing.assert_array_equal(
+            rec.x_hat, dictionary.psi.T[rec.s_indices].reshape(stack + (cfg.l,))
+        )
         # both square roots of a rounded metric: compare the squares
         np.testing.assert_allclose(rec.residuals**2, want_res**2, rtol=1e-9, atol=1e-12)
 
@@ -483,11 +497,6 @@ class TestCodebook:
         np.testing.assert_array_equal(code.dictionary.psi, dictionary.psi)
         np.testing.assert_array_equal(code.sensing, a)
         assert not code.sensing.flags.writeable
-        rows = cfg.subblock_rows
-        np.testing.assert_array_equal(code.scan[:rows], -2.0 * a.real)
-        np.testing.assert_array_equal(code.scan[rows:-1], -2.0 * a.imag)
-        np.testing.assert_array_equal(code.scan[-1], _colnorm2(a))
-        assert not code.scan.flags.writeable
         np.testing.assert_array_equal(code.omp_norms, np.linalg.norm(a, axis=0))
         assert code.gain == transmit_gain(phi, cfg)
         norms = code.omp_norms
@@ -499,8 +508,7 @@ class TestCodebook:
 
     def test_scan_is_built_once_with_colnorm2_as_its_last_row(self, pipeline, monkeypatch):
         """``ml`` reads the I/Q half-scan, built once and kept read-only,
-        and never builds the joint scan, the dictionary or the sensing
-        matrix for the untied blocks it detects."""
+        and never builds the dictionary or the sensing matrix."""
         cfg, phi, dictionary = pipeline
         code = Codebook(cfg, phi)
         calls = []
@@ -513,7 +521,7 @@ class TestCodebook:
             demux(y, h, code)
         assert code.iq_scan is iq
         assert len(calls) == 1
-        assert not {"scan", "dictionary", "sensing"} & set(vars(code))
+        assert not {"dictionary", "sensing"} & set(vars(code))
 
         scan, joint = iq
         assert not scan.flags.writeable and not joint.flags.writeable

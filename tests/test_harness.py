@@ -136,11 +136,11 @@ class TestRunTrial:
     def test_only_the_dictionary_solvers_build_the_dictionary(self, monkeypatch, constellation):
         """An ``ml`` sweep scores the I/Q level tuples and never builds the
         ``q**n`` dictionary or its sensing matrix; ``omp`` and ``oneshot``
-        build each once per sweep, over all its chunks and SNR points, and
-        so does ``ml`` when a tied half-scan needs the joint scan: on the
-        (2,2)-4 matrix two QAM16 level pairs project to within 1e-5 of each
-        other, which ties every noiseless block.  The first chunks of a
-        sweep that stops early hold 1, 2, 4, ... trials."""
+        build each once per sweep, over all its chunks and SNR points.  On
+        the (2,2)-4 matrix two QAM16 level pairs project to within 1e-5 of
+        each other, yet ``ml`` builds neither and still decodes its
+        noiseless point exactly.  The first chunks of a sweep that stops
+        early hold 1, 2, 4, ... trials."""
         calls = []
         for name in ("build_dictionary", "sensing_matrix"):
             fn = getattr(detection, name)
@@ -151,12 +151,14 @@ class TestRunTrial:
         mimo2x2 = MuxConfig(nt=2, nr=2, l=4, j=2, phi_seed=3262, constellation=constellation)
         cases = [(mimo4x4, "ml", []), (mimo2x2, "omp", built), (mimo2x2, "oneshot", built)]
         if constellation == "qam16":
-            cases.append((mimo2x2, "ml", built))
+            cases.append((mimo2x2, "ml", []))
         for cfg, solver, want in cases:
             calls.clear()
             spec = small_spec(config=cfg, solver=solver, snr_db=(0.0, 10.0, 20.0, INF), trials=40)
-            run_sweep(spec)
+            rows = run_sweep(spec).rows
             assert calls == want, (cfg, solver)
+            if solver == "ml":
+                assert rows[-1].snr_db == INF and rows[-1].ber == 0.0, cfg
 
     def test_bad_snr_point_rejected(self):
         """A trial's SNR follows the grid-point rule and is named in the error."""
