@@ -4,8 +4,9 @@ The spark of a matrix is the smallest number of linearly dependent columns;
 a 1-sparse representation is unique whenever no two columns coincide.  The
 restricted isometry constant of order k measures the worst deviation of any
 k-column submatrix from an isometry.  Both are combinatorial quantities, so
-the implementations here enumerate subsets outright and are intentionally
-capped to small matrices.
+the implementations here enumerate subsets outright.  Distinctness of the
+``q**n`` compressed candidates needs no such enumeration: it is read off the
+``√q**n`` real I/Q level tuples.
 """
 
 from __future__ import annotations
@@ -17,14 +18,10 @@ from math import comb
 import numpy as np
 
 from .csmux import MeasurementMatrix
-from .detection import _colnorm2, sensing_matrix
-from .dictionary import SubblockDictionary
-from .errors import TooManyColumns
+from .dictionary import SubblockDictionary, digits
+from .errors import DimensionMismatch, TooManyColumns
 
 DEPENDENCE_TOL = 1e-10
-
-# most columns verify_uniqueness compares pairwise
-PAIRWISE_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -150,7 +147,6 @@ def verify_uniqueness(
     phi: MeasurementMatrix,
     dictionary: SubblockDictionary,
     tol: float = DEPENDENCE_TOL,
-    max_columns: int = PAIRWISE_CAP,
 ) -> UniquenessReport:
     """Check that all compressed candidate columns are pairwise distinct.
 
@@ -158,27 +154,27 @@ def verify_uniqueness(
     candidate index, so exact recovery has no ties.  Reports the minimum
     pairwise distance; the distinctness threshold is ``tol`` times the
     largest column norm.
+
+    The dictionary holds every tuple ``ψ = P_u + i·P_v`` of the product
+    alphabet's I/Q levels and ``phi`` is real, so ``||Φψ - Φψ'||² =
+    ||Φ(P_u - P_u')||² + ||Φ(P_v - P_v')||²``.  A closest pair of distinct
+    columns keeps one half equal: the minimum distance is that of the
+    ``√q**n`` real tuples ``ΦP_u``, formed from their direct differences,
+    and the largest column norm is ``√2`` times the largest tuple norm.
     """
-    a = sensing_matrix(phi, dictionary)
-    d = a.shape[1]
-    if d > max_columns:
-        raise TooManyColumns(f"{d} columns exceed the pairwise scan cap {max_columns}")
-    norms2 = _colnorm2(a)
-    min_d2 = np.inf
-    chunk = 512
-    for lo in range(0, d, chunk):
-        hi = min(lo + chunk, d)
-        gram = a[:, lo:hi].conj().T @ a
-        d2 = norms2[lo:hi, None] + norms2[None, :] - 2.0 * gram.real
-        # mask the diagonal and the already-scanned half
-        for row in range(hi - lo):
-            d2[row, : lo + row + 1] = np.inf
-        min_d2 = min(min_d2, float(d2.min()))
-    min_distance = float(np.sqrt(max(min_d2, 0.0))) if d > 1 else float("inf")
-    threshold = tol * float(np.sqrt(np.max(norms2)))
+    levels, n = dictionary.constellation.iq_levels, dictionary.n
+    if levels is None:
+        raise ValueError(f"{dictionary.constellation.name} is not an I/Q product alphabet")
+    if phi.phi.shape[1] != n:
+        raise DimensionMismatch(f"phi has {phi.phi.shape[1]} columns for sub-blocks of {n} symbols")
+    b = phi.phi @ levels[digits(np.arange(levels.size**n), levels.size, n)].T
+    dist2 = sum(np.square(row[:, None] - row) for row in b)
+    np.fill_diagonal(dist2, np.inf)
+    min_distance = float(np.sqrt(dist2.min()))
+    threshold = tol * float(np.sqrt(2.0 * np.max(np.square(b).sum(axis=0))))
     return UniquenessReport(
         unique=bool(min_distance > threshold),
         min_distance=min_distance,
-        d=d,
+        d=dictionary.d,
         threshold=threshold,
     )

@@ -81,21 +81,15 @@ def _cmd_analyze(args) -> int:
             tag = "exhaustive" if est.exhaustive else f"sampled {est.n_supports}"
             print(f"delta_{k}(phi): {est.delta:.6g} ({tag})")
     print(f"dictionary: n={dictionary.n}, d={dictionary.d} columns")
-    if dictionary.d > analysis.PAIRWISE_CAP:
-        print(
-            f"uniqueness(phi*psi): skipped, d={dictionary.d} exceeds"
-            f" the pairwise scan cap {analysis.PAIRWISE_CAP}"
-        )
-    else:
-        report = analysis.verify_uniqueness(phi, dictionary)
-        print(
-            f"uniqueness(phi*psi): unique={report.unique},"
-            f" min pairwise distance {report.min_distance:.6g}"
-            f" (threshold {report.threshold:.3g})"
-        )
-    est = analysis.rip_constant(code.sensing, 2)
-    tag = "exhaustive" if est.exhaustive else f"sampled {est.n_supports}"
-    print(f"delta_2(phi*psi): {est.delta:.6g} ({tag})")
+    report = analysis.verify_uniqueness(phi, dictionary)
+    print(
+        f"uniqueness(phi*psi): unique={report.unique},"
+        f" min pairwise distance {report.min_distance:.6g}"
+        f" (threshold {report.threshold:.3g})"
+    )
+    # with unit-norm columns delta_2 is the largest |<a_i, a_j>|, at most 1
+    # and reached by the pair (psi, -psi) of an alphabet closed under negation
+    print("delta_2(phi*psi): 1 (exact: psi and -psi are both columns)")
     if args.dump_phi:
         with open(args.dump_phi, "w", encoding="ascii") as fh:
             fh.write(phi_to_text(phi))

@@ -30,7 +30,7 @@ import numpy as np
 
 from .channel import ChannelRealization
 from .csmux import MeasurementMatrix, MuxConfig, transmit_gain
-from .dictionary import SubblockDictionary, build_dictionary
+from .dictionary import SubblockDictionary, build_dictionary, digits
 from .errors import DictionaryTooLarge, DimensionMismatch, RankDeficientChannel
 from .modem import Constellation, get_constellation
 
@@ -131,12 +131,10 @@ def _colnorm2(a: np.ndarray) -> np.ndarray:
 
 
 def _scan_matrix(a: np.ndarray) -> np.ndarray:
-    """Real ``(2·rows + 1, d)`` scan matrix ``[-2 Re a; -2 Im a; ||a||²]`` of
-    a complex ``(rows, d)`` matrix, or ``(rows + 1, d)`` ``[-2 a; ||a||²]`` of
-    a real one; its last row is :func:`_colnorm2` of ``a``."""
-    parts = (a.real, a.imag) if np.iscomplexobj(a) else (a,)
-    scan = np.empty((len(parts) * a.shape[0] + 1, a.shape[1]))
-    np.multiply(np.concatenate(parts), -2.0, out=scan[:-1])
+    """Real ``(rows + 1, d)`` scan matrix ``[-2 a; ||a||²]`` of a real
+    ``(rows, d)`` matrix; its last row is :func:`_colnorm2` of ``a``."""
+    scan = np.empty((a.shape[0] + 1, a.shape[1]))
+    np.multiply(a, -2.0, out=scan[:-1])
     scan[-1] = _colnorm2(a)
     return scan
 
@@ -187,13 +185,15 @@ class Codebook:
         parts ``P[:, v]`` at ``[u, v]``."""
         c, n = self.alphabet, self.cfg.subblock_cols
         levels, r = c.iq_levels, c.iq_levels.size
-        digits = (np.arange(r**n) // r ** np.arange(n)[:, None]) % r
+        # the (n, p) level digits of every tuple, copied to C order so that
+        # the product below keeps the layout its pinned rounding came from
+        tuples = digits(np.arange(r**n), r, n).T.copy()
         point_of = np.empty((r, r), dtype=np.int64)
         point_of[np.searchsorted(levels, c.points.real), np.searchsorted(levels, c.points.imag)] = (
             np.arange(c.order)
         )
-        joint = sum(point_of[np.ix_(digit, digit)] * c.order**i for i, digit in enumerate(digits))
-        scan = _scan_matrix(self.phi.phi @ levels[digits])
+        joint = sum(point_of[np.ix_(digit, digit)] * c.order**i for i, digit in enumerate(tuples))
+        scan = _scan_matrix(self.phi.phi @ levels[tuples])
         scan.flags.writeable = joint.flags.writeable = False
         return scan, joint
 
@@ -211,28 +211,6 @@ class Codebook:
     def gain(self) -> float:
         """:func:`transmit_gain` of ``phi`` for ``cfg``."""
         return transmit_gain(self.phi, self.cfg)
-
-
-def _ml_scan(z: np.ndarray, scan: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest column of ``a`` to each row of the ``(..., J, rows)`` blocks ``z``.
-
-    ``scan`` is :func:`_scan_matrix` of ``a``.  Returns the ``(..., J)``
-    argmin indices (ties to the lowest) and residual norms.  This joint scan
-    of complex columns is the scan of :func:`recover_subblock_ml`; a sweep
-    scores the half-scans of :func:`_ml_split` instead.
-    """
-    # ||z_j - a_k||^2 = ||z_j||^2 - 2 Re<a_k, z_j> + ||a_k||^2, and
-    # [Re z_j, Im z_j, 1] @ scan gives the last two terms for every k in one
-    # real product.  ||z_j||^2 is the same for every k, so it is added only
-    # to the picked entry.  The product runs as one (J, 2·rows + 1) @ scan
-    # call per leading index: merging trials into one taller product can
-    # change the last bit.
-    zr = np.concatenate((z.real, z.imag, np.ones(z.shape[:-1] + (1,))), axis=-1)
-    metric = zr @ scan
-    k = metric.argmin(axis=-1)
-    best = np.take_along_axis(metric, k[..., None], axis=-1)[..., 0]
-    best += np.einsum("...i,...i->...", zr[..., :-1], zr[..., :-1])
-    return k, np.sqrt(np.maximum(best, 0.0))
 
 
 def _ml_split(z: np.ndarray, code: Codebook) -> tuple[np.ndarray, np.ndarray]:
@@ -275,8 +253,10 @@ def recover_subblock_ml(z_hat_j: np.ndarray, sensing: np.ndarray) -> tuple[int, 
         raise DimensionMismatch(
             f"sub-block length {z.size} != sensing rows {a.shape[0]}"
         )
-    k, res = _ml_scan(z[None, :], _scan_matrix(a))
-    return int(k[0]), float(res[0])
+    diffs = a - z[:, None]
+    dist2 = (diffs.real**2 + diffs.imag**2).sum(axis=0)
+    k = int(np.argmin(dist2))
+    return k, float(np.sqrt(dist2[k]))
 
 
 def _omp_pick(z: np.ndarray, code: Codebook) -> tuple[np.ndarray, np.ndarray]:
@@ -389,9 +369,8 @@ def demux(
 def _reassemble(code: Codebook, indices: np.ndarray):
     """Symbol vectors ``(..., l)`` of the per-block dictionary columns
     ``(..., J)``, each index decoded as the dictionary orders its columns."""
-    q, n = code.alphabet.order, code.cfg.subblock_cols
-    digits = (indices[..., None] // q ** np.arange(n)) % q
-    return code.alphabet.points[digits].reshape(indices.shape[:-1] + (code.cfg.l,))
+    symbols = code.alphabet.points[digits(indices, code.alphabet.order, code.cfg.subblock_cols)]
+    return symbols.reshape(indices.shape[:-1] + (code.cfg.l,))
 
 
 def _demux_oneshot(y, h, code, cap):

@@ -40,10 +40,15 @@ def build_dictionary(
     d = q**n
     if d > cap:
         raise DictionaryTooLarge(f"dictionary width {q}^{n} = {d} exceeds cap {cap}")
-    k = np.arange(d)
-    radix = q ** np.arange(n, dtype=np.int64)
-    idx = (k[None, :] // radix[:, None]) % q
-    return SubblockDictionary(c.points[idx], c, n)
+    # copied to C order, the layout of psi that the pinned sensing products read
+    return SubblockDictionary(c.points[digits(np.arange(d), q, n)].T.copy(), c, n)
+
+
+def digits(k: np.ndarray, base: int, n: int) -> np.ndarray:
+    """Little-endian base-``base`` digits ``(..., n)`` of the indices ``k``:
+    digit ``i`` is ``(k // base**i) % base``, as the dictionary orders its
+    columns."""
+    return (k[..., None] // base ** np.arange(n)) % base
 
 
 def sparse_encode(

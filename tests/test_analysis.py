@@ -1,14 +1,20 @@
 """Tests for spark, restricted isometry estimates, and uniqueness checks."""
 
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import recipe_path
 from csmimo.analysis import rip_constant, spark, verify_uniqueness
 from csmimo.csmux import MeasurementMatrix, MuxConfig, gen_phi
 from csmimo.dictionary import build_dictionary
 from csmimo.errors import TooManyColumns
+from csmimo.harness import load_spec
+from csmimo.modem import Constellation, get_constellation
 
 
 def oracle_spark(a: np.ndarray) -> int:
@@ -19,6 +25,16 @@ def oracle_spark(a: np.ndarray) -> int:
             if np.linalg.matrix_rank(a[:, subset], tol=1e-10) < size:
                 return size
     return cols + 1
+
+
+def oracle_min_distance(a: np.ndarray) -> float:
+    """Dense oracle: the smallest ``||a_i - a_j||`` over all column pairs,
+    each formed from the direct difference of the two complex columns."""
+    best = np.inf
+    for i in range(a.shape[1] - 1):
+        diff = a[:, i + 1 :] - a[:, i : i + 1]
+        best = min(best, float((diff.real**2 + diff.imag**2).sum(axis=0).min()))
+    return float(np.sqrt(best))
 
 
 def oracle_rip(a: np.ndarray, k: int) -> float:
@@ -149,16 +165,56 @@ class TestVerifyUniqueness:
         assert report.d == 4
 
     def test_min_distance_matches_direct_scan(self, qpsk, cfg_2x2_l4):
-        """Chunked scan agrees with a dense all-pairs oracle."""
+        """The I/Q form agrees with a dense all-pairs oracle."""
         phi = gen_phi(cfg_2x2_l4)
         dictionary = build_dictionary(qpsk, cfg_2x2_l4.subblock_cols)
         report = verify_uniqueness(phi, dictionary)
-        a = phi.phi @ dictionary.psi
-        dense = np.inf
-        for i in range(a.shape[1]):
-            for j in range(i + 1, a.shape[1]):
-                dense = min(dense, float(np.linalg.norm(a[:, i] - a[:, j])))
+        dense = oracle_min_distance(phi.phi @ dictionary.psi)
         assert report.min_distance == pytest.approx(dense, rel=1e-12)
+
+    @given(
+        constellation=st.sampled_from(["qpsk", "qam16"]),
+        n=st.integers(1, 3),
+        rows=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_iq_form_matches_the_dense_oracle(self, constellation, n, rows, seed):
+        """Minimum distance, threshold and verdict of the ``√q**n`` I/Q
+        level tuples equal those of all ``q**n`` complex columns."""
+        dictionary = build_dictionary(get_constellation(constellation), n)
+        phi = MeasurementMatrix(
+            np.random.default_rng(seed).standard_normal((rows, n)) / np.sqrt(rows), 1.0
+        )
+        report = verify_uniqueness(phi, dictionary)
+        a = phi.phi @ dictionary.psi
+        dense = oracle_min_distance(a)
+        assert report.d == a.shape[1]
+        assert report.min_distance == pytest.approx(dense, rel=1e-9)
+        largest = np.sqrt((a.real**2 + a.imag**2).sum(axis=0).max())
+        assert report.threshold == pytest.approx(1e-10 * largest, rel=1e-9)
+        assert report.unique == (dense > report.threshold)
+
+    def test_qam16_on_the_2x2_l4_seed_matches_the_dense_oracle(self):
+        """The shipped ``(2,2)-4`` matrix with QAM16 projects two columns to
+        about 1e-5 of each other, where ``||a||² + ||b||² - 2<a, b>`` loses
+        six digits to cancellation; the direct differences keep them."""
+        spec = load_spec(recipe_path("mimo2x2_l4.json"))
+        cfg = replace(spec.config, constellation="qam16")
+        phi = gen_phi(cfg)
+        dictionary = build_dictionary(get_constellation("qam16"), cfg.subblock_cols)
+        report = verify_uniqueness(phi, dictionary)
+        dense = oracle_min_distance(phi.phi @ dictionary.psi)
+        assert dense == pytest.approx(1.0414056e-05, rel=1e-7)
+        assert report.min_distance == pytest.approx(dense, rel=1e-9)
+        assert report.unique
+
+    def test_non_product_alphabet_rejected(self):
+        """8-PSK is no product of I/Q levels, so it has no I/Q form."""
+        labels = (np.arange(8)[:, None] >> np.arange(2, -1, -1)) & 1
+        psk8 = Constellation("psk8", np.exp(2j * np.pi * np.arange(8) / 8), labels)
+        with pytest.raises(ValueError, match="not an I/Q product alphabet"):
+            verify_uniqueness(MeasurementMatrix(np.eye(1), 1.0), build_dictionary(psk8, 1))
 
 
 def test_composition_keeps_rip_bounded():

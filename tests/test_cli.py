@@ -1,12 +1,15 @@
 """End-to-end tests of the command line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from conftest import recipe_path
 from csmimo.cli import main
 from csmimo.harness import CSV_HEADER
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_simulate_writes_csv(tmp_path, capsys):
@@ -100,17 +103,25 @@ def test_analyze_report(capsys):
     assert "delta_2(phi*psi)" in text
 
 
-def test_analyze_skips_the_pairwise_scan_past_its_cap(tmp_path, capsys):
-    """A QAM16 (4,4)-8 dictionary has d = 65536 columns, too many to compare
-    pairwise: the report says so and goes on to its last line."""
+def test_analyze_report_matches_the_golden(capsys):
+    rc = main(["analyze", "--config", recipe_path("mimo4x4_l8.json")])
+    assert rc == 0
+    golden = (GOLDEN / "mimo4x4_l8_analyze.txt").read_text(encoding="ascii")
+    assert capsys.readouterr().out == golden
+
+
+def test_analyze_compares_the_qam16_level_tuples(tmp_path, capsys):
+    """A QAM16 (4,4)-8 dictionary has d = 65536 columns; its uniqueness is
+    read off the 256 real I/Q level tuples of each half."""
     raw = json.loads(open(recipe_path("mimo4x4_l8.json")).read())
     cfg = tmp_path / "qam16.json"
     cfg.write_text(json.dumps({**raw, "constellation": "qam16"}))
     rc = main(["analyze", "--config", str(cfg)])
     assert rc == 0
     text = capsys.readouterr().out
-    assert "uniqueness(phi*psi): skipped, d=65536 exceeds the pairwise scan cap 4096" in text
-    assert "delta_2(phi*psi)" in text
+    assert "dictionary: n=4, d=65536 columns" in text
+    assert "uniqueness(phi*psi): unique=True, min pairwise distance 0.0450147" in text
+    assert text == (GOLDEN / "mimo4x4_l8_qam16_analyze.txt").read_text(encoding="ascii")
 
 
 def test_analyze_phi_seed_override(capsys):

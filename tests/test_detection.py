@@ -20,7 +20,6 @@ from csmimo.csmux import (
 from csmimo.detection import (
     Codebook,
     _colnorm2,
-    _ml_scan,
     _scan_matrix,
     channel_is_usable,
     demux,
@@ -131,66 +130,6 @@ class TestMlRecovery:
             assert k1 == k2
 
 
-class TestMlScan:
-    @given(
-        j=st.integers(1, 10),
-        constellation=st.sampled_from(["qpsk", "qam16"]),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_rows_match_bruteforce_argmin(self, j, constellation, seed):
-        """Each row of one J-row scan picks its own brute-force nearest column."""
-        c = get_constellation(constellation)
-        rng = np.random.default_rng(seed)
-        rows, n = int(rng.integers(1, 4)), int(rng.integers(1, 3))
-        phi = MeasurementMatrix(rng.standard_normal((rows, n)) / np.sqrt(rows), 1.0)
-        a = sensing_matrix(phi, build_dictionary(c, n))
-        truth = rng.integers(0, a.shape[1], size=j)
-        noise = rng.standard_normal((j, rows)) + 1j * rng.standard_normal((j, rows))
-        z = a[:, truth].T + 0.3 * noise
-        k, res = _ml_scan(z, _scan_matrix(a))
-        assert k.shape == res.shape == (j,)
-        for row, k_row, res_row in zip(z, k, res):
-            diffs = a - row[:, None]
-            dist2 = (diffs.real**2 + diffs.imag**2).sum(axis=0)
-            assert k_row == np.argmin(dist2)
-            assert res_row == pytest.approx(np.sqrt(dist2[k_row]), abs=1e-9)
-
-    @given(
-        j=st.integers(1, 10),
-        constellation=st.sampled_from(["qpsk", "qam16"]),
-        zf=st.booleans(),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_matches_complex_product_reference(self, j, constellation, zf, seed):
-        """The real scan picks the indices of the complex-product scan it
-        replaces, with residuals equal to rounding, for stacked blocks."""
-        c = get_constellation(constellation)
-        rng = np.random.default_rng(seed)
-        if zf:  # the zf baseline: one symbol per block and an identity phi
-            rows, n, phi = 1, 1, MeasurementMatrix(np.eye(1), 1.0)
-        else:
-            rows, n = int(rng.integers(1, 4)), int(rng.integers(1, 3))
-            phi = MeasurementMatrix(rng.standard_normal((rows, n)) / np.sqrt(rows), 1.0)
-        a = sensing_matrix(phi, build_dictionary(c, n))
-        stack = (int(rng.integers(1, 4)),)
-        truth = rng.integers(0, a.shape[1], size=stack + (j,))
-        noise = rng.standard_normal(stack + (j, rows)) + 1j * rng.standard_normal(stack + (j, rows))
-        z = a.T[truth] + 0.3 * noise
-
-        # the complex-product formula of the scan, kept as the reference
-        res2 = (z.conj() @ a).real * -2.0
-        res2 += _colnorm2(z.reshape(-1, rows).T).reshape(z.shape[:-1] + (1,))
-        res2 += _colnorm2(a)
-        want_k = res2.argmin(axis=-1)
-        want_res = np.sqrt(np.maximum(np.take_along_axis(res2, want_k[..., None], -1)[..., 0], 0.0))
-
-        k, res = _ml_scan(z, _scan_matrix(a))
-        np.testing.assert_array_equal(k, want_k)
-        np.testing.assert_allclose(res, want_res, rtol=1e-9)
-
-
 class TestIqSplit:
     @given(
         rows=st.integers(1, 3),
@@ -207,12 +146,12 @@ class TestIqSplit:
     ):
         """``demux``'s ``ml`` branch, which scores the I/Q half-scans, picks
         a column whose joint metric is the joint minimum to rounding, and
-        the index of the joint ``_ml_scan`` of the same equalized blocks on
-        every block whose minimum is unique beyond rounding; its residuals
-        are the joint scan's to rounding.  A ``tied`` share of the blocks is
+        the brute-force argmin of the same equalized blocks on every block
+        whose minimum is unique beyond rounding; its residuals are the
+        brute-force minimum's to rounding.  A ``tied`` share of the blocks is
         tied by construction: each symbol's I and Q parts sit on a level or
         on the midpoint of two neighbouring levels, and some blocks are 0.
-        A tie may go to a column other than the joint scan's: each half
+        A tie may go to a column other than the lowest tied one: each half
         breaks its own ties to the lowest level tuple."""
         c = get_constellation(constellation)
         rng = np.random.default_rng(seed)
@@ -243,13 +182,12 @@ class TestIqSplit:
         picked = np.take_along_axis(metric, rec.s_indices[..., None], axis=-1)[..., 0]
         assert (picked <= least + margin).all()
         unique = (metric <= (least + margin)[..., None]).sum(axis=-1) == 1
-        want_k, want_res = _ml_scan(blocks, _scan_matrix(a))
-        np.testing.assert_array_equal(rec.s_indices[unique], want_k[unique])
+        np.testing.assert_array_equal(rec.s_indices[unique], metric.argmin(axis=-1)[unique])
         np.testing.assert_array_equal(
             rec.x_hat, dictionary.psi.T[rec.s_indices].reshape(stack + (cfg.l,))
         )
-        # both square roots of a rounded metric: compare the squares
-        np.testing.assert_allclose(rec.residuals**2, want_res**2, rtol=1e-9, atol=1e-12)
+        # a square root of a rounded metric: compare the squares
+        np.testing.assert_allclose(rec.residuals**2, least, rtol=1e-9, atol=1e-12)
 
 
 class TestOmp:

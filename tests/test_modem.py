@@ -95,6 +95,14 @@ class TestIqLevels:
         )
         assert not c.iq_levels.flags.writeable
 
+    @pytest.mark.parametrize("name", sorted(modem._REGISTRY))
+    def test_points_are_closed_under_negation(self, name):
+        """``-x`` is a point for every point ``x``: then ``ψ`` and ``-ψ`` are
+        both dictionary columns, which is why ``csmimo analyze`` reports
+        ``delta_2(phi*psi)`` as exactly 1 without enumerating supports."""
+        c = get_constellation(name)
+        assert set((-c.points).tolist()) == set(c.points.tolist())
+
     @pytest.mark.parametrize(
         "points",
         [
