@@ -18,8 +18,9 @@ from math import comb
 import numpy as np
 
 from .csmux import MeasurementMatrix
-from .dictionary import SubblockDictionary, digits
+from .dictionary import digits
 from .errors import DimensionMismatch, TooManyColumns
+from .modem import Constellation
 
 DEPENDENCE_TOL = 1e-10
 
@@ -145,26 +146,29 @@ def rip_constant(
 
 def verify_uniqueness(
     phi: MeasurementMatrix,
-    dictionary: SubblockDictionary,
+    alphabet: Constellation,
+    n: int,
     tol: float = DEPENDENCE_TOL,
 ) -> UniquenessReport:
-    """Check that all compressed candidate columns are pairwise distinct.
+    """Check that the ``q**n`` compressed candidate columns ``Φψ``, one per
+    ``n``-tuple ``ψ`` of ``alphabet``, are pairwise distinct.
 
     Distinct columns mean every noiseless sub-block pins down a unique
     candidate index, so exact recovery has no ties.  Reports the minimum
     pairwise distance; the distinctness threshold is ``tol`` times the
     largest column norm.
 
-    The dictionary holds every tuple ``ψ = P_u + i·P_v`` of the product
+    The candidates are every tuple ``ψ = P_u + i·P_v`` of the product
     alphabet's I/Q levels and ``phi`` is real, so ``||Φψ - Φψ'||² =
     ||Φ(P_u - P_u')||² + ||Φ(P_v - P_v')||²``.  A closest pair of distinct
     columns keeps one half equal: the minimum distance is that of the
     ``√q**n`` real tuples ``ΦP_u``, formed from their direct differences,
-    and the largest column norm is ``√2`` times the largest tuple norm.
+    and the largest column norm is ``√2`` times the largest tuple norm.  No
+    ``q**n`` dictionary is built.
     """
-    levels, n = dictionary.constellation.iq_levels, dictionary.n
+    levels = alphabet.iq_levels
     if levels is None:
-        raise ValueError(f"{dictionary.constellation.name} is not an I/Q product alphabet")
+        raise ValueError(f"{alphabet.name} is not an I/Q product alphabet")
     if phi.phi.shape[1] != n:
         raise DimensionMismatch(f"phi has {phi.phi.shape[1]} columns for sub-blocks of {n} symbols")
     b = phi.phi @ levels[digits(np.arange(levels.size**n), levels.size, n)].T
@@ -175,6 +179,6 @@ def verify_uniqueness(
     return UniquenessReport(
         unique=bool(min_distance > threshold),
         min_distance=min_distance,
-        d=dictionary.d,
+        d=alphabet.order**n,
         threshold=threshold,
     )

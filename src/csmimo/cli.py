@@ -8,9 +8,10 @@ from dataclasses import replace
 
 from . import analysis
 from .csmux import gen_phi, phi_to_text
-from .detection import SOLVERS, Codebook
+from .detection import SOLVERS
 from .errors import CsmimoError
 from .harness import load_spec, run_sweep
+from .modem import get_constellation
 
 
 # simulate flag -> the ExperimentSpec field it overrides
@@ -65,8 +66,7 @@ def _cmd_analyze(args) -> int:
     cfg = spec.config
     if args.phi_seed is not None:
         cfg = replace(cfg, phi_seed=args.phi_seed)
-    code = Codebook(cfg, gen_phi(cfg))
-    phi, dictionary = code.phi, code.dictionary
+    phi, alphabet, n = gen_phi(cfg), get_constellation(cfg.constellation), cfg.subblock_cols
 
     print(f"setup: ({cfg.nt},{cfg.nr})-{cfg.l}  [{cfg.constellation}, J={cfg.j}, rho={cfg.rho:g}]")
     print(
@@ -80,8 +80,8 @@ def _cmd_analyze(args) -> int:
             est = analysis.rip_constant(phi.phi, k)
             tag = "exhaustive" if est.exhaustive else f"sampled {est.n_supports}"
             print(f"delta_{k}(phi): {est.delta:.6g} ({tag})")
-    print(f"dictionary: n={dictionary.n}, d={dictionary.d} columns")
-    report = analysis.verify_uniqueness(phi, dictionary)
+    print(f"dictionary: n={n}, d={alphabet.order**n} columns")
+    report = analysis.verify_uniqueness(phi, alphabet, n)
     print(
         f"uniqueness(phi*psi): unique={report.unique},"
         f" min pairwise distance {report.min_distance:.6g}"

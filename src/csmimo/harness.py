@@ -2,20 +2,23 @@
 
 Every trial sends one channel use: fresh bits are modulated, compressed,
 pushed through an independent Rayleigh draw plus AWGN, then recovered and
-demapped.  Trial ``t`` draws all of its randomness from a generator seeded
+demapped.  Trial ``t`` draws all of its randomness from the stream seeded
 by ``(master_seed, t)``, so results do not depend on execution order and a
 trial index reuses the same bits/channel across SNR points (common random
 numbers).  Sweeps stop early at an SNR point once enough bit errors have
 accumulated for a stable estimate, up to the configured trial cap.
 
 Trials run trial-major, in chunks of consecutive indices.  Each trial draws
-from its own generator in a fixed order: bits, then the channel and any
-redraws, then the noise.  None of these depend on the SNR, so a chunk is
-drawn once for every point: each trial's generator is built once, its
-channel and noise come from one normal draw, and one stacked SVD checks
-every channel.  A trial whose first channel is not usable is replayed from
-a fresh generator: bits, channel, redraws, then noise.  The chunk is then
-detected at each SNR point still running, in one stacked pass per point
+exactly the stream of ``default_rng([master_seed, t])`` in a fixed order:
+bits, then the channel and any redraws, then the noise.  None of these
+depend on the SNR, so a chunk is drawn once for every point, from one
+reused generator rather than one per trial: the chunk's seeds are hashed
+as ``SeedSequence`` hashes them in one numpy pass, the generator is set to
+each trial's seeded state in turn, each trial's channel and noise come
+from one normal draw, and one stacked SVD checks every channel.  A trial
+whose first channel is not usable is replayed from a fresh
+``default_rng([master_seed, t])``: bits, channel, redraws, then noise.
+The chunk is then detected at each SNR point still running, in one stacked pass per point
 through the same receiver functions a single trial uses, so every decision
 is bit for bit the one-at-a-time result.  Every point is handed the same
 :class:`ChannelRealization`, so the factorizations cached on it (the SVD
@@ -295,22 +298,134 @@ class _Chunk(NamedTuple):
     redraws: np.ndarray
 
 
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): hashmix's initial
+# value and multiplier for mixing entropy into the 4-word pool and for
+# generate_state, mix's two multipliers, and PCG64's 128-bit LCG multiplier.
+# numpy keeps these streams fixed across releases (NEP 19); the property
+# tests hold _draw to default_rng on the installed numpy.
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_HASH_POOL = (0x43B0D7E5, 0x931E8875)
+_HASH_STATE = (0x8B51F9DD, 0x58F38DED)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _words32(x: int) -> list[int]:
+    """The 32-bit words of ``x >= 0``, least significant first, at least one."""
+    return [x >> s & _MASK32 for s in range(0, 32 * max(1, -(-x.bit_length() // 32)), 32)]
+
+
+def _hash_chain(init: int, mult: int, calls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hashmix's ``(xor, multiplier)`` constants for the call numbers
+    ``calls`` of a chain that starts at ``init``: the hash constant before
+    and after each call's step."""
+    h = [init]
+    for _ in range(calls.max() + 1):
+        h.append(h[-1] * mult & _MASK32)
+    h = np.array(h, dtype=np.uint32)
+    return h[calls], h[calls + 1]
+
+
+@lru_cache(maxsize=None)
+def _seed_hashes(words: int) -> tuple[np.ndarray, ...]:
+    """hashmix's read-only ``(xor, multiplier)`` constants for ``words``
+    entropy words, in SeedSequence's call order.
+
+    First the pool's, ``(steps, 4, 1)``, row ``d`` for pool word ``d``:
+    step 0 hashes entropy word ``d`` (0 past the end) into it; step
+    ``1 + s`` mixes pool word ``s`` into every other word (row ``s`` is
+    unused); step ``w + 1`` mixes entropy word ``w >= 4`` into all four.
+    Then generate_state's, ``(8, 1)``, for the pool words 0..3 twice."""
+    calls = [[0, 1, 2, 3]]
+    calls += [[4 + 3 * s + d - (d > s) if d != s else 0 for d in range(4)] for s in range(4)]
+    calls += [[4 * w + d for d in range(4)] for w in range(4, words)]
+    hashes = (*_hash_chain(*_HASH_POOL, np.array(calls)[..., None]),
+              *_hash_chain(*_HASH_STATE, np.arange(8)[:, None]))
+    for h in hashes:
+        h.flags.writeable = False
+    return hashes
+
+
+def _hashmix(v: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``hashmix`` of ``v`` at one step of its hash constant."""
+    v = (v ^ xor) * mult
+    return v ^ v >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``mix`` of ``y`` into the pool word ``x``."""
+    r = x * _MIX_L - y * _MIX_R
+    return r ^ r >> 16
+
+
+def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(e).generate_state(4, uint64)`` of each column ``e`` of
+    the uint32 ``entropy`` ``(words, n)``, as ``(n, 4)`` little-endian words."""
+    words, n = entropy.shape
+    xor, mult, state_xor, state_mult = _seed_hashes(words)
+    pool = np.zeros((4, n), dtype=np.uint32)
+    pool[: min(words, 4)] = entropy[:4]
+    pool = _hashmix(pool, xor[0], mult[0])
+    for s in range(4):
+        mixed = _mix(pool, _hashmix(pool[s], xor[1 + s], mult[1 + s]))
+        mixed[s] = pool[s]  # a pool word is not mixed into itself
+        pool = mixed
+    for w in range(4, words):
+        pool = _mix(pool, _hashmix(entropy[w], xor[1 + w], mult[1 + w]))
+    state = _hashmix(np.concatenate((pool, pool)), state_xor, state_mult)
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8")
+
+
+def _trial_seeds(seed: int, t0: int, n: int) -> np.ndarray:
+    """PCG64 seed words ``(n, 4)`` of ``SeedSequence([seed, t])`` for
+    ``t = t0 .. t0+n-1``, hashed per run of trials whose ``t`` has the same
+    number of 32-bit words."""
+    head, runs, t = _words32(seed), [], t0
+    while t < t0 + n:
+        size = len(_words32(t))
+        end = min(t0 + n, 1 << 32 * size)
+        entropy = np.empty((len(head) + size, end - t), dtype=np.uint32)
+        entropy[: len(head)] = np.array(head, dtype=np.uint32)[:, None]
+        entropy[len(head) :] = [[u >> s & _MASK32 for u in range(t, end)]
+                                for s in range(0, 32 * size, 32)]
+        runs.append(_pcg64_seeds(entropy))
+        t = end
+    return np.concatenate(runs)
+
+
 def _draw(seed: int, t0: int, n: int, nbits: int, nr: int, m_tx: int) -> tuple[np.ndarray, ...]:
     """Bits ``(n, nbits)``, first channels ``(n, nr, m_tx)`` and noise
     normals ``(n, 2·nr)``, real parts first, of trials ``t0 .. t0+n-1``.
 
-    Trial ``t`` draws from ``default_rng([seed, t])`` its bits, then in one
+    Trial ``t`` draws exactly the stream of ``default_rng([seed, t])``: its
+    bits as ``integers(0, 2, size=nbits, dtype=uint8)``, then in one
     normal draw the ``2·nr·m_tx`` normals of its channel (as
     :func:`sample_channel`) and the ``2·nr`` of its noise (as
-    :func:`apply_channel`).
+    :func:`apply_channel`).  No generator is built per trial: the chunk's
+    seeds are hashed as ``SeedSequence`` does in one pass, and one PCG64 is
+    set to each trial's state after seeding.  ``integers``' bit draw takes
+    one byte per bit from 32-bit halves of the 64-bit outputs, low half and
+    low byte first, and keeps the byte's top bit (Lemire's bounded draw of
+    a range of 2 is ``(2·byte) >> 8`` and never rejects); the normals start
+    at the next 64-bit output, so ``ceil(nbits/8)`` raw outputs hold the
+    bits.
     """
-    k = nr * m_tx
-    bits = np.empty((n, nbits), dtype=np.uint8)
+    k, words = nr * m_tx, -(-nbits // 8)
+    raw = np.empty((n, words), dtype="<u8")
     normals = np.empty((n, 2 * k + 2 * nr))
-    for t, b, out in zip(range(t0, t0 + n), bits, normals):
-        rng = np.random.default_rng([seed, t])
-        b[:] = rng.integers(0, 2, size=nbits, dtype=np.uint8)
-        rng.standard_normal(out=out)
+    bitgen = np.random.PCG64(0)  # each trial sets its own state
+    gen = np.random.Generator(bitgen)
+    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    for i, (s_hi, s_lo, q_hi, q_lo) in enumerate(_trial_seeds(seed, t0, n).tolist()):
+        # PCG64's seeding: inc = 2·q + 1, and the LCG x -> x·MULT + inc
+        # steps from 0, adds s and steps again
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        state["state"] = {"state": (((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) & _MASK128,
+                          "inc": inc}
+        bitgen.state = state
+        raw[i] = bitgen.random_raw(words)
+        gen.standard_normal(out=normals[i])
+    bits = raw.view(np.uint8)[:, :nbits] >> 7
     return bits, gains(normals[:, : 2 * k], nr, m_tx), normals[:, 2 * k :]
 
 

@@ -144,23 +144,20 @@ class TestRipConstant:
 class TestVerifyUniqueness:
     def test_shipped_setup_is_unique(self, qpsk, cfg_4x4_l8):
         phi = gen_phi(cfg_4x4_l8)
-        dictionary = build_dictionary(qpsk, cfg_4x4_l8.subblock_cols)
-        report = verify_uniqueness(phi, dictionary)
+        report = verify_uniqueness(phi, qpsk, cfg_4x4_l8.subblock_cols)
         assert report.unique
         assert report.d == 256
         assert report.min_distance > 0.0
 
     def test_zero_matrix_not_unique(self, qpsk):
-        dictionary = build_dictionary(qpsk, 2)
         phi = MeasurementMatrix(np.zeros((1, 2)), 0.0)
-        report = verify_uniqueness(phi, dictionary)
+        report = verify_uniqueness(phi, qpsk, 2)
         assert not report.unique
         assert report.min_distance == 0.0
 
     def test_identity_on_points_is_unique(self, qpsk):
-        dictionary = build_dictionary(qpsk, 1)
         phi = MeasurementMatrix(np.eye(1), 1.0)
-        report = verify_uniqueness(phi, dictionary)
+        report = verify_uniqueness(phi, qpsk, 1)
         assert report.unique
         assert report.d == 4
 
@@ -168,7 +165,7 @@ class TestVerifyUniqueness:
         """The I/Q form agrees with a dense all-pairs oracle."""
         phi = gen_phi(cfg_2x2_l4)
         dictionary = build_dictionary(qpsk, cfg_2x2_l4.subblock_cols)
-        report = verify_uniqueness(phi, dictionary)
+        report = verify_uniqueness(phi, qpsk, dictionary.n)
         dense = oracle_min_distance(phi.phi @ dictionary.psi)
         assert report.min_distance == pytest.approx(dense, rel=1e-12)
 
@@ -186,7 +183,7 @@ class TestVerifyUniqueness:
         phi = MeasurementMatrix(
             np.random.default_rng(seed).standard_normal((rows, n)) / np.sqrt(rows), 1.0
         )
-        report = verify_uniqueness(phi, dictionary)
+        report = verify_uniqueness(phi, dictionary.constellation, n)
         a = phi.phi @ dictionary.psi
         dense = oracle_min_distance(a)
         assert report.d == a.shape[1]
@@ -203,7 +200,7 @@ class TestVerifyUniqueness:
         cfg = replace(spec.config, constellation="qam16")
         phi = gen_phi(cfg)
         dictionary = build_dictionary(get_constellation("qam16"), cfg.subblock_cols)
-        report = verify_uniqueness(phi, dictionary)
+        report = verify_uniqueness(phi, dictionary.constellation, dictionary.n)
         dense = oracle_min_distance(phi.phi @ dictionary.psi)
         assert dense == pytest.approx(1.0414056e-05, rel=1e-7)
         assert report.min_distance == pytest.approx(dense, rel=1e-9)
@@ -214,7 +211,7 @@ class TestVerifyUniqueness:
         labels = (np.arange(8)[:, None] >> np.arange(2, -1, -1)) & 1
         psk8 = Constellation("psk8", np.exp(2j * np.pi * np.arange(8) / 8), labels)
         with pytest.raises(ValueError, match="not an I/Q product alphabet"):
-            verify_uniqueness(MeasurementMatrix(np.eye(1), 1.0), build_dictionary(psk8, 1))
+            verify_uniqueness(MeasurementMatrix(np.eye(1), 1.0), psk8, 1)
 
 
 def test_composition_keeps_rip_bounded():

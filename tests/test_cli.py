@@ -2,6 +2,7 @@
 
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -122,6 +123,23 @@ def test_analyze_compares_the_qam16_level_tuples(tmp_path, capsys):
     assert "dictionary: n=4, d=65536 columns" in text
     assert "uniqueness(phi*psi): unique=True, min pairwise distance 0.0450147" in text
     assert text == (GOLDEN / "mimo4x4_l8_qam16_analyze.txt").read_text(encoding="ascii")
+
+
+@pytest.mark.parametrize("constellation", ["qpsk", "qam16"])
+def test_analyze_builds_no_dictionary(tmp_path, capsys, constellation):
+    """``analyze`` prints ``d = q**n`` and reads uniqueness off the I/Q level
+    tuples, so it builds no ``q**n`` dictionary, and its report is still the
+    golden one."""
+    raw = json.loads(open(recipe_path("mimo4x4_l8.json")).read())
+    cfg = tmp_path / "recipe.json"
+    cfg.write_text(json.dumps({**raw, "constellation": constellation}))
+    with mock.patch("csmimo.dictionary.build_dictionary") as build, \
+            mock.patch("csmimo.detection.build_dictionary", build):
+        rc = main(["analyze", "--config", str(cfg)])
+    assert rc == 0
+    assert build.call_count == 0
+    golden = {"qpsk": "mimo4x4_l8_analyze.txt", "qam16": "mimo4x4_l8_qam16_analyze.txt"}
+    assert capsys.readouterr().out == (GOLDEN / golden[constellation]).read_text(encoding="ascii")
 
 
 def test_analyze_phi_seed_override(capsys):

@@ -19,7 +19,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import csmimo.harness as harness
-from csmimo.channel import ChannelRealization, NoiseSpec, apply_channel, received, sample_channel
+from csmimo.channel import (ChannelRealization, NoiseSpec, apply_channel, gains, received,
+                            sample_channel)
 from csmimo.csmux import MuxConfig, gen_phi, multiplex
 from csmimo.detection import Codebook, channel_is_usable, demux, zf_equalize
 from csmimo.errors import RankDeficientChannel
@@ -272,37 +273,58 @@ def _recipe(name, **kw):
 def test_streams_equal_a_fresh_generator_per_trial(recipe, baseline, seed, chunkings):
     """In any chunking, the chunk draw gives each trial the bits, channel and
     noise a fresh generator draws through ``integers``, ``sample_channel``
-    and ``apply_channel``, and leaves the trial's generator in the same
-    state.  The (2,2)-4 ``zf`` bits take half of a 64-bit word and leave
-    the other half buffered in that state."""
+    and ``apply_channel``.  The (2,2)-4 ``zf`` bits take half of a 64-bit
+    word, whose other half the normals skip."""
     spec = _recipe(recipe, baseline=baseline, master_seed=seed)
     cfg = spec.config
     nbits = spec.streams * get_constellation(cfg.constellation).bits_per_symbol
     noise = NoiseSpec(10.0, 0.3)
     z = np.linspace(-1.0, 1.0, cfg.m) * (1 - 0.5j)
-    fresh, built = np.random.default_rng, []
-
-    def build(key):
-        built.append(fresh(key))
-        return built[-1]
-
     for sizes in chunkings:
         t0 = 0
         for n in sizes:
-            built.clear()
-            with mock.patch("numpy.random.default_rng", build):
-                bits, h, normals = harness._draw(seed, t0, n, nbits, cfg.nr, cfg.m)
+            bits, h, normals = harness._draw(seed, t0, n, nbits, cfg.nr, cfg.m)
             y = received(h, np.broadcast_to(z, (n, cfg.m)), noise, normals)
-            assert len(built) == n
             for i, t in enumerate(range(t0, t0 + n)):
-                rng = fresh([seed, t])
+                rng = np.random.default_rng([seed, t])
                 np.testing.assert_array_equal(
                     bits[i], rng.integers(0, 2, size=nbits, dtype=np.uint8))
                 channel = sample_channel(cfg.nr, cfg.m, rng)
                 np.testing.assert_array_equal(h[i], channel.h)
                 np.testing.assert_array_equal(y[i], apply_channel(channel, z, noise, rng))
-                assert built[i].bit_generator.state == rng.bit_generator.state
             t0 += n
+
+
+@given(
+    seed=st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**96 - 1),
+                   st.integers(2**96, 2**130)),
+    t0=st.one_of(st.integers(0, 100), st.integers(2**32 - 8, 2**32 + 2),
+                 st.integers(2**64 - 4, 2**64)),
+    n=st.integers(1, 10),
+    nbits=st.one_of(st.just(4), st.integers(1, 90)),
+    shape=st.sampled_from([(2, 2), (4, 4), (3, 2)]),
+)
+@example(seed=0, t0=2**32 - 3, n=6, nbits=4, shape=(2, 2))
+@example(seed=2**96, t0=2**32 - 1, n=2, nbits=13, shape=(4, 4))
+@example(seed=2**128, t0=2**32 - 2, n=4, nbits=16, shape=(2, 2))
+@example(seed=2**128 - 1, t0=0, n=3, nbits=80, shape=(3, 2))
+@settings(max_examples=120, deadline=None)
+def test_chunk_draw_equals_default_rng(seed, t0, n, nbits, shape):
+    """Each trial of a chunk draws exactly what ``default_rng([seed, t])``
+    draws through ``integers(0, 2, size=nbits, dtype=uint8)`` and then
+    ``standard_normal``: also in a chunk whose ``t`` grows from one 32-bit
+    entropy word to two, and for seeds of 2**96 and more, whose words and
+    ``t``'s overflow ``SeedSequence``'s pool of four."""
+    nr, m_tx = shape
+    k = nr * m_tx
+    bits, h, noise = harness._draw(seed, t0, n, nbits, nr, m_tx)
+    assert bits.shape == (n, nbits) and bits.dtype == np.uint8
+    for i, t in enumerate(range(t0, t0 + n)):
+        rng = np.random.default_rng([seed, t])
+        np.testing.assert_array_equal(bits[i], rng.integers(0, 2, size=nbits, dtype=np.uint8))
+        normals = rng.standard_normal(2 * k + 2 * nr)
+        np.testing.assert_array_equal(h[i], gains(normals[: 2 * k], nr, m_tx))
+        np.testing.assert_array_equal(noise[i], normals[2 * k :])
 
 
 def _trial_generators(rng_mock):
@@ -310,9 +332,10 @@ def _trial_generators(rng_mock):
     return sorted(c.args[0][1] for c in rng_mock.call_args_list if isinstance(c.args[0], list))
 
 
-def test_one_generator_per_trial_index_and_per_redrawn_trial(monkeypatch):
-    """A sweep builds each trial index's generator once, plus one for each
-    trial whose first channel is not usable, whatever the number of SNR
+def test_only_redrawn_trials_build_a_generator(monkeypatch):
+    """A sweep draws its trials without a generator per trial; only a trial
+    whose first channel is not usable is replayed from its own
+    ``default_rng([master_seed, t])``, once, whatever the number of SNR
     points; a second sweep builds the same ones again."""
     _RankDeficientOn({2: {0}, 5: {0, 1}}).patch(monkeypatch)
     spec = _stop_spec(snr_db=(0.0, 10.0, 20.0), trials=12, early_stop_errors=0)
@@ -322,15 +345,34 @@ def test_one_generator_per_trial_index_and_per_redrawn_trial(monkeypatch):
             rows = run_sweep(spec).rows
         built.append(_trial_generators(rng))
     assert [r.redraws for r in rows] == [3, 3, 3]
-    assert built == [sorted([*range(12), 2, 5])] * 2
+    assert built == [[2, 5]] * 2
+
+
+def _fresh_bits(spec, t):
+    nbits = spec.streams * get_constellation(spec.config.constellation).bits_per_symbol
+    return np.random.default_rng([spec.master_seed, t]).integers(0, 2, size=nbits, dtype=np.uint8)
 
 
 def test_run_trial_seeds_only_its_trial():
+    """``run_trial`` builds no generator and hashes only its own trial's
+    seed, and draws that trial's stream."""
     spec = _stop_spec()
     run_trial(spec, 0)
-    with mock.patch("numpy.random.default_rng", wraps=np.random.default_rng) as rng:
-        run_trial(spec, 7)
-    assert rng.call_args_list == [mock.call([spec.master_seed, 7])]
+    with mock.patch("numpy.random.default_rng", wraps=np.random.default_rng) as rng, \
+            mock.patch.object(harness, "_trial_seeds", wraps=harness._trial_seeds) as seeds:
+        rec = run_trial(spec, 7)
+    assert rng.call_args_list == []
+    assert seeds.call_args_list == [mock.call(spec.master_seed, 7, 1)]
+    np.testing.assert_array_equal(rec.tx_bits, _fresh_bits(spec, 7))
+    assert (rec.symbol_errors, rec.redraws) == _sequential_trial(spec, 7, spec.snr_db[0])[2:]
+
+
+@pytest.mark.parametrize("seed", [3, 2**100], ids=["seed-3", "seed-2**100"])
+def test_run_trial_of_a_two_word_index(seed):
+    """Trial ``2**32 + 1``, whose index is two entropy words, has the bits
+    of its fresh generator, also with a seed of four words."""
+    spec = _stop_spec(master_seed=seed)
+    np.testing.assert_array_equal(run_trial(spec, 2**32 + 1).tx_bits, _fresh_bits(spec, 2**32 + 1))
 
 
 def test_oneshot_sweep_factors_each_chunk_once():
