@@ -16,7 +16,7 @@ them for one trial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -31,13 +31,17 @@ class ChannelRealization:
 
     Its factorizations are cached per object, one stacked LAPACK call each
     over the whole stack: every receiver that is handed the same object
-    shares them.  Both raise ``ValueError`` for a channel that is not
-    finite.  The object keeps the caller's array, so whoever writes into
-    ``h`` afterwards must build a new object.  Two realizations compare and
-    hash by identity.
+    shares them, and so does every slice ``channel[lo:hi]`` of the stack.
+    Both raise ``ValueError`` for a channel that is not finite.  The object
+    keeps the caller's array, so whoever writes into ``h`` afterwards must
+    build a new object.  Two realizations compare and hash by identity.
     """
 
     h: np.ndarray
+    # (stack, rows) for a slice made by __getitem__, whose factorizations
+    # are those rows of the stack's
+    _whole: tuple[ChannelRealization, slice] | None = field(
+        default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         h = np.asarray(self.h, dtype=np.complex128)
@@ -64,16 +68,34 @@ class ChannelRealization:
             raise ValueError("channel must be finite")
         return self.h
 
+    def __getitem__(self, rows: slice) -> ChannelRealization:
+        """The draws ``rows`` of the leading trial axis.  The slice shares
+        this stack's factorizations: its ``svd`` and ``qr`` are those rows
+        of the stack's, each factored once for the whole stack on first use
+        by the stack or any of its slices, so they raise if any draw of the
+        stack is not finite."""
+        if not isinstance(rows, slice) or not self.stack_shape:
+            raise TypeError("a channel stack is sliced along its leading trial axis only")
+        part = ChannelRealization(self.h[rows])
+        object.__setattr__(part, "_whole", (self, rows))
+        return part
+
+    def _factored(self, name: str, factor) -> tuple[np.ndarray, ...]:
+        if self._whole is None:
+            return factor(self._finite())
+        whole, rows = self._whole
+        return tuple(f[rows] for f in getattr(whole, name))
+
     @cached_property
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Thin SVD ``(u, s, vh)`` of every matrix, computed once per draw."""
-        return np.linalg.svd(self._finite(), full_matrices=False)
+        return self._factored("svd", lambda h: np.linalg.svd(h, full_matrices=False))
 
     @cached_property
     def qr(self) -> tuple[np.ndarray, np.ndarray]:
         """Complete QR ``(q, r)`` of every matrix, computed once per draw:
         ``q`` is ``(..., nr, nr)`` and ``r`` is ``(..., nr, m_tx)``."""
-        return np.linalg.qr(self._finite(), mode="complete")
+        return self._factored("qr", lambda h: np.linalg.qr(h, mode="complete"))
 
 
 @dataclass(frozen=True)

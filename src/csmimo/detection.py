@@ -18,7 +18,7 @@ a block sphere search after a QR factorization of the channel.
 Both factorizations, the SVD that ZF and the usability check read and the
 QR of the one-shot search, are cached on the :class:`ChannelRealization`,
 each made once per stack of channels: callers that detect the same channels
-at several SNR points pass the same object to every point.
+at several SNR points pass the same object, or slices of it, to every point.
 """
 
 from __future__ import annotations
@@ -386,9 +386,10 @@ def _demux_oneshot(y, h, code, cap):
     to the lowest joint index ``sum k_j d**j``.  ``cap`` bounds the number
     of candidates scored (visited nodes times ``d``); running out raises
     :class:`DictionaryTooLarge` rather than returning a truncated answer.
-    The QR is ``h.qr``, one stacked factorization per channel object, so
-    the SNR points of a sweep that share ``h`` also share it; every trial
-    is rotated by ``Q^H`` in one stacked product.
+    The QR is ``h.qr``, one stacked factorization per channel stack, which
+    its slices share, so the SNR points of a sweep that detect slices of
+    one stack share it too; every trial is rotated by ``Q^H`` in one
+    stacked product.
     """
     cfg = code.cfg
     a = code.sensing * code.gain

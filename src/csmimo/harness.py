@@ -18,14 +18,17 @@ each trial's seeded state in turn, each trial's channel and noise come
 from one normal draw, and one stacked SVD checks every channel.  A trial
 whose first channel is not usable is replayed from a fresh
 ``default_rng([master_seed, t])``: bits, channel, redraws, then noise.
-The chunk is then detected at each SNR point still running, in one stacked pass per point
-through the same receiver functions a single trial uses, so every decision
-is bit for bit the one-at-a-time result.  Every point is handed the same
-:class:`ChannelRealization`, so the factorizations cached on it (the SVD
-for ZF, the QR for the ``oneshot`` search) are made once per chunk.  The
-chunk size follows from a fixed working-set budget and from the early-stop
-progress of the running points.  A point cuts the chunk back to the trial where its early stop
-fires and leaves the sweep, so the CSV does not depend on the chunk size.
+Each SNR point still running then walks the chunk in slices of its own
+size, each detected in one stacked pass through the same receiver
+functions a single trial uses, so every decision is bit for bit the
+one-at-a-time result.  Every slice is a slice of the chunk's
+:class:`ChannelRealization` and shares its cached factorizations (the SVD
+for ZF, the QR for the ``oneshot`` search), so each is made once per
+chunk.  A point's slices follow from a fixed working-set budget and from
+its own early-stop progress, and the chunk is the largest slice any
+running point asks for at its start.  A point cuts its last slice back to
+the trial where its early stop fires and leaves the sweep, so the CSV
+does not depend on the chunk or slice sizes.
 
 Two baselines bound the scheme: plain spatial multiplexing with ZF
 detection (``m`` streams), and the naive overload that crams all ``l``
@@ -236,12 +239,13 @@ def throughput_proxy(ber_row: SweepRow, spec: ExperimentSpec) -> float:
     return spec.streams * b * (1.0 - ber_row.ser)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Prepared:
     """Per-sweep precomputation shared by all trials.
 
     ``code`` is the scheme's; a baseline has none, since it slices the ZF
-    estimate directly.  ``chunk_cap`` is the most trials whose stacked
+    estimate directly, and has instead its ``spread`` ``S``, which is
+    ``None`` for the scheme.  ``chunk_cap`` is the most trials whose stacked
     arrays fit in ``_CHUNK_BYTES``.
     """
 
@@ -249,6 +253,7 @@ class _Prepared:
     modem: Constellation
     code: Codebook | None
     chunk_cap: int
+    spread: np.ndarray | None = None
 
 
 def _chunk_cap(cfg: MuxConfig, solver: str | None) -> int:
@@ -277,7 +282,9 @@ def _prepare(spec: ExperimentSpec, phi: MeasurementMatrix | None = None) -> _Pre
     if spec.baseline:
         if phi is not None:
             raise ValueError(f"the {spec.baseline} baseline compresses nothing; it takes no phi")
-        return _Prepared(spec, c, None, _chunk_cap(cfg, None))
+        copies = spec.streams // cfg.m
+        spread = np.hstack([np.eye(cfg.m)] * copies) / np.sqrt(copies)
+        return _Prepared(spec, c, None, _chunk_cap(cfg, None), spread)
     code = Codebook(cfg, phi if phi is not None else gen_phi(cfg))
     return _Prepared(spec, c, code, _chunk_cap(cfg, spec.solver))
 
@@ -287,9 +294,23 @@ def _prepare(spec: ExperimentSpec, phi: MeasurementMatrix | None = None) -> _Pre
 _prepared = lru_cache(maxsize=8)(_prepare)
 
 
+class _Drawn(NamedTuple):
+    """What a chunk of ``n`` trials sends, the same at every SNR point:
+    bits ``(n, bits per trial)``, symbol indices ``(n, streams)``, transmit
+    vectors ``(n, m)``, usable channels, noise normals ``(n, 2·nr)`` and
+    redraws per trial."""
+
+    tx_bits: np.ndarray
+    tx_idx: np.ndarray
+    z: np.ndarray
+    channel: ChannelRealization
+    normals: np.ndarray
+    redraws: np.ndarray
+
+
 class _Chunk(NamedTuple):
-    """Per-trial outcome of a chunk at one SNR point; bit arrays are
-    ``(n, bits per trial)``."""
+    """Per-trial outcome of a slice of a chunk at one SNR point; bit arrays
+    are ``(n, bits per trial)``."""
 
     tx_bits: np.ndarray
     rx_bits: np.ndarray
@@ -446,21 +467,18 @@ def _replay(
     return draw.h, rng.standard_normal(2 * nr), redraws
 
 
-def _run_chunk(prep: _Prepared, t0: int, n: int, snrs: tuple[float, ...]) -> list[_Chunk]:
-    """Trials ``t0 .. t0+n-1`` drawn once, then detected at each SNR point of
-    ``snrs`` in one stacked pass per point."""
+def _draw_chunk(prep: _Prepared, t0: int, n: int) -> _Drawn:
+    """Trials ``t0 .. t0+n-1`` drawn, modulated, multiplexed (or spread by
+    a baseline) and sent through their usable channels."""
     spec, cfg, c = prep.spec, prep.spec.config, prep.modem
     nbits = spec.streams * c.bits_per_symbol
     tx_bits, h, normals = _draw(spec.master_seed, t0, n, nbits, cfg.nr, cfg.m)
     tx_idx = symbol_indices(tx_bits, c).reshape(n, spec.streams)
     x = c.points[tx_idx]
-
     if prep.code is None:
         # a baseline sums its streams onto the m spatial streams, c copies
         # each, with unit energy per transmit dimension: z = S x
-        copies = spec.streams // cfg.m
-        spread = np.hstack([np.eye(cfg.m)] * copies) / np.sqrt(copies)
-        z = (spread @ x[..., None])[..., 0]
+        z = (prep.spread @ x[..., None])[..., 0]
     else:
         z = multiplex(x, prep.code.phi, cfg)
     channel, redraws = ChannelRealization(h), np.zeros(n, dtype=np.int64)
@@ -468,31 +486,68 @@ def _run_chunk(prep: _Prepared, t0: int, n: int, snrs: tuple[float, ...]) -> lis
         h[i], normals[i], redraws[i] = _replay(spec.master_seed, t0 + i, nbits, cfg.nr, cfg.m)
     if redraws.any():
         channel = ChannelRealization(h)
+    return _Drawn(tx_bits, tx_idx, z, channel, normals, redraws)
 
-    chunks = []
-    for snr_db in snrs:
-        y = received(h, z, NoiseSpec.from_snr(snr_db, float(cfg.m)), normals)
-        if prep.code is None:
-            # S has orthonormal rows, so S^T H^+ = (H S)^+
-            x_hat = zf_equalize(y, channel).z_hat @ spread
-        else:
-            x_hat = demux(y, channel, prep.code, solver=spec.solver).x_hat
-        rx_idx = nearest_point_indices(x_hat, c).reshape(n, spec.streams)
-        rx_bits = c.labels[rx_idx].reshape(n, -1)
-        bit_errors = (tx_bits != rx_bits).sum(axis=1)
-        sym_errors = (tx_idx != rx_idx).sum(axis=1)
-        chunks.append(_Chunk(tx_bits, rx_bits, bit_errors, sym_errors, redraws))
-    return chunks
+
+def _detect(prep: _Prepared, drawn: _Drawn, lo: int, hi: int, snr_db: float) -> _Chunk:
+    """Trials ``lo .. hi-1`` of a drawn chunk detected at one SNR point in
+    one stacked pass, on the slice of the chunk's channels that shares
+    their factorizations."""
+    spec, c = prep.spec, prep.modem
+    channel = drawn.channel[lo:hi]
+    noise = NoiseSpec.from_snr(snr_db, float(spec.config.m))
+    y = received(channel.h, drawn.z[lo:hi], noise, drawn.normals[lo:hi])
+    if prep.code is None:
+        # S has orthonormal rows, so S^T H^+ = (H S)^+
+        x_hat = zf_equalize(y, channel).z_hat @ prep.spread
+    else:
+        x_hat = demux(y, channel, prep.code, solver=spec.solver).x_hat
+    n, tx_bits, tx_idx = hi - lo, drawn.tx_bits[lo:hi], drawn.tx_idx[lo:hi]
+    rx_idx = nearest_point_indices(x_hat, c).reshape(n, spec.streams)
+    rx_bits = c.labels[rx_idx].reshape(n, -1)
+    return _Chunk(tx_bits, rx_bits, (tx_bits != rx_bits).sum(axis=1),
+                  (tx_idx != rx_idx).sum(axis=1), drawn.redraws[lo:hi])
+
+
+def _run_chunk(prep: _Prepared, t0: int, n: int, snrs: tuple[float, ...]) -> list[_Chunk]:
+    """Trials ``t0 .. t0+n-1`` drawn once, then detected whole at each SNR
+    point of ``snrs`` in one stacked pass per point."""
+    drawn = _draw_chunk(prep, t0, n)
+    return [_detect(prep, drawn, 0, n, snr_db) for snr_db in snrs]
+
+
+def _tally_chunk(prep: _Prepared, t0: int, n: int, running: list[int], tally: np.ndarray) -> None:
+    """Trials ``t0 .. t0+n-1`` drawn once, then walked by each running
+    point in its own slices, each sized by :func:`_chunk_size` from the
+    point's progress, up to the trial where its early stop fires; the kept
+    trials are added to the point's row of ``tally``.  The drawn chunk is
+    released on return."""
+    spec, target = prep.spec, prep.spec.early_stop_errors
+    drawn = _draw_chunk(prep, t0, n)
+    for p in running:
+        lo = 0
+        while lo < n and not (target and tally[p, 1] >= target):
+            hi = lo + min(n - lo, _chunk_size(spec, prep.chunk_cap, t0 + lo, int(tally[p, 1])))
+            chunk = _detect(prep, drawn, lo, hi, spec.snr_db[p])
+            kept = hi - lo
+            if target:
+                hit = np.flatnonzero(tally[p, 1] + np.cumsum(chunk.bit_errors) >= target)
+                kept = int(hit[0]) + 1 if hit.size else kept
+            tally[p] += (kept, chunk.bit_errors[:kept].sum(), chunk.symbol_errors[:kept].sum(),
+                         chunk.redraws[:kept].sum())
+            lo = hi
 
 
 def _chunk_size(spec: ExperimentSpec, cap: int, done: int, errors: int) -> int:
-    """Trials in the next chunk of an SNR point after ``done`` trials.
+    """Trials an SNR point detects next after ``done`` trials with
+    ``errors`` bit errors: the size of its next slice, and the largest of
+    these over the running points sizes the next drawn chunk.
 
-    Without early stop it is the memory cap.  Otherwise the chunk doubles
+    Without early stop it is the memory cap.  Otherwise it doubles
     (1, 2, 4, ...) until a first error, then it is the number of trials
     expected to reach the stop at the error rate seen so far, divided by
     ``1 + 2/sqrt(errors)``: the rate is known to about ``1/sqrt(errors)``
-    of itself, so a chunk seldom runs past the stop, where its trials are
+    of itself, so a slice seldom runs past the stop, where its trials are
     dropped.
     """
     size = min(spec.trials - done, cap)
@@ -542,12 +597,13 @@ def run_sweep(spec: ExperimentSpec, phi: MeasurementMatrix | None = None) -> Swe
     """Aggregate trials over the SNR grid, early-stopping on enough errors.
 
     Trials run in chunks (see the module docstring), each drawn once and
-    detected at every SNR point still running.  A point stops at the first
-    trial whose cumulative bit errors reach ``early_stop_errors``, as if
-    trials ran one at a time: later trials of its chunk are dropped, and
-    when a chunk raises, its trials run again one at a time, so an error
-    surfaces only from a trial the sequential rule reaches, the first such
-    trial in trial order.
+    walked by every SNR point still running, in slices of its own size.  A
+    point stops at the first trial whose cumulative bit errors reach
+    ``early_stop_errors``, as if trials ran one at a time: later trials of
+    its slice are dropped, and it detects no later slice.  When a chunk
+    raises, the tally goes back to the chunk's start and its trials run
+    again one at a time, so an error surfaces only from a trial the
+    sequential rule reaches, the first such trial in trial order.
     """
     prep = _prepare(spec, phi)
     target = spec.early_stop_errors
@@ -559,23 +615,18 @@ def run_sweep(spec: ExperimentSpec, phi: MeasurementMatrix | None = None) -> Swe
         if t0 < one_by_one_until:
             n = 1
         else:
-            n = min(_chunk_size(spec, prep.chunk_cap, t0, int(tally[p, 1])) for p in running)
+            n = max(_chunk_size(spec, prep.chunk_cap, t0, int(tally[p, 1])) for p in running)
+        before = tally.copy()
         try:
-            chunks = _run_chunk(prep, t0, n, tuple(spec.snr_db[p] for p in running))
+            _tally_chunk(prep, t0, n, running, tally)
         except Exception:
             # whatever a trial raises, rerun its chunk one trial at a time:
             # the error may belong to a trial past every stop
             if n == 1:
                 raise
+            tally[:] = before
             one_by_one_until = t0 + n
             continue
-        for p, chunk in zip(running, chunks):
-            kept = n
-            if target:
-                hit = np.flatnonzero(tally[p, 1] + np.cumsum(chunk.bit_errors) >= target)
-                kept = int(hit[0]) + 1 if hit.size else n
-            tally[p] += (kept, chunk.bit_errors[:kept].sum(), chunk.symbol_errors[:kept].sum(),
-                         chunk.redraws[:kept].sum())
         t0 += n
         running = [p for p in running if not (target and tally[p, 1] >= target)]
     rows = []

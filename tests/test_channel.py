@@ -1,9 +1,13 @@
 """Tests for the fading channel and noise accounting."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from csmimo.channel import ChannelRealization, NoiseSpec, apply_channel, sample_channel
+from csmimo.channel import ChannelRealization, NoiseSpec, apply_channel, gains, sample_channel
 from csmimo.errors import DimensionMismatch
 
 
@@ -55,6 +59,44 @@ class TestFactorizations:
             np.testing.assert_array_equal(q[t], want_q)
             np.testing.assert_array_equal(r[t], want_r)
         assert channel.qr is channel.qr
+
+    @given(nr=st.integers(1, 5), m=st.integers(1, 5), n=st.integers(1, 12), data=st.data(),
+           stack_first=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_slices_share_the_stacks_factorizations(self, nr, m, n, data, stack_first, seed):
+        """``channel[lo:hi]`` has, bit for bit, the SVD and QR of a stack of
+        its own draws.  They are the stack's rows: whether the stack or a
+        slice is factored first, each factorization is made once, and
+        slicing after that, a slice of a slice included, makes no further
+        LAPACK call."""
+        lo = data.draw(st.integers(0, n - 1))
+        hi = data.draw(st.integers(lo + 1, n))
+        h = gains(np.random.default_rng(seed).standard_normal((n, 2 * nr * m)), nr, m)
+        channel = ChannelRealization(h)
+        with mock.patch("numpy.linalg.svd", wraps=np.linalg.svd) as svd, \
+                mock.patch("numpy.linalg.qr", wraps=np.linalg.qr) as qr:
+            if stack_first:
+                channel.svd, channel.qr
+            part = channel[lo:hi]
+            got = (*part.svd, *part.qr)
+            again = channel[lo:hi][: hi - lo]
+            got_again = (*again.svd, *again.qr)
+            channel.svd, channel.qr
+        assert (svd.call_count, qr.call_count) == (1, 1)
+        own = ChannelRealization(h[lo:hi].copy())
+        for want, a, b in zip((*own.svd, *own.qr), got, got_again):
+            np.testing.assert_array_equal(a, want)
+            np.testing.assert_array_equal(b, want)
+        np.testing.assert_array_equal(part.h, own.h)
+
+    def test_only_a_stack_is_sliced(self):
+        """Slicing cuts trials off the leading axis, never rows of one matrix."""
+        one = sample_channel(2, 2, np.random.default_rng(6))
+        with pytest.raises(TypeError, match="leading trial axis"):
+            one[0:1]
+        stack = ChannelRealization(np.stack([one.h, one.h]))
+        with pytest.raises(TypeError, match="leading trial axis"):
+            stack[0]
 
     def test_equal_draws_compare_and_hash_by_identity(self):
         h = sample_channel(2, 2, np.random.default_rng(5)).h

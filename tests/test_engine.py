@@ -8,14 +8,15 @@ early-stop rule.  ``run_sweep`` and ``run_trial`` must reproduce both
 exactly, whatever the chunk sizes.
 """
 
-from contextlib import nullcontext
+import sys
+from contextlib import ExitStack, nullcontext
 from dataclasses import replace
 from importlib.resources import files
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import csmimo.harness as harness
@@ -254,6 +255,145 @@ def test_failure_before_the_stop_surfaces(monkeypatch):
                 run_sweep(spec)
 
 
+class _Injected(Exception):
+    """The failure :class:`_Schedule` plants at one SNR point and trial."""
+
+
+class _Schedule:
+    """Records what a sweep draws and detects.
+
+    ``drawn`` holds the ``(t0, n)`` of each ``_draw`` call and ``detected``
+    the ``(snr_db, first, end)`` trial range of each ``_detect`` call.  With
+    ``fail_at = (snr_db, t)``, a detect call whose slice holds trial ``t``
+    at ``snr_db`` raises :class:`_Injected`, and so does the sequential
+    oracle's trial ``t`` at that point.
+    """
+
+    def __init__(self, fail_at=None):
+        self.fail_at = fail_at
+        self.drawn, self.detected = [], []
+        self._starts = {}
+
+    def _draw(self, seed, t0, n, *args):
+        self.drawn.append((t0, n))
+        return self._originals["_draw"](seed, t0, n, *args)
+
+    def _draw_chunk(self, prep, t0, n):
+        drawn = self._originals["_draw_chunk"](prep, t0, n)
+        self._starts[id(drawn)] = t0
+        return drawn
+
+    def _detect(self, prep, drawn, lo, hi, snr_db):
+        t0 = self._starts[id(drawn)]
+        self.detected.append((snr_db, t0 + lo, t0 + hi))
+        if self.fail_at and self.fail_at[0] == snr_db and t0 + lo <= self.fail_at[1] < t0 + hi:
+            raise _Injected(self.fail_at)
+        return self._originals["_detect"](prep, drawn, lo, hi, snr_db)
+
+    def _sequential_trial(self, spec, t, snr_db):
+        if (snr_db, t) == self.fail_at:
+            raise _Injected(self.fail_at)
+        return self._originals["_sequential_trial"](spec, t, snr_db)
+
+    def __enter__(self):
+        self._stack = ExitStack()
+        self._originals = {}
+        for module, name in [(harness, "_draw"), (harness, "_draw_chunk"), (harness, "_detect"),
+                             (sys.modules[__name__], "_sequential_trial")]:
+            self._originals[name] = getattr(module, name)
+            self._stack.enter_context(mock.patch.object(module, name, getattr(self, name)))
+        return self
+
+    def __exit__(self, *exc):
+        self._stack.close()
+
+    def pairs(self):
+        """Every detected ``(snr_db, trial)`` pair, in detection order."""
+        return [(snr, t) for snr, first, end in self.detected for t in range(first, end)]
+
+
+def _outcome(sweep, spec):
+    """``sweep(spec)``'s rows, or the ``(type, args)`` of what it raises."""
+    try:
+        return sweep(spec)
+    except Exception as exc:
+        return type(exc), exc.args
+
+
+def _check_schedule(spec, schedule, rows):
+    """Each trial is drawn once and detected by some point, and each point
+    detects each trial at most once, its kept trials included."""
+    end = 0
+    for t0, n in schedule.drawn:
+        assert t0 == end
+        end += n
+    pairs = schedule.pairs()
+    assert len(pairs) == len(set(pairs))
+    assert {t for _, t in pairs} == set(range(end))
+    for row in rows:
+        assert {(row.snr_db, t) for t in range(row.trials)} <= set(pairs)
+
+
+def test_shipped_zf_sweep_draws_and_detects_each_trial_once():
+    """The shipped (2,2)-4 ``zf`` sweep, eleven early-stopped points: the
+    chunks' draws are contiguous and disjoint, and no point detects a
+    trial twice, while each point sizes its own slices."""
+    spec = _recipe("mimo2x2_l4", baseline="zf")
+    with _Schedule() as schedule:
+        rows = run_sweep(spec).rows
+    _check_schedule(spec, schedule, rows)
+    chunks = {(t0, t0 + n) for t0, n in schedule.drawn}
+    assert any((first, end) not in chunks for _, first, end in schedule.detected)
+
+
+_STOPPING = _small_specs().filter(lambda s: s.early_stop_errors and len(s.snr_db) > 1)
+
+
+@given(spec=_STOPPING, cap=st.sampled_from([1, 3, 7, None]))
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+def test_each_trial_is_drawn_once_and_detected_once_per_point(spec, cap):
+    """Early-stopped sweeps of several points with no failure: the oracle's
+    rows, each trial drawn once and no (point, trial) pair detected twice."""
+    with mock.patch.object(harness, "_chunk_cap", lambda cfg, scan: cap) if cap else nullcontext():
+        with _Schedule() as schedule:
+            rows = run_sweep(spec).rows
+    assert rows == _sequential_rows(spec)
+    _check_schedule(spec, schedule, rows)
+
+
+@pytest.mark.parametrize("bad", [3, 6], ids=["before-stop", "past-stop"])
+def test_a_later_points_failure_rolls_the_chunk_back(bad):
+    """Trials 1..10 of this sweep are one chunk.  The 0 dB point detects it
+    in one slice and stops at trial 4; the 6 dB point tallies trials 1..2,
+    then detects 3..6 in a slice that holds its stop at trial 5 and raises
+    for a failure planted at trial ``bad``.  The tally goes back to the
+    chunk's start and the chunk reruns one trial at a time: the sweep gives
+    the oracle's failure for trial 3, which the 6 dB point reaches, and for
+    trial 6, past its stop, the oracle's rows, with no trial of the chunk
+    counted twice."""
+    spec = _stop_spec(snr_db=(0.0, 6.0), master_seed=50)
+    assert _stops(spec) == [5, 6]
+    with _Schedule(fail_at=(6.0, bad)) as schedule:
+        expected = _outcome(_sequential_rows, spec)
+        got = _outcome(lambda s: run_sweep(s).rows, spec)
+    assert got == expected
+    assert (expected[0] is _Injected) == (bad < 6)
+    assert schedule.drawn[:2] == [(0, 1), (1, 10)]
+    assert schedule.detected[2:5] == [(0.0, 1, 11), (6.0, 1, 3), (6.0, 3, 7)]
+
+
+@given(spec=_STOPPING, data=st.data(), cap=st.sampled_from([2, 7, None]))
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+def test_a_failure_at_any_point_and_trial_matches_the_oracle(spec, data, cap):
+    """A failure planted in any point's slice, at any trial, gives exactly
+    the sequential oracle's rows or its failure."""
+    snr = data.draw(st.sampled_from(spec.snr_db[1:]))
+    bad = data.draw(st.integers(0, spec.trials - 1))
+    with mock.patch.object(harness, "_chunk_cap", lambda cfg, scan: cap) if cap else nullcontext():
+        with _Schedule(fail_at=(snr, bad)):
+            assert _outcome(lambda s: run_sweep(s).rows, spec) == _outcome(_sequential_rows, spec)
+
+
 RECIPES = ("mimo2x2_l4", "mimo4x4_l8", "mimo20x20_l40")
 
 
@@ -376,10 +516,10 @@ def test_run_trial_of_a_two_word_index(seed):
 
 
 def test_oneshot_sweep_factors_each_chunk_once():
-    """Every SNR point of a ``oneshot`` sweep detects a chunk with the QR
-    made once for that chunk's channels."""
+    """Every slice that an SNR point of a ``oneshot`` sweep detects uses the
+    QR made once for its drawn chunk's channels."""
     spec = _stop_spec(snr_db=(0.0, 10.0, 20.0), trials=60, solver="oneshot")
-    with mock.patch.object(harness, "_run_chunk", wraps=harness._run_chunk) as chunks, \
+    with mock.patch.object(harness, "_draw_chunk", wraps=harness._draw_chunk) as chunks, \
             mock.patch("numpy.linalg.qr", wraps=np.linalg.qr) as qr:
         rows = run_sweep(spec).rows
     assert chunks.call_count >= 2
