@@ -125,20 +125,6 @@ def sensing_matrix(
     return phi.phi @ dictionary.psi
 
 
-def _colnorm2(a: np.ndarray) -> np.ndarray:
-    """Squared Euclidean norm of every column of a complex matrix."""
-    return np.einsum("ij,ij->j", a.real, a.real) + np.einsum("ij,ij->j", a.imag, a.imag)
-
-
-def _scan_matrix(a: np.ndarray) -> np.ndarray:
-    """Real ``(rows + 1, d)`` scan matrix ``[-2 a; ||a||²]`` of a real
-    ``(rows, d)`` matrix; its last row is :func:`_colnorm2` of ``a``."""
-    scan = np.empty((a.shape[0] + 1, a.shape[1]))
-    np.multiply(a, -2.0, out=scan[:-1])
-    scan[-1] = _colnorm2(a)
-    return scan
-
-
 @dataclass(frozen=True, eq=False)
 class Codebook:
     """What transmitter and receiver share for one setup ``cfg``: its
@@ -178,7 +164,7 @@ class Codebook:
     @cached_property
     def iq_scan(self) -> tuple[np.ndarray, np.ndarray]:
         """What the I/Q-split ``ml`` scan reads, both read-only: the real
-        ``(rows + 1, p)`` :func:`_scan_matrix` ``[-2ΦP; ||ΦP||²]``, whose
+        ``(rows + 1, p)`` scan matrix ``[-2ΦP; ||ΦP||²]``, whose
         ``P`` holds the ``p = √q**n`` tuples of the alphabet's I/Q levels
         in the dictionary's little-endian mixed-radix order, and the
         ``(p, p)`` dictionary column of real parts ``P[:, u]`` and imaginary
@@ -193,7 +179,10 @@ class Codebook:
             np.arange(c.order)
         )
         joint = sum(point_of[np.ix_(digit, digit)] * c.order**i for i, digit in enumerate(tuples))
-        scan = _scan_matrix(self.phi.phi @ levels[tuples])
+        b = self.phi.phi @ levels[tuples]
+        scan = np.empty((b.shape[0] + 1, b.shape[1]))
+        np.multiply(b, -2.0, out=scan[:-1])
+        scan[-1] = np.einsum("ij,ij->j", b, b)
         scan.flags.writeable = joint.flags.writeable = False
         return scan, joint
 

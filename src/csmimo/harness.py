@@ -11,12 +11,12 @@ accumulated for a stable estimate, up to the configured trial cap.
 Trials run trial-major, in chunks of consecutive indices.  Each trial draws
 exactly the stream of ``default_rng([master_seed, t])`` in a fixed order:
 bits, then the channel and any redraws, then the noise.  None of these
-depend on the SNR, so a chunk is drawn once for every point, from one
-reused generator rather than one per trial: the chunk's seeds are hashed
-as ``SeedSequence`` hashes them in one numpy pass, the generator is set to
-each trial's seeded state in turn, each trial's channel and noise come
-from one normal draw, and one stacked SVD checks every channel.  A trial
-whose first channel is not usable is replayed from a fresh
+depend on the SNR, so a chunk is drawn once for every point, without a
+``SeedSequence`` per trial: the chunk's seeds are hashed as
+``SeedSequence`` hashes them in one numpy pass, numpy seeds each trial's
+PCG64 from its hashed words, each trial's channel and noise come from one
+normal draw, and one stacked SVD checks every channel.  A trial whose
+first channel is not usable is replayed from a fresh
 ``default_rng([master_seed, t])``: bits, channel, redraws, then noise.
 Each SNR point still running then walks the chunk in slices of its own
 size, each detected in one stacked pass through the same receiver
@@ -309,26 +309,23 @@ class _Drawn(NamedTuple):
 
 
 class _Chunk(NamedTuple):
-    """Per-trial outcome of a slice of a chunk at one SNR point; bit arrays
-    are ``(n, bits per trial)``."""
+    """Per-trial outcome of a slice of a chunk at one SNR point: decided
+    bits ``(n, bits per trial)``, bit errors and symbol errors."""
 
-    tx_bits: np.ndarray
     rx_bits: np.ndarray
     bit_errors: np.ndarray
     symbol_errors: np.ndarray
-    redraws: np.ndarray
 
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx): hashmix's initial
 # value and multiplier for mixing entropy into the 4-word pool and for
-# generate_state, mix's two multipliers, and PCG64's 128-bit LCG multiplier.
-# numpy keeps these streams fixed across releases (NEP 19); the property
-# tests hold _draw to default_rng on the installed numpy.
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+# generate_state, and mix's two multipliers.  numpy keeps these streams
+# fixed across releases (NEP 19); the property tests hold _draw to
+# default_rng on the installed numpy.
+_MASK32 = (1 << 32) - 1
 _HASH_POOL = (0x43B0D7E5, 0x931E8875)
 _HASH_STATE = (0x8B51F9DD, 0x58F38DED)
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _words32(x: int) -> list[int]:
@@ -414,6 +411,19 @@ def _trial_seeds(seed: int, t0: int, n: int) -> np.ndarray:
     return np.concatenate(runs)
 
 
+class _SeedWords(NamedTuple):
+    """A trial's hashed seed ``words``, a C-contiguous ``(4,)`` uint64 row,
+    as the seed sequence ``np.random.PCG64`` reads its state from;
+    :func:`_draw` registers the class as numpy's ``ISeedSequence``."""
+
+    words: np.ndarray
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"seed words are 4 uint64, not {n_words} {np.dtype(dtype)}")
+        return self.words
+
+
 def _draw(seed: int, t0: int, n: int, nbits: int, nr: int, m_tx: int) -> tuple[np.ndarray, ...]:
     """Bits ``(n, nbits)``, first channels ``(n, nr, m_tx)`` and noise
     normals ``(n, 2·nr)``, real parts first, of trials ``t0 .. t0+n-1``.
@@ -422,30 +432,25 @@ def _draw(seed: int, t0: int, n: int, nbits: int, nr: int, m_tx: int) -> tuple[n
     bits as ``integers(0, 2, size=nbits, dtype=uint8)``, then in one
     normal draw the ``2·nr·m_tx`` normals of its channel (as
     :func:`sample_channel`) and the ``2·nr`` of its noise (as
-    :func:`apply_channel`).  No generator is built per trial: the chunk's
-    seeds are hashed as ``SeedSequence`` does in one pass, and one PCG64 is
-    set to each trial's state after seeding.  ``integers``' bit draw takes
+    :func:`apply_channel`).  No ``SeedSequence`` is built per trial: the
+    chunk's seeds are hashed as it hashes them in one pass, and numpy seeds
+    each trial's PCG64 from its words.  ``integers``' bit draw takes
     one byte per bit from 32-bit halves of the 64-bit outputs, low half and
     low byte first, and keeps the byte's top bit (Lemire's bounded draw of
     a range of 2 is ``(2·byte) >> 8`` and never rejects); the normals start
     at the next 64-bit output, so ``ceil(nbits/8)`` raw outputs hold the
     bits.
     """
+    # registered here, not at import, so that import csmimo loads no
+    # numpy.random; registering again is a no-op
+    np.random.bit_generator.ISeedSequence.register(_SeedWords)
     k, words = nr * m_tx, -(-nbits // 8)
     raw = np.empty((n, words), dtype="<u8")
     normals = np.empty((n, 2 * k + 2 * nr))
-    bitgen = np.random.PCG64(0)  # each trial sets its own state
-    gen = np.random.Generator(bitgen)
-    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
-    for i, (s_hi, s_lo, q_hi, q_lo) in enumerate(_trial_seeds(seed, t0, n).tolist()):
-        # PCG64's seeding: inc = 2·q + 1, and the LCG x -> x·MULT + inc
-        # steps from 0, adds s and steps again
-        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-        state["state"] = {"state": (((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) & _MASK128,
-                          "inc": inc}
-        bitgen.state = state
+    for i, trial_words in enumerate(_trial_seeds(seed, t0, n)):
+        bitgen = np.random.PCG64(_SeedWords(trial_words))
         raw[i] = bitgen.random_raw(words)
-        gen.standard_normal(out=normals[i])
+        np.random.Generator(bitgen).standard_normal(out=normals[i])
     bits = raw.view(np.uint8)[:, :nbits] >> 7
     return bits, gains(normals[:, : 2 * k], nr, m_tx), normals[:, 2 * k :]
 
@@ -505,15 +510,7 @@ def _detect(prep: _Prepared, drawn: _Drawn, lo: int, hi: int, snr_db: float) -> 
     n, tx_bits, tx_idx = hi - lo, drawn.tx_bits[lo:hi], drawn.tx_idx[lo:hi]
     rx_idx = nearest_point_indices(x_hat, c).reshape(n, spec.streams)
     rx_bits = c.labels[rx_idx].reshape(n, -1)
-    return _Chunk(tx_bits, rx_bits, (tx_bits != rx_bits).sum(axis=1),
-                  (tx_idx != rx_idx).sum(axis=1), drawn.redraws[lo:hi])
-
-
-def _run_chunk(prep: _Prepared, t0: int, n: int, snrs: tuple[float, ...]) -> list[_Chunk]:
-    """Trials ``t0 .. t0+n-1`` drawn once, then detected whole at each SNR
-    point of ``snrs`` in one stacked pass per point."""
-    drawn = _draw_chunk(prep, t0, n)
-    return [_detect(prep, drawn, 0, n, snr_db) for snr_db in snrs]
+    return _Chunk(rx_bits, (tx_bits != rx_bits).sum(axis=1), (tx_idx != rx_idx).sum(axis=1))
 
 
 def _tally_chunk(prep: _Prepared, t0: int, n: int, running: list[int], tally: np.ndarray) -> None:
@@ -534,7 +531,7 @@ def _tally_chunk(prep: _Prepared, t0: int, n: int, running: list[int], tally: np
                 hit = np.flatnonzero(tally[p, 1] + np.cumsum(chunk.bit_errors) >= target)
                 kept = int(hit[0]) + 1 if hit.size else kept
             tally[p] += (kept, chunk.bit_errors[:kept].sum(), chunk.symbol_errors[:kept].sum(),
-                         chunk.redraws[:kept].sum())
+                         drawn.redraws[lo : lo + kept].sum())
             lo = hi
 
 
@@ -568,10 +565,10 @@ def run_trial(
 ) -> TrialRecord:
     """Run one deterministic trial; defaults to the first SNR grid point.
 
-    The trial is a chunk of one through the sweep engine, so its bits equal
-    those the trial has inside any sweep.  ``phi`` overrides the seeded
-    Gaussian draw (e.g. an identity matrix for degenerate-equivalence
-    checks).  The preparation of the last few ``(spec, phi)`` pairs is
+    The trial is a chunk of one, drawn and detected as a sweep's chunks
+    are, so its bits equal those the trial has inside any sweep.  ``phi``
+    overrides the seeded Gaussian draw (e.g. an identity matrix for
+    degenerate-equivalence checks).  The preparation of the last few ``(spec, phi)`` pairs is
     kept, so repeated calls build the codebook once.
     """
     trial_index = require_int(trial_index, "trial_index")
@@ -579,16 +576,17 @@ def run_trial(
         raise ValueError("trial_index must be non-negative")
     point = spec.snr_db[0] if snr_db is None else _snr_point(snr_db)
     prep = _prepared(spec, phi)
-    (chunk,) = _run_chunk(prep, trial_index, 1, (point,))
+    drawn = _draw_chunk(prep, trial_index, 1)
+    chunk = _detect(prep, drawn, 0, 1, point)
     return TrialRecord(
         trial_index=trial_index,
         snr_db=point,
-        bits=chunk.tx_bits.shape[1],
+        bits=drawn.tx_bits.shape[1],
         bit_errors=int(chunk.bit_errors[0]),
         symbols=spec.streams,
         symbol_errors=int(chunk.symbol_errors[0]),
-        redraws=int(chunk.redraws[0]),
-        tx_bits=chunk.tx_bits[0],
+        redraws=int(drawn.redraws[0]),
+        tx_bits=drawn.tx_bits[0],
         rx_bits=chunk.rx_bits[0],
     )
 
@@ -679,7 +677,8 @@ def parse_snr_grid(value) -> tuple[float, ...]:
             raise ValueError(f"grid {text!r} needs finite start, step and stop")
         if step <= 0:
             raise ValueError("grid step must be positive")
-        n = int(np.floor((stop - start) / step + 0.5)) + 1
+        # points up to stop, with slack for a ratio such as 0.3/0.1 = 2.9999999999999996
+        n = int(np.floor((stop - start) / step + 1e-9)) + 1
         if n < 1:
             raise ValueError(f"grid {text!r} is empty")
         return tuple(start + i * step for i in range(n))

@@ -1,6 +1,7 @@
 """Tests for equalization and the sparse recovery solvers."""
 
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -19,8 +20,6 @@ from csmimo.csmux import (
 )
 from csmimo.detection import (
     Codebook,
-    _colnorm2,
-    _scan_matrix,
     channel_is_usable,
     demux,
     recover_subblock_ml,
@@ -178,7 +177,8 @@ class TestIqSplit:
         diffs = blocks[..., None] - a
         metric = (diffs.real**2 + diffs.imag**2).sum(axis=-2)
         least = metric.min(axis=-1)
-        margin = 1e-9 * ((blocks.real**2 + blocks.imag**2).sum(axis=-1) + _colnorm2(a).max())
+        colnorm2 = (a.real**2 + a.imag**2).sum(axis=0)
+        margin = 1e-9 * ((blocks.real**2 + blocks.imag**2).sum(axis=-1) + colnorm2.max())
         picked = np.take_along_axis(metric, rec.s_indices[..., None], axis=-1)[..., 0]
         assert (picked <= least + margin).all()
         unique = (metric <= (least + margin)[..., None]).sum(axis=-1) == 1
@@ -449,8 +449,10 @@ class TestCodebook:
         and never builds the dictionary or the sensing matrix."""
         cfg, phi, dictionary = pipeline
         code = Codebook(cfg, phi)
-        calls = []
-        monkeypatch.setattr(detection, "_scan_matrix", lambda m: calls.append(m) or _scan_matrix(m))
+        calls, build = [], Codebook.iq_scan.func
+        counted = cached_property(lambda self: calls.append(self) or build(self))
+        counted.__set_name__(Codebook, "iq_scan")
+        monkeypatch.setattr(Codebook, "iq_scan", counted)
         h = sample_channel(cfg.nr, cfg.m, np.random.default_rng(2))
         ys = np.random.default_rng(3).standard_normal((6, cfg.nr))
         demux(ys[0], h, code)
@@ -466,8 +468,9 @@ class TestCodebook:
         levels, n = np.array([-1.0, 1.0]) / np.sqrt(2.0), dictionary.n
         # P[i, u]: level digit i of u, little-endian, as the dictionary orders
         p = np.array([[levels[(u >> i) & 1] for u in range(2**n)] for i in range(n)])
-        np.testing.assert_array_equal(scan[:-1], -2.0 * (phi.phi @ p))
-        np.testing.assert_array_equal(scan[-1], _colnorm2(phi.phi @ p))
+        b = phi.phi @ p
+        np.testing.assert_array_equal(scan[:-1], -2.0 * b)
+        np.testing.assert_array_equal(scan[-1], np.einsum("ij,ij->j", b, b))
         assert sorted(joint.ravel().tolist()) == list(range(dictionary.d))
         for (u, v), k in np.ndenumerate(joint):
             np.testing.assert_array_equal(dictionary.psi[:, k], p[:, u] + 1j * p[:, v])

@@ -8,10 +8,13 @@ early-stop rule.  ``run_sweep`` and ``run_trial`` must reproduce both
 exactly, whatever the chunk sizes.
 """
 
+import os
+import subprocess
 import sys
 from contextlib import ExitStack, nullcontext
 from dataclasses import replace
 from importlib.resources import files
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -19,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import csmimo
 import csmimo.harness as harness
 from csmimo.channel import (ChannelRealization, NoiseSpec, apply_channel, gains, received,
                             sample_channel)
@@ -210,13 +214,15 @@ def test_redraws_inside_a_chunk_land_on_their_trial(monkeypatch, baseline):
     spec = _stop_spec(snr_db=(0.0, 10.0), trials=10, early_stop_errors=0, baseline=baseline)
     prep = harness._prepare(spec)
     assert prep.chunk_cap >= 10
-    for snr, chunk in zip(spec.snr_db, harness._run_chunk(prep, 0, 10, spec.snr_db)):
+    drawn = harness._draw_chunk(prep, 0, 10)
+    for snr in spec.snr_db:
+        chunk = harness._detect(prep, drawn, 0, 10, snr)
         for t in range(10):
             tx, rx, sym, red = _sequential_trial(spec, t, snr)
-            np.testing.assert_array_equal(chunk.tx_bits[t], tx)
+            np.testing.assert_array_equal(drawn.tx_bits[t], tx)
             np.testing.assert_array_equal(chunk.rx_bits[t], rx)
-            assert (chunk.symbol_errors[t], chunk.redraws[t]) == (sym, red)
-        assert chunk.redraws.tolist() == [0, 0, 2, 0, 1, 0, 0, 0, 0, 0]
+            assert (chunk.symbol_errors[t], drawn.redraws[t]) == (sym, red)
+        assert drawn.redraws.tolist() == [0, 0, 2, 0, 1, 0, 0, 0, 0, 0]
     with _fixed_chunks(10):
         assert run_sweep(spec).rows == _sequential_rows(spec)
 
@@ -465,6 +471,38 @@ def test_chunk_draw_equals_default_rng(seed, t0, n, nbits, shape):
         normals = rng.standard_normal(2 * k + 2 * nr)
         np.testing.assert_array_equal(h[i], gains(normals[: 2 * k], nr, m_tx))
         np.testing.assert_array_equal(noise[i], normals[2 * k :])
+
+
+def test_seed_words_answer_only_pcg64s_request():
+    """A trial's hashed words reach ``PCG64`` as numpy's ``ISeedSequence``:
+    they answer ``generate_state(4, uint64)``, the one request ``PCG64``
+    makes, with ``SeedSequence([seed, t])``'s words, and any other request
+    fails in one line."""
+    harness._draw(5, 7, 1, 1, 1, 1)  # registers the adapter
+    words = harness._trial_seeds(5, 7, 1)[0]
+    seeded = harness._SeedWords(words)
+    assert isinstance(seeded, np.random.bit_generator.ISeedSequence)
+    assert seeded.generate_state(4, np.uint64) is words
+    np.testing.assert_array_equal(
+        words, np.random.SeedSequence([5, 7]).generate_state(4, np.uint64))
+    np.testing.assert_array_equal(np.random.PCG64(seeded).random_raw(3),
+                                  np.random.default_rng([5, 7]).bit_generator.random_raw(3))
+    for request in [(4,), (4, np.uint32), (2, np.uint64), (8, np.uint64)]:
+        with pytest.raises(ValueError, match="^seed words are 4 uint64, not ") as err:
+            seeded.generate_state(*request)
+        assert "\n" not in str(err.value)
+
+
+def test_import_loads_no_numpy_random():
+    """``import csmimo`` leaves ``numpy.random`` unloaded, so a sweep's
+    setup pays for it only at its first draw."""
+    code = "import sys, csmimo; print('numpy.random' in sys.modules)"
+    src = str(Path(csmimo.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 def _trial_generators(rng_mock):

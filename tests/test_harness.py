@@ -336,11 +336,13 @@ class TestBaselines:
                               baseline="overload", early_stop_errors=0)
         c = get_constellation(constellation)
         stack = np.hstack([np.eye(m)] * copies) / np.sqrt(copies)
-        chunks = harness._run_chunk(harness._prepare(spec), 0, spec.trials, spec.snr_db)
-        for snr, chunk in zip(spec.snr_db, chunks):
+        prep = harness._prepare(spec)
+        drawn = harness._draw_chunk(prep, 0, spec.trials)
+        for snr in spec.snr_db:
+            chunk = harness._detect(prep, drawn, 0, spec.trials, snr)
             for t in range(spec.trials):
                 rng = np.random.default_rng([seed, t])
-                x = c.points[symbol_indices(rng.integers(0, 2, size=chunk.tx_bits.shape[1],
+                x = c.points[symbol_indices(rng.integers(0, 2, size=drawn.tx_bits.shape[1],
                                                          dtype=np.uint8), c)]
                 h = sample_channel(cfg.nr, m, rng)
                 while not channel_is_usable(h):
@@ -390,6 +392,11 @@ class TestThroughputAndCi:
 class TestConfigFiles:
     def test_grid_parsing(self):
         assert parse_snr_grid("0:2:6") == (0.0, 2.0, 4.0, 6.0)
+        # a grid never passes its stop
+        assert parse_snr_grid("0:4:10") == (0.0, 4.0, 8.0)
+        assert parse_snr_grid("0:2:1") == (0.0,)
+        assert parse_snr_grid("5:10:20") == (5.0, 15.0)
+        assert parse_snr_grid("0:0.1:0.3") == pytest.approx((0.0, 0.1, 0.2, 0.3))
         assert parse_snr_grid("1,3,9") == (1.0, 3.0, 9.0)
         assert parse_snr_grid([0, 5]) == (0.0, 5.0)
         assert parse_snr_grid("inf") == (INF,)
