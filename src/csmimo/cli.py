@@ -7,7 +7,7 @@ import sys
 from dataclasses import replace
 
 from . import analysis
-from .csmux import gen_phi, phi_to_text
+from .csmux import block_width, gen_phi, phi_to_text
 from .detection import SOLVERS
 from .errors import CsmimoError
 from .harness import load_spec, run_sweep
@@ -66,6 +66,8 @@ def _cmd_analyze(args) -> int:
     cfg = spec.config
     if args.phi_seed is not None:
         cfg = replace(cfg, phi_seed=args.phi_seed)
+    # the pairwise check holds √q**n × √q**n = q**n distances
+    d = block_width(cfg, "analyze")
     phi, alphabet, n = gen_phi(cfg), get_constellation(cfg.constellation), cfg.subblock_cols
 
     print(f"setup: ({cfg.nt},{cfg.nr})-{cfg.l}  [{cfg.constellation}, J={cfg.j}, rho={cfg.rho:g}]")
@@ -80,7 +82,7 @@ def _cmd_analyze(args) -> int:
             est = analysis.rip_constant(phi.phi, k)
             tag = "exhaustive" if est.exhaustive else f"sampled {est.n_supports}"
             print(f"delta_{k}(phi): {est.delta:.6g} ({tag})")
-    print(f"dictionary: n={n}, d={alphabet.order**n} columns")
+    print(f"dictionary: n={n}, d={d} columns")
     report = analysis.verify_uniqueness(phi, alphabet, n)
     print(
         f"uniqueness(phi*psi): unique={report.unique},"

@@ -47,8 +47,12 @@ class MuxConfig:
 
     ``m = min(nt, nr)`` spatial streams carry ``l >= m`` modulated streams,
     so the compression ratio is ``rho = m / l``.  ``j`` must divide both
-    ``l`` and ``m`` so the sub-blocks have integral shape, and the per-block
-    candidate count ``order**(l/j)`` must stay under ``dictionary_cap``.
+    ``l`` and ``m`` so the sub-blocks have integral shape.  ``dictionary_cap``
+    bounds the entries of the largest per-block table a step builds, which
+    :func:`block_width` gives per solver; the setup itself checks only the
+    floor every solver shares: the ``ml`` width ``√q**n``, the narrowest,
+    and ``q**n < 2**63`` for the int64 joint index of a sub-block of
+    ``n = l/j`` symbols from an alphabet of ``q``.
     """
 
     nt: int
@@ -76,13 +80,10 @@ class MuxConfig:
             raise BadSubblockShape(
                 f"j={self.j} must divide both l={self.l} and m={m}"
             )
-        order = get_constellation(self.constellation).order
-        width = order ** (self.l // self.j)
-        if width > self.dictionary_cap:
-            raise DictionaryTooLarge(
-                f"per-block dictionary width {order}^{self.l // self.j} = {width} "
-                f"exceeds cap {self.dictionary_cap}"
-            )
+        order, n = get_constellation(self.constellation).order, self.subblock_cols
+        if order**n >= 2**63:
+            raise DictionaryTooLarge(f"joint index range {order}^{n} does not fit in int64")
+        block_width(self, "ml")
 
     @property
     def m(self) -> int:
@@ -99,6 +100,23 @@ class MuxConfig:
     @property
     def subblock_cols(self) -> int:
         return self.l // self.j
+
+
+def block_width(cfg: MuxConfig, solver: str) -> int:
+    """Entries in the largest per-block table ``solver`` builds for ``cfg``:
+    the ``√q**n`` real I/Q level tuples that each ``ml`` half-scan scores,
+    and ``q**n`` for the dictionary of ``omp`` and ``oneshot`` and for the
+    pairwise level-tuple distances of ``analyze``.  Raises
+    :class:`DictionaryTooLarge` when it exceeds ``cfg.dictionary_cap``.
+    """
+    c, n = get_constellation(cfg.constellation), cfg.subblock_cols
+    base = c.iq_levels.size if solver == "ml" else c.order
+    if base**n > cfg.dictionary_cap:
+        raise DictionaryTooLarge(
+            f"{solver} per-block table width {base}^{n} = {base**n} "
+            f"exceeds cap {cfg.dictionary_cap}"
+        )
+    return base**n
 
 
 @dataclass(frozen=True, eq=False)

@@ -167,8 +167,9 @@ class Codebook:
         ``(rows + 1, p)`` scan matrix ``[-2ΦP; ||ΦP||²]``, whose
         ``P`` holds the ``p = √q**n`` tuples of the alphabet's I/Q levels
         in the dictionary's little-endian mixed-radix order, and the
-        ``(p, p)`` dictionary column of real parts ``P[:, u]`` and imaginary
-        parts ``P[:, v]`` at ``[u, v]``."""
+        ``(r, r)`` table, ``r = √q``, of the alphabet's point index with
+        real part ``levels[a]`` and imaginary part ``levels[b]`` at
+        ``[a, b]``."""
         c, n = self.alphabet, self.cfg.subblock_cols
         levels, r = c.iq_levels, c.iq_levels.size
         # the (n, p) level digits of every tuple, copied to C order so that
@@ -178,13 +179,12 @@ class Codebook:
         point_of[np.searchsorted(levels, c.points.real), np.searchsorted(levels, c.points.imag)] = (
             np.arange(c.order)
         )
-        joint = sum(point_of[np.ix_(digit, digit)] * c.order**i for i, digit in enumerate(tuples))
         b = self.phi.phi @ levels[tuples]
         scan = np.empty((b.shape[0] + 1, b.shape[1]))
         np.multiply(b, -2.0, out=scan[:-1])
         scan[-1] = np.einsum("ij,ij->j", b, b)
-        scan.flags.writeable = joint.flags.writeable = False
-        return scan, joint
+        scan.flags.writeable = point_of.flags.writeable = False
+        return scan, point_of
 
     @cached_property
     def omp_norms(self) -> np.ndarray:
@@ -208,12 +208,15 @@ def _ml_split(z: np.ndarray, code: Codebook) -> tuple[np.ndarray, np.ndarray]:
 
     ``||z - Φψ||² = ||Re z - Φ Re ψ||² + ||Im z - Φ Im ψ||²`` for a real
     ``Φ``, so the joint argmin is the pair of half argmins.  Returns the
-    ``(..., J)`` columns ``joint[u, v]`` of the real-part argmin ``u`` and
-    the imaginary-part argmin ``v``, each half breaking ties to its lowest
-    level tuple, and the residual norms of the same two minima.
+    ``(..., J)`` columns of the real-part argmin ``u`` and the
+    imaginary-part argmin ``v``, each half breaking ties to its lowest
+    level tuple, and the residual norms of the same two minima.  A column
+    is decoded from the level digits of ``u`` and ``v`` alone, symbol ``i``
+    being ``point_of[digit i of u, digit i of v]``, so nothing of size
+    ``q**n`` is built.
     """
-    scan, joint = code.iq_scan
-    j = z.shape[-2]
+    scan, point_of = code.iq_scan
+    j, n, r = z.shape[-2], code.cfg.subblock_cols, point_of.shape[0]
     # rows 0 .. J-1 score the real parts of the blocks and rows J .. 2J-1
     # the imaginary parts, in one real product per leading index
     zr = np.empty(z.shape[:-2] + (2 * j, z.shape[-1] + 1))
@@ -225,7 +228,9 @@ def _ml_split(z: np.ndarray, code: Codebook) -> tuple[np.ndarray, np.ndarray]:
     best = metric.reshape(-1, scan.shape[1])[np.arange(k.size), k.ravel()].reshape(k.shape)
     best += np.einsum("...i,...i->...", zr[..., :-1], zr[..., :-1])
     res = np.sqrt(np.maximum(best[..., :j] + best[..., j:], 0.0))
-    return joint[k[..., :j], k[..., j:]], res
+    levels = digits(k, r, n)
+    symbols = point_of[levels[..., :j, :], levels[..., j:, :]]
+    return symbols @ code.alphabet.order ** np.arange(n), res
 
 
 def recover_subblock_ml(z_hat_j: np.ndarray, sensing: np.ndarray) -> tuple[int, float]:

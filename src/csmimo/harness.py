@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import MISSING, Field, dataclass, fields, replace
+from decimal import Decimal, InvalidOperation
 from functools import lru_cache
 from math import ceil, sqrt
 from pathlib import Path
@@ -55,7 +56,7 @@ import numpy as np
 
 from .channel import ChannelRealization, NoiseSpec, gains, received, sample_channel
 from .channel import apply_channel  # noqa: F401  (perfbench traces it by this name)
-from .csmux import MeasurementMatrix, MuxConfig, gen_phi, multiplex
+from .csmux import MeasurementMatrix, MuxConfig, block_width, gen_phi, multiplex
 from .csmux import require_int, require_ints
 from .detection import SOLVERS, Codebook, channel_is_usable, demux, zf_equalize
 from .detection import build_dictionary, sensing_matrix  # noqa: F401  (perfbench traces them)
@@ -67,6 +68,9 @@ BASELINES = (None, "zf", "overload")
 CSV_HEADER = "snr_db,trials,bits,bit_errors,ber,sym_errors,ser,throughput,ci_low,ci_high"
 
 _MAX_CHANNEL_REDRAWS = 1000
+
+# most points a start:step:stop SNR grid may hold
+_MAX_GRID_POINTS = 10_000
 
 # Working-set budget of one chunk, in bytes, and a fixed allowance per trial
 # for what _chunk_cap does not count by shape: the trial's bits, symbols,
@@ -84,7 +88,9 @@ class ExperimentSpec:
     noiseless point.  ``trials`` caps the Monte Carlo count per SNR point;
     ``early_stop_errors`` ends a point once that many bit errors have been
     seen (0 disables early stopping).  Counts and seeds must be integers.
-    Config files hold exactly these fields and those of :class:`MuxConfig`.
+    The scheme's per-block table must fit ``dictionary_cap`` for its
+    ``solver`` (:func:`block_width`); a baseline builds none.  Config files
+    hold exactly these fields and those of :class:`MuxConfig`.
     """
 
     config: MuxConfig
@@ -114,6 +120,8 @@ class ExperimentSpec:
             raise ValueError(
                 f"unknown baseline {self.baseline!r}; choose from {BASELINES[1:]}"
             )
+        if self.baseline is None:
+            block_width(self.config, self.solver)
         if self.baseline == "overload" and self.config.l % self.config.m:
             raise ValueError(
                 "overload baseline needs l to be a multiple of m "
@@ -258,22 +266,21 @@ class _Prepared:
 
 def _chunk_cap(cfg: MuxConfig, solver: str | None) -> int:
     """Trials per chunk within ``_CHUNK_BYTES``: ``_TRIAL_BYTES``, the
-    channel and its SVD factors, and what ``solver`` holds per trial.  The
-    ``ml`` scan holds its real metric, 8 B per candidate it scores: the
-    ``2·J·√q**n`` I/Q level tuples of its two half-scans; the ``omp``
-    pick holds the complex correlation, its absolute value and the
-    quotient by the column norms, 32 B per candidate; the ``oneshot``
-    search holds the cached QR, ``q``, its ``q.conj()`` temporary and ``r``.
-    Complex entries count 16 B.  ``None`` is a baseline, which slices its ZF
-    estimate and holds nothing more."""
+    channel and its SVD factors, and what ``solver`` holds per trial for
+    each entry of its :func:`block_width` in each of the ``J`` blocks.  The
+    ``ml`` scan holds its real metric, 8 B for each level tuple of both
+    half-scans; the ``omp`` pick holds the complex correlation, its
+    absolute value and the quotient by the column norms, 32 B per column;
+    the ``oneshot`` search holds the cached QR, ``q``, its ``q.conj()``
+    temporary and ``r``.  Complex entries count 16 B.  ``None`` is a
+    baseline, which slices its ZF estimate and holds nothing more."""
     nr, m = cfg.nr, cfg.m
     entries = 2 * nr * m + m * m
     if solver == "oneshot":
         entries += 2 * nr * nr + nr * m
-    c, n = get_constellation(cfg.constellation), cfg.subblock_cols
-    candidates = 2 * cfg.j * c.iq_levels.size**n if solver == "ml" else cfg.j * c.order**n
-    per_candidate = {"ml": 8, "omp": 32}.get(solver, 0)
-    return max(1, _CHUNK_BYTES // (_TRIAL_BYTES + 16 * entries + per_candidate * candidates))
+    per_entry = {"ml": 16, "omp": 32}.get(solver, 0)
+    scan = per_entry * cfg.j * block_width(cfg, solver) if per_entry else 0
+    return max(1, _CHUNK_BYTES // (_TRIAL_BYTES + 16 * entries + scan))
 
 
 def _prepare(spec: ExperimentSpec, phi: MeasurementMatrix | None = None) -> _Prepared:
@@ -660,7 +667,11 @@ def _snr_point(value) -> float:
 
 def parse_snr_grid(value) -> tuple[float, ...]:
     """dB values from text (``start:step:stop``, a comma list or ``inf``),
-    a single number, or any other iterable of numbers, in the given order."""
+    a single number, or any other iterable of numbers, in the given order.
+
+    A ``start:step:stop`` range is read in decimal, so its points are the
+    decimals written: ``float(start + i·step)`` for every ``i`` that does
+    not pass ``stop``, at most ``_MAX_GRID_POINTS`` of them."""
     if not isinstance(value, str):
         try:
             points = iter(value)
@@ -672,25 +683,28 @@ def parse_snr_grid(value) -> tuple[float, ...]:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"grid {text!r} must be start:step:stop")
-        start, step, stop = (_grid_value(p.strip(), text) for p in parts)
-        if not all(np.isfinite([start, step, stop])):
+        start, step, stop = (_grid_value(p.strip(), text, Decimal) for p in parts)
+        if not all(d.is_finite() and np.isfinite(float(d)) for d in (start, step, stop)):
             raise ValueError(f"grid {text!r} needs finite start, step and stop")
         if step <= 0:
             raise ValueError("grid step must be positive")
-        # points up to stop, with slack for a ratio such as 0.3/0.1 = 2.9999999999999996
-        n = int(np.floor((stop - start) / step + 1e-9)) + 1
-        if n < 1:
+        span = stop - start
+        if span < 0:
             raise ValueError(f"grid {text!r} is empty")
-        return tuple(start + i * step for i in range(n))
+        if span >= step * _MAX_GRID_POINTS:
+            raise ValueError(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
+        return tuple(float(start + i * step) for i in range(int(span // step) + 1))
     return tuple(_grid_value(p.strip(), text) for p in text.split(",") if p.strip())
 
 
-def _grid_value(point, grid) -> float:
+def _grid_value(point, grid, parse=float):
+    """``point`` as ``parse`` reads it; anything else, booleans included,
+    raises one line naming ``grid``."""
     try:
         if isinstance(point, (bool, np.bool_)):
             raise TypeError
-        return float(point)
-    except (TypeError, ValueError):
+        return parse(point)
+    except (TypeError, ValueError, InvalidOperation):
         raise ValueError(f"grid {grid!r}: {point!r} is not a dB value") from None
 
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface."""
 
 import json
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -140,6 +141,43 @@ def test_analyze_builds_no_dictionary(tmp_path, capsys, constellation):
     assert build.call_count == 0
     golden = {"qpsk": "mimo4x4_l8_analyze.txt", "qam16": "mimo4x4_l8_qam16_analyze.txt"}
     assert capsys.readouterr().out == (GOLDEN / golden[constellation]).read_text(encoding="ascii")
+
+
+def j4_copy(tmp_path) -> str:
+    """The shipped (20,20)-40 recipe at J = 4: n = 10, so 2**10 level tuples
+    per ``ml`` half and 4**10 dictionary columns."""
+    raw = json.loads(open(recipe_path("mimo20x20_l40.json")).read())
+    cfg = tmp_path / "j4.json"
+    cfg.write_text(json.dumps({**raw, "j": 4}))
+    return str(cfg)
+
+
+def test_simulate_past_the_cap_is_one_line_before_any_trial(tmp_path, capsys):
+    with mock.patch("csmimo.cli.run_sweep") as sweep:
+        rc = main(["simulate", "--config", j4_copy(tmp_path), "--solver", "omp",
+                   "--out", str(tmp_path / "x.csv")])
+    assert rc == 2 and sweep.call_count == 0
+    assert capsys.readouterr().err == (
+        "csmimo: error: omp per-block table width 4^10 = 1048576 exceeds cap 65536\n"
+    )
+
+
+def test_analyze_past_the_cap_is_one_line_and_allocates_nothing(tmp_path, capsys):
+    """The J = 4 copy is an ``ml`` setup, but its uniqueness check would
+    hold 2**10 x 2**10 distances: ``analyze`` refuses before it draws phi."""
+    config = j4_copy(tmp_path)
+    tracemalloc.start()
+    try:
+        with mock.patch("csmimo.cli.gen_phi") as gen:
+            rc = main(["analyze", "--config", config])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2 and gen.call_count == 0
+    assert capsys.readouterr().err == (
+        "csmimo: error: analyze per-block table width 4^10 = 1048576 exceeds cap 65536\n"
+    )
+    assert peak < 1 << 20
 
 
 def test_analyze_phi_seed_override(capsys):

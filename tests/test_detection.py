@@ -445,8 +445,9 @@ class TestCodebook:
         assert not norms.flags.writeable
 
     def test_scan_is_built_once_with_colnorm2_as_its_last_row(self, pipeline, monkeypatch):
-        """``ml`` reads the I/Q half-scan, built once and kept read-only,
-        and never builds the dictionary or the sensing matrix."""
+        """``ml`` reads the I/Q half-scan and the point table of the I/Q
+        level pairs, built once and kept read-only, and never builds the
+        dictionary, the sensing matrix or anything of size ``q**n``."""
         cfg, phi, dictionary = pipeline
         code = Codebook(cfg, phi)
         calls, build = [], Codebook.iq_scan.func
@@ -463,17 +464,20 @@ class TestCodebook:
         assert len(calls) == 1
         assert not {"dictionary", "sensing"} & set(vars(code))
 
-        scan, joint = iq
-        assert not scan.flags.writeable and not joint.flags.writeable
+        scan, point_of = iq
+        assert not scan.flags.writeable and not point_of.flags.writeable
         levels, n = np.array([-1.0, 1.0]) / np.sqrt(2.0), dictionary.n
         # P[i, u]: level digit i of u, little-endian, as the dictionary orders
         p = np.array([[levels[(u >> i) & 1] for u in range(2**n)] for i in range(n)])
         b = phi.phi @ p
         np.testing.assert_array_equal(scan[:-1], -2.0 * b)
         np.testing.assert_array_equal(scan[-1], np.einsum("ij,ij->j", b, b))
-        assert sorted(joint.ravel().tolist()) == list(range(dictionary.d))
-        for (u, v), k in np.ndenumerate(joint):
-            np.testing.assert_array_equal(dictionary.psi[:, k], p[:, u] + 1j * p[:, v])
+        points = code.alphabet.points
+        assert sorted(point_of.ravel().tolist()) == list(range(points.size))
+        for (a, b), k in np.ndenumerate(point_of):
+            assert points[k] == levels[a] + 1j * levels[b]
+        # nothing of size q**n: the scan and the (√q, √q) point table only
+        assert scan.size + point_of.size == (cfg.subblock_rows + 1) * 2**n + 2 * 2
 
     @given(
         constellation=st.sampled_from(["qpsk", "qam16"]),

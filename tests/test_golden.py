@@ -26,11 +26,11 @@ GOLDEN = Path(__file__).parent / "golden"
 SNR_DB = (0.0, 10.0, 20.0)
 TRIALS = 300
 
-# case name -> (recipe, solver, baseline, constellation); each recipe keeps
-# its own seeds and early-stop threshold, so the 0 dB rows also pin the
-# early-stop index.
+# case name -> (recipe, solver, baseline, constellation, j), j None for the
+# recipe's own; each recipe keeps its own seeds and early-stop threshold, so
+# the 0 dB rows also pin the early-stop index.
 CASES = {
-    f"{recipe}_{mode}": (recipe, solver, baseline, "qpsk")
+    f"{recipe}_{mode}": (recipe, solver, baseline, "qpsk", None)
     for recipe in ("mimo2x2_l4", "mimo4x4_l8", "mimo20x20_l40")
     for mode, solver, baseline in (
         ("ml", "ml", None),
@@ -44,16 +44,22 @@ CASES = {
 }
 # QAM16 ml, d = 16**2 and 16**4 per sub-block: the only goldens off QPSK
 CASES.update(
-    {f"{recipe}_qam16_ml": (recipe, "ml", None, "qam16") for recipe in ("mimo2x2_l4", "mimo4x4_l8")}
+    {
+        f"{recipe}_qam16_ml": (recipe, "ml", None, "qam16", None)
+        for recipe in ("mimo2x2_l4", "mimo4x4_l8")
+    }
 )
+# the paper's sub-block trade-off: (20,20)-40 ml with fewer, longer blocks,
+# n = 8 and n = 10 symbols, the second past the cap on 4**n columns
+CASES.update({f"mimo20x20_l40_j{j}_ml": ("mimo20x20_l40", "ml", None, "qpsk", j) for j in (5, 4)})
 
 
 def sweep_csv(name: str) -> str:
-    recipe, solver, baseline, constellation = CASES[name]
+    recipe, solver, baseline, constellation, j = CASES[name]
     spec = load_spec(recipe_path(f"{recipe}.json"))
     spec = replace(
         spec,
-        config=replace(spec.config, constellation=constellation),
+        config=replace(spec.config, constellation=constellation, j=j or spec.config.j),
         snr_db=SNR_DB,
         trials=TRIALS,
         solver=solver,

@@ -15,7 +15,7 @@ import csmimo.harness as harness
 from csmimo.channel import ChannelRealization, NoiseSpec, apply_channel, sample_channel
 from csmimo.csmux import MeasurementMatrix, MuxConfig, identity_phi
 from csmimo.detection import channel_is_usable
-from csmimo.errors import DimensionMismatch, RankDeficientChannel
+from csmimo.errors import DictionaryTooLarge, DimensionMismatch, RankDeficientChannel
 from csmimo.harness import (
     CSV_HEADER,
     ExperimentSpec,
@@ -29,6 +29,8 @@ from csmimo.harness import (
     wilson_interval,
 )
 from csmimo.modem import get_constellation, nearest_point_indices, symbol_indices
+
+from conftest import recipe_path
 
 INF = float("inf")
 
@@ -222,6 +224,50 @@ class TestExperimentSpec:
         assert small_spec(baseline="overload").streams == 8
 
 
+def paper_spec(j: int, **changes) -> ExperimentSpec:
+    """The shipped (20,20)-40 recipe with ``j`` sub-blocks, 300 trials at
+    0, 10, 20 dB and without noise."""
+    spec = load_spec(recipe_path("mimo20x20_l40.json"))
+    return replace(spec, config=replace(spec.config, j=j), snr_db=(0.0, 10.0, 20.0, INF),
+                   trials=300, **changes)
+
+
+class TestBlockWidth:
+    """Each solver's per-block table fits ``dictionary_cap``, checked when
+    the spec is built, before any trial."""
+
+    def test_ml_scores_level_tuples_past_the_dictionary_cap(self):
+        """(20,20)-40 at J = 4 has 4**10 columns per block, past the cap,
+        but ``ml`` scores only 2**10 level tuples per half."""
+        rows = run_sweep(paper_spec(4)).rows
+        assert rows[-1].snr_db == INF and rows[-1].trials == 300 and rows[-1].ber == 0.0
+        assert rows[0].ber > rows[2].ber > 0.0
+
+    @pytest.mark.parametrize("solver", ["omp", "oneshot"])
+    def test_dictionary_solvers_keep_the_dictionary_cap(self, solver):
+        with pytest.raises(DictionaryTooLarge, match=(
+                f"^{solver} per-block table width 4\\^10 = 1048576 exceeds cap 65536$")):
+            paper_spec(4, solver=solver)
+        # a baseline builds no per-block table, whatever the solver field says
+        assert paper_spec(4, solver=solver, baseline="zf").config.j == 4
+
+    def test_qam16_widths(self):
+        """QAM16 (4,4)-10 at J = 2: 4**5 level tuples per half for ``ml``,
+        16**5 columns for ``omp``; at n = 10 even the level tuples are too
+        many."""
+        cfg = MuxConfig(nt=4, nr=4, l=10, j=2, constellation="qam16")
+        assert small_spec(config=cfg).solver == "ml"
+        with pytest.raises(DictionaryTooLarge, match=r"^omp per-block table width 16\^5 = "):
+            small_spec(config=cfg, solver="omp")
+        with pytest.raises(DictionaryTooLarge, match=r"^ml per-block table width 4\^10 = "):
+            MuxConfig(nt=2, nr=2, l=20, j=2, constellation="qam16")
+
+    def test_joint_index_must_fit_int64(self):
+        """A raised cap admits 2**32 level tuples, but not 4**32 joint indices."""
+        with pytest.raises(DictionaryTooLarge, match=r"^joint index range 4\^32 does not fit in int64$"):
+            MuxConfig(nt=32, nr=32, l=64, j=2, dictionary_cap=2**32)
+
+
 class TestRunSweep:
     def test_noiseless_rows_are_zero(self):
         spec = small_spec(snr_db=(INF,), trials=80)
@@ -396,7 +442,7 @@ class TestConfigFiles:
         assert parse_snr_grid("0:4:10") == (0.0, 4.0, 8.0)
         assert parse_snr_grid("0:2:1") == (0.0,)
         assert parse_snr_grid("5:10:20") == (5.0, 15.0)
-        assert parse_snr_grid("0:0.1:0.3") == pytest.approx((0.0, 0.1, 0.2, 0.3))
+        assert parse_snr_grid("0:0.1:0.3") == (0.0, 0.1, 0.2, 0.3)
         assert parse_snr_grid("1,3,9") == (1.0, 3.0, 9.0)
         assert parse_snr_grid([0, 5]) == (0.0, 5.0)
         assert parse_snr_grid("inf") == (INF,)
@@ -416,6 +462,31 @@ class TestConfigFiles:
         for grid, named in (("nan", "nan"), ("-inf,0", "-inf"), ("5,5", "5.0")):
             with pytest.raises(ValueError, match=f"SNR grid .*{named} dB"):
                 small_spec(snr_db=parse_snr_grid(grid))
+
+    def test_range_points_are_the_decimals_written(self):
+        assert parse_snr_grid("0:0.1:0.3") == parse_snr_grid("0,0.1,0.2,0.3")
+        assert parse_snr_grid("0:0.2:1") == parse_snr_grid("0,0.2,0.4,0.6,0.8,1")
+        assert parse_snr_grid("-1.5:0.5:0") == (-1.5, -1.0, -0.5, 0.0)
+
+    def test_ranges_in_use_parse_as_before(self):
+        """The shipped, golden, CLI and test ranges keep the floats that
+        ``start + i * step`` in binary gave them."""
+        for grid in ("0:2:20", "0:10:10", "0:10:20", "0:2:6", "0:4:10", "0:2:1", "5:10:20"):
+            start, step, stop = map(float, grid.split(":"))
+            n = int(np.floor((stop - start) / step + 1e-9)) + 1
+            assert parse_snr_grid(grid) == tuple(start + i * step for i in range(n)), grid
+
+    def test_range_point_count_is_bounded(self):
+        """A range of more than 10 000 points fails before any is built."""
+        assert len(parse_snr_grid("0:1:9999")) == 10_000
+        for grid in ("0:1:10000", "0:1e-9:1e6", "0:1e-999999:1e300"):
+            with pytest.raises(ValueError, match=f"^grid '{grid}' has more than 10000 points$"):
+                parse_snr_grid(grid)
+        with pytest.raises(ValueError, match="^grid '0:1e-9:1e6' has more than 10000 points$"):
+            small_spec(snr_db="0:1e-9:1e6")
+        for grid, named in (("0:x:1", "x"), ("0:1:1e", "1e")):
+            with pytest.raises(ValueError, match=f"^grid '{grid}': '{named}' is not a dB value$"):
+                parse_snr_grid(grid)
 
     def test_booleans_are_not_db_values(self):
         """``true`` in a config grid or as a trial's SNR is not 1 dB."""
