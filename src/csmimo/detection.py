@@ -253,19 +253,24 @@ def recover_subblock_ml(z_hat_j: np.ndarray, sensing: np.ndarray) -> tuple[int, 
     return k, float(np.sqrt(dist2[k]))
 
 
-def _omp_pick(z: np.ndarray, code: Codebook) -> tuple[np.ndarray, np.ndarray]:
+def _omp_pick(z: np.ndarray, code: Codebook) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One-atom OMP pick of each row of the ``(..., J, rows)`` blocks ``z``.
 
     Returns the ``(..., J)`` indices, bit for bit the first pick of
     :func:`recover_subblock_omp` (ties to the lowest index, an all-zero
-    block to column 0), and the residual norms of the picked columns.
+    block to column 0), the least-squares coefficient ``a_kᴴz / ‖a_k‖²``
+    of each picked column ``a_k`` (0 for an all-zero block), and the
+    residual norms ``‖z − coef·a_k‖``.
     """
     a = code.sensing
     # one matrix-vector product per block, the BLAS call of the reference,
     # so the pick among a column's near-tied rotations rounds as its pick does
-    corr = np.abs(a.conj().T @ z[..., None])[..., 0] / code.omp_norms
-    k = np.where(np.linalg.norm(z, axis=-1) > 0, corr.argmax(axis=-1), 0)
-    return k, np.linalg.norm(z - a.T[k], axis=-1)
+    corr = (a.conj().T @ z[..., None])[..., 0]
+    nonzero = np.linalg.norm(z, axis=-1) > 0
+    k = np.where(nonzero, (np.abs(corr) / code.omp_norms).argmax(axis=-1), 0)
+    picked = np.take_along_axis(corr, k[..., None], axis=-1)[..., 0]
+    coef = np.where(nonzero, picked / code.omp_norms[k] ** 2, 0.0)
+    return k, coef, np.linalg.norm(z - coef[..., None] * a.T[k], axis=-1)
 
 
 def recover_subblock_omp(
@@ -326,12 +331,14 @@ def demux(
     (``oneshot``), whose cost falls with SNR and which may score at most
     ``oneshot_cap`` candidates before it raises :class:`DictionaryTooLarge`.
     ``omp`` is the first pick of :func:`recover_subblock_omp` for every
-    block in one stacked pass; it takes the block of its picked column and
-    drops the atom's least-squares coefficient, so a column's complex
-    rotations, which its absolute-correlation rule cannot tell apart for
-    phase-symmetric alphabets, stay unresolved; an all-zero block goes to
-    column 0.  The exact scan is the production detector and OMP remains a
-    generic cross-check.  A channel that is not ``nr x m`` raises
+    block in one stacked pass, and its block estimate is the picked
+    column's sub-block times the atom's least-squares coefficient, which
+    undoes the complex rotation that the absolute-correlation rule cannot
+    see for phase-symmetric alphabets; ``x_hat`` is then not a
+    constellation vector, and ``s_indices`` holds the picked columns.  An
+    all-zero block goes to column 0 with coefficient 0.  The exact scan is
+    the production detector and OMP remains a generic cross-check.  A
+    channel that is not ``nr x m`` raises
     :class:`DimensionMismatch`, and a receive vector or channel that is not
     finite raises ``ValueError`` before any solver runs on it.
     """
@@ -355,15 +362,20 @@ def demux(
     blocks = eq.z_hat.reshape(h.stack_shape + (cfg.j, cfg.subblock_rows))
     if solver == "ml":
         indices, residuals = _ml_split(blocks, code)
+        x_hat = _reassemble(code, indices)
     else:
-        indices, residuals = _omp_pick(blocks, code)
-    return RecoveryResult(indices, _reassemble(code, indices), residuals, eq.condition_number)
+        indices, coef, residuals = _omp_pick(blocks, code)
+        x_hat = _reassemble(code, indices, coef)
+    return RecoveryResult(indices, x_hat, residuals, eq.condition_number)
 
 
-def _reassemble(code: Codebook, indices: np.ndarray):
+def _reassemble(code: Codebook, indices: np.ndarray, coef: np.ndarray | None = None):
     """Symbol vectors ``(..., l)`` of the per-block dictionary columns
-    ``(..., J)``, each index decoded as the dictionary orders its columns."""
+    ``(..., J)``, each index decoded as the dictionary orders its columns,
+    and each block scaled by its ``coef`` if one is given."""
     symbols = code.alphabet.points[digits(indices, code.alphabet.order, code.cfg.subblock_cols)]
+    if coef is not None:
+        symbols = symbols * coef[..., None]
     return symbols.reshape(indices.shape[:-1] + (code.cfg.l,))
 
 

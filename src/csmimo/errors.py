@@ -14,7 +14,8 @@ class DimensionMismatch(CsmimoError, ValueError):
 
 
 class BadSubblockShape(CsmimoError, ValueError):
-    """Sub-block count does not evenly divide the stream counts."""
+    """Sub-block count does not evenly divide the stream counts, or leaves
+    sub-blocks too small for the chosen solver."""
 
 
 class DictionaryTooLarge(CsmimoError, ValueError):

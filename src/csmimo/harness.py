@@ -60,7 +60,7 @@ from .csmux import MeasurementMatrix, MuxConfig, block_width, gen_phi, multiplex
 from .csmux import require_int, require_ints
 from .detection import SOLVERS, Codebook, channel_is_usable, demux, zf_equalize
 from .detection import build_dictionary, sensing_matrix  # noqa: F401  (perfbench traces them)
-from .errors import RankDeficientChannel
+from .errors import BadSubblockShape, RankDeficientChannel
 from .modem import Constellation, get_constellation, nearest_point_indices, symbol_indices
 
 BASELINES = (None, "zf", "overload")
@@ -89,7 +89,9 @@ class ExperimentSpec:
     ``early_stop_errors`` ends a point once that many bit errors have been
     seen (0 disables early stopping).  Counts and seeds must be integers.
     The scheme's per-block table must fit ``dictionary_cap`` for its
-    ``solver`` (:func:`block_width`); a baseline builds none.  Config files
+    ``solver`` (:func:`block_width`); a baseline builds none.  ``omp``
+    needs sub-blocks of ``m/j >= 2`` rows, since on one row every column's
+    normalized correlation is ``|z|``.  Config files
     hold exactly these fields and those of :class:`MuxConfig`.
     """
 
@@ -122,6 +124,10 @@ class ExperimentSpec:
             )
         if self.baseline is None:
             block_width(self.config, self.solver)
+            if self.solver == "omp" and self.config.subblock_rows == 1:
+                raise BadSubblockShape(
+                    "omp needs m/j >= 2: with one-row sub-blocks every column ties on |z|"
+                )
         if self.baseline == "overload" and self.config.l % self.config.m:
             raise ValueError(
                 "overload baseline needs l to be a multiple of m "

@@ -250,7 +250,9 @@ class TestOmp:
     ):
         """The stacked pick of ``demux``'s ``omp`` branch equals, block by
         block, the first pick of ``recover_subblock_omp``: the same index,
-        bit for bit, and the residual to rounding.  Some blocks are all
+        bit for bit, and its least-squares coefficient and residual to
+        rounding (coefficient 0 where the reference picks nothing, as it
+        does for a block of norm 0).  Some blocks are all
         zero, and with ``zero_columns`` the first two columns of ``phi`` are
         ones and any others zero, so every sensing column of a tuple
         ``(p, -p, ...)`` is exactly zero; at ``scale`` 1e-170 every block's
@@ -269,13 +271,17 @@ class TestOmp:
         z = scale * (a.T[truth] + sigma * noise)
         z[rng.random(stack + (j,)) < 0.2] = 0.0
 
-        k, res = detection._omp_pick(z, code)
-        assert k.shape == res.shape == stack + (j,)
+        k, coef, res = detection._omp_pick(z, code)
+        assert k.shape == coef.shape == res.shape == stack + (j,)
         for at in np.ndindex(k.shape):
-            support, _ = recover_subblock_omp(z[at], a, k_max=1)
-            want = support[0] if support else 0
+            support, coeffs = recover_subblock_omp(z[at], a, k_max=1)
+            want, want_coef = (support[0], coeffs[0]) if support else (0, 0.0)
             assert k[at] == want
-            np.testing.assert_allclose(res[at], np.linalg.norm(z[at] - a[:, want]), rtol=1e-12)
+            size = np.linalg.norm(z[at])
+            np.testing.assert_allclose(coef[at], want_coef, rtol=1e-9,
+                                       atol=1e-12 * size / max(np.linalg.norm(a[:, want]), 1e-300))
+            np.testing.assert_allclose(res[at], np.linalg.norm(z[at] - want_coef * a[:, want]),
+                                       rtol=1e-9, atol=1e-12 * size)
 
     def test_k_max_validation(self, pipeline):
         cfg, phi, dictionary = pipeline
@@ -357,7 +363,9 @@ class TestDemux:
     def test_omp_solver_matches_ml_up_to_block_phase(self, pipeline, qpsk):
         """OMP's absolute correlation cannot separate a column from its
         i/-1/-i rotations (all are valid QPSK tuples), so on noiseless input
-        its atom is the ML atom up to a per-block phase in {1, i, -1, -i}.
+        its atom is the ML atom up to a per-block phase in {1, i, -1, -i};
+        its coefficient undoes that phase, so its block estimate is the ML
+        block to rounding.
         """
         cfg, phi, dictionary = pipeline
         rotations = np.array([1.0, 1j, -1.0, -1j])
@@ -373,6 +381,7 @@ class TestDemux:
                 twins = rotations[:, None] * dictionary.psi[:, k_ml][None, :]
                 match = np.isclose(twins, dictionary.psi[:, k_omp][None, :]).all(axis=1)
                 assert match.any()
+            np.testing.assert_allclose(omp.x_hat, ml.x_hat, atol=1e-9)
 
     def test_unknown_solver_rejected(self, pipeline):
         cfg, phi, _ = pipeline

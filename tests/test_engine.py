@@ -119,14 +119,17 @@ SETUPS = (
 def _small_specs(draw):
     nt, nr, l, j, name = draw(st.sampled_from(SETUPS))
     snr = st.one_of(st.just(INF), st.floats(-5.0, 30.0))
+    baseline = draw(st.sampled_from([None, "zf", "overload"]))
+    # the spec rejects omp for the scheme's one-row sub-blocks
+    solvers = ["ml", "omp", "oneshot"] if baseline or min(nt, nr) > j else ["ml", "oneshot"]
     return ExperimentSpec(
         config=MuxConfig(nt=nt, nr=nr, l=l, j=j, constellation=name,
                          phi_seed=draw(st.integers(0, 1000))),
         snr_db=tuple(draw(st.lists(snr, min_size=1, max_size=4, unique=True))),
         trials=draw(st.integers(1, 60)),
         master_seed=draw(st.integers(0, 1000)),
-        solver=draw(st.sampled_from(["ml", "omp", "oneshot"])),
-        baseline=draw(st.sampled_from([None, "zf", "overload"])),
+        solver=draw(st.sampled_from(solvers)),
+        baseline=baseline,
         early_stop_errors=draw(st.sampled_from([0, 1, 3, 10, 40])),
     )
 

@@ -15,7 +15,13 @@ import csmimo.harness as harness
 from csmimo.channel import ChannelRealization, NoiseSpec, apply_channel, sample_channel
 from csmimo.csmux import MeasurementMatrix, MuxConfig, identity_phi
 from csmimo.detection import channel_is_usable
-from csmimo.errors import DictionaryTooLarge, DimensionMismatch, RankDeficientChannel
+from csmimo.errors import (
+    BadSubblockShape,
+    CsmimoError,
+    DictionaryTooLarge,
+    DimensionMismatch,
+    RankDeficientChannel,
+)
 from csmimo.harness import (
     CSV_HEADER,
     ExperimentSpec,
@@ -137,7 +143,8 @@ class TestRunTrial:
     @pytest.mark.parametrize("constellation", ["qpsk", "qam16"])
     def test_only_the_dictionary_solvers_build_the_dictionary(self, monkeypatch, constellation):
         """An ``ml`` sweep scores the I/Q level tuples and never builds the
-        ``q**n`` dictionary or its sensing matrix; ``omp`` and ``oneshot``
+        ``q**n`` dictionary or its sensing matrix; ``omp`` (on a (4,4)-4
+        setup, whose sub-blocks have the two rows it needs) and ``oneshot``
         build each once per sweep, over all its chunks and SNR points.  On
         the (2,2)-4 matrix two QAM16 level pairs project to within 1e-5 of
         each other, yet ``ml`` builds neither and still decodes its
@@ -151,7 +158,8 @@ class TestRunTrial:
         built = ["build_dictionary", "sensing_matrix"]
         mimo4x4 = MuxConfig(nt=4, nr=4, l=8, j=2, phi_seed=880, constellation=constellation)
         mimo2x2 = MuxConfig(nt=2, nr=2, l=4, j=2, phi_seed=3262, constellation=constellation)
-        cases = [(mimo4x4, "ml", []), (mimo2x2, "omp", built), (mimo2x2, "oneshot", built)]
+        mimo4x4_l4 = MuxConfig(nt=4, nr=4, l=4, j=2, phi_seed=880, constellation=constellation)
+        cases = [(mimo4x4, "ml", []), (mimo4x4_l4, "omp", built), (mimo2x2, "oneshot", built)]
         if constellation == "qam16":
             cases.append((mimo2x2, "ml", []))
         for cfg, solver, want in cases:
@@ -181,6 +189,19 @@ class TestExperimentSpec:
     def test_unknown_solver_rejected(self):
         with pytest.raises(ValueError, match="solver"):
             small_spec(solver="genie")
+
+    def test_omp_needs_two_row_sub_blocks(self):
+        """At m/j = 1 every column's normalized correlation is |z|, so the
+        spec rejects ``omp`` in one line before any trial; the other
+        solvers and a baseline, which picks no column, keep such a setup."""
+        cfg = MuxConfig(nt=2, nr=2, l=4, j=2, phi_seed=3262)
+        with mock.patch.object(harness, "_draw_chunk") as drawn, \
+                pytest.raises(BadSubblockShape, match=r"^omp needs m/j >= 2: [^\n]*$") as err:
+            run_sweep(small_spec(config=cfg, solver="omp"))
+        assert isinstance(err.value, CsmimoError) and isinstance(err.value, ValueError)
+        assert drawn.call_count == 0
+        for kw in ({"solver": "ml"}, {"solver": "oneshot"}, {"solver": "omp", "baseline": "zf"}):
+            assert small_spec(config=cfg, **kw).config is cfg
 
     def test_unknown_baseline_rejected(self):
         with pytest.raises(ValueError, match="baseline"):
