@@ -8,7 +8,9 @@ signal energy per antenna equals the number of transmitted complex
 dimensions, so ``sigma2 = m_tx / 10**(snr_db/10)``.
 
 A :class:`ChannelRealization` may hold a stack of draws with leading trial
-axes, shape ``(..., nr, m_tx)``.  :func:`gains` and :func:`received` turn
+axes, shape ``(..., nr, m_tx)``, and caches for the whole stack the
+pseudo-inverse that zero-forcing reads, the usability flags read off it and
+the QR of the one-shot search.  :func:`gains` and :func:`received` turn
 standard normals drawn elsewhere into a stack of channels and received
 vectors exactly as :func:`sample_channel` and :func:`apply_channel` draw
 them for one trial.
@@ -24,21 +26,34 @@ import numpy as np
 from .errors import DimensionMismatch
 
 
+# Smallest ratio σ_min/σ_max of a usable channel's singular values.
+RANK_TOL = 1e-12
+
+# ‖H‖_F·‖H⁺‖_F is at least σ_max/σ_min, so a channel whose bound is below
+# this passes the RANK_TOL check without its singular values.  The bound is
+# read off the rounded pseudo-inverse, off by a relative κ·eps of about 1e-7
+# at κ = 1e9, and the exact check reads rounded singular values, σ_min off
+# by about n·eps·σ_max: the factor 1e-3 leaves three decades between the
+# two.
+_CERTIFIED_KAPPA = 1e-3 / RANK_TOL
+
+
 @dataclass(frozen=True, eq=False)
 class ChannelRealization:
     """One draw of an ``nr x m_tx`` complex channel matrix, or a stack of
     draws of shape ``(..., nr, m_tx)`` with one leading index per trial.
 
-    Its factorizations are cached per object, one stacked LAPACK call each
-    over the whole stack: every receiver that is handed the same object
-    shares them, and so does every slice ``channel[lo:hi]`` of the stack.
-    Both raise ``ValueError`` for a channel that is not finite.  The object
-    keeps the caller's array, so whoever writes into ``h`` afterwards must
-    build a new object.  Two realizations compare and hash by identity.
+    Its pseudo-inverse, usability flags and QR are cached per object, each
+    made once for the whole stack: every receiver that is handed the same
+    object shares them, and so does every slice ``channel[lo:hi]`` of the
+    stack.  The factorizations raise ``ValueError`` for a channel that is
+    not finite.  The object keeps the caller's array, so whoever writes into
+    ``h`` afterwards must build a new object.  Two realizations compare and
+    hash by identity.
     """
 
     h: np.ndarray
-    # (stack, rows) for a slice made by __getitem__, whose factorizations
+    # (stack, rows) for a slice made by __getitem__, whose cached values
     # are those rows of the stack's
     _whole: tuple[ChannelRealization, slice] | None = field(
         default=None, init=False, repr=False)
@@ -70,32 +85,111 @@ class ChannelRealization:
 
     def __getitem__(self, rows: slice) -> ChannelRealization:
         """The draws ``rows`` of the leading trial axis.  The slice shares
-        this stack's factorizations: its ``svd`` and ``qr`` are those rows
-        of the stack's, each factored once for the whole stack on first use
-        by the stack or any of its slices, so they raise if any draw of the
-        stack is not finite."""
+        this stack's cached values: its ``pinv``, ``usable`` and ``qr`` are
+        those rows of the stack's, each made once for the whole stack on
+        first use by the stack or any of its slices, so they raise if any
+        draw of the stack is not finite."""
         if not isinstance(rows, slice) or not self.stack_shape:
             raise TypeError("a channel stack is sliced along its leading trial axis only")
         part = ChannelRealization(self.h[rows])
         object.__setattr__(part, "_whole", (self, rows))
         return part
 
-    def _factored(self, name: str, factor) -> tuple[np.ndarray, ...]:
+    def _shared(self, name: str, make):
+        """``make(self)`` for a whole stack; for a slice, those rows of the
+        stack's cached ``name``."""
         if self._whole is None:
-            return factor(self._finite())
+            return make(self)
         whole, rows = self._whole
-        return tuple(f[rows] for f in getattr(whole, name))
+        got = getattr(whole, name)
+        return got[rows] if isinstance(got, np.ndarray) else tuple(f[rows] for f in got)
 
     @cached_property
-    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Thin SVD ``(u, s, vh)`` of every matrix, computed once per draw."""
-        return self._factored("svd", lambda h: np.linalg.svd(h, full_matrices=False))
+    def pinv(self) -> np.ndarray:
+        """Pseudo-inverse ``(..., m_tx, nr)`` of every matrix, for
+        ``nr >= m_tx``: ``H⁻¹`` of a square channel, one stacked
+        ``np.linalg.inv``, and ``R⁻¹Qᴴ`` of the reduced QR of a tall one.
+        A matrix that the inversion finds exactly singular is all ``nan``;
+        every other matrix is, bit for bit, its own inversion.  A wide
+        channel has no left inverse and raises :class:`DimensionMismatch`."""
+        return self._shared("pinv", lambda c: _pinv(c._finite()))
+
+    @cached_property
+    def usable(self) -> bool | np.ndarray:
+        """Whether each matrix has full column rank to within ``RANK_TOL``:
+        its smallest singular value exceeds ``RANK_TOL`` times its largest,
+        and it has no more columns than rows.
+
+        A matrix whose ``‖H‖_F·‖H⁺‖_F`` is below ``_CERTIFIED_KAPPA`` passes
+        on that bound, read off ``pinv``; only the others, exactly singular
+        ones included, get their own thin SVD and the exact check, so every
+        flag is the one the singular values give."""
+        return self._shared("usable", _usable)
+
+    @cached_property
+    def condition_number(self) -> float | np.ndarray:
+        """``σ_max/σ_min`` of every matrix from its thin SVD, computed when
+        first read (``inf`` for a singular matrix, ``nan`` for a zero one)."""
+        s = _singular_values(self._finite())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (s[..., 0] / s[..., -1])[()]
 
     @cached_property
     def qr(self) -> tuple[np.ndarray, np.ndarray]:
         """Complete QR ``(q, r)`` of every matrix, computed once per draw:
         ``q`` is ``(..., nr, nr)`` and ``r`` is ``(..., nr, m_tx)``."""
-        return self._factored("qr", lambda h: np.linalg.qr(h, mode="complete"))
+        return self._shared("qr", lambda c: np.linalg.qr(c._finite(), mode="complete"))
+
+
+def _singular_values(h: np.ndarray) -> np.ndarray:
+    """Singular values of every matrix of ``h``, largest first, from the
+    thin SVD: what the exact usability check compares."""
+    return np.linalg.svd(h, full_matrices=False)[1]
+
+
+def _pinv(h: np.ndarray) -> np.ndarray:
+    """:attr:`ChannelRealization.pinv` of a finite stack ``h``."""
+    nr, m_tx = h.shape[-2:]
+    if m_tx > nr:
+        raise DimensionMismatch(f"a {nr} x {m_tx} channel has no left inverse")
+    q = None
+    if nr > m_tx:
+        q, h = np.linalg.qr(h)
+    try:
+        inv = np.linalg.inv(h)
+    except np.linalg.LinAlgError:
+        # one exactly singular matrix fails the whole stacked call
+        inv = np.full(h.shape, np.nan, dtype=h.dtype)
+        for t in np.ndindex(h.shape[:-2]):
+            try:
+                inv[t] = np.linalg.inv(h[t])
+            except np.linalg.LinAlgError:
+                pass
+    # stacked products, bit for bit the single-channel ones
+    return inv if q is None else inv @ q.conj().swapaxes(-1, -2)
+
+
+def _usable(c: ChannelRealization) -> bool | np.ndarray:
+    """:attr:`ChannelRealization.usable` of a whole stack ``c``."""
+    if c.m_tx > c.nr:
+        return np.zeros(c.stack_shape, dtype=bool)[()]
+    pinv = c.pinv
+    # an extreme scale may overflow one norm and underflow the other: the
+    # bound is then inf or nan, and the matrix gets the exact check
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        bound = _frobenius2(c.h) * _frobenius2(pinv)
+    usable = np.array(bound < _CERTIFIED_KAPPA**2)
+    for t in map(tuple, np.argwhere(~usable)):
+        s = _singular_values(c.h[t])
+        usable[t] = s[-1] > RANK_TOL * s[0]
+    return usable[()]
+
+
+def _frobenius2(a: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of every complex matrix of ``a``, read as
+    real and imaginary parts side by side."""
+    v = np.ascontiguousarray(a).view(np.float64)
+    return np.einsum("...ij,...ij->...", v, v)
 
 
 @dataclass(frozen=True)

@@ -15,15 +15,21 @@ greedy solver, and a one-shot mode finds the exact joint ML choice of all
 sub-blocks directly on the received vector, without equalizing first, by
 a block sphere search after a QR factorization of the channel.
 
-Both factorizations, the SVD that ZF and the usability check read and the
-QR of the one-shot search, are cached on the :class:`ChannelRealization`,
-each made once per stack of channels: callers that detect the same channels
-at several SNR points pass the same object, or slices of it, to every point.
+The channel's pseudo-inverse, which ZF and the usability check read, its
+usability flags and the QR of the one-shot search are cached on the
+:class:`ChannelRealization`, each made once per stack of channels: callers
+that detect the same channels at several SNR points pass the same object,
+or slices of it, to every point.  ZF is one stacked product with the
+pseudo-inverse.  The usability check clears a well-conditioned channel on
+the Frobenius norms of the channel and its pseudo-inverse and takes
+singular values only of a channel that this bound does not clear, so a
+sweep without a near-singular channel makes no SVD; the condition number
+that a result reports is computed from singular values only when read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -34,20 +40,23 @@ from .dictionary import SubblockDictionary, build_dictionary, digits
 from .errors import DictionaryTooLarge, DimensionMismatch, RankDeficientChannel
 from .modem import Constellation, get_constellation
 
-RANK_TOL = 1e-12
-
 SOLVERS = ("ml", "omp", "oneshot")
 
 
 @dataclass(frozen=True)
 class EqualizerOutput:
-    """Equalized vector plus the channel condition number as a diagnostic.
+    """Equalized vector of the channel ``h``, with that channel's condition
+    number ``σ_max/σ_min`` as a diagnostic, computed when first read.
 
     For a stack of channels both carry the leading trial axes.
     """
 
     z_hat: np.ndarray
-    condition_number: float | np.ndarray
+    h: ChannelRealization = field(repr=False)
+
+    @property
+    def condition_number(self) -> float | np.ndarray:
+        return self.h.condition_number
 
 
 @dataclass(frozen=True)
@@ -55,15 +64,23 @@ class RecoveryResult:
     """Recovered sub-block indices and the reassembled symbol vector.
 
     ``residuals`` holds one value per sub-block for the two-step solvers;
-    the one-shot solver reports a single joint residual instead, and has no
-    equalizer condition number (``nan``).  For a stack of channels every
-    field carries the leading trial axes.
+    the one-shot solver reports a single joint residual instead.
+    ``condition_number`` is that of the equalized channel ``h``, computed
+    when first read, and ``nan`` for the one-shot solver, which equalizes
+    nothing (``h`` is ``None``).  For a stack of channels every field
+    carries the leading trial axes.
     """
 
     s_indices: np.ndarray
     x_hat: np.ndarray
     residuals: np.ndarray
-    condition_number: float | np.ndarray
+    h: ChannelRealization | None = field(default=None, repr=False)
+
+    @property
+    def condition_number(self) -> float | np.ndarray:
+        if self.h is None:
+            return np.full(self.s_indices.shape[:-1], np.nan)[()]
+        return self.h.condition_number
 
 
 def zf_equalize(
@@ -71,13 +88,14 @@ def zf_equalize(
 ) -> EqualizerOutput:
     """Zero-forcing equalizer: pseudo-inverse of a full-column-rank channel.
 
-    Solves ``min ||h z - y||`` and divides out ``gain`` (the transmit power
-    normalization).  Raises :class:`RankDeficientChannel` where
-    :func:`channel_is_usable` is false: the system is underdetermined, or
-    the smallest singular value falls below ``RANK_TOL`` times the largest
-    (the message names the first such trial's).  A stack of channels takes
-    ``y`` of shape ``(..., nr)`` and equalizes every trial, bit for bit as
-    one at a time.
+    Solves ``min ||h z - y||`` as ``h.pinv @ y`` and divides out ``gain``
+    (the transmit power normalization).  Raises
+    :class:`RankDeficientChannel` where :func:`channel_is_usable` is false:
+    the system is underdetermined, or the smallest singular value falls
+    below ``RANK_TOL`` times the largest (the message gives the condition
+    number of the first such trial).  A stack of channels takes ``y`` of
+    shape ``(..., nr)`` and equalizes every trial, bit for bit as one at a
+    time.
     """
     y = np.asarray(y, dtype=np.complex128)
     if not h.stack_shape:
@@ -93,24 +111,19 @@ def zf_equalize(
             raise RankDeficientChannel(
                 f"channel with {h.m_tx} inputs and {h.nr} outputs cannot be column rank"
             )
-        worst = h.svd[1][np.unravel_index(np.argmin(usable), h.stack_shape)]
+        worst = ChannelRealization(h.h[np.unravel_index(np.argmin(usable), h.stack_shape)])
         raise RankDeficientChannel(
-            f"singular value ratio {worst[-1]:.3e}/{worst[0]:.3e} below tolerance"
+            f"condition number {worst.condition_number:.3e} is not below 1/RANK_TOL"
         )
-    u, s, vh = h.svd
     # stacked matrix-vector products, bit for bit the single-channel ones
-    w = (u.conj().swapaxes(-1, -2) @ y[..., None]) / s[..., None]
-    z_hat = (vh.conj().swapaxes(-1, -2) @ w)[..., 0]
-    return EqualizerOutput(z_hat / gain, (s[..., 0] / s[..., -1])[()])
+    z_hat = (h.pinv @ y[..., None])[..., 0]
+    return EqualizerOutput(z_hat / gain, h)
 
 
 def channel_is_usable(h: ChannelRealization) -> bool | np.ndarray:
     """True when ZF equalization of ``h`` would not raise; one flag per trial
-    for a stack of channels."""
-    if h.m_tx > h.nr:
-        return np.zeros(h.stack_shape, dtype=bool)[()]
-    s = h.svd[1]
-    return (s[..., -1] > RANK_TOL * s[..., 0])[()]
+    for a stack of channels.  This is ``h.usable``, made once per stack."""
+    return h.usable
 
 
 def sensing_matrix(
@@ -366,7 +379,7 @@ def demux(
     else:
         indices, coef, residuals = _omp_pick(blocks, code)
         x_hat = _reassemble(code, indices, coef)
-    return RecoveryResult(indices, x_hat, residuals, eq.condition_number)
+    return RecoveryResult(indices, x_hat, residuals, h)
 
 
 def _reassemble(code: Codebook, indices: np.ndarray, coef: np.ndarray | None = None):
@@ -411,8 +424,7 @@ def _demux_oneshot(y, h, code, cap):
         # in sub-block i; rows below block i are zero since r is upper triangular
         contrib = blocks[t] @ a
         indices[t], residuals[t] = _sphere_search(yq[t], contrib, cfg, a.shape[1], cap)
-    nan = np.full(h.stack_shape, np.nan)[()]
-    return RecoveryResult(indices, _reassemble(code, indices), residuals, nan)
+    return RecoveryResult(indices, _reassemble(code, indices), residuals)
 
 
 def _sphere_search(yq, contrib, cfg, d, cap):

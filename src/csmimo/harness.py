@@ -15,20 +15,22 @@ depend on the SNR, so a chunk is drawn once for every point, without a
 ``SeedSequence`` per trial: the chunk's seeds are hashed as
 ``SeedSequence`` hashes them in one numpy pass, numpy seeds each trial's
 PCG64 from its hashed words, each trial's channel and noise come from one
-normal draw, and one stacked SVD checks every channel.  A trial whose
-first channel is not usable is replayed from a fresh
+normal draw, and one stacked inversion serves the usability check of every
+channel, which takes singular values only of a channel whose Frobenius
+bound on the condition number does not clear it.  A trial whose first
+channel is not usable is replayed from a fresh
 ``default_rng([master_seed, t])``: bits, channel, redraws, then noise.
 Each SNR point still running then walks the chunk in slices of its own
 size, each detected in one stacked pass through the same receiver
 functions a single trial uses, so every decision is bit for bit the
 one-at-a-time result.  Every slice is a slice of the chunk's
-:class:`ChannelRealization` and shares its cached factorizations (the SVD
-for ZF, the QR for the ``oneshot`` search), so each is made once per
-chunk.  A point's slices follow from a fixed working-set budget and from
-its own early-stop progress, and the chunk is the largest slice any
-running point asks for at its start.  A point cuts its last slice back to
-the trial where its early stop fires and leaves the sweep, so the CSV
-does not depend on the chunk or slice sizes.
+:class:`ChannelRealization` and shares what it caches (the pseudo-inverse
+and usability flags for ZF, the QR for the ``oneshot`` search), so each is
+made once per chunk.  A point's slices follow from a fixed working-set
+budget and from its own early-stop progress, and the chunk is the largest
+slice any running point asks for at its start.  A point cuts its last
+slice back to the trial where its early stop fires and leaves the sweep,
+so the CSV does not depend on the chunk or slice sizes.
 
 Two baselines bound the scheme: plain spatial multiplexing with ZF
 detection (``m`` streams), and the naive overload that crams all ``l``
@@ -272,16 +274,17 @@ class _Prepared:
 
 def _chunk_cap(cfg: MuxConfig, solver: str | None) -> int:
     """Trials per chunk within ``_CHUNK_BYTES``: ``_TRIAL_BYTES``, the
-    channel and its SVD factors, and what ``solver`` holds per trial for
-    each entry of its :func:`block_width` in each of the ``J`` blocks.  The
-    ``ml`` scan holds its real metric, 8 B for each level tuple of both
-    half-scans; the ``omp`` pick holds the complex correlation, its
-    absolute value and the quotient by the column norms, 32 B per column;
-    the ``oneshot`` search holds the cached QR, ``q``, its ``q.conj()``
-    temporary and ``r``.  Complex entries count 16 B.  ``None`` is a
-    baseline, which slices its ZF estimate and holds nothing more."""
+    channel and its cached pseudo-inverse, ``nr·m`` complex entries each,
+    and what ``solver`` holds per trial for each entry of its
+    :func:`block_width` in each of the ``J`` blocks.  The ``ml`` scan holds
+    its real metric, 8 B for each level tuple of both half-scans; the
+    ``omp`` pick holds the complex correlation, its absolute value and the
+    quotient by the column norms, 32 B per column; the ``oneshot`` search
+    holds the cached QR, ``q``, its ``q.conj()`` temporary and ``r``.
+    Complex entries count 16 B.  ``None`` is a baseline, which slices its
+    ZF estimate and holds nothing more."""
     nr, m = cfg.nr, cfg.m
-    entries = 2 * nr * m + m * m
+    entries = 2 * nr * m
     if solver == "oneshot":
         entries += 2 * nr * nr + nr * m
     per_entry = {"ml": 16, "omp": 32}.get(solver, 0)

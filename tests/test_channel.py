@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csmimo import channel as channel_module
 from csmimo.channel import ChannelRealization, NoiseSpec, apply_channel, gains, sample_channel
 from csmimo.errors import DimensionMismatch
 
@@ -62,32 +63,50 @@ class TestFactorizations:
 
     @given(nr=st.integers(1, 5), m=st.integers(1, 5), n=st.integers(1, 12), data=st.data(),
            stack_first=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     def test_slices_share_the_stacks_factorizations(self, nr, m, n, data, stack_first, seed):
-        """``channel[lo:hi]`` has, bit for bit, the SVD and QR of a stack of
-        its own draws.  They are the stack's rows: whether the stack or a
-        slice is factored first, each factorization is made once, and
-        slicing after that, a slice of a slice included, makes no further
-        LAPACK call."""
+        """``channel[lo:hi]`` has, bit for bit, the pseudo-inverse, the
+        usability flags and the QR of a stack of its own draws.  They are
+        the stack's rows: whether the stack or a slice reads them first,
+        the stack's inverse is made once (one stacked ``inv``, or one per
+        matrix after an exactly singular draw, here a zero one, fails the
+        stacked call), and slicing after that, a slice of a slice
+        included, makes no further LAPACK call.  A wide stack has flags,
+        all false, and no inverse."""
         lo = data.draw(st.integers(0, n - 1))
         hi = data.draw(st.integers(lo + 1, n))
+        zero = data.draw(st.sampled_from([None, *range(n)]))
         h = gains(np.random.default_rng(seed).standard_normal((n, 2 * nr * m)), nr, m)
+        if zero is not None:
+            h[zero] = 0.0
+        wide = m > nr
+        names = ("usable", "qr") if wide else ("usable", "qr", "pinv")
         channel = ChannelRealization(h)
-        with mock.patch("numpy.linalg.svd", wraps=np.linalg.svd) as svd, \
+        with mock.patch("csmimo.channel._pinv", wraps=channel_module._pinv) as pinv, \
+                mock.patch("numpy.linalg.inv", wraps=np.linalg.inv) as inv, \
                 mock.patch("numpy.linalg.qr", wraps=np.linalg.qr) as qr:
             if stack_first:
-                channel.svd, channel.qr
+                [getattr(channel, name) for name in names]
             part = channel[lo:hi]
-            got = (*part.svd, *part.qr)
+            got = [getattr(part, name) for name in names]
             again = channel[lo:hi][: hi - lo]
-            got_again = (*again.svd, *again.qr)
-            channel.svd, channel.qr
-        assert (svd.call_count, qr.call_count) == (1, 1)
+            got_again = [getattr(again, name) for name in names]
+            [getattr(channel, name) for name in names]
+        singular = zero is not None and not wide
+        assert pinv.call_count == (0 if wide else 1)
+        assert inv.call_count == (0 if wide else 1 + n if singular else 1)
+        # the complete QR, and the reduced one of a tall channel's inverse
+        assert qr.call_count == 1 + (nr > m)
         own = ChannelRealization(h[lo:hi].copy())
-        for want, a, b in zip((*own.svd, *own.qr), got, got_again):
-            np.testing.assert_array_equal(a, want)
-            np.testing.assert_array_equal(b, want)
+        want = [getattr(own, name) for name in names]
+        for w, a, b in zip(*(_arrays(v) for v in (want, got, got_again)), strict=True):
+            np.testing.assert_array_equal(a, w)
+            np.testing.assert_array_equal(b, w)
         np.testing.assert_array_equal(part.h, own.h)
+        if wide:
+            assert not channel.usable.any()
+        elif singular:
+            assert not channel.usable[zero] and np.isnan(channel.pinv[zero]).all()
 
     def test_only_a_stack_is_sliced(self):
         """Slicing cuts trials off the leading axis, never rows of one matrix."""
@@ -104,6 +123,11 @@ class TestFactorizations:
         assert one == one and one != two
         assert hash(one) == hash(one)
         assert {one, two, one} == {one, two}
+
+
+def _arrays(values):
+    """The arrays of ``values``, a factorization's tuple unpacked."""
+    return [a for v in values for a in (v if isinstance(v, tuple) else (v,))]
 
 
 class TestNoiseSpec:

@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from functools import cached_property
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csmimo import detection
-from csmimo.channel import ChannelRealization, NoiseSpec, apply_channel, sample_channel
+from csmimo.channel import RANK_TOL, ChannelRealization, NoiseSpec, apply_channel, sample_channel
 from csmimo.csmux import (
     MeasurementMatrix,
     MuxConfig,
@@ -30,7 +31,7 @@ from csmimo.detection import (
 from csmimo.dictionary import build_dictionary, sparse_decode
 from csmimo.errors import DictionaryTooLarge, DimensionMismatch, RankDeficientChannel
 from csmimo.harness import _prepare, load_spec, run_sweep
-from csmimo.modem import demodulate, get_constellation, modulate
+from csmimo.modem import demodulate, get_constellation, modulate, nearest_point_indices
 
 from conftest import recipe_path
 
@@ -72,6 +73,143 @@ class TestZfEqualize:
         h = sample_channel(2, 4, np.random.default_rng(0))
         with pytest.raises(RankDeficientChannel):
             zf_equalize(np.zeros(2), h)
+
+
+def _unitary(rng, n, k):
+    """``n x k`` complex matrix with orthonormal columns."""
+    return np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))[0]
+
+
+def _svd_zf(y, h, gain=1.0):
+    """The SVD form of ZF that ``zf_equalize`` replaced, kept as reference:
+    ``V diag(1/s) Uᴴ y / gain`` per trial."""
+    u, s, vh = np.linalg.svd(h, full_matrices=False)
+    w = (u.conj().swapaxes(-1, -2) @ y[..., None]) / s[..., None]
+    return (vh.conj().swapaxes(-1, -2) @ w)[..., 0] / gain
+
+
+class TestUsability:
+    @given(
+        nr=st.integers(1, 6),
+        m=st.integers(1, 6),
+        log_kappa=st.lists(st.floats(0.0, 14.0), min_size=1, max_size=8),
+        singular=st.sets(st.integers(0, 7), max_size=2),
+        zero_whole=st.booleans(),
+        scale=st.sampled_from([1.0, 1e-3, 1e5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bound_and_fallback_give_the_svd_decision(
+        self, nr, m, log_kappa, singular, zero_whole, scale, seed
+    ):
+        """On stacks with prescribed condition numbers κ = 1 .. 1e14, square,
+        tall and wide, some members exactly singular (a zero column, or a
+        zero matrix), ``channel_is_usable`` equals the check on the thin
+        SVD, ``s[-1] > RANK_TOL * s[0]`` (false for every wide channel).
+        Only a channel whose ``κ`` is at least 1e8 or that is singular
+        reaches an SVD: below that the Frobenius bound, at most
+        ``min(nr, m)·κ``, clears it."""
+        rng = np.random.default_rng(seed)
+        k = min(nr, m)
+        h = np.empty((len(log_kappa), nr, m), dtype=complex)
+        for t, lk in enumerate(log_kappa):
+            s = scale * np.geomspace(1.0, 10.0**-lk, k)
+            h[t] = (_unitary(rng, nr, k) * s) @ _unitary(rng, m, k).conj().T
+        spoiled = sorted(t for t in singular if t < len(log_kappa))
+        for t in spoiled:
+            if zero_whole:
+                h[t] = 0.0
+            else:
+                h[t][:, rng.integers(m)] = 0.0
+        channel = ChannelRealization(h)
+        with mock.patch("numpy.linalg.svd", wraps=np.linalg.svd) as svd:
+            got = channel_is_usable(channel)
+        if m > nr:
+            want = np.zeros(len(log_kappa), dtype=bool)
+        else:
+            s = np.linalg.svd(h, full_matrices=False)[1]
+            want = s[:, -1] > RANK_TOL * s[:, 0]
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == bool and got.shape == (len(log_kappa),)
+        unclear = {t for t, lk in enumerate(log_kappa) if lk >= 8.0} | set(spoiled)
+        assert svd.call_count <= (0 if m > nr else len(unclear))
+        for t in range(len(log_kappa)):
+            assert channel_is_usable(ChannelRealization(h[t])) == want[t]
+
+    def test_bound_and_fallback_at_the_tolerance(self):
+        """Around κ = 1/RANK_TOL the decision is the SVD's on either side."""
+        rng = np.random.default_rng(12)
+        seen = set()
+        for lk in np.linspace(11.5, 12.5, 21):
+            h = (_unitary(rng, 4, 4) * np.geomspace(1.0, 10.0**-lk, 4)) @ _unitary(rng, 4, 4)
+            s = np.linalg.svd(h, full_matrices=False)[1]
+            want = s[-1] > RANK_TOL * s[0]
+            assert channel_is_usable(ChannelRealization(h)) == want
+            seen.add(bool(want))
+        assert seen == {True, False}
+
+
+class TestZfAgainstSvd:
+    @given(
+        rows=st.integers(1, 3),
+        j=st.integers(1, 3),
+        extra=st.integers(0, 2),
+        constellation=st.sampled_from(["qpsk", "qam16"]),
+        stack=st.sampled_from([(), (1,), (5,), (2, 3)]),
+        snr=st.floats(-5.0, 40.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_inverse_form_matches_svd_form(self, rows, j, extra, constellation, stack, snr, seed):
+        """``zf_equalize``'s ``h.pinv @ y`` equals the SVD form to rounding,
+        on square and tall stacks at a finite SNR, and the ``zf`` slicer and
+        the ``ml`` scan decide exactly as on the SVD form's estimate."""
+        rng = np.random.default_rng(seed)
+        m = rows * j
+        cfg = MuxConfig(nt=m, nr=m + extra, l=2 * m, j=j, phi_seed=seed % 1000,
+                        constellation=constellation)
+        code = Codebook(cfg, gen_phi(cfg))
+        c = code.alphabet
+        x = c.points[rng.integers(0, c.order, stack + (cfg.l,))]
+        h = (rng.standard_normal(stack + (cfg.nr, m))
+             + 1j * rng.standard_normal(stack + (cfg.nr, m))) * np.sqrt(0.5)
+        channel = ChannelRealization(h)
+        sigma = np.sqrt(NoiseSpec.from_snr(snr, m).sigma2 / 2.0)
+        noise = sigma * (rng.standard_normal(stack + (cfg.nr,))
+                         + 1j * rng.standard_normal(stack + (cfg.nr,)))
+        y = (h @ multiplex(x, code.phi, cfg)[..., None])[..., 0] + noise
+
+        got = zf_equalize(y, channel, code.gain).z_hat
+        want = _svd_zf(y, h, code.gain)
+        kappa = np.linalg.cond(h)
+        size = np.linalg.norm(want, axis=-1)
+        np.testing.assert_array_less(
+            np.linalg.norm(got - want, axis=-1), 1e-12 * kappa * size + 1e-300)
+
+        rec = demux(y, channel, code, solver="ml")
+        blocks = want.reshape(stack + (j, rows))
+        np.testing.assert_array_equal(rec.s_indices, detection._ml_split(blocks, code)[0])
+        plain = ChannelRealization(h[..., :m, :])
+        np.testing.assert_array_equal(
+            nearest_point_indices(zf_equalize(y[..., :m], plain).z_hat, c),
+            nearest_point_indices(_svd_zf(y[..., :m], h[..., :m, :]), c))
+
+    def test_condition_number_is_exact_and_read_lazily(self, pipeline):
+        """ZF and ``demux`` make no SVD; the condition number each reports
+        is ``s[0]/s[-1]`` of the thin SVD, computed when first read."""
+        cfg, phi, _ = pipeline
+        rng = np.random.default_rng(9)
+        h = ChannelRealization(sample_channel(cfg.nr, cfg.m, rng).h[None].repeat(3, axis=0))
+        y = rng.standard_normal((3, cfg.nr)) + 0j
+        with mock.patch("numpy.linalg.svd", wraps=np.linalg.svd) as svd:
+            eq = zf_equalize(y, h)
+            rec = demux(y, h, Codebook(cfg, phi))
+            assert svd.call_count == 0
+            kappa = rec.condition_number
+        s = np.linalg.svd(h.h, full_matrices=False)[1]
+        np.testing.assert_array_equal(kappa, s[:, 0] / s[:, -1])
+        np.testing.assert_array_equal(eq.condition_number, kappa)
+        assert svd.call_count == 1
 
 
 class TestMlRecovery:
@@ -411,8 +549,8 @@ class TestDemux:
 
     @pytest.mark.parametrize("call", ["ml", "omp", "oneshot", "zf_equalize", "channel_is_usable"])
     def test_non_finite_channel_rejected(self, pipeline, call):
-        """A channel holding a nan or inf fails with one line before its SVD
-        or its QR."""
+        """A channel holding a nan or inf fails with one line before its
+        inverse or its QR."""
         cfg, phi, _ = pipeline
         code = Codebook(cfg, phi)
         for bad in (np.nan, np.inf, complex(0.0, -np.inf)):

@@ -568,6 +568,23 @@ def test_oneshot_sweep_factors_each_chunk_once():
     assert rows == _sequential_rows(spec)
 
 
+@pytest.mark.parametrize("recipe", RECIPES)
+@pytest.mark.parametrize("baseline", [None, "zf"])
+def test_a_sweep_makes_no_svd_and_inverts_each_chunk_once(recipe, baseline):
+    """A shipped recipe's ``ml`` sweep and its ``zf`` baseline, with no
+    near-singular channel, make no SVD: the usability check clears every
+    channel on its Frobenius bound, and every SNR point's ZF reads the
+    pseudo-inverse made once for its drawn chunk."""
+    spec = _recipe(recipe, snr_db=(0.0, 10.0, 20.0), trials=300, baseline=baseline)
+    with mock.patch("numpy.linalg.svd", wraps=np.linalg.svd) as svd, \
+            mock.patch("numpy.linalg.inv", wraps=np.linalg.inv) as inv, \
+            mock.patch.object(harness, "_draw_chunk", wraps=harness._draw_chunk) as chunks:
+        rows = run_sweep(spec).rows
+    assert svd.call_count == 0
+    assert sum(row.redraws for row in rows) == 0
+    assert inv.call_count == chunks.call_count >= 2
+
+
 def test_a_qam16_ml_chunk_holds_many_trials():
     """The ``ml`` half-scans of a (4,4)-8 QAM16 trial score 2 x 2 x 256 I/Q
     level tuples, 8 kB, not the 2 x 65536 dictionary columns, so a chunk
