@@ -13,7 +13,9 @@ model of MIMO detection, Hassibi & Vikalo, IEEE T-SP 53(8), 2005); each
 half breaks ties to its lowest level tuple.  OMP is kept as the generic
 greedy solver, and a one-shot mode finds the exact joint ML choice of all
 sub-blocks directly on the received vector, without equalizing first, by
-a block sphere search after a QR factorization of the channel.
+a block sphere search after a QR factorization of the channel, which
+advances all trials of a stack together (Schnorr-Euchner order, Agrell,
+Eriksson, Vardy & Zeger, IEEE T-IT 48(8), 2002).
 
 The channel's pseudo-inverse, which ZF and the usability check read, its
 usability flags and the QR of the one-shot search are cached on the
@@ -37,10 +39,14 @@ import numpy as np
 from .channel import ChannelRealization
 from .csmux import MeasurementMatrix, MuxConfig, transmit_gain
 from .dictionary import SubblockDictionary, build_dictionary, digits
-from .errors import DictionaryTooLarge, DimensionMismatch, RankDeficientChannel
+from .errors import BadSubblockShape, DictionaryTooLarge, DimensionMismatch, RankDeficientChannel
 from .modem import Constellation, get_constellation
 
 SOLVERS = ("ml", "omp", "oneshot")
+
+# Working-set budget, in bytes, of one chunk of trials in a sweep; the
+# oneshot search also sizes its blocks of trials and its scratch from it.
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -269,11 +275,11 @@ def recover_subblock_ml(z_hat_j: np.ndarray, sensing: np.ndarray) -> tuple[int, 
 def _omp_pick(z: np.ndarray, code: Codebook) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One-atom OMP pick of each row of the ``(..., J, rows)`` blocks ``z``.
 
-    Returns the ``(..., J)`` indices, bit for bit the first pick of
+    Returns the ``(..., J)`` indices, bit for bit the pick of
     :func:`recover_subblock_omp` (ties to the lowest index, an all-zero
     block to column 0), the least-squares coefficient ``a_kᴴz / ‖a_k‖²``
-    of each picked column ``a_k`` (0 for an all-zero block), and the
-    residual norms ``‖z − coef·a_k‖``.
+    of each picked column ``a_k`` (0 for an all-zero block or a zero
+    column), and the residual norms ``‖z − coef·a_k‖``.
     """
     a = code.sensing
     # one matrix-vector product per block, the BLAS call of the reference,
@@ -286,43 +292,38 @@ def _omp_pick(z: np.ndarray, code: Codebook) -> tuple[np.ndarray, np.ndarray, np
     return k, coef, np.linalg.norm(z - coef[..., None] * a.T[k], axis=-1)
 
 
-def recover_subblock_omp(
-    z_hat_j: np.ndarray, sensing: np.ndarray, k_max: int = 1, tol: float = 0.0
-) -> tuple[list[int], np.ndarray]:
-    """Orthogonal matching pursuit on the sub-block candidate matrix.
+def recover_subblock_omp(z_hat_j: np.ndarray, sensing: np.ndarray) -> tuple[int, complex]:
+    """One-atom orthogonal matching pursuit on the sub-block candidate matrix.
 
-    Atoms are selected by normalized correlation ``|<a_k, r>| / ||a_k||``;
-    coefficients are refit by least squares on the selected columns after
-    every pick.  Stops after ``k_max`` atoms or when the residual norm drops
-    to ``tol``.  Returns the selected column indices (in pick order) and the
-    matching coefficients; both are empty when ``||z|| <= tol``.
+    Picks the column ``a_k`` of largest normalized correlation
+    ``|<a_k, z>| / ||a_k||`` (ties to the lowest index; a zero column scores
+    0) and returns ``(k, a_kᴴz / ||a_k||²)``: the pick and its least-squares
+    coefficient, 0 for a zero column.  An all-zero ``z`` gives ``(0, 0)``.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
     a = np.asarray(sensing, dtype=np.complex128)
     z = np.asarray(z_hat_j, dtype=np.complex128).ravel()
     if z.size != a.shape[0]:
         raise DimensionMismatch(
             f"sub-block length {z.size} != sensing rows {a.shape[0]}"
         )
+    if not np.linalg.norm(z) > 0:
+        return 0, 0j
     norms = np.linalg.norm(a, axis=0)
-    safe_norms = np.where(norms > 0, norms, np.inf)
+    norms = np.where(norms > 0, norms, np.inf)
+    corr = a.conj().T @ z
+    k = int(np.argmax(np.abs(corr) / norms))
+    return k, complex(corr[k] / norms[k] ** 2)
 
-    support: list[int] = []
-    coeffs = np.empty(0, dtype=np.complex128)
-    residual = z.copy()
-    if np.linalg.norm(residual) <= tol:
-        return support, coeffs
-    for _ in range(k_max):
-        corr = np.abs(a.conj().T @ residual) / safe_norms
-        corr[support] = -1.0
-        pick = int(np.argmax(corr))
-        support.append(pick)
-        coeffs = np.linalg.lstsq(a[:, support], z, rcond=None)[0]
-        residual = z - a[:, support] @ coeffs
-        if np.linalg.norm(residual) <= tol:
-            break
-    return support, coeffs
+
+def check_subblock_shape(cfg: MuxConfig, solver: str) -> None:
+    """Raise :class:`BadSubblockShape` where ``solver`` cannot decide on the
+    sub-blocks of ``cfg``: ``omp`` on one-row sub-blocks (``m/j = 1``),
+    where every column's normalized correlation is ``|z|``, so rounding
+    alone would make the pick."""
+    if solver == "omp" and cfg.subblock_rows == 1:
+        raise BadSubblockShape(
+            "omp needs m/j >= 2: with one-row sub-blocks every column ties on |z|"
+        )
 
 
 def demux(
@@ -343,21 +344,23 @@ def demux(
     ML on the unequalized receive vector by block sphere search
     (``oneshot``), whose cost falls with SNR and which may score at most
     ``oneshot_cap`` candidates before it raises :class:`DictionaryTooLarge`.
-    ``omp`` is the first pick of :func:`recover_subblock_omp` for every
+    ``omp`` is the pick of :func:`recover_subblock_omp` for every
     block in one stacked pass, and its block estimate is the picked
     column's sub-block times the atom's least-squares coefficient, which
     undoes the complex rotation that the absolute-correlation rule cannot
     see for phase-symmetric alphabets; ``x_hat`` is then not a
     constellation vector, and ``s_indices`` holds the picked columns.  An
     all-zero block goes to column 0 with coefficient 0.  The exact scan is
-    the production detector and OMP remains a generic cross-check.  A
-    channel that is not ``nr x m`` raises
+    the production detector and OMP remains a generic cross-check; on
+    one-row sub-blocks ``omp`` raises :class:`BadSubblockShape` (see
+    :func:`check_subblock_shape`).  A channel that is not ``nr x m`` raises
     :class:`DimensionMismatch`, and a receive vector or channel that is not
     finite raises ``ValueError`` before any solver runs on it.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}; choose from {SOLVERS}")
     cfg = code.cfg
+    check_subblock_shape(cfg, solver)
     y = np.asarray(y, dtype=np.complex128)
     if not h.stack_shape:
         y = y.ravel()
@@ -408,7 +411,11 @@ def _demux_oneshot(y, h, code, cap):
     The QR is ``h.qr``, one stacked factorization per channel stack, which
     its slices share, so the SNR points of a sweep that detect slices of
     one stack share it too; every trial is rotated by ``Q^H`` in one
-    stacked product.
+    stacked product.  :func:`_sphere_search` then searches the trials in
+    lockstep, in blocks of consecutive trials whose candidate contributions
+    ``R_i a``, read as a real and an imaginary part, each fit in
+    ``_CHUNK_BYTES``; each trial's decision and budget are those of its own
+    depth-first search.
     """
     cfg = code.cfg
     a = code.sensing * code.gain
@@ -417,50 +424,223 @@ def _demux_oneshot(y, h, code, cap):
     yq = (q.conj().swapaxes(-1, -2) @ y[..., None])[..., 0]
     # blocks[..., i, :, :]: the columns of r that sub-block i multiplies
     blocks = r.reshape(h.stack_shape + (h.nr, cfg.j, cfg.subblock_rows)).swapaxes(-3, -2)
-    indices = np.empty(h.stack_shape + (cfg.j,), dtype=np.int64)
-    residuals = np.empty(h.stack_shape + (1,))
-    for t in np.ndindex(h.stack_shape):
-        # contrib[i, :, k]: rotated receive contribution of candidate k placed
-        # in sub-block i; rows below block i are zero since r is upper triangular
-        contrib = blocks[t] @ a
-        indices[t], residuals[t] = _sphere_search(yq[t], contrib, cfg, a.shape[1], cap)
+    flat_yq, flat_blocks = yq.reshape(-1, h.nr), blocks.reshape((-1,) + blocks.shape[-3:])
+    trials = flat_yq.shape[0]
+    indices = np.empty((trials, cfg.j), dtype=np.int64)
+    best = np.empty(trials)
+    size = max(1, _CHUNK_BYTES // (8 * cfg.j * h.nr * a.shape[1]))
+    for lo in range(0, trials, size):
+        part = slice(lo, lo + size)
+        # contrib[t, i, :, k]: rotated receive contribution of candidate k
+        # placed in sub-block i; rows below block i are zero since r is
+        # upper triangular
+        indices[part], best[part] = _sphere_search(
+            flat_yq[part], flat_blocks[part] @ a, cfg.subblock_rows, cap
+        )
+    # rows of Q^H y below m are out of reach of every R z; stacked dot
+    # products, bit for bit the single-vector ones
+    out = yq[..., cfg.m :, None]
+    out = out.real.swapaxes(-1, -2) @ out.real + out.imag.swapaxes(-1, -2) @ out.imag
+    indices = indices.reshape(h.stack_shape + (cfg.j,))
+    residuals = np.sqrt(best.reshape(h.stack_shape + (1,)) + out[..., 0])
     return RecoveryResult(indices, _reassemble(code, indices), residuals)
 
 
-def _sphere_search(yq, contrib, cfg, d, cap):
-    """Joint indices and residual of one trial from its rotated receive
-    vector ``yq = Q^H y`` and candidate contributions ``contrib = R_i a``."""
-    rows = cfg.subblock_rows
-    best = np.inf
-    best_path = [d] * cfg.j  # above every joint index
-    path = [0] * cfg.j
-    scored = 0
+def _sphere_search(yq, contrib, rows, cap):
+    """Joint indices ``(T, J)`` and least metrics ``(T,)`` of ``T`` trials
+    from their rotated receive vectors ``yq = Q^H y``, ``(T, nr)``, and
+    candidate contributions ``contrib = R_i a``, ``(T, J, nr, d)``.
 
-    def search(level, target, partial):
-        nonlocal best, best_path, scored
-        if scored + d > cap:
-            raise DictionaryTooLarge(
-                f"joint search needs more than {cap} scored candidates "
-                f"({d} per node over {cfg.j} sub-blocks)"
-            )
-        scored += d
-        lo = level * rows
-        diff = target[lo : lo + rows, None] - contrib[level, lo : lo + rows]
-        metric = partial + (diff.real**2 + diff.imag**2).sum(axis=0)
-        if level == 0:
-            k = int(metric.argmin())
-            path[0] = k
-            # the joint index orders by the last sub-block first
-            if metric[k] < best or (metric[k] == best and path[::-1] < best_path):
-                best, best_path = float(metric[k]), path[::-1]
-            return
-        for k in np.argsort(metric, kind="stable"):
-            if metric[k] > best:
-                break
-            path[level] = int(k)
-            search(level - 1, target[:lo] - contrib[level, :lo, k], metric[k])
+    Each trial makes the decisions of its own depth-first search: it visits
+    the same nodes in the same order, prunes the same branches and breaks
+    ties the same way, so ``cap`` is reached exactly when that search
+    reaches it.  The trials advance together.  Each holds, for every level,
+    the target of its node there, that node's candidates in search order
+    with their partial metrics, and the position of the next one.  On each
+    step the trials whose current node is at level ``i >= 2`` descend into
+    its next candidate, one stacked metric and one stacked sort for all of
+    them, or return to the parent once that candidate is pruned.
 
-    search(cfg.j - 1, yq, 0.0)
-    # rows of Q^H y below m are out of reach of every R z
-    out = yq[cfg.m :]
-    return best_path[::-1], np.sqrt(best + float(out.real @ out.real + out.imag @ out.imag))
+    A node at level 1 scores its children, the leaves, in batches: its
+    first child alone, then every next child whose partial metric does not
+    exceed the best metric on entry, at most ``leaf_rows`` children for all
+    trials of the step.  The search visits child ``c`` iff its partial
+    metric is at most the best metric it would hold there, the least of the
+    best on entry and of the leaf minima of the children before ``c``.  The
+    partial metrics rise and that bound falls, so the visited children are
+    a prefix of the batch; leaves scored past it count no node.  The
+    children of a batch are scored as one ragged stack, so a trial with few
+    children to score pays for no other trial's.  For ``J = 1`` the root is
+    a leaf.
+    """
+    t, j, nr, d = contrib.shape
+    c_re, c_im = contrib.real, contrib.imag
+    # level i scores rows [lo, hi) and hands its children rows [0, lo)
+    span = [(min(i * rows, nr), min((i + 1) * rows, nr)) for i in range(j)]
+    every = np.arange(t)
+    target = np.empty((j, t, nr), dtype=complex)
+    target[-1] = yq
+    order = np.empty((j, t, d), dtype=np.int64)
+    ranked = np.empty((j, t, d))
+    pos = np.zeros((j, t), dtype=np.int64)
+    path = np.zeros((t, j), dtype=np.int64)
+    best = np.full(t, np.inf)
+    best_path = np.full((t, j), d)  # above every joint index
+    nodes = np.ones(t, dtype=np.int64)
+    level = np.full(t, j - 1)
+    # scratch of _score, reused by every step, which scores at most
+    # leaf_rows rows of d candidates: each of its three arrays holds a
+    # quarter of _CHUNK_BYTES, or one row per trial
+    leaf_rows = max(t, _CHUNK_BYTES // (32 * d))
+    work = np.empty((3, leaf_rows * d))
+
+    def expand(g, i, partial):
+        # score and rank the candidates of the nodes at level i of trials g,
+        # entered with metric partial
+        lo, hi = span[i]
+        metric = _score(target[i, g, lo:hi], c_re[:, i, lo:hi], c_im[:, i, lo:hi], g,
+                        partial, work)
+        order[i, g], ranked[i, g] = _rank(metric)
+        pos[i, g] = 0
+
+    def descend(i):
+        # the trials at a node of level i >= 2 enter its next candidate, or
+        # return to its parent once that candidate is pruned or none is
+        # left; returns how many entered a node at level i - 1
+        g = np.flatnonzero(level == i)
+        at = pos[i, g]
+        partial = ranked[i, g, np.minimum(at, d - 1)]
+        down = (at < d) & (partial <= best[g])
+        level[g[~down]] += 1
+        g, at, partial = g[down], at[down], partial[down]
+        k = order[i, g, at]
+        path[g, i] = k
+        pos[i, g] += 1
+        nodes[g] += 1
+        level[g] = i - 1
+        lo = span[i][0]
+        target[i - 1, g, :lo] = target[i, g, :lo] - contrib[g, i, :lo, k]
+        expand(g, i - 1, partial)
+        return g.size
+
+    def leaves(g):
+        # the trials g at a node of level 1 score its next batch of children:
+        # its first child alone, then every child that the best metric on
+        # entry does not prune, at most leaf_rows for all of g
+        at = pos[1, g]
+        room = np.where(at == 0, 1, np.minimum(d - at, leaf_rows // g.size))
+        column = at[:, None] + np.arange(int(room.max()))
+        partial = ranked[1, g[:, None], np.minimum(column, d - 1)]
+        live = (column < (at + room)[:, None]) & (partial <= best[g, None])
+        owner, slot = np.nonzero(live)
+        trial = g[owner]
+        k = order[1, trial, column[owner, slot]]
+        lo = span[1][0]
+        # each child's target, then the metrics of its leaves, (children, d)
+        metric = _score(target[1, trial, :lo] - contrib[trial, 1, :lo, k],
+                        c_re[:, 0, :lo], c_im[:, 0, :lo], trial, partial[owner, slot], work)
+        leaf = metric.argmin(axis=1)
+        # the leaf minima and joint keys k1 * d + k0 in batch layout
+        least = np.full(live.shape, np.inf)
+        least[owner, slot] = metric[np.arange(owner.size), leaf]
+        key = np.full(live.shape, d * d)
+        key[owner, slot] = k * d + leaf
+        bound = np.minimum.accumulate(np.hstack([best[g, None], least]), axis=1)[:, :-1]
+        visit = live & (partial <= bound)
+        seen = visit.sum(axis=1)
+        nodes[g] += seen
+        # the best visited leaf: the least metric, then the least (k1, k0)
+        low = np.where(visit, least, np.inf).min(axis=1)
+        new_path = path[g]
+        new_path[:, 1], new_path[:, 0] = np.divmod(
+            np.where(visit & (least == low[:, None]), key, d * d).min(axis=1), d)
+        win = low < best[g]
+        tie = np.flatnonzero(low == best[g])
+        if tie.size:
+            win[tie] = _precedes(new_path[tie], best_path[g[tie]])
+        best[g[win]] = low[win]
+        best_path[g[win]] = new_path[win]
+        # the node goes on iff it visited its whole batch and its next
+        # child is not pruned; otherwise it returns to its parent
+        at += seen
+        pos[1, g] = at
+        more = np.flatnonzero((seen == room) & (at < d))
+        more = more[ranked[1, g[more], at[more]] <= best[g[more]]]
+        level[g] = 2
+        level[g[more]] = 1
+
+    _check_budget(nodes, d, j, cap)
+    if j == 1:
+        # the root is a leaf
+        hi = span[0][1]
+        metric = _score(yq[:, :hi], c_re[:, 0, :hi], c_im[:, 0, :hi], every, np.zeros(t), work)
+        best_path[:, 0] = metric.argmin(axis=-1)
+        return best_path, metric[every, best_path[:, 0]]
+    expand(every, j - 1, np.zeros(t))
+    while (count := np.bincount(level, minlength=j + 1))[j] < t:
+        # each occupied level once, top down: a trial that enters a node one
+        # level down is advanced there in the same step
+        entered = 0
+        for i in range(j - 1, 1, -1):
+            if count[i] or entered:
+                entered = descend(i)
+        if count[1] or entered:
+            leaves(np.flatnonzero(level == 1))
+        _check_budget(nodes, d, j, cap)
+    return best_path, best
+
+
+def _check_budget(nodes, d, j, cap):
+    """Raise :class:`DictionaryTooLarge` once a trial's visited ``nodes``
+    score more than ``cap`` candidates, ``d`` per node."""
+    if int(nodes.max()) * d > cap:
+        raise DictionaryTooLarge(
+            f"joint search needs more than {cap} scored candidates "
+            f"({d} per node over {j} sub-blocks)"
+        )
+
+
+def _score(target, c_re, c_im, trials, partial, work):
+    """``partial + Σ_r |t_r − c_r|²`` over the rows ``r`` of the targets
+    ``t``, ``(L, rows)``, for each of the ``d`` candidates of ``c``,
+    ``(T, rows, d)``, at the ``trials`` ``(L,)``: ``(L, d)`` metrics, the
+    rows added in order and ``partial`` last, bit for bit a node's
+    ``partial + (diff.real**2 + diff.imag**2).sum(axis=0)`` in a depth-first
+    search of one trial.  The result is a view of ``work[0]``, and
+    ``work[1:]`` is scratch."""
+    shape = (trials.size, c_re.shape[-1])
+    total, re, im = (w[: shape[0] * shape[1]].reshape(shape) for w in work)
+    for r in range(target.shape[1]):
+        np.subtract(target.real[:, r, None], c_re[trials, r], out=re)
+        np.subtract(target.imag[:, r, None], c_im[trials, r], out=im)
+        np.multiply(re, re, out=re)
+        np.multiply(im, im, out=im)
+        # the first row's sum is the total: 0 + x would be x, as x >= +0
+        np.add(re, im, out=total if r == 0 else re)
+        if r:
+            np.add(total, re, out=total)
+    if not target.shape[1]:
+        total[...] = 0.0
+    np.add(total, partial[:, None], out=total)
+    return total
+
+
+def _rank(metric):
+    """Each row's candidates in increasing ``metric`` and their metrics,
+    ties in index order, as a stable sort puts them.  The default sort is
+    used first; only rows holding an exact tie are sorted again, stably."""
+    order = metric.argsort(axis=-1)
+    ranked = np.take_along_axis(metric, order, axis=-1)
+    tied = (ranked[:, 1:] == ranked[:, :-1]).any(axis=-1)
+    if tied.any():
+        order[tied] = metric[tied].argsort(axis=-1, kind="stable")
+        ranked[tied] = np.take_along_axis(metric[tied], order[tied], axis=-1)
+    return order, ranked
+
+
+def _precedes(a, b):
+    """Whether each joint index ``a`` is below ``b``, both ``(G, J)`` in
+    level order: the last sub-block's index is the most significant."""
+    differ = a != b
+    top = differ.shape[1] - 1 - differ[:, ::-1].argmax(axis=1)
+    return np.take_along_axis(a < b, top[:, None], axis=1)[:, 0]

@@ -60,9 +60,10 @@ from .channel import ChannelRealization, NoiseSpec, gains, received, sample_chan
 from .channel import apply_channel  # noqa: F401  (perfbench traces it by this name)
 from .csmux import MeasurementMatrix, MuxConfig, block_width, gen_phi, multiplex
 from .csmux import require_int, require_ints
-from .detection import SOLVERS, Codebook, channel_is_usable, demux, zf_equalize
+from .detection import _CHUNK_BYTES, SOLVERS, Codebook, channel_is_usable, check_subblock_shape
+from .detection import demux, zf_equalize
 from .detection import build_dictionary, sensing_matrix  # noqa: F401  (perfbench traces them)
-from .errors import BadSubblockShape, RankDeficientChannel
+from .errors import RankDeficientChannel
 from .modem import Constellation, get_constellation, nearest_point_indices, symbol_indices
 
 BASELINES = (None, "zf", "overload")
@@ -74,10 +75,9 @@ _MAX_CHANNEL_REDRAWS = 1000
 # most points a start:step:stop SNR grid may hold
 _MAX_GRID_POINTS = 10_000
 
-# Working-set budget of one chunk, in bytes, and a fixed allowance per trial
+# A fixed allowance per trial, within the working-set budget _CHUNK_BYTES,
 # for what _chunk_cap does not count by shape: the trial's bits, symbols,
 # normals drawn, and transmit and receive vectors.
-_CHUNK_BYTES = 1 << 20
 _TRIAL_BYTES = 2048
 
 
@@ -126,10 +126,7 @@ class ExperimentSpec:
             )
         if self.baseline is None:
             block_width(self.config, self.solver)
-            if self.solver == "omp" and self.config.subblock_rows == 1:
-                raise BadSubblockShape(
-                    "omp needs m/j >= 2: with one-row sub-blocks every column ties on |z|"
-                )
+            check_subblock_shape(self.config, self.solver)
         if self.baseline == "overload" and self.config.l % self.config.m:
             raise ValueError(
                 "overload baseline needs l to be a multiple of m "
@@ -280,7 +277,10 @@ def _chunk_cap(cfg: MuxConfig, solver: str | None) -> int:
     its real metric, 8 B for each level tuple of both half-scans; the
     ``omp`` pick holds the complex correlation, its absolute value and the
     quotient by the column norms, 32 B per column; the ``oneshot`` search
-    holds the cached QR, ``q``, its ``q.conj()`` temporary and ``r``.
+    holds the cached QR, ``q``, its ``q.conj()`` temporary and ``r``.  The
+    search's candidate contributions and scratch do not count here: it
+    walks its slice in blocks of trials that each bound them by
+    ``_CHUNK_BYTES`` of their own (see ``detection._demux_oneshot``).
     Complex entries count 16 B.  ``None`` is a baseline, which slices its
     ZF estimate and holds nothing more."""
     nr, m = cfg.nr, cfg.m

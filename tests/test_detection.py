@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csmimo import detection
+from csmimo import detection, harness
 from csmimo.channel import RANK_TOL, ChannelRealization, NoiseSpec, apply_channel, sample_channel
 from csmimo.csmux import (
     MeasurementMatrix,
@@ -29,7 +29,12 @@ from csmimo.detection import (
     zf_equalize,
 )
 from csmimo.dictionary import build_dictionary, sparse_decode
-from csmimo.errors import DictionaryTooLarge, DimensionMismatch, RankDeficientChannel
+from csmimo.errors import (
+    BadSubblockShape,
+    DictionaryTooLarge,
+    DimensionMismatch,
+    RankDeficientChannel,
+)
 from csmimo.harness import _prepare, load_spec, run_sweep
 from csmimo.modem import demodulate, get_constellation, modulate, nearest_point_indices
 
@@ -332,34 +337,9 @@ class TestOmp:
     def test_noiseless_single_atom(self, pipeline):
         cfg, phi, dictionary = pipeline
         a = sensing_matrix(phi, dictionary)
-        support, coeffs = recover_subblock_omp(a[:, 3], sensing=a, k_max=1)
-        assert support == [3]
-        np.testing.assert_allclose(coeffs, [1.0], atol=1e-9)
-
-    def test_two_atoms_least_squares(self):
-        """Orthogonal atoms recovered with their exact coefficients."""
-        rng = np.random.default_rng(21)
-        a = rng.standard_normal((8, 6)) * 0.05
-        a[:, 1] = 0.0
-        a[1, 1] = 1.0
-        a[:, 5] = 0.0
-        a[5, 5] = 1.0
-        z = 2.0 * a[:, 1] + 3.0 * a[:, 5]
-        support, coeffs = recover_subblock_omp(z, sensing=a, k_max=2)
-        assert sorted(support) == [1, 5]
-        oracle = np.linalg.lstsq(a[:, support], z, rcond=None)[0]
-        np.testing.assert_allclose(coeffs, oracle, atol=1e-12)
-        by_atom = dict(zip(support, coeffs))
-        assert by_atom[1] == pytest.approx(2.0, abs=1e-6)
-        assert by_atom[5] == pytest.approx(3.0, abs=1e-6)
-
-    def test_tolerance_above_signal_gives_empty_support(self, pipeline):
-        cfg, phi, dictionary = pipeline
-        a = sensing_matrix(phi, dictionary)
-        z = 0.5 * a[:, 0]
-        support, coeffs = recover_subblock_omp(z, sensing=a, tol=10.0)
-        assert support == []
-        assert coeffs.size == 0
+        k, coef = recover_subblock_omp(a[:, 3], sensing=a)
+        assert k == 3
+        assert coef == pytest.approx(1.0, abs=1e-9)
 
     def test_agrees_with_ml_on_unit_columns(self):
         """With unit-norm columns and one atom, OMP picks the ML index on
@@ -368,9 +348,21 @@ class TestOmp:
         a = rng.standard_normal((4, 40)) + 1j * rng.standard_normal((4, 40))
         a /= np.linalg.norm(a, axis=0)
         for k in range(40):
-            support, _ = recover_subblock_omp(a[:, k], sensing=a, k_max=1)
+            pick, _ = recover_subblock_omp(a[:, k], sensing=a)
             ml_k, _ = recover_subblock_ml(a[:, k], sensing=a)
-            assert support == [ml_k] == [k]
+            assert pick == ml_k == k
+
+    def test_coefficient_is_the_least_squares_fit(self):
+        """The coefficient is the one-column least-squares fit, and 0 for an
+        all-zero block or a zero column."""
+        rng = np.random.default_rng(21)
+        a = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
+        z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        k, coef = recover_subblock_omp(z, sensing=a)
+        fit = np.linalg.lstsq(a[:, [k]], z, rcond=None)[0][0]
+        assert coef == pytest.approx(fit, rel=1e-12)
+        assert recover_subblock_omp(np.zeros(3), sensing=a) == (0, 0)
+        assert recover_subblock_omp(z, sensing=np.zeros((3, 6))) == (0, 0)
 
     @given(
         rows=st.integers(1, 3),
@@ -387,10 +379,9 @@ class TestOmp:
         self, rows, j, constellation, stack, sigma, scale, zero_columns, seed
     ):
         """The stacked pick of ``demux``'s ``omp`` branch equals, block by
-        block, the first pick of ``recover_subblock_omp``: the same index,
-        bit for bit, and its least-squares coefficient and residual to
-        rounding (coefficient 0 where the reference picks nothing, as it
-        does for a block of norm 0).  Some blocks are all
+        block, the pick of ``recover_subblock_omp``: the same index, bit for
+        bit, and its least-squares coefficient and residual to rounding
+        (coefficient 0 for a block of norm 0).  Some blocks are all
         zero, and with ``zero_columns`` the first two columns of ``phi`` are
         ones and any others zero, so every sensing column of a tuple
         ``(p, -p, ...)`` is exactly zero; at ``scale`` 1e-170 every block's
@@ -412,19 +403,13 @@ class TestOmp:
         k, coef, res = detection._omp_pick(z, code)
         assert k.shape == coef.shape == res.shape == stack + (j,)
         for at in np.ndindex(k.shape):
-            support, coeffs = recover_subblock_omp(z[at], a, k_max=1)
-            want, want_coef = (support[0], coeffs[0]) if support else (0, 0.0)
+            want, want_coef = recover_subblock_omp(z[at], a)
             assert k[at] == want
             size = np.linalg.norm(z[at])
             np.testing.assert_allclose(coef[at], want_coef, rtol=1e-9,
                                        atol=1e-12 * size / max(np.linalg.norm(a[:, want]), 1e-300))
             np.testing.assert_allclose(res[at], np.linalg.norm(z[at] - want_coef * a[:, want]),
                                        rtol=1e-9, atol=1e-12 * size)
-
-    def test_k_max_validation(self, pipeline):
-        cfg, phi, dictionary = pipeline
-        with pytest.raises(ValueError):
-            recover_subblock_omp(np.zeros(2), sensing_matrix(phi, dictionary), k_max=0)
 
 
 class TestDemux:
@@ -526,6 +511,20 @@ class TestDemux:
         with pytest.raises(ValueError, match="unknown solver"):
             demux(np.zeros(4), sample_channel(4, 4, np.random.default_rng(0)),
                   Codebook(cfg, phi), solver="mmse")
+
+    def test_omp_on_one_row_sub_blocks_rejected(self, qpsk, cfg_2x2_l4):
+        """On one-row sub-blocks every column ties on ``|z|``, so ``demux``
+        rejects ``omp`` with the spec's one-line error before any pick; the
+        other solvers detect."""
+        cfg = cfg_2x2_l4
+        code = Codebook(cfg, gen_phi(cfg))
+        h = sample_channel(cfg.nr, cfg.m, np.random.default_rng(0))
+        y = apply_channel(h, multiplex(qpsk.points[:cfg.l], code.phi, cfg),
+                          NoiseSpec.from_snr(20.0, cfg.m), np.random.default_rng(1))
+        with pytest.raises(BadSubblockShape, match=r"^omp needs m/j >= 2: [^\n]*$"):
+            demux(y, h, code, solver="omp")
+        for solver in ("ml", "oneshot"):
+            assert demux(y, h, code, solver=solver).s_indices.shape == (cfg.j,)
 
     @pytest.mark.parametrize("solver", ["ml", "omp", "oneshot"])
     def test_wrong_channel_shape_rejected(self, pipeline, solver):
@@ -714,9 +713,75 @@ def _joint_ml_oracle(y, h, phi, dictionary, cfg):
     return digits[:, n], float(np.sqrt(metric[n]))
 
 
+def _oneshot_reference(y, h, code, cap=1 << 20):
+    """``demux``'s ``oneshot`` branch one trial at a time through the
+    recursive :func:`_sphere_search_reference`: ``(indices, residuals,
+    nodes)`` with the leading trial axes of ``h``."""
+    cfg = code.cfg
+    a = code.sensing * code.gain
+    q, r = h.qr
+    yq = (q.conj().swapaxes(-1, -2) @ y[..., None])[..., 0]
+    blocks = r.reshape(h.stack_shape + (h.nr, cfg.j, cfg.subblock_rows)).swapaxes(-3, -2)
+    indices = np.empty(h.stack_shape + (cfg.j,), dtype=np.int64)
+    residuals = np.empty(h.stack_shape + (1,))
+    nodes = np.empty(h.stack_shape, dtype=np.int64)
+    for t in np.ndindex(h.stack_shape):
+        contrib = blocks[t] @ a
+        indices[t], residuals[t], nodes[t] = _sphere_search_reference(
+            yq[t], contrib, cfg, a.shape[1], cap)
+    return indices, residuals, nodes
+
+
+def _sphere_search_reference(yq, contrib, cfg, d, cap):
+    """The recursive depth-first search that the lockstep search replaced:
+    joint indices, residual and visited nodes of one trial from its rotated
+    receive vector ``yq = Q^H y`` and candidate contributions
+    ``contrib = R_i a``."""
+    rows = cfg.subblock_rows
+    best = np.inf
+    best_path = [d] * cfg.j  # above every joint index
+    path = [0] * cfg.j
+    scored = 0
+
+    def search(level, target, partial):
+        nonlocal best, best_path, scored
+        if scored + d > cap:
+            raise DictionaryTooLarge(
+                f"joint search needs more than {cap} scored candidates "
+                f"({d} per node over {cfg.j} sub-blocks)"
+            )
+        scored += d
+        lo = level * rows
+        diff = target[lo : lo + rows, None] - contrib[level, lo : lo + rows]
+        metric = partial + (diff.real**2 + diff.imag**2).sum(axis=0)
+        if level == 0:
+            k = int(metric.argmin())
+            path[0] = k
+            # the joint index orders by the last sub-block first
+            if metric[k] < best or (metric[k] == best and path[::-1] < best_path):
+                best, best_path = float(metric[k]), path[::-1]
+            return
+        for k in np.argsort(metric, kind="stable"):
+            if metric[k] > best:
+                break
+            path[level] = int(k)
+            search(level - 1, target[:lo] - contrib[level, :lo, k], metric[k])
+
+    search(cfg.j - 1, yq, 0.0)
+    # rows of Q^H y below m are out of reach of every R z
+    out = yq[cfg.m :]
+    residual = np.sqrt(best + float(out.real @ out.real + out.imag @ out.imag))
+    return best_path[::-1], residual, scored // d
+
+
 @st.composite
-def _joint_cases(draw):
-    """Small setups with enumerable ``d**J``: (cfg, y, h, phi, dictionary)."""
+def _joint_cases(draw, stack=(), exact_copies=False):
+    """Small setups with enumerable ``d**J``: (cfg, y, h, phi, dictionary).
+
+    ``stack`` is the leading trial axes of ``y`` and ``h``; each trial draws
+    its own symbols, channel, channel defect and SNR.  With
+    ``exact_copies`` a copied channel column may be a plain copy.
+    """
     name = draw(st.sampled_from(["qpsk", "qam16"]))
     rows = draw(st.sampled_from([1, 2]))
     cols = draw(st.integers(rows, 2)) if name == "qpsk" else rows
@@ -727,23 +792,31 @@ def _joint_cases(draw):
     nr = m + draw(st.integers(-1 if m > 1 else 0, 2))
     cfg = MuxConfig(nt=m, nr=max(nr, m), l=j * cols, j=j,
                     phi_seed=draw(st.integers(0, 2**32 - 1)), constellation=name)
-    defect = draw(st.sampled_from([None, "zero", "copy"]))
-    snr = draw(st.one_of(st.just(float("inf")), st.floats(-5.0, 40.0)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     phi = gen_phi(cfg)
     dictionary = build_dictionary(get_constellation(name), cols)
-    x = dictionary.psi[:, rng.integers(0, d, size=j)].T.ravel()
-    h = sample_channel(nr, m, rng).h
-    src, dst = rng.permutation(m + 1)[:2] % m
-    if defect == "zero":
-        h[:, dst] = 0.0
-    elif defect == "copy" and src != dst:
-        # A scaled copy: a plain one across two one-row sub-blocks would make
-        # swapped candidates tie exactly, leaving the index to rounding.
-        h[:, dst] = (rng.standard_normal() + 1j * rng.standard_normal()) * h[:, src]
-    h = ChannelRealization(h)
-    y = apply_channel(h, multiplex(x, phi, cfg), NoiseSpec.from_snr(snr, m), rng)
-    return cfg, y, h, phi, dictionary
+    defects = [None, "zero", "copy"] + (["plain copy"] if exact_copies else [])
+    ys, hs = [], []
+    for _ in range(int(np.prod(stack))):
+        defect = draw(st.sampled_from(defects))
+        snr = draw(st.one_of(st.just(float("inf")), st.floats(-5.0, 40.0)))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        x = dictionary.psi[:, rng.integers(0, d, size=j)].T.ravel()
+        h = sample_channel(nr, m, rng).h
+        src, dst = rng.permutation(m + 1)[:2] % m
+        if defect == "zero":
+            h[:, dst] = 0.0
+        elif defect == "plain copy":
+            # across two one-row sub-blocks, swapped candidates tie exactly
+            h[:, dst] = h[:, src]
+        elif defect == "copy" and src != dst:
+            # A scaled copy: a plain one across two one-row sub-blocks would make
+            # swapped candidates tie exactly, leaving the index to rounding.
+            h[:, dst] = (rng.standard_normal() + 1j * rng.standard_normal()) * h[:, src]
+        h = ChannelRealization(h)
+        ys.append(apply_channel(h, multiplex(x, phi, cfg), NoiseSpec.from_snr(snr, m), rng))
+        hs.append(h.h)
+    y = np.reshape(ys, stack + (nr,))
+    return cfg, y, ChannelRealization(np.reshape(hs, stack + (nr, m))), phi, dictionary
 
 
 class TestOneshot:
@@ -756,6 +829,71 @@ class TestOneshot:
         k, res = _joint_ml_oracle(y, h, phi, dictionary, cfg)
         np.testing.assert_array_equal(rec.s_indices, k)
         np.testing.assert_allclose(rec.residuals[0], res, rtol=1e-6, atol=1e-9)
+
+    @given(case=_joint_cases(stack=(3,), exact_copies=True), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_lockstep_search_is_the_recursive_search(self, case, data):
+        """The lockstep search of a stack makes, trial by trial, the
+        decisions of the recursive depth-first search it replaced: the same
+        indices and bit for bit the same residuals, also where plain column
+        copies make candidates tie exactly.  At budgets around each trial's
+        node count and at drawn ones it raises ``DictionaryTooLarge``
+        exactly when the recursion raises on some trial, and each trial
+        detected alone gives bit for bit its row of the stack."""
+        cfg, y, h, phi, dictionary = case
+        code, d = Codebook(cfg, phi), dictionary.d
+        want, residuals, nodes = _oneshot_reference(y, h, code)
+        rec = demux(y, h, code, solver="oneshot")
+        np.testing.assert_array_equal(rec.s_indices, want)
+        np.testing.assert_array_equal(rec.residuals, residuals)
+        for t in range(len(y)):
+            one = demux(y[t], ChannelRealization(h.h[t]), code, solver="oneshot")
+            for got, stacked in zip((one.s_indices, one.x_hat, one.residuals),
+                                    (rec.s_indices, rec.x_hat, rec.residuals)):
+                np.testing.assert_array_equal(got, stacked[t])
+        searches = (lambda cap: _oneshot_reference(y, h, code, cap),
+                    lambda cap: demux(y, h, code, solver="oneshot", oneshot_cap=cap))
+        drawn = data.draw(st.lists(st.integers(0, int(nodes.max() + 1) * d), max_size=3))
+        for cap in {n * d + edge for n in nodes.tolist() for edge in (-1, 0)} | set(drawn):
+            for search in searches:
+                if (nodes * d > cap).any():
+                    with pytest.raises(DictionaryTooLarge):
+                        search(cap)
+                else:
+                    search(cap)
+
+    @pytest.mark.parametrize("j, nodes", [(2, 5), (3, 9), (4, 13)])
+    def test_candidates_at_the_best_metric_are_visited(self, qpsk, j, nodes):
+        """A candidate whose partial metric equals the best metric so far is
+        visited, as the recursion visits it.  With an identity channel and
+        matrix and ``y = (a_2, a_1, a_3, 0)[-j:]`` cut to ``j`` entries
+        ending in 0, every candidate of the last sub-block has the partial
+        metric ``|a|²``, and the first path adds an exact 0 to it at every
+        level below, so every level holds candidates tied with the best
+        metric.  Each tie goes to the lowest joint index."""
+        cfg = MuxConfig(nt=j, nr=j, l=j, j=j)
+        code = Codebook(cfg, identity_phi(cfg))
+        y = np.append(qpsk.points[[2, 1, 3][: j - 1]], 0.0)
+        h = ChannelRealization(np.eye(j))
+        want, residual, visited = _oneshot_reference(y, h, code)
+        assert want.tolist() == [2, 1, 3][: j - 1] + [0] and visited == nodes
+        rec = demux(y, h, code, solver="oneshot", oneshot_cap=nodes * 4)
+        np.testing.assert_array_equal(rec.s_indices, want)
+        np.testing.assert_array_equal(rec.residuals, residual)
+        with pytest.raises(DictionaryTooLarge):
+            demux(y, h, code, solver="oneshot", oneshot_cap=nodes * 4 - 1)
+
+    def test_rank_orders_ties_as_a_stable_sort(self):
+        """``_rank`` sorts with the default sort and sorts again, stably,
+        only the rows that hold an exact tie, so its order is the stable
+        one, which the default sort does not give for 256 candidates with
+        ties."""
+        rng = np.random.default_rng(5)
+        metric = rng.integers(0, 6, size=(4, 256)).astype(float)
+        metric[0] = rng.permutation(256)
+        order, ranked = detection._rank(metric)
+        np.testing.assert_array_equal(order, metric.argsort(axis=-1, kind="stable"))
+        np.testing.assert_array_equal(ranked, np.sort(metric, axis=-1))
 
     def test_residual_is_direct_norm(self, qpsk, pipeline):
         cfg, phi, _ = pipeline
@@ -801,6 +939,20 @@ class TestOneshot:
                        solver="oneshot", snr_db=(float("inf"),), trials=50)
         row = run_sweep(spec).rows[0]
         assert row.trials == 50 and row.bit_errors == 0
+
+    def test_paper_20x20_recipe_over_budget_at_20_db(self):
+        """At 20 dB the (20,20)-40 search needs more than the default budget
+        of ``2**20`` scored candidates on most trials, so a sweep stops with
+        ``DictionaryTooLarge``.  With early stop off the first chunk holds
+        all four trials: its lockstep search raises, and the chunk's
+        one-by-one rerun raises again from the first trial over budget."""
+        spec = replace(load_spec(recipe_path("mimo20x20_l40.json")), solver="oneshot",
+                       snr_db=(20.0,), trials=4, early_stop_errors=0)
+        with mock.patch.object(harness, "_tally_chunk", wraps=harness._tally_chunk) as tally, \
+                pytest.raises(DictionaryTooLarge, match=r"^joint search needs more than 1048576 "):
+            run_sweep(spec)
+        sizes = [call.args[2] for call in tally.call_args_list]
+        assert sizes[0] == 4 and set(sizes[1:]) == {1}
 
     def test_noiseless_exact(self, qpsk, cfg_2x2_l4):
         cfg = cfg_2x2_l4
