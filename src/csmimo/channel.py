@@ -200,8 +200,8 @@ class NoiseSpec:
     sigma2: float
 
     def __post_init__(self) -> None:
-        if not self.sigma2 >= 0.0:
-            raise ValueError(f"sigma2 must be >= 0, got {self.sigma2!r}")
+        if not 0.0 <= self.sigma2 < np.inf:
+            raise ValueError(f"sigma2 must be finite and >= 0, got {self.sigma2!r}")
 
     @classmethod
     def from_snr(cls, snr_db: float, rx_energy: float) -> "NoiseSpec":

@@ -40,7 +40,7 @@ from .channel import ChannelRealization
 from .csmux import MeasurementMatrix, MuxConfig, transmit_gain
 from .dictionary import SubblockDictionary, build_dictionary, digits
 from .errors import BadSubblockShape, DictionaryTooLarge, DimensionMismatch, RankDeficientChannel
-from .modem import Constellation, get_constellation
+from .modem import Constellation, get_constellation, nearest_point_indices
 
 SOLVERS = ("ml", "omp", "oneshot")
 
@@ -67,10 +67,12 @@ class EqualizerOutput:
 
 @dataclass(frozen=True)
 class RecoveryResult:
-    """Recovered sub-block indices and the reassembled symbol vector.
+    """Recovered sub-block columns, decided ``(..., l)`` point indices and symbols.
 
-    ``residuals`` holds one value per sub-block for the two-step solvers;
-    the one-shot solver reports a single joint residual instead.
+    ``x_hat`` is ``points[x_indices]``, except for ``omp``, whose scaled
+    atoms ``x_indices`` slice to the nearest points.  ``residuals`` holds
+    one value per sub-block for the two-step solvers; the one-shot solver
+    reports a single joint residual instead.
     ``condition_number`` is that of the equalized channel ``h``, computed
     when first read, and ``nan`` for the one-shot solver, which equalizes
     nothing (``h`` is ``None``).  For a stack of channels every field
@@ -78,6 +80,7 @@ class RecoveryResult:
     """
 
     s_indices: np.ndarray
+    x_indices: np.ndarray
     x_hat: np.ndarray
     residuals: np.ndarray
     h: ChannelRealization | None = field(default=None, repr=False)
@@ -227,12 +230,12 @@ def _ml_split(z: np.ndarray, code: Codebook) -> tuple[np.ndarray, np.ndarray]:
 
     ``||z - Φψ||² = ||Re z - Φ Re ψ||² + ||Im z - Φ Im ψ||²`` for a real
     ``Φ``, so the joint argmin is the pair of half argmins.  Returns the
-    ``(..., J)`` columns of the real-part argmin ``u`` and the
-    imaginary-part argmin ``v``, each half breaking ties to its lowest
-    level tuple, and the residual norms of the same two minima.  A column
-    is decoded from the level digits of ``u`` and ``v`` alone, symbol ``i``
-    being ``point_of[digit i of u, digit i of v]``, so nothing of size
-    ``q**n`` is built.
+    ``(..., J, n)`` point indices of the column that pairs the real-part
+    argmin ``u`` with the imaginary-part argmin ``v``, each half breaking
+    ties to its lowest level tuple, and the ``(..., J)`` residual norms of
+    the same two minima.  Symbol ``i`` is ``point_of[digit i of u, digit i
+    of v]``, read from the level digits of ``u`` and ``v`` alone, so
+    nothing of size ``q**n`` is built.
     """
     scan, point_of = code.iq_scan
     j, n, r = z.shape[-2], code.cfg.subblock_cols, point_of.shape[0]
@@ -248,8 +251,7 @@ def _ml_split(z: np.ndarray, code: Codebook) -> tuple[np.ndarray, np.ndarray]:
     best += np.einsum("...i,...i->...", zr[..., :-1], zr[..., :-1])
     res = np.sqrt(np.maximum(best[..., :j] + best[..., j:], 0.0))
     levels = digits(k, r, n)
-    symbols = point_of[levels[..., :j, :], levels[..., j:, :]]
-    return symbols @ code.alphabet.order ** np.arange(n), res
+    return point_of[levels[..., :j, :], levels[..., j:, :]], res
 
 
 def recover_subblock_ml(z_hat_j: np.ndarray, sensing: np.ndarray) -> tuple[int, float]:
@@ -333,7 +335,7 @@ def demux(
     solver: str = "ml",
     oneshot_cap: int = 1 << 20,
 ) -> RecoveryResult:
-    """Full receiver: equalize, split into sub-blocks, recover, reassemble.
+    """Full receiver: equalize, split into sub-blocks, recover, decide points.
 
     ``code`` holds the setup's matrix and what derives from it; a caller
     that detects many trials builds it once.  A stack of channels takes
@@ -349,8 +351,9 @@ def demux(
     column's sub-block times the atom's least-squares coefficient, which
     undoes the complex rotation that the absolute-correlation rule cannot
     see for phase-symmetric alphabets; ``x_hat`` is then not a
-    constellation vector, and ``s_indices`` holds the picked columns.  An
-    all-zero block goes to column 0 with coefficient 0.  The exact scan is
+    constellation vector, ``s_indices`` holds the picked columns, and
+    ``x_indices`` slices ``x_hat`` to its nearest points.  An all-zero
+    block goes to column 0 with coefficient 0.  The exact scan is
     the production detector and OMP remains a generic cross-check; on
     one-row sub-blocks ``omp`` raises :class:`BadSubblockShape` (see
     :func:`check_subblock_shape`).  A channel that is not ``nr x m`` raises
@@ -376,23 +379,17 @@ def demux(
 
     eq = zf_equalize(y, h, gain=code.gain)
     blocks = eq.z_hat.reshape(h.stack_shape + (cfg.j, cfg.subblock_rows))
+    c, n = code.alphabet, cfg.subblock_cols
     if solver == "ml":
-        indices, residuals = _ml_split(blocks, code)
-        x_hat = _reassemble(code, indices)
+        x_indices, residuals = _ml_split(blocks, code)
+        indices = x_indices @ c.order ** np.arange(n)
+        x_hat = c.points[x_indices]
     else:
         indices, coef, residuals = _omp_pick(blocks, code)
-        x_hat = _reassemble(code, indices, coef)
-    return RecoveryResult(indices, x_hat, residuals, h)
-
-
-def _reassemble(code: Codebook, indices: np.ndarray, coef: np.ndarray | None = None):
-    """Symbol vectors ``(..., l)`` of the per-block dictionary columns
-    ``(..., J)``, each index decoded as the dictionary orders its columns,
-    and each block scaled by its ``coef`` if one is given."""
-    symbols = code.alphabet.points[digits(indices, code.alphabet.order, code.cfg.subblock_cols)]
-    if coef is not None:
-        symbols = symbols * coef[..., None]
-    return symbols.reshape(indices.shape[:-1] + (code.cfg.l,))
+        x_hat = c.points[digits(indices, c.order, n)] * coef[..., None]
+        x_indices = nearest_point_indices(x_hat, c)
+    shape = h.stack_shape + (cfg.l,)
+    return RecoveryResult(indices, x_indices.reshape(shape), x_hat.reshape(shape), residuals, h)
 
 
 def _demux_oneshot(y, h, code, cap):
@@ -417,7 +414,7 @@ def _demux_oneshot(y, h, code, cap):
     ``_CHUNK_BYTES``; each trial's decision and budget are those of its own
     depth-first search.
     """
-    cfg = code.cfg
+    cfg, c = code.cfg, code.alphabet
     a = code.sensing * code.gain
     q, r = h.qr
     # stacked matrix-vector products, bit for bit the single-channel ones
@@ -443,7 +440,8 @@ def _demux_oneshot(y, h, code, cap):
     out = out.real.swapaxes(-1, -2) @ out.real + out.imag.swapaxes(-1, -2) @ out.imag
     indices = indices.reshape(h.stack_shape + (cfg.j,))
     residuals = np.sqrt(best.reshape(h.stack_shape + (1,)) + out[..., 0])
-    return RecoveryResult(indices, _reassemble(code, indices), residuals)
+    x_indices = digits(indices, c.order, cfg.subblock_cols).reshape(h.stack_shape + (cfg.l,))
+    return RecoveryResult(indices, x_indices, c.points[x_indices], residuals)
 
 
 def _sphere_search(yq, contrib, rows, cap):

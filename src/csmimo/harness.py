@@ -2,11 +2,12 @@
 
 Every trial sends one channel use: fresh bits are modulated, compressed,
 pushed through an independent Rayleigh draw plus AWGN, then recovered and
-demapped.  Trial ``t`` draws all of its randomness from the stream seeded
-by ``(master_seed, t)``, so results do not depend on execution order and a
-trial index reuses the same bits/channel across SNR points (common random
-numbers).  Sweeps stop early at an SNR point once enough bit errors have
-accumulated for a stable estimate, up to the configured trial cap.
+demapped from the point index the receiver decides for each symbol.  Trial
+``t`` draws all of its randomness from the stream seeded by ``(master_seed,
+t)``, so results do not depend on execution order and a trial index reuses
+the same bits/channel across SNR points (common random numbers).  Sweeps
+stop early at an SNR point once enough bit errors have accumulated for a
+stable estimate, up to the configured trial cap.
 
 Trials run trial-major, in chunks of consecutive indices.  Each trial draws
 exactly the stream of ``default_rng([master_seed, t])`` in a fixed order:
@@ -86,10 +87,11 @@ class ExperimentSpec:
     """Full parameterization of one sweep.
 
     ``snr_db`` takes any grid form :func:`parse_snr_grid` reads and is
-    stored sorted; its points must be distinct and finite, or ``inf`` for a
-    noiseless point.  ``trials`` caps the Monte Carlo count per SNR point;
-    ``early_stop_errors`` ends a point once that many bit errors have been
-    seen (0 disables early stopping).  Counts and seeds must be integers.
+    stored sorted; its points must be distinct, and finite with a finite
+    noise variance ``m/10**(snr/10)`` or ``inf`` for a noiseless point.
+    ``trials`` caps the Monte Carlo count per point; ``early_stop_errors``
+    ends a point once that many bit errors have been seen (0 disables
+    early stopping).  Counts and seeds must be integers.
     The scheme's per-block table must fit ``dictionary_cap`` for its
     ``solver`` (:func:`block_width`); a baseline builds none.  ``omp``
     needs sub-blocks of ``m/j >= 2`` rows, since on one row every column's
@@ -107,7 +109,7 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         require_ints(self)
-        grid = tuple(sorted(_snr_point(s) for s in parse_snr_grid(self.snr_db)))
+        grid = tuple(sorted(_snr_point(s, self.config.m) for s in parse_snr_grid(self.snr_db)))
         if not grid:
             raise ValueError("SNR grid must not be empty")
         for lo, hi in zip(grid, grid[1:]):
@@ -513,18 +515,19 @@ def _draw_chunk(prep: _Prepared, t0: int, n: int) -> _Drawn:
 def _detect(prep: _Prepared, drawn: _Drawn, lo: int, hi: int, snr_db: float) -> _Chunk:
     """Trials ``lo .. hi-1`` of a drawn chunk detected at one SNR point in
     one stacked pass, on the slice of the chunk's channels that shares
-    their factorizations."""
-    spec, c = prep.spec, prep.modem
+    their factorizations.  The scheme demaps the point indices :func:`demux`
+    decided; a baseline slices its ZF estimate to the nearest points."""
+    spec, c, n = prep.spec, prep.modem, hi - lo
     channel = drawn.channel[lo:hi]
     noise = NoiseSpec.from_snr(snr_db, float(spec.config.m))
     y = received(channel.h, drawn.z[lo:hi], noise, drawn.normals[lo:hi])
     if prep.code is None:
         # S has orthonormal rows, so S^T H^+ = (H S)^+
         x_hat = zf_equalize(y, channel).z_hat @ prep.spread
+        rx_idx = nearest_point_indices(x_hat, c).reshape(n, spec.streams)
     else:
-        x_hat = demux(y, channel, prep.code, solver=spec.solver).x_hat
-    n, tx_bits, tx_idx = hi - lo, drawn.tx_bits[lo:hi], drawn.tx_idx[lo:hi]
-    rx_idx = nearest_point_indices(x_hat, c).reshape(n, spec.streams)
+        rx_idx = demux(y, channel, prep.code, solver=spec.solver).x_indices
+    tx_bits, tx_idx = drawn.tx_bits[lo:hi], drawn.tx_idx[lo:hi]
     rx_bits = c.labels[rx_idx].reshape(n, -1)
     return _Chunk(rx_bits, (tx_bits != rx_bits).sum(axis=1), (tx_idx != rx_idx).sum(axis=1))
 
@@ -590,7 +593,7 @@ def run_trial(
     trial_index = require_int(trial_index, "trial_index")
     if trial_index < 0:
         raise ValueError("trial_index must be non-negative")
-    point = spec.snr_db[0] if snr_db is None else _snr_point(snr_db)
+    point = spec.snr_db[0] if snr_db is None else _snr_point(snr_db, spec.config.m)
     prep = _prepared(spec, phi)
     drawn = _draw_chunk(prep, trial_index, 1)
     chunk = _detect(prep, drawn, 0, 1, point)
@@ -664,13 +667,16 @@ def run_sweep(spec: ExperimentSpec, phi: MeasurementMatrix | None = None) -> Swe
     return SweepResult(spec, tuple(rows))
 
 
-def _snr_point(value) -> float:
-    """One SNR point in dB, which must be finite or ``inf`` (no noise)."""
+def _snr_point(value, m: int) -> float:
+    """One SNR point in dB: ``inf`` (no noise), or finite with a finite noise variance at ``m``."""
     if isinstance(value, (bool, np.bool_)):
         raise ValueError(f"SNR grid point {value!r} is not a dB value")
     s = float(value)
-    if np.isnan(s) or s == -np.inf:
-        raise ValueError(f"SNR grid point {s!r} dB must be finite or inf")
+    try:
+        NoiseSpec.from_snr(s, m)
+    except (ArithmeticError, ValueError):  # overflow, 1/0, or sigma2 not finite
+        raise ValueError(f"SNR grid point {s!r} dB must be finite and give a finite"
+                         f" noise variance at m = {m}, or be inf") from None
     return s
 
 

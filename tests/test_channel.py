@@ -142,6 +142,18 @@ class TestNoiseSpec:
         with pytest.raises(ValueError):
             NoiseSpec(0.0, -1.0)
 
+    @pytest.mark.parametrize("sigma2", [float("inf"), float("nan")])
+    def test_non_finite_sigma2_rejected(self, sigma2):
+        with pytest.raises(ValueError, match="^sigma2 must be finite and >= 0"):
+            NoiseSpec(0.0, sigma2)
+
+    @pytest.mark.parametrize("snr", [-3200.0, float("nan")])
+    def test_snr_of_non_finite_sigma2_rejected(self, snr):
+        """At -3200 dB ``2 / 10**-320`` rounds to ``inf``, which used to
+        pass as a noise variance."""
+        with pytest.raises(ValueError, match="^sigma2 must be finite and >= 0"):
+            NoiseSpec.from_snr(snr, 2.0)
+
 
 class TestApplyChannel:
     def test_noiseless_identity_channel(self):

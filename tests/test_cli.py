@@ -89,6 +89,19 @@ def test_fractional_count_is_one_line(tmp_path, capsys):
     assert err == "csmimo: error: trials must be an integer, got 2.7\n"
 
 
+@pytest.mark.parametrize("snr", ["5000", "1e308", "-1e308", "-3200"])
+def test_snr_without_finite_noise_variance_is_one_line(tmp_path, capsys, snr):
+    """An SNR point whose noise variance over- or underflows fails at the
+    spec, not as a traceback from inside a trial."""
+    out = tmp_path / "x.csv"
+    rc = main(["simulate", "--config", recipe_path("mimo2x2_l4.json"), "--trials", "3",
+               f"--snr={snr}", "--out", str(out)])
+    assert rc == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"csmimo: error: SNR grid point {float(snr)!r} dB must be finite")
+    assert err.count("\n") == 1
+
+
 def test_missing_config_file_is_one_line(tmp_path, capsys):
     rc = main(["analyze", "--config", str(tmp_path / "absent.json")])
     assert rc == 2

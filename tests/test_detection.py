@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from csmimo import detection, harness
@@ -20,6 +20,7 @@ from csmimo.csmux import (
     transmit_gain,
 )
 from csmimo.detection import (
+    SOLVERS,
     Codebook,
     channel_is_usable,
     demux,
@@ -193,7 +194,8 @@ class TestZfAgainstSvd:
 
         rec = demux(y, channel, code, solver="ml")
         blocks = want.reshape(stack + (j, rows))
-        np.testing.assert_array_equal(rec.s_indices, detection._ml_split(blocks, code)[0])
+        np.testing.assert_array_equal(
+            rec.x_indices, detection._ml_split(blocks, code)[0].reshape(stack + (cfg.l,)))
         plain = ChannelRealization(h[..., :m, :])
         np.testing.assert_array_equal(
             nearest_point_indices(zf_equalize(y[..., :m], plain).z_hat, c),
@@ -633,17 +635,21 @@ class TestCodebook:
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=40, deadline=None)
-    def test_reassemble_decodes_the_dictionary_columns(self, constellation, n, j, stack, seed):
-        """``_reassemble`` decodes each block's column index itself, bit for
-        bit the dictionary's column, and builds no dictionary."""
+    def test_ml_symbols_are_the_dictionary_columns(self, constellation, n, j, stack, seed):
+        """An ``ml`` ``demux`` returns each block's symbols bit for bit as
+        the dictionary column its ``s_indices`` names, and builds no
+        dictionary."""
         cfg = MuxConfig(nt=j, nr=j, l=n * j, j=j, constellation=constellation)
         code = Codebook(cfg, MeasurementMatrix(np.ones((1, n)), 1.0))
-        psi = build_dictionary(get_constellation(constellation), n).psi
-        k = np.random.default_rng(seed).integers(0, psi.shape[1], size=stack + (j,))
-        k[..., 0] = psi.shape[1] - 1
-        x = detection._reassemble(code, k)
-        np.testing.assert_array_equal(x, psi.T[k].reshape(stack + (cfg.l,)))
+        rng = np.random.default_rng(seed)
+        h = ChannelRealization(np.stack([_unitary(rng, j, j) for _ in range(int(np.prod(stack)))])
+                               .reshape(stack + (j, j)))
+        # wide spread, so that the outermost levels are picked too
+        y = 4.0 * (rng.standard_normal(stack + (j,)) + 1j * rng.standard_normal(stack + (j,)))
+        rec = demux(y, h, code, solver="ml")
         assert "dictionary" not in vars(code)
+        psi = build_dictionary(get_constellation(constellation), n).psi
+        np.testing.assert_array_equal(rec.x_hat, psi.T[rec.s_indices].reshape(stack + (cfg.l,)))
 
     def test_equal_codebooks_compare_and_hash_by_identity(self):
         spec = load_spec(recipe_path("mimo4x4_l8.json"))
@@ -695,6 +701,57 @@ class TestStackedTrials:
                 (one.s_indices, one.x_hat, one.residuals, one.condition_number),
             ):
                 np.testing.assert_array_equal(got[at], want)
+
+
+class TestPointIndices:
+    """``demux`` returns the point index of every decided symbol, which the
+    demapper reads without slicing ``x_hat`` again."""
+
+    @given(
+        solver=st.sampled_from(SOLVERS),
+        constellation=st.sampled_from(["qpsk", "qam16"]),
+        rows=st.sampled_from([1, 2]),
+        j=st.sampled_from([1, 2]),
+        extra=st.sampled_from([0, 1]),
+        stack=st.sampled_from([(), (1,), (3,), (2, 2)]),
+        snr=st.sampled_from([0.0, 12.0, float("inf")]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_indices_are_the_decided_points(
+        self, solver, constellation, rows, j, extra, stack, snr, seed
+    ):
+        """``x_indices`` is the nearest point of every symbol of ``x_hat``
+        for every solver.  ``ml`` and ``oneshot`` decide constellation
+        vectors, so their ``x_hat`` is ``points[x_indices]`` bit for bit and
+        ``s_indices`` encodes each block's ``x_indices`` little-endian.
+        ``omp`` scales its atom, so its slice may differ from the picked
+        column, and it needs sub-blocks of two rows or more."""
+        m, n = rows * j, rows + extra
+        assume(not (solver == "omp" and rows == 1))
+        # the joint search of d**J candidates stays within its budget at 0 dB
+        assume(not (solver == "oneshot" and constellation == "qam16" and extra))
+        cfg = MuxConfig(nt=m, nr=m, l=n * j, j=j, phi_seed=seed % 1000,
+                        constellation=constellation)
+        code = Codebook(cfg, gen_phi(cfg))
+        c, rng = code.alphabet, np.random.default_rng(seed)
+        x = c.points[rng.integers(0, c.order, stack + (cfg.l,))]
+        h = np.stack([_unitary(rng, m, m) for _ in range(int(np.prod(stack)))])
+        h = h.reshape(stack + (m, m))
+        sigma = np.sqrt(NoiseSpec.from_snr(snr, m).sigma2 / 2.0)
+        noise = sigma * (rng.standard_normal(stack + (m,))
+                         + 1j * rng.standard_normal(stack + (m,)))
+        y = (h @ multiplex(x, code.phi, cfg)[..., None])[..., 0] + noise
+
+        rec = demux(y, ChannelRealization(h), code, solver=solver)
+        assert rec.x_indices.shape == rec.x_hat.shape == stack + (cfg.l,)
+        assert rec.x_indices.dtype == np.int64
+        np.testing.assert_array_equal(
+            rec.x_indices, nearest_point_indices(rec.x_hat, c).reshape(rec.x_hat.shape))
+        if solver != "omp":
+            np.testing.assert_array_equal(rec.x_hat, c.points[rec.x_indices])
+            blocks = rec.x_indices.reshape(stack + (j, n))
+            np.testing.assert_array_equal(rec.s_indices, blocks @ c.order ** np.arange(n))
 
 
 def _joint_ml_oracle(y, h, phi, dictionary, cfg):

@@ -176,8 +176,32 @@ class TestRunTrial:
             with pytest.raises(ValueError, match=f"^SNR grid point {named} dB must be finite"):
                 run_trial(small_spec(), 0, snr_db=snr)
 
+    def test_snr_without_finite_noise_variance_rejected(self):
+        """A trial's SNR whose noise variance is not a finite float fails in
+        one line that names it, before any draw."""
+        for snr in (5000.0, -3200.0):
+            with mock.patch.object(harness, "_draw_chunk") as drawn, \
+                    pytest.raises(ValueError, match=_no_variance(snr, 4)):
+                run_trial(small_spec(), 0, snr_db=snr)
+            drawn.assert_not_called()
+
+
+def _no_variance(snr, m):
+    """The one-line rejection of grid point ``snr`` at ``m`` dimensions."""
+    return re.escape(f"SNR grid point {snr!r} dB must be finite and give a finite noise"
+                     f" variance at m = {m}, or be inf") + "$"
+
 
 class TestExperimentSpec:
+    @pytest.mark.parametrize("snr", [5000.0, 1e308, -1e308, -3200.0])
+    def test_point_without_finite_noise_variance_rejected(self, snr):
+        """``m / 10**(snr/10)`` overflows, divides by an underflowed zero or
+        rounds to ``inf``: the spec names the point; a point whose variance
+        is finite, however small, stays."""
+        with pytest.raises(ValueError, match=_no_variance(snr, 4)):
+            small_spec(snr_db=(10.0, snr))
+        assert small_spec(snr_db=(-3000.0, 3000.0, INF)).snr_db == (-3000.0, 3000.0, INF)
+
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError, match="trials"):
             small_spec(trials=0)
