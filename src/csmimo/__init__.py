@@ -12,7 +12,6 @@ from .csmux import (
 )
 from .detection import (
     Codebook,
-    EqualizerOutput,
     RecoveryResult,
     demux,
     recover_subblock_ml,

@@ -209,9 +209,17 @@ class NoiseSpec:
 
         ``rx_energy`` equals the number of unit-energy transmit dimensions
         under the convention described in the module docstring.  An infinite
-        ``snr_db`` yields sigma2 = 0 (noiseless).
+        ``snr_db`` yields sigma2 = 0 (noiseless); a point whose sigma2 is not
+        a finite float ``>= 0`` raises ``ValueError``, a finite point whose
+        ``10**(snr_db/10)`` overflows or underflows to 0 included.
         """
-        return cls(float(snr_db), float(rx_energy) / 10.0 ** (float(snr_db) / 10.0))
+        snr, energy = float(snr_db), float(rx_energy)
+        try:
+            sigma2 = energy / 10.0 ** (snr / 10.0)
+        except ArithmeticError:  # 10**(snr/10) overflows, or underflows to 0
+            raise ValueError(f"sigma2 must be finite and >= 0, got {energy!r}"
+                             f" / 10**({snr!r}/10)") from None
+        return cls(snr, sigma2)
 
 
 def sample_channel(nr: int, m_tx: int, rng: np.random.Generator) -> ChannelRealization:

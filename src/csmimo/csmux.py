@@ -123,15 +123,12 @@ def block_width(cfg: MuxConfig, solver: str) -> int:
 class MeasurementMatrix:
     """Real compression matrix shared by all sub-blocks.
 
-    ``scale`` records the target entry standard deviation; Gaussian draws
-    use ``scale = 1/sqrt(rows)`` so each column has unit expected norm.
     ``phi`` is a read-only copy of the caller's array, so the values
     derived from it stay valid, and two matrices are equal, with equal
-    hashes, when their shape, entry bytes and ``scale`` are.
+    hashes, when their shape and entry bytes are.
     """
 
     phi: np.ndarray
-    scale: float
 
     def __post_init__(self) -> None:
         phi = np.array(self.phi, dtype=np.float64)
@@ -143,7 +140,7 @@ class MeasurementMatrix:
         object.__setattr__(self, "phi", phi)
 
     def _key(self) -> tuple:
-        return self.phi.shape, self.phi.tobytes(), self.scale
+        return self.phi.shape, self.phi.tobytes()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MeasurementMatrix):
@@ -152,6 +149,12 @@ class MeasurementMatrix:
 
     def __hash__(self) -> int:
         return hash(self._key())
+
+    @property
+    def scale(self) -> float:
+        """Target entry standard deviation ``1/sqrt(rows)``, which gives
+        each Gaussian column unit expected norm."""
+        return 1.0 / np.sqrt(self.phi.shape[0])
 
     @cached_property
     def fro2(self) -> float:
@@ -166,16 +169,14 @@ def gen_phi(cfg: MuxConfig, rng: np.random.Generator | None = None) -> Measureme
     existing stream instead.  Transmitter and receiver share the result.
     """
     rows, cols = cfg.subblock_rows, cfg.subblock_cols
-    scale = 1.0 / np.sqrt(rows)
     if rng is None:
         rng = np.random.default_rng(cfg.phi_seed)
-    return MeasurementMatrix(rng.standard_normal((rows, cols)) * scale, scale)
+    return MeasurementMatrix(rng.standard_normal((rows, cols)) * (1.0 / np.sqrt(rows)))
 
 
 def identity_phi(cfg: MuxConfig) -> MeasurementMatrix:
     """Identity sub-block matrix (no compression); useful with rho = 1."""
-    rows, cols = cfg.subblock_rows, cfg.subblock_cols
-    return MeasurementMatrix(np.eye(rows, cols), 1.0 / np.sqrt(rows))
+    return MeasurementMatrix(np.eye(cfg.subblock_rows, cfg.subblock_cols))
 
 
 def transmit_gain(phi: MeasurementMatrix, cfg: MuxConfig) -> float:
@@ -215,7 +216,7 @@ def phi_from_text(text: str) -> MeasurementMatrix:
     phi = np.array(rows, dtype=np.float64)
     if phi.ndim != 2 or phi.size == 0:
         raise ValueError("dump does not contain a matrix")
-    return MeasurementMatrix(phi, 1.0 / np.sqrt(phi.shape[0]))
+    return MeasurementMatrix(phi)
 
 
 def multiplex(x: np.ndarray, phi: MeasurementMatrix, cfg: MuxConfig) -> np.ndarray:

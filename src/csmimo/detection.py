@@ -25,13 +25,13 @@ or slices of it, to every point.  ZF is one stacked product with the
 pseudo-inverse.  The usability check clears a well-conditioned channel on
 the Frobenius norms of the channel and its pseudo-inverse and takes
 singular values only of a channel that this bound does not clear, so a
-sweep without a near-singular channel makes no SVD; the condition number
-that a result reports is computed from singular values only when read.
+sweep without a near-singular channel makes no SVD; the channel's
+condition number is computed from singular values only when read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -50,61 +50,33 @@ _CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
-class EqualizerOutput:
-    """Equalized vector of the channel ``h``, with that channel's condition
-    number ``σ_max/σ_min`` as a diagnostic, computed when first read.
-
-    For a stack of channels both carry the leading trial axes.
-    """
-
-    z_hat: np.ndarray
-    h: ChannelRealization = field(repr=False)
-
-    @property
-    def condition_number(self) -> float | np.ndarray:
-        return self.h.condition_number
-
-
-@dataclass(frozen=True)
 class RecoveryResult:
     """Recovered sub-block columns, decided ``(..., l)`` point indices and symbols.
 
     ``x_hat`` is ``points[x_indices]``, except for ``omp``, whose scaled
     atoms ``x_indices`` slice to the nearest points.  ``residuals`` holds
     one value per sub-block for the two-step solvers; the one-shot solver
-    reports a single joint residual instead.
-    ``condition_number`` is that of the equalized channel ``h``, computed
-    when first read, and ``nan`` for the one-shot solver, which equalizes
-    nothing (``h`` is ``None``).  For a stack of channels every field
-    carries the leading trial axes.
+    reports a single joint residual instead.  For a stack of channels every
+    field carries the leading trial axes.  The channel's conditioning is
+    read from its :class:`ChannelRealization`.
     """
 
     s_indices: np.ndarray
     x_indices: np.ndarray
     x_hat: np.ndarray
     residuals: np.ndarray
-    h: ChannelRealization | None = field(default=None, repr=False)
-
-    @property
-    def condition_number(self) -> float | np.ndarray:
-        if self.h is None:
-            return np.full(self.s_indices.shape[:-1], np.nan)[()]
-        return self.h.condition_number
 
 
-def zf_equalize(
-    y: np.ndarray, h: ChannelRealization, gain: float = 1.0
-) -> EqualizerOutput:
+def zf_equalize(y: np.ndarray, h: ChannelRealization) -> np.ndarray:
     """Zero-forcing equalizer: pseudo-inverse of a full-column-rank channel.
 
-    Solves ``min ||h z - y||`` as ``h.pinv @ y`` and divides out ``gain``
-    (the transmit power normalization).  Raises
-    :class:`RankDeficientChannel` where :func:`channel_is_usable` is false:
-    the system is underdetermined, or the smallest singular value falls
-    below ``RANK_TOL`` times the largest (the message gives the condition
-    number of the first such trial).  A stack of channels takes ``y`` of
-    shape ``(..., nr)`` and equalizes every trial, bit for bit as one at a
-    time.
+    Returns the ``(..., m_tx)`` solution of ``min ||h z - y||``,
+    ``h.pinv @ y``.  Raises :class:`RankDeficientChannel` where
+    :func:`channel_is_usable` is false: the system is underdetermined, or
+    the smallest singular value falls below ``RANK_TOL`` times the largest
+    (the message gives the condition number of the first such trial).  A
+    stack of channels takes ``y`` of shape ``(..., nr)`` and equalizes
+    every trial, bit for bit as one at a time.
     """
     y = np.asarray(y, dtype=np.complex128)
     if not h.stack_shape:
@@ -125,8 +97,7 @@ def zf_equalize(
             f"condition number {worst.condition_number:.3e} is not below 1/RANK_TOL"
         )
     # stacked matrix-vector products, bit for bit the single-channel ones
-    z_hat = (h.pinv @ y[..., None])[..., 0]
-    return EqualizerOutput(z_hat / gain, h)
+    return (h.pinv @ y[..., None])[..., 0]
 
 
 def channel_is_usable(h: ChannelRealization) -> bool | np.ndarray:
@@ -337,6 +308,8 @@ def demux(
 ) -> RecoveryResult:
     """Full receiver: equalize, split into sub-blocks, recover, decide points.
 
+    The two-step solvers divide the :func:`zf_equalize` estimate by
+    ``code.gain``, the transmit power normalization, before they split it.
     ``code`` holds the setup's matrix and what derives from it; a caller
     that detects many trials builds it once.  A stack of channels takes
     ``y`` of shape ``(..., nr)`` and detects every trial in one pass, bit
@@ -377,8 +350,7 @@ def demux(
     if solver == "oneshot":
         return _demux_oneshot(y, h, code, cap=oneshot_cap)
 
-    eq = zf_equalize(y, h, gain=code.gain)
-    blocks = eq.z_hat.reshape(h.stack_shape + (cfg.j, cfg.subblock_rows))
+    blocks = (zf_equalize(y, h) / code.gain).reshape(h.stack_shape + (cfg.j, cfg.subblock_rows))
     c, n = code.alphabet, cfg.subblock_cols
     if solver == "ml":
         x_indices, residuals = _ml_split(blocks, code)
@@ -389,7 +361,7 @@ def demux(
         x_hat = c.points[digits(indices, c.order, n)] * coef[..., None]
         x_indices = nearest_point_indices(x_hat, c)
     shape = h.stack_shape + (cfg.l,)
-    return RecoveryResult(indices, x_indices.reshape(shape), x_hat.reshape(shape), residuals, h)
+    return RecoveryResult(indices, x_indices.reshape(shape), x_hat.reshape(shape), residuals)
 
 
 def _demux_oneshot(y, h, code, cap):

@@ -240,6 +240,8 @@ def wilson_interval(errors: int, total: int, z: float = 1.959963984540054) -> tu
     """95% Wilson score interval for an error proportion."""
     if total < 1:
         raise ValueError("total must be >= 1")
+    if not 0 <= errors <= total:
+        raise ValueError(f"errors = {errors} must lie in [0, total = {total}]")
     p = errors / total
     z2 = z * z
     denom = 1.0 + z2 / total
@@ -523,7 +525,7 @@ def _detect(prep: _Prepared, drawn: _Drawn, lo: int, hi: int, snr_db: float) -> 
     y = received(channel.h, drawn.z[lo:hi], noise, drawn.normals[lo:hi])
     if prep.code is None:
         # S has orthonormal rows, so S^T H^+ = (H S)^+
-        x_hat = zf_equalize(y, channel).z_hat @ prep.spread
+        x_hat = zf_equalize(y, channel) @ prep.spread
         rx_idx = nearest_point_indices(x_hat, c).reshape(n, spec.streams)
     else:
         rx_idx = demux(y, channel, prep.code, solver=spec.solver).x_indices
@@ -674,7 +676,7 @@ def _snr_point(value, m: int) -> float:
     s = float(value)
     try:
         NoiseSpec.from_snr(s, m)
-    except (ArithmeticError, ValueError):  # overflow, 1/0, or sigma2 not finite
+    except ValueError:
         raise ValueError(f"SNR grid point {s!r} dB must be finite and give a finite"
                          f" noise variance at m = {m}, or be inf") from None
     return s

@@ -150,13 +150,13 @@ class TestVerifyUniqueness:
         assert report.min_distance > 0.0
 
     def test_zero_matrix_not_unique(self, qpsk):
-        phi = MeasurementMatrix(np.zeros((1, 2)), 0.0)
+        phi = MeasurementMatrix(np.zeros((1, 2)))
         report = verify_uniqueness(phi, qpsk, 2)
         assert not report.unique
         assert report.min_distance == 0.0
 
     def test_identity_on_points_is_unique(self, qpsk):
-        phi = MeasurementMatrix(np.eye(1), 1.0)
+        phi = MeasurementMatrix(np.eye(1))
         report = verify_uniqueness(phi, qpsk, 1)
         assert report.unique
         assert report.d == 4
@@ -181,7 +181,7 @@ class TestVerifyUniqueness:
         level tuples equal those of all ``q**n`` complex columns."""
         dictionary = build_dictionary(get_constellation(constellation), n)
         phi = MeasurementMatrix(
-            np.random.default_rng(seed).standard_normal((rows, n)) / np.sqrt(rows), 1.0
+            np.random.default_rng(seed).standard_normal((rows, n)) / np.sqrt(rows)
         )
         report = verify_uniqueness(phi, dictionary.constellation, n)
         a = phi.phi @ dictionary.psi
@@ -211,7 +211,7 @@ class TestVerifyUniqueness:
         labels = (np.arange(8)[:, None] >> np.arange(2, -1, -1)) & 1
         psk8 = Constellation("psk8", np.exp(2j * np.pi * np.arange(8) / 8), labels)
         with pytest.raises(ValueError, match="not an I/Q product alphabet"):
-            verify_uniqueness(MeasurementMatrix(np.eye(1), 1.0), psk8, 1)
+            verify_uniqueness(MeasurementMatrix(np.eye(1)), psk8, 1)
 
 
 def test_composition_keeps_rip_bounded():

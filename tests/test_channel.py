@@ -117,6 +117,20 @@ class TestFactorizations:
         with pytest.raises(TypeError, match="leading trial axis"):
             stack[0]
 
+    def test_condition_number_is_exact_and_read_lazily(self):
+        """``condition_number`` is ``s[0]/s[-1]`` of every matrix's thin SVD,
+        computed only when first read, and only once."""
+        rng = np.random.default_rng(9)
+        channel = ChannelRealization(np.stack([sample_channel(4, 4, rng).h for _ in range(3)]))
+        with mock.patch("numpy.linalg.svd", wraps=np.linalg.svd) as svd:
+            channel.pinv, channel.usable, channel.qr
+            assert svd.call_count == 0
+            kappa = channel.condition_number
+            assert channel.condition_number is kappa
+            assert svd.call_count == 1
+        s = np.linalg.svd(channel.h, full_matrices=False)[1]
+        np.testing.assert_array_equal(kappa, s[:, 0] / s[:, -1])
+
     def test_equal_draws_compare_and_hash_by_identity(self):
         h = sample_channel(2, 2, np.random.default_rng(5)).h
         one, two = ChannelRealization(h), ChannelRealization(h.copy())
@@ -147,12 +161,26 @@ class TestNoiseSpec:
         with pytest.raises(ValueError, match="^sigma2 must be finite and >= 0"):
             NoiseSpec(0.0, sigma2)
 
-    @pytest.mark.parametrize("snr", [-3200.0, float("nan")])
+    @pytest.mark.parametrize("snr", [-3200.0, float("nan"), 5000.0, 1e308, -1e308, float("-inf")])
     def test_snr_of_non_finite_sigma2_rejected(self, snr):
         """At -3200 dB ``2 / 10**-320`` rounds to ``inf``, which used to
-        pass as a noise variance."""
+        pass as a noise variance.  ``10**(snr/10)`` overflows at 5000 and
+        1e308 dB, which must not become a noiseless point (``2/inf == 0``),
+        and is 0 at -1e308 and -inf dB."""
         with pytest.raises(ValueError, match="^sigma2 must be finite and >= 0"):
             NoiseSpec.from_snr(snr, 2.0)
+
+    @given(snr=st.floats(allow_nan=True, allow_infinity=True))
+    @settings(max_examples=300, deadline=None)
+    def test_from_snr_gives_a_finite_sigma2_or_a_value_error(self, snr):
+        """No SNR point gives an arithmetic error, or a sigma2 that is not a
+        finite float ``>= 0``; only ``inf`` dB gives sigma2 = 0."""
+        try:
+            sigma2 = NoiseSpec.from_snr(snr, 4.0).sigma2
+        except ValueError:
+            return
+        assert 0.0 <= sigma2 < np.inf
+        assert (sigma2 == 0.0) == (snr == np.inf)
 
 
 class TestApplyChannel:

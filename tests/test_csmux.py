@@ -95,7 +95,7 @@ class TestGenPhi:
     def test_non_finite_entries_rejected(self):
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="^phi entries must be finite$"):
-                MeasurementMatrix(np.array([[1.0, bad], [0.0, 1.0]]), 1.0)
+                MeasurementMatrix(np.array([[1.0, bad], [0.0, 1.0]]))
         with pytest.raises(ValueError, match="^phi entries must be finite$"):
             phi_from_text("nan 1 0 1\n1 inf 1 0\n")
 
@@ -108,22 +108,24 @@ class TestGenPhi:
         matrix nor its cached gain."""
         cfg = MuxConfig(nt=1, nr=1, l=2, j=1)
         x = np.ones((1, 2))
-        m = MeasurementMatrix(x, 1.0)
+        m = MeasurementMatrix(x)
         assert transmit_gain(m, cfg) == pytest.approx(np.sqrt(0.5))
         x *= 3
         np.testing.assert_array_equal(m.phi, np.ones((1, 2)))
         assert transmit_gain(m, cfg) == pytest.approx(np.sqrt(0.5))
-        assert transmit_gain(MeasurementMatrix(x, 1.0), cfg) == pytest.approx(np.sqrt(1 / 18))
+        assert transmit_gain(MeasurementMatrix(x), cfg) == pytest.approx(np.sqrt(1 / 18))
         with pytest.raises(ValueError, match="read-only"):
             m.phi[0, 0] = 2.0
+
+    def test_scale_is_one_over_sqrt_rows(self):
+        assert MeasurementMatrix(np.ones((4, 2))).scale == 0.5
 
     def test_value_equality_and_hash(self, cfg_4x4_l8):
         a, b = gen_phi(cfg_4x4_l8), gen_phi(cfg_4x4_l8)
         assert a == b and hash(a) == hash(b)
         assert len({a, b}) == 1
-        assert a != MeasurementMatrix(a.phi, 2 * a.scale)
-        assert a != MeasurementMatrix(a.phi.reshape(4, 2), a.scale)
-        assert a != MeasurementMatrix(a.phi + 1.0, a.scale)
+        assert a != MeasurementMatrix(a.phi.reshape(4, 2))
+        assert a != MeasurementMatrix(a.phi + 1.0)
         assert a != a.phi.tolist()
 
     def test_spark_is_rows_plus_one(self, cfg_4x4_l8):
@@ -144,7 +146,7 @@ class TestMultiplex:
     def test_hand_computed_sum_blocks(self):
         """1x2 blocks of [1,1]/sqrt(2) average consecutive symbol pairs."""
         cfg = MuxConfig(nt=2, nr=2, l=4, j=2)
-        phi = MeasurementMatrix(np.array([[1.0, 1.0]]) / np.sqrt(2), 1.0)
+        phi = MeasurementMatrix(np.array([[1.0, 1.0]]) / np.sqrt(2))
         a, b, c, d = 1 + 1j, 2.0, -1j, 0.5 - 0.5j
         z = multiplex(np.array([a, b, c, d]), phi, cfg)
         np.testing.assert_allclose(z, np.array([a + b, c + d]) / np.sqrt(2), atol=1e-12)
@@ -176,7 +178,7 @@ class TestMultiplex:
             multiplex(np.zeros(7), gen_phi(cfg_4x4_l8), cfg_4x4_l8)
 
     def test_zero_phi_rejected(self, cfg_4x4_l8):
-        phi = MeasurementMatrix(np.zeros((2, 4)), 0.0)
+        phi = MeasurementMatrix(np.zeros((2, 4)))
         with pytest.raises(ValueError, match="zero measurement"):
             transmit_gain(phi, cfg_4x4_l8)
 

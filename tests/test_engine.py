@@ -62,10 +62,10 @@ def _sequential_trial(spec, t, snr_db):
         copies = cfg.l // cfg.m
         stack = np.hstack([np.eye(cfg.m)] * copies) / np.sqrt(copies)
         y = apply_channel(h, stack @ x, noise, rng)
-        rx_idx = nearest_point_indices(stack.T @ zf_equalize(y, h).z_hat, c)
+        rx_idx = nearest_point_indices(stack.T @ zf_equalize(y, h), c)
     elif spec.baseline == "zf":
         y = apply_channel(h, x, noise, rng)
-        rx_idx = nearest_point_indices(zf_equalize(y, h).z_hat, c)
+        rx_idx = nearest_point_indices(zf_equalize(y, h), c)
     else:
         phi = gen_phi(cfg)
         y = apply_channel(h, multiplex(x, phi, cfg), noise, rng)

@@ -359,7 +359,7 @@ class TestRunSweep:
     def test_phi_of_the_wrong_column_count_rejected(self):
         """The (4,4)-8 sub-blocks hold 4 symbols, so a 2x3 matrix cannot
         compress them; the sweep and a trial say so before any trial."""
-        phi = MeasurementMatrix(np.ones((2, 3)), 1.0)
+        phi = MeasurementMatrix(np.ones((2, 3)))
         spec = small_spec(trials=5)
         with pytest.raises(DimensionMismatch, match="phi has 3 columns for sub-blocks of 4"):
             run_sweep(spec, phi=phi)
@@ -472,6 +472,11 @@ class TestThroughputAndCi:
                 [total + z**2, -(2 * total * p_hat + z**2), total * p_hat**2]
             )
             np.testing.assert_allclose(sorted([lo, hi]), np.sort(roots), atol=1e-12)
+
+    @pytest.mark.parametrize("errors, total", [(5, 3), (-1, 10)])
+    def test_wilson_errors_outside_the_total_rejected(self, errors, total):
+        with pytest.raises(ValueError, match=f"^errors = {errors} must lie in .*total = {total}"):
+            wilson_interval(errors, total)
 
     def test_wilson_bounds(self):
         lo, hi = wilson_interval(0, 10)
