@@ -13,7 +13,8 @@ pseudo-inverse that zero-forcing reads, the usability flags read off it and
 the QR of the one-shot search.  :func:`gains` and :func:`received` turn
 standard normals drawn elsewhere into a stack of channels and received
 vectors exactly as :func:`sample_channel` and :func:`apply_channel` draw
-them for one trial.
+them for one trial; :func:`noisy` adds the noise to vectors already sent
+through their channels.
 """
 
 from __future__ import annotations
@@ -255,9 +256,23 @@ def apply_channel(
 def received(h: np.ndarray, z: np.ndarray, noise: NoiseSpec, normals: np.ndarray) -> np.ndarray:
     """``h @ z`` plus CN(0, sigma2) noise made of ``2·nr`` standard normals
     per trial, the real parts first, as :func:`apply_channel` draws them;
-    ``h`` is a channel matrix or a stack of them."""
-    nr = h.shape[-2]
-    v = np.sqrt(noise.sigma2 / 2.0) * (normals[..., :nr] + 1j * normals[..., nr:])
+    ``h`` is a channel matrix or a stack of them.  This is
+    ``noisy(h @ z, noise, unit_noise(normals))``."""
     # stacked matrix-vector products, bit for bit the single-draw ones
-    return (h @ z[..., None])[..., 0] + v
+    return noisy((h @ z[..., None])[..., 0], noise, unit_noise(normals))
+
+
+def unit_noise(normals: np.ndarray) -> np.ndarray:
+    """CN(0, 2) noise of ``nr`` entries from ``2·nr`` standard normals per
+    trial, the real parts first."""
+    nr = normals.shape[-1] // 2
+    return normals[..., :nr] + 1j * normals[..., nr:]
+
+
+def noisy(hz: np.ndarray, noise: NoiseSpec, unit: np.ndarray) -> np.ndarray:
+    """``hz`` plus the :func:`unit_noise` ``unit`` scaled to ``noise``: what
+    :func:`received` returns for ``hz = h @ z``.  A caller that sends the
+    same vectors through the same channels at several SNR points forms
+    ``hz`` and ``unit`` once."""
+    return hz + np.sqrt(noise.sigma2 / 2.0) * unit
 

@@ -10,12 +10,16 @@ The matrix is real and both alphabets are the product set of their I/Q
 levels, so the scan of the ``q**n`` columns splits into two scans of the
 ``√q**n`` real level tuples, which need no dictionary (the real-valued
 model of MIMO detection, Hassibi & Vikalo, IEEE T-SP 53(8), 2005); each
-half breaks ties to its lowest level tuple.  OMP is kept as the generic
+half breaks ties to its lowest level tuple.  All half-scans of a stack
+of trials are one real product, and each argmin is decoded from a table
+of level digits built once per codebook.  OMP is kept as the generic
 greedy solver, and a one-shot mode finds the exact joint ML choice of all
 sub-blocks directly on the received vector, without equalizing first, by
 a block sphere search after a QR factorization of the channel, which
 advances all trials of a stack together (Schnorr-Euchner order, Agrell,
-Eriksson, Vardy & Zeger, IEEE T-IT 48(8), 2002).
+Eriksson, Vardy & Zeger, IEEE T-IT 48(8), 2002).  Every solver hands
+back the decided point indices; the rest of its :class:`RecoveryResult`
+is formed only when read.
 
 The channel's pseudo-inverse, which ZF and the usability check read, its
 usability flags and the QR of the one-shot search are cached on the
@@ -31,7 +35,8 @@ condition number is computed from singular values only when read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -49,22 +54,40 @@ SOLVERS = ("ml", "omp", "oneshot")
 _CHUNK_BYTES = 1 << 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecoveryResult:
-    """Recovered sub-block columns, decided ``(..., l)`` point indices and symbols.
+    """Decided ``(..., l)`` point indices, recovered sub-block columns,
+    symbols and residuals.
 
-    ``x_hat`` is ``points[x_indices]``, except for ``omp``, whose scaled
-    atoms ``x_indices`` slice to the nearest points.  ``residuals`` holds
-    one value per sub-block for the two-step solvers; the one-shot solver
-    reports a single joint residual instead.  For a stack of channels every
-    field carries the leading trial axes.  The channel's conditioning is
-    read from its :class:`ChannelRealization`.
+    ``x_indices`` is the decision.  ``s_indices``, ``x_hat`` and
+    ``residuals`` are formed on first read, once each, by the functions of
+    no arguments in ``forms``, keyed by field name, which keep what they
+    need of the solver's work; a caller that reads only the decision forms
+    none of them.  ``x_hat`` is ``points[x_indices]``, except for ``omp``,
+    whose scaled atoms ``x_indices`` slice to the nearest points.
+    ``residuals`` holds one value per sub-block for the two-step solvers;
+    the one-shot solver reports a single joint residual instead.  For a
+    stack of channels every field carries the leading trial axes.  The
+    channel's conditioning is read from its :class:`ChannelRealization`.
     """
 
-    s_indices: np.ndarray
     x_indices: np.ndarray
-    x_hat: np.ndarray
-    residuals: np.ndarray
+    forms: dict[str, Callable[[], np.ndarray]] = field(repr=False)
+
+    @cached_property
+    def s_indices(self) -> np.ndarray:
+        """The ``(..., J)`` dictionary column picked for each sub-block."""
+        return self.forms["s_indices"]()
+
+    @cached_property
+    def x_hat(self) -> np.ndarray:
+        """The ``(..., l)`` recovered symbols."""
+        return self.forms["x_hat"]()
+
+    @cached_property
+    def residuals(self) -> np.ndarray:
+        """The residual norm of each sub-block, or the joint one."""
+        return self.forms["residuals"]()
 
 
 def zf_equalize(y: np.ndarray, h: ChannelRealization) -> np.ndarray:
@@ -155,29 +178,29 @@ class Codebook:
         return sensing
 
     @cached_property
-    def iq_scan(self) -> tuple[np.ndarray, np.ndarray]:
-        """What the I/Q-split ``ml`` scan reads, both read-only: the real
+    def iq_scan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """What the I/Q-split ``ml`` scan reads, all read-only: the real
         ``(rows + 1, p)`` scan matrix ``[-2ΦP; ||ΦP||²]``, whose
         ``P`` holds the ``p = √q**n`` tuples of the alphabet's I/Q levels
-        in the dictionary's little-endian mixed-radix order, and the
-        ``(r, r)`` table, ``r = √q``, of the alphabet's point index with
-        real part ``levels[a]`` and imaginary part ``levels[b]`` at
-        ``[a, b]``."""
+        in the dictionary's little-endian mixed-radix order; the ``(p, n)``
+        table of their level digits, row ``u`` the :func:`digits` of ``u``,
+        which decodes each half-scan's argmin; and the ``(r, r)`` table,
+        ``r = √q``, of the alphabet's point index with real part
+        ``levels[a]`` and imaginary part ``levels[b]`` at ``[a, b]``."""
         c, n = self.alphabet, self.cfg.subblock_cols
         levels, r = c.iq_levels, c.iq_levels.size
-        # the (n, p) level digits of every tuple, copied to C order so that
-        # the product below keeps the layout its pinned rounding came from
-        tuples = digits(np.arange(r**n), r, n).T.copy()
+        tuples = digits(np.arange(r**n), r, n)
         point_of = np.empty((r, r), dtype=np.int64)
         point_of[np.searchsorted(levels, c.points.real), np.searchsorted(levels, c.points.imag)] = (
             np.arange(c.order)
         )
-        b = self.phi.phi @ levels[tuples]
+        # P copied to C order, the layout its pinned rounding came from
+        b = self.phi.phi @ np.ascontiguousarray(levels[tuples].T)
         scan = np.empty((b.shape[0] + 1, b.shape[1]))
         np.multiply(b, -2.0, out=scan[:-1])
         scan[-1] = np.einsum("ij,ij->j", b, b)
-        scan.flags.writeable = point_of.flags.writeable = False
-        return scan, point_of
+        scan.flags.writeable = tuples.flags.writeable = point_of.flags.writeable = False
+        return scan, tuples, point_of
 
     @cached_property
     def omp_norms(self) -> np.ndarray:
@@ -195,34 +218,52 @@ class Codebook:
         return transmit_gain(self.phi, self.cfg)
 
 
-def _ml_split(z: np.ndarray, code: Codebook) -> tuple[np.ndarray, np.ndarray]:
+def _ml_split(z: np.ndarray, code: Codebook) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
     """Nearest dictionary column to each row of the ``(..., J, rows)``
     blocks ``z``, scored as two real half-scans against ``code.iq_scan``.
 
     ``||z - Φψ||² = ||Re z - Φ Re ψ||² + ||Im z - Φ Im ψ||²`` for a real
-    ``Φ``, so the joint argmin is the pair of half argmins.  Returns the
-    ``(..., J, n)`` point indices of the column that pairs the real-part
-    argmin ``u`` with the imaginary-part argmin ``v``, each half breaking
-    ties to its lowest level tuple, and the ``(..., J)`` residual norms of
-    the same two minima.  Symbol ``i`` is ``point_of[digit i of u, digit i
-    of v]``, read from the level digits of ``u`` and ``v`` alone, so
-    nothing of size ``q**n`` is built.
+    ``Φ``, so the joint argmin is the pair of half argmins.  Every
+    half-scan of every block is one row of a single real 2-D product
+    ``(…·2J, rows + 1) @ (rows + 1, p)``, bit for bit the product of each
+    block's rows alone.  Returns the ``(..., J, n)`` point indices of the
+    column that pairs the real-part argmin ``u`` with the imaginary-part
+    argmin ``v``, each half breaking ties to its lowest level tuple, and a
+    function of no arguments that forms the ``(..., J)`` residual norms of
+    the same two minima; it keeps the scores until it is dropped.  Symbol
+    ``i`` is ``point_of[tuples[u, i], tuples[v, i]]``, read from the level
+    digits of ``u`` and ``v`` in the tuple table, so nothing of size
+    ``q**n`` is built.
     """
-    scan, point_of = code.iq_scan
-    j, n, r = z.shape[-2], code.cfg.subblock_cols, point_of.shape[0]
-    # rows 0 .. J-1 score the real parts of the blocks and rows J .. 2J-1
-    # the imaginary parts, in one real product per leading index
+    scan = code.iq_scan[0]
+    j = z.shape[-2]
+    # rows 0 .. J-1 of each block stack score the real parts of its blocks
+    # and rows J .. 2J-1 the imaginary parts
     zr = np.empty(z.shape[:-2] + (2 * j, z.shape[-1] + 1))
     zr[..., :j, :-1] = z.real
     zr[..., j:, :-1] = z.imag
     zr[..., -1] = 1.0
-    metric = zr @ scan
+    metric = zr.reshape(-1, scan.shape[0]) @ scan
     k = metric.argmin(axis=-1)
-    best = metric.reshape(-1, scan.shape[1])[np.arange(k.size), k.ravel()].reshape(k.shape)
-    best += np.einsum("...i,...i->...", zr[..., :-1], zr[..., :-1])
-    res = np.sqrt(np.maximum(best[..., :j] + best[..., j:], 0.0))
-    levels = digits(k, r, n)
-    return point_of[levels[..., :j, :], levels[..., j:, :]], res
+    halves = k.reshape(z.shape[:-2] + (2, j))
+
+    def residuals() -> np.ndarray:
+        best = metric[np.arange(k.size), k].reshape(zr.shape[:-1])
+        best += np.einsum("...i,...i->...", zr[..., :-1], zr[..., :-1])
+        return np.sqrt(np.maximum(best[..., :j] + best[..., j:], 0.0))
+
+    return _pair_points(halves[..., 0, :], halves[..., 1, :], code), residuals
+
+
+def _pair_points(u: np.ndarray, v: np.ndarray, code: Codebook) -> np.ndarray:
+    """Point indices ``(..., n)`` of the dictionary columns whose real parts
+    are the I/Q level tuples ``u`` and whose imaginary parts are ``v``:
+    ``point_of[digits(u), digits(v)]``, with the digits read from the
+    tuple table of ``code.iq_scan``."""
+    _, tuples, point_of = code.iq_scan
+    # point_of[a, b] at a·r + b of the flat table; take, not fancy indexing,
+    # as the cheaper gather of whole rows
+    return point_of.take(tuples.take(u, axis=0) * point_of.shape[0] + tuples.take(v, axis=0))
 
 
 def recover_subblock_ml(z_hat_j: np.ndarray, sensing: np.ndarray) -> tuple[int, float]:
@@ -351,17 +392,19 @@ def demux(
         return _demux_oneshot(y, h, code, cap=oneshot_cap)
 
     blocks = (zf_equalize(y, h) / code.gain).reshape(h.stack_shape + (cfg.j, cfg.subblock_rows))
-    c, n = code.alphabet, cfg.subblock_cols
+    c, n, shape = code.alphabet, cfg.subblock_cols, h.stack_shape + (cfg.l,)
     if solver == "ml":
         x_indices, residuals = _ml_split(blocks, code)
-        indices = x_indices @ c.order ** np.arange(n)
-        x_hat = c.points[x_indices]
-    else:
-        indices, coef, residuals = _omp_pick(blocks, code)
-        x_hat = c.points[digits(indices, c.order, n)] * coef[..., None]
-        x_indices = nearest_point_indices(x_hat, c)
-    shape = h.stack_shape + (cfg.l,)
-    return RecoveryResult(indices, x_indices.reshape(shape), x_hat.reshape(shape), residuals)
+        return RecoveryResult(x_indices.reshape(shape), {
+            "s_indices": lambda: x_indices @ c.order ** np.arange(n),
+            "x_hat": lambda: c.points[x_indices].reshape(shape),
+            "residuals": residuals,
+        })
+    indices, coef, residuals = _omp_pick(blocks, code)
+    x_hat = (c.points[digits(indices, c.order, n)] * coef[..., None]).reshape(shape)
+    return RecoveryResult(nearest_point_indices(x_hat, c).reshape(shape), {
+        "s_indices": lambda: indices, "x_hat": lambda: x_hat, "residuals": lambda: residuals,
+    })
 
 
 def _demux_oneshot(y, h, code, cap):
@@ -406,14 +449,19 @@ def _demux_oneshot(y, h, code, cap):
         indices[part], best[part] = _sphere_search(
             flat_yq[part], flat_blocks[part] @ a, cfg.subblock_rows, cap
         )
-    # rows of Q^H y below m are out of reach of every R z; stacked dot
-    # products, bit for bit the single-vector ones
-    out = yq[..., cfg.m :, None]
-    out = out.real.swapaxes(-1, -2) @ out.real + out.imag.swapaxes(-1, -2) @ out.imag
     indices = indices.reshape(h.stack_shape + (cfg.j,))
-    residuals = np.sqrt(best.reshape(h.stack_shape + (1,)) + out[..., 0])
     x_indices = digits(indices, c.order, cfg.subblock_cols).reshape(h.stack_shape + (cfg.l,))
-    return RecoveryResult(indices, x_indices, c.points[x_indices], residuals)
+
+    def residuals() -> np.ndarray:
+        # rows of Q^H y below m are out of reach of every R z; stacked dot
+        # products, bit for bit the single-vector ones
+        out = yq[..., cfg.m :, None]
+        out = out.real.swapaxes(-1, -2) @ out.real + out.imag.swapaxes(-1, -2) @ out.imag
+        return np.sqrt(best.reshape(h.stack_shape + (1,)) + out[..., 0])
+
+    return RecoveryResult(x_indices, {
+        "s_indices": lambda: indices, "x_hat": lambda: c.points[x_indices], "residuals": residuals,
+    })
 
 
 def _sphere_search(yq, contrib, rows, cap):

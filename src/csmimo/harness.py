@@ -1,8 +1,11 @@
 """Monte Carlo experiment driver: SNR sweeps, baselines, CSV output.
 
 Every trial sends one channel use: fresh bits are modulated, compressed,
-pushed through an independent Rayleigh draw plus AWGN, then recovered and
-demapped from the point index the receiver decides for each symbol.  Trial
+pushed through an independent Rayleigh draw plus AWGN, then recovered to
+the point index the receiver decides for each symbol.  Its bit errors are
+the label Hamming distances of the sent and decided points, read from the
+constellation's table, which equal the count its demapped bits give; only
+:func:`run_trial` demaps, for its record.  Trial
 ``t`` draws all of its randomness from the stream seeded by ``(master_seed,
 t)``, so results do not depend on execution order and a trial index reuses
 the same bits/channel across SNR points (common random numbers).  Sweeps
@@ -21,6 +24,8 @@ channel, which takes singular values only of a channel whose Frobenius
 bound on the condition number does not clear it.  A trial whose first
 channel is not usable is replayed from a fresh
 ``default_rng([master_seed, t])``: bits, channel, redraws, then noise.
+The chunk is sent through its channels once, and each point only scales
+the chunk's noise and adds it (:func:`noisy`).
 Each SNR point still running then walks the chunk in slices of its own
 size, each detected in one stacked pass through the same receiver
 functions a single trial uses, so every decision is bit for bit the
@@ -57,7 +62,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ChannelRealization, NoiseSpec, gains, received, sample_channel
+from .channel import ChannelRealization, NoiseSpec, gains, noisy, sample_channel, unit_noise
 from .channel import apply_channel  # noqa: F401  (perfbench traces it by this name)
 from .csmux import MeasurementMatrix, MuxConfig, block_width, gen_phi, multiplex
 from .csmux import require_int, require_ints
@@ -316,23 +321,24 @@ _prepared = lru_cache(maxsize=8)(_prepare)
 
 class _Drawn(NamedTuple):
     """What a chunk of ``n`` trials sends, the same at every SNR point:
-    bits ``(n, bits per trial)``, symbol indices ``(n, streams)``, transmit
-    vectors ``(n, m)``, usable channels, noise normals ``(n, 2·nr)`` and
-    redraws per trial."""
+    bits ``(n, bits per trial)``, symbol indices ``(n, streams)``, usable
+    channels, noiseless receive vectors ``h z`` ``(n, nr)``, the
+    :func:`unit_noise` of the noise normals ``(n, nr)`` and redraws per
+    trial."""
 
     tx_bits: np.ndarray
     tx_idx: np.ndarray
-    z: np.ndarray
     channel: ChannelRealization
-    normals: np.ndarray
+    hz: np.ndarray
+    noise: np.ndarray
     redraws: np.ndarray
 
 
 class _Chunk(NamedTuple):
     """Per-trial outcome of a slice of a chunk at one SNR point: decided
-    bits ``(n, bits per trial)``, bit errors and symbol errors."""
+    point indices ``(n, streams)``, bit errors and symbol errors."""
 
-    rx_bits: np.ndarray
+    rx_idx: np.ndarray
     bit_errors: np.ndarray
     symbol_errors: np.ndarray
 
@@ -511,27 +517,31 @@ def _draw_chunk(prep: _Prepared, t0: int, n: int) -> _Drawn:
         h[i], normals[i], redraws[i] = _replay(spec.master_seed, t0 + i, nbits, cfg.nr, cfg.m)
     if redraws.any():
         channel = ChannelRealization(h)
-    return _Drawn(tx_bits, tx_idx, z, channel, normals, redraws)
+    # stacked matrix-vector products, bit for bit the single-draw ones
+    hz = (h @ z[..., None])[..., 0]
+    return _Drawn(tx_bits, tx_idx, channel, hz, unit_noise(normals), redraws)
 
 
 def _detect(prep: _Prepared, drawn: _Drawn, lo: int, hi: int, snr_db: float) -> _Chunk:
     """Trials ``lo .. hi-1`` of a drawn chunk detected at one SNR point in
     one stacked pass, on the slice of the chunk's channels that shares
-    their factorizations.  The scheme demaps the point indices :func:`demux`
-    decided; a baseline slices its ZF estimate to the nearest points."""
+    their factorizations.  The scheme takes the point indices :func:`demux`
+    decided; a baseline slices its ZF estimate to the nearest points.  A
+    trial's bit errors are the label Hamming distances of its sent and
+    decided points, the count its demapped bits would give."""
     spec, c, n = prep.spec, prep.modem, hi - lo
     channel = drawn.channel[lo:hi]
     noise = NoiseSpec.from_snr(snr_db, float(spec.config.m))
-    y = received(channel.h, drawn.z[lo:hi], noise, drawn.normals[lo:hi])
+    y = noisy(drawn.hz[lo:hi], noise, drawn.noise[lo:hi])
     if prep.code is None:
         # S has orthonormal rows, so S^T H^+ = (H S)^+
         x_hat = zf_equalize(y, channel) @ prep.spread
         rx_idx = nearest_point_indices(x_hat, c).reshape(n, spec.streams)
     else:
         rx_idx = demux(y, channel, prep.code, solver=spec.solver).x_indices
-    tx_bits, tx_idx = drawn.tx_bits[lo:hi], drawn.tx_idx[lo:hi]
-    rx_bits = c.labels[rx_idx].reshape(n, -1)
-    return _Chunk(rx_bits, (tx_bits != rx_bits).sum(axis=1), (tx_idx != rx_idx).sum(axis=1))
+    tx_idx = drawn.tx_idx[lo:hi]
+    return _Chunk(rx_idx, c.label_distances[tx_idx, rx_idx].sum(axis=1),
+                  (tx_idx != rx_idx).sum(axis=1))
 
 
 def _tally_chunk(prep: _Prepared, t0: int, n: int, running: list[int], tally: np.ndarray) -> None:
@@ -587,7 +597,8 @@ def run_trial(
     """Run one deterministic trial; defaults to the first SNR grid point.
 
     The trial is a chunk of one, drawn and detected as a sweep's chunks
-    are, so its bits equal those the trial has inside any sweep.  ``phi``
+    are, so its bits equal those the trial has inside any sweep; the
+    point indices it decides are demapped to its ``rx_bits``.  ``phi``
     overrides the seeded Gaussian draw (e.g. an identity matrix for
     degenerate-equivalence checks).  The preparation of the last few ``(spec, phi)`` pairs is
     kept, so repeated calls build the codebook once.
@@ -608,7 +619,7 @@ def run_trial(
         symbol_errors=int(chunk.symbol_errors[0]),
         redraws=int(drawn.redraws[0]),
         tx_bits=drawn.tx_bits[0],
-        rx_bits=chunk.rx_bits[0],
+        rx_bits=prep.modem.labels[chunk.rx_idx[0]].ravel(),
     )
 
 

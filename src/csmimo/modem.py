@@ -38,7 +38,8 @@ class Constellation:
 
     Both arrays are read-only copies, so one instance can be shared.
     :attr:`iq_levels` holds the levels that the real and the imaginary
-    parts both take when the points are exactly their product set.
+    parts both take when the points are exactly their product set, and
+    :attr:`label_distances` the Hamming distances of the labels.
     """
 
     name: str
@@ -73,7 +74,10 @@ class Constellation:
             and sorted(set(points.imag.tolist())) == levels.tolist()
             and len(set(points.tolist())) == order
         )
+        distances = (labels[:, None, :] != labels[None, :, :]).sum(axis=-1, dtype=np.int64)
+        distances.flags.writeable = False
         object.__setattr__(self, "_iq_levels", levels if is_product else None)
+        object.__setattr__(self, "_label_distances", distances)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_weights", weights)
@@ -93,6 +97,12 @@ class Constellation:
         when the points are every ``levels[a] + 1j * levels[b]`` once; ``None``
         for any other alphabet."""
         return self._iq_levels
+
+    @property
+    def label_distances(self) -> np.ndarray:
+        """Read-only ``(order, order)`` int64 table: the number of bits in
+        which ``labels[a]`` and ``labels[b]`` differ, at ``[a, b]``."""
+        return self._label_distances
 
 
 def _qpsk() -> Constellation:

@@ -80,7 +80,7 @@ def test_simulate_rejects_bad_config(tmp_path, capsys):
 
 
 def test_fractional_count_is_one_line(tmp_path, capsys):
-    raw = json.loads(open(recipe_path("mimo2x2_l4.json")).read())
+    raw = json.loads(Path(recipe_path("mimo2x2_l4.json")).read_text(encoding="utf-8"))
     cfg = tmp_path / "frac.json"
     cfg.write_text(json.dumps({**raw, "trials": 2.7}))
     rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
@@ -128,7 +128,7 @@ def test_analyze_report_matches_the_golden(capsys):
 def test_analyze_compares_the_qam16_level_tuples(tmp_path, capsys):
     """A QAM16 (4,4)-8 dictionary has d = 65536 columns; its uniqueness is
     read off the 256 real I/Q level tuples of each half."""
-    raw = json.loads(open(recipe_path("mimo4x4_l8.json")).read())
+    raw = json.loads(Path(recipe_path("mimo4x4_l8.json")).read_text(encoding="utf-8"))
     cfg = tmp_path / "qam16.json"
     cfg.write_text(json.dumps({**raw, "constellation": "qam16"}))
     rc = main(["analyze", "--config", str(cfg)])
@@ -144,7 +144,7 @@ def test_analyze_builds_no_dictionary(tmp_path, capsys, constellation):
     """``analyze`` prints ``d = q**n`` and reads uniqueness off the I/Q level
     tuples, so it builds no ``q**n`` dictionary, and its report is still the
     golden one."""
-    raw = json.loads(open(recipe_path("mimo4x4_l8.json")).read())
+    raw = json.loads(Path(recipe_path("mimo4x4_l8.json")).read_text(encoding="utf-8"))
     cfg = tmp_path / "recipe.json"
     cfg.write_text(json.dumps({**raw, "constellation": constellation}))
     with mock.patch("csmimo.dictionary.build_dictionary") as build, \
@@ -159,7 +159,7 @@ def test_analyze_builds_no_dictionary(tmp_path, capsys, constellation):
 def j4_copy(tmp_path) -> str:
     """The shipped (20,20)-40 recipe at J = 4: n = 10, so 2**10 level tuples
     per ``ml`` half and 4**10 dictionary columns."""
-    raw = json.loads(open(recipe_path("mimo20x20_l40.json")).read())
+    raw = json.loads(Path(recipe_path("mimo20x20_l40.json")).read_text(encoding="utf-8"))
     cfg = tmp_path / "j4.json"
     cfg.write_text(json.dumps({**raw, "j": 4}))
     return str(cfg)

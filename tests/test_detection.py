@@ -29,7 +29,7 @@ from csmimo.detection import (
     sensing_matrix,
     zf_equalize,
 )
-from csmimo.dictionary import build_dictionary, sparse_decode
+from csmimo.dictionary import build_dictionary, digits, sparse_decode
 from csmimo.errors import (
     BadSubblockShape,
     DictionaryTooLarge,
@@ -334,6 +334,88 @@ class TestIqSplit:
         np.testing.assert_allclose(rec.residuals**2, least, rtol=1e-9, atol=1e-12)
 
 
+def _ml_split_reference(z, code):
+    """The ``ml`` half-scans as a product per leading index, reference for
+    the flat product of ``_ml_split``: each block stack's ``(2J, rows + 1)``
+    rows times the scan, argmins decoded by :func:`digits` and the point
+    table, and the residuals formed at once."""
+    scan, _, point_of = code.iq_scan
+    j, r, n = z.shape[-2], point_of.shape[0], code.cfg.subblock_cols
+    zr = np.empty(z.shape[:-2] + (2 * j, z.shape[-1] + 1))
+    zr[..., :j, :-1] = z.real
+    zr[..., j:, :-1] = z.imag
+    zr[..., -1] = 1.0
+    metric = zr @ scan
+    k = metric.argmin(axis=-1)
+    best = np.take_along_axis(metric, k[..., None], axis=-1)[..., 0]
+    best += np.einsum("...i,...i->...", zr[..., :-1], zr[..., :-1])
+    levels = digits(k, r, n)
+    return (point_of[levels[..., :j, :], levels[..., j:, :]],
+            np.sqrt(np.maximum(best[..., :j] + best[..., j:], 0.0)))
+
+
+class TestFlatScan:
+    """``_ml_split`` scores every half-scan of a stack in one 2-D product and
+    decodes the argmins from the tuple table of ``Codebook.iq_scan``."""
+
+    @given(
+        trials=st.sampled_from([(), (1,), (2,), (5,), (33,), (97,), (2, 3)]),
+        j=st.integers(1, 4),
+        rows=st.integers(1, 3),
+        constellation=st.sampled_from(["qpsk", "qam16"]),
+        tied=st.sampled_from([0.0, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_flat_product_equals_the_product_per_trial(
+        self, trials, j, rows, constellation, tied, seed
+    ):
+        """Decisions and residuals bit for bit those of the product per
+        trial, and those of each trial's blocks alone, over trial counts,
+        ``J``, ``rows`` and both alphabets; a ``tied`` share of the blocks
+        are noiseless codewords or 0, where half-scans tie."""
+        rng = np.random.default_rng(seed)
+        c = get_constellation(constellation)
+        n = int(rng.integers(rows, 4 if constellation == "qam16" else 6))
+        cfg = MuxConfig(nt=rows * j, nr=rows * j, l=n * j, j=j, constellation=constellation)
+        phi = MeasurementMatrix(rng.standard_normal((rows, n)) / np.sqrt(rows))
+        code = Codebook(cfg, phi)
+        shape = trials + (j, rows)
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        sent = c.points[rng.integers(0, c.order, trials + (j, n))] @ phi.phi.T
+        z = np.where(rng.random(trials + (j, 1)) < tied, sent, z)
+        z[rng.random(trials + (j,)) < tied / 4] = 0.0
+
+        x_indices, residuals = detection._ml_split(z, code)
+        want_x, want_res = _ml_split_reference(z, code)
+        np.testing.assert_array_equal(x_indices, want_x)
+        np.testing.assert_array_equal(residuals(), want_res)
+        for t in np.ndindex(trials):
+            one_x, one_res = detection._ml_split(z[t], code)
+            np.testing.assert_array_equal(one_x, want_x[t])
+            np.testing.assert_array_equal(one_res(), want_res[t])
+
+    @given(
+        constellation=st.sampled_from(["qpsk", "qam16"]),
+        n=st.integers(1, 5),
+        shape=st.sampled_from([(), (1,), (4,), (3, 2)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_table_decode_equals_digits(self, constellation, n, shape, seed):
+        """The tuple table holds the :func:`digits` of every level tuple, and
+        the points it decodes for the half argmins ``u`` and ``v`` are
+        ``point_of`` at their digits."""
+        cfg = MuxConfig(nt=1, nr=1, l=n, j=1, constellation=constellation)
+        code = Codebook(cfg, MeasurementMatrix(np.ones((1, n))))
+        _, tuples, point_of = code.iq_scan
+        r = point_of.shape[0]
+        np.testing.assert_array_equal(tuples, digits(np.arange(r**n), r, n))
+        u, v = np.random.default_rng(seed).integers(0, r**n, (2,) + shape + (2,))
+        got = detection._pair_points(u, v, code)
+        np.testing.assert_array_equal(got, point_of[digits(u, r, n), digits(v, r, n)])
+
+
 class TestOmp:
     def test_noiseless_single_atom(self, pipeline):
         cfg, phi, dictionary = pipeline
@@ -592,9 +674,10 @@ class TestCodebook:
         assert not norms.flags.writeable
 
     def test_scan_is_built_once_with_colnorm2_as_its_last_row(self, pipeline, monkeypatch):
-        """``ml`` reads the I/Q half-scan and the point table of the I/Q
-        level pairs, built once and kept read-only, and never builds the
-        dictionary, the sensing matrix or anything of size ``q**n``."""
+        """``ml`` reads the I/Q half-scan, the level digits of its tuples and
+        the point table of the I/Q level pairs, built once and kept
+        read-only, and never builds the dictionary, the sensing matrix or
+        anything of size ``q**n``."""
         cfg, phi, dictionary = pipeline
         code = Codebook(cfg, phi)
         calls, build = [], Codebook.iq_scan.func
@@ -611,11 +694,13 @@ class TestCodebook:
         assert len(calls) == 1
         assert not {"dictionary", "sensing"} & set(vars(code))
 
-        scan, point_of = iq
+        scan, tuples, point_of = iq
         assert not scan.flags.writeable and not point_of.flags.writeable
+        assert not tuples.flags.writeable
         levels, n = np.array([-1.0, 1.0]) / np.sqrt(2.0), dictionary.n
         # P[i, u]: level digit i of u, little-endian, as the dictionary orders
         p = np.array([[levels[(u >> i) & 1] for u in range(2**n)] for i in range(n)])
+        np.testing.assert_array_equal(levels[tuples], p.T)
         b = phi.phi @ p
         np.testing.assert_array_equal(scan[:-1], -2.0 * b)
         np.testing.assert_array_equal(scan[-1], np.einsum("ij,ij->j", b, b))
@@ -623,8 +708,10 @@ class TestCodebook:
         assert sorted(point_of.ravel().tolist()) == list(range(points.size))
         for (a, b), k in np.ndenumerate(point_of):
             assert points[k] == levels[a] + 1j * levels[b]
-        # nothing of size q**n: the scan and the (√q, √q) point table only
-        assert scan.size + point_of.size == (cfg.subblock_rows + 1) * 2**n + 2 * 2
+        # nothing of size q**n: the scan, the (√q**n, n) digits and the
+        # (√q, √q) point table only
+        assert scan.size + tuples.size + point_of.size == (
+            (cfg.subblock_rows + 1) * 2**n + n * 2**n + 2 * 2)
 
     @given(
         constellation=st.sampled_from(["qpsk", "qam16"]),
@@ -700,6 +787,50 @@ class TestStackedTrials:
                 (one.s_indices, one.x_indices, one.x_hat, one.residuals),
             ):
                 np.testing.assert_array_equal(got[at], want)
+
+
+class TestFormedOnFirstRead:
+    """``s_indices``, ``x_hat`` and ``residuals`` are formed when first read."""
+
+    FIELDS = ("s_indices", "x_hat", "residuals")
+
+    @given(
+        solver=st.sampled_from(SOLVERS),
+        constellation=st.sampled_from(["qpsk", "qam16"]),
+        stack=st.sampled_from([(), (1,), (3,), (2, 2)]),
+        order=st.permutations(FIELDS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_lazy_fields_equal_their_eager_values(
+        self, solver, constellation, stack, order, seed
+    ):
+        """Each field, read in any order after the caller has overwritten
+        the receive vectors and channels it passed and detected others,
+        equals bit for bit the field read right after the call, and is
+        formed once."""
+        # QAM16 on sub-blocks of two symbols: the oneshot search's d**J fits its budget
+        # and a fifth receive antenna, out of reach of every R z in the search
+        cfg = MuxConfig(nt=4, nr=5, l=8 if constellation == "qpsk" else 4, j=2,
+                        phi_seed=seed % 1000, constellation=constellation)
+        code = Codebook(cfg, gen_phi(cfg))
+        rng = np.random.default_rng(seed)
+        h = np.stack([_unitary(rng, 5, 4) for _ in range(int(np.prod(stack)))]).reshape(
+            stack + (5, 4))
+        y = rng.standard_normal(stack + (5,)) + 1j * rng.standard_normal(stack + (5,))
+        eager = demux(y, ChannelRealization(h), code, solver=solver)
+        want = {name: getattr(eager, name) for name in self.FIELDS}
+
+        y_in, h_in = y.copy(), h.copy()
+        lazy = demux(y_in, ChannelRealization(h_in), code, solver=solver)
+        assert not set(self.FIELDS) & set(vars(lazy))
+        np.testing.assert_array_equal(lazy.x_indices, eager.x_indices)
+        y_in[...], h_in[...] = y[::-1], h[::-1]
+        demux(y_in, ChannelRealization(h_in), code, solver=solver)
+        for name in order:
+            got = getattr(lazy, name)
+            np.testing.assert_array_equal(got, want[name])
+            assert getattr(lazy, name) is got
 
 
 class TestPointIndices:

@@ -223,7 +223,7 @@ def test_redraws_inside_a_chunk_land_on_their_trial(monkeypatch, baseline):
         for t in range(10):
             tx, rx, sym, red = _sequential_trial(spec, t, snr)
             np.testing.assert_array_equal(drawn.tx_bits[t], tx)
-            np.testing.assert_array_equal(chunk.rx_bits[t], rx)
+            np.testing.assert_array_equal(prep.modem.labels[chunk.rx_idx[t]].ravel(), rx)
             assert (chunk.symbol_errors[t], drawn.redraws[t]) == (sym, red)
         assert drawn.redraws.tolist() == [0, 0, 2, 0, 1, 0, 0, 0, 0, 0]
     with _fixed_chunks(10):

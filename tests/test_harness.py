@@ -441,7 +441,27 @@ class TestBaselines:
                 y = apply_channel(h, stack @ x, NoiseSpec.from_snr(snr, float(m)), rng)
                 x_hat = np.linalg.lstsq(h.h @ stack, y, rcond=None)[0]
                 rx_bits = c.labels[nearest_point_indices(x_hat, c)].ravel()
-                np.testing.assert_array_equal(chunk.rx_bits[t], rx_bits)
+                np.testing.assert_array_equal(c.labels[chunk.rx_idx[t]].ravel(), rx_bits)
+
+    @given(
+        baseline=st.sampled_from([None, "zf", "overload"]),
+        constellation=st.sampled_from(["qpsk", "qam16"]),
+        snr_db=st.sampled_from([-5.0, 5.0, 15.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_bit_errors_equal_the_demapped_count(self, baseline, constellation, snr_db, seed):
+        """A chunk's bit errors, read off the label distances of the sent and
+        decided points, equal the count of its demapped bits that differ
+        from the sent ones, in the scheme and in both baselines."""
+        cfg = MuxConfig(nt=2, nr=2, l=4, j=2, phi_seed=seed % 1000, constellation=constellation)
+        spec = ExperimentSpec(cfg, (snr_db,), trials=12, master_seed=seed, baseline=baseline,
+                              early_stop_errors=0)
+        prep = harness._prepare(spec)
+        drawn = harness._draw_chunk(prep, 0, spec.trials)
+        chunk = harness._detect(prep, drawn, 2, spec.trials, snr_db)
+        rx_bits = prep.modem.labels[chunk.rx_idx].reshape(spec.trials - 2, -1)
+        np.testing.assert_array_equal(chunk.bit_errors, (drawn.tx_bits[2:] != rx_bits).sum(axis=1))
 
     def test_baseline_helpers(self):
         spec = small_spec(snr_db=(INF,), trials=30)

@@ -140,6 +140,23 @@ def test_roundtrip_property(name, data):
 
 
 @pytest.mark.parametrize("name", ["qpsk", "qam16"])
+@given(
+    shape=st.sampled_from([(), (1,), (7,), (3, 5)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_label_distances_count_the_differing_bits(name, shape, seed):
+    """The read-only distance table at the sent and decided point indices
+    sums to the bits in which their labels differ."""
+    c = get_constellation(name)
+    tx, rx = np.random.default_rng(seed).integers(0, c.order, (2,) + shape + (4,))
+    distances = c.label_distances
+    assert not distances.flags.writeable and distances.dtype == np.int64
+    np.testing.assert_array_equal(distances[tx, rx].sum(axis=-1),
+                                  (c.labels[tx] != c.labels[rx]).sum(axis=(-1, -2)))
+
+
+@pytest.mark.parametrize("name", ["qpsk", "qam16"])
 def test_empirical_energy(name):
     """Mean symbol energy of random payloads approaches one."""
     c = get_constellation(name)
