@@ -24,6 +24,9 @@ from .modem import Constellation
 
 DEPENDENCE_TOL = 1e-10
 
+# most columns spark's exhaustive search takes
+SPARK_MAX_COLUMNS = 20
+
 
 @dataclass(frozen=True)
 class RipEstimate:
@@ -55,21 +58,22 @@ def _rank(s: np.ndarray) -> int:
     return int(np.sum(s > DEPENDENCE_TOL * s[0]))
 
 
-def spark(a: np.ndarray, max_columns: int = 20) -> int:
+def spark(a: np.ndarray) -> int:
     """Smallest number of linearly dependent columns, by exhaustive search.
 
     A subset counts as dependent when its smallest singular value is at most
     ``DEPENDENCE_TOL`` times its largest.  If every subset of size up to
     ``rank(a)`` is independent the spark is ``rank(a) + 1``, which for a
-    full-column-rank matrix is the conventional ``columns + 1``.
+    full-column-rank matrix is the conventional ``columns + 1``.  A matrix
+    of more than ``SPARK_MAX_COLUMNS`` columns raises :class:`TooManyColumns`.
     """
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2 or a.shape[1] == 0:
         raise ValueError("spark needs a 2-D matrix with at least one column")
     cols = a.shape[1]
-    if cols > max_columns:
+    if cols > SPARK_MAX_COLUMNS:
         raise TooManyColumns(
-            f"{cols} columns exceed the combinatorial search cap {max_columns}"
+            f"{cols} columns exceed the combinatorial search cap {SPARK_MAX_COLUMNS}"
         )
     rank = _rank(np.linalg.svd(a, compute_uv=False))
     for size in range(1, rank + 1):
@@ -144,19 +148,14 @@ def rip_constant(
     return RipEstimate(k, delta, exhaustive, n_eval)
 
 
-def verify_uniqueness(
-    phi: MeasurementMatrix,
-    alphabet: Constellation,
-    n: int,
-    tol: float = DEPENDENCE_TOL,
-) -> UniquenessReport:
+def verify_uniqueness(phi: MeasurementMatrix, alphabet: Constellation, n: int) -> UniquenessReport:
     """Check that the ``q**n`` compressed candidate columns ``Φψ``, one per
     ``n``-tuple ``ψ`` of ``alphabet``, are pairwise distinct.
 
     Distinct columns mean every noiseless sub-block pins down a unique
     candidate index, so exact recovery has no ties.  Reports the minimum
-    pairwise distance; the distinctness threshold is ``tol`` times the
-    largest column norm.
+    pairwise distance; the distinctness threshold is ``DEPENDENCE_TOL``
+    times the largest column norm.
 
     The candidates are every tuple ``ψ = P_u + i·P_v`` of the product
     alphabet's I/Q levels and ``phi`` is real, so ``||Φψ - Φψ'||² =
@@ -175,7 +174,7 @@ def verify_uniqueness(
     dist2 = sum(np.square(row[:, None] - row) for row in b)
     np.fill_diagonal(dist2, np.inf)
     min_distance = float(np.sqrt(dist2.min()))
-    threshold = tol * float(np.sqrt(2.0 * np.max(np.square(b).sum(axis=0))))
+    threshold = DEPENDENCE_TOL * float(np.sqrt(2.0 * np.max(np.square(b).sum(axis=0))))
     return UniquenessReport(
         unique=bool(min_distance > threshold),
         min_distance=min_distance,

@@ -10,11 +10,11 @@ dimensions, so ``sigma2 = m_tx / 10**(snr_db/10)``.
 A :class:`ChannelRealization` may hold a stack of draws with leading trial
 axes, shape ``(..., nr, m_tx)``, and caches for the whole stack the
 pseudo-inverse that zero-forcing reads, the usability flags read off it and
-the QR of the one-shot search.  :func:`gains` and :func:`received` turn
-standard normals drawn elsewhere into a stack of channels and received
-vectors exactly as :func:`sample_channel` and :func:`apply_channel` draw
-them for one trial; :func:`noisy` adds the noise to vectors already sent
-through their channels.
+the QR of the one-shot search.  :func:`gains` and :func:`unit_noise` turn
+standard normals drawn elsewhere into a stack of channels and noise vectors
+exactly as :func:`sample_channel` and :func:`apply_channel` draw them for
+one trial; :func:`noisy` scales the noise to an SNR point and adds it to
+vectors already sent through their channels.
 """
 
 from __future__ import annotations
@@ -250,16 +250,9 @@ def apply_channel(
         raise DimensionMismatch(
             f"transmit vector of shape {z.shape} does not match one channel of shape {h.h.shape}"
         )
-    return received(h.h, z, noise, rng.standard_normal(2 * h.nr))
-
-
-def received(h: np.ndarray, z: np.ndarray, noise: NoiseSpec, normals: np.ndarray) -> np.ndarray:
-    """``h @ z`` plus CN(0, sigma2) noise made of ``2·nr`` standard normals
-    per trial, the real parts first, as :func:`apply_channel` draws them;
-    ``h`` is a channel matrix or a stack of them.  This is
-    ``noisy(h @ z, noise, unit_noise(normals))``."""
-    # stacked matrix-vector products, bit for bit the single-draw ones
-    return noisy((h @ z[..., None])[..., 0], noise, unit_noise(normals))
+    # the product a sweep forms for its stack of draws, bit for bit
+    hz = (h.h @ z[:, None])[:, 0]
+    return noisy(hz, noise, unit_noise(rng.standard_normal(2 * h.nr)))
 
 
 def unit_noise(normals: np.ndarray) -> np.ndarray:
@@ -270,9 +263,9 @@ def unit_noise(normals: np.ndarray) -> np.ndarray:
 
 
 def noisy(hz: np.ndarray, noise: NoiseSpec, unit: np.ndarray) -> np.ndarray:
-    """``hz`` plus the :func:`unit_noise` ``unit`` scaled to ``noise``: what
-    :func:`received` returns for ``hz = h @ z``.  A caller that sends the
-    same vectors through the same channels at several SNR points forms
-    ``hz`` and ``unit`` once."""
+    """``hz`` plus the :func:`unit_noise` ``unit`` scaled to ``noise``, for
+    ``hz = h @ z`` the received vectors.  A caller that sends the same
+    vectors through the same channels at several SNR points forms ``hz``
+    and ``unit`` once."""
     return hz + np.sqrt(noise.sigma2 / 2.0) * unit
 

@@ -75,7 +75,7 @@ def _cmd_analyze(args) -> int:
         f"phi: {phi.phi.shape[0]}x{phi.phi.shape[1]} gaussian, seed {cfg.phi_seed},"
         f" entry std {phi.scale:.6g}"
     )
-    if phi.phi.shape[1] <= 20:
+    if phi.phi.shape[1] <= analysis.SPARK_MAX_COLUMNS:
         print(f"spark(phi): {analysis.spark(phi.phi)} (rows + 1 = {phi.phi.shape[0] + 1})")
     for k in (1, 2):
         if k <= phi.phi.shape[1]:

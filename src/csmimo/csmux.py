@@ -162,16 +162,12 @@ class MeasurementMatrix:
         return float(np.sum(self.phi * self.phi))
 
 
-def gen_phi(cfg: MuxConfig, rng: np.random.Generator | None = None) -> MeasurementMatrix:
-    """Draw the i.i.d. Gaussian sub-block matrix for ``cfg``.
-
-    Deterministic given ``cfg.phi_seed``; pass ``rng`` to draw from an
-    existing stream instead.  Transmitter and receiver share the result.
-    """
-    rows, cols = cfg.subblock_rows, cfg.subblock_cols
-    if rng is None:
-        rng = np.random.default_rng(cfg.phi_seed)
-    return MeasurementMatrix(rng.standard_normal((rows, cols)) * (1.0 / np.sqrt(rows)))
+def gen_phi(cfg: MuxConfig) -> MeasurementMatrix:
+    """Draw the i.i.d. Gaussian sub-block matrix for ``cfg``, deterministic
+    given ``cfg.phi_seed``.  Transmitter and receiver share the result."""
+    rows = cfg.subblock_rows
+    draw = np.random.default_rng(cfg.phi_seed).standard_normal((rows, cfg.subblock_cols))
+    return MeasurementMatrix(draw * (1.0 / np.sqrt(rows)))
 
 
 def identity_phi(cfg: MuxConfig) -> MeasurementMatrix:
@@ -194,29 +190,12 @@ def phi_to_text(phi: MeasurementMatrix) -> str:
     """Plain-text dump: one line per row, decimal floats, row-major.
 
     The format is meant for reproducing the exact matrix elsewhere, so
-    entries are written with full round-trip precision.
+    entries are written with full round-trip precision:
+    ``MeasurementMatrix(np.loadtxt(path, ndmin=2))`` reads a dump back.
     """
     return "\n".join(
         " ".join(repr(float(v)) for v in row) for row in phi.phi
     ) + "\n"
-
-
-def phi_from_text(text: str) -> MeasurementMatrix:
-    """Parse a :func:`phi_to_text` dump back into a matrix."""
-    rows = [
-        [float(tok) for tok in line.split()]
-        for line in text.strip().splitlines()
-        if line.strip()
-    ]
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != len(rows[0]):
-            raise ValueError(
-                f"row {i} of the dump has {len(row)} entries, expected {len(rows[0])}"
-            )
-    phi = np.array(rows, dtype=np.float64)
-    if phi.ndim != 2 or phi.size == 0:
-        raise ValueError("dump does not contain a matrix")
-    return MeasurementMatrix(phi)
 
 
 def multiplex(x: np.ndarray, phi: MeasurementMatrix, cfg: MuxConfig) -> np.ndarray:

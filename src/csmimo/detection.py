@@ -110,7 +110,7 @@ def zf_equalize(y: np.ndarray, h: ChannelRealization) -> np.ndarray:
             f" for trials {h.stack_shape}"
         )
     usable = channel_is_usable(h)
-    if not np.all(usable):
+    if not usable.all():
         if h.m_tx > h.nr:
             raise RankDeficientChannel(
                 f"channel with {h.m_tx} inputs and {h.nr} outputs cannot be column rank"

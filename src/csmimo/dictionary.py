@@ -16,6 +16,9 @@ import numpy as np
 from .errors import DictionaryTooLarge, IndexOutOfRange, NotAConstellationTuple
 from .modem import Constellation
 
+# farthest an entry :func:`sparse_encode` reads may sit from its point
+POINT_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SubblockDictionary:
@@ -51,14 +54,12 @@ def digits(k: np.ndarray, base: int, n: int) -> np.ndarray:
     return (k[..., None] // base ** np.arange(n)) % base
 
 
-def sparse_encode(
-    x_j: np.ndarray, dictionary: SubblockDictionary, tol: float = 1e-9
-) -> int:
+def sparse_encode(x_j: np.ndarray, dictionary: SubblockDictionary) -> int:
     """Index of the dictionary column equal to ``x_j``.
 
-    Every entry must sit within ``tol`` of a constellation point, otherwise
-    the tuple is not representable and :class:`NotAConstellationTuple` is
-    raised.
+    Every entry must sit within ``POINT_TOL`` of a constellation point,
+    otherwise the tuple is not representable and
+    :class:`NotAConstellationTuple` is raised.
     """
     x = np.asarray(x_j, dtype=np.complex128).ravel()
     if x.size != dictionary.n:
@@ -68,7 +69,7 @@ def sparse_encode(
     points = dictionary.constellation.points
     dist = np.abs(x[:, None] - points[None, :])
     idx = dist.argmin(axis=1)
-    if np.any(dist[np.arange(x.size), idx] > tol):
+    if np.any(dist[np.arange(x.size), idx] > POINT_TOL):
         raise NotAConstellationTuple("entries are not constellation points")
     q = dictionary.constellation.order
     radix = q ** np.arange(dictionary.n, dtype=np.int64)

@@ -54,9 +54,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import MISSING, Field, dataclass, fields, replace
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from functools import lru_cache
-from math import ceil, sqrt
+from math import ceil, isfinite, sqrt
 from pathlib import Path
 from typing import NamedTuple
 
@@ -211,7 +211,8 @@ class SweepResult:
             f"# trials_max: {spec.trials}",
             f"# early_stop_errors: {spec.early_stop_errors}",
             f"# streams_per_channel_use: {spec.streams}",
-            f"# channel_redraws: {sum(r.redraws for r in self.rows)}",
+            # every point keeps a prefix of the same trials: count them once
+            f"# channel_redraws: {max(r.redraws for r in self.rows)}",
             "# snr definition: snr_db = 10*log10(E_rx / sigma2), E_rx per receive"
             " antenna = number of unit-energy transmit dimensions",
             "# throughput is a proxy: streams * bits_per_symbol * (1 - ser) bits"
@@ -681,10 +682,11 @@ def run_sweep(spec: ExperimentSpec, phi: MeasurementMatrix | None = None) -> Swe
 
 
 def _snr_point(value, m: int) -> float:
-    """One SNR point in dB: ``inf`` (no noise), or finite with a finite noise variance at ``m``."""
+    """One SNR point in dB, read as a grid point is: ``inf`` (no noise), or
+    finite with a finite noise variance at ``m``."""
     if isinstance(value, (bool, np.bool_)):
         raise ValueError(f"SNR grid point {value!r} is not a dB value")
-    s = float(value)
+    s = float(_grid_value(value, value))
     try:
         NoiseSpec.from_snr(s, m)
     except ValueError:
@@ -697,22 +699,23 @@ def parse_snr_grid(value) -> tuple[float, ...]:
     """dB values from text (``start:step:stop``, a comma list or ``inf``),
     a single number, or any other iterable of numbers, in the given order.
 
-    A ``start:step:stop`` range is read in decimal, so its points are the
+    Text is read in decimal, so a ``start:step:stop`` range's points are the
     decimals written: ``float(start + i·step)`` for every ``i`` that does
-    not pass ``stop``, at most ``_MAX_GRID_POINTS`` of them."""
+    not pass ``stop``, at most ``_MAX_GRID_POINTS`` of them.  A finite
+    value beyond the float range is rejected, not read as ``inf``."""
     if not isinstance(value, str):
         try:
             points = iter(value)
         except TypeError:  # a single number
             points = iter((value,))
-        return tuple(_grid_value(v, value) for v in points)
+        return tuple(float(_grid_value(v, value)) for v in points)
     text = value.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"grid {text!r} must be start:step:stop")
-        start, step, stop = (_grid_value(p.strip(), text, Decimal) for p in parts)
-        if not all(d.is_finite() and np.isfinite(float(d)) for d in (start, step, stop)):
+        start, step, stop = (_grid_value(p.strip(), text) for p in parts)
+        if not all(d.is_finite() for d in (start, step, stop)):
             raise ValueError(f"grid {text!r} needs finite start, step and stop")
         if step <= 0:
             raise ValueError("grid step must be positive")
@@ -722,18 +725,24 @@ def parse_snr_grid(value) -> tuple[float, ...]:
         if span >= step * _MAX_GRID_POINTS:
             raise ValueError(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
         return tuple(float(start + i * step) for i in range(int(span // step) + 1))
-    return tuple(_grid_value(p.strip(), text) for p in text.split(",") if p.strip())
+    return tuple(float(_grid_value(p.strip(), text)) for p in text.split(",") if p.strip())
 
 
-def _grid_value(point, grid, parse=float):
-    """``point`` as ``parse`` reads it; anything else, booleans included,
-    raises one line naming ``grid``."""
+def _grid_value(point, grid) -> Decimal:
+    """``point`` exactly as a ``Decimal``: text and an ``int`` as written,
+    any other number through ``float``.  Anything else, booleans included,
+    and a finite value beyond the float range raise one line naming
+    ``grid``, so only an ``inf`` spelling or a float ``inf`` is infinite."""
     try:
         if isinstance(point, (bool, np.bool_)):
             raise TypeError
-        return parse(point)
-    except (TypeError, ValueError, InvalidOperation):
+        value = Decimal(point if isinstance(point, (str, int)) else float(point))
+        infinite = not isfinite(float(value))  # raises for a signalling NaN
+    except (TypeError, ValueError, ArithmeticError):
         raise ValueError(f"grid {grid!r}: {point!r} is not a dB value") from None
+    if infinite and value.is_finite():
+        raise ValueError(f"grid {grid!r}: {point!r} dB is beyond the float range")
+    return value
 
 
 def _json_value(field: Field, value):
@@ -769,10 +778,19 @@ def spec_from_dict(raw: dict) -> ExperimentSpec:
     return ExperimentSpec(cfg, **values)
 
 
+def _json_float(text: str) -> float:
+    """A JSON number with a fraction or exponent, which must not overflow to
+    ``inf``: a JSON file has no spelling of ``inf`` that ``float`` reads."""
+    value = float(text)
+    if not isfinite(value):
+        raise ValueError(f"config number {text} is beyond the float range")
+    return value
+
+
 def load_spec(path: str | Path) -> ExperimentSpec:
     """Read a JSON config file into an :class:`ExperimentSpec`."""
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+        raw = json.load(fh, parse_float=_json_float)
     if not isinstance(raw, dict):
         raise ValueError(f"config {path} must hold a JSON object")
     return spec_from_dict(raw)

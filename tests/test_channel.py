@@ -225,8 +225,8 @@ class TestApplyChannel:
         np.testing.assert_array_equal(a, b)
 
     def test_dimension_mismatch(self):
-        """A wrong transmit length, or a stack of channels, which takes its
-        noise through ``received``."""
+        """A wrong transmit length, or a stack of channels, which a sweep
+        sends through ``noisy`` instead."""
         h = sample_channel(2, 3, np.random.default_rng(0))
         with pytest.raises(DimensionMismatch):
             apply_channel(h, np.zeros(2), NoiseSpec(0.0, 0.0), np.random.default_rng(0))

@@ -102,6 +102,17 @@ def test_snr_without_finite_noise_variance_is_one_line(tmp_path, capsys, snr):
     assert err.count("\n") == 1
 
 
+def test_overflowing_snr_is_one_line(tmp_path, capsys):
+    """An SNR beyond the float range is rejected, not run as a noiseless
+    point."""
+    out = tmp_path / "x.csv"
+    rc = main(["simulate", "--config", recipe_path("mimo2x2_l4.json"), "--trials", "3",
+               "--snr=1e400", "--out", str(out)])
+    assert rc == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert err == "csmimo: error: grid '1e400': '1e400' dB is beyond the float range\n"
+
+
 def test_missing_config_file_is_one_line(tmp_path, capsys):
     rc = main(["analyze", "--config", str(tmp_path / "absent.json")])
     assert rc == 2
@@ -202,7 +213,8 @@ def test_analyze_phi_seed_override(capsys):
 
 
 def test_analyze_dump_phi(tmp_path, capsys):
-    from csmimo.csmux import MuxConfig, gen_phi, phi_from_text
+    """The dump reads back bit for bit with ``np.loadtxt``."""
+    from csmimo.csmux import MuxConfig, gen_phi
 
     dump = tmp_path / "phi.txt"
     rc = main(
@@ -216,7 +228,7 @@ def test_analyze_dump_phi(tmp_path, capsys):
     expected = gen_phi(MuxConfig(nt=4, nr=4, l=8, j=2, phi_seed=880))
     import numpy as np
 
-    np.testing.assert_array_equal(phi_from_text(dump.read_text()).phi, expected.phi)
+    np.testing.assert_array_equal(np.loadtxt(dump, ndmin=2), expected.phi)
 
 
 def test_bad_subcommand():

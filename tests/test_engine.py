@@ -24,8 +24,8 @@ from hypothesis import strategies as st
 
 import csmimo
 import csmimo.harness as harness
-from csmimo.channel import (ChannelRealization, NoiseSpec, apply_channel, gains, received,
-                            sample_channel)
+from csmimo.channel import (ChannelRealization, NoiseSpec, apply_channel, gains, noisy,
+                            sample_channel, unit_noise)
 from csmimo.csmux import MuxConfig, gen_phi, multiplex
 from csmimo.detection import Codebook, channel_is_usable, demux, zf_equalize
 from csmimo.errors import RankDeficientChannel
@@ -433,7 +433,8 @@ def test_streams_equal_a_fresh_generator_per_trial(recipe, baseline, seed, chunk
         t0 = 0
         for n in sizes:
             bits, h, normals = harness._draw(seed, t0, n, nbits, cfg.nr, cfg.m)
-            y = received(h, np.broadcast_to(z, (n, cfg.m)), noise, normals)
+            hz = (h @ np.broadcast_to(z, (n, cfg.m))[..., None])[..., 0]
+            y = noisy(hz, noise, unit_noise(normals))
             for i, t in enumerate(range(t0, t0 + n)):
                 rng = np.random.default_rng([seed, t])
                 np.testing.assert_array_equal(
@@ -523,10 +524,12 @@ def test_only_redrawn_trials_build_a_generator(monkeypatch):
     built = []
     for _ in range(2):
         with mock.patch("numpy.random.default_rng", wraps=np.random.default_rng) as rng:
-            rows = run_sweep(spec).rows
+            result = run_sweep(spec)
         built.append(_trial_generators(rng))
-    assert [r.redraws for r in rows] == [3, 3, 3]
+    assert [r.redraws for r in result.rows] == [3, 3, 3]
     assert built == [[2, 5]] * 2
+    # every point kept the same trials, so the header counts their redraws once
+    assert "# channel_redraws: 3\n" in result.to_csv()
 
 
 def _fresh_bits(spec, t):

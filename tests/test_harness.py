@@ -569,6 +569,31 @@ class TestConfigFiles:
                     f"SNR grid point {snr!r} is not a dB value")):
                 run_trial(small_spec(), 0, snr_db=snr)
 
+    def test_overflowing_points_rejected(self, tmp_path):
+        """A finite dB value beyond the float range fails in one line that
+        names it, as text, a JSON number, an integer or a trial's SNR; only
+        an ``inf`` spelling or a float ``inf`` is a noiseless point."""
+        raw = {"nt": 4, "nr": 4, "l": 8, "j": 2, "trials": 1}
+        big = 10**400
+        beyond = "dB is beyond the float range$"
+        for grid, named in (("1e400", "'1e400'"), ("0, -1e400", "'-1e400'"),
+                            ("0:1:1e400", "'1e400'"), (big, repr(big)), ([0, big], repr(big))):
+            with pytest.raises(ValueError, match=f"^grid .*: {named} {beyond}"):
+                spec_from_dict({**raw, "snr_db": grid})
+        for snr, named in (("1e400", "'1e400'"), (big, repr(big))):
+            with pytest.raises(ValueError, match=f"^grid .*: {named} {beyond}"):
+                run_trial(small_spec(), 0, snr_db=snr)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**raw, "snr_db": 0.5}).replace("0.5", "1e400"))
+        with pytest.raises(ValueError, match="^config number 1e400 is beyond the float range$"):
+            load_spec(path)
+        path.write_text(json.dumps({**raw, "snr_db": big}))
+        with pytest.raises(ValueError, match=f"^grid {big}: {big} {beyond}"):
+            load_spec(path)
+        for grid in ("inf", " Infinity", INF, [INF]):
+            assert spec_from_dict({**raw, "snr_db": grid}).snr_db == (INF,)
+        assert run_trial(small_spec(), 0, snr_db="inf").snr_db == INF
+
     def test_unknown_keys_rejected(self):
         raw = {"nt": 2, "nr": 2, "l": 4, "j": 2, "snr_db": [0], "trials": 1,
                "turbo": True}
