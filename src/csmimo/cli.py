@@ -4,17 +4,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from . import analysis
-from .csmux import block_width, gen_phi, phi_to_text
-from .detection import SOLVERS
+from .csmux import gen_phi, phi_to_text
+from .detection import SOLVERS, block_width
 from .errors import CsmimoError
-from .harness import load_spec, run_sweep
+from .harness import read_config, run_sweep, spec_from_dict
 from .modem import get_constellation
 
 
-# simulate flag -> the ExperimentSpec field it overrides
+# simulate flag -> the config field it overrides; flags replace file values
+# before the spec checks them, so a flag can mend a value the spec refuses
 _OVERRIDES = {
     "snr": "snr_db", "trials": "trials", "seed": "master_seed", "solver": "solver",
     "baseline": "baseline",
@@ -48,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_simulate(args) -> int:
     given = {f: getattr(args, a) for a, f in _OVERRIDES.items() if getattr(args, a) is not None}
-    spec = replace(load_spec(args.config), **given)
+    spec = spec_from_dict({**read_config(args.config), **given})
     result = run_sweep(spec)
     result.write_csv(args.out)
     mode = spec.baseline or f"cs/{spec.solver}"
@@ -62,10 +62,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    spec = load_spec(args.config)
-    cfg = spec.config
+    raw = read_config(args.config)
     if args.phi_seed is not None:
-        cfg = replace(cfg, phi_seed=args.phi_seed)
+        raw["phi_seed"] = args.phi_seed
+    cfg = spec_from_dict(raw).config
     # the pairwise check holds √q**n × √q**n = q**n distances
     d = block_width(cfg, "analyze")
     phi, alphabet, n = gen_phi(cfg), get_constellation(cfg.constellation), cfg.subblock_cols

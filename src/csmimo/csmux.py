@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BadSubblockShape, DictionaryTooLarge, DimensionMismatch
+from .errors import BadSubblockShape, DimensionMismatch
 from .modem import get_constellation
 
 
@@ -47,12 +47,10 @@ class MuxConfig:
 
     ``m = min(nt, nr)`` spatial streams carry ``l >= m`` modulated streams,
     so the compression ratio is ``rho = m / l``.  ``j`` must divide both
-    ``l`` and ``m`` so the sub-blocks have integral shape.  ``dictionary_cap``
-    bounds the entries of the largest per-block table a step builds, which
-    :func:`block_width` gives per solver; the setup itself checks only the
-    floor every solver shares: the ``ml`` width ``√q**n``, the narrowest,
-    and ``q**n < 2**63`` for the int64 joint index of a sub-block of
-    ``n = l/j`` symbols from an alphabet of ``q``.
+    ``l`` and ``m`` so the sub-blocks have integral shape, and
+    ``constellation`` must name a registry alphabet.  ``dictionary_cap``
+    bounds the entries of the largest per-block table a solver builds, which
+    ``detection.block_width`` checks per solver; a baseline builds none.
     """
 
     nt: int
@@ -80,10 +78,7 @@ class MuxConfig:
             raise BadSubblockShape(
                 f"j={self.j} must divide both l={self.l} and m={m}"
             )
-        order, n = get_constellation(self.constellation).order, self.subblock_cols
-        if order**n >= 2**63:
-            raise DictionaryTooLarge(f"joint index range {order}^{n} does not fit in int64")
-        block_width(self, "ml")
+        get_constellation(self.constellation)
 
     @property
     def m(self) -> int:
@@ -102,30 +97,12 @@ class MuxConfig:
         return self.l // self.j
 
 
-def block_width(cfg: MuxConfig, solver: str) -> int:
-    """Entries in the largest per-block table ``solver`` builds for ``cfg``:
-    the ``√q**n`` real I/Q level tuples that each ``ml`` half-scan scores,
-    and ``q**n`` for the dictionary of ``omp`` and ``oneshot`` and for the
-    pairwise level-tuple distances of ``analyze``.  Raises
-    :class:`DictionaryTooLarge` when it exceeds ``cfg.dictionary_cap``.
-    """
-    c, n = get_constellation(cfg.constellation), cfg.subblock_cols
-    base = c.iq_levels.size if solver == "ml" else c.order
-    if base**n > cfg.dictionary_cap:
-        raise DictionaryTooLarge(
-            f"{solver} per-block table width {base}^{n} = {base**n} "
-            f"exceeds cap {cfg.dictionary_cap}"
-        )
-    return base**n
-
-
 @dataclass(frozen=True, eq=False)
 class MeasurementMatrix:
     """Real compression matrix shared by all sub-blocks.
 
     ``phi`` is a read-only copy of the caller's array, so the values
-    derived from it stay valid, and two matrices are equal, with equal
-    hashes, when their shape and entry bytes are.
+    derived from it stay valid.  Two matrices compare and hash by identity.
     """
 
     phi: np.ndarray
@@ -138,17 +115,6 @@ class MeasurementMatrix:
             raise ValueError("phi entries must be finite")
         phi.flags.writeable = False
         object.__setattr__(self, "phi", phi)
-
-    def _key(self) -> tuple:
-        return self.phi.shape, self.phi.tobytes()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MeasurementMatrix):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     @property
     def scale(self) -> float:

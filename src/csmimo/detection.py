@@ -329,15 +329,31 @@ def recover_subblock_omp(z_hat_j: np.ndarray, sensing: np.ndarray) -> tuple[int,
     return k, complex(corr[k] / norms[k] ** 2)
 
 
-def check_subblock_shape(cfg: MuxConfig, solver: str) -> None:
-    """Raise :class:`BadSubblockShape` where ``solver`` cannot decide on the
-    sub-blocks of ``cfg``: ``omp`` on one-row sub-blocks (``m/j = 1``),
-    where every column's normalized correlation is ``|z|``, so rounding
-    alone would make the pick."""
+def block_width(cfg: MuxConfig, solver: str) -> int:
+    """Entries in the largest per-block table ``solver`` builds for ``cfg``,
+    whose sub-blocks hold ``n = l/j`` symbols of an alphabet of ``q``: the
+    ``√q**n`` real I/Q level tuples each ``ml`` half-scan scores, and
+    ``q**n`` for the dictionary of ``omp`` and ``oneshot`` and the pairwise
+    level-tuple distances of ``analyze``.  The one check that ``solver``
+    runs on ``cfg``: :class:`DictionaryTooLarge` when ``q**n`` overflows the
+    int64 joint index or the width exceeds ``cfg.dictionary_cap``, and
+    :class:`BadSubblockShape` for ``omp`` on one-row sub-blocks, where every
+    column's normalized correlation is ``|z|``, so rounding makes the pick.
+    """
+    c, n = get_constellation(cfg.constellation), cfg.subblock_cols
+    if c.order**n >= 2**63:
+        raise DictionaryTooLarge(f"joint index range {c.order}^{n} does not fit in int64")
+    base = c.iq_levels.size if solver == "ml" else c.order
+    if base**n > cfg.dictionary_cap:
+        raise DictionaryTooLarge(
+            f"{solver} per-block table width {base}^{n} = {base**n} "
+            f"exceeds cap {cfg.dictionary_cap}"
+        )
     if solver == "omp" and cfg.subblock_rows == 1:
         raise BadSubblockShape(
             "omp needs m/j >= 2: with one-row sub-blocks every column ties on |z|"
         )
+    return base**n
 
 
 def demux(
@@ -368,16 +384,17 @@ def demux(
     constellation vector, ``s_indices`` holds the picked columns, and
     ``x_indices`` slices ``x_hat`` to its nearest points.  An all-zero
     block goes to column 0 with coefficient 0.  The exact scan is
-    the production detector and OMP remains a generic cross-check; on
-    one-row sub-blocks ``omp`` raises :class:`BadSubblockShape` (see
-    :func:`check_subblock_shape`).  A channel that is not ``nr x m`` raises
+    the production detector and OMP remains a generic cross-check.  A
+    ``solver`` that :func:`block_width` refuses for ``code.cfg`` raises its
+    error before any table is built: a width past ``dictionary_cap``, or
+    ``omp`` on one-row sub-blocks.  A channel that is not ``nr x m`` raises
     :class:`DimensionMismatch`, and a receive vector or channel that is not
     finite raises ``ValueError`` before any solver runs on it.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}; choose from {SOLVERS}")
     cfg = code.cfg
-    check_subblock_shape(cfg, solver)
+    block_width(cfg, solver)
     y = np.asarray(y, dtype=np.complex128)
     if not h.stack_shape:
         y = y.ravel()

@@ -56,7 +56,7 @@ import json
 from dataclasses import MISSING, Field, dataclass, fields, replace
 from decimal import Decimal
 from functools import lru_cache
-from math import ceil, isfinite, sqrt
+from math import ceil, isfinite, isinf, sqrt
 from pathlib import Path
 from typing import NamedTuple
 
@@ -64,9 +64,9 @@ import numpy as np
 
 from .channel import ChannelRealization, NoiseSpec, gains, noisy, sample_channel, unit_noise
 from .channel import apply_channel  # noqa: F401  (perfbench traces it by this name)
-from .csmux import MeasurementMatrix, MuxConfig, block_width, gen_phi, multiplex
+from .csmux import MeasurementMatrix, MuxConfig, gen_phi, multiplex
 from .csmux import require_int, require_ints
-from .detection import _CHUNK_BYTES, SOLVERS, Codebook, channel_is_usable, check_subblock_shape
+from .detection import _CHUNK_BYTES, SOLVERS, Codebook, block_width, channel_is_usable
 from .detection import demux, zf_equalize
 from .detection import build_dictionary, sensing_matrix  # noqa: F401  (perfbench traces them)
 from .errors import RankDeficientChannel
@@ -97,11 +97,12 @@ class ExperimentSpec:
     ``trials`` caps the Monte Carlo count per point; ``early_stop_errors``
     ends a point once that many bit errors have been seen (0 disables
     early stopping).  Counts and seeds must be integers.
-    The scheme's per-block table must fit ``dictionary_cap`` for its
-    ``solver`` (:func:`block_width`); a baseline builds none.  ``omp``
-    needs sub-blocks of ``m/j >= 2`` rows, since on one row every column's
-    normalized correlation is ``|z|``.  Config files
-    hold exactly these fields and those of :class:`MuxConfig`.
+    The scheme's ``solver`` must run on the setup, which
+    :func:`~csmimo.detection.block_width` checks: its per-block table fits
+    ``dictionary_cap`` and the int64 joint index, and ``omp`` has sub-blocks
+    of ``m/j >= 2`` rows.  A baseline builds no table and runs on any
+    setup.  Config files hold exactly these fields and those of
+    :class:`MuxConfig`.
     """
 
     config: MuxConfig
@@ -133,7 +134,6 @@ class ExperimentSpec:
             )
         if self.baseline is None:
             block_width(self.config, self.solver)
-            check_subblock_shape(self.config, self.solver)
         if self.baseline == "overload" and self.config.l % self.config.m:
             raise ValueError(
                 "overload baseline needs l to be a multiple of m "
@@ -732,15 +732,20 @@ def _grid_value(point, grid) -> Decimal:
     """``point`` exactly as a ``Decimal``: text and an ``int`` as written,
     any other number through ``float``.  Anything else, booleans included,
     and a finite value beyond the float range raise one line naming
-    ``grid``, so only an ``inf`` spelling or a float ``inf`` is infinite."""
+    ``grid``, so only an infinite spelling or number is infinite."""
     try:
         if isinstance(point, (bool, np.bool_)):
             raise TypeError
-        value = Decimal(point if isinstance(point, (str, int)) else float(point))
-        infinite = not isfinite(float(value))  # raises for a signalling NaN
+        exact = isinstance(point, (str, int))
+        value = Decimal(point if exact else float(point))
+        f = float(value)  # raises for a signalling NaN
+        # float() saturates a finite longdouble or Decimal past its range
+        beyond = isinf(f) and (value.is_finite() or not exact and f != point)
+    except OverflowError:  # float() of a Fraction past the float range
+        beyond = True
     except (TypeError, ValueError, ArithmeticError):
         raise ValueError(f"grid {grid!r}: {point!r} is not a dB value") from None
-    if infinite and value.is_finite():
+    if beyond:
         raise ValueError(f"grid {grid!r}: {point!r} dB is beyond the float range")
     return value
 
@@ -787,10 +792,16 @@ def _json_float(text: str) -> float:
     return value
 
 
-def load_spec(path: str | Path) -> ExperimentSpec:
-    """Read a JSON config file into an :class:`ExperimentSpec`."""
+def read_config(path: str | Path) -> dict:
+    """The fields of a JSON config file, unchecked: a caller may change
+    them before :func:`spec_from_dict` checks them once."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh, parse_float=_json_float)
     if not isinstance(raw, dict):
         raise ValueError(f"config {path} must hold a JSON object")
-    return spec_from_dict(raw)
+    return raw
+
+
+def load_spec(path: str | Path) -> ExperimentSpec:
+    """Read a JSON config file into an :class:`ExperimentSpec`."""
+    return spec_from_dict(read_config(path))

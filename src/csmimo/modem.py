@@ -48,7 +48,11 @@ class Constellation:
 
     def __post_init__(self) -> None:
         points = np.array(self.points, dtype=np.complex128)
-        labels = np.array(self.labels, dtype=np.uint8)
+        labels = np.array(self.labels)
+        # checked before the cast, which would wrap, truncate or overflow
+        if not ((labels == 0) | (labels == 1)).all():
+            raise ValueError("constellation labels must be bits, each 0 or 1")
+        labels = labels.astype(np.uint8)
         points.flags.writeable = labels.flags.writeable = False
         order = points.size
         b = int(round(np.log2(order))) if order > 0 else 0

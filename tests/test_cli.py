@@ -167,13 +167,18 @@ def test_analyze_builds_no_dictionary(tmp_path, capsys, constellation):
     assert capsys.readouterr().out == (GOLDEN / golden[constellation]).read_text(encoding="ascii")
 
 
+def recipe_copy(tmp_path, recipe: str, **changes) -> str:
+    """A shipped recipe with ``changes`` applied, written under ``tmp_path``."""
+    raw = json.loads(Path(recipe_path(recipe)).read_text(encoding="utf-8"))
+    cfg = tmp_path / "copy.json"
+    cfg.write_text(json.dumps({**raw, **changes}))
+    return str(cfg)
+
+
 def j4_copy(tmp_path) -> str:
     """The shipped (20,20)-40 recipe at J = 4: n = 10, so 2**10 level tuples
     per ``ml`` half and 4**10 dictionary columns."""
-    raw = json.loads(Path(recipe_path("mimo20x20_l40.json")).read_text(encoding="utf-8"))
-    cfg = tmp_path / "j4.json"
-    cfg.write_text(json.dumps({**raw, "j": 4}))
-    return str(cfg)
+    return recipe_copy(tmp_path, "mimo20x20_l40.json", j=4)
 
 
 def test_simulate_past_the_cap_is_one_line_before_any_trial(tmp_path, capsys):
@@ -202,6 +207,43 @@ def test_analyze_past_the_cap_is_one_line_and_allocates_nothing(tmp_path, capsys
         "csmimo: error: analyze per-block table width 4^10 = 1048576 exceeds cap 65536\n"
     )
     assert peak < 1 << 20
+
+
+def test_wide_setup_runs_only_the_baselines(tmp_path, capsys):
+    """(4,4)-36 at J = 2 holds 2**18 level tuples per ``ml`` half-scan:
+    the ``ml`` sweep and ``analyze`` refuse it in one line, and a baseline,
+    which builds no table, runs on it."""
+    config, out = recipe_copy(tmp_path, "mimo4x4_l8.json", l=36), str(tmp_path / "x.csv")
+    refused = "csmimo: error: ml per-block table width 2^18 = 262144 exceeds cap 65536\n"
+    assert main(["simulate", "--config", config, "--trials", "3", "--out", out]) == 2
+    assert capsys.readouterr().err == refused
+    assert main(["analyze", "--config", config]) == 2
+    assert capsys.readouterr().err == refused
+    assert main(["simulate", "--config", config, "--baseline", "zf", "--snr", "0,10,20",
+                 "--trials", "30", "--out", out]) == 0
+    assert "# baseline: zf" in Path(out).read_text()
+
+
+@pytest.mark.parametrize("changes, flag", [
+    ({"solver": "omp"}, ["--solver", "ml"]),  # omp on the one-row (2,2)-4 sub-blocks
+    ({"snr_db": "5000"}, ["--snr", "10"]),  # no finite noise variance
+])
+def test_flags_replace_file_values_before_the_check(tmp_path, capsys, changes, flag):
+    """A file value the spec refuses does not stop a run whose flag
+    replaces it: the spec is checked once, with the flags applied."""
+    config, out = recipe_copy(tmp_path, "mimo2x2_l4.json", **changes), str(tmp_path / "x.csv")
+    assert main(["simulate", "--config", config, "--trials", "3", "--out", out]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert main(["simulate", "--config", config, "--trials", "3", *flag, "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_phi_seed_flag_replaces_the_file_value_before_the_check(tmp_path, capsys):
+    config = recipe_copy(tmp_path, "mimo2x2_l4.json", phi_seed=-1)
+    assert main(["analyze", "--config", config]) == 2
+    assert capsys.readouterr().err == "csmimo: error: phi_seed must be non-negative\n"
+    assert main(["analyze", "--config", config, "--phi-seed", "17"]) == 0
+    assert "seed 17" in capsys.readouterr().out
 
 
 def test_analyze_phi_seed_override(capsys):

@@ -3,6 +3,7 @@
 import json
 import re
 from dataclasses import MISSING, fields, replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 import csmimo.detection as detection
 import csmimo.harness as harness
 from csmimo.channel import ChannelRealization, NoiseSpec, apply_channel, sample_channel
-from csmimo.csmux import MeasurementMatrix, MuxConfig, identity_phi
+from csmimo.csmux import MeasurementMatrix, MuxConfig, gen_phi, identity_phi
 from csmimo.detection import channel_is_usable
 from csmimo.errors import (
     BadSubblockShape,
@@ -305,12 +306,33 @@ class TestBlockWidth:
         with pytest.raises(DictionaryTooLarge, match=r"^omp per-block table width 16\^5 = "):
             small_spec(config=cfg, solver="omp")
         with pytest.raises(DictionaryTooLarge, match=r"^ml per-block table width 4\^10 = "):
-            MuxConfig(nt=2, nr=2, l=20, j=2, constellation="qam16")
+            small_spec(config=MuxConfig(nt=2, nr=2, l=20, j=2, constellation="qam16"))
 
     def test_joint_index_must_fit_int64(self):
         """A raised cap admits 2**32 level tuples, but not 4**32 joint indices."""
+        cfg = MuxConfig(nt=32, nr=32, l=64, j=2, dictionary_cap=2**32)
         with pytest.raises(DictionaryTooLarge, match=r"^joint index range 4\^32 does not fit in int64$"):
-            MuxConfig(nt=32, nr=32, l=64, j=2, dictionary_cap=2**32)
+            small_spec(config=cfg)
+
+    def test_baselines_run_where_no_table_fits(self):
+        """(4,4)-36 at J = 2 has 2**18 level tuples per ``ml`` half-scan and
+        4**18 dictionary columns: the spec and ``demux`` refuse every solver
+        in one line before any table is built, and the baselines, which
+        build none, run."""
+        cfg = MuxConfig(nt=4, nr=4, l=36, j=2)
+        for solver, width in (("ml", "2^18 = 262144"), ("omp", "4^18 = 68719476736"),
+                              ("oneshot", "4^18 = 68719476736")):
+            message = f"^{re.escape(f'{solver} per-block table width {width}')} exceeds cap 65536$"
+            with pytest.raises(DictionaryTooLarge, match=message):
+                small_spec(config=cfg, solver=solver)
+            code = detection.Codebook(cfg, gen_phi(cfg))
+            with pytest.raises(DictionaryTooLarge, match=message):
+                detection.demux(np.zeros(4), sample_channel(4, 4, np.random.default_rng(0)),
+                                code, solver=solver)
+            assert not {"iq_scan", "dictionary", "sensing"} & set(vars(code))
+        for baseline in ("zf", "overload"):
+            spec = small_spec(config=cfg, baseline=baseline, trials=20, early_stop_errors=0)
+            assert run_sweep(spec).rows[0].trials == 20
 
 
 class TestRunSweep:
@@ -571,8 +593,9 @@ class TestConfigFiles:
 
     def test_overflowing_points_rejected(self, tmp_path):
         """A finite dB value beyond the float range fails in one line that
-        names it, as text, a JSON number, an integer or a trial's SNR; only
-        an ``inf`` spelling or a float ``inf`` is a noiseless point."""
+        names it, as text, a JSON number, an integer, a ``longdouble``, a
+        ``Fraction`` or a trial's SNR; only an infinite spelling or number
+        is a noiseless point."""
         raw = {"nt": 4, "nr": 4, "l": 8, "j": 2, "trials": 1}
         big = 10**400
         beyond = "dB is beyond the float range$"
@@ -593,6 +616,19 @@ class TestConfigFiles:
         for grid in ("inf", " Infinity", INF, [INF]):
             assert spec_from_dict({**raw, "snr_db": grid}).snr_db == (INF,)
         assert run_trial(small_spec(), 0, snr_db="inf").snr_db == INF
+        # a longdouble that float() saturates to inf and a Fraction that it
+        # cannot convert are beyond the range too; numbers that fit read as
+        # float() reads them
+        for point in (np.longdouble("1e400"), -np.longdouble("1e400"), Fraction(10**400),
+                      Fraction(-(10**400), 3)):
+            with pytest.raises(ValueError, match=f"^grid .*: {re.escape(repr(point))} {beyond}"):
+                parse_snr_grid(point)
+            with pytest.raises(ValueError, match=f"^grid .*: {re.escape(repr(point))} {beyond}"):
+                run_trial(small_spec(), 0, snr_db=point)
+        for point, read in ((np.longdouble("inf"), INF), (INF, INF), (Fraction(1, 3), 1 / 3),
+                            (np.float32(0.1), 0.10000000149011612)):
+            assert parse_snr_grid(point) == (read,)
+            assert run_trial(small_spec(), 0, snr_db=point).snr_db == read
 
     def test_unknown_keys_rejected(self):
         raw = {"nt": 2, "nr": 2, "l": 4, "j": 2, "snr_db": [0], "trials": 1,

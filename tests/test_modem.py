@@ -185,6 +185,19 @@ def test_bad_labeling_rejected():
         Constellation("bad", points, np.array([[0], [0]], dtype=np.uint8))
 
 
+@pytest.mark.parametrize("labels", [
+    [[0, 0], [0, 1], [0, 2], [0, 3]],  # the uint8 cast kept 2 and 3 as bits
+    [[0, 0], [0, 1], [1, 1], [1, 0.5]],  # truncated to 0
+    [[0, 0], [0, 1], [1, 1], [1, -1]],  # OverflowError from the cast
+    [[0, 0], [0, 1], [1, 1], [1, 256]],
+    [[1], [2]],  # an IndexError past the label table of an order-2 alphabet
+])
+def test_labels_that_are_not_bits_rejected(labels):
+    points = get_constellation("qpsk").points if len(labels) == 4 else np.array([1 + 0j, -1 + 0j])
+    with pytest.raises(ValueError, match="^constellation labels must be bits, each 0 or 1$"):
+        Constellation("bad", points, labels)
+
+
 def test_non_unit_energy_rejected():
     points = np.array([2 + 0j, -2 + 0j])
     with pytest.raises(ValueError, match="energy"):
