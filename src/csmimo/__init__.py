@@ -1,6 +1,6 @@
 """Link-level simulator for compressive-sensing based MIMO multiplexing."""
 
-from .analysis import RipEstimate, UniquenessReport, rip_constant, spark, verify_uniqueness
+from .analysis import UniquenessReport, rip_constant, spark, verify_uniqueness
 from .channel import ChannelRealization, NoiseSpec, apply_channel, sample_channel
 from .csmux import (
     MeasurementMatrix,
@@ -14,20 +14,17 @@ from .detection import (
     Codebook,
     RecoveryResult,
     demux,
-    recover_subblock_ml,
     recover_subblock_omp,
     sensing_matrix,
     zf_equalize,
 )
-from .dictionary import SubblockDictionary, build_dictionary, sparse_decode, sparse_encode
+from .dictionary import build_dictionary
 from .errors import (
     BadSubblockShape,
     CsmimoError,
     DictionaryTooLarge,
     DimensionMismatch,
-    IndexOutOfRange,
     IndivisibleBitLength,
-    NotAConstellationTuple,
     RankDeficientChannel,
     TooManyColumns,
 )

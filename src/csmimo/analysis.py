@@ -1,19 +1,19 @@
 """Desk-scale uniqueness diagnostics: spark, restricted isometry, distinctness.
 
 The spark of a matrix is the smallest number of linearly dependent columns;
-a 1-sparse representation is unique whenever no two columns coincide.  The
+a 1-sparse representation is unique whenever no two columns coincide.
+Spark is combinatorial, so it enumerates column subsets outright.  The
 restricted isometry constant of order k measures the worst deviation of any
-k-column submatrix from an isometry.  Both are combinatorial quantities, so
-the implementations here enumerate subsets outright.  Distinctness of the
-``q**n`` compressed candidates needs no such enumeration: it is read off the
-``√q**n`` real I/Q level tuples.
+k-column submatrix from an isometry; it is computed for orders 1 and 2, the
+two ``csmimo analyze`` reports, whose every support has a closed form.
+Distinctness of the ``q**n`` compressed candidates needs no enumeration
+either: it is read off the ``√q**n`` real I/Q level tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 import numpy as np
 
@@ -26,20 +26,6 @@ DEPENDENCE_TOL = 1e-10
 
 # most columns spark's exhaustive search takes
 SPARK_MAX_COLUMNS = 20
-
-
-@dataclass(frozen=True)
-class RipEstimate:
-    """Restricted isometry constant of order ``k``.
-
-    ``exhaustive`` is True when every size-k support was enumerated, making
-    the value exact for the given matrix rather than a sampled lower bound.
-    """
-
-    k: int
-    delta: float
-    exhaustive: bool
-    n_supports: int
 
 
 @dataclass(frozen=True)
@@ -95,57 +81,28 @@ def _delta_two_columns(gram: np.ndarray) -> float:
     return float(max(np.max(lam_hi - 1.0), np.max(1.0 - lam_lo)))
 
 
-def rip_constant(
-    a: np.ndarray,
-    k: int,
-    normalize: bool = True,
-    max_supports: int = 200_000,
-    rng: np.random.Generator | None = None,
-) -> RipEstimate:
-    """Restricted isometry constant of order ``k`` by support enumeration.
+def rip_constant(a: np.ndarray, k: int) -> float:
+    """Restricted isometry constant of order ``k``, 1 or 2, of ``a`` with its
+    columns scaled to unit norm: exact, from every support's closed form.
 
-    Columns are scaled to unit norm first unless ``normalize`` is False (the
-    raw-scale variant).  All ``C(cols, k)`` supports are enumerated when
-    that count is at most ``max_supports``; otherwise that many random
-    supports are sampled and the estimate is a lower bound.
+    Order 1 is the largest ``| ||a_i||² - 1 |``, which unit columns make 0
+    up to rounding; order 2 reads the two eigenvalues of every 2-column Gram
+    submatrix at once.  Any other order, an order above the column count
+    and a zero column raise ``ValueError``.
     """
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2:
         raise ValueError("rip_constant needs a 2-D matrix")
     cols = a.shape[1]
-    if not 1 <= k <= cols:
-        raise ValueError(f"order k={k} must be in [1, {cols}]")
-    if normalize:
-        norms = np.linalg.norm(a, axis=0)
-        if np.any(norms == 0):
-            raise ValueError("cannot column-normalize a matrix with a zero column")
-        a = a / norms
-
-    n_total = comb(cols, k)
-    if n_total <= max_supports:
-        if k == 1:
-            delta = float(np.max(np.abs(np.linalg.norm(a, axis=0) ** 2 - 1.0)))
-            return RipEstimate(k, delta, True, cols)
-        if k == 2:
-            return RipEstimate(k, _delta_two_columns(a.conj().T @ a), True, n_total)
-        supports = combinations(range(cols), k)
-        n_eval = n_total
-        exhaustive = True
-    else:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        supports = (
-            rng.choice(cols, size=k, replace=False) for _ in range(max_supports)
-        )
-        n_eval = max_supports
-        exhaustive = False
-
-    delta = 0.0
-    for sup in supports:
-        sub = a[:, list(sup)]
-        lam = np.linalg.eigvalsh(sub.conj().T @ sub)
-        delta = max(delta, float(lam[-1] - 1.0), float(1.0 - lam[0]))
-    return RipEstimate(k, delta, exhaustive, n_eval)
+    if k not in (1, 2) or k > cols:
+        raise ValueError(f"order k={k} must be 1 or 2, and at most the {cols} columns")
+    norms = np.linalg.norm(a, axis=0)
+    if np.any(norms == 0):
+        raise ValueError("cannot column-normalize a matrix with a zero column")
+    a = a / norms
+    if k == 1:
+        return float(np.max(np.abs(np.linalg.norm(a, axis=0) ** 2 - 1.0)))
+    return _delta_two_columns(a.conj().T @ a)
 
 
 def verify_uniqueness(phi: MeasurementMatrix, alphabet: Constellation, n: int) -> UniquenessReport:

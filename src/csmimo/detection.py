@@ -43,7 +43,7 @@ import numpy as np
 
 from .channel import ChannelRealization
 from .csmux import MeasurementMatrix, MuxConfig, transmit_gain
-from .dictionary import SubblockDictionary, build_dictionary, digits
+from .dictionary import build_dictionary, digits
 from .errors import BadSubblockShape, DictionaryTooLarge, DimensionMismatch, RankDeficientChannel
 from .modem import Constellation, get_constellation, nearest_point_indices
 
@@ -129,16 +129,14 @@ def channel_is_usable(h: ChannelRealization) -> bool | np.ndarray:
     return h.usable
 
 
-def sensing_matrix(
-    phi: MeasurementMatrix, dictionary: SubblockDictionary
-) -> np.ndarray:
-    """Per-sub-block candidate matrix: compression applied to every column."""
-    if phi.phi.shape[1] != dictionary.psi.shape[0]:
+def sensing_matrix(phi: MeasurementMatrix, psi: np.ndarray) -> np.ndarray:
+    """Per-sub-block candidate matrix: compression applied to every column
+    of the dictionary ``psi``."""
+    if phi.phi.shape[1] != psi.shape[0]:
         raise DimensionMismatch(
-            f"phi has {phi.phi.shape[1]} columns for sub-blocks of"
-            f" {dictionary.psi.shape[0]} symbols"
+            f"phi has {phi.phi.shape[1]} columns for sub-blocks of {psi.shape[0]} symbols"
         )
-    return phi.phi @ dictionary.psi
+    return phi.phi @ psi
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,8 +164,9 @@ class Codebook:
         return get_constellation(self.cfg.constellation)
 
     @cached_property
-    def dictionary(self) -> SubblockDictionary:
-        """All ``q**(l/j)`` candidate sub-blocks, :func:`build_dictionary`."""
+    def dictionary(self) -> np.ndarray:
+        """The ``(l/j, q**(l/j))`` array of all candidate sub-blocks,
+        :func:`build_dictionary`."""
         return build_dictionary(self.alphabet, self.cfg.subblock_cols, cap=self.cfg.dictionary_cap)
 
     @cached_property
@@ -264,26 +263,6 @@ def _pair_points(u: np.ndarray, v: np.ndarray, code: Codebook) -> np.ndarray:
     # point_of[a, b] at a·r + b of the flat table; take, not fancy indexing,
     # as the cheaper gather of whole rows
     return point_of.take(tuples.take(u, axis=0) * point_of.shape[0] + tuples.take(v, axis=0))
-
-
-def recover_subblock_ml(z_hat_j: np.ndarray, sensing: np.ndarray) -> tuple[int, float]:
-    """Exact l0 recovery of a 1-sparse sub-block by exhaustive residual scan.
-
-    Returns ``(k, residual)`` where ``k`` minimizes the Euclidean distance
-    between ``z_hat_j`` and the columns of ``sensing``; ties go to the lowest
-    index.  Cost is O(d * m/j), exact for the exhaustive dictionary where
-    every valid sub-block is one column.
-    """
-    a = np.asarray(sensing, dtype=np.complex128)
-    z = np.asarray(z_hat_j, dtype=np.complex128).ravel()
-    if z.size != a.shape[0]:
-        raise DimensionMismatch(
-            f"sub-block length {z.size} != sensing rows {a.shape[0]}"
-        )
-    diffs = a - z[:, None]
-    dist2 = (diffs.real**2 + diffs.imag**2).sum(axis=0)
-    k = int(np.argmin(dist2))
-    return k, float(np.sqrt(dist2[k]))
 
 
 def _omp_pick(z: np.ndarray, code: Codebook) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

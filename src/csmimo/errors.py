@@ -22,14 +22,6 @@ class DictionaryTooLarge(CsmimoError, ValueError):
     """Requested candidate enumeration exceeds the configured cap."""
 
 
-class NotAConstellationTuple(CsmimoError, ValueError):
-    """Vector entries are not constellation points."""
-
-
-class IndexOutOfRange(CsmimoError, IndexError):
-    """Dictionary column index outside the valid range."""
-
-
 class RankDeficientChannel(CsmimoError):
     """Channel matrix is (numerically) rank deficient, equalization impossible."""
 

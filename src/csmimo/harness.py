@@ -81,6 +81,9 @@ _MAX_CHANNEL_REDRAWS = 1000
 # most points a start:step:stop SNR grid may hold
 _MAX_GRID_POINTS = 10_000
 
+# two-sided 95% standard normal quantile of the Wilson interval
+_WILSON_Z = 1.959963984540054
+
 # A fixed allowance per trial, within the working-set budget _CHUNK_BYTES,
 # for what _chunk_cap does not count by shape: the trial's bits, symbols,
 # normals drawn, and transmit and receive vectors.
@@ -242,13 +245,13 @@ class SweepResult:
         Path(path).write_text(self.to_csv(), encoding="ascii", newline="\n")
 
 
-def wilson_interval(errors: int, total: int, z: float = 1.959963984540054) -> tuple[float, float]:
+def wilson_interval(errors: int, total: int) -> tuple[float, float]:
     """95% Wilson score interval for an error proportion."""
     if total < 1:
         raise ValueError("total must be >= 1")
     if not 0 <= errors <= total:
         raise ValueError(f"errors = {errors} must lie in [0, total = {total}]")
-    p = errors / total
+    p, z = errors / total, _WILSON_Z
     z2 = z * z
     denom = 1.0 + z2 / total
     center = (p + z2 / (2.0 * total)) / denom
@@ -732,7 +735,8 @@ def _grid_value(point, grid) -> Decimal:
     """``point`` exactly as a ``Decimal``: text and an ``int`` as written,
     any other number through ``float``.  Anything else, booleans included,
     and a finite value beyond the float range raise one line naming
-    ``grid``, so only an infinite spelling or number is infinite."""
+    ``grid``, and ``point`` too unless it is the whole grid, so only an
+    infinite spelling or number is infinite."""
     try:
         if isinstance(point, (bool, np.bool_)):
             raise TypeError
@@ -744,10 +748,17 @@ def _grid_value(point, grid) -> Decimal:
     except OverflowError:  # float() of a Fraction past the float range
         beyond = True
     except (TypeError, ValueError, ArithmeticError):
-        raise ValueError(f"grid {grid!r}: {point!r} is not a dB value") from None
+        raise ValueError(f"{_grid_label(point, grid)} is not a dB value") from None
     if beyond:
-        raise ValueError(f"grid {grid!r}: {point!r} dB is beyond the float range")
+        raise ValueError(f"{_grid_label(point, grid)} dB is beyond the float range")
     return value
+
+
+def _grid_label(point, grid) -> str:
+    """``grid`` and the rejected ``point`` in it, or ``grid`` alone when
+    the two read the same: a single number or a one-point text grid."""
+    grid, point = repr(grid), repr(point)
+    return f"grid {grid}" if grid == point else f"grid {grid}: {point}"
 
 
 def _json_value(field: Field, value):

@@ -110,7 +110,7 @@ def test_overflowing_snr_is_one_line(tmp_path, capsys):
                "--snr=1e400", "--out", str(out)])
     assert rc == 2 and not out.exists()
     err = capsys.readouterr().err
-    assert err == "csmimo: error: grid '1e400': '1e400' dB is beyond the float range\n"
+    assert err == "csmimo: error: grid '1e400' dB is beyond the float range\n"
 
 
 def test_missing_config_file_is_one_line(tmp_path, capsys):
@@ -211,17 +211,34 @@ def test_analyze_past_the_cap_is_one_line_and_allocates_nothing(tmp_path, capsys
 
 def test_wide_setup_runs_only_the_baselines(tmp_path, capsys):
     """(4,4)-36 at J = 2 holds 2**18 level tuples per ``ml`` half-scan:
-    the ``ml`` sweep and ``analyze`` refuse it in one line, and a baseline,
-    which builds no table, runs on it."""
+    the ``ml`` sweep refuses it in one line, ``analyze`` refuses its 4**18
+    pairwise distances with its own line, and a baseline, which builds no
+    table, runs on it."""
     config, out = recipe_copy(tmp_path, "mimo4x4_l8.json", l=36), str(tmp_path / "x.csv")
-    refused = "csmimo: error: ml per-block table width 2^18 = 262144 exceeds cap 65536\n"
     assert main(["simulate", "--config", config, "--trials", "3", "--out", out]) == 2
-    assert capsys.readouterr().err == refused
+    assert capsys.readouterr().err == (
+        "csmimo: error: ml per-block table width 2^18 = 262144 exceeds cap 65536\n"
+    )
     assert main(["analyze", "--config", config]) == 2
-    assert capsys.readouterr().err == refused
+    assert capsys.readouterr().err == (
+        "csmimo: error: analyze per-block table width 4^18 = 68719476736 exceeds cap 65536\n"
+    )
     assert main(["simulate", "--config", config, "--baseline", "zf", "--snr", "0,10,20",
                  "--trials", "30", "--out", out]) == 0
     assert "# baseline: zf" in Path(out).read_text()
+
+
+def test_analyze_runs_no_solver_fit_rule(tmp_path, capsys):
+    """``analyze`` runs no solver, so a (2,2)-4 file that asks for ``omp``
+    on its one-row sub-blocks gets the recipe's report; the rest of the
+    file is still checked."""
+    assert main(["analyze", "--config", recipe_path("mimo2x2_l4.json")]) == 0
+    report = capsys.readouterr().out
+    assert main(["analyze", "--config", recipe_copy(tmp_path, "mimo2x2_l4.json", solver="omp")]) == 0
+    assert capsys.readouterr() == (report, "")
+    for changes in ({"solver": "mmse"}, {"solver": "omp", "trials": 0}):
+        assert main(["analyze", "--config", recipe_copy(tmp_path, "mimo2x2_l4.json", **changes)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
 
 
 @pytest.mark.parametrize("changes, flag", [

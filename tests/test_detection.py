@@ -24,12 +24,11 @@ from csmimo.detection import (
     Codebook,
     channel_is_usable,
     demux,
-    recover_subblock_ml,
     recover_subblock_omp,
     sensing_matrix,
     zf_equalize,
 )
-from csmimo.dictionary import build_dictionary, digits, sparse_decode
+from csmimo.dictionary import build_dictionary, digits
 from csmimo.errors import (
     BadSubblockShape,
     DictionaryTooLarge,
@@ -45,8 +44,7 @@ from conftest import recipe_path
 @pytest.fixture(scope="module")
 def pipeline(qpsk, cfg_4x4_l8):
     phi = gen_phi(cfg_4x4_l8)
-    dictionary = build_dictionary(qpsk, cfg_4x4_l8.subblock_cols)
-    return cfg_4x4_l8, phi, dictionary
+    return cfg_4x4_l8, phi, build_dictionary(qpsk, cfg_4x4_l8.subblock_cols)
 
 
 class TestZfEqualize:
@@ -218,59 +216,70 @@ class TestZfAgainstSvd:
         assert svd.call_count == 0
 
 
+def _ml_demux(z, code):
+    """``demux``'s ``ml`` receiver on the ``(..., J, rows)`` blocks ``z``,
+    sent through identity channels at the transmit gain, and the blocks it
+    sees: the ZF estimate over the gain."""
+    m, stack = code.cfg.m, z.shape[:-2]
+    h = ChannelRealization(np.broadcast_to(np.eye(m), stack + (m, m)).copy())
+    y = z.reshape(stack + (m,)) * code.gain
+    return demux(y, h, code, solver="ml"), (zf_equalize(y, h) / code.gain).reshape(z.shape)
+
+
 class TestMlRecovery:
     def test_noiseless_membership(self, pipeline):
-        cfg, phi, dictionary = pipeline
-        a = sensing_matrix(phi, dictionary)
-        k, res = recover_subblock_ml(a[:, 7], sensing=a)
-        assert k == 7
-        assert res < 1e-12
+        cfg, phi, psi = pipeline
+        a = sensing_matrix(phi, psi)
+        rec, _ = _ml_demux(np.stack([a[:, 7]] * cfg.j), Codebook(cfg, phi))
+        np.testing.assert_array_equal(rec.s_indices, [7] * cfg.j)
+        # the squared residual is ||z||² - 2<z, b> + ||b||², 0 to rounding
+        assert (rec.residuals**2 < 1e-12).all()
 
     def test_exhaustive_noiseless_recovery(self, pipeline):
         """Every one of the 256 candidate sub-blocks maps back to itself."""
-        cfg, phi, dictionary = pipeline
-        a = sensing_matrix(phi, dictionary)
-        for k in range(dictionary.d):
-            got, _ = recover_subblock_ml(a[:, k], sensing=a)
-            assert got == k
+        cfg, phi, psi = pipeline
+        a = sensing_matrix(phi, psi)
+        # column k is block k % J of trial k // J
+        rec, _ = _ml_demux(a.T.reshape(-1, cfg.j, cfg.subblock_rows), Codebook(cfg, phi))
+        np.testing.assert_array_equal(rec.s_indices.ravel(), np.arange(a.shape[1]))
 
     def test_matches_bruteforce_oracle(self, pipeline):
-        """Independent oracle: direct column-difference scan on noisy draws.
+        """Independent oracle: direct column-difference scan of the blocks
+        ``demux`` sees, on noisy draws.
 
         The full 10^4-case agreement run lives in the acceptance suite; this
         is a faster regression check.
         """
-        cfg, phi, dictionary = pipeline
-        a = sensing_matrix(phi, dictionary)
+        cfg, phi, psi = pipeline
+        a = sensing_matrix(phi, psi)
         rng = np.random.default_rng(314)
-        for _ in range(2000):
-            truth = rng.integers(0, dictionary.d)
-            z = a[:, truth] + 0.4 * (
-                rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            )
-            diffs = a - z[:, None]
-            oracle = int(np.argmin((diffs.real**2 + diffs.imag**2).sum(axis=0)))
-            got, _ = recover_subblock_ml(z, sensing=a)
-            assert got == oracle
+        shape = (1000, cfg.j, cfg.subblock_rows)
+        truth = rng.integers(0, a.shape[1], shape[:2])
+        z = a.T[truth] + 0.4 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        rec, blocks = _ml_demux(z, Codebook(cfg, phi))
+        diffs = a - blocks[..., None]
+        oracle = (diffs.real**2 + diffs.imag**2).sum(axis=-2).argmin(axis=-1)
+        np.testing.assert_array_equal(rec.s_indices, oracle)
 
     def test_tie_breaks_to_lowest_index(self, qpsk):
-        """All columns equidistant from the origin: index 0 is returned."""
+        """All four QPSK points are equidistant from the origin: each I/Q
+        half-scan breaks its tie to its lowest level index, so the decision
+        is the point at the lowest real and imaginary level."""
         cfg = MuxConfig(nt=4, nr=4, l=4, j=4)
-        dictionary = build_dictionary(qpsk, 1)
-        phi = MeasurementMatrix(np.array([[1.0]]))
-        k, res = recover_subblock_ml(np.array([0j]), sensing_matrix(phi, dictionary))
-        assert k == 0
-        assert res == pytest.approx(1.0)
+        code = Codebook(cfg, MeasurementMatrix(np.array([[1.0]])))
+        rec, _ = _ml_demux(np.zeros((cfg.j, 1), dtype=complex), code)
+        np.testing.assert_array_equal(rec.x_hat, np.full(cfg.l, qpsk.iq_levels[0] * (1 + 1j)))
+        np.testing.assert_allclose(rec.residuals, 1.0)
 
     def test_scale_invariance_of_argmin(self, pipeline):
-        cfg, phi, dictionary = pipeline
-        a = sensing_matrix(phi, dictionary)
+        """Scaling the blocks and the matrix alike keeps every pick."""
+        cfg, phi, _ = pipeline
         rng = np.random.default_rng(9)
-        for _ in range(200):
-            z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            k1, _ = recover_subblock_ml(z, sensing=a)
-            k2, _ = recover_subblock_ml(3.7 * z, sensing=3.7 * a)
-            assert k1 == k2
+        shape = (200, cfg.j, cfg.subblock_rows)
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        rec, _ = _ml_demux(z, Codebook(cfg, phi))
+        scaled, _ = _ml_demux(3.7 * z, Codebook(cfg, MeasurementMatrix(3.7 * phi.phi)))
+        np.testing.assert_array_equal(rec.s_indices, scaled.s_indices)
 
 
 class TestIqSplit:
@@ -301,7 +310,7 @@ class TestIqSplit:
         n = rows if constellation == "qam16" else int(rng.integers(rows, 4))
         cfg = MuxConfig(nt=rows * j, nr=rows * j, l=n * j, j=j, constellation=constellation)
         phi = MeasurementMatrix(rng.standard_normal((rows, n)) / np.sqrt(rows))
-        dictionary = build_dictionary(c, n)
+        psi = build_dictionary(c, n)
         code = Codebook(cfg, phi)
 
         levels = c.iq_levels
@@ -328,7 +337,7 @@ class TestIqSplit:
         unique = (metric <= (least + margin)[..., None]).sum(axis=-1) == 1
         np.testing.assert_array_equal(rec.s_indices[unique], metric.argmin(axis=-1)[unique])
         np.testing.assert_array_equal(
-            rec.x_hat, dictionary.psi.T[rec.s_indices].reshape(stack + (cfg.l,))
+            rec.x_hat, psi.T[rec.s_indices].reshape(stack + (cfg.l,))
         )
         # a square root of a rounded metric: compare the squares
         np.testing.assert_allclose(rec.residuals**2, least, rtol=1e-9, atol=1e-12)
@@ -418,21 +427,21 @@ class TestFlatScan:
 
 class TestOmp:
     def test_noiseless_single_atom(self, pipeline):
-        cfg, phi, dictionary = pipeline
-        a = sensing_matrix(phi, dictionary)
+        cfg, phi, psi = pipeline
+        a = sensing_matrix(phi, psi)
         k, coef = recover_subblock_omp(a[:, 3], sensing=a)
         assert k == 3
         assert coef == pytest.approx(1.0, abs=1e-9)
 
     def test_agrees_with_ml_on_unit_columns(self):
-        """With unit-norm columns and one atom, OMP picks the ML index on
-        noiseless inputs."""
+        """With unit-norm columns and one atom, OMP picks the ML index, the
+        least residual of a direct scan, on noiseless inputs."""
         rng = np.random.default_rng(33)
         a = rng.standard_normal((4, 40)) + 1j * rng.standard_normal((4, 40))
         a /= np.linalg.norm(a, axis=0)
         for k in range(40):
             pick, _ = recover_subblock_omp(a[:, k], sensing=a)
-            ml_k, _ = recover_subblock_ml(a[:, k], sensing=a)
+            ml_k = int(np.argmin(np.linalg.norm(a - a[:, [k]], axis=0)))
             assert pick == ml_k == k
 
     def test_coefficient_is_the_least_squares_fit(self):
@@ -511,17 +520,14 @@ class TestDemux:
             np.testing.assert_array_equal(demodulate(rec.x_hat, qpsk), bits)
 
     def test_result_reassembles_decoded_blocks(self, pipeline, qpsk):
-        cfg, phi, dictionary = pipeline
+        cfg, phi, psi = pipeline
         rng = np.random.default_rng(77)
         x = qpsk.points[rng.integers(0, 4, size=cfg.l)]
         z = multiplex(x, phi, cfg)
         h = sample_channel(cfg.nr, cfg.m, rng)
         y = apply_channel(h, z, NoiseSpec(10.0, 0.4), rng)
         rec = demux(y, h, Codebook(cfg, phi))
-        rebuilt = np.concatenate(
-            [sparse_decode(int(k), dictionary) for k in rec.s_indices]
-        )
-        np.testing.assert_array_equal(rec.x_hat, rebuilt)
+        np.testing.assert_array_equal(rec.x_hat, psi.T[rec.s_indices].ravel())
         assert rec.residuals.shape == (cfg.j,)
 
     def test_matches_direct_zf_oracle_when_uncompressed(self, qpsk):
@@ -573,7 +579,7 @@ class TestDemux:
         its coefficient undoes that phase, so its block estimate is the ML
         block to rounding.
         """
-        cfg, phi, dictionary = pipeline
+        cfg, phi, psi = pipeline
         rotations = np.array([1.0, 1j, -1.0, -1j])
         for t in range(100):
             rng = np.random.default_rng([55, t])
@@ -584,8 +590,8 @@ class TestDemux:
             ml = demux(y, h, Codebook(cfg, phi), solver="ml")
             omp = demux(y, h, Codebook(cfg, phi), solver="omp")
             for k_ml, k_omp in zip(ml.s_indices, omp.s_indices):
-                twins = rotations[:, None] * dictionary.psi[:, k_ml][None, :]
-                match = np.isclose(twins, dictionary.psi[:, k_omp][None, :]).all(axis=1)
+                twins = rotations[:, None] * psi[:, k_ml][None, :]
+                match = np.isclose(twins, psi[:, k_omp][None, :]).all(axis=1)
                 assert match.any()
             np.testing.assert_allclose(omp.x_hat, ml.x_hat, atol=1e-9)
 
@@ -658,10 +664,10 @@ class TestCodebook:
                 Codebook(cfg, other)
 
     def test_derived_values_are_computed_once_bit_for_bit(self, pipeline):
-        cfg, phi, dictionary = pipeline
-        a = sensing_matrix(phi, dictionary)
+        cfg, phi, psi = pipeline
+        a = sensing_matrix(phi, psi)
         code = Codebook(cfg, phi)
-        np.testing.assert_array_equal(code.dictionary.psi, dictionary.psi)
+        np.testing.assert_array_equal(code.dictionary, psi)
         np.testing.assert_array_equal(code.sensing, a)
         assert not code.sensing.flags.writeable
         np.testing.assert_array_equal(code.omp_norms, np.linalg.norm(a, axis=0))
@@ -678,7 +684,7 @@ class TestCodebook:
         the point table of the I/Q level pairs, built once and kept
         read-only, and never builds the dictionary, the sensing matrix or
         anything of size ``q**n``."""
-        cfg, phi, dictionary = pipeline
+        cfg, phi, _ = pipeline
         code = Codebook(cfg, phi)
         calls, build = [], Codebook.iq_scan.func
         counted = cached_property(lambda self: calls.append(self) or build(self))
@@ -697,7 +703,7 @@ class TestCodebook:
         scan, tuples, point_of = iq
         assert not scan.flags.writeable and not point_of.flags.writeable
         assert not tuples.flags.writeable
-        levels, n = np.array([-1.0, 1.0]) / np.sqrt(2.0), dictionary.n
+        levels, n = np.array([-1.0, 1.0]) / np.sqrt(2.0), cfg.subblock_cols
         # P[i, u]: level digit i of u, little-endian, as the dictionary orders
         p = np.array([[levels[(u >> i) & 1] for u in range(2**n)] for i in range(n)])
         np.testing.assert_array_equal(levels[tuples], p.T)
@@ -734,7 +740,7 @@ class TestCodebook:
         y = 4.0 * (rng.standard_normal(stack + (j,)) + 1j * rng.standard_normal(stack + (j,)))
         rec = demux(y, h, code, solver="ml")
         assert "dictionary" not in vars(code)
-        psi = build_dictionary(get_constellation(constellation), n).psi
+        psi = build_dictionary(get_constellation(constellation), n)
         np.testing.assert_array_equal(rec.x_hat, psi.T[rec.s_indices].reshape(stack + (cfg.l,)))
 
     def test_equal_codebooks_compare_and_hash_by_identity(self):
@@ -884,16 +890,16 @@ class TestPointIndices:
             np.testing.assert_array_equal(rec.s_indices, blocks @ c.order ** np.arange(n))
 
 
-def _joint_ml_oracle(y, h, phi, dictionary, cfg):
+def _joint_ml_oracle(y, h, phi, psi, cfg):
     """Brute-force joint ML: score all ``d**J`` transmit vectors directly.
 
     Joint index ``n`` holds sub-block ``j``'s column ``(n // d**j) % d``;
     ``argmin`` keeps the lowest joint index on ties.  Returns the per-block
     indices and the residual norm.
     """
-    d = dictionary.d
+    d = psi.shape[1]
     digits = (np.arange(d**cfg.j)[None, :] // d ** np.arange(cfg.j)[:, None]) % d
-    x = dictionary.psi[:, digits].transpose(1, 0, 2).reshape(cfg.l, -1)
+    x = psi[:, digits].transpose(1, 0, 2).reshape(cfg.l, -1)
     z = np.kron(np.eye(cfg.j), phi.phi) @ x * transmit_gain(phi, cfg)
     metric = (np.abs(y[:, None] - h.h @ z) ** 2).sum(axis=0)
     n = int(np.argmin(metric))
@@ -963,7 +969,7 @@ def _sphere_search_reference(yq, contrib, cfg, d, cap):
 
 @st.composite
 def _joint_cases(draw, stack=(), exact_copies=False):
-    """Small setups with enumerable ``d**J``: (cfg, y, h, phi, dictionary).
+    """Small setups with enumerable ``d**J``: (cfg, y, h, phi, psi).
 
     ``stack`` is the leading trial axes of ``y`` and ``h``; each trial draws
     its own symbols, channel, channel defect and SNR.  With
@@ -980,14 +986,14 @@ def _joint_cases(draw, stack=(), exact_copies=False):
     cfg = MuxConfig(nt=m, nr=max(nr, m), l=j * cols, j=j,
                     phi_seed=draw(st.integers(0, 2**32 - 1)), constellation=name)
     phi = gen_phi(cfg)
-    dictionary = build_dictionary(get_constellation(name), cols)
+    psi = build_dictionary(get_constellation(name), cols)
     defects = [None, "zero", "copy"] + (["plain copy"] if exact_copies else [])
     ys, hs = [], []
     for _ in range(int(np.prod(stack))):
         defect = draw(st.sampled_from(defects))
         snr = draw(st.one_of(st.just(float("inf")), st.floats(-5.0, 40.0)))
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        x = dictionary.psi[:, rng.integers(0, d, size=j)].T.ravel()
+        x = psi[:, rng.integers(0, d, size=j)].T.ravel()
         h = sample_channel(nr, m, rng).h
         src, dst = rng.permutation(m + 1)[:2] % m
         if defect == "zero":
@@ -1003,7 +1009,7 @@ def _joint_cases(draw, stack=(), exact_copies=False):
         ys.append(apply_channel(h, multiplex(x, phi, cfg), NoiseSpec.from_snr(snr, m), rng))
         hs.append(h.h)
     y = np.reshape(ys, stack + (nr,))
-    return cfg, y, ChannelRealization(np.reshape(hs, stack + (nr, m))), phi, dictionary
+    return cfg, y, ChannelRealization(np.reshape(hs, stack + (nr, m))), phi, psi
 
 
 class TestOneshot:
@@ -1011,9 +1017,9 @@ class TestOneshot:
     @settings(max_examples=200, deadline=None)
     def test_matches_brute_force_oracle(self, case):
         """Sphere search indices equal the d**J enumeration's, J = 1..4."""
-        cfg, y, h, phi, dictionary = case
+        cfg, y, h, phi, psi = case
         rec = demux(y, h, Codebook(cfg, phi), solver="oneshot")
-        k, res = _joint_ml_oracle(y, h, phi, dictionary, cfg)
+        k, res = _joint_ml_oracle(y, h, phi, psi, cfg)
         np.testing.assert_array_equal(rec.s_indices, k)
         np.testing.assert_allclose(rec.residuals[0], res, rtol=1e-6, atol=1e-9)
 
@@ -1027,8 +1033,8 @@ class TestOneshot:
         node count and at drawn ones it raises ``DictionaryTooLarge``
         exactly when the recursion raises on some trial, and each trial
         detected alone gives bit for bit its row of the stack."""
-        cfg, y, h, phi, dictionary = case
-        code, d = Codebook(cfg, phi), dictionary.d
+        cfg, y, h, phi, psi = case
+        code, d = Codebook(cfg, phi), psi.shape[1]
         want, residuals, nodes = _oneshot_reference(y, h, code)
         rec = demux(y, h, code, solver="oneshot")
         np.testing.assert_array_equal(rec.s_indices, want)
@@ -1103,14 +1109,14 @@ class TestOneshot:
         """Every budget either raises or returns the unbudgeted answer."""
         cfg = MuxConfig(nt=4, nr=4, l=8, j=4, phi_seed=5)
         phi = gen_phi(cfg)
-        dictionary = build_dictionary(qpsk, cfg.subblock_cols)
+        d = qpsk.order**cfg.subblock_cols
         rng = np.random.default_rng(8)
         h = sample_channel(cfg.nr, cfg.m, rng)
         y = apply_channel(h, multiplex(qpsk.points[rng.integers(0, 4, size=8)], phi, cfg),
                           NoiseSpec.from_snr(-5.0, cfg.m), rng)
         full = demux(y, h, Codebook(cfg, phi), solver="oneshot")
         raised = 0
-        for cap in range(dictionary.d, 64 * dictionary.d, dictionary.d):
+        for cap in range(d, 64 * d, d):
             try:
                 rec = demux(y, h, Codebook(cfg, phi), solver="oneshot",
                             oneshot_cap=cap)
