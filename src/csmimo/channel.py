@@ -46,17 +46,18 @@ class ChannelRealization:
 
     Its pseudo-inverse, usability flags and QR are cached per object, each
     made once for the whole stack: every receiver that is handed the same
-    object shares them, and so does every slice ``channel[lo:hi]`` of the
-    stack.  The factorizations raise ``ValueError`` for a channel that is
-    not finite.  The object keeps the caller's array, so whoever writes into
-    ``h`` afterwards must build a new object.  Two realizations compare and
-    hash by identity.
+    object shares them, and so does every part of the stack taken by a
+    slice ``channel[lo:hi]`` or an index array ``channel[rows]``.  The
+    factorizations raise ``ValueError`` for a channel that is not finite.
+    The object keeps the caller's array, so whoever writes into ``h``
+    afterwards must build a new object.  Two realizations compare and hash
+    by identity.
     """
 
     h: np.ndarray
-    # (stack, rows) for a slice made by __getitem__, whose cached values
+    # (stack, rows) for a part made by __getitem__, whose cached values
     # are those rows of the stack's
-    _whole: tuple[ChannelRealization, slice] | None = field(
+    _whole: tuple[ChannelRealization, slice | np.ndarray] | None = field(
         default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -84,20 +85,24 @@ class ChannelRealization:
             raise ValueError("channel must be finite")
         return self.h
 
-    def __getitem__(self, rows: slice) -> ChannelRealization:
-        """The draws ``rows`` of the leading trial axis.  The slice shares
-        this stack's cached values: its ``pinv``, ``usable`` and ``qr`` are
-        those rows of the stack's, each made once for the whole stack on
-        first use by the stack or any of its slices, so they raise if any
-        draw of the stack is not finite."""
-        if not isinstance(rows, slice) or not self.stack_shape:
-            raise TypeError("a channel stack is sliced along its leading trial axis only")
+    def __getitem__(self, rows: slice | np.ndarray) -> ChannelRealization:
+        """The draws ``rows`` of the leading trial axis, a slice (a view) or a
+        1-D integer array, which may repeat and reorder draws (a copy).  The
+        part shares this stack's cached values: its ``pinv``, ``usable`` and
+        ``qr`` are those rows of the stack's, each made once for the whole
+        stack on first use by the stack or any of its parts, so they raise
+        if any draw of the stack is not finite."""
+        gathered = (isinstance(rows, np.ndarray) and rows.ndim == 1
+                    and np.issubdtype(rows.dtype, np.integer))
+        if not (isinstance(rows, slice) or gathered) or not self.stack_shape:
+            raise TypeError("a channel stack is sliced or gathered along its leading trial"
+                            " axis only")
         part = ChannelRealization(self.h[rows])
         object.__setattr__(part, "_whole", (self, rows))
         return part
 
     def _shared(self, name: str, make):
-        """``make(self)`` for a whole stack; for a slice, those rows of the
+        """``make(self)`` for a whole stack; for a part, those rows of the
         stack's cached ``name``."""
         if self._whole is None:
             return make(self)

@@ -25,7 +25,7 @@ The channel's pseudo-inverse, which ZF and the usability check read, its
 usability flags and the QR of the one-shot search are cached on the
 :class:`ChannelRealization`, each made once per stack of channels: callers
 that detect the same channels at several SNR points pass the same object,
-or slices of it, to every point.  ZF is one stacked product with the
+or slices or gathered rows of it, to every point.  ZF is one stacked product with the
 pseudo-inverse.  The usability check clears a well-conditioned channel on
 the Frobenius norms of the channel and its pseudo-inverse and takes
 singular values only of a channel that this bound does not clear, so a
@@ -417,8 +417,8 @@ def _demux_oneshot(y, h, code, cap):
     of candidates scored (visited nodes times ``d``); running out raises
     :class:`DictionaryTooLarge` rather than returning a truncated answer.
     The QR is ``h.qr``, one stacked factorization per channel stack, which
-    its slices share, so the SNR points of a sweep that detect slices of
-    one stack share it too; every trial is rotated by ``Q^H`` in one
+    its slices and gathered rows share, so the SNR points of a sweep that
+    detect parts of one stack share it too; every trial is rotated by ``Q^H`` in one
     stacked product.  :func:`_sphere_search` then searches the trials in
     lockstep, in blocks of consecutive trials whose candidate contributions
     ``R_i a``, read as a real and an imaginary part, each fit in

@@ -27,16 +27,19 @@ channel is not usable is replayed from a fresh
 The chunk is sent through its channels once, and each point only scales
 the chunk's noise and adds it (:func:`noisy`).
 Each SNR point still running then walks the chunk in slices of its own
-size, each detected in one stacked pass through the same receiver
-functions a single trial uses, so every decision is bit for bit the
-one-at-a-time result.  Every slice is a slice of the chunk's
-:class:`ChannelRealization` and shares what it caches (the pseudo-inverse
-and usability flags for ZF, the QR for the ``oneshot`` search), so each is
-made once per chunk.  A point's slices follow from a fixed working-set
-budget and from its own early-stop progress, and the chunk is the largest
-slice any running point asks for at its start.  A point cuts its last
-slice back to the trial where its early stop fires and leaves the sweep,
-so the CSV does not depend on the chunk or slice sizes.
+size.  The slices run in passes: a pass stacks the next slice of every
+point still walking the chunk, up to the working-set budget, and runs the
+same receiver functions a single trial uses once on the stack, so every
+decision is bit for bit the one-at-a-time result.  A pass's channels are
+a slice or gathered rows of the chunk's :class:`ChannelRealization` and
+share what it caches (the pseudo-inverse and usability flags for ZF, the
+QR for the ``oneshot`` search), so each is made once per chunk.  A
+point's slices follow from a fixed working-set budget and from its own
+early-stop progress, never from the other points or the passes, and the
+chunk is the largest slice any running point asks for at its start.  A
+point cuts its last slice back to the trial where its early stop fires
+and leaves the sweep, so the CSV does not depend on the chunk, slice or
+pass sizes.
 
 Two baselines bound the scheme: plain spatial multiplexing with ZF
 detection (``m`` streams), and the naive overload that crams all ``l``
@@ -56,6 +59,7 @@ import json
 from dataclasses import MISSING, Field, dataclass, fields, replace
 from decimal import Decimal
 from functools import lru_cache
+from itertools import accumulate
 from math import ceil, isfinite, isinf, sqrt
 from pathlib import Path
 from typing import NamedTuple
@@ -526,48 +530,71 @@ def _draw_chunk(prep: _Prepared, t0: int, n: int) -> _Drawn:
     return _Drawn(tx_bits, tx_idx, channel, hz, unit_noise(normals), redraws)
 
 
-def _detect(prep: _Prepared, drawn: _Drawn, lo: int, hi: int, snr_db: float) -> _Chunk:
-    """Trials ``lo .. hi-1`` of a drawn chunk detected at one SNR point in
-    one stacked pass, on the slice of the chunk's channels that shares
-    their factorizations.  The scheme takes the point indices :func:`demux`
-    decided; a baseline slices its ZF estimate to the nearest points.  A
-    trial's bit errors are the label Hamming distances of its sent and
-    decided points, the count its demapped bits would give."""
-    spec, c, n = prep.spec, prep.modem, hi - lo
-    channel = drawn.channel[lo:hi]
-    noise = NoiseSpec.from_snr(snr_db, float(spec.config.m))
-    y = noisy(drawn.hz[lo:hi], noise, drawn.noise[lo:hi])
+def _detect(prep: _Prepared, drawn: _Drawn, slices: list[tuple[int, int, float]]) -> list[_Chunk]:
+    """The trials ``lo .. hi-1`` of a drawn chunk at SNR point ``snr_db``,
+    for each ``(lo, hi, snr_db)`` of ``slices``, detected in one stacked
+    pass: each slice's receive vectors are formed at its own point and
+    stacked, and the receiver runs once on the stack, a view of the chunk's
+    channels for one slice and their gathered rows otherwise, which share
+    the chunk's factorizations.  The scheme takes the point indices
+    :func:`demux` decided; a baseline slices its ZF estimate to the nearest
+    points.  A trial's bit errors are the label Hamming distances of its
+    sent and decided points, the count its demapped bits would give.
+    Returns one outcome per slice, bit for bit the slice's own pass."""
+    spec, c, m = prep.spec, prep.modem, float(prep.spec.config.m)
+    y = np.concatenate([noisy(drawn.hz[lo:hi], NoiseSpec.from_snr(snr, m), drawn.noise[lo:hi])
+                        for lo, hi, snr in slices])
+    if len(slices) == 1:
+        rows = slice(*slices[0][:2])
+    else:
+        rows = np.concatenate([np.arange(lo, hi) for lo, hi, _ in slices])
+    channel = drawn.channel[rows]
     if prep.code is None:
         # S has orthonormal rows, so S^T H^+ = (H S)^+
         x_hat = zf_equalize(y, channel) @ prep.spread
-        rx_idx = nearest_point_indices(x_hat, c).reshape(n, spec.streams)
+        rx_idx = nearest_point_indices(x_hat, c).reshape(len(y), spec.streams)
     else:
         rx_idx = demux(y, channel, prep.code, solver=spec.solver).x_indices
-    tx_idx = drawn.tx_idx[lo:hi]
-    return _Chunk(rx_idx, c.label_distances[tx_idx, rx_idx].sum(axis=1),
-                  (tx_idx != rx_idx).sum(axis=1))
+    tx_idx = drawn.tx_idx[rows]
+    bit_errors = c.label_distances[tx_idx, rx_idx].sum(axis=1)
+    symbol_errors = (tx_idx != rx_idx).sum(axis=1)
+    ends = list(accumulate(hi - lo for lo, hi, _ in slices))
+    return [_Chunk(rx_idx[a:b], bit_errors[a:b], symbol_errors[a:b])
+            for a, b in zip([0, *ends], ends)]
 
 
 def _tally_chunk(prep: _Prepared, t0: int, n: int, running: list[int], tally: np.ndarray) -> None:
     """Trials ``t0 .. t0+n-1`` drawn once, then walked by each running
     point in its own slices, each sized by :func:`_chunk_size` from the
     point's progress, up to the trial where its early stop fires; the kept
-    trials are added to the point's row of ``tally``.  The drawn chunk is
+    trials are added to the point's row of ``tally``.  The slices run in
+    passes, one :func:`_detect` call each: a pass takes, in point order,
+    the next slice of each point still walking the chunk that fits in what
+    is left of ``prep.chunk_cap`` trials, and always its first point's; a
+    slice that does not fit waits for a later pass.  The drawn chunk is
     released on return."""
     spec, target = prep.spec, prep.spec.early_stop_errors
     drawn = _draw_chunk(prep, t0, n)
-    for p in running:
-        lo = 0
-        while lo < n and not (target and tally[p, 1] >= target):
-            hi = lo + min(n - lo, _chunk_size(spec, prep.chunk_cap, t0 + lo, int(tally[p, 1])))
-            chunk = _detect(prep, drawn, lo, hi, spec.snr_db[p])
+    # the next trial of each point still walking the chunk
+    walking = dict.fromkeys(running, 0)
+    while walking:
+        passed, room = [], prep.chunk_cap
+        for p, lo in walking.items():
+            size = min(n - lo, _chunk_size(spec, prep.chunk_cap, t0 + lo, int(tally[p, 1])))
+            if size <= room or not passed:
+                passed.append((p, lo, lo + size))
+                room -= size
+        chunks = _detect(prep, drawn, [(lo, hi, spec.snr_db[p]) for p, lo, hi in passed])
+        for (p, lo, hi), chunk in zip(passed, chunks):
             kept = hi - lo
             if target:
                 hit = np.flatnonzero(tally[p, 1] + np.cumsum(chunk.bit_errors) >= target)
                 kept = int(hit[0]) + 1 if hit.size else kept
             tally[p] += (kept, chunk.bit_errors[:kept].sum(), chunk.symbol_errors[:kept].sum(),
                          drawn.redraws[lo : lo + kept].sum())
-            lo = hi
+            walking[p] = hi
+            if hi == n or (target and tally[p, 1] >= target):
+                del walking[p]
 
 
 def _chunk_size(spec: ExperimentSpec, cap: int, done: int, errors: int) -> int:
@@ -600,12 +627,13 @@ def run_trial(
 ) -> TrialRecord:
     """Run one deterministic trial; defaults to the first SNR grid point.
 
-    The trial is a chunk of one, drawn and detected as a sweep's chunks
-    are, so its bits equal those the trial has inside any sweep; the
-    point indices it decides are demapped to its ``rx_bits``.  ``phi``
-    overrides the seeded Gaussian draw (e.g. an identity matrix for
-    degenerate-equivalence checks).  The preparation of the last few ``(spec, phi)`` pairs is
-    kept, so repeated calls build the codebook once.
+    The trial is a chunk of one, drawn as a sweep's chunks are and
+    detected in a pass of one slice, so its bits equal those the trial has
+    inside any sweep; the point indices it decides are demapped to its
+    ``rx_bits``.  ``phi`` overrides the seeded Gaussian draw (e.g. an
+    identity matrix for degenerate-equivalence checks).  The preparation
+    of the last few ``(spec, phi)`` pairs is kept, so repeated calls build
+    the codebook once.
     """
     trial_index = require_int(trial_index, "trial_index")
     if trial_index < 0:
@@ -613,7 +641,7 @@ def run_trial(
     point = spec.snr_db[0] if snr_db is None else _snr_point(snr_db, spec.config.m)
     prep = _prepared(spec, phi)
     drawn = _draw_chunk(prep, trial_index, 1)
-    chunk = _detect(prep, drawn, 0, 1, point)
+    chunk, = _detect(prep, drawn, [(0, 1, point)])
     return TrialRecord(
         trial_index=trial_index,
         snr_db=point,
@@ -631,7 +659,8 @@ def run_sweep(spec: ExperimentSpec, phi: MeasurementMatrix | None = None) -> Swe
     """Aggregate trials over the SNR grid, early-stopping on enough errors.
 
     Trials run in chunks (see the module docstring), each drawn once and
-    walked by every SNR point still running, in slices of its own size.  A
+    walked by every SNR point still running, in slices of its own size
+    that run in passes, several points' slices to a receiver call.  A
     point stops at the first trial whose cumulative bit errors reach
     ``early_stop_errors``, as if trials ran one at a time: later trials of
     its slice are dropped, and it detects no later slice.  When a chunk
@@ -757,8 +786,24 @@ def _grid_value(point, grid) -> Decimal:
 def _grid_label(point, grid) -> str:
     """``grid`` and the rejected ``point`` in it, or ``grid`` alone when
     the two read the same: a single number or a one-point text grid."""
-    grid, point = repr(grid), repr(point)
+    grid, point = _shown(grid), _shown(point)
     return f"grid {grid}" if grid == point else f"grid {grid}: {point}"
+
+
+def _shown(value) -> str:
+    """``repr(value)``, but an integer too long for Python's ``str`` (past
+    ``sys.get_int_max_str_digits()``), alone or in a list or tuple, reads
+    as its number of digits, and any other value whose ``repr`` fails as
+    its type."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"a {Decimal(value).adjusted() + 1}-digit integer"
+        if isinstance(value, (list, tuple)):
+            inner = ", ".join(map(_shown, value))
+            return f"[{inner}]" if isinstance(value, list) else f"({inner})"
+        return f"a {type(value).__name__}"
 
 
 def _json_value(field: Field, value):

@@ -65,16 +65,18 @@ class TestFactorizations:
            stack_first=st.booleans(), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
     def test_slices_share_the_stacks_factorizations(self, nr, m, n, data, stack_first, seed):
-        """``channel[lo:hi]`` has, bit for bit, the pseudo-inverse, the
-        usability flags and the QR of a stack of its own draws.  They are
-        the stack's rows: whether the stack or a slice reads them first,
+        """``channel[lo:hi]`` and ``channel[rows]``, for an index array that
+        may repeat and reorder draws, have, bit for bit, the pseudo-inverse,
+        the usability flags and the QR of a stack of their own draws.  They
+        are the stack's rows: whether the stack or a part reads them first,
         the stack's inverse is made once (one stacked ``inv``, or one per
         matrix after an exactly singular draw, here a zero one, fails the
-        stacked call), and slicing after that, a slice of a slice
-        included, makes no further LAPACK call.  A wide stack has flags,
-        all false, and no inverse."""
+        stacked call), and slicing or gathering after that, a slice of a
+        slice included, makes no further LAPACK call.  A wide stack has
+        flags, all false, and no inverse."""
         lo = data.draw(st.integers(0, n - 1))
         hi = data.draw(st.integers(lo + 1, n))
+        rows = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)))
         zero = data.draw(st.sampled_from([None, *range(n)]))
         h = gains(np.random.default_rng(seed).standard_normal((n, 2 * nr * m)), nr, m)
         if zero is not None:
@@ -91,7 +93,9 @@ class TestFactorizations:
             got = [getattr(part, name) for name in names]
             again = channel[lo:hi][: hi - lo]
             got_again = [getattr(again, name) for name in names]
-            [getattr(channel, name) for name in names]
+            gathered = channel[rows]
+            got_gathered = [getattr(gathered, name) for name in names]
+            whole = [getattr(channel, name) for name in names]
         singular = zero is not None and not wide
         assert pinv.call_count == (0 if wide else 1)
         assert inv.call_count == (0 if wide else 1 + n if singular else 1)
@@ -103,19 +107,29 @@ class TestFactorizations:
             np.testing.assert_array_equal(a, w)
             np.testing.assert_array_equal(b, w)
         np.testing.assert_array_equal(part.h, own.h)
+        own_gathered = ChannelRealization(h[rows])
+        want = [getattr(own_gathered, name) for name in names]
+        for w, a, b in zip(*(_arrays(v) for v in (want, got_gathered, whole)), strict=True):
+            np.testing.assert_array_equal(a, w)
+            np.testing.assert_array_equal(a, b[rows])
+        np.testing.assert_array_equal(gathered.h, h[rows])
         if wide:
             assert not channel.usable.any()
         elif singular:
             assert not channel.usable[zero] and np.isnan(channel.pinv[zero]).all()
 
     def test_only_a_stack_is_sliced(self):
-        """Slicing cuts trials off the leading axis, never rows of one matrix."""
+        """Slicing or gathering by a 1-D integer array cuts trials off the
+        leading axis, never rows of one matrix; any other index raises."""
         one = sample_channel(2, 2, np.random.default_rng(6))
-        with pytest.raises(TypeError, match="leading trial axis"):
-            one[0:1]
+        for rows in (slice(0, 1), np.array([0])):
+            with pytest.raises(TypeError, match="leading trial axis"):
+                one[rows]
         stack = ChannelRealization(np.stack([one.h, one.h]))
-        with pytest.raises(TypeError, match="leading trial axis"):
-            stack[0]
+        for rows in (0, np.int64(1), [0, 1], (0, 1), np.array(1), np.array([[0, 1]]),
+                     np.array([True, False]), np.array([0.0, 1.0]), Ellipsis, None):
+            with pytest.raises(TypeError, match="leading trial axis"):
+                stack[rows]
 
     def test_condition_number_is_exact_and_read_lazily(self):
         """``condition_number`` is ``s[0]/s[-1]`` of every matrix's thin SVD,

@@ -149,6 +149,43 @@ def test_chunked_engine_matches_sequential_oracle(spec, cap):
             assert (rec.symbol_errors, rec.redraws) == (sym, red)
 
 
+# (solver or baseline, setup) pairs a spec accepts: omp needs m/j >= 2
+_MODES = [(mode, s) for mode in ("ml", "omp", "oneshot", "zf", "overload") for s in SETUPS
+          if mode != "omp" or min(s[:2]) > s[3]]
+
+# slices (lo, hi, snr_db) of a 12-trial chunk, which may overlap
+_SLICES = st.lists(
+    st.tuples(st.integers(0, 11), st.integers(1, 12),
+              st.one_of(st.just(INF), st.floats(-5.0, 30.0)))
+    .map(lambda s: (min(s[0], s[1] - 1), s[1], s[2])),
+    min_size=2, max_size=5)
+
+
+@given(mode=st.sampled_from(_MODES), slices=_SLICES, seed=st.integers(0, 1000))
+@example(mode=("overload", SETUPS[0]), slices=[(0, 12, INF), (3, 9, 5.0), (0, 12, INF)], seed=3)
+@example(mode=("oneshot", SETUPS[1]), slices=[(0, 12, INF), (4, 6, 0.0), (5, 12, 30.0)], seed=7)
+@settings(max_examples=80, deadline=None)
+def test_a_pass_decides_each_slice_as_it_does_alone(mode, slices, seed):
+    """One ``_detect`` pass stacks several points' slices of a drawn chunk,
+    which may repeat trials, and a noiseless ``inf`` point among them: each
+    slice's decided point indices, bit errors and symbol errors are bit for
+    bit those of the slice detected alone, for the ``ml``, ``omp`` and
+    ``oneshot`` solvers and both baselines."""
+    mode, (nt, nr, l, j, name) = mode
+    baseline = mode if mode in ("zf", "overload") else None
+    spec = ExperimentSpec(MuxConfig(nt=nt, nr=nr, l=l, j=j, constellation=name, phi_seed=seed),
+                          (0.0,), trials=12, master_seed=seed, solver="ml" if baseline else mode,
+                          baseline=baseline)
+    prep = harness._prepare(spec)
+    drawn = harness._draw_chunk(prep, 0, 12)
+    together = harness._detect(prep, drawn, slices)
+    for piece, got in zip(slices, together, strict=True):
+        alone, = harness._detect(prep, drawn, [piece])
+        assert len(got.rx_idx) == piece[1] - piece[0]
+        for a, b in zip(got, alone, strict=True):
+            np.testing.assert_array_equal(a, b)
+
+
 def _stop_spec(**kw):
     defaults = dict(config=MuxConfig(nt=4, nr=4, l=8, j=2, phi_seed=880), snr_db=(4.0,),
                     trials=200, master_seed=3, early_stop_errors=30)
@@ -218,8 +255,8 @@ def test_redraws_inside_a_chunk_land_on_their_trial(monkeypatch, baseline):
     prep = harness._prepare(spec)
     assert prep.chunk_cap >= 10
     drawn = harness._draw_chunk(prep, 0, 10)
-    for snr in spec.snr_db:
-        chunk = harness._detect(prep, drawn, 0, 10, snr)
+    chunks = harness._detect(prep, drawn, [(0, 10, snr) for snr in spec.snr_db])
+    for snr, chunk in zip(spec.snr_db, chunks, strict=True):
         for t in range(10):
             tx, rx, sym, red = _sequential_trial(spec, t, snr)
             np.testing.assert_array_equal(drawn.tx_bits[t], tx)
@@ -271,16 +308,17 @@ class _Injected(Exception):
 class _Schedule:
     """Records what a sweep draws and detects.
 
-    ``drawn`` holds the ``(t0, n)`` of each ``_draw`` call and ``detected``
-    the ``(snr_db, first, end)`` trial range of each ``_detect`` call.  With
-    ``fail_at = (snr_db, t)``, a detect call whose slice holds trial ``t``
-    at ``snr_db`` raises :class:`_Injected`, and so does the sequential
-    oracle's trial ``t`` at that point.
+    ``drawn`` holds the ``(t0, n)`` of each ``_draw`` call, ``detected``
+    the ``(snr_db, first, end)`` trial range of each slice of each
+    ``_detect`` pass, and ``passes`` the number of trials of each pass.
+    With ``fail_at = (snr_db, t)``, a pass with a slice that holds trial
+    ``t`` at ``snr_db`` raises :class:`_Injected`, and so does the
+    sequential oracle's trial ``t`` at that point.
     """
 
     def __init__(self, fail_at=None):
         self.fail_at = fail_at
-        self.drawn, self.detected = [], []
+        self.drawn, self.detected, self.passes = [], [], []
         self._starts = {}
 
     def _draw(self, seed, t0, n, *args):
@@ -292,12 +330,15 @@ class _Schedule:
         self._starts[id(drawn)] = t0
         return drawn
 
-    def _detect(self, prep, drawn, lo, hi, snr_db):
+    def _detect(self, prep, drawn, slices):
         t0 = self._starts[id(drawn)]
-        self.detected.append((snr_db, t0 + lo, t0 + hi))
-        if self.fail_at and self.fail_at[0] == snr_db and t0 + lo <= self.fail_at[1] < t0 + hi:
-            raise _Injected(self.fail_at)
-        return self._originals["_detect"](prep, drawn, lo, hi, snr_db)
+        self.passes.append(sum(hi - lo for lo, hi, _ in slices))
+        for lo, hi, snr_db in slices:
+            self.detected.append((snr_db, t0 + lo, t0 + hi))
+        for lo, hi, snr_db in slices:
+            if self.fail_at and self.fail_at[0] == snr_db and t0 + lo <= self.fail_at[1] < t0 + hi:
+                raise _Injected(self.fail_at)
+        return self._originals["_detect"](prep, drawn, slices)
 
     def _sequential_trial(self, spec, t, snr_db):
         if (snr_db, t) == self.fail_at:
@@ -346,13 +387,16 @@ def _check_schedule(spec, schedule, rows):
 def test_shipped_zf_sweep_draws_and_detects_each_trial_once():
     """The shipped (2,2)-4 ``zf`` sweep, eleven early-stopped points: the
     chunks' draws are contiguous and disjoint, and no point detects a
-    trial twice, while each point sizes its own slices."""
+    trial twice, while each point sizes its own slices.  The slices run in
+    passes of at most ``chunk_cap`` trials, fewer passes than slices."""
     spec = _recipe("mimo2x2_l4", baseline="zf")
     with _Schedule() as schedule:
         rows = run_sweep(spec).rows
     _check_schedule(spec, schedule, rows)
     chunks = {(t0, t0 + n) for t0, n in schedule.drawn}
     assert any((first, end) not in chunks for _, first, end in schedule.detected)
+    assert max(schedule.passes) <= harness._prepare(spec).chunk_cap
+    assert len(schedule.passes) < len(schedule.detected)
 
 
 _STOPPING = _small_specs().filter(lambda s: s.early_stop_errors and len(s.snr_db) > 1)
@@ -374,12 +418,12 @@ def test_each_trial_is_drawn_once_and_detected_once_per_point(spec, cap):
 def test_a_later_points_failure_rolls_the_chunk_back(bad):
     """Trials 1..10 of this sweep are one chunk.  The 0 dB point detects it
     in one slice and stops at trial 4; the 6 dB point tallies trials 1..2,
-    then detects 3..6 in a slice that holds its stop at trial 5 and raises
-    for a failure planted at trial ``bad``.  The tally goes back to the
-    chunk's start and the chunk reruns one trial at a time: the sweep gives
-    the oracle's failure for trial 3, which the 6 dB point reaches, and for
-    trial 6, past its stop, the oracle's rows, with no trial of the chunk
-    counted twice."""
+    detected in the same pass, then detects 3..6 in a second pass, a slice
+    that holds its stop at trial 5 and raises for a failure planted at
+    trial ``bad``.  The tally goes back to the chunk's start and the chunk
+    reruns one trial at a time: the sweep gives the oracle's failure for
+    trial 3, which the 6 dB point reaches, and for trial 6, past its stop,
+    the oracle's rows, with no trial of the chunk counted twice."""
     spec = _stop_spec(snr_db=(0.0, 6.0), master_seed=50)
     assert _stops(spec) == [5, 6]
     with _Schedule(fail_at=(6.0, bad)) as schedule:
@@ -389,6 +433,7 @@ def test_a_later_points_failure_rolls_the_chunk_back(bad):
     assert (expected[0] is _Injected) == (bad < 6)
     assert schedule.drawn[:2] == [(0, 1), (1, 10)]
     assert schedule.detected[2:5] == [(0.0, 1, 11), (6.0, 1, 3), (6.0, 3, 7)]
+    assert schedule.passes[:3] == [2, 12, 4]
 
 
 @given(spec=_STOPPING, data=st.data(), cap=st.sampled_from([2, 7, None]))

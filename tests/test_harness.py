@@ -454,8 +454,8 @@ class TestBaselines:
         stack = np.hstack([np.eye(m)] * copies) / np.sqrt(copies)
         prep = harness._prepare(spec)
         drawn = harness._draw_chunk(prep, 0, spec.trials)
-        for snr in spec.snr_db:
-            chunk = harness._detect(prep, drawn, 0, spec.trials, snr)
+        chunks = harness._detect(prep, drawn, [(0, spec.trials, snr) for snr in spec.snr_db])
+        for snr, chunk in zip(spec.snr_db, chunks, strict=True):
             for t in range(spec.trials):
                 rng = np.random.default_rng([seed, t])
                 x = c.points[symbol_indices(rng.integers(0, 2, size=drawn.tx_bits.shape[1],
@@ -484,7 +484,7 @@ class TestBaselines:
                               early_stop_errors=0)
         prep = harness._prepare(spec)
         drawn = harness._draw_chunk(prep, 0, spec.trials)
-        chunk = harness._detect(prep, drawn, 2, spec.trials, snr_db)
+        chunk, = harness._detect(prep, drawn, [(2, spec.trials, snr_db)])
         rx_bits = prep.modem.labels[chunk.rx_idx].reshape(spec.trials - 2, -1)
         np.testing.assert_array_equal(chunk.bit_errors, (drawn.tx_bits[2:] != rx_bits).sum(axis=1))
 
@@ -598,17 +598,24 @@ class TestConfigFiles:
         """A finite dB value beyond the float range fails in one line that
         names it, as text, a JSON number, an integer, a ``longdouble``, a
         ``Fraction`` or a trial's SNR, and names its grid too unless the
-        grid is that one point; only an infinite spelling or number is a
+        grid is that one point; an integer too long for ``str`` is named by
+        its number of digits.  Only an infinite spelling or number is a
         noiseless point."""
         raw = {"nt": 4, "nr": 4, "l": 8, "j": 2, "trials": 1}
         big = 10**400
+        # past Python's 4300-digit limit for str()
+        huge, digits = 10**5000, "a 5001-digit integer"
         beyond = "dB is beyond the float range$"
         for grid, named in (("1e400", "'1e400'"), ("0, -1e400", "'0, -1e400': '-1e400'"),
                             ("0:1:1e400", "'0:1:1e400': '1e400'"), (big, f"{big}"),
-                            ([0, big], re.escape(f"[0, {big}]: {big}"))):
+                            ([0, big], re.escape(f"[0, {big}]: {big}")), (huge, digits),
+                            ([0, huge], re.escape(f"[0, {digits}]: {digits}")),
+                            ((0, -huge), re.escape(f"(0, {digits}): {digits}"))):
             with pytest.raises(ValueError, match=f"^grid {named} {beyond}"):
                 spec_from_dict({**raw, "snr_db": grid})
-        for snr, named in (("1e400", "'1e400'"), (big, f"{big}")):
+            with pytest.raises(ValueError, match=f"^grid {named} {beyond}"):
+                parse_snr_grid(grid)
+        for snr, named in (("1e400", "'1e400'"), (big, f"{big}"), (huge, digits)):
             with pytest.raises(ValueError, match=f"^grid {named} {beyond}"):
                 run_trial(small_spec(), 0, snr_db=snr)
         path = tmp_path / "cfg.json"
