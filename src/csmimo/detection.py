@@ -320,19 +320,21 @@ def block_width(cfg: MuxConfig, solver: str) -> int:
     column's normalized correlation is ``|z|``, so rounding makes the pick.
     """
     c, n = get_constellation(cfg.constellation), cfg.subblock_cols
-    if c.order**n >= 2**63:
+    # q = 2**bits: compare exponents, so a long sub-block costs no power
+    if c.bits_per_symbol * n >= 63:
         raise DictionaryTooLarge(f"joint index range {c.order}^{n} does not fit in int64")
     base = c.iq_levels.size if solver == "ml" else c.order
-    if base**n > cfg.dictionary_cap:
+    width = base**n  # at most q**n < 2**63
+    if width > cfg.dictionary_cap:
         raise DictionaryTooLarge(
-            f"{solver} per-block table width {base}^{n} = {base**n} "
+            f"{solver} per-block table width {base}^{n} = {width} "
             f"exceeds cap {cfg.dictionary_cap}"
         )
     if solver == "omp" and cfg.subblock_rows == 1:
         raise BadSubblockShape(
             "omp needs m/j >= 2: with one-row sub-blocks every column ties on |z|"
         )
-    return base**n
+    return width
 
 
 def demux(

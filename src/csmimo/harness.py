@@ -545,6 +545,7 @@ def _detect(prep: _Prepared, drawn: _Drawn, slices: list[tuple[int, int, float]]
     y = np.concatenate([noisy(drawn.hz[lo:hi], NoiseSpec.from_snr(snr, m), drawn.noise[lo:hi])
                         for lo, hi, snr in slices])
     if len(slices) == 1:
+        # a view: gathering copies h and pinv, ~2x ZF time on a 60-trial (20,20)-40 slice
         rows = slice(*slices[0][:2])
     else:
         rows = np.concatenate([np.arange(lo, hi) for lo, hi, _ in slices])
@@ -850,9 +851,11 @@ def _json_float(text: str) -> float:
 
 def read_config(path: str | Path) -> dict:
     """The fields of a JSON config file, unchecked: a caller may change
-    them before :func:`spec_from_dict` checks them once."""
+    them before :func:`spec_from_dict` checks them once.  Integers are read
+    exactly at any length, past the digit limit of Python's ``int(text)``,
+    so that one too large fails in the spec's checks, not in the parser."""
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh, parse_float=_json_float)
+        raw = json.load(fh, parse_float=_json_float, parse_int=lambda text: int(Decimal(text)))
     if not isinstance(raw, dict):
         raise ValueError(f"config {path} must hold a JSON object")
     return raw

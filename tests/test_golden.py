@@ -1,11 +1,13 @@
 """Golden sweep CSVs: short runs of every shipped mode, pinned byte for byte.
 
 Each file under ``tests/golden/`` is the exact ``SweepResult.to_csv`` output
-of one case in :data:`CASES`.  A change to the trial path must leave these
-bytes unchanged; if a golden file ever has to change, CHANGES.md says why.
-The numbers depend on numpy and on its BLAS/LAPACK build, so
-``versions.json`` records the stack the files were made on, and a mismatch
-reports both that stack and the one the test ran on.
+of one case in :data:`CASES`, the one table of what each golden runs:
+:func:`case_config` gives a case's config file, and CI writes each one out
+and replays it through the installed ``csmimo simulate``.  A change to the
+trial path must leave these bytes unchanged; if a golden file ever has to
+change, CHANGES.md says why.  The numbers depend on numpy and on its
+BLAS/LAPACK build, so ``versions.json`` records the stack the files were
+made on, and a mismatch reports both that stack and the one the test ran on.
 
 Regenerate (only for an intended, explained change of results):
 
@@ -13,22 +15,34 @@ Regenerate (only for an intended, explained change of results):
 """
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import recipe_path
-from csmimo.harness import load_spec, run_sweep
+from csmimo.harness import read_config, run_sweep, spec_from_dict
 
 GOLDEN = Path(__file__).parent / "golden"
-SNR_DB = (0.0, 10.0, 20.0)
-TRIALS = 300
 
 # case name -> (recipe, solver, baseline, constellation, j), j None for the
 # recipe's own; each recipe keeps its own seeds and early-stop threshold, so
 # the 0 dB rows also pin the early-stop index.
+# - (2,2)-4 has one-row sub-blocks: its ml sweep is the QPSK path whose
+#   decided point indices demux hands straight to the bit-error count, and
+#   the spec rejects omp there, since every column ties on |z|.
+# - zf and overload share the ZF receiver that slices S^T of the equalized
+#   estimate, the only estimate the harness slices with
+#   nearest_point_indices.  The (2,2)-4 baseline sweeps stop within a few
+#   chunks at every point, so each point walks its own slices through a
+#   chunk that another point sized, stacked into passes: they pin that
+#   per-point early-stop schedule end to end.
+# - The (2,2)-4 oneshot golden runs the lockstep search on one-row
+#   sub-blocks (d = 16, whole slices in one block), the (4,4)-8 one on
+#   two-row sub-blocks (d = 256, blocks of up to 64 trials).
+# - The (4,4)-8 omp golden holds only 32 to 78 trials per point (at BER
+#   0.16 to 0.39 the early stop comes fast), so the property test of the
+#   stacked omp pick against recover_subblock_omp is that path's main guard.
 CASES = {
     f"{recipe}_{mode}": (recipe, solver, baseline, "qpsk", None)
     for recipe in ("mimo2x2_l4", "mimo4x4_l8", "mimo20x20_l40")
@@ -41,10 +55,13 @@ CASES = {
     )
     # d**J joint candidates: 4**2**2 and 4**4**2 are small, 4**4**10 is not
     if not (mode == "oneshot" and recipe == "mimo20x20_l40")
-    # (2,2)-4 has one-row sub-blocks, which the spec rejects for omp
     and not (mode == "omp" and recipe == "mimo2x2_l4")
 }
-# QAM16 ml, d = 16**2 and 16**4 per sub-block: the only goldens off QPSK
+# QAM16 ml, d = 16**2 and 16**4 per sub-block: the only goldens off QPSK.
+# The (2,2)-4 matrix projects two level pairs to within 1e-5 of each other,
+# so its ml picks come closest to a half-scan tie, which each half breaks
+# to its lowest level tuple; the (4,4)-8 one reads uniqueness off 256 I/Q
+# level tuples in its analyze golden.
 CASES.update(
     {
         f"{recipe}_qam16_ml": (recipe, "ml", None, "qam16", None)
@@ -52,22 +69,27 @@ CASES.update(
     }
 )
 # the paper's sub-block trade-off: (20,20)-40 ml with fewer, longer blocks,
-# n = 8 and n = 10 symbols, the second past the cap on 4**n columns
+# n = 8 and n = 10 symbols; at J = 4 the ml half-scans score 2**10 level
+# tuples, within the cap of 65536 that the 4**10 dictionary columns of omp
+# and oneshot exceed
 CASES.update({f"mimo20x20_l40_j{j}_ml": ("mimo20x20_l40", "ml", None, "qpsk", j) for j in (5, 4)})
 
 
-def sweep_csv(name: str) -> str:
+def case_config(name: str) -> dict:
+    """The config-file fields of case ``name``: its recipe with the case's
+    solver, baseline, constellation and ``j``, at 0, 10 and 20 dB and 300
+    trials."""
     recipe, solver, baseline, constellation, j = CASES[name]
-    spec = load_spec(recipe_path(f"{recipe}.json"))
-    spec = replace(
-        spec,
-        config=replace(spec.config, constellation=constellation, j=j or spec.config.j),
-        snr_db=SNR_DB,
-        trials=TRIALS,
-        solver=solver,
-        baseline=baseline,
-    )
-    return run_sweep(spec).to_csv()
+    raw = read_config(recipe_path(f"{recipe}.json"))
+    raw.update(solver=solver, baseline=baseline, constellation=constellation,
+               snr_db=[0, 10, 20], trials=300)
+    if j is not None:
+        raw["j"] = j
+    return raw
+
+
+def sweep_csv(name: str) -> str:
+    return run_sweep(spec_from_dict(case_config(name))).to_csv()
 
 
 def stack_versions() -> dict[str, str]:
@@ -91,6 +113,12 @@ def test_golden_csv(name):
         f"{name}.csv no longer matches; files made on {made_on}, "
         f"this run on {stack_versions()}"
     )
+
+
+def test_every_golden_csv_is_a_case():
+    """A golden file with no case would never be checked, and a case with
+    no file would fail only once the sweep has run."""
+    assert sorted(p.stem for p in GOLDEN.glob("*.csv")) == sorted(CASES)
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import json
 import re
+import tracemalloc
 from dataclasses import MISSING, fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -317,6 +318,22 @@ class TestBlockWidth:
         with pytest.raises(DictionaryTooLarge, match=r"^joint index range 4\^32 does not fit in int64$"):
             small_spec(config=cfg)
 
+    def test_long_subblocks_are_refused_from_exponents(self):
+        """(4,4)-2·10**8 at J = 2 has sub-blocks of 10**8 symbols: every
+        solver's spec refuses its joint index at once, without building the
+        25 MB integer 4**(10**8) to compare."""
+        cfg = MuxConfig(nt=4, nr=4, l=2 * 10**8, j=2)
+        tracemalloc.start()
+        try:
+            for solver in detection.SOLVERS:
+                with pytest.raises(DictionaryTooLarge, match=(
+                        r"^joint index range 4\^100000000 does not fit in int64$")):
+                    small_spec(config=cfg, solver=solver)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_baselines_run_where_no_table_fits(self):
         """(4,4)-36 at J = 2 has 2**18 level tuples per ``ml`` half-scan and
         4**18 dictionary columns: the spec and ``demux`` refuse every solver
@@ -624,6 +641,10 @@ class TestConfigFiles:
             load_spec(path)
         path.write_text(json.dumps({**raw, "snr_db": big}))
         with pytest.raises(ValueError, match=f"^grid {big} {beyond}"):
+            load_spec(path)
+        # json.dumps cannot write huge, so its digits go in as text
+        path.write_text(json.dumps({**raw, "snr_db": 0}).replace(": 0", ": 1" + "0" * 5000))
+        with pytest.raises(ValueError, match=f"^grid {digits} {beyond}"):
             load_spec(path)
         for grid in ("inf", " Infinity", INF, [INF]):
             assert spec_from_dict({**raw, "snr_db": grid}).snr_db == (INF,)
