@@ -4,7 +4,6 @@ from .analysis import UniquenessReport, rip_constant, spark, verify_uniqueness
 from .channel import ChannelRealization, NoiseSpec, apply_channel, sample_channel
 from .csmux import (
     MeasurementMatrix,
-    MuxConfig,
     gen_phi,
     identity_phi,
     multiplex,
@@ -26,19 +25,19 @@ from .errors import (
     DimensionMismatch,
     IndivisibleBitLength,
     RankDeficientChannel,
+    SpecError,
     TooManyColumns,
 )
 from .harness import (
-    ExperimentSpec,
     SweepResult,
     SweepRow,
     TrialRecord,
-    load_spec,
     run_sweep,
     run_trial,
     throughput_proxy,
     wilson_interval,
 )
 from .modem import Constellation, demodulate, get_constellation, modulate
+from .spec import ExperimentSpec, MuxConfig, load_spec
 
 __version__ = "0.1.0"

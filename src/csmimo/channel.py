@@ -24,7 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, SpecError
+from .spec import db_point
 
 
 # Smallest ratio σ_min/σ_max of a usable channel's singular values.
@@ -200,32 +201,30 @@ def _frobenius2(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Complex noise variance per receive antenna, tied to an SNR in dB."""
+    """Complex noise variance per receive antenna, tied to an SNR in dB,
+    which is a :func:`~csmimo.spec.db_point`."""
 
     snr_db: float
     sigma2: float
 
     def __post_init__(self) -> None:
+        db_point("snr_db", self.snr_db)
         if not 0.0 <= self.sigma2 < np.inf:
-            raise ValueError(f"sigma2 must be finite and >= 0, got {self.sigma2!r}")
+            raise SpecError("sigma2 must be finite and >= 0")
 
     @classmethod
     def from_snr(cls, snr_db: float, rx_energy: float) -> "NoiseSpec":
         """Derive sigma2 from the SNR given the received energy per antenna.
 
         ``rx_energy`` equals the number of unit-energy transmit dimensions
-        under the convention described in the module docstring.  An infinite
-        ``snr_db`` yields sigma2 = 0 (noiseless); a point whose sigma2 is not
-        a finite float ``>= 0`` raises ``ValueError``, a finite point whose
-        ``10**(snr_db/10)`` overflows or underflows to 0 included.
+        under the convention described in the module docstring.  ``snr_db``
+        is a :func:`~csmimo.spec.db_point`: an infinite one yields sigma2 = 0
+        (noiseless), and a finite one lies within 1000 dB of 0, where
+        ``10**(snr_db/10)`` neither overflows nor underflows.  A sigma2 that
+        is not a finite float ``>= 0`` raises :class:`SpecError`.
         """
-        snr, energy = float(snr_db), float(rx_energy)
-        try:
-            sigma2 = energy / 10.0 ** (snr / 10.0)
-        except ArithmeticError:  # 10**(snr/10) overflows, or underflows to 0
-            raise ValueError(f"sigma2 must be finite and >= 0, got {energy!r}"
-                             f" / 10**({snr!r}/10)") from None
-        return cls(snr, sigma2)
+        snr = db_point("snr_db", snr_db)
+        return cls(snr, float(rx_energy) / 10.0 ** (snr / 10.0))
 
 
 def sample_channel(nr: int, m_tx: int, rng: np.random.Generator) -> ChannelRealization:

@@ -7,10 +7,10 @@ import sys
 
 from . import analysis
 from .csmux import gen_phi, phi_to_text
-from .detection import SOLVERS, block_width
 from .errors import CsmimoError
-from .harness import read_config, run_sweep, spec_from_dict
+from .harness import run_sweep
 from .modem import get_constellation
+from .spec import NO_BASELINE, SOLVERS, block_width, read_config, spec_from_dict
 
 
 # simulate flag -> the config field it overrides; flags replace file values
@@ -65,7 +65,7 @@ def _cmd_analyze(args) -> int:
     raw = read_config(args.config)
     if args.phi_seed is not None:
         raw["phi_seed"] = args.phi_seed
-    if raw.get("baseline") in (None, "", "none"):
+    if raw.get("baseline") in NO_BASELINE:
         # analyze runs no solver: the file is checked as its zf baseline,
         # which fits any setup, and block_width(cfg, "analyze") is the fit rule
         raw["baseline"] = "zf"
@@ -107,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
     command = _cmd_simulate if args.command == "simulate" else _cmd_analyze
     try:
         return command(args)
-    except (CsmimoError, ValueError, OSError) as exc:
+    except (CsmimoError, OSError) as exc:
         print(f"csmimo: error: {exc}", file=sys.stderr)
         return 2
 

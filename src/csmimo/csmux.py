@@ -10,91 +10,13 @@ against an uncompressed system fair.
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import BadSubblockShape, DimensionMismatch
-from .modem import get_constellation
-
-
-def require_int(value, name: str) -> int:
-    """``value`` as ``int`` if it is a Python or numpy integer; floats,
-    booleans and anything else raise a one-line ``ValueError`` naming ``name``."""
-    try:
-        if isinstance(value, (bool, np.bool_)):
-            raise TypeError
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
-def require_ints(obj) -> None:
-    """Check with :func:`require_int` that the fields of a frozen dataclass
-    annotated ``int`` hold integers, and store them as ``int``.
-
-    Annotations are postponed, so a field's type is its text.
-    """
-    for name in [f.name for f in fields(obj) if f.type == "int"]:
-        object.__setattr__(obj, name, require_int(getattr(obj, name), name))
-
-
-@dataclass(frozen=True)
-class MuxConfig:
-    """Physical-layer configuration of one multiplexing setup.
-
-    ``m = min(nt, nr)`` spatial streams carry ``l >= m`` modulated streams,
-    so the compression ratio is ``rho = m / l``.  ``j`` must divide both
-    ``l`` and ``m`` so the sub-blocks have integral shape, and
-    ``constellation`` must name a registry alphabet.  ``dictionary_cap``
-    bounds the entries of the largest per-block table a solver builds, which
-    ``detection.block_width`` checks per solver; a baseline builds none.
-    """
-
-    nt: int
-    nr: int
-    l: int
-    j: int
-    phi_seed: int = 0
-    constellation: str = "qpsk"
-    dictionary_cap: int = 65536
-
-    def __post_init__(self) -> None:
-        require_ints(self)
-        if self.nt < 1 or self.nr < 1:
-            raise ValueError("antenna counts must be positive")
-        if self.l < 1 or self.j < 1:
-            raise ValueError("stream and sub-block counts must be positive")
-        if self.phi_seed < 0:
-            raise ValueError("phi_seed must be non-negative")
-        m = self.m
-        if self.l < m:
-            raise ValueError(
-                f"l={self.l} is smaller than m={m}; compression ratio must be in (0, 1]"
-            )
-        if self.l % self.j or m % self.j:
-            raise BadSubblockShape(
-                f"j={self.j} must divide both l={self.l} and m={m}"
-            )
-        get_constellation(self.constellation)
-
-    @property
-    def m(self) -> int:
-        return min(self.nt, self.nr)
-
-    @property
-    def rho(self) -> float:
-        return self.m / self.l
-
-    @property
-    def subblock_rows(self) -> int:
-        return self.m // self.j
-
-    @property
-    def subblock_cols(self) -> int:
-        return self.l // self.j
+from .errors import DimensionMismatch
+from .spec import MuxConfig
 
 
 @dataclass(frozen=True, eq=False)

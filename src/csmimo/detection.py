@@ -44,10 +44,9 @@ import numpy as np
 from .channel import ChannelRealization
 from .csmux import MeasurementMatrix, MuxConfig, transmit_gain
 from .dictionary import build_dictionary, digits
-from .errors import BadSubblockShape, DictionaryTooLarge, DimensionMismatch, RankDeficientChannel
+from .errors import DictionaryTooLarge, DimensionMismatch, RankDeficientChannel
 from .modem import Constellation, get_constellation, nearest_point_indices
-
-SOLVERS = ("ml", "omp", "oneshot")
+from .spec import SOLVERS, block_width
 
 # Working-set budget, in bytes, of one chunk of trials in a sweep; the
 # oneshot search also sizes its blocks of trials and its scratch from it.
@@ -306,35 +305,6 @@ def recover_subblock_omp(z_hat_j: np.ndarray, sensing: np.ndarray) -> tuple[int,
     corr = a.conj().T @ z
     k = int(np.argmax(np.abs(corr) / norms))
     return k, complex(corr[k] / norms[k] ** 2)
-
-
-def block_width(cfg: MuxConfig, solver: str) -> int:
-    """Entries in the largest per-block table ``solver`` builds for ``cfg``,
-    whose sub-blocks hold ``n = l/j`` symbols of an alphabet of ``q``: the
-    ``√q**n`` real I/Q level tuples each ``ml`` half-scan scores, and
-    ``q**n`` for the dictionary of ``omp`` and ``oneshot`` and the pairwise
-    level-tuple distances of ``analyze``.  The one check that ``solver``
-    runs on ``cfg``: :class:`DictionaryTooLarge` when ``q**n`` overflows the
-    int64 joint index or the width exceeds ``cfg.dictionary_cap``, and
-    :class:`BadSubblockShape` for ``omp`` on one-row sub-blocks, where every
-    column's normalized correlation is ``|z|``, so rounding makes the pick.
-    """
-    c, n = get_constellation(cfg.constellation), cfg.subblock_cols
-    # q = 2**bits: compare exponents, so a long sub-block costs no power
-    if c.bits_per_symbol * n >= 63:
-        raise DictionaryTooLarge(f"joint index range {c.order}^{n} does not fit in int64")
-    base = c.iq_levels.size if solver == "ml" else c.order
-    width = base**n  # at most q**n < 2**63
-    if width > cfg.dictionary_cap:
-        raise DictionaryTooLarge(
-            f"{solver} per-block table width {base}^{n} = {width} "
-            f"exceeds cap {cfg.dictionary_cap}"
-        )
-    if solver == "omp" and cfg.subblock_rows == 1:
-        raise BadSubblockShape(
-            "omp needs m/j >= 2: with one-row sub-blocks every column ties on |z|"
-        )
-    return width
 
 
 def demux(

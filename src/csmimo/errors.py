@@ -5,6 +5,11 @@ class CsmimoError(Exception):
     """Base class for all library-specific errors."""
 
 
+class SpecError(CsmimoError, ValueError):
+    """An input outside its declared range, of the wrong type, or not one
+    of its field's choices, named in one line (see ``csmimo.spec``)."""
+
+
 class IndivisibleBitLength(CsmimoError, ValueError):
     """Bit stream length is not a multiple of bits-per-symbol."""
 

@@ -55,12 +55,10 @@ columns fails even without noise.
 
 from __future__ import annotations
 
-import json
-from dataclasses import MISSING, Field, dataclass, fields, replace
-from decimal import Decimal
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import accumulate
-from math import ceil, isfinite, isinf, sqrt
+from math import ceil, sqrt
 from pathlib import Path
 from typing import NamedTuple
 
@@ -69,21 +67,16 @@ import numpy as np
 from .channel import ChannelRealization, NoiseSpec, gains, noisy, sample_channel, unit_noise
 from .channel import apply_channel  # noqa: F401  (perfbench traces it by this name)
 from .csmux import MeasurementMatrix, MuxConfig, gen_phi, multiplex
-from .csmux import require_int, require_ints
-from .detection import _CHUNK_BYTES, SOLVERS, Codebook, block_width, channel_is_usable
-from .detection import demux, zf_equalize
+from .detection import _CHUNK_BYTES, Codebook, channel_is_usable, demux, zf_equalize
 from .detection import build_dictionary, sensing_matrix  # noqa: F401  (perfbench traces them)
-from .errors import RankDeficientChannel
+from .errors import RankDeficientChannel, SpecError
 from .modem import Constellation, get_constellation, nearest_point_indices, symbol_indices
-
-BASELINES = (None, "zf", "overload")
+from .spec import ExperimentSpec, block_width, checked, db_point
+from .spec import load_spec  # noqa: F401  (perfbench reads its workloads through it)
 
 CSV_HEADER = "snr_db,trials,bits,bit_errors,ber,sym_errors,ser,throughput,ci_low,ci_high"
 
 _MAX_CHANNEL_REDRAWS = 1000
-
-# most points a start:step:stop SNR grid may hold
-_MAX_GRID_POINTS = 10_000
 
 # two-sided 95% standard normal quantile of the Wilson interval
 _WILSON_Z = 1.959963984540054
@@ -92,72 +85,6 @@ _WILSON_Z = 1.959963984540054
 # for what _chunk_cap does not count by shape: the trial's bits, symbols,
 # normals drawn, and transmit and receive vectors.
 _TRIAL_BYTES = 2048
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """Full parameterization of one sweep.
-
-    ``snr_db`` takes any grid form :func:`parse_snr_grid` reads and is
-    stored sorted; its points must be distinct, and finite with a finite
-    noise variance ``m/10**(snr/10)`` or ``inf`` for a noiseless point.
-    ``trials`` caps the Monte Carlo count per point; ``early_stop_errors``
-    ends a point once that many bit errors have been seen (0 disables
-    early stopping).  Counts and seeds must be integers.
-    The scheme's ``solver`` must run on the setup, which
-    :func:`~csmimo.detection.block_width` checks: its per-block table fits
-    ``dictionary_cap`` and the int64 joint index, and ``omp`` has sub-blocks
-    of ``m/j >= 2`` rows.  A baseline builds no table and runs on any
-    setup.  Config files hold exactly these fields and those of
-    :class:`MuxConfig`.
-    """
-
-    config: MuxConfig
-    snr_db: tuple[float, ...]
-    trials: int
-    master_seed: int = 0
-    solver: str = "ml"
-    baseline: str | None = None
-    early_stop_errors: int = 200
-
-    def __post_init__(self) -> None:
-        require_ints(self)
-        grid = tuple(sorted(_snr_point(s, self.config.m) for s in parse_snr_grid(self.snr_db)))
-        if not grid:
-            raise ValueError("SNR grid must not be empty")
-        for lo, hi in zip(grid, grid[1:]):
-            if lo == hi:
-                raise ValueError(f"SNR grid repeats {lo!r} dB")
-        object.__setattr__(self, "snr_db", grid)
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be non-negative")
-        if self.solver not in SOLVERS:
-            raise ValueError(f"unknown solver {self.solver!r}; choose from {SOLVERS}")
-        if self.baseline not in BASELINES:
-            raise ValueError(
-                f"unknown baseline {self.baseline!r}; choose from {BASELINES[1:]}"
-            )
-        if self.baseline is None:
-            block_width(self.config, self.solver)
-        if self.baseline == "overload" and self.config.l % self.config.m:
-            raise ValueError(
-                "overload baseline needs l to be a multiple of m "
-                f"(got l={self.config.l}, m={self.config.m})"
-            )
-        if self.early_stop_errors < 0:
-            raise ValueError("early_stop_errors must be >= 0")
-
-    @property
-    def notation(self) -> str:
-        """Setup label: antennas and multiplexed stream count."""
-        return f"({self.config.nt},{self.config.nr})-{self.config.l}"
-
-    @property
-    def streams(self) -> int:
-        """Modulated streams per channel use for the active mode."""
-        return self.config.m if self.baseline == "zf" else self.config.l
 
 
 @dataclass(frozen=True)
@@ -250,11 +177,11 @@ class SweepResult:
 
 
 def wilson_interval(errors: int, total: int) -> tuple[float, float]:
-    """95% Wilson score interval for an error proportion."""
-    if total < 1:
-        raise ValueError("total must be >= 1")
-    if not 0 <= errors <= total:
-        raise ValueError(f"errors = {errors} must lie in [0, total = {total}]")
+    """95% Wilson score interval for an error proportion; the counts are
+    integers in their ranges of ``spec.RANGES``, ``errors <= total``."""
+    total, errors = checked("total", total), checked("errors", errors)
+    if errors > total:
+        raise SpecError("errors must be at most total")
     p, z = errors / total, _WILSON_Z
     z2 = z * z
     denom = 1.0 + z2 / total
@@ -362,11 +289,6 @@ _HASH_STATE = (0x8B51F9DD, 0x58F38DED)
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
 
-def _words32(x: int) -> list[int]:
-    """The 32-bit words of ``x >= 0``, least significant first, at least one."""
-    return [x >> s & _MASK32 for s in range(0, 32 * max(1, -(-x.bit_length() // 32)), 32)]
-
-
 def _hash_chain(init: int, mult: int, calls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """hashmix's ``(xor, multiplier)`` constants for the call numbers
     ``calls`` of a chain that starts at ``init``: the hash constant before
@@ -378,24 +300,16 @@ def _hash_chain(init: int, mult: int, calls: np.ndarray) -> tuple[np.ndarray, np
     return h[calls], h[calls + 1]
 
 
-@lru_cache(maxsize=None)
-def _seed_hashes(words: int) -> tuple[np.ndarray, ...]:
-    """hashmix's read-only ``(xor, multiplier)`` constants for ``words``
-    entropy words, in SeedSequence's call order.
-
-    First the pool's, ``(steps, 4, 1)``, row ``d`` for pool word ``d``:
-    step 0 hashes entropy word ``d`` (0 past the end) into it; step
-    ``1 + s`` mixes pool word ``s`` into every other word (row ``s`` is
-    unused); step ``w + 1`` mixes entropy word ``w >= 4`` into all four.
-    Then generate_state's, ``(8, 1)``, for the pool words 0..3 twice."""
-    calls = [[0, 1, 2, 3]]
-    calls += [[4 + 3 * s + d - (d > s) if d != s else 0 for d in range(4)] for s in range(4)]
-    calls += [[4 * w + d for d in range(4)] for w in range(4, words)]
-    hashes = (*_hash_chain(*_HASH_POOL, np.array(calls)[..., None]),
-              *_hash_chain(*_HASH_STATE, np.arange(8)[:, None]))
-    for h in hashes:
-        h.flags.writeable = False
-    return hashes
+# hashmix's constants in SeedSequence's call order.  The pool's are
+# (5, 4, 1), row d for pool word d: step 0 hashes entropy word d (0 past
+# the end) into it, and step 1 + s mixes pool word s into every other word
+# (row s is unused).  generate_state's are (8, 1), for the pool words 0..3
+# twice.  A seed below 2**64 and a trial below 2**32 are at most three
+# entropy words, so none is mixed in past the pool's four.
+_POOL_XOR, _POOL_MULT = _hash_chain(*_HASH_POOL, np.array(
+    [[0, 1, 2, 3]] + [[4 + 3 * s + d - (d > s) if d != s else 0 for d in range(4)]
+                      for s in range(4)])[..., None])
+_STATE_XOR, _STATE_MULT = _hash_chain(*_HASH_STATE, np.arange(8)[:, None])
 
 
 def _hashmix(v: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
@@ -412,37 +326,28 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
     """``SeedSequence(e).generate_state(4, uint64)`` of each column ``e`` of
-    the uint32 ``entropy`` ``(words, n)``, as ``(n, 4)`` little-endian words."""
-    words, n = entropy.shape
-    xor, mult, state_xor, state_mult = _seed_hashes(words)
-    pool = np.zeros((4, n), dtype=np.uint32)
-    pool[: min(words, 4)] = entropy[:4]
-    pool = _hashmix(pool, xor[0], mult[0])
+    the uint32 ``entropy`` ``(words, n)``, ``words <= 4``, as ``(n, 4)``
+    little-endian words."""
+    pool = np.zeros((4, entropy.shape[1]), dtype=np.uint32)
+    pool[: len(entropy)] = entropy
+    pool = _hashmix(pool, _POOL_XOR[0], _POOL_MULT[0])
     for s in range(4):
-        mixed = _mix(pool, _hashmix(pool[s], xor[1 + s], mult[1 + s]))
+        mixed = _mix(pool, _hashmix(pool[s], _POOL_XOR[1 + s], _POOL_MULT[1 + s]))
         mixed[s] = pool[s]  # a pool word is not mixed into itself
         pool = mixed
-    for w in range(4, words):
-        pool = _mix(pool, _hashmix(entropy[w], xor[1 + w], mult[1 + w]))
-    state = _hashmix(np.concatenate((pool, pool)), state_xor, state_mult)
+    state = _hashmix(np.concatenate((pool, pool)), _STATE_XOR, _STATE_MULT)
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8")
 
 
 def _trial_seeds(seed: int, t0: int, n: int) -> np.ndarray:
     """PCG64 seed words ``(n, 4)`` of ``SeedSequence([seed, t])`` for
-    ``t = t0 .. t0+n-1``, hashed per run of trials whose ``t`` has the same
-    number of 32-bit words."""
-    head, runs, t = _words32(seed), [], t0
-    while t < t0 + n:
-        size = len(_words32(t))
-        end = min(t0 + n, 1 << 32 * size)
-        entropy = np.empty((len(head) + size, end - t), dtype=np.uint32)
-        entropy[: len(head)] = np.array(head, dtype=np.uint32)[:, None]
-        entropy[len(head) :] = [[u >> s & _MASK32 for u in range(t, end)]
-                                for s in range(0, 32 * size, 32)]
-        runs.append(_pcg64_seeds(entropy))
-        t = end
-    return np.concatenate(runs)
+    ``t = t0 .. t0+n-1``, ``seed < 2**64`` and ``t < 2**32``: the entropy
+    is the seed's one or two 32-bit words, then ``t``."""
+    head = [seed & _MASK32, seed >> 32] if seed >> 32 else [seed]
+    entropy = np.empty((len(head) + 1, n), dtype=np.uint32)
+    entropy[:-1] = np.array(head, dtype=np.uint32)[:, None]
+    entropy[-1] = np.arange(t0, t0 + n, dtype=np.uint32)
+    return _pcg64_seeds(entropy)
 
 
 class _SeedWords(NamedTuple):
@@ -636,10 +541,8 @@ def run_trial(
     of the last few ``(spec, phi)`` pairs is kept, so repeated calls build
     the codebook once.
     """
-    trial_index = require_int(trial_index, "trial_index")
-    if trial_index < 0:
-        raise ValueError("trial_index must be non-negative")
-    point = spec.snr_db[0] if snr_db is None else _snr_point(snr_db, spec.config.m)
+    trial_index = checked("trial_index", trial_index)
+    point = spec.snr_db[0] if snr_db is None else db_point("snr_db", snr_db)
     prep = _prepared(spec, phi)
     drawn = _draw_chunk(prep, trial_index, 1)
     chunk, = _detect(prep, drawn, [(0, 1, point)])
@@ -712,155 +615,3 @@ def run_sweep(spec: ExperimentSpec, phi: MeasurementMatrix | None = None) -> Swe
         )
         rows.append(replace(row, throughput=throughput_proxy(row, spec)))
     return SweepResult(spec, tuple(rows))
-
-
-def _snr_point(value, m: int) -> float:
-    """One SNR point in dB, read as a grid point is: ``inf`` (no noise), or
-    finite with a finite noise variance at ``m``."""
-    if isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"SNR grid point {value!r} is not a dB value")
-    s = float(_grid_value(value, value))
-    try:
-        NoiseSpec.from_snr(s, m)
-    except ValueError:
-        raise ValueError(f"SNR grid point {s!r} dB must be finite and give a finite"
-                         f" noise variance at m = {m}, or be inf") from None
-    return s
-
-
-def parse_snr_grid(value) -> tuple[float, ...]:
-    """dB values from text (``start:step:stop``, a comma list or ``inf``),
-    a single number, or any other iterable of numbers, in the given order.
-
-    Text is read in decimal, so a ``start:step:stop`` range's points are the
-    decimals written: ``float(start + i·step)`` for every ``i`` that does
-    not pass ``stop``, at most ``_MAX_GRID_POINTS`` of them.  A finite
-    value beyond the float range is rejected, not read as ``inf``."""
-    if not isinstance(value, str):
-        try:
-            points = iter(value)
-        except TypeError:  # a single number
-            points = iter((value,))
-        return tuple(float(_grid_value(v, value)) for v in points)
-    text = value.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"grid {text!r} must be start:step:stop")
-        start, step, stop = (_grid_value(p.strip(), text) for p in parts)
-        if not all(d.is_finite() for d in (start, step, stop)):
-            raise ValueError(f"grid {text!r} needs finite start, step and stop")
-        if step <= 0:
-            raise ValueError("grid step must be positive")
-        span = stop - start
-        if span < 0:
-            raise ValueError(f"grid {text!r} is empty")
-        if span >= step * _MAX_GRID_POINTS:
-            raise ValueError(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
-        return tuple(float(start + i * step) for i in range(int(span // step) + 1))
-    return tuple(float(_grid_value(p.strip(), text)) for p in text.split(",") if p.strip())
-
-
-def _grid_value(point, grid) -> Decimal:
-    """``point`` exactly as a ``Decimal``: text and an ``int`` as written,
-    any other number through ``float``.  Anything else, booleans included,
-    and a finite value beyond the float range raise one line naming
-    ``grid``, and ``point`` too unless it is the whole grid, so only an
-    infinite spelling or number is infinite."""
-    try:
-        if isinstance(point, (bool, np.bool_)):
-            raise TypeError
-        exact = isinstance(point, (str, int))
-        value = Decimal(point if exact else float(point))
-        f = float(value)  # raises for a signalling NaN
-        # float() saturates a finite longdouble or Decimal past its range
-        beyond = isinf(f) and (value.is_finite() or not exact and f != point)
-    except OverflowError:  # float() of a Fraction past the float range
-        beyond = True
-    except (TypeError, ValueError, ArithmeticError):
-        raise ValueError(f"{_grid_label(point, grid)} is not a dB value") from None
-    if beyond:
-        raise ValueError(f"{_grid_label(point, grid)} dB is beyond the float range")
-    return value
-
-
-def _grid_label(point, grid) -> str:
-    """``grid`` and the rejected ``point`` in it, or ``grid`` alone when
-    the two read the same: a single number or a one-point text grid."""
-    grid, point = _shown(grid), _shown(point)
-    return f"grid {grid}" if grid == point else f"grid {grid}: {point}"
-
-
-def _shown(value) -> str:
-    """``repr(value)``, but an integer too long for Python's ``str`` (past
-    ``sys.get_int_max_str_digits()``), alone or in a list or tuple, reads
-    as its number of digits, and any other value whose ``repr`` fails as
-    its type."""
-    try:
-        return repr(value)
-    except ValueError:
-        if isinstance(value, int):
-            return f"a {Decimal(value).adjusted() + 1}-digit integer"
-        if isinstance(value, (list, tuple)):
-            inner = ", ".join(map(_shown, value))
-            return f"[{inner}]" if isinstance(value, list) else f"({inner})"
-        return f"a {type(value).__name__}"
-
-
-def _json_value(field: Field, value):
-    """A config-file value as ``field`` declares it: an integral number such
-    as ``1e5`` as ``int``, ``str(value)`` for a string and ``None`` for a
-    ``"none"`` or ``""`` baseline; the spec checks whatever else it gets."""
-    if field.type == "int" and isinstance(value, float) and value.is_integer():
-        return int(value)
-    if field.type == "str | None" and value in (None, "", "none"):
-        return None
-    if field.type in ("str", "str | None"):
-        return str(value)
-    return value
-
-
-def spec_from_dict(raw: dict) -> ExperimentSpec:
-    """Build an :class:`ExperimentSpec` from config-file fields.
-
-    The keys are the fields of :class:`MuxConfig` and :class:`ExperimentSpec`
-    but ``config``; those without a default are required, and unknown keys
-    are rejected so typos fail loudly.
-    """
-    schema = {f.name: f for cls in (MuxConfig, ExperimentSpec) for f in fields(cls)}
-    del schema["config"]
-    unknown = set(raw) - set(schema)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    missing = {k for k, f in schema.items() if f.default is MISSING} - set(raw)
-    if missing:
-        raise ValueError(f"missing config keys: {sorted(missing)}")
-    values = {k: _json_value(schema[k], v) for k, v in raw.items()}
-    cfg = MuxConfig(**{f.name: values.pop(f.name) for f in fields(MuxConfig) if f.name in values})
-    return ExperimentSpec(cfg, **values)
-
-
-def _json_float(text: str) -> float:
-    """A JSON number with a fraction or exponent, which must not overflow to
-    ``inf``: a JSON file has no spelling of ``inf`` that ``float`` reads."""
-    value = float(text)
-    if not isfinite(value):
-        raise ValueError(f"config number {text} is beyond the float range")
-    return value
-
-
-def read_config(path: str | Path) -> dict:
-    """The fields of a JSON config file, unchecked: a caller may change
-    them before :func:`spec_from_dict` checks them once.  Integers are read
-    exactly at any length, past the digit limit of Python's ``int(text)``,
-    so that one too large fails in the spec's checks, not in the parser."""
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh, parse_float=_json_float, parse_int=lambda text: int(Decimal(text)))
-    if not isinstance(raw, dict):
-        raise ValueError(f"config {path} must hold a JSON object")
-    return raw
-
-
-def load_spec(path: str | Path) -> ExperimentSpec:
-    """Read a JSON config file into an :class:`ExperimentSpec`."""
-    return spec_from_dict(read_config(path))

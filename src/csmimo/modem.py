@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndivisibleBitLength
+from .errors import IndivisibleBitLength, SpecError
 
 _SQRT2 = np.sqrt(2.0)
 _SQRT10 = np.sqrt(10.0)
@@ -135,10 +135,10 @@ _REGISTRY = {"qpsk": _qpsk(), "qam16": _qam16()}
 
 
 def get_constellation(name: str) -> Constellation:
-    """Look up a constellation by config name."""
-    c = _REGISTRY.get(name.lower()) if isinstance(name, str) else None
+    """Look up a constellation by its exact config name."""
+    c = _REGISTRY.get(name) if isinstance(name, str) else None
     if c is None:
-        raise ValueError(f"unknown constellation {name!r}; available: {sorted(_REGISTRY)}")
+        raise SpecError(f"constellation must be one of {tuple(_REGISTRY)}")
     return c
 
 

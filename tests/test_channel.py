@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from csmimo import channel as channel_module
 from csmimo.channel import ChannelRealization, NoiseSpec, apply_channel, gains, sample_channel
-from csmimo.errors import DimensionMismatch
+from csmimo.errors import DimensionMismatch, SpecError
 
 
 class TestSampleChannel:
@@ -180,8 +180,8 @@ class TestNoiseSpec:
         """At -3200 dB ``2 / 10**-320`` rounds to ``inf``, which used to
         pass as a noise variance.  ``10**(snr/10)`` overflows at 5000 and
         1e308 dB, which must not become a noiseless point (``2/inf == 0``),
-        and is 0 at -1e308 and -inf dB."""
-        with pytest.raises(ValueError, match="^sigma2 must be finite and >= 0"):
+        and is 0 at -1e308 and -inf dB.  All lie outside the dB range."""
+        with pytest.raises(SpecError, match=r"^snr_db must be in -1000\.\.1000 dB, or inf$"):
             NoiseSpec.from_snr(snr, 2.0)
 
     @given(snr=st.floats(allow_nan=True, allow_infinity=True))

@@ -18,7 +18,7 @@ from csmimo.csmux import (
     phi_to_text,
     transmit_gain,
 )
-from csmimo.errors import BadSubblockShape, DictionaryTooLarge, DimensionMismatch
+from csmimo.errors import BadSubblockShape, DictionaryTooLarge, DimensionMismatch, SpecError
 from csmimo.harness import ExperimentSpec
 
 
@@ -47,13 +47,14 @@ class TestMuxConfig:
             ExperimentSpec(cfg, snr_db=(10.0,), trials=1)
 
     def test_non_string_constellation_rejected(self):
-        for name in (None, 4):
-            with pytest.raises(ValueError, match=f"^unknown constellation {name!r}; available"):
+        for name in (None, 4, "QPSK"):
+            with pytest.raises(SpecError, match=r"^constellation must be one of \('qpsk', 'qam16'\)$"):
                 MuxConfig(nt=2, nr=2, l=4, j=2, constellation=name)
 
     def test_negative_phi_seed_rejected(self):
-        with pytest.raises(ValueError, match="^phi_seed must be non-negative$"):
-            MuxConfig(nt=2, nr=2, l=4, j=2, phi_seed=-1)
+        for seed in (-1, 2**64):
+            with pytest.raises(SpecError, match=r"^phi_seed must be an integer in 0\.\.2\*\*64-1$"):
+                MuxConfig(nt=2, nr=2, l=4, j=2, phi_seed=seed)
 
     def test_more_streams_than_m_required(self):
         with pytest.raises(ValueError):
@@ -79,7 +80,7 @@ class TestGenPhi:
     def test_entry_scale(self):
         """Entries are Gaussian with std 1/sqrt(rows), so columns have unit
         expected norm."""
-        cfg = MuxConfig(nt=16, nr=16, l=32, j=2, dictionary_cap=4**16)
+        cfg = MuxConfig(nt=16, nr=16, l=32, j=2)
         draws = np.concatenate(
             [gen_phi(replace(cfg, phi_seed=seed)).phi.ravel() for seed in range(500)]
         )

@@ -21,7 +21,8 @@ import numpy as np
 import pytest
 
 from conftest import recipe_path
-from csmimo.harness import read_config, run_sweep, spec_from_dict
+from csmimo.harness import run_sweep
+from csmimo.spec import read_config, spec_from_dict
 
 GOLDEN = Path(__file__).parent / "golden"
 

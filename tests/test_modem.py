@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csmimo import modem
-from csmimo.errors import IndivisibleBitLength
+from csmimo.errors import IndivisibleBitLength, SpecError
 from csmimo.modem import (
     Constellation,
     demodulate,
@@ -175,8 +175,10 @@ def test_symbol_roundtrip_through_points(qpsk):
 
 
 def test_unknown_constellation_rejected():
-    with pytest.raises(ValueError, match="unknown constellation"):
-        get_constellation("qam1024")
+    """Names match exactly: ``QPSK`` is not ``qpsk``."""
+    for name in ("qam1024", "QPSK", " qpsk"):
+        with pytest.raises(SpecError, match=r"^constellation must be one of \('qpsk', 'qam16'\)$"):
+            get_constellation(name)
 
 
 def test_bad_labeling_rejected():
