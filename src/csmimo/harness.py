@@ -241,7 +241,7 @@ def _prepare(spec: ExperimentSpec, phi: MeasurementMatrix | None = None) -> _Pre
     c = get_constellation(cfg.constellation)
     if spec.baseline:
         if phi is not None:
-            raise ValueError(f"the {spec.baseline} baseline compresses nothing; it takes no phi")
+            raise SpecError(f"the {spec.baseline} baseline compresses nothing; it takes no phi")
         copies = spec.streams // cfg.m
         spread = np.hstack([np.eye(cfg.m)] * copies) / np.sqrt(copies)
         return _Prepared(spec, c, None, _chunk_cap(cfg, None), spread)
