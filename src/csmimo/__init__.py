@@ -5,7 +5,6 @@ from .channel import ChannelRealization, NoiseSpec, apply_channel, sample_channe
 from .csmux import (
     MeasurementMatrix,
     gen_phi,
-    identity_phi,
     multiplex,
     transmit_gain,
 )
@@ -31,13 +30,10 @@ from .errors import (
 from .harness import (
     SweepResult,
     SweepRow,
-    TrialRecord,
     run_sweep,
-    run_trial,
-    throughput_proxy,
     wilson_interval,
 )
-from .modem import Constellation, demodulate, get_constellation, modulate
+from .modem import Constellation, get_constellation
 from .spec import ExperimentSpec, MuxConfig, load_spec
 
 __version__ = "0.1.0"

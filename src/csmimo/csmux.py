@@ -58,11 +58,6 @@ def gen_phi(cfg: MuxConfig) -> MeasurementMatrix:
     return MeasurementMatrix(draw * (1.0 / np.sqrt(rows)))
 
 
-def identity_phi(cfg: MuxConfig) -> MeasurementMatrix:
-    """Identity sub-block matrix (no compression); useful with rho = 1."""
-    return MeasurementMatrix(np.eye(cfg.subblock_rows, cfg.subblock_cols))
-
-
 def transmit_gain(phi: MeasurementMatrix, cfg: MuxConfig) -> float:
     """Scalar applied after compression so E||z||^2 = m for unit-energy symbols.
 

@@ -4,13 +4,13 @@ Every trial sends one channel use: fresh bits are modulated, compressed,
 pushed through an independent Rayleigh draw plus AWGN, then recovered to
 the point index the receiver decides for each symbol.  Its bit errors are
 the label Hamming distances of the sent and decided points, read from the
-constellation's table, which equal the count its demapped bits give; only
-:func:`run_trial` demaps, for its record.  Trial
-``t`` draws all of its randomness from the stream seeded by ``(master_seed,
-t)``, so results do not depend on execution order and a trial index reuses
-the same bits/channel across SNR points (common random numbers).  Sweeps
-stop early at an SNR point once enough bit errors have accumulated for a
-stable estimate, up to the configured trial cap.
+constellation's table, which equal the count its demapped bits give, so
+no decision is demapped.  Trial ``t`` draws all of its randomness from the
+stream seeded by ``(master_seed, t)``, so results do not depend on
+execution order and a trial index reuses the same bits/channel across SNR
+points (common random numbers).  Sweeps stop early at an SNR point once
+enough bit errors have accumulated for a stable estimate, up to the
+configured trial cap.
 
 Trials run trial-major, in chunks of consecutive indices.  Each trial draws
 exactly the stream of ``default_rng([master_seed, t])`` in a fixed order:
@@ -55,8 +55,7 @@ columns fails even without noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
 from itertools import accumulate
 from math import ceil, sqrt
 from pathlib import Path
@@ -66,12 +65,12 @@ import numpy as np
 
 from .channel import ChannelRealization, NoiseSpec, gains, noisy, sample_channel, unit_noise
 from .channel import apply_channel  # noqa: F401  (perfbench traces it by this name)
-from .csmux import MeasurementMatrix, MuxConfig, gen_phi, multiplex
+from .csmux import MuxConfig, gen_phi, multiplex
 from .detection import _CHUNK_BYTES, Codebook, channel_is_usable, demux, zf_equalize
 from .detection import build_dictionary, sensing_matrix  # noqa: F401  (perfbench traces them)
 from .errors import RankDeficientChannel, SpecError
 from .modem import Constellation, get_constellation, nearest_point_indices, symbol_indices
-from .spec import ExperimentSpec, block_width, checked, db_point
+from .spec import ExperimentSpec, block_width, checked
 from .spec import load_spec  # noqa: F401  (perfbench reads its workloads through it)
 
 CSV_HEADER = "snr_db,trials,bits,bit_errors,ber,sym_errors,ser,throughput,ci_low,ci_high"
@@ -85,21 +84,6 @@ _WILSON_Z = 1.959963984540054
 # for what _chunk_cap does not count by shape: the trial's bits, symbols,
 # normals drawn, and transmit and receive vectors.
 _TRIAL_BYTES = 2048
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """Error counts and bit decisions of a single channel use."""
-
-    trial_index: int
-    snr_db: float
-    bits: int
-    bit_errors: int
-    symbols: int
-    symbol_errors: int
-    redraws: int
-    tx_bits: np.ndarray
-    rx_bits: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -190,12 +174,6 @@ def wilson_interval(errors: int, total: int) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def throughput_proxy(ber_row: SweepRow, spec: ExperimentSpec) -> float:
-    """Delivered bits per channel use if symbol errors are simply discarded."""
-    b = get_constellation(spec.config.constellation).bits_per_symbol
-    return spec.streams * b * (1.0 - ber_row.ser)
-
-
 @dataclass(frozen=True, eq=False)
 class _Prepared:
     """Per-sweep precomputation shared by all trials.
@@ -236,22 +214,15 @@ def _chunk_cap(cfg: MuxConfig, solver: str | None) -> int:
     return max(1, _CHUNK_BYTES // (_TRIAL_BYTES + 16 * entries + scan))
 
 
-def _prepare(spec: ExperimentSpec, phi: MeasurementMatrix | None = None) -> _Prepared:
+def _prepare(spec: ExperimentSpec) -> _Prepared:
     cfg = spec.config
     c = get_constellation(cfg.constellation)
     if spec.baseline:
-        if phi is not None:
-            raise SpecError(f"the {spec.baseline} baseline compresses nothing; it takes no phi")
         copies = spec.streams // cfg.m
         spread = np.hstack([np.eye(cfg.m)] * copies) / np.sqrt(copies)
         return _Prepared(spec, c, None, _chunk_cap(cfg, None), spread)
-    code = Codebook(cfg, phi if phi is not None else gen_phi(cfg))
+    code = Codebook(cfg, gen_phi(cfg))
     return _Prepared(spec, c, code, _chunk_cap(cfg, spec.solver))
-
-
-# run_trial's preparation of the (spec, phi) pairs it saw last; run_sweep
-# prepares anew
-_prepared = lru_cache(maxsize=8)(_prepare)
 
 
 class _Drawn(NamedTuple):
@@ -525,41 +496,7 @@ def _chunk_size(spec: ExperimentSpec, cap: int, done: int, errors: int) -> int:
     return size
 
 
-def run_trial(
-    spec: ExperimentSpec,
-    trial_index: int,
-    snr_db: float | None = None,
-    phi: MeasurementMatrix | None = None,
-) -> TrialRecord:
-    """Run one deterministic trial; defaults to the first SNR grid point.
-
-    The trial is a chunk of one, drawn as a sweep's chunks are and
-    detected in a pass of one slice, so its bits equal those the trial has
-    inside any sweep; the point indices it decides are demapped to its
-    ``rx_bits``.  ``phi`` overrides the seeded Gaussian draw (e.g. an
-    identity matrix for degenerate-equivalence checks).  The preparation
-    of the last few ``(spec, phi)`` pairs is kept, so repeated calls build
-    the codebook once.
-    """
-    trial_index = checked("trial_index", trial_index)
-    point = spec.snr_db[0] if snr_db is None else db_point("snr_db", snr_db)
-    prep = _prepared(spec, phi)
-    drawn = _draw_chunk(prep, trial_index, 1)
-    chunk, = _detect(prep, drawn, [(0, 1, point)])
-    return TrialRecord(
-        trial_index=trial_index,
-        snr_db=point,
-        bits=drawn.tx_bits.shape[1],
-        bit_errors=int(chunk.bit_errors[0]),
-        symbols=spec.streams,
-        symbol_errors=int(chunk.symbol_errors[0]),
-        redraws=int(drawn.redraws[0]),
-        tx_bits=drawn.tx_bits[0],
-        rx_bits=prep.modem.labels[chunk.rx_idx[0]].ravel(),
-    )
-
-
-def run_sweep(spec: ExperimentSpec, phi: MeasurementMatrix | None = None) -> SweepResult:
+def run_sweep(spec: ExperimentSpec) -> SweepResult:
     """Aggregate trials over the SNR grid, early-stopping on enough errors.
 
     Trials run in chunks (see the module docstring), each drawn once and
@@ -572,7 +509,7 @@ def run_sweep(spec: ExperimentSpec, phi: MeasurementMatrix | None = None) -> Swe
     again one at a time, so an error surfaces only from a trial the
     sequential rule reaches, the first such trial in trial order.
     """
-    prep = _prepare(spec, phi)
+    prep = _prepare(spec)
     target = spec.early_stop_errors
     # per SNR point: trials, bit errors, symbol errors and redraws kept
     tally = np.zeros((len(spec.snr_db), 4), dtype=np.int64)
@@ -597,21 +534,23 @@ def run_sweep(spec: ExperimentSpec, phi: MeasurementMatrix | None = None) -> Swe
         t0 += n
         running = [p for p in running if not (target and tally[p, 1] >= target)]
     rows = []
+    b = prep.modem.bits_per_symbol
     for snr, (trials, bit_errors, sym_errors, redraws) in zip(spec.snr_db, tally.tolist()):
-        bits = trials * spec.streams * prep.modem.bits_per_symbol
+        bits = trials * spec.streams * b
+        ser = sym_errors / (trials * spec.streams)
         ci_low, ci_high = wilson_interval(bit_errors, bits)
-        row = SweepRow(
+        rows.append(SweepRow(
             snr_db=snr,
             trials=trials,
             bits=bits,
             bit_errors=bit_errors,
             ber=bit_errors / bits,
             sym_errors=sym_errors,
-            ser=sym_errors / (trials * spec.streams),
-            throughput=0.0,
+            ser=ser,
+            # delivered bits per channel use if symbol errors are simply discarded
+            throughput=spec.streams * b * (1.0 - ser),
             ci_low=ci_low,
             ci_high=ci_high,
             redraws=redraws,
-        )
-        rows.append(replace(row, throughput=throughput_proxy(row, spec)))
+        ))
     return SweepResult(spec, tuple(rows))

@@ -160,11 +160,6 @@ def symbol_indices(bits: np.ndarray, c: Constellation) -> np.ndarray:
     return c._index_of_label[label_ints]
 
 
-def modulate(bits: np.ndarray, c: Constellation) -> np.ndarray:
-    """Map a bit stream to a vector of constellation symbols."""
-    return c.points[symbol_indices(bits, c)]
-
-
 def nearest_point_indices(symbols: np.ndarray, c: Constellation) -> np.ndarray:
     """Hard decision: index of the nearest constellation point per symbol.
 
@@ -174,9 +169,3 @@ def nearest_point_indices(symbols: np.ndarray, c: Constellation) -> np.ndarray:
     diff = s[:, None] - c.points[None, :]
     d2 = diff.real**2 + diff.imag**2
     return d2.argmin(axis=1)
-
-
-def demodulate(symbols: np.ndarray, c: Constellation) -> np.ndarray:
-    """Hard-decision demap: nearest point per symbol, then its bit label."""
-    idx = nearest_point_indices(symbols, c)
-    return c.labels[idx].ravel()

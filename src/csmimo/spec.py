@@ -1,13 +1,13 @@
 """The input boundary: the setup and sweep a caller asks for, checked once.
 
-Every integer of :class:`MuxConfig` and :class:`ExperimentSpec`, and every
-other integer a caller hands the library (``run_trial``'s trial index,
-``wilson_interval``'s counts), lies in its range of :data:`RANGES`; every
-SNR point lies in the dB range there or is ``inf``.  Anything else, or a
+Every integer of :class:`MuxConfig` and :class:`ExperimentSpec`, and the
+counts a caller hands ``wilson_interval``, lies in its range of
+:data:`RANGES`; every SNR point lies in the dB range there or is ``inf``.  Anything else, or a
 name that is not one of its field's choices, raises :class:`SpecError` in
 one line that names the field and its range or choices, never the value.
-A seed below ``2**64`` and a trial below ``2**32`` are at most three
-32-bit words of ``SeedSequence`` entropy, all the sweep's stream code hashes.
+A seed below ``2**64`` and a trial index below ``trials``, so below
+``2**32``, are at most three 32-bit words of ``SeedSequence`` entropy, all
+the sweep's stream code hashes.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ RANGES = {
     "trials": (1, 2**32 - 1),
     "master_seed": (0, 2**64 - 1),
     "early_stop_errors": (0, 2**32),
-    "trial_index": (0, 2**32 - 1),
     "total": (1, 2**63 - 1),  # the sweep tallies in int64
     "errors": (0, 2**63 - 1),
     "snr_db": (-1000, 1000),

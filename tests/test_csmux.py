@@ -13,7 +13,6 @@ from csmimo.csmux import (
     MeasurementMatrix,
     MuxConfig,
     gen_phi,
-    identity_phi,
     multiplex,
     phi_to_text,
     transmit_gain,
@@ -140,7 +139,7 @@ class TestMultiplex:
         """rho = 1 with an injected identity matrix leaves symbols untouched."""
         cfg = MuxConfig(nt=4, nr=4, l=4, j=2)
         x = np.array([1 + 1j, -1 + 0.5j, 0.25j, -2.0])
-        np.testing.assert_array_equal(multiplex(x, identity_phi(cfg), cfg), x)
+        np.testing.assert_array_equal(multiplex(x, MeasurementMatrix(np.eye(2)), cfg), x)
 
     def test_hand_computed_sum_blocks(self):
         """1x2 blocks of [1,1]/sqrt(2) average consecutive symbol pairs."""

@@ -15,7 +15,6 @@ from csmimo.csmux import (
     MeasurementMatrix,
     MuxConfig,
     gen_phi,
-    identity_phi,
     multiplex,
     transmit_gain,
 )
@@ -36,7 +35,7 @@ from csmimo.errors import (
     RankDeficientChannel,
 )
 from csmimo.harness import _prepare, load_spec, run_sweep
-from csmimo.modem import demodulate, get_constellation, modulate, nearest_point_indices
+from csmimo.modem import get_constellation, nearest_point_indices, symbol_indices
 
 from conftest import recipe_path
 
@@ -512,12 +511,13 @@ class TestDemux:
         for t in range(1000):
             rng = np.random.default_rng([4242, t])
             bits = rng.integers(0, 2, size=16, dtype=np.uint8)
-            x = modulate(bits, qpsk)
+            x = qpsk.points[symbol_indices(bits, qpsk)]
             z = multiplex(x, phi, cfg)
             h = sample_channel(cfg.nr, cfg.m, rng)
             y = apply_channel(h, z, noiseless, rng)
             rec = demux(y, h, Codebook(cfg, phi))
-            np.testing.assert_array_equal(demodulate(rec.x_hat, qpsk), bits)
+            rx_bits = qpsk.labels[nearest_point_indices(rec.x_hat, qpsk)].ravel()
+            np.testing.assert_array_equal(rx_bits, bits)
 
     def test_result_reassembles_decoded_blocks(self, pipeline, qpsk):
         cfg, phi, psi = pipeline
@@ -537,11 +537,11 @@ class TestDemux:
         per-symbol nearest-point slicer.
         """
         cfg = MuxConfig(nt=4, nr=4, l=4, j=4)
-        phi = identity_phi(cfg)
+        phi = MeasurementMatrix(np.eye(1))
         for t in range(400):
             rng = np.random.default_rng([31337, t])
             bits = rng.integers(0, 2, size=8, dtype=np.uint8)
-            x = modulate(bits, qpsk)
+            x = qpsk.points[symbol_indices(bits, qpsk)]
             z = multiplex(x, phi, cfg)
             h = sample_channel(4, 4, rng)
             y = apply_channel(h, z, NoiseSpec(10.0, 0.4), rng)
@@ -552,9 +552,8 @@ class TestDemux:
             for s in x_zf:
                 k = int(np.argmin(np.abs(s - qpsk.points)))
                 oracle_bits.extend(qpsk.labels[k])
-            np.testing.assert_array_equal(
-                demodulate(rec.x_hat, qpsk), np.array(oracle_bits, dtype=np.uint8)
-            )
+            rx_bits = qpsk.labels[nearest_point_indices(rec.x_hat, qpsk)].ravel()
+            np.testing.assert_array_equal(rx_bits, np.array(oracle_bits, dtype=np.uint8))
 
     def test_deep_noise_gives_chance_level(self, pipeline, qpsk):
         """At -60 dB the decisions are effectively random: BER near 1/2."""
@@ -563,12 +562,13 @@ class TestDemux:
         for t in range(700):
             rng = np.random.default_rng([91, t])
             bits = rng.integers(0, 2, size=16, dtype=np.uint8)
-            x = modulate(bits, qpsk)
+            x = qpsk.points[symbol_indices(bits, qpsk)]
             z = multiplex(x, phi, cfg)
             h = sample_channel(cfg.nr, cfg.m, rng)
             y = apply_channel(h, z, NoiseSpec.from_snr(-60.0, cfg.m), rng)
             rec = demux(y, h, Codebook(cfg, phi))
-            errs += int(np.sum(demodulate(rec.x_hat, qpsk) != bits))
+            rx_bits = qpsk.labels[nearest_point_indices(rec.x_hat, qpsk)].ravel()
+            errs += int(np.sum(rx_bits != bits))
             bits_total += bits.size
         assert abs(errs / bits_total - 0.5) < 0.02
 
@@ -1065,7 +1065,7 @@ class TestOneshot:
         level below, so every level holds candidates tied with the best
         metric.  Each tie goes to the lowest joint index."""
         cfg = MuxConfig(nt=j, nr=j, l=j, j=j)
-        code = Codebook(cfg, identity_phi(cfg))
+        code = Codebook(cfg, MeasurementMatrix(np.eye(1)))
         y = np.append(qpsk.points[[2, 1, 3][: j - 1]], 0.0)
         h = ChannelRealization(np.eye(j))
         want, residual, visited = _oneshot_reference(y, h, code)
@@ -1153,12 +1153,13 @@ class TestOneshot:
         for t in range(300):
             rng = np.random.default_rng([12, t])
             bits = rng.integers(0, 2, size=8, dtype=np.uint8)
-            x = modulate(bits, qpsk)
+            x = qpsk.points[symbol_indices(bits, qpsk)]
             z = multiplex(x, phi, cfg)
             h = sample_channel(cfg.nr, cfg.m, rng)
             y = apply_channel(h, z, NoiseSpec(float("inf"), 0.0), rng)
             rec = demux(y, h, Codebook(cfg, phi), solver="oneshot")
-            np.testing.assert_array_equal(demodulate(rec.x_hat, qpsk), bits)
+            rx_bits = qpsk.labels[nearest_point_indices(rec.x_hat, qpsk)].ravel()
+            np.testing.assert_array_equal(rx_bits, bits)
             assert rec.residuals.shape == (1,)
 
     def test_agrees_with_two_step_at_high_snr(self, qpsk, cfg_2x2_l4):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csmimo.channel import ChannelRealization
-from csmimo.csmux import MuxConfig, identity_phi
+from csmimo.csmux import MeasurementMatrix, MuxConfig
 from csmimo.detection import Codebook, demux
 from csmimo.dictionary import build_dictionary, digits
 from csmimo.errors import DictionaryTooLarge
@@ -73,7 +73,7 @@ def test_encode_tolerates_tiny_noise(qpsk):
     cfg = MuxConfig(nt=2, nr=2, l=2, j=1)
     y = build_dictionary(qpsk, 2)[:, 9] + 1e-10 * (1 + 1j)
     h = ChannelRealization(np.eye(2, dtype=complex))
-    rec = demux(y, h, Codebook(cfg, identity_phi(cfg)), solver="ml")
+    rec = demux(y, h, Codebook(cfg, MeasurementMatrix(np.eye(2))), solver="ml")
     np.testing.assert_array_equal(rec.s_indices, [9])
 
 

@@ -4,8 +4,9 @@
 public functions, one unstacked call each, with plain ZF slicing for the
 ``zf`` baseline and, for ``overload``, ZF of the channel spread back over
 each stream's copies.  ``_sequential_rows`` aggregates it under the sequential
-early-stop rule.  ``run_sweep`` and ``run_trial`` must reproduce both
-exactly, whatever the chunk sizes.
+early-stop rule.  ``run_sweep``, and single trials read through
+``conftest.run_trials``, must reproduce both exactly, whatever the chunk
+sizes.
 """
 
 import os
@@ -28,10 +29,11 @@ from csmimo.channel import (ChannelRealization, NoiseSpec, apply_channel, gains,
                             sample_channel, unit_noise)
 from csmimo.csmux import MuxConfig, gen_phi, multiplex
 from csmimo.detection import Codebook, channel_is_usable, demux, zf_equalize
-from csmimo.errors import RankDeficientChannel, SpecError
-from csmimo.harness import (ExperimentSpec, load_spec, run_sweep, run_trial, throughput_proxy,
-                            wilson_interval)
+from csmimo.errors import RankDeficientChannel
+from csmimo.harness import ExperimentSpec, load_spec, run_sweep, wilson_interval
 from csmimo.modem import get_constellation, nearest_point_indices, symbol_indices
+
+from conftest import run_trials
 
 INF = float("inf")
 
@@ -79,6 +81,7 @@ def _sequential_rows(spec):
     """Sweep rows from one trial at a time, stopping after the first trial
     whose cumulative bit errors reach ``early_stop_errors``."""
     rows = []
+    b = get_constellation(spec.config.constellation).bits_per_symbol
     for snr in spec.snr_db:
         trials = bits = bit_errors = sym_errors = redraws = 0
         for t in range(spec.trials):
@@ -91,10 +94,10 @@ def _sequential_rows(spec):
             if spec.early_stop_errors and bit_errors >= spec.early_stop_errors:
                 break
         ci_low, ci_high = wilson_interval(bit_errors, bits)
-        row = harness.SweepRow(snr, trials, bits, bit_errors, bit_errors / bits, sym_errors,
-                               sym_errors / (trials * spec.streams), 0.0, ci_low, ci_high,
-                               redraws)
-        rows.append(replace(row, throughput=throughput_proxy(row, spec)))
+        ser = sym_errors / (trials * spec.streams)
+        rows.append(harness.SweepRow(snr, trials, bits, bit_errors, bit_errors / bits, sym_errors,
+                                     ser, spec.streams * b * (1.0 - ser), ci_low, ci_high,
+                                     redraws))
     return tuple(rows)
 
 
@@ -140,13 +143,14 @@ def test_chunked_engine_matches_sequential_oracle(spec, cap):
     """Rows and per-trial bits equal the one-at-a-time oracle for any chunk cap."""
     with mock.patch.object(harness, "_chunk_cap", lambda cfg, scan: cap) if cap else nullcontext():
         assert run_sweep(spec).rows == _sequential_rows(spec)
-        snr = spec.snr_db[0]
-        for t in range(min(spec.trials, 3)):
-            rec = run_trial(spec, t, snr)
+        snr, n = spec.snr_db[0], min(spec.trials, 3)
+        rec = run_trials(spec, 0, n, snr)
+        labels = get_constellation(spec.config.constellation).labels
+        for t in range(n):
             tx, rx, sym, red = _sequential_trial(spec, t, snr)
-            np.testing.assert_array_equal(rec.tx_bits, tx)
-            np.testing.assert_array_equal(rec.rx_bits, rx)
-            assert (rec.symbol_errors, rec.redraws) == (sym, red)
+            np.testing.assert_array_equal(labels[rec.tx_idx[t]].ravel(), tx)
+            np.testing.assert_array_equal(labels[rec.rx_idx[t]].ravel(), rx)
+            assert (rec.symbol_errors[t], rec.redraws[t]) == (sym, red)
 
 
 # (solver or baseline, setup) pairs a spec accepts: omp needs m/j >= 2
@@ -580,32 +584,31 @@ def _fresh_bits(spec, t):
     return np.random.default_rng([spec.master_seed, t]).integers(0, 2, size=nbits, dtype=np.uint8)
 
 
+def _sent_bits(spec, rec):
+    """The bits of the first trial of ``rec``, demapped from its sent points."""
+    return get_constellation(spec.config.constellation).labels[rec.tx_idx[0]].ravel()
+
+
 def test_run_trial_seeds_only_its_trial():
-    """``run_trial`` builds no generator and hashes only its own trial's
-    seed, and draws that trial's stream."""
+    """A chunk of one trial builds no trial generator and hashes only its
+    own trial's seed, and draws that trial's stream."""
     spec = _stop_spec()
-    run_trial(spec, 0)
     with mock.patch("numpy.random.default_rng", wraps=np.random.default_rng) as rng, \
             mock.patch.object(harness, "_trial_seeds", wraps=harness._trial_seeds) as seeds:
-        rec = run_trial(spec, 7)
-    assert rng.call_args_list == []
+        rec = run_trials(spec, 7)
+    assert _trial_generators(rng) == []
     assert seeds.call_args_list == [mock.call(spec.master_seed, 7, 1)]
-    np.testing.assert_array_equal(rec.tx_bits, _fresh_bits(spec, 7))
-    assert (rec.symbol_errors, rec.redraws) == _sequential_trial(spec, 7, spec.snr_db[0])[2:]
+    np.testing.assert_array_equal(_sent_bits(spec, rec), _fresh_bits(spec, 7))
+    assert (rec.symbol_errors[0], rec.redraws[0]) == _sequential_trial(spec, 7, spec.snr_db[0])[2:]
 
 
 @pytest.mark.parametrize("seed", [3, 2**64 - 1], ids=["seed-3", "seed-2**64-1"])
 def test_run_trial_of_a_two_word_index(seed):
-    """The last trial index, ``2**32 - 1``, has the bits of its fresh
-    generator, also with a seed of two words; ``2**32``, which would be two
-    entropy words, is refused in one line before any draw."""
+    """The trial index ``2**32 - 1``, the last that is one entropy word,
+    has the bits of its fresh generator, also with a seed of two words."""
     spec = _stop_spec(master_seed=seed)
     last = 2**32 - 1
-    np.testing.assert_array_equal(run_trial(spec, last).tx_bits, _fresh_bits(spec, last))
-    with mock.patch.object(harness, "_draw_chunk") as drawn, pytest.raises(
-            SpecError, match=r"^trial_index must be an integer in 0\.\.2\*\*32-1$"):
-        run_trial(spec, 2**32)
-    drawn.assert_not_called()
+    np.testing.assert_array_equal(_sent_bits(spec, run_trials(spec, last)), _fresh_bits(spec, last))
 
 
 def test_oneshot_sweep_factors_each_chunk_once():

@@ -18,28 +18,20 @@ from hypothesis import strategies as st
 import csmimo.detection as detection
 import csmimo.harness as harness
 from csmimo.channel import ChannelRealization, NoiseSpec, apply_channel, sample_channel
-from csmimo.csmux import MeasurementMatrix, MuxConfig, gen_phi, identity_phi
+from csmimo.csmux import MeasurementMatrix, MuxConfig, gen_phi
 from csmimo.detection import channel_is_usable
 from csmimo.errors import (
     BadSubblockShape,
     CsmimoError,
     DictionaryTooLarge,
-    DimensionMismatch,
     RankDeficientChannel,
     SpecError,
 )
-from csmimo.harness import (
-    CSV_HEADER,
-    SweepRow,
-    run_sweep,
-    run_trial,
-    throughput_proxy,
-    wilson_interval,
-)
+from csmimo.harness import CSV_HEADER, run_sweep, wilson_interval
 from csmimo.modem import get_constellation, nearest_point_indices, symbol_indices
 from csmimo.spec import ExperimentSpec, load_spec, parse_snr_grid, spec_from_dict
 
-from conftest import recipe_path
+from conftest import recipe_path, run_trials
 
 INF = float("inf")
 
@@ -59,47 +51,33 @@ def small_spec(**kw):
 
 
 class TestRunTrial:
+    """Single trials of the engine, through the tests' ``run_trials`` view."""
+
     def test_deterministic(self):
         spec = small_spec()
-        a = run_trial(spec, 3, snr_db=10.0)
-        b = run_trial(spec, 3, snr_db=10.0)
-        np.testing.assert_array_equal(a.tx_bits, b.tx_bits)
-        np.testing.assert_array_equal(a.rx_bits, b.rx_bits)
-        assert a.bit_errors == b.bit_errors
+        a = run_trials(spec, 3, snr_db=10.0)
+        b = run_trials(spec, 3, snr_db=10.0)
+        np.testing.assert_array_equal(a.tx_idx, b.tx_idx)
+        np.testing.assert_array_equal(a.rx_idx, b.rx_idx)
+        np.testing.assert_array_equal(a.bit_errors, b.bit_errors)
 
     def test_noiseless_trial_is_exact(self):
-        spec = small_spec()
-        for t in range(50):
-            rec = run_trial(spec, t, snr_db=INF)
-            assert rec.bit_errors == 0
-            assert rec.symbol_errors == 0
+        rec = run_trials(small_spec(), 0, 50, snr_db=INF)
+        assert not rec.bit_errors.any()
+        assert not rec.symbol_errors.any()
 
     def test_2x2_l4_setup_runs(self):
         spec = small_spec(config=MuxConfig(nt=2, nr=2, l=4, j=2, phi_seed=3262))
-        rec = run_trial(spec, 0, snr_db=INF)
-        assert rec.bits == 8
-        assert rec.bit_errors == 0
+        rec = run_trials(spec, 0, snr_db=INF)
+        assert rec.tx_idx.shape == (1, 4)  # 8 bits
+        assert rec.bit_errors[0] == 0
 
     def test_common_randomness_across_snr(self):
         """The same trial index reuses bits and channel at every SNR point."""
         spec = small_spec()
-        a = run_trial(spec, 11, snr_db=0.0)
-        b = run_trial(spec, 11, snr_db=20.0)
-        np.testing.assert_array_equal(a.tx_bits, b.tx_bits)
-
-    def test_negative_trial_index_rejected(self):
-        with pytest.raises(ValueError):
-            run_trial(small_spec(), -1)
-
-    def test_trial_index_must_be_an_integer(self):
-        """The index follows the integer rule of the spec's count fields."""
-        spec = small_spec()
-        for value in (True, 1.5, "1", -1, 2**32):
-            with pytest.raises(SpecError, match=r"^trial_index must be an integer in 0\.\.2\*\*32-1$"):
-                run_trial(spec, value)
-        rec = run_trial(spec, np.int64(3))
-        assert type(rec.trial_index) is int
-        np.testing.assert_array_equal(rec.rx_bits, run_trial(spec, 3).rx_bits)
+        a = run_trials(spec, 11, snr_db=0.0)
+        b = run_trials(spec, 11, snr_db=20.0)
+        np.testing.assert_array_equal(a.tx_idx, b.tx_idx)
 
     def test_redraw_exhaustion_raises_rank_deficient(self, monkeypatch):
         """A channel that never becomes usable ends the trial with the
@@ -117,33 +95,7 @@ class TestRunTrial:
             "csmimo.harness.sample_channel", lambda nr, m_tx, rng: rank_one
         )
         with pytest.raises(RankDeficientChannel, match="redraws"):
-            run_trial(small_spec(), 0)
-
-    def test_repeated_trials_prepare_once(self):
-        """``run_trial`` keeps the preparation of a spec it has seen, so the
-        scheme's codebook is built once for many trials; a baseline builds
-        none."""
-        spec = small_spec(master_seed=12)
-        harness._prepared.cache_clear()
-        with mock.patch.object(harness, "Codebook", wraps=harness.Codebook) as built:
-            records = [run_trial(spec, t) for t in (0, 1, 0)]
-            assert built.call_count == 1
-            for baseline in ("zf", "overload"):
-                run_sweep(replace(spec, baseline=baseline, trials=5))
-                run_trial(replace(spec, baseline=baseline), 0)
-        assert built.call_count == 1
-        np.testing.assert_array_equal(records[0].rx_bits, records[2].rx_bits)
-
-    def test_repeated_trials_with_phi_prepare_once(self):
-        """A passed ``phi`` is part of the kept preparation's key, so many
-        trials with one matrix build the codebook once."""
-        spec = small_spec()
-        phi = identity_phi(spec.config)
-        harness._prepared.cache_clear()
-        with mock.patch.object(harness, "Codebook", wraps=harness.Codebook) as built:
-            for t in range(50):
-                run_trial(spec, t, phi=phi)
-        assert built.call_count == 1
+            run_trials(small_spec(), 0)
 
     @pytest.mark.parametrize("constellation", ["qpsk", "qam16"])
     def test_only_the_dictionary_solvers_build_the_dictionary(self, monkeypatch, constellation):
@@ -179,7 +131,7 @@ class TestRunTrial:
         """A trial's SNR follows the grid-point rule."""
         for snr in (-INF, float("nan")):
             with pytest.raises(SpecError, match=DB_RANGE):
-                run_trial(small_spec(), 0, snr_db=snr)
+                run_trials(small_spec(), 0, snr_db=snr)
 
     def test_snr_without_finite_noise_variance_rejected(self):
         """A trial's SNR whose noise variance would not be a finite float
@@ -187,7 +139,7 @@ class TestRunTrial:
         for snr in (5000.0, -3200.0):
             with mock.patch.object(harness, "_draw_chunk") as drawn, \
                     pytest.raises(SpecError, match=DB_RANGE):
-                run_trial(small_spec(), 0, snr_db=snr)
+                run_trials(small_spec(), 0, snr_db=snr)
             drawn.assert_not_called()
 
 
@@ -397,30 +349,19 @@ class TestRunSweep:
         rows = run_sweep(spec).rows
         assert [r.snr_db for r in rows] == [0.0, 6.0, 12.0]
 
-    def test_phi_of_the_wrong_column_count_rejected(self):
-        """The (4,4)-8 sub-blocks hold 4 symbols, so a 2x3 matrix cannot
-        compress them; the sweep and a trial say so before any trial."""
-        phi = MeasurementMatrix(np.ones((2, 3)))
-        spec = small_spec(trials=5)
-        with pytest.raises(DimensionMismatch, match="phi has 3 columns for sub-blocks of 4"):
-            run_sweep(spec, phi=phi)
-        with pytest.raises(DimensionMismatch, match="phi has 3 columns for sub-blocks of 4"):
-            run_trial(spec, 0, phi=phi)
-
 
 class TestBaselines:
-    def test_zf_equivalence_with_identity_compression(self):
+    def test_zf_equivalence_with_identity_compression(self, monkeypatch):
         """rho = 1 with identity blocks makes the full pipeline reproduce the
         plain ZF baseline decisions trial by trial."""
         cfg = MuxConfig(nt=4, nr=4, l=4, j=4, phi_seed=1)
         spec = small_spec(config=cfg)
         zf_spec = small_spec(config=cfg, baseline="zf")
-        phi = identity_phi(cfg)
-        for t in range(300):
-            cs = run_trial(spec, t, snr_db=10.0, phi=phi)
-            zf = run_trial(zf_spec, t, snr_db=10.0)
-            np.testing.assert_array_equal(cs.tx_bits, zf.tx_bits)
-            np.testing.assert_array_equal(cs.rx_bits, zf.rx_bits)
+        monkeypatch.setattr(harness, "gen_phi", lambda cfg: MeasurementMatrix(np.eye(1)))
+        cs = run_trials(spec, 0, 300, snr_db=10.0)
+        zf = run_trials(zf_spec, 0, 300, snr_db=10.0)
+        np.testing.assert_array_equal(cs.tx_idx, zf.tx_idx)
+        np.testing.assert_array_equal(cs.rx_idx, zf.rx_idx)
 
     def test_overload_fails_even_noiseless(self):
         """Recovering, say, 8 streams from 4 observations cannot work."""
@@ -432,21 +373,9 @@ class TestBaselines:
         cfg = MuxConfig(nt=4, nr=4, l=4, j=4, phi_seed=1)
         over = small_spec(config=cfg, baseline="overload")
         zf = small_spec(config=cfg, baseline="zf")
-        for t in range(200):
-            a = run_trial(over, t, snr_db=10.0)
-            b = run_trial(zf, t, snr_db=10.0)
-            np.testing.assert_array_equal(a.rx_bits, b.rx_bits)
-
-    def test_baseline_rejects_phi(self):
-        """A baseline compresses nothing, so a passed matrix is an error
-        that names the baseline, not a matrix silently left unused."""
-        phi = identity_phi(small_spec().config)
-        for baseline in ("zf", "overload"):
-            spec = small_spec(baseline=baseline, trials=5)
-            with pytest.raises(ValueError, match=f"^the {baseline} baseline .* takes no phi$"):
-                run_sweep(spec, phi)
-            with pytest.raises(ValueError, match=f"^the {baseline} baseline .* takes no phi$"):
-                run_trial(spec, 0, phi=phi)
+        a = run_trials(over, 0, 200, snr_db=10.0)
+        b = run_trials(zf, 0, 200, snr_db=10.0)
+        np.testing.assert_array_equal(a.rx_idx, b.rx_idx)
 
     @given(
         m=st.integers(1, 4),
@@ -505,23 +434,34 @@ class TestBaselines:
         np.testing.assert_array_equal(chunk.bit_errors, (drawn.tx_bits[2:] != rx_bits).sum(axis=1))
 
     def test_baseline_helpers(self):
+        """Both baselines slice the ZF estimate and build no codebook."""
         spec = small_spec(snr_db=(INF,), trials=30)
-        assert run_sweep(replace(spec, baseline="zf")).rows[0].ber == 0.0
-        assert run_sweep(replace(spec, baseline="overload")).rows[0].ber > 0.0
+        with mock.patch.object(harness, "Codebook") as built:
+            assert run_sweep(replace(spec, baseline="zf")).rows[0].ber == 0.0
+            assert run_sweep(replace(spec, baseline="overload")).rows[0].ber > 0.0
+        built.assert_not_called()
 
 
 class TestThroughputAndCi:
-    def test_throughput_extremes(self):
-        spec = small_spec()
-        row = SweepRow(20.0, 1, 16, 0, 0.0, 0, 0.0, 0.0, 0.0, 0.0)
-        assert throughput_proxy(row, spec) == pytest.approx(16.0)
-        row = SweepRow(20.0, 1, 16, 16, 1.0, 8, 1.0, 0.0, 0.0, 0.0)
-        assert throughput_proxy(row, spec) == pytest.approx(0.0)
+    def test_throughput_extremes(self, monkeypatch):
+        """A row's throughput is streams x bits per symbol x (1 - ser): all
+        16 bits of a (4,4)-8 QPSK channel use without noise, none when
+        every symbol is decided wrong."""
+        spec = small_spec(snr_db=(INF,), trials=20)
+        row, = run_sweep(spec).rows
+        assert row.ser == 0.0 and row.throughput == pytest.approx(16.0)
+        # the noiseless zf baseline decides every point, each moved to the next index
+        nearest = harness.nearest_point_indices
+        monkeypatch.setattr(harness, "nearest_point_indices",
+                            lambda s, c: (nearest(s, c) + 1) % c.order)
+        row, = run_sweep(replace(spec, baseline="zf")).rows
+        assert row.ser == 1.0 and row.throughput == pytest.approx(0.0)
 
     def test_throughput_20x20(self):
-        spec = small_spec(config=MuxConfig(nt=20, nr=20, l=40, j=10, phi_seed=880))
-        row = SweepRow(20.0, 1, 80, 0, 0.0, 0, 0.0, 0.0, 0.0, 0.0)
-        assert throughput_proxy(row, spec) == pytest.approx(80.0)
+        spec = small_spec(config=MuxConfig(nt=20, nr=20, l=40, j=10, phi_seed=880),
+                          snr_db=(INF,), trials=5)
+        row, = run_sweep(spec).rows
+        assert row.ser == 0.0 and row.throughput == pytest.approx(80.0)
 
     def test_wilson_matches_quadratic_roots(self):
         """The interval endpoints solve (p - p_hat)^2 n = z^2 p (1 - p)."""
@@ -607,7 +547,7 @@ class TestConfigFiles:
                 spec_from_dict({**raw, "snr_db": grid})
         for snr in (True, np.False_):
             with pytest.raises(SpecError, match=DB_RANGE):
-                run_trial(small_spec(), 0, snr_db=snr)
+                run_trials(small_spec(), 0, snr_db=snr)
 
     def test_overflowing_points_rejected(self, tmp_path):
         """A finite dB value beyond the float range, or past the dB range,
@@ -627,7 +567,7 @@ class TestConfigFiles:
                 parse_snr_grid(grid)
         for snr in ("1e400", big, huge, np.longdouble("1e400"), Fraction(10**400)):
             with pytest.raises(SpecError, match=DB_RANGE):
-                run_trial(small_spec(), 0, snr_db=snr)
+                run_trials(small_spec(), 0, snr_db=snr)
         path = tmp_path / "cfg.json"
         for number in ("1e400", "1" + "0" * 400):
             path.write_text(json.dumps({**raw, "snr_db": 0}).replace(": 0", ": " + number))
@@ -639,12 +579,12 @@ class TestConfigFiles:
             load_spec(path)
         for grid in ("inf", " Infinity", INF, [INF]):
             assert spec_from_dict({**raw, "snr_db": grid}).snr_db == (INF,)
-        assert run_trial(small_spec(), 0, snr_db="inf").snr_db == INF
+        assert run_trials(small_spec(), 0, snr_db="inf").snr_db == INF
         # numbers in the range read as float() reads them
         for point, read in ((np.longdouble("inf"), INF), (INF, INF), (Fraction(1, 3), 1 / 3),
                             (np.float32(0.1), 0.10000000149011612)):
             assert parse_snr_grid(point) == (read,)
-            assert run_trial(small_spec(), 0, snr_db=point).snr_db == read
+            assert run_trials(small_spec(), 0, snr_db=point).snr_db == read
 
     def test_unknown_keys_rejected(self):
         raw = {"nt": 2, "nr": 2, "l": 4, "j": 2, "snr_db": [0], "trials": 1,
