@@ -17,10 +17,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .csmux import MeasurementMatrix
-from .dictionary import digits
-from .errors import DimensionMismatch, TooManyColumns
-from .modem import Constellation
+from .detection import Codebook
+from .errors import DimensionMismatch, SpecError, TooManyColumns
 
 DEPENDENCE_TOL = 1e-10
 
@@ -55,7 +53,7 @@ def spark(a: np.ndarray) -> int:
     """
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2 or a.shape[1] == 0:
-        raise ValueError("spark needs a 2-D matrix with at least one column")
+        raise DimensionMismatch("spark needs a 2-D matrix with at least one column")
     cols = a.shape[1]
     if cols > SPARK_MAX_COLUMNS:
         raise TooManyColumns(
@@ -88,26 +86,26 @@ def rip_constant(a: np.ndarray, k: int) -> float:
     Order 1 is the largest ``| ||a_i||² - 1 |``, which unit columns make 0
     up to rounding; order 2 reads the two eigenvalues of every 2-column Gram
     submatrix at once.  Any other order, an order above the column count
-    and a zero column raise ``ValueError``.
+    and a zero column raise :class:`SpecError`.
     """
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2:
-        raise ValueError("rip_constant needs a 2-D matrix")
+        raise DimensionMismatch("rip_constant needs a 2-D matrix")
     cols = a.shape[1]
     if k not in (1, 2) or k > cols:
-        raise ValueError(f"order k={k} must be 1 or 2, and at most the {cols} columns")
+        raise SpecError(f"order k={k} must be 1 or 2, and at most the {cols} columns")
     norms = np.linalg.norm(a, axis=0)
     if np.any(norms == 0):
-        raise ValueError("cannot column-normalize a matrix with a zero column")
+        raise SpecError("cannot column-normalize a matrix with a zero column")
     a = a / norms
     if k == 1:
         return float(np.max(np.abs(np.linalg.norm(a, axis=0) ** 2 - 1.0)))
     return _delta_two_columns(a.conj().T @ a)
 
 
-def verify_uniqueness(phi: MeasurementMatrix, alphabet: Constellation, n: int) -> UniquenessReport:
+def verify_uniqueness(code: Codebook) -> UniquenessReport:
     """Check that the ``q**n`` compressed candidate columns ``Φψ``, one per
-    ``n``-tuple ``ψ`` of ``alphabet``, are pairwise distinct.
+    ``n``-tuple ``ψ`` of the alphabet of ``code``, are pairwise distinct.
 
     Distinct columns mean every noiseless sub-block pins down a unique
     candidate index, so exact recovery has no ties.  Reports the minimum
@@ -115,19 +113,14 @@ def verify_uniqueness(phi: MeasurementMatrix, alphabet: Constellation, n: int) -
     times the largest column norm.
 
     The candidates are every tuple ``ψ = P_u + i·P_v`` of the product
-    alphabet's I/Q levels and ``phi`` is real, so ``||Φψ - Φψ'||² =
+    alphabet's I/Q levels and ``Φ`` is real, so ``||Φψ - Φψ'||² =
     ||Φ(P_u - P_u')||² + ||Φ(P_v - P_v')||²``.  A closest pair of distinct
     columns keeps one half equal: the minimum distance is that of the
-    ``√q**n`` real tuples ``ΦP_u``, formed from their direct differences,
-    and the largest column norm is ``√2`` times the largest tuple norm.  No
-    ``q**n`` dictionary is built.
+    ``√q**n`` real tuples ``ΦP_u``, the ``ΦP`` of ``code.iq_images``, formed
+    from their direct differences, and the largest column norm is ``√2``
+    times the largest tuple norm.  No ``q**n`` dictionary is built.
     """
-    levels = alphabet.iq_levels
-    if levels is None:
-        raise ValueError(f"{alphabet.name} is not an I/Q product alphabet")
-    if phi.phi.shape[1] != n:
-        raise DimensionMismatch(f"phi has {phi.phi.shape[1]} columns for sub-blocks of {n} symbols")
-    b = phi.phi @ levels[digits(np.arange(levels.size**n), levels.size, n)].T
+    b = code.iq_images[1]
     dist2 = sum(np.square(row[:, None] - row) for row in b)
     np.fill_diagonal(dist2, np.inf)
     min_distance = float(np.sqrt(dist2.min()))
@@ -135,6 +128,6 @@ def verify_uniqueness(phi: MeasurementMatrix, alphabet: Constellation, n: int) -
     return UniquenessReport(
         unique=bool(min_distance > threshold),
         min_distance=min_distance,
-        d=alphabet.order**n,
+        d=code.alphabet.order**code.cfg.subblock_cols,
         threshold=threshold,
     )

@@ -49,7 +49,7 @@ class ChannelRealization:
     made once for the whole stack: every receiver that is handed the same
     object shares them, and so does every part of the stack taken by a
     slice ``channel[lo:hi]`` or an index array ``channel[rows]``.  The
-    factorizations raise ``ValueError`` for a channel that is not finite.
+    factorizations raise :class:`SpecError` for a channel that is not finite.
     The object keeps the caller's array, so whoever writes into ``h``
     afterwards must build a new object.  Two realizations compare and hash
     by identity.
@@ -83,7 +83,7 @@ class ChannelRealization:
     def _finite(self) -> np.ndarray:
         """``h``, checked finite before LAPACK sees it."""
         if not np.isfinite(self.h).all():
-            raise ValueError("channel must be finite")
+            raise SpecError("channel must be finite")
         return self.h
 
     def __getitem__(self, rows: slice | np.ndarray) -> ChannelRealization:
@@ -230,7 +230,7 @@ class NoiseSpec:
 def sample_channel(nr: int, m_tx: int, rng: np.random.Generator) -> ChannelRealization:
     """Draw an nr x m_tx matrix of i.i.d. circularly-symmetric CN(0, 1) gains."""
     if nr < 1 or m_tx < 1:
-        raise ValueError("channel dimensions must be positive")
+        raise SpecError("channel dimensions must be positive")
     return ChannelRealization(gains(rng.standard_normal(2 * nr * m_tx), nr, m_tx))
 
 

@@ -7,10 +7,10 @@ import sys
 
 from . import analysis
 from .csmux import gen_phi, phi_to_text
+from .detection import Codebook
 from .errors import CsmimoError
 from .harness import run_sweep
-from .modem import get_constellation
-from .spec import NO_BASELINE, SOLVERS, block_width, read_config, spec_from_dict
+from .spec import BASELINES, NO_BASELINE, SOLVERS, block_width, read_config, spec_from_dict
 
 
 # simulate flag -> the config field it overrides; flags replace file values
@@ -65,14 +65,15 @@ def _cmd_analyze(args) -> int:
     raw = read_config(args.config)
     if args.phi_seed is not None:
         raw["phi_seed"] = args.phi_seed
-    if raw.get("baseline") in NO_BASELINE:
-        # analyze runs no solver: the file is checked as its zf baseline,
-        # which fits any setup, and block_width(cfg, "analyze") is the fit rule
+    if raw.get("baseline") in NO_BASELINE + BASELINES:
+        # analyze runs no solver or baseline: it checks the file as its zf
+        # baseline, which fits any setup; block_width(cfg, "analyze") is its fit rule
         raw["baseline"] = "zf"
     cfg = spec_from_dict(raw).config
     # the pairwise check holds √q**n × √q**n = q**n distances
     d = block_width(cfg, "analyze")
-    phi, alphabet, n = gen_phi(cfg), get_constellation(cfg.constellation), cfg.subblock_cols
+    code = Codebook(cfg, gen_phi(cfg))
+    phi = code.phi
 
     print(f"setup: ({cfg.nt},{cfg.nr})-{cfg.l}  [{cfg.constellation}, J={cfg.j}, rho={cfg.rho:g}]")
     print(
@@ -84,8 +85,8 @@ def _cmd_analyze(args) -> int:
     for k in (1, 2):
         if k <= phi.phi.shape[1]:
             print(f"delta_{k}(phi): {analysis.rip_constant(phi.phi, k):.6g} (exhaustive)")
-    print(f"dictionary: n={n}, d={d} columns")
-    report = analysis.verify_uniqueness(phi, alphabet, n)
+    print(f"dictionary: n={cfg.subblock_cols}, d={d} columns")
+    report = analysis.verify_uniqueness(code)
     print(
         f"uniqueness(phi*psi): unique={report.unique},"
         f" min pairwise distance {report.min_distance:.6g}"

@@ -12,11 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, SpecError
 from .spec import MuxConfig
+
+if TYPE_CHECKING:
+    from .detection import Codebook
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,7 +38,7 @@ class MeasurementMatrix:
         if phi.ndim != 2:
             raise DimensionMismatch(f"phi must be 2-D, got shape {phi.shape}")
         if not np.isfinite(phi).all():
-            raise ValueError("phi entries must be finite")
+            raise SpecError("phi entries must be finite")
         phi.flags.writeable = False
         object.__setattr__(self, "phi", phi)
 
@@ -65,7 +69,7 @@ def transmit_gain(phi: MeasurementMatrix, cfg: MuxConfig) -> float:
     the receiver can undo it exactly.
     """
     if phi.fro2 == 0.0:
-        raise ValueError("zero measurement matrix has no transmit gain")
+        raise SpecError("zero measurement matrix has no transmit gain")
     return float(np.sqrt(cfg.m / (cfg.j * phi.fro2)))
 
 
@@ -81,24 +85,20 @@ def phi_to_text(phi: MeasurementMatrix) -> str:
     ) + "\n"
 
 
-def multiplex(x: np.ndarray, phi: MeasurementMatrix, cfg: MuxConfig) -> np.ndarray:
+def multiplex(x: np.ndarray, code: Codebook) -> np.ndarray:
     """Compress ``l`` symbols into ``m`` transmit dimensions, sub-block-wise.
 
-    The real matrix acts identically on real and imaginary parts.  Output is
-    the concatenation of ``phi @ x_group`` over the ``j`` groups, scaled by
-    :func:`transmit_gain`.  Leading axes of ``x`` index trials: ``(..., l)``
-    symbols give ``(..., m)`` transmit vectors, each bit for bit the single
-    trial's.
+    The real matrix ``code.phi`` acts identically on real and imaginary
+    parts.  Output is the concatenation of ``phi @ x_group`` over the ``j``
+    groups of ``code.cfg``, scaled by ``code.gain``.  Leading axes of ``x``
+    index trials: ``(..., l)`` symbols give ``(..., m)`` transmit vectors,
+    each bit for bit the single trial's.
     """
+    cfg = code.cfg
     x = np.asarray(x, dtype=np.complex128)
     if x.shape[-1:] != (cfg.l,):
         raise DimensionMismatch(f"expected {cfg.l} symbols per trial, got shape {x.shape}")
-    if phi.phi.shape != (cfg.subblock_rows, cfg.subblock_cols):
-        raise DimensionMismatch(
-            f"phi shape {phi.phi.shape} does not match "
-            f"({cfg.subblock_rows}, {cfg.subblock_cols})"
-        )
     # one (j, cols) @ (cols, rows) product per trial, as for a single trial
     groups = x.reshape(x.shape[:-1] + (cfg.j, cfg.subblock_cols))
-    z = groups @ phi.phi.T
-    return z.reshape(x.shape[:-1] + (cfg.m,)) * transmit_gain(phi, cfg)
+    z = groups @ code.phi.phi.T
+    return z.reshape(x.shape[:-1] + (cfg.m,)) * code.gain

@@ -44,13 +44,16 @@ import numpy as np
 from .channel import ChannelRealization
 from .csmux import MeasurementMatrix, MuxConfig, transmit_gain
 from .dictionary import build_dictionary, digits
-from .errors import DictionaryTooLarge, DimensionMismatch, RankDeficientChannel
+from .errors import DictionaryTooLarge, DimensionMismatch, RankDeficientChannel, SpecError
 from .modem import Constellation, get_constellation, nearest_point_indices
 from .spec import SOLVERS, block_width
 
 # Working-set budget, in bytes, of one chunk of trials in a sweep; the
 # oneshot search also sizes its blocks of trials and its scratch from it.
 _CHUNK_BYTES = 1 << 20
+
+# most candidates one trial's oneshot search scores before it gives up
+_ONESHOT_CAP = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,28 +179,36 @@ class Codebook:
         return sensing
 
     @cached_property
+    def iq_images(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``p = √q**n`` tuples ``P`` of the alphabet's I/Q levels, as the
+        ``(p, n)`` table of their level digits, row ``u`` the :func:`digits`
+        of ``u``, and their real ``(rows, p)`` images ``ΦP``, both read-only:
+        what ``iq_scan`` and :func:`~csmimo.analysis.verify_uniqueness` read."""
+        levels, n = self.alphabet.iq_levels, self.cfg.subblock_cols
+        tuples = digits(np.arange(levels.size**n), levels.size, n)
+        # P copied to C order, the layout its pinned rounding came from
+        b = self.phi.phi @ np.ascontiguousarray(levels[tuples].T)
+        tuples.flags.writeable = b.flags.writeable = False
+        return tuples, b
+
+    @cached_property
     def iq_scan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """What the I/Q-split ``ml`` scan reads, all read-only: the real
-        ``(rows + 1, p)`` scan matrix ``[-2ΦP; ||ΦP||²]``, whose
-        ``P`` holds the ``p = √q**n`` tuples of the alphabet's I/Q levels
-        in the dictionary's little-endian mixed-radix order; the ``(p, n)``
-        table of their level digits, row ``u`` the :func:`digits` of ``u``,
-        which decodes each half-scan's argmin; and the ``(r, r)`` table,
-        ``r = √q``, of the alphabet's point index with real part
-        ``levels[a]`` and imaginary part ``levels[b]`` at ``[a, b]``."""
-        c, n = self.alphabet, self.cfg.subblock_cols
+        ``(rows + 1, p)`` scan matrix ``[-2ΦP; ||ΦP||²]``; the tuple table of
+        :attr:`iq_images`, which decodes each half-scan's argmin; and the
+        ``(r, r)`` table, ``r = √q``, of the alphabet's point index with real
+        part ``levels[a]`` and imaginary part ``levels[b]`` at ``[a, b]``."""
+        c = self.alphabet
         levels, r = c.iq_levels, c.iq_levels.size
-        tuples = digits(np.arange(r**n), r, n)
+        tuples, b = self.iq_images
         point_of = np.empty((r, r), dtype=np.int64)
         point_of[np.searchsorted(levels, c.points.real), np.searchsorted(levels, c.points.imag)] = (
             np.arange(c.order)
         )
-        # P copied to C order, the layout its pinned rounding came from
-        b = self.phi.phi @ np.ascontiguousarray(levels[tuples].T)
         scan = np.empty((b.shape[0] + 1, b.shape[1]))
         np.multiply(b, -2.0, out=scan[:-1])
         scan[-1] = np.einsum("ij,ij->j", b, b)
-        scan.flags.writeable = tuples.flags.writeable = point_of.flags.writeable = False
+        scan.flags.writeable = point_of.flags.writeable = False
         return scan, tuples, point_of
 
     @cached_property
@@ -307,13 +318,8 @@ def recover_subblock_omp(z_hat_j: np.ndarray, sensing: np.ndarray) -> tuple[int,
     return k, complex(corr[k] / norms[k] ** 2)
 
 
-def demux(
-    y: np.ndarray,
-    h: ChannelRealization,
-    code: Codebook,
-    solver: str = "ml",
-    oneshot_cap: int = 1 << 20,
-) -> RecoveryResult:
+def demux(y: np.ndarray, h: ChannelRealization, code: Codebook,
+          solver: str = "ml") -> RecoveryResult:
     """Full receiver: equalize, split into sub-blocks, recover, decide points.
 
     The two-step solvers divide the :func:`zf_equalize` estimate by
@@ -325,8 +331,8 @@ def demux(
     exact scan of all blocks at once as two real half-scans of the I/Q
     level tuples (``ml``), greedy (``omp`` with one atom), or exact joint
     ML on the unequalized receive vector by block sphere search
-    (``oneshot``), whose cost falls with SNR and which may score at most
-    ``oneshot_cap`` candidates before it raises :class:`DictionaryTooLarge`.
+    (``oneshot``), whose cost falls with SNR and which raises
+    :class:`DictionaryTooLarge` past ``_ONESHOT_CAP`` candidates a trial.
     ``omp`` is the pick of :func:`recover_subblock_omp` for every
     block in one stacked pass, and its block estimate is the picked
     column's sub-block times the atom's least-squares coefficient, which
@@ -339,11 +345,12 @@ def demux(
     ``solver`` that :func:`block_width` refuses for ``code.cfg`` raises its
     error before any table is built: a width past ``dictionary_cap``, or
     ``omp`` on one-row sub-blocks.  A channel that is not ``nr x m`` raises
-    :class:`DimensionMismatch`, and a receive vector or channel that is not
-    finite raises ``ValueError`` before any solver runs on it.
+    :class:`DimensionMismatch`, and an unknown ``solver`` or a receive
+    vector or channel that is not finite raises :class:`SpecError` before
+    any solver runs on it.
     """
     if solver not in SOLVERS:
-        raise ValueError(f"unknown solver {solver!r}; choose from {SOLVERS}")
+        raise SpecError(f"unknown solver {solver!r}; choose from {SOLVERS}")
     cfg = code.cfg
     block_width(cfg, solver)
     y = np.asarray(y, dtype=np.complex128)
@@ -355,9 +362,9 @@ def demux(
             f"for {y.shape[-1]} receive and {cfg.m} transmit dimensions"
         )
     if not np.isfinite(y).all():
-        raise ValueError("receive vector and channel must be finite")
+        raise SpecError("receive vector and channel must be finite")
     if solver == "oneshot":
-        return _demux_oneshot(y, h, code, cap=oneshot_cap)
+        return _demux_oneshot(y, h, code)
 
     blocks = (zf_equalize(y, h) / code.gain).reshape(h.stack_shape + (cfg.j, cfg.subblock_rows))
     c, n, shape = code.alphabet, cfg.subblock_cols, h.stack_shape + (cfg.l,)
@@ -375,7 +382,7 @@ def demux(
     })
 
 
-def _demux_oneshot(y, h, code, cap):
+def _demux_oneshot(y, h, code):
     """Exact joint ML over all per-block index combinations by sphere search.
 
     Works on the raw receive vector with the composed channel, compression
@@ -385,8 +392,8 @@ def _demux_oneshot(y, h, code, cap):
     sub-block first, visits each level's ``d`` candidates in increasing
     partial metric (Schnorr-Euchner order) and prunes a branch as soon as
     its partial metric exceeds the best full metric found so far.  Ties go
-    to the lowest joint index ``sum k_j d**j``.  ``cap`` bounds the number
-    of candidates scored (visited nodes times ``d``); running out raises
+    to the lowest joint index ``sum k_j d**j``.  ``_ONESHOT_CAP`` bounds the
+    number of candidates scored (visited nodes times ``d``); running out raises
     :class:`DictionaryTooLarge` rather than returning a truncated answer.
     The QR is ``h.qr``, one stacked factorization per channel stack, which
     its slices and gathered rows share, so the SNR points of a sweep that
@@ -414,9 +421,8 @@ def _demux_oneshot(y, h, code, cap):
         # contrib[t, i, :, k]: rotated receive contribution of candidate k
         # placed in sub-block i; rows below block i are zero since r is
         # upper triangular
-        indices[part], best[part] = _sphere_search(
-            flat_yq[part], flat_blocks[part] @ a, cfg.subblock_rows, cap
-        )
+        indices[part], best[part] = _sphere_search(flat_yq[part], flat_blocks[part] @ a,
+                                                   cfg.subblock_rows)
     indices = indices.reshape(h.stack_shape + (cfg.j,))
     x_indices = digits(indices, c.order, cfg.subblock_cols).reshape(h.stack_shape + (cfg.l,))
 
@@ -432,14 +438,14 @@ def _demux_oneshot(y, h, code, cap):
     })
 
 
-def _sphere_search(yq, contrib, rows, cap):
+def _sphere_search(yq, contrib, rows):
     """Joint indices ``(T, J)`` and least metrics ``(T,)`` of ``T`` trials
     from their rotated receive vectors ``yq = Q^H y``, ``(T, nr)``, and
     candidate contributions ``contrib = R_i a``, ``(T, J, nr, d)``.
 
     Each trial makes the decisions of its own depth-first search: it visits
     the same nodes in the same order, prunes the same branches and breaks
-    ties the same way, so ``cap`` is reached exactly when that search
+    ties the same way, so the budget is reached exactly when that search
     reaches it.  The trials advance together.  Each holds, for every level,
     the target of its node there, that node's candidates in search order
     with their partial metrics, and the position of the next one.  On each
@@ -555,7 +561,7 @@ def _sphere_search(yq, contrib, rows, cap):
         level[g] = 2
         level[g[more]] = 1
 
-    _check_budget(nodes, d, j, cap)
+    _check_budget(nodes, d, j)
     if j == 1:
         # the root is a leaf
         hi = span[0][1]
@@ -572,16 +578,16 @@ def _sphere_search(yq, contrib, rows, cap):
                 entered = descend(i)
         if count[1] or entered:
             leaves(np.flatnonzero(level == 1))
-        _check_budget(nodes, d, j, cap)
+        _check_budget(nodes, d, j)
     return best_path, best
 
 
-def _check_budget(nodes, d, j, cap):
+def _check_budget(nodes, d, j):
     """Raise :class:`DictionaryTooLarge` once a trial's visited ``nodes``
-    score more than ``cap`` candidates, ``d`` per node."""
-    if int(nodes.max()) * d > cap:
+    score more than ``_ONESHOT_CAP`` candidates, ``d`` per node."""
+    if int(nodes.max()) * d > _ONESHOT_CAP:
         raise DictionaryTooLarge(
-            f"joint search needs more than {cap} scored candidates "
+            f"joint search needs more than {_ONESHOT_CAP} scored candidates "
             f"({d} per node over {j} sub-blocks)"
         )
 

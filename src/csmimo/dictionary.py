@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DictionaryTooLarge
+from .errors import DictionaryTooLarge, SpecError
 from .modem import Constellation
 
 
@@ -21,7 +21,7 @@ def build_dictionary(c: Constellation, n: int, cap: int = 65536) -> np.ndarray:
     """All ``q**n`` symbol tuples of length ``n`` as the columns of the
     ``(n, q**n)`` array ``psi``, in the order of :func:`digits`."""
     if n < 1:
-        raise ValueError("sub-block length must be positive")
+        raise SpecError("sub-block length must be positive")
     q = c.order
     d = q**n
     if d > cap:

@@ -227,12 +227,11 @@ def _prepare(spec: ExperimentSpec) -> _Prepared:
 
 class _Drawn(NamedTuple):
     """What a chunk of ``n`` trials sends, the same at every SNR point:
-    bits ``(n, bits per trial)``, symbol indices ``(n, streams)``, usable
-    channels, noiseless receive vectors ``h z`` ``(n, nr)``, the
+    symbol indices ``(n, streams)``, whose labels are the trials' bits,
+    usable channels, noiseless receive vectors ``h z`` ``(n, nr)``, the
     :func:`unit_noise` of the noise normals ``(n, nr)`` and redraws per
     trial."""
 
-    tx_bits: np.ndarray
     tx_idx: np.ndarray
     channel: ChannelRealization
     hz: np.ndarray
@@ -395,7 +394,7 @@ def _draw_chunk(prep: _Prepared, t0: int, n: int) -> _Drawn:
         # each, with unit energy per transmit dimension: z = S x
         z = (prep.spread @ x[..., None])[..., 0]
     else:
-        z = multiplex(x, prep.code.phi, cfg)
+        z = multiplex(x, prep.code)
     channel, redraws = ChannelRealization(h), np.zeros(n, dtype=np.int64)
     for i in np.flatnonzero(~channel_is_usable(channel)):
         h[i], normals[i], redraws[i] = _replay(spec.master_seed, t0 + i, nbits, cfg.nr, cfg.m)
@@ -403,7 +402,7 @@ def _draw_chunk(prep: _Prepared, t0: int, n: int) -> _Drawn:
         channel = ChannelRealization(h)
     # stacked matrix-vector products, bit for bit the single-draw ones
     hz = (h @ z[..., None])[..., 0]
-    return _Drawn(tx_bits, tx_idx, channel, hz, unit_noise(normals), redraws)
+    return _Drawn(tx_idx, channel, hz, unit_noise(normals), redraws)
 
 
 def _detect(prep: _Prepared, drawn: _Drawn, slices: list[tuple[int, int, float]]) -> list[_Chunk]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndivisibleBitLength, SpecError
+from .errors import DimensionMismatch, IndivisibleBitLength, SpecError
 
 _SQRT2 = np.sqrt(2.0)
 _SQRT10 = np.sqrt(10.0)
@@ -51,22 +51,22 @@ class Constellation:
         labels = np.array(self.labels)
         # checked before the cast, which would wrap, truncate or overflow
         if not ((labels == 0) | (labels == 1)).all():
-            raise ValueError("constellation labels must be bits, each 0 or 1")
+            raise SpecError("constellation labels must be bits, each 0 or 1")
         labels = labels.astype(np.uint8)
         points.flags.writeable = labels.flags.writeable = False
         order = points.size
         b = int(round(np.log2(order))) if order > 0 else 0
         if order == 0 or 2**b != order:
-            raise ValueError(f"constellation order {order} is not a power of two")
+            raise SpecError(f"constellation order {order} is not a power of two")
         if labels.shape != (order, b):
-            raise ValueError(f"labels shape {labels.shape} does not match order {order}")
+            raise DimensionMismatch(f"labels shape {labels.shape} does not match order {order}")
         energy = float(np.mean(np.abs(points) ** 2))
         if abs(energy - 1.0) > 1e-12:
-            raise ValueError(f"average symbol energy {energy!r} is not 1")
+            raise SpecError(f"average symbol energy {energy!r} is not 1")
         weights = (1 << np.arange(b - 1, -1, -1)).astype(np.int64)
         label_ints = labels.astype(np.int64) @ weights
         if len(set(label_ints.tolist())) != order:
-            raise ValueError("bit labeling is not a bijection")
+            raise SpecError("bit labeling is not a bijection")
         index_of_label = np.empty(order, dtype=np.int64)
         index_of_label[label_ints] = np.arange(order)
         # distinct points on a grid of levels x levels with levels**2 points;

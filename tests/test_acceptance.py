@@ -55,7 +55,7 @@ def ber_sweep_4x4():
 
 
 def test_criterion_01_noiseless_exactness():
-    report = verify_uniqueness(gen_phi(CFG_4X4), get_constellation("qpsk"), 4)
+    report = verify_uniqueness(Codebook(CFG_4X4, gen_phi(CFG_4X4)))
     assert report.unique, "pinned phi seed must pass the uniqueness check"
     spec = ExperimentSpec(config=CFG_4X4, snr_db=(INF,), trials=1000, master_seed=2)
     t0 = time.perf_counter()

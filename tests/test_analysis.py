@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from conftest import recipe_path
 from csmimo.analysis import rip_constant, spark, verify_uniqueness
 from csmimo.csmux import MeasurementMatrix, MuxConfig, gen_phi
+from csmimo.detection import Codebook
 from csmimo.dictionary import build_dictionary
 from csmimo.errors import TooManyColumns
 from csmimo.harness import load_spec
-from csmimo.modem import Constellation, get_constellation
 
 
 def oracle_spark(a: np.ndarray) -> int:
@@ -118,50 +118,53 @@ class TestRipConstant:
                 rip_constant(a, k)
 
 
+def code_of(phi: np.ndarray, constellation: str = "qpsk") -> Codebook:
+    """The codebook of a ``(rows, n)`` matrix: one sub-block of ``n`` symbols
+    sent on ``rows`` antennas."""
+    rows, n = phi.shape
+    cfg = MuxConfig(nt=rows, nr=rows, l=n, j=1, constellation=constellation)
+    return Codebook(cfg, MeasurementMatrix(phi))
+
+
 class TestVerifyUniqueness:
-    def test_shipped_setup_is_unique(self, qpsk, cfg_4x4_l8):
-        phi = gen_phi(cfg_4x4_l8)
-        report = verify_uniqueness(phi, qpsk, cfg_4x4_l8.subblock_cols)
+    def test_shipped_setup_is_unique(self, cfg_4x4_l8):
+        report = verify_uniqueness(Codebook(cfg_4x4_l8, gen_phi(cfg_4x4_l8)))
         assert report.unique
         assert report.d == 256
         assert report.min_distance > 0.0
 
-    def test_zero_matrix_not_unique(self, qpsk):
-        phi = MeasurementMatrix(np.zeros((1, 2)))
-        report = verify_uniqueness(phi, qpsk, 2)
+    def test_zero_matrix_not_unique(self):
+        report = verify_uniqueness(code_of(np.zeros((1, 2))))
         assert not report.unique
         assert report.min_distance == 0.0
 
-    def test_identity_on_points_is_unique(self, qpsk):
-        phi = MeasurementMatrix(np.eye(1))
-        report = verify_uniqueness(phi, qpsk, 1)
+    def test_identity_on_points_is_unique(self):
+        report = verify_uniqueness(code_of(np.eye(1)))
         assert report.unique
         assert report.d == 4
 
     def test_min_distance_matches_direct_scan(self, qpsk, cfg_2x2_l4):
         """The I/Q form agrees with a dense all-pairs oracle."""
-        phi = gen_phi(cfg_2x2_l4)
-        n = cfg_2x2_l4.subblock_cols
-        report = verify_uniqueness(phi, qpsk, n)
-        dense = oracle_min_distance(phi.phi @ build_dictionary(qpsk, n))
+        code = Codebook(cfg_2x2_l4, gen_phi(cfg_2x2_l4))
+        report = verify_uniqueness(code)
+        dense = oracle_min_distance(code.phi.phi @ build_dictionary(qpsk, cfg_2x2_l4.subblock_cols))
         assert report.min_distance == pytest.approx(dense, rel=1e-12)
 
     @given(
         constellation=st.sampled_from(["qpsk", "qam16"]),
-        n=st.integers(1, 3),
-        rows=st.integers(1, 3),
+        shape=st.sampled_from([(rows, n) for n in (1, 2, 3) for rows in range(1, n + 1)]),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=40, deadline=None)
-    def test_iq_form_matches_the_dense_oracle(self, constellation, n, rows, seed):
+    def test_iq_form_matches_the_dense_oracle(self, constellation, shape, seed):
         """Minimum distance, threshold and verdict of the ``√q**n`` I/Q
-        level tuples equal those of all ``q**n`` complex columns."""
-        c = get_constellation(constellation)
-        phi = MeasurementMatrix(
-            np.random.default_rng(seed).standard_normal((rows, n)) / np.sqrt(rows)
-        )
-        report = verify_uniqueness(phi, c, n)
-        a = phi.phi @ build_dictionary(c, n)
+        level tuples equal those of all ``q**n`` complex columns, for every
+        ``rows x n`` sub-block matrix a setup can hold, ``rows <= n``."""
+        rows, n = shape
+        code = code_of(np.random.default_rng(seed).standard_normal(shape) / np.sqrt(rows),
+                       constellation)
+        report = verify_uniqueness(code)
+        a = code.phi.phi @ build_dictionary(code.alphabet, n)
         dense = oracle_min_distance(a)
         assert report.d == a.shape[1]
         assert report.min_distance == pytest.approx(dense, rel=1e-9)
@@ -175,20 +178,12 @@ class TestVerifyUniqueness:
         six digits to cancellation; the direct differences keep them."""
         spec = load_spec(recipe_path("mimo2x2_l4.json"))
         cfg = replace(spec.config, constellation="qam16")
-        phi = gen_phi(cfg)
-        qam16, n = get_constellation("qam16"), cfg.subblock_cols
-        report = verify_uniqueness(phi, qam16, n)
-        dense = oracle_min_distance(phi.phi @ build_dictionary(qam16, n))
+        code = Codebook(cfg, gen_phi(cfg))
+        report = verify_uniqueness(code)
+        dense = oracle_min_distance(code.phi.phi @ build_dictionary(code.alphabet, cfg.subblock_cols))
         assert dense == pytest.approx(1.0414056e-05, rel=1e-7)
         assert report.min_distance == pytest.approx(dense, rel=1e-9)
         assert report.unique
-
-    def test_non_product_alphabet_rejected(self):
-        """8-PSK is no product of I/Q levels, so it has no I/Q form."""
-        labels = (np.arange(8)[:, None] >> np.arange(2, -1, -1)) & 1
-        psk8 = Constellation("psk8", np.exp(2j * np.pi * np.arange(8) / 8), labels)
-        with pytest.raises(ValueError, match="not an I/Q product alphabet"):
-            verify_uniqueness(MeasurementMatrix(np.eye(1)), psk8, 1)
 
 
 def test_composition_keeps_rip_bounded():

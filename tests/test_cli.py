@@ -241,6 +241,26 @@ def test_analyze_runs_no_solver_fit_rule(tmp_path, capsys):
         assert capsys.readouterr().err.count("\n") == 1
 
 
+def test_analyze_runs_no_baseline_fit_rule(tmp_path, capsys):
+    """``analyze`` runs no baseline either: a (4,4)-6 file that names the
+    overload baseline, which needs l to be a multiple of m, gets the report
+    of the same file without a baseline, while a baseline that is none of
+    the choices is still refused in one line."""
+    raw = {"nt": 4, "nr": 4, "l": 6, "j": 2, "snr_db": "0", "trials": 3}
+    config = tmp_path / "c.json"
+    reports = []
+    for baseline in ({}, {"baseline": "overload"}, {"baseline": "zf"}, {"baseline": "none"}):
+        config.write_text(json.dumps({**raw, **baseline}))
+        assert main(["analyze", "--config", str(config)]) == 0
+        reports.append(capsys.readouterr())
+    assert reports[0].err == "" and reports.count(reports[0]) == 4
+    config.write_text(json.dumps({**raw, "baseline": "mmse"}))
+    assert main(["analyze", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        "csmimo: error: baseline must be one of ('zf', 'overload') or none\n"
+    )
+
+
 @pytest.mark.parametrize("changes, flag", [
     ({"solver": "omp"}, ["--solver", "ml"]),  # omp on the one-row (2,2)-4 sub-blocks
     ({"snr_db": "5000"}, ["--snr", "10"]),  # no finite noise variance

@@ -18,6 +18,7 @@ from csmimo.csmux import (
     transmit_gain,
 )
 from csmimo.errors import BadSubblockShape, DictionaryTooLarge, DimensionMismatch, SpecError
+from csmimo.detection import Codebook
 from csmimo.harness import ExperimentSpec
 
 
@@ -139,33 +140,33 @@ class TestMultiplex:
         """rho = 1 with an injected identity matrix leaves symbols untouched."""
         cfg = MuxConfig(nt=4, nr=4, l=4, j=2)
         x = np.array([1 + 1j, -1 + 0.5j, 0.25j, -2.0])
-        np.testing.assert_array_equal(multiplex(x, MeasurementMatrix(np.eye(2)), cfg), x)
+        np.testing.assert_array_equal(multiplex(x, Codebook(cfg, MeasurementMatrix(np.eye(2)))), x)
 
     def test_hand_computed_sum_blocks(self):
         """1x2 blocks of [1,1]/sqrt(2) average consecutive symbol pairs."""
         cfg = MuxConfig(nt=2, nr=2, l=4, j=2)
         phi = MeasurementMatrix(np.array([[1.0, 1.0]]) / np.sqrt(2))
         a, b, c, d = 1 + 1j, 2.0, -1j, 0.5 - 0.5j
-        z = multiplex(np.array([a, b, c, d]), phi, cfg)
+        z = multiplex(np.array([a, b, c, d]), Codebook(cfg, phi))
         np.testing.assert_allclose(z, np.array([a + b, c + d]) / np.sqrt(2), atol=1e-12)
 
     def test_matches_block_diagonal_oracle(self, cfg_4x4_l8):
         """Independent oracle: dense block-diagonal matrix applied to x."""
-        phi = gen_phi(cfg_4x4_l8)
+        code = Codebook(cfg_4x4_l8, gen_phi(cfg_4x4_l8))
         rng = np.random.default_rng(8)
         x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        bd = np.kron(np.eye(cfg_4x4_l8.j), phi.phi)
-        gain = np.sqrt(cfg_4x4_l8.m / (cfg_4x4_l8.j * np.sum(phi.phi**2)))
-        np.testing.assert_allclose(multiplex(x, phi, cfg_4x4_l8), gain * (bd @ x), atol=1e-12)
+        bd = np.kron(np.eye(cfg_4x4_l8.j), code.phi.phi)
+        gain = np.sqrt(cfg_4x4_l8.m / (cfg_4x4_l8.j * np.sum(code.phi.phi**2)))
+        np.testing.assert_allclose(multiplex(x, code), gain * (bd @ x), atol=1e-12)
 
     def test_unit_energy_per_dimension(self, cfg_4x4_l8):
         """After the gain, random unit-energy payloads give E||z||^2 = m."""
-        phi = gen_phi(cfg_4x4_l8)
+        code = Codebook(cfg_4x4_l8, gen_phi(cfg_4x4_l8))
         rng = np.random.default_rng(17)
         qpsk = np.array([1 + 1j, 1 - 1j, -1 - 1j, -1 + 1j]) / np.sqrt(2)
         total = np.mean(
             [
-                np.sum(np.abs(multiplex(qpsk[rng.integers(0, 4, 8)], phi, cfg_4x4_l8)) ** 2)
+                np.sum(np.abs(multiplex(qpsk[rng.integers(0, 4, 8)], code)) ** 2)
                 for _ in range(20_000)
             ]
         )
@@ -173,7 +174,7 @@ class TestMultiplex:
 
     def test_wrong_length_rejected(self, cfg_4x4_l8):
         with pytest.raises(DimensionMismatch):
-            multiplex(np.zeros(7), gen_phi(cfg_4x4_l8), cfg_4x4_l8)
+            multiplex(np.zeros(7), Codebook(cfg_4x4_l8, gen_phi(cfg_4x4_l8)))
 
     def test_zero_phi_rejected(self, cfg_4x4_l8):
         phi = MeasurementMatrix(np.zeros((2, 4)))
@@ -183,14 +184,14 @@ class TestMultiplex:
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
     def test_linearity(self, seed, cfg_4x4_l8):
-        phi = gen_phi(cfg_4x4_l8)
+        code = Codebook(cfg_4x4_l8, gen_phi(cfg_4x4_l8))
         rng = np.random.default_rng(seed)
         x1 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         x2 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         a, b = complex(rng.standard_normal()), complex(rng.standard_normal())
         np.testing.assert_allclose(
-            multiplex(a * x1 + b * x2, phi, cfg_4x4_l8),
-            a * multiplex(x1, phi, cfg_4x4_l8) + b * multiplex(x2, phi, cfg_4x4_l8),
+            multiplex(a * x1 + b * x2, code),
+            a * multiplex(x1, code) + b * multiplex(x2, code),
             atol=1e-10,
         )
 
@@ -198,14 +199,14 @@ class TestMultiplex:
     @settings(max_examples=30, deadline=None)
     def test_subblock_independence(self, group, seed, cfg_4x4_l8):
         """Perturbing symbols in one group only moves that output block."""
-        phi = gen_phi(cfg_4x4_l8)
+        code = Codebook(cfg_4x4_l8, gen_phi(cfg_4x4_l8))
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         x2 = x.copy()
         cols = cfg_4x4_l8.subblock_cols
         x2[group * cols : (group + 1) * cols] += rng.standard_normal(cols)
-        z1 = multiplex(x, phi, cfg_4x4_l8)
-        z2 = multiplex(x2, phi, cfg_4x4_l8)
+        z1 = multiplex(x, code)
+        z2 = multiplex(x2, code)
         rows = cfg_4x4_l8.subblock_rows
         other = slice((1 - group) * rows, (2 - group) * rows)
         np.testing.assert_array_equal(z1[other], z2[other])

@@ -183,7 +183,7 @@ class TestZfAgainstSvd:
         sigma = np.sqrt(NoiseSpec.from_snr(snr, m).sigma2 / 2.0)
         noise = sigma * (rng.standard_normal(stack + (cfg.nr,))
                          + 1j * rng.standard_normal(stack + (cfg.nr,)))
-        y = (h @ multiplex(x, code.phi, cfg)[..., None])[..., 0] + noise
+        y = (h @ multiplex(x, code)[..., None])[..., 0] + noise
 
         got = zf_equalize(y, channel) / code.gain
         want = _svd_zf(y, h, code.gain)
@@ -507,26 +507,28 @@ class TestDemux:
     def test_noiseless_end_to_end(self, pipeline, qpsk):
         """1000 random payloads through a noiseless channel come back exact."""
         cfg, phi, _ = pipeline
+        code = Codebook(cfg, phi)
         noiseless = NoiseSpec(float("inf"), 0.0)
         for t in range(1000):
             rng = np.random.default_rng([4242, t])
             bits = rng.integers(0, 2, size=16, dtype=np.uint8)
             x = qpsk.points[symbol_indices(bits, qpsk)]
-            z = multiplex(x, phi, cfg)
+            z = multiplex(x, code)
             h = sample_channel(cfg.nr, cfg.m, rng)
             y = apply_channel(h, z, noiseless, rng)
-            rec = demux(y, h, Codebook(cfg, phi))
+            rec = demux(y, h, code)
             rx_bits = qpsk.labels[nearest_point_indices(rec.x_hat, qpsk)].ravel()
             np.testing.assert_array_equal(rx_bits, bits)
 
     def test_result_reassembles_decoded_blocks(self, pipeline, qpsk):
         cfg, phi, psi = pipeline
+        code = Codebook(cfg, phi)
         rng = np.random.default_rng(77)
         x = qpsk.points[rng.integers(0, 4, size=cfg.l)]
-        z = multiplex(x, phi, cfg)
+        z = multiplex(x, code)
         h = sample_channel(cfg.nr, cfg.m, rng)
         y = apply_channel(h, z, NoiseSpec(10.0, 0.4), rng)
-        rec = demux(y, h, Codebook(cfg, phi))
+        rec = demux(y, h, code)
         np.testing.assert_array_equal(rec.x_hat, psi.T[rec.s_indices].ravel())
         assert rec.residuals.shape == (cfg.j,)
 
@@ -538,14 +540,15 @@ class TestDemux:
         """
         cfg = MuxConfig(nt=4, nr=4, l=4, j=4)
         phi = MeasurementMatrix(np.eye(1))
+        code = Codebook(cfg, phi)
         for t in range(400):
             rng = np.random.default_rng([31337, t])
             bits = rng.integers(0, 2, size=8, dtype=np.uint8)
             x = qpsk.points[symbol_indices(bits, qpsk)]
-            z = multiplex(x, phi, cfg)
+            z = multiplex(x, code)
             h = sample_channel(4, 4, rng)
             y = apply_channel(h, z, NoiseSpec(10.0, 0.4), rng)
-            rec = demux(y, h, Codebook(cfg, phi))
+            rec = demux(y, h, code)
 
             x_zf = np.linalg.inv(h.h.conj().T @ h.h) @ (h.h.conj().T @ y)
             oracle_bits = []
@@ -558,15 +561,16 @@ class TestDemux:
     def test_deep_noise_gives_chance_level(self, pipeline, qpsk):
         """At -60 dB the decisions are effectively random: BER near 1/2."""
         cfg, phi, _ = pipeline
+        code = Codebook(cfg, phi)
         errs = bits_total = 0
         for t in range(700):
             rng = np.random.default_rng([91, t])
             bits = rng.integers(0, 2, size=16, dtype=np.uint8)
             x = qpsk.points[symbol_indices(bits, qpsk)]
-            z = multiplex(x, phi, cfg)
+            z = multiplex(x, code)
             h = sample_channel(cfg.nr, cfg.m, rng)
             y = apply_channel(h, z, NoiseSpec.from_snr(-60.0, cfg.m), rng)
-            rec = demux(y, h, Codebook(cfg, phi))
+            rec = demux(y, h, code)
             rx_bits = qpsk.labels[nearest_point_indices(rec.x_hat, qpsk)].ravel()
             errs += int(np.sum(rx_bits != bits))
             bits_total += bits.size
@@ -580,15 +584,16 @@ class TestDemux:
         block to rounding.
         """
         cfg, phi, psi = pipeline
+        code = Codebook(cfg, phi)
         rotations = np.array([1.0, 1j, -1.0, -1j])
         for t in range(100):
             rng = np.random.default_rng([55, t])
             x = qpsk.points[rng.integers(0, 4, size=cfg.l)]
-            z = multiplex(x, phi, cfg)
+            z = multiplex(x, code)
             h = sample_channel(cfg.nr, cfg.m, rng)
             y = apply_channel(h, z, NoiseSpec(float("inf"), 0.0), rng)
-            ml = demux(y, h, Codebook(cfg, phi), solver="ml")
-            omp = demux(y, h, Codebook(cfg, phi), solver="omp")
+            ml = demux(y, h, code, solver="ml")
+            omp = demux(y, h, code, solver="omp")
             for k_ml, k_omp in zip(ml.s_indices, omp.s_indices):
                 twins = rotations[:, None] * psi[:, k_ml][None, :]
                 match = np.isclose(twins, psi[:, k_omp][None, :]).all(axis=1)
@@ -608,7 +613,7 @@ class TestDemux:
         cfg = cfg_2x2_l4
         code = Codebook(cfg, gen_phi(cfg))
         h = sample_channel(cfg.nr, cfg.m, np.random.default_rng(0))
-        y = apply_channel(h, multiplex(qpsk.points[:cfg.l], code.phi, cfg),
+        y = apply_channel(h, multiplex(qpsk.points[:cfg.l], code),
                           NoiseSpec.from_snr(20.0, cfg.m), np.random.default_rng(1))
         with pytest.raises(BadSubblockShape, match=r"^omp needs m/j >= 2: [^\n]*$"):
             demux(y, h, code, solver="omp")
@@ -774,20 +779,21 @@ class TestStackedTrials:
     @pytest.mark.parametrize("solver", ["ml", "omp", "oneshot"])
     def test_stack_equals_single_trials(self, pipeline, qpsk, solver):
         cfg, phi, _ = pipeline
+        code = Codebook(cfg, phi)
         x, h = self._trials(cfg, qpsk)
         noise = NoiseSpec.from_snr(5.0, cfg.m)
-        z = multiplex(x.reshape(self.STACK + (cfg.l,)), phi, cfg)
+        z = multiplex(x.reshape(self.STACK + (cfg.l,)), code)
         channel = ChannelRealization(h.reshape(self.STACK + h.shape[1:]))
         y = np.stack([
-            apply_channel(ChannelRealization(h[t]), multiplex(x[t], phi, cfg), noise,
+            apply_channel(ChannelRealization(h[t]), multiplex(x[t], code), noise,
                           np.random.default_rng([8, t]))
             for t in range(6)
         ]).reshape(self.STACK + (cfg.nr,))
-        rec = demux(y, channel, Codebook(cfg, phi), solver=solver)
+        rec = demux(y, channel, code, solver=solver)
         for t, at in enumerate(np.ndindex(self.STACK)):
             single = ChannelRealization(h[t])
-            one = demux(y[at], single, Codebook(cfg, phi), solver=solver)
-            np.testing.assert_array_equal(z[at], multiplex(x[t], phi, cfg))
+            one = demux(y[at], single, code, solver=solver)
+            np.testing.assert_array_equal(z[at], multiplex(x[t], code))
             for got, want in zip(
                 (rec.s_indices, rec.x_indices, rec.x_hat, rec.residuals),
                 (one.s_indices, one.x_indices, one.x_hat, one.residuals),
@@ -877,7 +883,7 @@ class TestPointIndices:
         sigma = np.sqrt(NoiseSpec.from_snr(snr, m).sigma2 / 2.0)
         noise = sigma * (rng.standard_normal(stack + (m,))
                          + 1j * rng.standard_normal(stack + (m,)))
-        y = (h @ multiplex(x, code.phi, cfg)[..., None])[..., 0] + noise
+        y = (h @ multiplex(x, code)[..., None])[..., 0] + noise
 
         rec = demux(y, ChannelRealization(h), code, solver=solver)
         assert rec.x_indices.shape == rec.x_hat.shape == stack + (cfg.l,)
@@ -906,7 +912,14 @@ def _joint_ml_oracle(y, h, phi, psi, cfg):
     return digits[:, n], float(np.sqrt(metric[n]))
 
 
-def _oneshot_reference(y, h, code, cap=1 << 20):
+def _oneshot_capped(y, h, code, cap):
+    """``demux``'s ``oneshot`` search with its budget set to ``cap``
+    candidates per trial."""
+    with mock.patch.object(detection, "_ONESHOT_CAP", cap):
+        return demux(y, h, code, solver="oneshot")
+
+
+def _oneshot_reference(y, h, code, cap=detection._ONESHOT_CAP):
     """``demux``'s ``oneshot`` branch one trial at a time through the
     recursive :func:`_sphere_search_reference`: ``(indices, residuals,
     nodes)`` with the leading trial axes of ``h``."""
@@ -986,6 +999,7 @@ def _joint_cases(draw, stack=(), exact_copies=False):
     cfg = MuxConfig(nt=m, nr=max(nr, m), l=j * cols, j=j,
                     phi_seed=draw(st.integers(0, 2**32 - 1)), constellation=name)
     phi = gen_phi(cfg)
+    code = Codebook(cfg, phi)
     psi = build_dictionary(get_constellation(name), cols)
     defects = [None, "zero", "copy"] + (["plain copy"] if exact_copies else [])
     ys, hs = [], []
@@ -1006,7 +1020,7 @@ def _joint_cases(draw, stack=(), exact_copies=False):
             # swapped candidates tie exactly, leaving the index to rounding.
             h[:, dst] = (rng.standard_normal() + 1j * rng.standard_normal()) * h[:, src]
         h = ChannelRealization(h)
-        ys.append(apply_channel(h, multiplex(x, phi, cfg), NoiseSpec.from_snr(snr, m), rng))
+        ys.append(apply_channel(h, multiplex(x, code), NoiseSpec.from_snr(snr, m), rng))
         hs.append(h.h)
     y = np.reshape(ys, stack + (nr,))
     return cfg, y, ChannelRealization(np.reshape(hs, stack + (nr, m))), phi, psi
@@ -1045,7 +1059,7 @@ class TestOneshot:
                                     (rec.s_indices, rec.x_hat, rec.residuals)):
                 np.testing.assert_array_equal(got, stacked[t])
         searches = (lambda cap: _oneshot_reference(y, h, code, cap),
-                    lambda cap: demux(y, h, code, solver="oneshot", oneshot_cap=cap))
+                    lambda cap: _oneshot_capped(y, h, code, cap))
         drawn = data.draw(st.lists(st.integers(0, int(nodes.max() + 1) * d), max_size=3))
         for cap in {n * d + edge for n in nodes.tolist() for edge in (-1, 0)} | set(drawn):
             for search in searches:
@@ -1070,11 +1084,11 @@ class TestOneshot:
         h = ChannelRealization(np.eye(j))
         want, residual, visited = _oneshot_reference(y, h, code)
         assert want.tolist() == [2, 1, 3][: j - 1] + [0] and visited == nodes
-        rec = demux(y, h, code, solver="oneshot", oneshot_cap=nodes * 4)
+        rec = _oneshot_capped(y, h, code, nodes * 4)
         np.testing.assert_array_equal(rec.s_indices, want)
         np.testing.assert_array_equal(rec.residuals, residual)
         with pytest.raises(DictionaryTooLarge):
-            demux(y, h, code, solver="oneshot", oneshot_cap=nodes * 4 - 1)
+            _oneshot_capped(y, h, code, nodes * 4 - 1)
 
     def test_rank_orders_ties_as_a_stable_sort(self):
         """``_rank`` sorts with the default sort and sorts again, stably,
@@ -1090,14 +1104,15 @@ class TestOneshot:
 
     def test_residual_is_direct_norm(self, qpsk, pipeline):
         cfg, phi, _ = pipeline
+        code = Codebook(cfg, phi)
         g = transmit_gain(phi, cfg)
         for t in range(200):
             rng = np.random.default_rng([31, t])
             x = qpsk.points[rng.integers(0, 4, size=cfg.l)]
             h = sample_channel(cfg.nr, cfg.m, rng)
             snr = float("inf") if t % 2 else 40.0 * rng.random()
-            y = apply_channel(h, multiplex(x, phi, cfg), NoiseSpec.from_snr(snr, cfg.m), rng)
-            rec = demux(y, h, Codebook(cfg, phi), solver="oneshot")
+            y = apply_channel(h, multiplex(x, code), NoiseSpec.from_snr(snr, cfg.m), rng)
+            rec = demux(y, h, code, solver="oneshot")
             z_hat = (rec.x_hat.reshape(cfg.j, -1) @ phi.phi.T).ravel() * g
             direct = np.linalg.norm(y - h.h @ z_hat)
             if t % 2:
@@ -1109,17 +1124,17 @@ class TestOneshot:
         """Every budget either raises or returns the unbudgeted answer."""
         cfg = MuxConfig(nt=4, nr=4, l=8, j=4, phi_seed=5)
         phi = gen_phi(cfg)
+        code = Codebook(cfg, phi)
         d = qpsk.order**cfg.subblock_cols
         rng = np.random.default_rng(8)
         h = sample_channel(cfg.nr, cfg.m, rng)
-        y = apply_channel(h, multiplex(qpsk.points[rng.integers(0, 4, size=8)], phi, cfg),
+        y = apply_channel(h, multiplex(qpsk.points[rng.integers(0, 4, size=8)], code),
                           NoiseSpec.from_snr(-5.0, cfg.m), rng)
-        full = demux(y, h, Codebook(cfg, phi), solver="oneshot")
+        full = demux(y, h, code, solver="oneshot")
         raised = 0
         for cap in range(d, 64 * d, d):
             try:
-                rec = demux(y, h, Codebook(cfg, phi), solver="oneshot",
-                            oneshot_cap=cap)
+                rec = _oneshot_capped(y, h, code, cap)
             except DictionaryTooLarge:
                 raised += 1
                 continue
@@ -1150,14 +1165,15 @@ class TestOneshot:
     def test_noiseless_exact(self, qpsk, cfg_2x2_l4):
         cfg = cfg_2x2_l4
         phi = gen_phi(cfg)
+        code = Codebook(cfg, phi)
         for t in range(300):
             rng = np.random.default_rng([12, t])
             bits = rng.integers(0, 2, size=8, dtype=np.uint8)
             x = qpsk.points[symbol_indices(bits, qpsk)]
-            z = multiplex(x, phi, cfg)
+            z = multiplex(x, code)
             h = sample_channel(cfg.nr, cfg.m, rng)
             y = apply_channel(h, z, NoiseSpec(float("inf"), 0.0), rng)
-            rec = demux(y, h, Codebook(cfg, phi), solver="oneshot")
+            rec = demux(y, h, code, solver="oneshot")
             rx_bits = qpsk.labels[nearest_point_indices(rec.x_hat, qpsk)].ravel()
             np.testing.assert_array_equal(rx_bits, bits)
             assert rec.residuals.shape == (1,)
@@ -1166,15 +1182,16 @@ class TestOneshot:
         """Both solvers pick the same candidates when noise is small."""
         cfg = cfg_2x2_l4
         phi = gen_phi(cfg)
+        code = Codebook(cfg, phi)
         agree = 0
         for t in range(300):
             rng = np.random.default_rng([13, t])
             x = qpsk.points[rng.integers(0, 4, size=cfg.l)]
-            z = multiplex(x, phi, cfg)
+            z = multiplex(x, code)
             h = sample_channel(cfg.nr, cfg.m, rng)
             y = apply_channel(h, z, NoiseSpec.from_snr(35.0, cfg.m), rng)
-            one = demux(y, h, Codebook(cfg, phi), solver="oneshot")
-            two = demux(y, h, Codebook(cfg, phi), solver="ml")
+            one = demux(y, h, code, solver="oneshot")
+            two = demux(y, h, code, solver="ml")
             agree += int(np.array_equal(one.s_indices, two.s_indices))
         assert agree >= 290
 
@@ -1183,4 +1200,4 @@ class TestOneshot:
         phi = gen_phi(cfg)
         h = sample_channel(cfg.nr, cfg.m, np.random.default_rng(0))
         with pytest.raises(DictionaryTooLarge):
-            demux(np.zeros(2), h, Codebook(cfg, phi), solver="oneshot", oneshot_cap=10)
+            _oneshot_capped(np.zeros(2), h, Codebook(cfg, phi), 10)

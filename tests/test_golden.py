@@ -26,9 +26,9 @@ from csmimo.spec import read_config, spec_from_dict
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# case name -> (recipe, solver, baseline, constellation, j), j None for the
-# recipe's own; each recipe keeps its own seeds and early-stop threshold, so
-# the 0 dB rows also pin the early-stop index.
+# case name -> (recipe, solver, baseline, constellation, fields), fields the
+# recipe values the case replaces; each recipe keeps its own seeds and
+# early-stop threshold, so the 0 dB rows also pin the early-stop index.
 # - (2,2)-4 has one-row sub-blocks: its ml sweep is the QPSK path whose
 #   decided point indices demux hands straight to the bit-error count, and
 #   the spec rejects omp there, since every column ties on |z|.
@@ -45,7 +45,7 @@ GOLDEN = Path(__file__).parent / "golden"
 #   0.16 to 0.39 the early stop comes fast), so the property test of the
 #   stacked omp pick against recover_subblock_omp is that path's main guard.
 CASES = {
-    f"{recipe}_{mode}": (recipe, solver, baseline, "qpsk", None)
+    f"{recipe}_{mode}": (recipe, solver, baseline, "qpsk", {})
     for recipe in ("mimo2x2_l4", "mimo4x4_l8", "mimo20x20_l40")
     for mode, solver, baseline in (
         ("ml", "ml", None),
@@ -65,7 +65,7 @@ CASES = {
 # level tuples in its analyze golden.
 CASES.update(
     {
-        f"{recipe}_qam16_ml": (recipe, "ml", None, "qam16", None)
+        f"{recipe}_qam16_ml": (recipe, "ml", None, "qam16", {})
         for recipe in ("mimo2x2_l4", "mimo4x4_l8")
     }
 )
@@ -73,19 +73,30 @@ CASES.update(
 # n = 8 and n = 10 symbols; at J = 4 the ml half-scans score 2**10 level
 # tuples, within the cap of 65536 that the 4**10 dictionary columns of omp
 # and oneshot exceed
-CASES.update({f"mimo20x20_l40_j{j}_ml": ("mimo20x20_l40", "ml", None, "qpsk", j) for j in (5, 4)})
+CASES.update(
+    {f"mimo20x20_l40_j{j}_ml": ("mimo20x20_l40", "ml", None, "qpsk", {"j": j}) for j in (5, 4)}
+)
+# tall channels: (4,4)-8 with nr = 8 receive antennas, the only goldens
+# whose 8 x 4 channels take the pseudo-inverse's tall branch, for the
+# scheme's ml and oneshot receivers and the zf baseline
+CASES.update(
+    {
+        f"mimo4x4_l8_nr8_{mode}": ("mimo4x4_l8", solver, baseline, "qpsk", {"nr": 8})
+        for mode, solver, baseline in (
+            ("ml", "ml", None), ("zf", "ml", "zf"), ("oneshot", "oneshot", None)
+        )
+    }
+)
 
 
 def case_config(name: str) -> dict:
     """The config-file fields of case ``name``: its recipe with the case's
-    solver, baseline, constellation and ``j``, at 0, 10 and 20 dB and 300
+    solver, baseline, constellation and fields, at 0, 10 and 20 dB and 300
     trials."""
-    recipe, solver, baseline, constellation, j = CASES[name]
+    recipe, solver, baseline, constellation, fields = CASES[name]
     raw = read_config(recipe_path(f"{recipe}.json"))
     raw.update(solver=solver, baseline=baseline, constellation=constellation,
-               snr_db=[0, 10, 20], trials=300)
-    if j is not None:
-        raw["j"] = j
+               snr_db=[0, 10, 20], trials=300, **fields)
     return raw
 
 

@@ -300,7 +300,7 @@ class TestBlockWidth:
             with pytest.raises(DictionaryTooLarge, match=message):
                 detection.demux(np.zeros(4), sample_channel(4, 4, np.random.default_rng(0)),
                                 code, solver=solver)
-            assert not {"iq_scan", "dictionary", "sensing"} & set(vars(code))
+            assert not {"iq_images", "iq_scan", "dictionary", "sensing"} & set(vars(code))
         for baseline in ("zf", "overload"):
             spec = small_spec(config=cfg, baseline=baseline, trials=20, early_stop_errors=0)
             assert run_sweep(spec).rows[0].trials == 20
@@ -403,7 +403,7 @@ class TestBaselines:
         for snr, chunk in zip(spec.snr_db, chunks, strict=True):
             for t in range(spec.trials):
                 rng = np.random.default_rng([seed, t])
-                x = c.points[symbol_indices(rng.integers(0, 2, size=drawn.tx_bits.shape[1],
+                x = c.points[symbol_indices(rng.integers(0, 2, size=spec.streams * c.bits_per_symbol,
                                                          dtype=np.uint8), c)]
                 h = sample_channel(cfg.nr, m, rng)
                 while not channel_is_usable(h):
@@ -430,8 +430,9 @@ class TestBaselines:
         prep = harness._prepare(spec)
         drawn = harness._draw_chunk(prep, 0, spec.trials)
         chunk, = harness._detect(prep, drawn, [(2, spec.trials, snr_db)])
-        rx_bits = prep.modem.labels[chunk.rx_idx].reshape(spec.trials - 2, -1)
-        np.testing.assert_array_equal(chunk.bit_errors, (drawn.tx_bits[2:] != rx_bits).sum(axis=1))
+        tx_bits, rx_bits = (prep.modem.labels[idx].reshape(spec.trials - 2, -1)
+                            for idx in (drawn.tx_idx[2:], chunk.rx_idx))
+        np.testing.assert_array_equal(chunk.bit_errors, (tx_bits != rx_bits).sum(axis=1))
 
     def test_baseline_helpers(self):
         """Both baselines slice the ZF estimate and build no codebook."""

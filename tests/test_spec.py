@@ -1,10 +1,12 @@
 """Tests of the input boundary: declared ranges, one-line ``SpecError``s, and
 a fuzz over config dicts and ``csmimo simulate`` argv."""
 
+import ast
 import json
 import string
 from dataclasses import replace
 from decimal import Decimal
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import recipe_path
+import csmimo
 from csmimo import harness
 from csmimo.cli import main
 from csmimo.errors import BadSubblockShape, CsmimoError, SpecError
@@ -279,3 +282,33 @@ def test_fuzz_simulate_argv(tmp_path, capsys, name, flags, data):
     else:
         assert rc == 2 and err.startswith("csmimo: error: ") and err.count("\n") == 1
         assert not out.exists()
+
+
+# the package's raises of a plain ValueError or TypeError, as (module,
+# innermost function, exception): none is a caller-input error
+PLAIN_RAISES = sorted([
+    ("channel.py", "__getitem__", "TypeError"),  # Python's indexing convention
+    ("harness.py", "generate_state", "ValueError"),  # a guard on numpy's seeding request
+    ("spec.py", "db_point", "TypeError"),  # caught on the next line
+])
+
+
+def test_caller_input_errors_are_csmimo_errors():
+    """Every other error the package raises on bad input is a
+    ``CsmimoError``, which ``csmimo`` prints in one line: no module raises
+    a plain ``ValueError`` or ``TypeError`` outside :data:`PLAIN_RAISES`."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in ("ValueError", "TypeError"):
+                found.append((path.name, where, exc.id))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(Path(csmimo.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    assert sorted(found) == PLAIN_RAISES
