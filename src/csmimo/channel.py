@@ -226,6 +226,12 @@ class NoiseSpec:
         snr = db_point("snr_db", snr_db)
         return cls(snr, float(rx_energy) / 10.0 ** (snr / 10.0))
 
+    @property
+    def scale(self) -> float:
+        """``sqrt(sigma2/2)``, the standard deviation of each real part of
+        the noise: the factor :func:`noisy` puts on :func:`unit_noise`."""
+        return np.sqrt(self.sigma2 / 2.0)
+
 
 def sample_channel(nr: int, m_tx: int, rng: np.random.Generator) -> ChannelRealization:
     """Draw an nr x m_tx matrix of i.i.d. circularly-symmetric CN(0, 1) gains."""
@@ -239,7 +245,11 @@ def gains(normals: np.ndarray, nr: int, m_tx: int) -> np.ndarray:
     standard normals per trial: the real parts row by row, then the
     imaginary parts, as :func:`sample_channel` draws them."""
     k = nr * m_tx
-    h = (normals[..., :k] + 1j * normals[..., k:]) * np.sqrt(0.5)
+    # both parts scaled into one complex array, bit for bit (re + 1j·im)·√½
+    # but for the sign of a normal that is exactly 0
+    h = np.empty(normals.shape[:-1] + (k,), dtype=np.complex128)
+    np.multiply(normals[..., :k], np.sqrt(0.5), out=h.real)
+    np.multiply(normals[..., k:], np.sqrt(0.5), out=h.imag)
     return h.reshape(normals.shape[:-1] + (nr, m_tx))
 
 
@@ -271,5 +281,5 @@ def noisy(hz: np.ndarray, noise: NoiseSpec, unit: np.ndarray) -> np.ndarray:
     ``hz = h @ z`` the received vectors.  A caller that sends the same
     vectors through the same channels at several SNR points forms ``hz``
     and ``unit`` once."""
-    return hz + np.sqrt(noise.sigma2 / 2.0) * unit
+    return hz + noise.scale * unit
 

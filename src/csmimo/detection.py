@@ -1,10 +1,11 @@
 """Receiver chain: ZF equalization followed by per-sub-block sparse recovery.
 
 The practical receiver works in two steps.  Zero-forcing equalization
-restores the compressed transmit vector, which is then split into
-sub-blocks; each sub-block is matched against the exhaustive candidate
-dictionary through the compression matrix, which transmitter and receiver
-share as one :class:`Codebook`.  Every sub-block is exactly 1-sparse over
+(:func:`zf_equalize`) restores the compressed transmit vector, and
+:func:`demux` splits that estimate into sub-blocks; each sub-block is
+matched against the exhaustive candidate dictionary through the
+compression matrix, which transmitter and receiver share as one
+:class:`Codebook`.  Every sub-block is exactly 1-sparse over
 that dictionary, so a minimum-residual scan solves the l0 problem exactly.
 The matrix is real and both alphabets are the product set of their I/Q
 levels, so the scan of the ``q**n`` columns splits into two scans of the
@@ -23,14 +24,18 @@ is formed only when read.
 
 The channel's pseudo-inverse, which ZF and the usability check read, its
 usability flags and the QR of the one-shot search are cached on the
-:class:`ChannelRealization`, each made once per stack of channels: callers
-that detect the same channels at several SNR points pass the same object,
-or slices or gathered rows of it, to every point.  ZF is one stacked product with the
-pseudo-inverse.  The usability check clears a well-conditioned channel on
-the Frobenius norms of the channel and its pseudo-inverse and takes
-singular values only of a channel that this bound does not clear, so a
-sweep without a near-singular channel makes no SVD; the channel's
-condition number is computed from singular values only when read.
+:class:`ChannelRealization`, each made once per stack of channels: a
+one-shot caller that detects the same channels at several SNR points
+passes the same object, or slices or gathered rows of it, to every point.
+ZF is one stacked product with the pseudo-inverse, and it is linear:
+``H⁺(Hz + s·u) = z + s·H⁺u``, so a caller that detects the same sent
+vectors ``z`` and unit noise ``u`` at several noise scales ``s`` equalizes
+``u`` once and hands :func:`demux` ``z + s·H⁺u`` at each.  The usability
+check clears a well-conditioned channel on the Frobenius norms of the
+channel and its pseudo-inverse and takes singular values only of a
+channel that this bound does not clear, so a sweep without a
+near-singular channel makes no SVD; the channel's condition number is
+computed from singular values only when read.
 """
 
 from __future__ import annotations
@@ -318,21 +323,23 @@ def recover_subblock_omp(z_hat_j: np.ndarray, sensing: np.ndarray) -> tuple[int,
     return k, complex(corr[k] / norms[k] ** 2)
 
 
-def demux(y: np.ndarray, h: ChannelRealization, code: Codebook,
-          solver: str = "ml") -> RecoveryResult:
-    """Full receiver: equalize, split into sub-blocks, recover, decide points.
+def demux(y: np.ndarray, code: Codebook, solver: str = "ml", *,
+          h: ChannelRealization | None = None) -> RecoveryResult:
+    """Sparse recovery of every sub-block, then the decided points.
 
-    The two-step solvers divide the :func:`zf_equalize` estimate by
+    The two-step solvers ``ml`` and ``omp`` take the ``(..., m)``
+    :func:`zf_equalize` estimate ``y`` and no channel; they divide it by
     ``code.gain``, the transmit power normalization, before they split it.
-    ``code`` holds the setup's matrix and what derives from it; a caller
-    that detects many trials builds it once.  A stack of channels takes
-    ``y`` of shape ``(..., nr)`` and detects every trial in one pass, bit
-    for bit as one at a time.  ``solver`` picks the per-sub-block recovery:
-    exact scan of all blocks at once as two real half-scans of the I/Q
-    level tuples (``ml``), greedy (``omp`` with one atom), or exact joint
-    ML on the unequalized receive vector by block sphere search
-    (``oneshot``), whose cost falls with SNR and which raises
-    :class:`DictionaryTooLarge` past ``_ONESHOT_CAP`` candidates a trial.
+    ``oneshot`` takes the ``(..., nr)`` receive vector ``y`` and its
+    channel ``h``.  ``code`` holds the setup's matrix and what derives from
+    it; a caller that detects many trials builds it once.  Leading trial
+    axes detect every trial in one pass, bit for bit as one at a time.
+    ``solver`` picks the per-sub-block recovery: exact scan of all blocks
+    at once as two real half-scans of the I/Q level tuples (``ml``),
+    greedy (``omp`` with one atom), or exact joint ML on the unequalized
+    receive vector by block sphere search (``oneshot``), whose cost falls
+    with SNR and which raises :class:`DictionaryTooLarge` past
+    ``_ONESHOT_CAP`` candidates a trial.
     ``omp`` is the pick of :func:`recover_subblock_omp` for every
     block in one stacked pass, and its block estimate is the picked
     column's sub-block times the atom's least-squares coefficient, which
@@ -344,30 +351,40 @@ def demux(y: np.ndarray, h: ChannelRealization, code: Codebook,
     the production detector and OMP remains a generic cross-check.  A
     ``solver`` that :func:`block_width` refuses for ``code.cfg`` raises its
     error before any table is built: a width past ``dictionary_cap``, or
-    ``omp`` on one-row sub-blocks.  A channel that is not ``nr x m`` raises
-    :class:`DimensionMismatch`, and an unknown ``solver`` or a receive
-    vector or channel that is not finite raises :class:`SpecError` before
-    any solver runs on it.
+    ``omp`` on one-row sub-blocks.  An estimate that is not ``(..., m)``,
+    or a channel that is not ``nr x m`` for each receive vector, raises
+    :class:`DimensionMismatch`; an unknown ``solver``, a channel given to
+    ``ml`` or ``omp`` or missing for ``oneshot``, and an input that is not
+    finite raise :class:`SpecError` before any solver runs on it.
     """
     if solver not in SOLVERS:
         raise SpecError(f"unknown solver {solver!r}; choose from {SOLVERS}")
     cfg = code.cfg
     block_width(cfg, solver)
     y = np.asarray(y, dtype=np.complex128)
-    if not h.stack_shape:
-        y = y.ravel()
-    if h.h.shape != y.shape + (cfg.m,):
-        raise DimensionMismatch(
-            f"channel shape {h.h.shape} != {y.shape + (cfg.m,)} "
-            f"for {y.shape[-1]} receive and {cfg.m} transmit dimensions"
-        )
-    if not np.isfinite(y).all():
-        raise SpecError("receive vector and channel must be finite")
     if solver == "oneshot":
+        if h is None:
+            raise SpecError("oneshot reads the receive vector and needs its channel h")
+        if not h.stack_shape:
+            y = y.ravel()
+        if h.h.shape != y.shape + (cfg.m,):
+            raise DimensionMismatch(
+                f"channel shape {h.h.shape} != {y.shape + (cfg.m,)} "
+                f"for {y.shape[-1]} receive and {cfg.m} transmit dimensions"
+            )
+        if not np.isfinite(y).all():
+            raise SpecError("receive vector and channel must be finite")
         return _demux_oneshot(y, h, code)
+    if h is not None:
+        raise SpecError(f"{solver} reads the ZF estimate and takes no channel h")
+    if y.shape[-1:] != (cfg.m,):
+        raise DimensionMismatch(f"ZF estimate of shape {y.shape} is not (..., m) for m = {cfg.m}")
+    if not np.isfinite(y).all():
+        raise SpecError("ZF estimate must be finite")
 
-    blocks = (zf_equalize(y, h) / code.gain).reshape(h.stack_shape + (cfg.j, cfg.subblock_rows))
-    c, n, shape = code.alphabet, cfg.subblock_cols, h.stack_shape + (cfg.l,)
+    stack = y.shape[:-1]
+    blocks = (y / code.gain).reshape(stack + (cfg.j, cfg.subblock_rows))
+    c, n, shape = code.alphabet, cfg.subblock_cols, stack + (cfg.l,)
     if solver == "ml":
         x_indices, residuals = _ml_split(blocks, code)
         return RecoveryResult(x_indices.reshape(shape), {

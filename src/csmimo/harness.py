@@ -24,16 +24,23 @@ channel, which takes singular values only of a channel whose Frobenius
 bound on the condition number does not clear it.  A trial whose first
 channel is not usable is replayed from a fresh
 ``default_rng([master_seed, t])``: bits, channel, redraws, then noise.
-The chunk is sent through its channels once, and each point only scales
-the chunk's noise and adds it (:func:`noisy`).
+The chunk is put once in the receiver's own space, where a point only
+scales the chunk's unit noise ``u`` by its ``s = sqrt(sigma2/2)``, made
+once per sweep, and adds it.  ZF is linear, ``H⁺(Hz + s·u) = z + s·H⁺u``,
+so the ZF receivers (the ``ml`` and ``omp`` solvers and both baselines)
+keep the sent vectors ``z``, equalize the noise once per chunk,
+``w = H⁺u``, and detect ``z + s·w`` at every point: the ZF estimate of the
+receive vector to rounding, and at a noiseless point exactly ``z``.  The
+``oneshot`` search reads the receive vector itself, so it keeps ``Hz`` and
+``u`` and detects ``Hz + s·u`` (:func:`~csmimo.channel.noisy`).
 Each SNR point still running then walks the chunk in slices of its own
 size.  The slices run in passes: a pass stacks the next slice of every
 point still walking the chunk, up to the working-set budget, and runs the
 same receiver functions a single trial uses once on the stack, so every
-decision is bit for bit the one-at-a-time result.  A pass's channels are
-a slice or gathered rows of the chunk's :class:`ChannelRealization` and
-share what it caches (the pseudo-inverse and usability flags for ZF, the
-QR for the ``oneshot`` search), so each is made once per chunk.  A
+decision is bit for bit the one-at-a-time result.  The pseudo-inverse and
+usability flags of the chunk's :class:`ChannelRealization` are made once,
+when the chunk is drawn; a ``oneshot`` pass reads a slice or gathered rows
+of it, which share its QR, so that too is made once per chunk.  A
 point's slices follow from a fixed working-set budget and from its own
 early-stop progress, never from the other points or the passes, and the
 chunk is the largest slice any running point asks for at its start.  A
@@ -56,6 +63,7 @@ columns fails even without noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
 from math import ceil, sqrt
 from pathlib import Path
@@ -63,7 +71,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ChannelRealization, NoiseSpec, gains, noisy, sample_channel, unit_noise
+from .channel import ChannelRealization, NoiseSpec, gains, sample_channel, unit_noise
 from .channel import apply_channel  # noqa: F401  (perfbench traces it by this name)
 from .csmux import MuxConfig, gen_phi, multiplex
 from .detection import _CHUNK_BYTES, Codebook, channel_is_usable, demux, zf_equalize
@@ -82,7 +90,8 @@ _WILSON_Z = 1.959963984540054
 
 # A fixed allowance per trial, within the working-set budget _CHUNK_BYTES,
 # for what _chunk_cap does not count by shape: the trial's bits, symbols,
-# normals drawn, and transmit and receive vectors.
+# normals drawn, its sent vector and unit noise in the receiver's space,
+# and the vector a pass detects.
 _TRIAL_BYTES = 2048
 
 
@@ -178,16 +187,20 @@ def wilson_interval(errors: int, total: int) -> tuple[float, float]:
 class _Prepared:
     """Per-sweep precomputation shared by all trials.
 
-    ``code`` is the scheme's; a baseline has none, since it slices the ZF
-    estimate directly, and has instead its ``spread`` ``S``, which is
-    ``None`` for the scheme.  ``chunk_cap`` is the most trials whose stacked
-    arrays fit in ``_CHUNK_BYTES``.
+    ``code`` and ``solver`` are the scheme's; a baseline has neither, since
+    it slices the ZF estimate directly, and has instead its ``spread``
+    ``S``, which is ``None`` for the scheme.  ``chunk_cap`` is the most
+    trials whose stacked arrays fit in ``_CHUNK_BYTES``.  ``noise_scale``
+    holds :attr:`NoiseSpec.scale`, ``sqrt(sigma2/2)``, of every SNR point,
+    in grid order.
     """
 
     spec: ExperimentSpec
     modem: Constellation
     code: Codebook | None
+    solver: str | None
     chunk_cap: int
+    noise_scale: tuple[float, ...]
     spread: np.ndarray | None = None
 
 
@@ -204,7 +217,8 @@ def _chunk_cap(cfg: MuxConfig, solver: str | None) -> int:
     walks its slice in blocks of trials that each bound them by
     ``_CHUNK_BYTES`` of their own (see ``detection._demux_oneshot``).
     Complex entries count 16 B.  ``None`` is a baseline, which slices its
-    ZF estimate and holds nothing more."""
+    ZF estimate and holds nothing more.  The ZF receivers read the channel
+    and its pseudo-inverse only to equalize the chunk's noise once."""
     nr, m = cfg.nr, cfg.m
     entries = 2 * nr * m
     if solver == "oneshot":
@@ -217,24 +231,28 @@ def _chunk_cap(cfg: MuxConfig, solver: str | None) -> int:
 def _prepare(spec: ExperimentSpec) -> _Prepared:
     cfg = spec.config
     c = get_constellation(cfg.constellation)
+    scale = tuple(NoiseSpec.from_snr(snr, float(cfg.m)).scale for snr in spec.snr_db)
     if spec.baseline:
         copies = spec.streams // cfg.m
         spread = np.hstack([np.eye(cfg.m)] * copies) / np.sqrt(copies)
-        return _Prepared(spec, c, None, _chunk_cap(cfg, None), spread)
+        return _Prepared(spec, c, None, None, _chunk_cap(cfg, None), scale, spread)
     code = Codebook(cfg, gen_phi(cfg))
-    return _Prepared(spec, c, code, _chunk_cap(cfg, spec.solver))
+    return _Prepared(spec, c, code, spec.solver, _chunk_cap(cfg, spec.solver), scale)
 
 
 class _Drawn(NamedTuple):
     """What a chunk of ``n`` trials sends, the same at every SNR point:
     symbol indices ``(n, streams)``, whose labels are the trials' bits,
-    usable channels, noiseless receive vectors ``h z`` ``(n, nr)``, the
-    :func:`unit_noise` of the noise normals ``(n, nr)`` and redraws per
-    trial."""
+    usable channels, and the sent vectors and unit noise in the receiver's
+    own space, so that a point of noise scale ``s`` detects
+    ``sent + s·noise``, and redraws per trial.  The ZF receivers hold the
+    transmit vectors ``z`` ``(n, m)`` and the equalized noise ``H⁺u``; the
+    ``oneshot`` search, which reads the receive vector, holds ``h z`` and
+    the :func:`unit_noise` ``u`` of the noise normals, ``(n, nr)`` each."""
 
     tx_idx: np.ndarray
     channel: ChannelRealization
-    hz: np.ndarray
+    sent: np.ndarray
     noise: np.ndarray
     redraws: np.ndarray
 
@@ -320,17 +338,26 @@ def _trial_seeds(seed: int, t0: int, n: int) -> np.ndarray:
     return _pcg64_seeds(entropy)
 
 
-class _SeedWords(NamedTuple):
-    """A trial's hashed seed ``words``, a C-contiguous ``(4,)`` uint64 row,
-    as the seed sequence ``np.random.PCG64`` reads its state from;
-    :func:`_draw` registers the class as numpy's ``ISeedSequence``."""
+@cache
+def _seed_words() -> type:
+    """numpy's ``ISeedSequence`` subclass that holds a trial's hashed seed
+    ``words``, a C-contiguous ``(4,)`` uint64 row, as the seed sequence
+    ``np.random.PCG64`` reads its state from.  Made at the first draw, not
+    at import, so that ``import csmimo`` loads no ``numpy.random``."""
 
-    words: np.ndarray
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        __slots__ = ("words",)
 
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError(f"seed words are 4 uint64, not {n_words} {np.dtype(dtype)}")
-        return self.words
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            # PCG64 passes np.uint64 itself: the identity spares np.dtype
+            if n_words != 4 or dtype is not np.uint64 and np.dtype(dtype) != np.uint64:
+                raise ValueError(f"seed words are 4 uint64, not {n_words} {np.dtype(dtype)}")
+            return self.words
+
+    return SeedWords
 
 
 def _draw(seed: int, t0: int, n: int, nbits: int, nr: int, m_tx: int) -> tuple[np.ndarray, ...]:
@@ -350,16 +377,14 @@ def _draw(seed: int, t0: int, n: int, nbits: int, nr: int, m_tx: int) -> tuple[n
     at the next 64-bit output, so ``ceil(nbits/8)`` raw outputs hold the
     bits.
     """
-    # registered here, not at import, so that import csmimo loads no
-    # numpy.random; registering again is a no-op
-    np.random.bit_generator.ISeedSequence.register(_SeedWords)
+    seed_words, pcg64, generator = _seed_words(), np.random.PCG64, np.random.Generator
     k, words = nr * m_tx, -(-nbits // 8)
     raw = np.empty((n, words), dtype="<u8")
     normals = np.empty((n, 2 * k + 2 * nr))
     for i, trial_words in enumerate(_trial_seeds(seed, t0, n)):
-        bitgen = np.random.PCG64(_SeedWords(trial_words))
+        bitgen = pcg64(seed_words(trial_words))
         raw[i] = bitgen.random_raw(words)
-        np.random.Generator(bitgen).standard_normal(out=normals[i])
+        generator(bitgen).standard_normal(out=normals[i])
     bits = raw.view(np.uint8)[:, :nbits] >> 7
     return bits, gains(normals[:, : 2 * k], nr, m_tx), normals[:, 2 * k :]
 
@@ -383,7 +408,9 @@ def _replay(
 
 def _draw_chunk(prep: _Prepared, t0: int, n: int) -> _Drawn:
     """Trials ``t0 .. t0+n-1`` drawn, modulated, multiplexed (or spread by
-    a baseline) and sent through their usable channels."""
+    a baseline) and put in the receiver's space: the ZF receivers keep the
+    sent vectors and equalize the unit noise once through the usable
+    channels, and ``oneshot`` sends the vectors through them."""
     spec, cfg, c = prep.spec, prep.spec.config, prep.modem
     nbits = spec.streams * c.bits_per_symbol
     tx_bits, h, normals = _draw(spec.master_seed, t0, n, nbits, cfg.nr, cfg.m)
@@ -400,37 +427,41 @@ def _draw_chunk(prep: _Prepared, t0: int, n: int) -> _Drawn:
         h[i], normals[i], redraws[i] = _replay(spec.master_seed, t0 + i, nbits, cfg.nr, cfg.m)
     if redraws.any():
         channel = ChannelRealization(h)
-    # stacked matrix-vector products, bit for bit the single-draw ones
-    hz = (h @ z[..., None])[..., 0]
-    return _Drawn(tx_idx, channel, hz, unit_noise(normals), redraws)
+    unit = unit_noise(normals)
+    if prep.solver == "oneshot":
+        # stacked matrix-vector products, bit for bit the single-draw ones
+        return _Drawn(tx_idx, channel, (h @ z[..., None])[..., 0], unit, redraws)
+    # ZF is linear, H⁺(Hz + s·u) = z + s·H⁺u: one equalization for every point
+    return _Drawn(tx_idx, channel, z, zf_equalize(unit, channel), redraws)
 
 
-def _detect(prep: _Prepared, drawn: _Drawn, slices: list[tuple[int, int, float]]) -> list[_Chunk]:
-    """The trials ``lo .. hi-1`` of a drawn chunk at SNR point ``snr_db``,
-    for each ``(lo, hi, snr_db)`` of ``slices``, detected in one stacked
-    pass: each slice's receive vectors are formed at its own point and
-    stacked, and the receiver runs once on the stack, a view of the chunk's
-    channels for one slice and their gathered rows otherwise, which share
-    the chunk's factorizations.  The scheme takes the point indices
-    :func:`demux` decided; a baseline slices its ZF estimate to the nearest
-    points.  A trial's bit errors are the label Hamming distances of its
-    sent and decided points, the count its demapped bits would give.
-    Returns one outcome per slice, bit for bit the slice's own pass."""
-    spec, c, m = prep.spec, prep.modem, float(prep.spec.config.m)
-    y = np.concatenate([noisy(drawn.hz[lo:hi], NoiseSpec.from_snr(snr, m), drawn.noise[lo:hi])
-                        for lo, hi, snr in slices])
+def _detect(prep: _Prepared, drawn: _Drawn, slices: list[tuple[int, int, int]]) -> list[_Chunk]:
+    """The trials ``lo .. hi-1`` of a drawn chunk at SNR point ``p``, for
+    each ``(lo, hi, p)`` of ``slices``, detected in one stacked pass: each
+    slice's ``sent + s_p·noise`` is formed at its point's noise scale and
+    stacked, and the receiver runs once on the stack.  A baseline slices
+    ``S^T`` of that ZF estimate to the nearest points; the scheme takes the
+    point indices :func:`demux` decided on it, and ``oneshot`` on the
+    receive vectors with their channels, a view of the chunk's for one
+    slice and their gathered rows otherwise, which share the chunk's QR.
+    A trial's bit errors are the label Hamming distances of its sent and
+    decided points, the count its demapped bits would give.  Returns one
+    outcome per slice, bit for bit the slice's own pass."""
+    spec, c = prep.spec, prep.modem
+    received = np.concatenate([drawn.sent[lo:hi] + prep.noise_scale[p] * drawn.noise[lo:hi]
+                               for lo, hi, p in slices])
     if len(slices) == 1:
-        # a view: gathering copies h and pinv, ~2x ZF time on a 60-trial (20,20)-40 slice
+        # a view: gathering copies h and its factorizations
         rows = slice(*slices[0][:2])
     else:
         rows = np.concatenate([np.arange(lo, hi) for lo, hi, _ in slices])
-    channel = drawn.channel[rows]
     if prep.code is None:
         # S has orthonormal rows, so S^T H^+ = (H S)^+
-        x_hat = zf_equalize(y, channel) @ prep.spread
-        rx_idx = nearest_point_indices(x_hat, c).reshape(len(y), spec.streams)
+        x_hat = received @ prep.spread
+        rx_idx = nearest_point_indices(x_hat, c).reshape(len(received), spec.streams)
     else:
-        rx_idx = demux(y, channel, prep.code, solver=spec.solver).x_indices
+        h = drawn.channel[rows] if prep.solver == "oneshot" else None
+        rx_idx = demux(received, prep.code, prep.solver, h=h).x_indices
     tx_idx = drawn.tx_idx[rows]
     bit_errors = c.label_distances[tx_idx, rx_idx].sum(axis=1)
     symbol_errors = (tx_idx != rx_idx).sum(axis=1)
@@ -460,7 +491,7 @@ def _tally_chunk(prep: _Prepared, t0: int, n: int, running: list[int], tally: np
             if size <= room or not passed:
                 passed.append((p, lo, lo + size))
                 room -= size
-        chunks = _detect(prep, drawn, [(lo, hi, spec.snr_db[p]) for p, lo, hi in passed])
+        chunks = _detect(prep, drawn, [(lo, hi, p) for p, lo, hi in passed])
         for (p, lo, hi), chunk in zip(passed, chunks):
             kept = hi - lo
             if target:

@@ -160,6 +160,14 @@ class MuxConfig:
         return self.l // self.j
 
 
+# Most bytes one trial's oneshot search may hold in its candidate
+# contributions, 16 B for each of the d candidates of each of the J blocks
+# on each of the nr rows: eight times the (4,4)-8 QAM16 search's 8 MiB.
+# The search walks its trials in blocks of at least one, so a setup past
+# this would take that much memory per trial, however small the sweep.
+ONESHOT_TRIAL_BYTES = 1 << 26
+
+
 def block_width(cfg: MuxConfig, solver: str) -> int:
     """Entries in the largest per-block table ``solver`` builds for ``cfg``,
     whose sub-blocks hold ``n = l/j`` symbols of an alphabet of ``q``: the
@@ -167,9 +175,11 @@ def block_width(cfg: MuxConfig, solver: str) -> int:
     ``q**n`` for the dictionary of ``omp`` and ``oneshot`` and the pairwise
     level-tuple distances of ``analyze``.  The one check that ``solver``
     runs on ``cfg``: :class:`DictionaryTooLarge` when ``q**n`` overflows the
-    int64 joint index or the width exceeds ``cfg.dictionary_cap``, and
-    :class:`BadSubblockShape` for ``omp`` on one-row sub-blocks, where every
-    column's normalized correlation is ``|z|``, so rounding makes the pick.
+    int64 joint index or the width exceeds ``cfg.dictionary_cap``, or when
+    one ``oneshot`` trial's candidate contributions, ``16·J·nr·d`` bytes,
+    exceed :data:`ONESHOT_TRIAL_BYTES`, and :class:`BadSubblockShape` for
+    ``omp`` on one-row sub-blocks, where every column's normalized
+    correlation is ``|z|``, so rounding makes the pick.
     """
     c, n = get_constellation(cfg.constellation), cfg.subblock_cols
     # q = 2**bits: compare exponents, so a long sub-block costs no power
@@ -181,6 +191,11 @@ def block_width(cfg: MuxConfig, solver: str) -> int:
         raise DictionaryTooLarge(
             f"{solver} per-block table width {base}^{n} = {width} "
             f"exceeds cap {cfg.dictionary_cap}"
+        )
+    if solver == "oneshot" and 16 * cfg.j * cfg.nr * width > ONESHOT_TRIAL_BYTES:
+        raise DictionaryTooLarge(
+            f"oneshot candidate contributions of one trial, 16*J*nr*d = 16*{cfg.j}*{cfg.nr}*"
+            f"{width} B, exceed {ONESHOT_TRIAL_BYTES} B"
         )
     if solver == "omp" and cfg.subblock_rows == 1:
         raise BadSubblockShape(
@@ -199,8 +214,9 @@ class ExperimentSpec:
     many bit errors have been seen (0 disables early stopping).  Counts and
     seeds are integers in their ranges of :data:`RANGES`.  The scheme's
     ``solver`` must run on the setup, which :func:`block_width` checks: its
-    per-block table fits ``dictionary_cap`` and the int64 joint index, and
-    ``omp`` has sub-blocks of ``m/j >= 2`` rows.  A baseline builds no
+    per-block table fits ``dictionary_cap`` and the int64 joint index,
+    ``oneshot``'s per-trial contributions fit :data:`ONESHOT_TRIAL_BYTES`,
+    and ``omp`` has sub-blocks of ``m/j >= 2`` rows.  A baseline builds no
     table and runs on any setup.  Config files hold exactly these fields
     and those of :class:`MuxConfig`.
     """

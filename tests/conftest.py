@@ -1,5 +1,6 @@
 """Shared fixtures for the test suite."""
 
+from dataclasses import replace
 from importlib.resources import files
 from typing import NamedTuple
 
@@ -54,14 +55,15 @@ def run_trials(spec, t0: int, n: int = 1, snr_db=None) -> Trials:
     """Trials ``t0 .. t0+n-1`` of ``spec`` at ``snr_db``, by default its
     first grid point, as a sweep draws and decides them: the engine's own
     ``_prepare``, ``_draw_chunk`` and ``_detect`` on chunks of
-    ``prep.chunk_cap`` trials.  The point is checked before any draw.  To
-    substitute a matrix, patch ``harness.gen_phi``."""
+    ``prep.chunk_cap`` trials, with ``snr_db`` as the spec's one point.  The
+    point is checked before any draw.  To substitute a matrix, patch
+    ``harness.gen_phi``."""
     snr = spec.snr_db[0] if snr_db is None else db_point("snr_db", snr_db)
-    prep = harness._prepare(spec)
+    prep = harness._prepare(replace(spec, snr_db=(snr,)))
     parts = []
     for lo in range(t0, t0 + n, prep.chunk_cap):
         size = min(prep.chunk_cap, t0 + n - lo)
         drawn = harness._draw_chunk(prep, lo, size)
-        chunk, = harness._detect(prep, drawn, [(0, size, snr)])
+        chunk, = harness._detect(prep, drawn, [(0, size, 0)])
         parts.append((drawn.tx_idx, *chunk, drawn.redraws))
     return Trials(snr, *map(np.concatenate, zip(*parts)))

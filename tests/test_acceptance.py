@@ -13,9 +13,8 @@ import pytest
 
 import csmimo.harness as harness
 from csmimo.analysis import rip_constant, spark, verify_uniqueness
-from csmimo.channel import ChannelRealization
 from csmimo.csmux import MeasurementMatrix, MuxConfig, gen_phi
-from csmimo.detection import Codebook, demux, sensing_matrix, zf_equalize
+from csmimo.detection import Codebook, demux, sensing_matrix
 from csmimo.dictionary import build_dictionary, digits
 from csmimo.harness import ExperimentSpec, run_sweep
 from csmimo.modem import get_constellation
@@ -140,10 +139,6 @@ def test_criterion_04_rip_sanity():
     )
 
 
-def _identity_channel(stack: int, m: int) -> ChannelRealization:
-    return ChannelRealization(np.broadcast_to(np.eye(m), (stack, m, m)).copy())
-
-
 def test_criterion_05_dictionary_codec():
     """Every column of ``build_dictionary`` holds the points at the
     :func:`digits` of its index, and ``demux``'s ``ml`` receiver, handed
@@ -157,10 +152,10 @@ def test_criterion_05_dictionary_codec():
         d = psi.shape[1]
         k = np.arange(d)
         idx = digits(k, qpsk.order, n)
-        # one sub-block of n rows, uncompressed: the channel input is the column
+        # one sub-block of n rows, uncompressed: the ZF estimate is the column
         cfg = MuxConfig(nt=n, nr=n, l=n, j=1)
         code = Codebook(cfg, MeasurementMatrix(np.eye(n)))
-        rec = demux(psi.T, _identity_channel(d, n), code, solver="ml")
+        rec = demux(psi.T, code, solver="ml")
         cases += d
         mismatches += int(np.sum(
             (psi != qpsk.points[idx].T).any(axis=0)
@@ -187,11 +182,10 @@ def test_criterion_06_ml_optimality():
     z = a[:, rng.integers(0, a.shape[1], shape[:2])].transpose(1, 2, 0) + 0.5 * (
         rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     )
-    h = _identity_channel(shape[0], CFG_4X4.m)
     y = z.reshape(shape[0], CFG_4X4.m) * code.gain
-    got = demux(y, h, code, solver="ml").s_indices
+    got = demux(y, code, solver="ml").s_indices
     # independently coded brute-force residual scan
-    blocks = (zf_equalize(y, h) / code.gain).reshape(shape)
+    blocks = (y / code.gain).reshape(shape)
     diffs = a - blocks[..., None]
     oracle = (diffs.real**2 + diffs.imag**2).sum(axis=-2).argmin(axis=-1)
     agree = int(np.sum(got == oracle))

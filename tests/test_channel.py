@@ -46,6 +46,33 @@ class TestSampleChannel:
             sample_channel(0, 2, np.random.default_rng(0))
 
 
+@given(
+    shape=st.sampled_from([(1, 1), (2, 2), (4, 4), (8, 4), (20, 20)]),
+    stack=st.sampled_from([(), (1,), (3,), (2, 3)]),
+    zeros=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_gains_equal_the_complex_sum(shape, stack, zeros, seed):
+    """``gains`` writes both parts into one array: equal to
+    ``(re + 1j·im)·√½``, and bit for bit equal wherever the normal is not
+    exactly 0, whose sign the sum may drop; ``zeros`` plants ±0 normals."""
+    nr, m_tx = shape
+    k = nr * m_tx
+    normals = np.random.default_rng(seed).standard_normal(stack + (2 * k,))
+    if zeros:
+        normals[..., ::3] = 0.0
+        normals[..., 1::5] = -0.0
+    got = gains(normals, nr, m_tx)
+    want = ((normals[..., :k] + 1j * normals[..., k:]) * np.sqrt(0.5)).reshape(got.shape)
+    assert got.shape == stack + (nr, m_tx) and got.dtype == np.complex128
+    np.testing.assert_array_equal(got, want)
+    got, want = got.reshape(stack + (k,)), want.reshape(stack + (k,))
+    for part, half in ((np.real, normals[..., :k]), (np.imag, normals[..., k:])):
+        bits = [np.ascontiguousarray(part(a)).view(np.uint64)[half != 0] for a in (got, want)]
+        np.testing.assert_array_equal(*bits)
+
+
 class TestFactorizations:
     @pytest.mark.parametrize("nr, m", [(5, 3), (3, 3), (2, 3)])
     def test_stacked_qr_equals_single_draws(self, nr, m):

@@ -10,7 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from csmimo import detection, harness
-from csmimo.channel import RANK_TOL, ChannelRealization, NoiseSpec, apply_channel, sample_channel
+from csmimo.channel import (RANK_TOL, ChannelRealization, NoiseSpec, apply_channel, noisy,
+                            sample_channel, unit_noise)
 from csmimo.csmux import (
     MeasurementMatrix,
     MuxConfig,
@@ -33,11 +34,21 @@ from csmimo.errors import (
     DictionaryTooLarge,
     DimensionMismatch,
     RankDeficientChannel,
+    SpecError,
 )
 from csmimo.harness import _prepare, load_spec, run_sweep
 from csmimo.modem import get_constellation, nearest_point_indices, symbol_indices
 
 from conftest import recipe_path
+
+
+def _receive(y, h, code, solver="ml"):
+    """The receiver on receive vectors ``y`` through channels ``h``:
+    :func:`demux` of the ZF estimate for ``ml`` and ``omp``, and of ``y``
+    with its channels for ``oneshot``."""
+    if solver == "oneshot":
+        return demux(y, code, solver, h=h)
+    return demux(zf_equalize(y, h), code, solver)
 
 
 @pytest.fixture(scope="module")
@@ -192,7 +203,7 @@ class TestZfAgainstSvd:
         np.testing.assert_array_less(
             np.linalg.norm(got - want, axis=-1), 1e-12 * kappa * size + 1e-300)
 
-        rec = demux(y, channel, code, solver="ml")
+        rec = demux(zf_equalize(y, channel), code, solver="ml")
         blocks = want.reshape(stack + (j, rows))
         np.testing.assert_array_equal(
             rec.x_indices, detection._ml_split(blocks, code)[0].reshape(stack + (cfg.l,)))
@@ -209,20 +220,73 @@ class TestZfAgainstSvd:
         h = ChannelRealization(sample_channel(cfg.nr, cfg.m, rng).h[None].repeat(3, axis=0))
         y = rng.standard_normal((3, cfg.nr)) + 0j
         with mock.patch("numpy.linalg.svd", wraps=np.linalg.svd) as svd:
-            zf_equalize(y, h)
             for solver in ("ml", "omp"):
-                demux(y, h, Codebook(cfg, phi), solver=solver)
+                demux(zf_equalize(y, h), Codebook(cfg, phi), solver=solver)
         assert svd.call_count == 0
+
+
+class TestNoiseSpace:
+    @given(
+        rows=st.integers(1, 2),
+        j=st.integers(1, 4),
+        tall=st.booleans(),
+        constellation=st.sampled_from(["qpsk", "qam16"]),
+        stack=st.sampled_from([(), (1,), (6,), (2, 3)]),
+        snr=st.floats(-5.0, 40.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_estimate_in_noise_space_is_the_zf_estimate(
+        self, rows, j, tall, constellation, stack, snr, seed
+    ):
+        """On square and tall (``nr = 8``) stacks at a finite SNR, the
+        noise-space estimate ``z + s·H⁺u`` a sweep forms equals the ZF
+        estimate of the receive vector ``Hz + s·u`` to 1e-12 of its size,
+        and the ``zf`` and ``overload`` slicers, ``ml`` and ``omp`` decide
+        exactly as on the ZF estimate."""
+        rng = np.random.default_rng(seed)
+        m = rows * j
+        nr = 8 if tall else m
+        cfg = MuxConfig(nt=m, nr=nr, l=2 * m, j=j, phi_seed=seed % 1000,
+                        constellation=constellation)
+        code = Codebook(cfg, gen_phi(cfg))
+        c = code.alphabet
+        x = c.points[rng.integers(0, c.order, stack + (cfg.l,))]
+        h = (rng.standard_normal(stack + (nr, m))
+             + 1j * rng.standard_normal(stack + (nr, m))) * np.sqrt(0.5)
+        channel = ChannelRealization(h)
+        assume(np.all(channel_is_usable(channel)))
+        noise = NoiseSpec.from_snr(snr, m)
+        u = unit_noise(rng.standard_normal(stack + (2 * nr,)))
+        w = zf_equalize(u, channel)
+        spread = np.hstack([np.eye(m)] * 2) / np.sqrt(2)
+
+        def both(z):
+            """The noise-space estimate of ``z`` and the ZF estimate."""
+            y = noisy((h @ z[..., None])[..., 0], noise, u)
+            return z + noise.scale * w, zf_equalize(y, channel)
+
+        for z, slicer in ((x[..., :m], None), ((spread @ x[..., None])[..., 0], spread),
+                          (multiplex(x, code), code)):
+            got, want = both(z)
+            np.testing.assert_array_less(np.linalg.norm(got - want, axis=-1),
+                                         1e-12 * np.linalg.norm(want, axis=-1) + 1e-300)
+            if isinstance(slicer, Codebook):
+                for solver in ("ml", "omp") if rows > 1 else ("ml",):
+                    np.testing.assert_array_equal(demux(got, code, solver).x_indices,
+                                                  demux(want, code, solver).x_indices)
+            else:
+                decide = (lambda e: e) if slicer is None else (lambda e: e @ slicer)
+                np.testing.assert_array_equal(nearest_point_indices(decide(got), c),
+                                              nearest_point_indices(decide(want), c))
 
 
 def _ml_demux(z, code):
     """``demux``'s ``ml`` receiver on the ``(..., J, rows)`` blocks ``z``,
-    sent through identity channels at the transmit gain, and the blocks it
-    sees: the ZF estimate over the gain."""
-    m, stack = code.cfg.m, z.shape[:-2]
-    h = ChannelRealization(np.broadcast_to(np.eye(m), stack + (m, m)).copy())
-    y = z.reshape(stack + (m,)) * code.gain
-    return demux(y, h, code, solver="ml"), (zf_equalize(y, h) / code.gain).reshape(z.shape)
+    handed as a ZF estimate at the transmit gain, and the blocks it sees:
+    the estimate over the gain."""
+    y = z.reshape(z.shape[:-2] + (code.cfg.m,)) * code.gain
+    return demux(y, code, solver="ml"), (y / code.gain).reshape(z.shape)
 
 
 class TestMlRecovery:
@@ -319,12 +383,11 @@ class TestIqSplit:
         x = np.where(rng.random(stack + (j, 1)) < tied, on_grid, c.points[
             rng.integers(0, c.order, stack + (j, n))] + sigma * noise)
         x[rng.random(stack + (j,)) < tied / 3] = 0.0
-        # the identity channel hands demux these blocks, up to the gain's rounding
+        # a ZF estimate of these blocks, up to the gain's rounding
         y = (x @ phi.phi.T).reshape(stack + (cfg.m,)) * code.gain
-        h = ChannelRealization(np.broadcast_to(np.eye(cfg.m), stack + (cfg.m, cfg.m)).copy())
 
-        rec = demux(y, h, code, solver="ml")
-        blocks = (zf_equalize(y, h) / code.gain).reshape(stack + (j, rows))
+        rec = demux(y, code, solver="ml")
+        blocks = (y / code.gain).reshape(stack + (j, rows))
         a = code.sensing
         diffs = blocks[..., None] - a
         metric = (diffs.real**2 + diffs.imag**2).sum(axis=-2)
@@ -516,7 +579,7 @@ class TestDemux:
             z = multiplex(x, code)
             h = sample_channel(cfg.nr, cfg.m, rng)
             y = apply_channel(h, z, noiseless, rng)
-            rec = demux(y, h, code)
+            rec = _receive(y, h, code)
             rx_bits = qpsk.labels[nearest_point_indices(rec.x_hat, qpsk)].ravel()
             np.testing.assert_array_equal(rx_bits, bits)
 
@@ -528,7 +591,7 @@ class TestDemux:
         z = multiplex(x, code)
         h = sample_channel(cfg.nr, cfg.m, rng)
         y = apply_channel(h, z, NoiseSpec(10.0, 0.4), rng)
-        rec = demux(y, h, code)
+        rec = _receive(y, h, code)
         np.testing.assert_array_equal(rec.x_hat, psi.T[rec.s_indices].ravel())
         assert rec.residuals.shape == (cfg.j,)
 
@@ -548,7 +611,7 @@ class TestDemux:
             z = multiplex(x, code)
             h = sample_channel(4, 4, rng)
             y = apply_channel(h, z, NoiseSpec(10.0, 0.4), rng)
-            rec = demux(y, h, code)
+            rec = _receive(y, h, code)
 
             x_zf = np.linalg.inv(h.h.conj().T @ h.h) @ (h.h.conj().T @ y)
             oracle_bits = []
@@ -570,7 +633,7 @@ class TestDemux:
             z = multiplex(x, code)
             h = sample_channel(cfg.nr, cfg.m, rng)
             y = apply_channel(h, z, NoiseSpec.from_snr(-60.0, cfg.m), rng)
-            rec = demux(y, h, code)
+            rec = _receive(y, h, code)
             rx_bits = qpsk.labels[nearest_point_indices(rec.x_hat, qpsk)].ravel()
             errs += int(np.sum(rx_bits != bits))
             bits_total += bits.size
@@ -592,8 +655,8 @@ class TestDemux:
             z = multiplex(x, code)
             h = sample_channel(cfg.nr, cfg.m, rng)
             y = apply_channel(h, z, NoiseSpec(float("inf"), 0.0), rng)
-            ml = demux(y, h, code, solver="ml")
-            omp = demux(y, h, code, solver="omp")
+            ml = _receive(y, h, code, solver="ml")
+            omp = _receive(y, h, code, solver="omp")
             for k_ml, k_omp in zip(ml.s_indices, omp.s_indices):
                 twins = rotations[:, None] * psi[:, k_ml][None, :]
                 match = np.isclose(twins, psi[:, k_omp][None, :]).all(axis=1)
@@ -603,8 +666,7 @@ class TestDemux:
     def test_unknown_solver_rejected(self, pipeline):
         cfg, phi, _ = pipeline
         with pytest.raises(ValueError, match="unknown solver"):
-            demux(np.zeros(4), sample_channel(4, 4, np.random.default_rng(0)),
-                  Codebook(cfg, phi), solver="mmse")
+            demux(np.zeros(4), Codebook(cfg, phi), solver="mmse")
 
     def test_omp_on_one_row_sub_blocks_rejected(self, qpsk, cfg_2x2_l4):
         """On one-row sub-blocks every column ties on ``|z|``, so ``demux``
@@ -616,34 +678,56 @@ class TestDemux:
         y = apply_channel(h, multiplex(qpsk.points[:cfg.l], code),
                           NoiseSpec.from_snr(20.0, cfg.m), np.random.default_rng(1))
         with pytest.raises(BadSubblockShape, match=r"^omp needs m/j >= 2: [^\n]*$"):
-            demux(y, h, code, solver="omp")
+            _receive(y, h, code, solver="omp")
         for solver in ("ml", "oneshot"):
-            assert demux(y, h, code, solver=solver).s_indices.shape == (cfg.j,)
+            assert _receive(y, h, code, solver=solver).s_indices.shape == (cfg.j,)
 
     @pytest.mark.parametrize("solver", ["ml", "omp", "oneshot"])
     def test_wrong_channel_shape_rejected(self, pipeline, solver):
+        """A channel of ``m - 1`` columns: ``oneshot`` refuses the channel,
+        and ``ml`` and ``omp`` the ``m - 1`` ZF estimate it gives."""
         cfg, phi, _ = pipeline
         h = sample_channel(cfg.nr, cfg.m - 1, np.random.default_rng(0))
-        with pytest.raises(DimensionMismatch, match="channel shape"):
-            demux(np.zeros(cfg.nr), h, Codebook(cfg, phi), solver=solver)
+        what = "channel shape" if solver == "oneshot" else r"ZF estimate of shape \(3,\)"
+        with pytest.raises(DimensionMismatch, match=f"^{what}"):
+            _receive(np.zeros(cfg.nr), h, Codebook(cfg, phi), solver=solver)
+
+    @pytest.mark.parametrize("solver", ["ml", "omp", "oneshot"])
+    def test_channel_goes_to_oneshot_only(self, pipeline, solver):
+        """``oneshot`` reads the receive vector and needs its channel; ``ml``
+        and ``omp`` read the ZF estimate and refuse one, so that a receive
+        vector of a square channel cannot pass for its estimate."""
+        cfg, phi, _ = pipeline
+        h = sample_channel(cfg.nr, cfg.m, np.random.default_rng(0))
+        code = Codebook(cfg, phi)
+        if solver == "oneshot":
+            with pytest.raises(SpecError, match="^oneshot reads the receive vector and needs"):
+                demux(np.zeros(cfg.nr), code, solver)
+        else:
+            with pytest.raises(SpecError, match=f"^{solver} reads the ZF estimate and takes no"):
+                demux(np.zeros(cfg.m), code, solver, h=h)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("solver", ["ml", "omp", "oneshot"])
     def test_non_finite_input_rejected(self, pipeline, solver):
-        """Every solver rejects the receive vector before it computes with it."""
+        """Every solver rejects its input, the receive vector or the ZF
+        estimate, before it computes with it."""
         cfg, phi, _ = pipeline
         h = sample_channel(cfg.nr, cfg.m, np.random.default_rng(0))
         code = Codebook(cfg, phi)
+        oneshot = solver == "oneshot"
+        what = "receive vector and channel" if oneshot else "ZF estimate"
         for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
             y = np.ones(cfg.nr, dtype=complex)
             y[1] = bad
-            with pytest.raises(ValueError, match="receive vector and channel must be finite"):
-                demux(y, h, code, solver=solver)
+            with pytest.raises(SpecError, match=f"^{what} must be finite$"):
+                demux(y, code, solver, **{"h": h} if oneshot else {})
 
     @pytest.mark.parametrize("call", ["ml", "omp", "oneshot", "zf_equalize", "channel_is_usable"])
     def test_non_finite_channel_rejected(self, pipeline, call):
         """A channel holding a nan or inf fails with one line before its
-        inverse or its QR."""
+        inverse or its QR: ``ml`` and ``omp`` through the ZF estimate they
+        read."""
         cfg, phi, _ = pipeline
         code = Codebook(cfg, phi)
         for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
@@ -656,7 +740,7 @@ class TestDemux:
                 elif call == "channel_is_usable":
                     channel_is_usable(channel)
                 else:
-                    demux(np.ones(cfg.nr), channel, code, solver=call)
+                    _receive(np.ones(cfg.nr), channel, code, solver=call)
 
 
 class TestCodebook:
@@ -680,7 +764,7 @@ class TestCodebook:
         norms = code.omp_norms
         h = sample_channel(cfg.nr, cfg.m, np.random.default_rng(2))
         for y in np.random.default_rng(3).standard_normal((3, cfg.nr)):
-            demux(y, h, code, solver="omp")
+            _receive(y, h, code, solver="omp")
         assert code.omp_norms is norms
         assert not norms.flags.writeable
 
@@ -697,10 +781,10 @@ class TestCodebook:
         monkeypatch.setattr(Codebook, "iq_scan", counted)
         h = sample_channel(cfg.nr, cfg.m, np.random.default_rng(2))
         ys = np.random.default_rng(3).standard_normal((6, cfg.nr))
-        demux(ys[0], h, code)
+        _receive(ys[0], h, code)
         iq = code.iq_scan
         for y in ys[1:]:
-            demux(y, h, code)
+            _receive(y, h, code)
         assert code.iq_scan is iq
         assert len(calls) == 1
         assert not {"dictionary", "sensing"} & set(vars(code))
@@ -743,7 +827,7 @@ class TestCodebook:
                                .reshape(stack + (j, j)))
         # wide spread, so that the outermost levels are picked too
         y = 4.0 * (rng.standard_normal(stack + (j,)) + 1j * rng.standard_normal(stack + (j,)))
-        rec = demux(y, h, code, solver="ml")
+        rec = _receive(y, h, code, solver="ml")
         assert "dictionary" not in vars(code)
         psi = build_dictionary(get_constellation(constellation), n)
         np.testing.assert_array_equal(rec.x_hat, psi.T[rec.s_indices].reshape(stack + (cfg.l,)))
@@ -789,10 +873,10 @@ class TestStackedTrials:
                           np.random.default_rng([8, t]))
             for t in range(6)
         ]).reshape(self.STACK + (cfg.nr,))
-        rec = demux(y, channel, code, solver=solver)
+        rec = _receive(y, channel, code, solver=solver)
         for t, at in enumerate(np.ndindex(self.STACK)):
             single = ChannelRealization(h[t])
-            one = demux(y[at], single, code, solver=solver)
+            one = _receive(y[at], single, code, solver=solver)
             np.testing.assert_array_equal(z[at], multiplex(x[t], code))
             for got, want in zip(
                 (rec.s_indices, rec.x_indices, rec.x_hat, rec.residuals),
@@ -818,7 +902,8 @@ class TestFormedOnFirstRead:
         self, solver, constellation, stack, order, seed
     ):
         """Each field, read in any order after the caller has overwritten
-        the receive vectors and channels it passed and detected others,
+        what it passed (the ZF estimates, or the receive vectors and their
+        channels) and detected others,
         equals bit for bit the field read right after the call, and is
         formed once."""
         # QAM16 on sub-blocks of two symbols: the oneshot search's d**J fits its budget
@@ -830,15 +915,22 @@ class TestFormedOnFirstRead:
         h = np.stack([_unitary(rng, 5, 4) for _ in range(int(np.prod(stack)))]).reshape(
             stack + (5, 4))
         y = rng.standard_normal(stack + (5,)) + 1j * rng.standard_normal(stack + (5,))
-        eager = demux(y, ChannelRealization(h), code, solver=solver)
+        oneshot = solver == "oneshot"
+        if not oneshot:
+            y = zf_equalize(y, ChannelRealization(h))
+
+        def detect(y, h):
+            return demux(y, code, solver, **{"h": ChannelRealization(h)} if oneshot else {})
+
+        eager = detect(y, h)
         want = {name: getattr(eager, name) for name in self.FIELDS}
 
         y_in, h_in = y.copy(), h.copy()
-        lazy = demux(y_in, ChannelRealization(h_in), code, solver=solver)
+        lazy = detect(y_in, h_in)
         assert not set(self.FIELDS) & set(vars(lazy))
         np.testing.assert_array_equal(lazy.x_indices, eager.x_indices)
         y_in[...], h_in[...] = y[::-1], h[::-1]
-        demux(y_in, ChannelRealization(h_in), code, solver=solver)
+        detect(y_in, h_in)
         for name in order:
             got = getattr(lazy, name)
             np.testing.assert_array_equal(got, want[name])
@@ -885,7 +977,7 @@ class TestPointIndices:
                          + 1j * rng.standard_normal(stack + (m,)))
         y = (h @ multiplex(x, code)[..., None])[..., 0] + noise
 
-        rec = demux(y, ChannelRealization(h), code, solver=solver)
+        rec = _receive(y, ChannelRealization(h), code, solver=solver)
         assert rec.x_indices.shape == rec.x_hat.shape == stack + (cfg.l,)
         assert rec.x_indices.dtype == np.int64
         np.testing.assert_array_equal(
@@ -916,7 +1008,7 @@ def _oneshot_capped(y, h, code, cap):
     """``demux``'s ``oneshot`` search with its budget set to ``cap``
     candidates per trial."""
     with mock.patch.object(detection, "_ONESHOT_CAP", cap):
-        return demux(y, h, code, solver="oneshot")
+        return demux(y, code, "oneshot", h=h)
 
 
 def _oneshot_reference(y, h, code, cap=detection._ONESHOT_CAP):
@@ -1032,7 +1124,7 @@ class TestOneshot:
     def test_matches_brute_force_oracle(self, case):
         """Sphere search indices equal the d**J enumeration's, J = 1..4."""
         cfg, y, h, phi, psi = case
-        rec = demux(y, h, Codebook(cfg, phi), solver="oneshot")
+        rec = demux(y, Codebook(cfg, phi), "oneshot", h=h)
         k, res = _joint_ml_oracle(y, h, phi, psi, cfg)
         np.testing.assert_array_equal(rec.s_indices, k)
         np.testing.assert_allclose(rec.residuals[0], res, rtol=1e-6, atol=1e-9)
@@ -1050,11 +1142,11 @@ class TestOneshot:
         cfg, y, h, phi, psi = case
         code, d = Codebook(cfg, phi), psi.shape[1]
         want, residuals, nodes = _oneshot_reference(y, h, code)
-        rec = demux(y, h, code, solver="oneshot")
+        rec = demux(y, code, "oneshot", h=h)
         np.testing.assert_array_equal(rec.s_indices, want)
         np.testing.assert_array_equal(rec.residuals, residuals)
         for t in range(len(y)):
-            one = demux(y[t], ChannelRealization(h.h[t]), code, solver="oneshot")
+            one = demux(y[t], code, "oneshot", h=ChannelRealization(h.h[t]))
             for got, stacked in zip((one.s_indices, one.x_hat, one.residuals),
                                     (rec.s_indices, rec.x_hat, rec.residuals)):
                 np.testing.assert_array_equal(got, stacked[t])
@@ -1112,7 +1204,7 @@ class TestOneshot:
             h = sample_channel(cfg.nr, cfg.m, rng)
             snr = float("inf") if t % 2 else 40.0 * rng.random()
             y = apply_channel(h, multiplex(x, code), NoiseSpec.from_snr(snr, cfg.m), rng)
-            rec = demux(y, h, code, solver="oneshot")
+            rec = demux(y, code, "oneshot", h=h)
             z_hat = (rec.x_hat.reshape(cfg.j, -1) @ phi.phi.T).ravel() * g
             direct = np.linalg.norm(y - h.h @ z_hat)
             if t % 2:
@@ -1130,7 +1222,7 @@ class TestOneshot:
         h = sample_channel(cfg.nr, cfg.m, rng)
         y = apply_channel(h, multiplex(qpsk.points[rng.integers(0, 4, size=8)], code),
                           NoiseSpec.from_snr(-5.0, cfg.m), rng)
-        full = demux(y, h, code, solver="oneshot")
+        full = demux(y, code, "oneshot", h=h)
         raised = 0
         for cap in range(d, 64 * d, d):
             try:
@@ -1173,7 +1265,7 @@ class TestOneshot:
             z = multiplex(x, code)
             h = sample_channel(cfg.nr, cfg.m, rng)
             y = apply_channel(h, z, NoiseSpec(float("inf"), 0.0), rng)
-            rec = demux(y, h, code, solver="oneshot")
+            rec = demux(y, code, "oneshot", h=h)
             rx_bits = qpsk.labels[nearest_point_indices(rec.x_hat, qpsk)].ravel()
             np.testing.assert_array_equal(rx_bits, bits)
             assert rec.residuals.shape == (1,)
@@ -1190,8 +1282,8 @@ class TestOneshot:
             z = multiplex(x, code)
             h = sample_channel(cfg.nr, cfg.m, rng)
             y = apply_channel(h, z, NoiseSpec.from_snr(35.0, cfg.m), rng)
-            one = demux(y, h, code, solver="oneshot")
-            two = demux(y, h, code, solver="ml")
+            one = demux(y, code, "oneshot", h=h)
+            two = _receive(y, h, code, solver="ml")
             agree += int(np.array_equal(one.s_indices, two.s_indices))
         assert agree >= 290
 

@@ -3,7 +3,8 @@
 ``_sequential_trial`` is the per-trial receiver path coded directly from the
 public functions, one unstacked call each, with plain ZF slicing for the
 ``zf`` baseline and, for ``overload``, ZF of the channel spread back over
-each stream's copies.  ``_sequential_rows`` aggregates it under the sequential
+each stream's copies; every ZF estimate is formed in noise space, as
+``z + s·H⁺u``.  ``_sequential_rows`` aggregates it under the sequential
 early-stop rule.  ``run_sweep``, and single trials read through
 ``conftest.run_trials``, must reproduce both exactly, whatever the chunk
 sizes.
@@ -44,6 +45,10 @@ def _sequential_trial(spec, t, snr_db):
     Draws from the generator of ``(master_seed, t)`` in the order bits,
     channel (redrawn until usable), noise.  Channels come from
     ``harness.sample_channel`` so that tests can patch it for both sides.
+    ZF is linear, so the ZF receivers' estimate of the receive vector
+    ``h z + s·u`` is formed as ``z + s·H⁺u``, from the same normals
+    ``apply_channel`` draws for ``u``; only ``oneshot`` reads the receive
+    vector itself.
     """
     cfg = spec.config
     c = get_constellation(cfg.constellation)
@@ -60,18 +65,22 @@ def _sequential_trial(spec, t, snr_db):
             raise RankDeficientChannel("no usable channel in 1000 redraws")
         h = harness.sample_channel(cfg.nr, cfg.m, rng)
 
+    def zf_estimate(z):
+        return z + noise.scale * zf_equalize(unit_noise(rng.standard_normal(2 * cfg.nr)), h)
+
     if spec.baseline == "overload":
         copies = cfg.l // cfg.m
         stack = np.hstack([np.eye(cfg.m)] * copies) / np.sqrt(copies)
-        y = apply_channel(h, stack @ x, noise, rng)
-        rx_idx = nearest_point_indices(stack.T @ zf_equalize(y, h), c)
+        rx_idx = nearest_point_indices(stack.T @ zf_estimate(stack @ x), c)
     elif spec.baseline == "zf":
-        y = apply_channel(h, x, noise, rng)
-        rx_idx = nearest_point_indices(zf_equalize(y, h), c)
+        rx_idx = nearest_point_indices(zf_estimate(x), c)
     else:
         code = Codebook(cfg, gen_phi(cfg))
-        y = apply_channel(h, multiplex(x, code), noise, rng)
-        rec = demux(y, h, code, solver=spec.solver)
+        if spec.solver == "oneshot":
+            y = apply_channel(h, multiplex(x, code), noise, rng)
+            rec = demux(y, code, "oneshot", h=h)
+        else:
+            rec = demux(zf_estimate(multiplex(x, code)), code, spec.solver)
         rx_idx = nearest_point_indices(rec.x_hat, c)
     rx_bits = c.labels[rx_idx].ravel()
     return tx_bits, rx_bits, int(np.sum(tx_idx != rx_idx)), redraws
@@ -157,7 +166,8 @@ def test_chunked_engine_matches_sequential_oracle(spec, cap):
 _MODES = [(mode, s) for mode in ("ml", "omp", "oneshot", "zf", "overload") for s in SETUPS
           if mode != "omp" or min(s[:2]) > s[3]]
 
-# slices (lo, hi, snr_db) of a 12-trial chunk, which may overlap
+# slices (lo, hi, snr_db) of a 12-trial chunk, which may overlap; the
+# spec's grid is their points
 _SLICES = st.lists(
     st.tuples(st.integers(0, 11), st.integers(1, 12),
               st.one_of(st.just(INF), st.floats(-5.0, 30.0)))
@@ -178,8 +188,9 @@ def test_a_pass_decides_each_slice_as_it_does_alone(mode, slices, seed):
     mode, (nt, nr, l, j, name) = mode
     baseline = mode if mode in ("zf", "overload") else None
     spec = ExperimentSpec(MuxConfig(nt=nt, nr=nr, l=l, j=j, constellation=name, phi_seed=seed),
-                          (0.0,), trials=12, master_seed=seed, solver="ml" if baseline else mode,
-                          baseline=baseline)
+                          {snr for *_, snr in slices}, trials=12, master_seed=seed,
+                          solver="ml" if baseline else mode, baseline=baseline)
+    slices = [(lo, hi, spec.snr_db.index(snr)) for lo, hi, snr in slices]
     prep = harness._prepare(spec)
     drawn = harness._draw_chunk(prep, 0, 12)
     together = harness._detect(prep, drawn, slices)
@@ -259,7 +270,7 @@ def test_redraws_inside_a_chunk_land_on_their_trial(monkeypatch, baseline):
     prep = harness._prepare(spec)
     assert prep.chunk_cap >= 10
     drawn = harness._draw_chunk(prep, 0, 10)
-    chunks = harness._detect(prep, drawn, [(0, 10, snr) for snr in spec.snr_db])
+    chunks = harness._detect(prep, drawn, [(0, 10, p) for p in range(len(spec.snr_db))])
     for snr, chunk in zip(spec.snr_db, chunks, strict=True):
         for t in range(10):
             tx, rx, sym, red = _sequential_trial(spec, t, snr)
@@ -337,9 +348,10 @@ class _Schedule:
     def _detect(self, prep, drawn, slices):
         t0 = self._starts[id(drawn)]
         self.passes.append(sum(hi - lo for lo, hi, _ in slices))
-        for lo, hi, snr_db in slices:
+        points = [(lo, hi, prep.spec.snr_db[p]) for lo, hi, p in slices]
+        for lo, hi, snr_db in points:
             self.detected.append((snr_db, t0 + lo, t0 + hi))
-        for lo, hi, snr_db in slices:
+        for lo, hi, snr_db in points:
             if self.fail_at and self.fail_at[0] == snr_db and t0 + lo <= self.fail_at[1] < t0 + hi:
                 raise _Injected(self.fail_at)
         return self._originals["_detect"](prep, drawn, slices)
@@ -525,20 +537,23 @@ def test_chunk_draw_equals_default_rng(seed, t0, n, nbits, shape):
 
 
 def test_seed_words_answer_only_pcg64s_request():
-    """A trial's hashed words reach ``PCG64`` as numpy's ``ISeedSequence``:
-    they answer ``generate_state(4, uint64)``, the one request ``PCG64``
-    makes, with ``SeedSequence([seed, t])``'s words, and any other request
-    fails in one line."""
-    harness._draw(5, 7, 1, 1, 1, 1)  # registers the adapter
+    """A trial's hashed words reach ``PCG64`` through a subclass of numpy's
+    ``ISeedSequence``, made once: they answer ``generate_state(4, uint64)``,
+    the one request ``PCG64`` makes, with ``SeedSequence([seed, t])``'s
+    words, and any other request fails in one line."""
+    seed_words = harness._seed_words()
+    assert seed_words is harness._seed_words()
+    assert issubclass(seed_words, np.random.bit_generator.ISeedSequence)
+    assert "words" in seed_words.__slots__
     words = harness._trial_seeds(5, 7, 1)[0]
-    seeded = harness._SeedWords(words)
-    assert isinstance(seeded, np.random.bit_generator.ISeedSequence)
+    seeded = seed_words(words)
     assert seeded.generate_state(4, np.uint64) is words
+    assert seeded.generate_state(4, "u8") is words
     np.testing.assert_array_equal(
         words, np.random.SeedSequence([5, 7]).generate_state(4, np.uint64))
     np.testing.assert_array_equal(np.random.PCG64(seeded).random_raw(3),
                                   np.random.default_rng([5, 7]).bit_generator.random_raw(3))
-    for request in [(4,), (4, np.uint32), (2, np.uint64), (8, np.uint64)]:
+    for request in [(4,), (4, np.uint32), (2, np.uint64), (8, np.uint64), (4, np.int64)]:
         with pytest.raises(ValueError, match="^seed words are 4 uint64, not ") as err:
             seeded.generate_state(*request)
         assert "\n" not in str(err.value)

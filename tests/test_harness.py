@@ -298,8 +298,7 @@ class TestBlockWidth:
                 small_spec(config=cfg, solver=solver)
             code = detection.Codebook(cfg, gen_phi(cfg))
             with pytest.raises(DictionaryTooLarge, match=message):
-                detection.demux(np.zeros(4), sample_channel(4, 4, np.random.default_rng(0)),
-                                code, solver=solver)
+                detection.demux(np.zeros(4), code, solver=solver)
             assert not {"iq_images", "iq_scan", "dictionary", "sensing"} & set(vars(code))
         for baseline in ("zf", "overload"):
             spec = small_spec(config=cfg, baseline=baseline, trials=20, early_stop_errors=0)
@@ -369,6 +368,22 @@ class TestBaselines:
         row = run_sweep(spec).rows[0]
         assert row.ber > 0.1
 
+    def test_noiseless_overload_ties_go_to_the_lowest_point_index(self, qpsk):
+        """With no noise the overload estimate is ``S^T S x`` exactly: each
+        symbol's value is the mean of its two copies' points, so a pair of
+        opposite parts leaves an exact 0, on the QPSK decision boundary.
+        Every decision is the lowest index among the points nearest to the
+        exact mean, and some of them are such ties."""
+        cfg = MuxConfig(nt=2, nr=2, l=4, j=2)
+        spec = ExperimentSpec(cfg, (INF,), trials=60, baseline="overload", early_stop_errors=0)
+        rec = run_trials(spec, 0, 60)
+        x = qpsk.points[rec.tx_idx]
+        mean = np.tile((x[:, :2] + x[:, 2:]) / 2, 2)
+        d2 = np.abs(mean[..., None] - qpsk.points) ** 2
+        nearest = d2 == d2.min(axis=-1, keepdims=True)
+        assert (nearest.sum(axis=-1) > 1).any()
+        np.testing.assert_array_equal(rec.rx_idx, nearest.argmax(axis=-1))
+
     def test_overload_with_square_system_reduces_to_zf(self):
         cfg = MuxConfig(nt=4, nr=4, l=4, j=4, phi_seed=1)
         over = small_spec(config=cfg, baseline="overload")
@@ -399,7 +414,7 @@ class TestBaselines:
         stack = np.hstack([np.eye(m)] * copies) / np.sqrt(copies)
         prep = harness._prepare(spec)
         drawn = harness._draw_chunk(prep, 0, spec.trials)
-        chunks = harness._detect(prep, drawn, [(0, spec.trials, snr) for snr in spec.snr_db])
+        chunks = harness._detect(prep, drawn, [(0, spec.trials, p) for p in range(len(spec.snr_db))])
         for snr, chunk in zip(spec.snr_db, chunks, strict=True):
             for t in range(spec.trials):
                 rng = np.random.default_rng([seed, t])
@@ -429,7 +444,7 @@ class TestBaselines:
                               early_stop_errors=0)
         prep = harness._prepare(spec)
         drawn = harness._draw_chunk(prep, 0, spec.trials)
-        chunk, = harness._detect(prep, drawn, [(2, spec.trials, snr_db)])
+        chunk, = harness._detect(prep, drawn, [(2, spec.trials, 0)])
         tx_bits, rx_bits = (prep.modem.labels[idx].reshape(spec.trials - 2, -1)
                             for idx in (drawn.tx_idx[2:], chunk.rx_idx))
         np.testing.assert_array_equal(chunk.bit_errors, (tx_bits != rx_bits).sum(axis=1))

@@ -4,6 +4,7 @@ a fuzz over config dicts and ``csmimo simulate`` argv."""
 import ast
 import json
 import string
+import time
 from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
@@ -17,8 +18,9 @@ from conftest import recipe_path
 import csmimo
 from csmimo import harness
 from csmimo.cli import main
-from csmimo.errors import BadSubblockShape, CsmimoError, SpecError
-from csmimo.spec import BASELINES, RANGES, SOLVERS, MuxConfig, read_config, spec_from_dict
+from csmimo.errors import BadSubblockShape, CsmimoError, DictionaryTooLarge, SpecError
+from csmimo.spec import (BASELINES, ONESHOT_TRIAL_BYTES, RANGES, SOLVERS, MuxConfig, read_config,
+                         spec_from_dict)
 
 RECIPES = ("mimo2x2_l4", "mimo4x4_l8", "mimo20x20_l40")
 
@@ -97,6 +99,37 @@ def test_largest_setups_are_accepted():
                            "baseline": "zf", "snr_db": [10], "trials": 1})
     assert harness.run_sweep(spec).rows[0].trials == 1
     assert type(refused(lambda: MuxConfig(nt=257, nr=4, l=8, j=2))) is SpecError
+
+
+@pytest.mark.parametrize("setup, product", [
+    ({"nt": 256, "nr": 256, "l": 2048, "j": 256}, "16*256*256*65536 B"),
+    ({"nt": 20, "nr": 256, "l": 40, "j": 10, "constellation": "qam16"}, "16*10*256*65536 B"),
+], ids=["(256,256)-2048", "(20,256)-40-qam16"])
+def test_oneshot_past_its_trial_bytes_is_refused(setup, product):
+    """A ``oneshot`` setup whose one trial's candidate contributions,
+    ``16·J·nr·d`` bytes, pass ``ONESHOT_TRIAL_BYTES`` is refused in one line
+    at once, before any table or trial: the (256,256)-2048 search would
+    need 64 GiB a trial and the (20,256)-40 QAM16 one 2.5 GiB.  ``ml`` and
+    the baselines build no such contributions and keep the setup."""
+    raw = {**recipe(), **setup, "solver": "oneshot"}
+    start = time.perf_counter()
+    err = refused(lambda: spec_from_dict(raw))
+    assert time.perf_counter() - start < 1.0
+    assert type(err) is DictionaryTooLarge
+    assert str(err) == (f"oneshot candidate contributions of one trial, 16*J*nr*d = {product},"
+                        f" exceed {ONESHOT_TRIAL_BYTES} B")
+    assert spec_from_dict({**raw, "solver": "ml"}).solver == "ml"
+    assert spec_from_dict({**raw, "baseline": "zf"}).baseline == "zf"
+
+
+def test_oneshot_trial_bytes_bound_is_inclusive():
+    """QAM16 (4,4)-5 at J = 1 and ``d = 16**5``: its 4 receive rows take
+    exactly ``ONESHOT_TRIAL_BYTES`` and are accepted, a fifth is not."""
+    raw = {**recipe(), "nt": 4, "l": 5, "j": 1, "constellation": "qam16",
+           "dictionary_cap": 2**20, "solver": "oneshot"}
+    assert 16 * 4 * 2**20 == ONESHOT_TRIAL_BYTES
+    assert spec_from_dict({**raw, "nr": 4}).config.nr == 4
+    assert type(refused(lambda: spec_from_dict({**raw, "nr": 5}))) is DictionaryTooLarge
 
 
 def test_unreadable_config_is_one_line_naming_the_file(tmp_path):
