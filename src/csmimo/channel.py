@@ -9,12 +9,14 @@ dimensions, so ``sigma2 = m_tx / 10**(snr_db/10)``.
 
 A :class:`ChannelRealization` may hold a stack of draws with leading trial
 axes, shape ``(..., nr, m_tx)``, and caches for the whole stack the
-pseudo-inverse that zero-forcing reads, the usability flags read off it and
-the QR of the one-shot search.  :func:`gains` and :func:`unit_noise` turn
-standard normals drawn elsewhere into a stack of channels and noise vectors
-exactly as :func:`sample_channel` and :func:`apply_channel` draw them for
-one trial; :func:`noisy` scales the noise to an SNR point and adds it to
-vectors already sent through their channels.
+pseudo-inverse that zero-forcing reads and the QR of the one-shot search.
+A channel is not checked when it is drawn: only zero-forcing needs full
+column rank, and :func:`~csmimo.detection.zf_equalize` checks the channels
+it is handed.  :func:`gains` and :func:`unit_noise` turn standard normals
+drawn elsewhere into a stack of channels and noise vectors exactly as
+:func:`sample_channel` and :func:`apply_channel` draw them for one trial;
+:func:`noisy` scales the noise to an SNR point and adds it to vectors
+already sent through their channels.
 """
 
 from __future__ import annotations
@@ -45,10 +47,10 @@ class ChannelRealization:
     """One draw of an ``nr x m_tx`` complex channel matrix, or a stack of
     draws of shape ``(..., nr, m_tx)`` with one leading index per trial.
 
-    Its pseudo-inverse, usability flags and QR are cached per object, each
-    made once for the whole stack: every receiver that is handed the same
-    object shares them, and so does every part of the stack taken by a
-    slice ``channel[lo:hi]`` or an index array ``channel[rows]``.  The
+    Its pseudo-inverse and QR are cached per object, each made once for
+    the whole stack: every receiver that is handed the same object shares
+    them, and so does every part of the stack taken by a slice
+    ``channel[lo:hi]`` or an index array ``channel[rows]``.  The
     factorizations raise :class:`SpecError` for a channel that is not finite.
     The object keeps the caller's array, so whoever writes into ``h``
     afterwards must build a new object.  Two realizations compare and hash
@@ -89,10 +91,10 @@ class ChannelRealization:
     def __getitem__(self, rows: slice | np.ndarray) -> ChannelRealization:
         """The draws ``rows`` of the leading trial axis, a slice (a view) or a
         1-D integer array, which may repeat and reorder draws (a copy).  The
-        part shares this stack's cached values: its ``pinv``, ``usable`` and
-        ``qr`` are those rows of the stack's, each made once for the whole
-        stack on first use by the stack or any of its parts, so they raise
-        if any draw of the stack is not finite."""
+        part shares this stack's cached values: its ``pinv`` and ``qr`` are
+        those rows of the stack's, each made once for the whole stack on
+        first use by the stack or any of its parts, so they raise if any
+        draw of the stack is not finite."""
         gathered = (isinstance(rows, np.ndarray) and rows.ndim == 1
                     and np.issubdtype(rows.dtype, np.integer))
         if not (isinstance(rows, slice) or gathered) or not self.stack_shape:
@@ -120,18 +122,6 @@ class ChannelRealization:
         every other matrix is, bit for bit, its own inversion.  A wide
         channel has no left inverse and raises :class:`DimensionMismatch`."""
         return self._shared("pinv", lambda c: _pinv(c._finite()))
-
-    @cached_property
-    def usable(self) -> bool | np.ndarray:
-        """Whether each matrix has full column rank to within ``RANK_TOL``:
-        its smallest singular value exceeds ``RANK_TOL`` times its largest,
-        and it has no more columns than rows.
-
-        A matrix whose ``‖H‖_F·‖H⁺‖_F`` is below ``_CERTIFIED_KAPPA`` passes
-        on that bound, read off ``pinv``; only the others, exactly singular
-        ones included, get their own thin SVD and the exact check, so every
-        flag is the one the singular values give."""
-        return self._shared("usable", _usable)
 
     @cached_property
     def condition_number(self) -> float | np.ndarray:
@@ -177,7 +167,8 @@ def _pinv(h: np.ndarray) -> np.ndarray:
 
 
 def _usable(c: ChannelRealization) -> bool | np.ndarray:
-    """:attr:`ChannelRealization.usable` of a whole stack ``c``."""
+    """:func:`~csmimo.detection.channel_is_usable` of ``c``: a stack's flags
+    from its ``pinv``, and singular values only where the bound fails."""
     if c.m_tx > c.nr:
         return np.zeros(c.stack_shape, dtype=bool)[()]
     pinv = c.pinv

@@ -22,20 +22,22 @@ Eriksson, Vardy & Zeger, IEEE T-IT 48(8), 2002).  Every solver hands
 back the decided point indices; the rest of its :class:`RecoveryResult`
 is formed only when read.
 
-The channel's pseudo-inverse, which ZF and the usability check read, its
-usability flags and the QR of the one-shot search are cached on the
-:class:`ChannelRealization`, each made once per stack of channels: a
-one-shot caller that detects the same channels at several SNR points
-passes the same object, or slices or gathered rows of it, to every point.
-ZF is one stacked product with the pseudo-inverse, and it is linear:
-``H⁺(Hz + s·u) = z + s·H⁺u``, so a caller that detects the same sent
-vectors ``z`` and unit noise ``u`` at several noise scales ``s`` equalizes
-``u`` once and hands :func:`demux` ``z + s·H⁺u`` at each.  The usability
-check clears a well-conditioned channel on the Frobenius norms of the
-channel and its pseudo-inverse and takes singular values only of a
-channel that this bound does not clear, so a sweep without a
-near-singular channel makes no SVD; the channel's condition number is
-computed from singular values only when read.
+The channel's pseudo-inverse, which ZF reads, and the QR of the one-shot
+search are cached on the :class:`ChannelRealization`, each made once per
+stack of channels: a one-shot caller that detects the same channels at
+several SNR points passes the same object, or slices or gathered rows of
+it, to every point.  ZF is one stacked product with the pseudo-inverse,
+and it is linear: ``H⁺(Hz + s·u) = z + s·H⁺u``, so a caller that detects
+the same sent vectors ``z`` and unit noise ``u`` at several noise scales
+``s`` equalizes ``u`` once and hands :func:`demux` ``z + s·H⁺u`` at each.
+ZF is the one step that needs a channel of full column rank, so
+:func:`zf_equalize` is the one place that checks a channel; the one-shot
+search forms no inverse and checks nothing.  The check clears a
+well-conditioned channel on the Frobenius norms of the channel and its
+pseudo-inverse and takes singular values only of a channel that this
+bound does not clear, so a sweep without a near-singular channel makes no
+SVD; the channel's condition number is computed from singular values only
+when read.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import ChannelRealization
+from .channel import ChannelRealization, _usable
 from .csmux import MeasurementMatrix, MuxConfig, transmit_gain
 from .dictionary import build_dictionary, digits
 from .errors import DictionaryTooLarge, DimensionMismatch, RankDeficientChannel, SpecError
@@ -132,8 +134,13 @@ def zf_equalize(y: np.ndarray, h: ChannelRealization) -> np.ndarray:
 
 def channel_is_usable(h: ChannelRealization) -> bool | np.ndarray:
     """True when ZF equalization of ``h`` would not raise; one flag per trial
-    for a stack of channels.  This is ``h.usable``, made once per stack."""
-    return h.usable
+    for a stack of channels.  A matrix is usable when it has no more columns
+    than rows and its smallest singular value exceeds ``RANK_TOL`` times its
+    largest.  A matrix whose ``‖H‖_F·‖H⁺‖_F`` is below ``_CERTIFIED_KAPPA``
+    passes on that bound, read off ``h.pinv``; only the others, exactly
+    singular ones included, get their own thin SVD and the exact check, so
+    every flag is the one the singular values give."""
+    return _usable(h)
 
 
 def sensing_matrix(phi: MeasurementMatrix, psi: np.ndarray) -> np.ndarray:

@@ -13,34 +13,33 @@ enough bit errors have accumulated for a stable estimate, up to the
 configured trial cap.
 
 Trials run trial-major, in chunks of consecutive indices.  Each trial draws
-exactly the stream of ``default_rng([master_seed, t])`` in a fixed order:
-bits, then the channel and any redraws, then the noise.  None of these
-depend on the SNR, so a chunk is drawn once for every point, without a
-``SeedSequence`` per trial: the chunk's seeds are hashed as
-``SeedSequence`` hashes them in one numpy pass, numpy seeds each trial's
-PCG64 from its hashed words, each trial's channel and noise come from one
-normal draw, and one stacked inversion serves the usability check of every
-channel, which takes singular values only of a channel whose Frobenius
-bound on the condition number does not clear it.  A trial whose first
-channel is not usable is replayed from a fresh
-``default_rng([master_seed, t])``: bits, channel, redraws, then noise.
+exactly the stream of numpy's ``Generator(PCG64([master_seed, t]))`` in a
+fixed order: bits, then its channel, then its noise, and keeps the channel
+it draws.  None of these depend on the SNR, so a chunk is drawn once for
+every point, without a ``SeedSequence`` per trial: the chunk's seeds are
+hashed as ``SeedSequence`` hashes them in one numpy pass, numpy seeds each
+trial's PCG64 from its hashed words, and each trial's channel and noise
+come from one normal draw.
 The chunk is put once in the receiver's own space, where a point only
 scales the chunk's unit noise ``u`` by its ``s = sqrt(sigma2/2)``, made
 once per sweep, and adds it.  ZF is linear, ``H⁺(Hz + s·u) = z + s·H⁺u``,
 so the ZF receivers (the ``ml`` and ``omp`` solvers and both baselines)
 keep the sent vectors ``z``, equalize the noise once per chunk,
 ``w = H⁺u``, and detect ``z + s·w`` at every point: the ZF estimate of the
-receive vector to rounding, and at a noiseless point exactly ``z``.  The
-``oneshot`` search reads the receive vector itself, so it keeps ``Hz`` and
+receive vector to rounding, and at a noiseless point exactly ``z``.  That
+one :func:`~csmimo.detection.zf_equalize` is the only check of the chunk's
+channels: it raises :class:`~csmimo.errors.RankDeficientChannel` for one
+without full column rank.  The ``oneshot`` search reads the receive vector
+itself and needs no inverse, so it checks no channel, keeps ``Hz`` and
 ``u`` and detects ``Hz + s·u`` (:func:`~csmimo.channel.noisy`).
 Each SNR point still running then walks the chunk in slices of its own
 size.  The slices run in passes: a pass stacks the next slice of every
 point still walking the chunk, up to the working-set budget, and runs the
 same receiver functions a single trial uses once on the stack, so every
-decision is bit for bit the one-at-a-time result.  The pseudo-inverse and
-usability flags of the chunk's :class:`ChannelRealization` are made once,
-when the chunk is drawn; a ``oneshot`` pass reads a slice or gathered rows
-of it, which share its QR, so that too is made once per chunk.  A
+decision is bit for bit the one-at-a-time result.  The pseudo-inverse of
+a ZF chunk's :class:`ChannelRealization` is made once, when the chunk is
+drawn; a ``oneshot`` pass reads a slice or gathered rows of the chunk's
+channels, which share its QR, so that too is made once per chunk.  A
 point's slices follow from a fixed working-set budget and from its own
 early-stop progress, never from the other points or the passes, and the
 chunk is the largest slice any running point asks for at its start.  A
@@ -53,8 +52,8 @@ detection (``m`` streams), and the naive overload that crams all ``l``
 streams onto the ``m`` spatial streams by plain summation instead of a
 designed compression.  Both send ``z = S x`` with ``S = [I ... I]/sqrt(c)``
 of ``c = streams/m`` identity blocks, the identity for ``zf``, draw and
-check their channels as the scheme does, and slice ``S^T`` of the ZF
-estimate of ``z``.  ``S`` has orthonormal rows, so ``S^T H^+`` is the
+equalize through their channels as the scheme does, and slice ``S^T`` of
+the ZF estimate of ``z``.  ``S`` has orthonormal rows, so ``S^T H^+`` is the
 pseudo-inverse of ``H S`` (Greville, SIAM Review 8(4), 1966): the
 minimum-norm least-squares estimate, which for the overload's duplicated
 columns fails even without noise.
@@ -71,19 +70,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ChannelRealization, NoiseSpec, gains, sample_channel, unit_noise
-from .channel import apply_channel  # noqa: F401  (perfbench traces it by this name)
+from .channel import ChannelRealization, NoiseSpec, gains, unit_noise
 from .csmux import MuxConfig, gen_phi, multiplex
-from .detection import _CHUNK_BYTES, Codebook, channel_is_usable, demux, zf_equalize
-from .detection import build_dictionary, sensing_matrix  # noqa: F401  (perfbench traces them)
-from .errors import RankDeficientChannel, SpecError
+from .detection import _CHUNK_BYTES, Codebook, demux, zf_equalize
+from .errors import SpecError
 from .modem import Constellation, get_constellation, nearest_point_indices, symbol_indices
-from .spec import ExperimentSpec, block_width, checked
-from .spec import load_spec  # noqa: F401  (perfbench reads its workloads through it)
+from .spec import SCAN_BYTES, ExperimentSpec, block_width, checked
+
+# names perfbench traces, or reads its workloads through, in this module
+from .channel import apply_channel, sample_channel  # noqa: F401
+from .detection import build_dictionary, channel_is_usable, sensing_matrix  # noqa: F401
+from .spec import load_spec  # noqa: F401
 
 CSV_HEADER = "snr_db,trials,bits,bit_errors,ber,sym_errors,ser,throughput,ci_low,ci_high"
-
-_MAX_CHANNEL_REDRAWS = 1000
 
 # two-sided 95% standard normal quantile of the Wilson interval
 _WILSON_Z = 1.959963984540054
@@ -97,7 +96,9 @@ _TRIAL_BYTES = 2048
 
 @dataclass(frozen=True)
 class SweepRow:
-    """Aggregated error rates for one SNR point."""
+    """Aggregated error rates for one SNR point.  Every trial keeps its
+    first channel, so ``redraws`` is 0 and the CSV's ``# channel_redraws:``
+    line reads 0."""
 
     snr_db: float
     trials: int
@@ -206,24 +207,21 @@ class _Prepared:
 
 def _chunk_cap(cfg: MuxConfig, solver: str | None) -> int:
     """Trials per chunk within ``_CHUNK_BYTES``: ``_TRIAL_BYTES``, the
-    channel and its cached pseudo-inverse, ``nr·m`` complex entries each,
-    and what ``solver`` holds per trial for each entry of its
-    :func:`block_width` in each of the ``J`` blocks.  The ``ml`` scan holds
-    its real metric, 8 B for each level tuple of both half-scans; the
-    ``omp`` pick holds the complex correlation, its absolute value and the
-    quotient by the column norms, 32 B per column; the ``oneshot`` search
-    holds the cached QR, ``q``, its ``q.conj()`` temporary and ``r``.  The
-    search's candidate contributions and scratch do not count here: it
-    walks its slice in blocks of trials that each bound them by
-    ``_CHUNK_BYTES`` of their own (see ``detection._demux_oneshot``).
-    Complex entries count 16 B.  ``None`` is a baseline, which slices its
-    ZF estimate and holds nothing more.  The ZF receivers read the channel
-    and its pseudo-inverse only to equalize the chunk's noise once."""
+    channel and what the receiver factors of it, and what ``solver`` holds
+    per trial for each entry of its :func:`block_width` in each of the
+    ``J`` blocks, :data:`~csmimo.spec.SCAN_BYTES` for the ``ml`` scan and
+    the ``omp`` pick.  The ZF receivers hold the cached pseudo-inverse,
+    ``nr·m`` entries, which they read only to equalize the chunk's noise
+    once; the ``oneshot`` search holds the cached QR, ``q``, its
+    ``q.conj()`` temporary and ``r``.  The search's candidate contributions
+    and scratch do not count here: it walks its slice in blocks of trials
+    that each bound them by ``_CHUNK_BYTES`` of their own (see
+    ``detection._demux_oneshot``).  Complex entries count 16 B.  ``None``
+    is a baseline, which slices its ZF estimate and holds nothing more."""
     nr, m = cfg.nr, cfg.m
-    entries = 2 * nr * m
-    if solver == "oneshot":
-        entries += 2 * nr * nr + nr * m
-    per_entry = {"ml": 16, "omp": 32}.get(solver, 0)
+    # the channel, and its pseudo-inverse or its r, q and q.conj()
+    entries = 2 * nr * m + (2 * nr * nr if solver == "oneshot" else 0)
+    per_entry = SCAN_BYTES.get(solver, 0)
     scan = per_entry * cfg.j * block_width(cfg, solver) if per_entry else 0
     return max(1, _CHUNK_BYTES // (_TRIAL_BYTES + 16 * entries + scan))
 
@@ -243,9 +241,9 @@ def _prepare(spec: ExperimentSpec) -> _Prepared:
 class _Drawn(NamedTuple):
     """What a chunk of ``n`` trials sends, the same at every SNR point:
     symbol indices ``(n, streams)``, whose labels are the trials' bits,
-    usable channels, and the sent vectors and unit noise in the receiver's
+    their channels, and the sent vectors and unit noise in the receiver's
     own space, so that a point of noise scale ``s`` detects
-    ``sent + s·noise``, and redraws per trial.  The ZF receivers hold the
+    ``sent + s·noise``.  The ZF receivers hold the
     transmit vectors ``z`` ``(n, m)`` and the equalized noise ``H⁺u``; the
     ``oneshot`` search, which reads the receive vector, holds ``h z`` and
     the :func:`unit_noise` ``u`` of the noise normals, ``(n, nr)`` each."""
@@ -254,7 +252,6 @@ class _Drawn(NamedTuple):
     channel: ChannelRealization
     sent: np.ndarray
     noise: np.ndarray
-    redraws: np.ndarray
 
 
 class _Chunk(NamedTuple):
@@ -269,8 +266,8 @@ class _Chunk(NamedTuple):
 # numpy's SeedSequence (numpy/random/bit_generator.pyx): hashmix's initial
 # value and multiplier for mixing entropy into the 4-word pool and for
 # generate_state, and mix's two multipliers.  numpy keeps these streams
-# fixed across releases (NEP 19); the property tests hold _draw to
-# default_rng on the installed numpy.
+# fixed across releases (NEP 19); the property tests hold _draw to numpy's
+# own seeding on the installed numpy.
 _MASK32 = (1 << 32) - 1
 _HASH_POOL = (0x43B0D7E5, 0x931E8875)
 _HASH_STATE = (0x8B51F9DD, 0x58F38DED)
@@ -361,10 +358,10 @@ def _seed_words() -> type:
 
 
 def _draw(seed: int, t0: int, n: int, nbits: int, nr: int, m_tx: int) -> tuple[np.ndarray, ...]:
-    """Bits ``(n, nbits)``, first channels ``(n, nr, m_tx)`` and noise
+    """Bits ``(n, nbits)``, channels ``(n, nr, m_tx)`` and noise
     normals ``(n, 2·nr)``, real parts first, of trials ``t0 .. t0+n-1``.
 
-    Trial ``t`` draws exactly the stream of ``default_rng([seed, t])``: its
+    Trial ``t`` draws exactly the stream of ``Generator(PCG64([seed, t]))``: its
     bits as ``integers(0, 2, size=nbits, dtype=uint8)``, then in one
     normal draw the ``2·nr·m_tx`` normals of its channel (as
     :func:`sample_channel`) and the ``2·nr`` of its noise (as
@@ -389,28 +386,12 @@ def _draw(seed: int, t0: int, n: int, nbits: int, nr: int, m_tx: int) -> tuple[n
     return bits, gains(normals[:, : 2 * k], nr, m_tx), normals[:, 2 * k :]
 
 
-def _replay(
-    seed: int, t: int, nbits: int, nr: int, m_tx: int
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Trial ``t`` replayed from a fresh generator, for a first channel that
-    is not usable: its usable channel, its noise normals drawn after the
-    redraws, and the number of redraws."""
-    rng = np.random.default_rng([seed, t])
-    rng.integers(0, 2, size=nbits, dtype=np.uint8)
-    draw, redraws = sample_channel(nr, m_tx, rng), 0
-    while not channel_is_usable(draw):
-        redraws += 1
-        if redraws > _MAX_CHANNEL_REDRAWS:
-            raise RankDeficientChannel(f"no usable channel in {_MAX_CHANNEL_REDRAWS} redraws")
-        draw = sample_channel(nr, m_tx, rng)
-    return draw.h, rng.standard_normal(2 * nr), redraws
-
-
 def _draw_chunk(prep: _Prepared, t0: int, n: int) -> _Drawn:
     """Trials ``t0 .. t0+n-1`` drawn, modulated, multiplexed (or spread by
     a baseline) and put in the receiver's space: the ZF receivers keep the
-    sent vectors and equalize the unit noise once through the usable
-    channels, and ``oneshot`` sends the vectors through them."""
+    sent vectors and equalize the unit noise once through the channels,
+    which raises :class:`~csmimo.errors.RankDeficientChannel` if one is not
+    of full column rank, and ``oneshot`` sends the vectors through them."""
     spec, cfg, c = prep.spec, prep.spec.config, prep.modem
     nbits = spec.streams * c.bits_per_symbol
     tx_bits, h, normals = _draw(spec.master_seed, t0, n, nbits, cfg.nr, cfg.m)
@@ -422,17 +403,12 @@ def _draw_chunk(prep: _Prepared, t0: int, n: int) -> _Drawn:
         z = (prep.spread @ x[..., None])[..., 0]
     else:
         z = multiplex(x, prep.code)
-    channel, redraws = ChannelRealization(h), np.zeros(n, dtype=np.int64)
-    for i in np.flatnonzero(~channel_is_usable(channel)):
-        h[i], normals[i], redraws[i] = _replay(spec.master_seed, t0 + i, nbits, cfg.nr, cfg.m)
-    if redraws.any():
-        channel = ChannelRealization(h)
-    unit = unit_noise(normals)
+    channel, unit = ChannelRealization(h), unit_noise(normals)
     if prep.solver == "oneshot":
         # stacked matrix-vector products, bit for bit the single-draw ones
-        return _Drawn(tx_idx, channel, (h @ z[..., None])[..., 0], unit, redraws)
+        return _Drawn(tx_idx, channel, (h @ z[..., None])[..., 0], unit)
     # ZF is linear, H⁺(Hz + s·u) = z + s·H⁺u: one equalization for every point
-    return _Drawn(tx_idx, channel, z, zf_equalize(unit, channel), redraws)
+    return _Drawn(tx_idx, channel, z, zf_equalize(unit, channel))
 
 
 def _detect(prep: _Prepared, drawn: _Drawn, slices: list[tuple[int, int, int]]) -> list[_Chunk]:
@@ -497,8 +473,7 @@ def _tally_chunk(prep: _Prepared, t0: int, n: int, running: list[int], tally: np
             if target:
                 hit = np.flatnonzero(tally[p, 1] + np.cumsum(chunk.bit_errors) >= target)
                 kept = int(hit[0]) + 1 if hit.size else kept
-            tally[p] += (kept, chunk.bit_errors[:kept].sum(), chunk.symbol_errors[:kept].sum(),
-                         drawn.redraws[lo : lo + kept].sum())
+            tally[p] += (kept, chunk.bit_errors[:kept].sum(), chunk.symbol_errors[:kept].sum())
             walking[p] = hi
             if hi == n or (target and tally[p, 1] >= target):
                 del walking[p]
@@ -541,8 +516,8 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
     """
     prep = _prepare(spec)
     target = spec.early_stop_errors
-    # per SNR point: trials, bit errors, symbol errors and redraws kept
-    tally = np.zeros((len(spec.snr_db), 4), dtype=np.int64)
+    # per SNR point: trials, bit errors and symbol errors kept
+    tally = np.zeros((len(spec.snr_db), 3), dtype=np.int64)
     running = list(range(len(spec.snr_db)))
     t0 = one_by_one_until = 0
     while running and t0 < spec.trials:
@@ -565,7 +540,7 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
         running = [p for p in running if not (target and tally[p, 1] >= target)]
     rows = []
     b = prep.modem.bits_per_symbol
-    for snr, (trials, bit_errors, sym_errors, redraws) in zip(spec.snr_db, tally.tolist()):
+    for snr, (trials, bit_errors, sym_errors) in zip(spec.snr_db, tally.tolist()):
         bits = trials * spec.streams * b
         ser = sym_errors / (trials * spec.streams)
         ci_low, ci_high = wilson_interval(bit_errors, bits)
@@ -581,6 +556,5 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
             throughput=spec.streams * b * (1.0 - ser),
             ci_low=ci_low,
             ci_high=ci_high,
-            redraws=redraws,
         ))
     return SweepResult(spec, tuple(rows))

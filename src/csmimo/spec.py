@@ -160,12 +160,19 @@ class MuxConfig:
         return self.l // self.j
 
 
-# Most bytes one trial's oneshot search may hold in its candidate
-# contributions, 16 B for each of the d candidates of each of the J blocks
-# on each of the nr rows: eight times the (4,4)-8 QAM16 search's 8 MiB.
-# The search walks its trials in blocks of at least one, so a setup past
-# this would take that much memory per trial, however small the sweep.
-ONESHOT_TRIAL_BYTES = 1 << 26
+# Bytes one trial's scan holds for each entry of a block's table: the ml
+# half-scans' real metric, 8 B for each level tuple of both halves, and
+# the omp pick's complex correlation, its absolute value and their
+# quotient by the column norms, 32 B per dictionary column.
+SCAN_BYTES = {"ml": 16, "omp": 32}
+
+# Most bytes one trial may hold in its scan over the J blocks, SCAN_BYTES
+# per entry, or in its oneshot candidate contributions, 16 B for each of
+# the d candidates of each block on each of the nr rows: sixteen times the
+# (4,4)-8 QAM16 omp pick's 4 MiB and eight times its search's 8 MiB.  A
+# sweep works in chunks of at least one trial, so a setup past this would
+# take that much memory per trial, however small the sweep.
+TRIAL_BYTES = 1 << 26
 
 
 def block_width(cfg: MuxConfig, solver: str) -> int:
@@ -176,10 +183,11 @@ def block_width(cfg: MuxConfig, solver: str) -> int:
     level-tuple distances of ``analyze``.  The one check that ``solver``
     runs on ``cfg``: :class:`DictionaryTooLarge` when ``q**n`` overflows the
     int64 joint index or the width exceeds ``cfg.dictionary_cap``, or when
-    one ``oneshot`` trial's candidate contributions, ``16·J·nr·d`` bytes,
-    exceed :data:`ONESHOT_TRIAL_BYTES`, and :class:`BadSubblockShape` for
-    ``omp`` on one-row sub-blocks, where every column's normalized
-    correlation is ``|z|``, so rounding makes the pick.
+    one trial's ``ml`` or ``omp`` scan, ``16·J·width`` or ``32·J·width``
+    bytes (:data:`SCAN_BYTES`), or its ``oneshot`` candidate contributions,
+    ``16·J·nr·d`` bytes, exceed :data:`TRIAL_BYTES`, and
+    :class:`BadSubblockShape` for ``omp`` on one-row sub-blocks, where every
+    column's normalized correlation is ``|z|``, so rounding makes the pick.
     """
     c, n = get_constellation(cfg.constellation), cfg.subblock_cols
     # q = 2**bits: compare exponents, so a long sub-block costs no power
@@ -192,10 +200,16 @@ def block_width(cfg: MuxConfig, solver: str) -> int:
             f"{solver} per-block table width {base}^{n} = {width} "
             f"exceeds cap {cfg.dictionary_cap}"
         )
-    if solver == "oneshot" and 16 * cfg.j * cfg.nr * width > ONESHOT_TRIAL_BYTES:
+    per_entry = SCAN_BYTES.get(solver)
+    if per_entry and per_entry * cfg.j * width > TRIAL_BYTES:
+        raise DictionaryTooLarge(
+            f"{solver} scan of one trial, {per_entry}*J*width = {per_entry}*{cfg.j}*{width} B,"
+            f" exceeds {TRIAL_BYTES} B"
+        )
+    if solver == "oneshot" and 16 * cfg.j * cfg.nr * width > TRIAL_BYTES:
         raise DictionaryTooLarge(
             f"oneshot candidate contributions of one trial, 16*J*nr*d = 16*{cfg.j}*{cfg.nr}*"
-            f"{width} B, exceed {ONESHOT_TRIAL_BYTES} B"
+            f"{width} B, exceed {TRIAL_BYTES} B"
         )
     if solver == "omp" and cfg.subblock_rows == 1:
         raise BadSubblockShape(
@@ -214,9 +228,9 @@ class ExperimentSpec:
     many bit errors have been seen (0 disables early stopping).  Counts and
     seeds are integers in their ranges of :data:`RANGES`.  The scheme's
     ``solver`` must run on the setup, which :func:`block_width` checks: its
-    per-block table fits ``dictionary_cap`` and the int64 joint index,
-    ``oneshot``'s per-trial contributions fit :data:`ONESHOT_TRIAL_BYTES`,
-    and ``omp`` has sub-blocks of ``m/j >= 2`` rows.  A baseline builds no
+    per-block table fits ``dictionary_cap`` and the int64 joint index, one
+    trial's scan or ``oneshot`` contributions fit :data:`TRIAL_BYTES`, and
+    ``omp`` has sub-blocks of ``m/j >= 2`` rows.  A baseline builds no
     table and runs on any setup.  Config files hold exactly these fields
     and those of :class:`MuxConfig`.
     """

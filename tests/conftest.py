@@ -40,15 +40,14 @@ def recipe_path(name: str) -> str:
 
 class Trials(NamedTuple):
     """Per-trial outcome of trials ``t0 .. t0+n-1`` at one SNR point: sent
-    and decided point indices ``(n, streams)``, bit errors, symbol errors
-    and channel redraws ``(n,)``."""
+    and decided point indices ``(n, streams)``, bit errors and symbol
+    errors ``(n,)``."""
 
     snr_db: float
     tx_idx: np.ndarray
     rx_idx: np.ndarray
     bit_errors: np.ndarray
     symbol_errors: np.ndarray
-    redraws: np.ndarray
 
 
 def run_trials(spec, t0: int, n: int = 1, snr_db=None) -> Trials:
@@ -65,5 +64,5 @@ def run_trials(spec, t0: int, n: int = 1, snr_db=None) -> Trials:
         size = min(prep.chunk_cap, t0 + n - lo)
         drawn = harness._draw_chunk(prep, lo, size)
         chunk, = harness._detect(prep, drawn, [(0, size, 0)])
-        parts.append((drawn.tx_idx, *chunk, drawn.redraws))
+        parts.append((drawn.tx_idx, *chunk))
     return Trials(snr, *map(np.concatenate, zip(*parts)))

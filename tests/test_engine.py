@@ -29,7 +29,7 @@ import csmimo.harness as harness
 from csmimo.channel import (ChannelRealization, NoiseSpec, apply_channel, gains, noisy,
                             sample_channel, unit_noise)
 from csmimo.csmux import MuxConfig, gen_phi, multiplex
-from csmimo.detection import Codebook, channel_is_usable, demux, zf_equalize
+from csmimo.detection import Codebook, demux, zf_equalize
 from csmimo.errors import RankDeficientChannel
 from csmimo.harness import ExperimentSpec, load_spec, run_sweep, wilson_interval
 from csmimo.modem import get_constellation, nearest_point_indices, symbol_indices
@@ -40,13 +40,15 @@ INF = float("inf")
 
 
 def _sequential_trial(spec, t, snr_db):
-    """One trial: ``(tx_bits, rx_bits, symbol_errors, redraws)``.
+    """One trial: ``(tx_bits, rx_bits, symbol_errors)``.
 
     Draws from the generator of ``(master_seed, t)`` in the order bits,
-    channel (redrawn until usable), noise.  Channels come from
-    ``harness.sample_channel`` so that tests can patch it for both sides.
-    ZF is linear, so the ZF receivers' estimate of the receive vector
-    ``h z + s·u`` is formed as ``z + s·H⁺u``, from the same normals
+    channel, noise, and keeps the channel it draws; the ZF receivers'
+    ``zf_equalize`` raises for one that is not of full column rank.  The
+    channel comes from this module's ``sample_channel``, which
+    :class:`_RankDeficientOn` patches.  ZF is linear, so the ZF receivers'
+    estimate of the receive vector ``h z + s·u`` is formed as
+    ``z + s·H⁺u``, from the same normals
     ``apply_channel`` draws for ``u``; only ``oneshot`` reads the receive
     vector itself.
     """
@@ -57,13 +59,7 @@ def _sequential_trial(spec, t, snr_db):
     tx_idx = symbol_indices(tx_bits, c)
     x = c.points[tx_idx]
     noise = NoiseSpec.from_snr(snr_db, float(cfg.m))
-    redraws = 0
-    h = harness.sample_channel(cfg.nr, cfg.m, rng)
-    while not channel_is_usable(h):
-        redraws += 1
-        if redraws > 1000:
-            raise RankDeficientChannel("no usable channel in 1000 redraws")
-        h = harness.sample_channel(cfg.nr, cfg.m, rng)
+    h = sample_channel(cfg.nr, cfg.m, rng)
 
     def zf_estimate(z):
         return z + noise.scale * zf_equalize(unit_noise(rng.standard_normal(2 * cfg.nr)), h)
@@ -83,7 +79,7 @@ def _sequential_trial(spec, t, snr_db):
             rec = demux(zf_estimate(multiplex(x, code)), code, spec.solver)
         rx_idx = nearest_point_indices(rec.x_hat, c)
     rx_bits = c.labels[rx_idx].ravel()
-    return tx_bits, rx_bits, int(np.sum(tx_idx != rx_idx)), redraws
+    return tx_bits, rx_bits, int(np.sum(tx_idx != rx_idx))
 
 
 def _sequential_rows(spec):
@@ -92,21 +88,19 @@ def _sequential_rows(spec):
     rows = []
     b = get_constellation(spec.config.constellation).bits_per_symbol
     for snr in spec.snr_db:
-        trials = bits = bit_errors = sym_errors = redraws = 0
+        trials = bits = bit_errors = sym_errors = 0
         for t in range(spec.trials):
-            tx, rx, sym, red = _sequential_trial(spec, t, snr)
+            tx, rx, sym = _sequential_trial(spec, t, snr)
             trials += 1
             bits += tx.size
             bit_errors += int(np.sum(tx != rx))
             sym_errors += sym
-            redraws += red
             if spec.early_stop_errors and bit_errors >= spec.early_stop_errors:
                 break
         ci_low, ci_high = wilson_interval(bit_errors, bits)
         ser = sym_errors / (trials * spec.streams)
         rows.append(harness.SweepRow(snr, trials, bits, bit_errors, bit_errors / bits, sym_errors,
-                                     ser, spec.streams * b * (1.0 - ser), ci_low, ci_high,
-                                     redraws))
+                                     ser, spec.streams * b * (1.0 - ser), ci_low, ci_high))
     return tuple(rows)
 
 
@@ -156,10 +150,10 @@ def test_chunked_engine_matches_sequential_oracle(spec, cap):
         rec = run_trials(spec, 0, n, snr)
         labels = get_constellation(spec.config.constellation).labels
         for t in range(n):
-            tx, rx, sym, red = _sequential_trial(spec, t, snr)
+            tx, rx, sym = _sequential_trial(spec, t, snr)
             np.testing.assert_array_equal(labels[rec.tx_idx[t]].ravel(), tx)
             np.testing.assert_array_equal(labels[rec.rx_idx[t]].ravel(), rx)
-            assert (rec.symbol_errors[t], rec.redraws[t]) == (sym, red)
+            assert rec.symbol_errors[t] == sym
 
 
 # (solver or baseline, setup) pairs a spec accepts: omp needs m/j >= 2
@@ -220,66 +214,30 @@ def test_early_stop_inside_and_at_end_of_chunk(where):
 
 
 class _RankDeficientOn:
-    """``sample_channel`` that makes chosen draws of chosen trials rank deficient.
+    """Makes the first channel of each of ``trials`` all zeros, so rank
+    deficient, both where a sweep draws its chunks, ``harness._draw``, and
+    where the oracle draws one trial, this module's ``sample_channel``.  The
+    real draw is made first, so the stream advances as usual."""
 
-    ``chosen`` maps a trial index to the 0-based draw numbers to spoil, or to
-    ``"all"``.  The real draw is made first, so the stream advances as usual.
-    :meth:`patch` also spoils the first channels the engine draws for a chunk
-    through ``_draw``; the engine replays such a trial through
-    ``sample_channel``, where the same draws are spoiled again.
-    """
-
-    def __init__(self, chosen):
-        self.chosen = chosen
-        self.calls = {}
-
-    def _spoils(self, t, draw):
-        spoil = self.chosen.get(t, ())
-        return spoil == "all" or draw in spoil
-
-    def __call__(self, nr, m_tx, rng):
-        h = sample_channel(nr, m_tx, rng)
-        held = self.calls.setdefault(id(rng), [rng, 0])
-        draw = held[1]
-        held[1] += 1
-        if self._spoils(rng.bit_generator.seed_seq.entropy[1], draw):
-            return ChannelRealization(np.zeros((nr, m_tx), dtype=complex))
-        return h
+    def __init__(self, trials):
+        self.trials = set(trials)
 
     def patch(self, monkeypatch):
-        chunk_draw = harness._draw
+        chunk_draw, one_draw = harness._draw, sample_channel
 
         def draw(seed, t0, n, nbits, nr, m_tx):
             bits, h, noise = chunk_draw(seed, t0, n, nbits, nr, m_tx)
-            for i in range(n):
-                if self._spoils(t0 + i, 0):
-                    h[i] = 0
+            h[[i for i in range(n) if t0 + i in self.trials]] = 0
             return bits, h, noise
 
-        monkeypatch.setattr(harness, "sample_channel", self)
+        def sample(nr, m_tx, rng):
+            h = one_draw(nr, m_tx, rng)
+            if rng.bit_generator.seed_seq.entropy[1] in self.trials:
+                return ChannelRealization(np.zeros_like(h.h))
+            return h
+
         monkeypatch.setattr(harness, "_draw", draw)
-
-
-@pytest.mark.parametrize("baseline", [None, "zf", "overload"])
-def test_redraws_inside_a_chunk_land_on_their_trial(monkeypatch, baseline):
-    """Trial 2 redraws twice and trial 4 once, inside one chunk of 10.  Each
-    trial keeps its redraws and draws its noise after them, at every point,
-    in the scheme and in both baselines."""
-    _RankDeficientOn({2: {0, 1}, 4: {0}}).patch(monkeypatch)
-    spec = _stop_spec(snr_db=(0.0, 10.0), trials=10, early_stop_errors=0, baseline=baseline)
-    prep = harness._prepare(spec)
-    assert prep.chunk_cap >= 10
-    drawn = harness._draw_chunk(prep, 0, 10)
-    chunks = harness._detect(prep, drawn, [(0, 10, p) for p in range(len(spec.snr_db))])
-    for snr, chunk in zip(spec.snr_db, chunks, strict=True):
-        for t in range(10):
-            tx, rx, sym, red = _sequential_trial(spec, t, snr)
-            np.testing.assert_array_equal(prep.modem.labels[drawn.tx_idx[t]].ravel(), tx)
-            np.testing.assert_array_equal(prep.modem.labels[chunk.rx_idx[t]].ravel(), rx)
-            assert (chunk.symbol_errors[t], drawn.redraws[t]) == (sym, red)
-        assert drawn.redraws.tolist() == [0, 0, 2, 0, 1, 0, 0, 0, 0, 0]
-    with _fixed_chunks(10):
-        assert run_sweep(spec).rows == _sequential_rows(spec)
+        monkeypatch.setattr(sys.modules[__name__], "sample_channel", sample)
 
 
 def _stops(spec):
@@ -297,23 +255,35 @@ def test_failure_past_the_stop_does_not_surface(monkeypatch):
         spec = _stop_spec(snr_db=snr_db)
         stops = _stops(spec)
         with monkeypatch.context() as patched:
-            _RankDeficientOn({max(stops) + 1: "all"}).patch(patched)
+            _RankDeficientOn({max(stops) + 1}).patch(patched)
             with _fixed_chunks(spec.trials):
                 assert run_sweep(spec).rows == _sequential_rows(spec)
 
 
 def test_failure_before_the_stop_surfaces(monkeypatch):
-    """A trial the sequential rule reaches raises, also when only the
-    high-SNR point reaches it, past the low-SNR point's stop."""
+    """A rank-deficient first channel of a trial the sequential rule
+    reaches fails the sweep with the oracle's ``zf_equalize`` error, also
+    when only the high-SNR point reaches it, past the low-SNR point's stop."""
     one = _stop_spec()
     two = _stop_spec(snr_db=(4.0, 16.0))
     low, high = _stops(two)
     assert low + 1 < high
     for spec, bad in [(one, _stops(one)[0] - 1), (two, low + 1)]:
         with monkeypatch.context() as patched:
-            _RankDeficientOn({bad: "all"}).patch(patched)
-            with _fixed_chunks(spec.trials), pytest.raises(RankDeficientChannel, match="redraws"):
-                run_sweep(spec)
+            _RankDeficientOn({bad}).patch(patched)
+            with _fixed_chunks(spec.trials):
+                got = _outcome(lambda s: run_sweep(s).rows, spec)
+            assert got == _outcome(_sequential_rows, spec)
+        assert got == (RankDeficientChannel, ("condition number nan is not below 1/RANK_TOL",))
+
+
+def test_oneshot_keeps_a_rank_deficient_channel(monkeypatch):
+    """``oneshot`` needs no inverse and checks no channel: a sweep whose
+    trials 2 and 5 keep an all-zero first channel runs through them, with
+    the oracle's rows."""
+    _RankDeficientOn({2, 5}).patch(monkeypatch)
+    spec = _stop_spec(snr_db=(0.0, 10.0), trials=12, early_stop_errors=0, solver="oneshot")
+    assert run_sweep(spec).rows == _sequential_rows(spec)
 
 
 class _Injected(Exception):
@@ -576,22 +546,17 @@ def _trial_generators(rng_mock):
     return sorted(c.args[0][1] for c in rng_mock.call_args_list if isinstance(c.args[0], list))
 
 
-def test_only_redrawn_trials_build_a_generator(monkeypatch):
-    """A sweep draws its trials without a generator per trial; only a trial
-    whose first channel is not usable is replayed from its own
-    ``default_rng([master_seed, t])``, once, whatever the number of SNR
-    points; a second sweep builds the same ones again."""
-    _RankDeficientOn({2: {0}, 5: {0, 1}}).patch(monkeypatch)
-    spec = _stop_spec(snr_db=(0.0, 10.0, 20.0), trials=12, early_stop_errors=0)
-    built = []
-    for _ in range(2):
+def test_a_sweep_builds_no_trial_generator():
+    """A sweep draws its trials without a generator per trial: it builds no
+    ``default_rng([master_seed, t])``, for a ZF receiver or ``oneshot``, at
+    any number of SNR points, and every trial keeps its first channel, so
+    the header counts no redraws."""
+    for solver in ("ml", "oneshot"):
+        spec = _stop_spec(snr_db=(0.0, 10.0, 20.0), trials=12, early_stop_errors=0, solver=solver)
         with mock.patch("numpy.random.default_rng", wraps=np.random.default_rng) as rng:
             result = run_sweep(spec)
-        built.append(_trial_generators(rng))
-    assert [r.redraws for r in result.rows] == [3, 3, 3]
-    assert built == [[2, 5]] * 2
-    # every point kept the same trials, so the header counts their redraws once
-    assert "# channel_redraws: 3\n" in result.to_csv()
+        assert _trial_generators(rng) == []
+        assert "# channel_redraws: 0\n" in result.to_csv()
 
 
 def _fresh_bits(spec, t):
@@ -614,7 +579,7 @@ def test_run_trial_seeds_only_its_trial():
     assert _trial_generators(rng) == []
     assert seeds.call_args_list == [mock.call(spec.master_seed, 7, 1)]
     np.testing.assert_array_equal(_sent_bits(spec, rec), _fresh_bits(spec, 7))
-    assert (rec.symbol_errors[0], rec.redraws[0]) == _sequential_trial(spec, 7, spec.snr_db[0])[2:]
+    assert rec.symbol_errors[0] == _sequential_trial(spec, 7, spec.snr_db[0])[2]
 
 
 @pytest.mark.parametrize("seed", [3, 2**64 - 1], ids=["seed-3", "seed-2**64-1"])
@@ -638,21 +603,34 @@ def test_oneshot_sweep_factors_each_chunk_once():
     assert rows == _sequential_rows(spec)
 
 
-@pytest.mark.parametrize("recipe", RECIPES)
-@pytest.mark.parametrize("baseline", [None, "zf"])
-def test_a_sweep_makes_no_svd_and_inverts_each_chunk_once(recipe, baseline):
+# (mode, recipe, nr): the ml sweep and zf baseline of each shipped recipe,
+# and oneshot on the square (4,4)-8 recipe and its tall nr = 8 copy
+_FACTORED = ([(mode, recipe, None) for mode in (None, "zf") for recipe in RECIPES]
+             + [("oneshot", "mimo4x4_l8", None), ("oneshot", "mimo4x4_l8", 8)])
+
+
+@pytest.mark.parametrize("mode, recipe, nr", _FACTORED,
+                         ids=[f"{m}-{r}" + (f"_nr{nr}" if nr else "") for m, r, nr in _FACTORED])
+def test_a_sweep_makes_no_svd_and_inverts_each_chunk_once(mode, recipe, nr):
     """A shipped recipe's ``ml`` sweep and its ``zf`` baseline, with no
-    near-singular channel, make no SVD: the usability check clears every
+    near-singular channel, make no SVD: ``zf_equalize`` clears every
     channel on its Frobenius bound, and every SNR point's ZF reads the
-    pseudo-inverse made once for its drawn chunk."""
-    spec = _recipe(recipe, snr_db=(0.0, 10.0, 20.0), trials=300, baseline=baseline)
+    pseudo-inverse made once for its drawn chunk.  A ``oneshot`` sweep,
+    square or tall, checks no channel: it makes no inverse and no SVD,
+    and exactly one QR per chunk, the complete one its search reads."""
+    spec = _recipe(recipe, snr_db=(0.0, 10.0, 20.0), trials=300)
+    spec = replace(spec, config=replace(spec.config, nr=nr or spec.config.nr),
+                   **({"solver": "oneshot"} if mode == "oneshot" else {"baseline": mode}))
     with mock.patch("numpy.linalg.svd", wraps=np.linalg.svd) as svd, \
             mock.patch("numpy.linalg.inv", wraps=np.linalg.inv) as inv, \
+            mock.patch("numpy.linalg.qr", wraps=np.linalg.qr) as qr, \
             mock.patch.object(harness, "_draw_chunk", wraps=harness._draw_chunk) as chunks:
-        rows = run_sweep(spec).rows
+        run_sweep(spec)
+    assert chunks.call_count >= 2
     assert svd.call_count == 0
-    assert sum(row.redraws for row in rows) == 0
-    assert inv.call_count == chunks.call_count >= 2
+    oneshot = mode == "oneshot"
+    assert inv.call_count == (0 if oneshot else chunks.call_count)
+    assert qr.call_count == (chunks.call_count if oneshot else 0)
 
 
 def test_a_qam16_ml_chunk_holds_many_trials():

@@ -19,7 +19,7 @@ import csmimo
 from csmimo import harness
 from csmimo.cli import main
 from csmimo.errors import BadSubblockShape, CsmimoError, DictionaryTooLarge, SpecError
-from csmimo.spec import (BASELINES, ONESHOT_TRIAL_BYTES, RANGES, SOLVERS, MuxConfig, read_config,
+from csmimo.spec import (BASELINES, RANGES, SOLVERS, TRIAL_BYTES, MuxConfig, read_config,
                          spec_from_dict)
 
 RECIPES = ("mimo2x2_l4", "mimo4x4_l8", "mimo20x20_l40")
@@ -107,7 +107,7 @@ def test_largest_setups_are_accepted():
 ], ids=["(256,256)-2048", "(20,256)-40-qam16"])
 def test_oneshot_past_its_trial_bytes_is_refused(setup, product):
     """A ``oneshot`` setup whose one trial's candidate contributions,
-    ``16·J·nr·d`` bytes, pass ``ONESHOT_TRIAL_BYTES`` is refused in one line
+    ``16·J·nr·d`` bytes, pass ``TRIAL_BYTES`` is refused in one line
     at once, before any table or trial: the (256,256)-2048 search would
     need 64 GiB a trial and the (20,256)-40 QAM16 one 2.5 GiB.  ``ml`` and
     the baselines build no such contributions and keep the setup."""
@@ -117,19 +117,60 @@ def test_oneshot_past_its_trial_bytes_is_refused(setup, product):
     assert time.perf_counter() - start < 1.0
     assert type(err) is DictionaryTooLarge
     assert str(err) == (f"oneshot candidate contributions of one trial, 16*J*nr*d = {product},"
-                        f" exceed {ONESHOT_TRIAL_BYTES} B")
+                        f" exceed {TRIAL_BYTES} B")
     assert spec_from_dict({**raw, "solver": "ml"}).solver == "ml"
     assert spec_from_dict({**raw, "baseline": "zf"}).baseline == "zf"
 
 
 def test_oneshot_trial_bytes_bound_is_inclusive():
     """QAM16 (4,4)-5 at J = 1 and ``d = 16**5``: its 4 receive rows take
-    exactly ``ONESHOT_TRIAL_BYTES`` and are accepted, a fifth is not."""
+    exactly ``TRIAL_BYTES`` and are accepted, a fifth is not."""
     raw = {**recipe(), "nt": 4, "l": 5, "j": 1, "constellation": "qam16",
            "dictionary_cap": 2**20, "solver": "oneshot"}
-    assert 16 * 4 * 2**20 == ONESHOT_TRIAL_BYTES
+    assert 16 * 4 * 2**20 == TRIAL_BYTES
     assert spec_from_dict({**raw, "nr": 4}).config.nr == 4
     assert type(refused(lambda: spec_from_dict({**raw, "nr": 5}))) is DictionaryTooLarge
+
+
+@pytest.mark.parametrize("setup, message", [
+    ({"nt": 256, "nr": 256, "l": 2560, "j": 128, "dictionary_cap": 2**20},
+     "ml scan of one trial, 16*J*width = 16*128*1048576 B"),
+    ({"nt": 256, "nr": 256, "l": 4096, "j": 256}, "ml scan of one trial, 16*J*width = 16*256*65536 B"),
+    ({"nt": 256, "nr": 256, "l": 1024, "j": 128, "solver": "omp"},
+     "omp scan of one trial, 32*J*width = 32*128*65536 B"),
+], ids=["(256,256)-2560-ml", "(256,256)-4096-ml", "(256,256)-1024-omp"])
+def test_a_scan_past_its_trial_bytes_is_refused(setup, message):
+    """An ``ml`` or ``omp`` setup whose one-trial scan, ``16·J·width`` or
+    ``32·J·width`` bytes, passes ``TRIAL_BYTES`` is refused in one line at
+    once, before any table or trial: 2 GiB a trial for the (256,256)-2560
+    ``ml`` scan at J = 128, 256 MiB for (256,256)-4096 ``ml`` at J = 256 and
+    for (256,256)-1024 ``omp`` at J = 128.  A baseline keeps the setup."""
+    raw = {**recipe(), **setup}
+    start = time.perf_counter()
+    err = refused(lambda: spec_from_dict(raw))
+    assert time.perf_counter() - start < 1.0
+    assert type(err) is DictionaryTooLarge
+    assert str(err) == f"{message}, exceeds {TRIAL_BYTES} B"
+    assert spec_from_dict({**raw, "baseline": "zf"}).baseline == "zf"
+
+
+def test_scan_trial_bytes_bound_is_inclusive():
+    """The largest setup run today, a (4,4)-8 QAM16 ``omp`` pick, holds
+    4 MiB and is accepted.  A QPSK ``ml`` scan of ``2**20`` level tuples
+    (``n = 20``) holds exactly ``TRIAL_BYTES`` at J = 4, and a QPSK ``omp``
+    pick over ``4**10`` columns (``n = 10``) at J = 2: each is accepted
+    there and at every smaller J, and refused at the next."""
+    qam16 = {**recipe("mimo4x4_l8"), "constellation": "qam16", "solver": "omp"}
+    assert spec_from_dict(qam16).solver == "omp"
+    assert 16 * 4 * 2**20 == 32 * 2 * 4**10 == TRIAL_BYTES
+    for solver, n in [("ml", 20), ("omp", 10)]:
+        for j, fits in [(1, True), (2, True), (4, solver == "ml"), (8, False)]:
+            raw = {**recipe(), "nt": 2 * j, "nr": 2 * j, "l": n * j, "j": j,
+                   "dictionary_cap": 2**20, "solver": solver}
+            if fits:
+                assert spec_from_dict(raw).config.j == j
+            else:
+                assert type(refused(lambda: spec_from_dict(raw))) is DictionaryTooLarge
 
 
 def test_unreadable_config_is_one_line_naming_the_file(tmp_path):
