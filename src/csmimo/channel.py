@@ -8,11 +8,11 @@ signal energy per antenna equals the number of transmitted complex
 dimensions, so ``sigma2 = m_tx / 10**(snr_db/10)``.
 
 A :class:`ChannelRealization` may hold a stack of draws with leading trial
-axes, shape ``(..., nr, m_tx)``, and caches for the whole stack the
-pseudo-inverse that zero-forcing reads and the QR of the one-shot search.
-A channel is not checked when it is drawn: only zero-forcing needs full
-column rank, and :func:`~csmimo.detection.zf_equalize` checks the channels
-it is handed.  :func:`gains` and :func:`unit_noise` turn standard normals
+axes, shape ``(..., nr, m_tx)``, and caches for the whole stack the QR of
+the one-shot search.  A channel is not checked when it is drawn: only
+zero-forcing needs full column rank, and
+:func:`~csmimo.detection.zf_equalize` inverts and checks the channels it
+is handed.  :func:`gains` and :func:`unit_noise` turn standard normals
 drawn elsewhere into a stack of channels and noise vectors exactly as
 :func:`sample_channel` and :func:`apply_channel` draw them for one trial;
 :func:`noisy` scales the noise to an SNR point and adds it to vectors
@@ -30,36 +30,24 @@ from .errors import DimensionMismatch, SpecError
 from .spec import db_point
 
 
-# Smallest ratio σ_min/σ_max of a usable channel's singular values.
-RANK_TOL = 1e-12
-
-# ‖H‖_F·‖H⁺‖_F is at least σ_max/σ_min, so a channel whose bound is below
-# this passes the RANK_TOL check without its singular values.  The bound is
-# read off the rounded pseudo-inverse, off by a relative κ·eps of about 1e-7
-# at κ = 1e9, and the exact check reads rounded singular values, σ_min off
-# by about n·eps·σ_max: the factor 1e-3 leaves three decades between the
-# two.
-_CERTIFIED_KAPPA = 1e-3 / RANK_TOL
-
-
 @dataclass(frozen=True, eq=False)
 class ChannelRealization:
     """One draw of an ``nr x m_tx`` complex channel matrix, or a stack of
     draws of shape ``(..., nr, m_tx)`` with one leading index per trial.
 
-    Its pseudo-inverse and QR are cached per object, each made once for
-    the whole stack: every receiver that is handed the same object shares
-    them, and so does every part of the stack taken by a slice
-    ``channel[lo:hi]`` or an index array ``channel[rows]``.  The
-    factorizations raise :class:`SpecError` for a channel that is not finite.
+    Its QR is cached per object, made once for the whole stack: every
+    receiver that is handed the same object shares it, and so does every
+    part of the stack taken by a slice ``channel[lo:hi]`` or an index array
+    ``channel[rows]``.  The QR and the condition number raise
+    :class:`SpecError` for a channel that is not finite.
     The object keeps the caller's array, so whoever writes into ``h``
     afterwards must build a new object.  Two realizations compare and hash
     by identity.
     """
 
     h: np.ndarray
-    # (stack, rows) for a part made by __getitem__, whose cached values
-    # are those rows of the stack's
+    # (stack, rows) for a part made by __getitem__, whose QR is those rows
+    # of the stack's
     _whole: tuple[ChannelRealization, slice | np.ndarray] | None = field(
         default=None, init=False, repr=False)
 
@@ -91,10 +79,10 @@ class ChannelRealization:
     def __getitem__(self, rows: slice | np.ndarray) -> ChannelRealization:
         """The draws ``rows`` of the leading trial axis, a slice (a view) or a
         1-D integer array, which may repeat and reorder draws (a copy).  The
-        part shares this stack's cached values: its ``pinv`` and ``qr`` are
-        those rows of the stack's, each made once for the whole stack on
-        first use by the stack or any of its parts, so they raise if any
-        draw of the stack is not finite."""
+        part shares this stack's QR: its ``qr`` is those rows of the
+        stack's, made once for the whole stack on first use by the stack or
+        any of its parts, so it raises if any draw of the stack is not
+        finite."""
         gathered = (isinstance(rows, np.ndarray) and rows.ndim == 1
                     and np.issubdtype(rows.dtype, np.integer))
         if not (isinstance(rows, slice) or gathered) or not self.stack_shape:
@@ -104,30 +92,11 @@ class ChannelRealization:
         object.__setattr__(part, "_whole", (self, rows))
         return part
 
-    def _shared(self, name: str, make):
-        """``make(self)`` for a whole stack; for a part, those rows of the
-        stack's cached ``name``."""
-        if self._whole is None:
-            return make(self)
-        whole, rows = self._whole
-        got = getattr(whole, name)
-        return got[rows] if isinstance(got, np.ndarray) else tuple(f[rows] for f in got)
-
-    @cached_property
-    def pinv(self) -> np.ndarray:
-        """Pseudo-inverse ``(..., m_tx, nr)`` of every matrix, for
-        ``nr >= m_tx``: ``H⁻¹`` of a square channel, one stacked
-        ``np.linalg.inv``, and ``R⁻¹Qᴴ`` of the reduced QR of a tall one.
-        A matrix that the inversion finds exactly singular is all ``nan``;
-        every other matrix is, bit for bit, its own inversion.  A wide
-        channel has no left inverse and raises :class:`DimensionMismatch`."""
-        return self._shared("pinv", lambda c: _pinv(c._finite()))
-
     @cached_property
     def condition_number(self) -> float | np.ndarray:
         """``σ_max/σ_min`` of every matrix from its thin SVD, computed when
         first read (``inf`` for a singular matrix, ``nan`` for a zero one)."""
-        s = _singular_values(self._finite())
+        s = np.linalg.svd(self._finite(), full_matrices=False)[1]
         with np.errstate(divide="ignore", invalid="ignore"):
             return (s[..., 0] / s[..., -1])[()]
 
@@ -135,59 +104,11 @@ class ChannelRealization:
     def qr(self) -> tuple[np.ndarray, np.ndarray]:
         """Complete QR ``(q, r)`` of every matrix, computed once per draw:
         ``q`` is ``(..., nr, nr)`` and ``r`` is ``(..., nr, m_tx)``."""
-        return self._shared("qr", lambda c: np.linalg.qr(c._finite(), mode="complete"))
-
-
-def _singular_values(h: np.ndarray) -> np.ndarray:
-    """Singular values of every matrix of ``h``, largest first, from the
-    thin SVD: what the exact usability check compares."""
-    return np.linalg.svd(h, full_matrices=False)[1]
-
-
-def _pinv(h: np.ndarray) -> np.ndarray:
-    """:attr:`ChannelRealization.pinv` of a finite stack ``h``."""
-    nr, m_tx = h.shape[-2:]
-    if m_tx > nr:
-        raise DimensionMismatch(f"a {nr} x {m_tx} channel has no left inverse")
-    q = None
-    if nr > m_tx:
-        q, h = np.linalg.qr(h)
-    try:
-        inv = np.linalg.inv(h)
-    except np.linalg.LinAlgError:
-        # one exactly singular matrix fails the whole stacked call
-        inv = np.full(h.shape, np.nan, dtype=h.dtype)
-        for t in np.ndindex(h.shape[:-2]):
-            try:
-                inv[t] = np.linalg.inv(h[t])
-            except np.linalg.LinAlgError:
-                pass
-    # stacked products, bit for bit the single-channel ones
-    return inv if q is None else inv @ q.conj().swapaxes(-1, -2)
-
-
-def _usable(c: ChannelRealization) -> bool | np.ndarray:
-    """:func:`~csmimo.detection.channel_is_usable` of ``c``: a stack's flags
-    from its ``pinv``, and singular values only where the bound fails."""
-    if c.m_tx > c.nr:
-        return np.zeros(c.stack_shape, dtype=bool)[()]
-    pinv = c.pinv
-    # an extreme scale may overflow one norm and underflow the other: the
-    # bound is then inf or nan, and the matrix gets the exact check
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        bound = _frobenius2(c.h) * _frobenius2(pinv)
-    usable = np.array(bound < _CERTIFIED_KAPPA**2)
-    for t in map(tuple, np.argwhere(~usable)):
-        s = _singular_values(c.h[t])
-        usable[t] = s[-1] > RANK_TOL * s[0]
-    return usable[()]
-
-
-def _frobenius2(a: np.ndarray) -> np.ndarray:
-    """Squared Frobenius norm of every complex matrix of ``a``, read as
-    real and imaginary parts side by side."""
-    v = np.ascontiguousarray(a).view(np.float64)
-    return np.einsum("...ij,...ij->...", v, v)
+        if self._whole is None:
+            return np.linalg.qr(self._finite(), mode="complete")
+        whole, rows = self._whole
+        q, r = whole.qr
+        return q[rows], r[rows]
 
 
 @dataclass(frozen=True)

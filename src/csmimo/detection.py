@@ -22,22 +22,23 @@ Eriksson, Vardy & Zeger, IEEE T-IT 48(8), 2002).  Every solver hands
 back the decided point indices; the rest of its :class:`RecoveryResult`
 is formed only when read.
 
-The channel's pseudo-inverse, which ZF reads, and the QR of the one-shot
-search are cached on the :class:`ChannelRealization`, each made once per
-stack of channels: a one-shot caller that detects the same channels at
-several SNR points passes the same object, or slices or gathered rows of
-it, to every point.  ZF is one stacked product with the pseudo-inverse,
-and it is linear: ``H⁺(Hz + s·u) = z + s·H⁺u``, so a caller that detects
-the same sent vectors ``z`` and unit noise ``u`` at several noise scales
-``s`` equalizes ``u`` once and hands :func:`demux` ``z + s·H⁺u`` at each.
-ZF is the one step that needs a channel of full column rank, so
-:func:`zf_equalize` is the one place that checks a channel; the one-shot
-search forms no inverse and checks nothing.  The check clears a
-well-conditioned channel on the Frobenius norms of the channel and its
-pseudo-inverse and takes singular values only of a channel that this
-bound does not clear, so a sweep without a near-singular channel makes no
-SVD; the channel's condition number is computed from singular values only
-when read.
+The QR of the one-shot search is cached on the
+:class:`ChannelRealization`, made once per stack of channels: a one-shot
+caller that detects the same channels at several SNR points passes the
+same object, or slices or gathered rows of it, to every point.  ZF is one
+stacked product with the channel's left inverse, which each
+:func:`zf_equalize` call forms once for its whole stack, and it is linear:
+``H⁺(Hz + s·u) = z + s·H⁺u``, so a caller that detects the same sent
+vectors ``z`` and unit noise ``u`` at several noise scales ``s`` equalizes
+``u`` once and hands :func:`demux` ``z + s·H⁺u`` at each.  ZF is the one
+step that needs a channel of full column rank, so :func:`zf_equalize` is
+the one place that checks a channel, on the inverse it has just formed;
+the one-shot search forms no inverse and checks nothing.  The check clears
+a well-conditioned channel on the Frobenius norms of the channel and its
+inverse and takes singular values only of the channels that this bound
+does not clear, so a sweep without a near-singular channel makes no SVD;
+the channel's condition number is computed from singular values only when
+read.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import ChannelRealization, _usable
+from .channel import ChannelRealization
 from .csmux import MeasurementMatrix, MuxConfig, transmit_gain
 from .dictionary import build_dictionary, digits
 from .errors import DictionaryTooLarge, DimensionMismatch, RankDeficientChannel, SpecError
@@ -61,6 +62,16 @@ _CHUNK_BYTES = 1 << 20
 
 # most candidates one trial's oneshot search scores before it gives up
 _ONESHOT_CAP = 1 << 20
+
+# Smallest ratio σ_min/σ_max of a usable channel's singular values.
+RANK_TOL = 1e-12
+
+# ‖H‖_F·‖H⁺‖_F is at least σ_max/σ_min, so a channel whose bound is below
+# this passes the RANK_TOL check without its singular values.  The bound is
+# read off the rounded inverse, off by a relative κ·eps of about 1e-7 at
+# κ = 1e9, and the exact check reads rounded singular values, σ_min off by
+# about n·eps·σ_max: the factor 1e-3 leaves three decades between the two.
+_CERTIFIED_KAPPA = 1e-3 / RANK_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,8 +113,10 @@ class RecoveryResult:
 def zf_equalize(y: np.ndarray, h: ChannelRealization) -> np.ndarray:
     """Zero-forcing equalizer: pseudo-inverse of a full-column-rank channel.
 
-    Returns the ``(..., m_tx)`` solution of ``min ||h z - y||``,
-    ``h.pinv @ y``.  Raises :class:`RankDeficientChannel` where
+    Returns the ``(..., m_tx)`` solution of ``min ||h z - y||``, ``H⁺y``
+    for the left inverse ``H⁺`` that the call forms once for the whole
+    stack (``H⁻¹`` of a square channel, ``R⁻¹Qᴴ`` of the reduced QR of a
+    tall one) and certifies.  Raises :class:`RankDeficientChannel` where
     :func:`channel_is_usable` is false: the system is underdetermined, or
     the smallest singular value falls below ``RANK_TOL`` times the largest
     (the message gives the condition number of the first such trial).  A
@@ -118,7 +131,7 @@ def zf_equalize(y: np.ndarray, h: ChannelRealization) -> np.ndarray:
             f"received vectors of shape {y.shape} do not match nr {h.nr}"
             f" for trials {h.stack_shape}"
         )
-    usable = channel_is_usable(h)
+    inv, usable = _left_inverse(h)
     if not usable.all():
         if h.m_tx > h.nr:
             raise RankDeficientChannel(
@@ -129,18 +142,63 @@ def zf_equalize(y: np.ndarray, h: ChannelRealization) -> np.ndarray:
             f"condition number {worst.condition_number:.3e} is not below 1/RANK_TOL"
         )
     # stacked matrix-vector products, bit for bit the single-channel ones
-    return (h.pinv @ y[..., None])[..., 0]
+    return (inv @ y[..., None])[..., 0]
 
 
 def channel_is_usable(h: ChannelRealization) -> bool | np.ndarray:
     """True when ZF equalization of ``h`` would not raise; one flag per trial
     for a stack of channels.  A matrix is usable when it has no more columns
     than rows and its smallest singular value exceeds ``RANK_TOL`` times its
-    largest.  A matrix whose ``‖H‖_F·‖H⁺‖_F`` is below ``_CERTIFIED_KAPPA``
-    passes on that bound, read off ``h.pinv``; only the others, exactly
-    singular ones included, get their own thin SVD and the exact check, so
-    every flag is the one the singular values give."""
-    return _usable(h)
+    largest.  The flags are the ones :func:`zf_equalize` reads: a matrix
+    whose ``‖H‖_F·‖H⁺‖_F`` is below ``_CERTIFIED_KAPPA`` passes on that
+    bound, read off the inverse the call forms; only the others, exactly
+    singular ones included, get the exact check on the singular values of
+    one stacked thin SVD, so every flag is the one the singular values
+    give."""
+    return _left_inverse(h)[1]
+
+
+def _left_inverse(h: ChannelRealization) -> tuple[np.ndarray | None, bool | np.ndarray]:
+    """The ``(..., m_tx, nr)`` left inverse of every matrix of ``h`` and the
+    :func:`channel_is_usable` flags that certify it.
+
+    The inverse is one stacked ``np.linalg.inv`` of a square stack and
+    ``R⁻¹Qᴴ`` of the reduced QR of a tall one.  A matrix is usable on the
+    bound ``‖H‖_F²·‖H⁺‖_F² < _CERTIFIED_KAPPA²``, and the matrices it does
+    not clear get ``s[-1] > RANK_TOL·s[0]``, all in one SVD.  A stacked
+    ``inv`` fails as a whole on one exactly singular matrix: then there is
+    no inverse, and every matrix gets the exact check.  A wide stack has no
+    left inverse and no usable matrix."""
+    if h.m_tx > h.nr:
+        return None, np.zeros(h.stack_shape, dtype=bool)[()]
+    a = h._finite()
+    q = None
+    if h.nr > h.m_tx:
+        q, a = np.linalg.qr(a)
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        inv, usable = None, np.zeros(h.stack_shape, dtype=bool)
+    else:
+        if q is not None:
+            # stacked products, bit for bit the single-channel ones
+            inv = inv @ q.conj().swapaxes(-1, -2)
+        # an extreme scale may overflow one norm and underflow the other: the
+        # bound is then inf or nan, and the matrix gets the exact check
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            usable = np.array(_frobenius2(h.h) * _frobenius2(inv) < _CERTIFIED_KAPPA**2)
+    unclear = ~usable
+    if unclear.any():
+        s = np.linalg.svd(h.h[unclear], full_matrices=False)[1]
+        usable[unclear] = s[:, -1] > RANK_TOL * s[:, 0]
+    return inv, usable[()]
+
+
+def _frobenius2(a: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of every complex matrix of ``a``, read as
+    real and imaginary parts side by side."""
+    v = np.ascontiguousarray(a).view(np.float64)
+    return np.einsum("...ij,...ij->...", v, v)
 
 
 def sensing_matrix(phi: MeasurementMatrix, psi: np.ndarray) -> np.ndarray:

@@ -36,8 +36,8 @@ Each SNR point still running then walks the chunk in slices of its own
 size.  The slices run in passes: a pass stacks the next slice of every
 point still walking the chunk, up to the working-set budget, and runs the
 same receiver functions a single trial uses once on the stack, so every
-decision is bit for bit the one-at-a-time result.  The pseudo-inverse of
-a ZF chunk's :class:`ChannelRealization` is made once, when the chunk is
+decision is bit for bit the one-at-a-time result.  A ZF chunk's channels
+are inverted once, by the one ``zf_equalize`` of the chunk when it is
 drawn; a ``oneshot`` pass reads a slice or gathered rows of the chunk's
 channels, which share its QR, so that too is made once per chunk.  A
 point's slices follow from a fixed working-set budget and from its own
@@ -210,9 +210,9 @@ def _chunk_cap(cfg: MuxConfig, solver: str | None) -> int:
     channel and what the receiver factors of it, and what ``solver`` holds
     per trial for each entry of its :func:`block_width` in each of the
     ``J`` blocks, :data:`~csmimo.spec.SCAN_BYTES` for the ``ml`` scan and
-    the ``omp`` pick.  The ZF receivers hold the cached pseudo-inverse,
-    ``nr·m`` entries, which they read only to equalize the chunk's noise
-    once; the ``oneshot`` search holds the cached QR, ``q``, its
+    the ``omp`` pick.  The ZF receivers hold the pseudo-inverse that
+    ``zf_equalize`` forms, ``nr·m`` entries, while it equalizes the chunk's
+    noise once; the ``oneshot`` search holds the cached QR, ``q``, its
     ``q.conj()`` temporary and ``r``.  The search's candidate contributions
     and scratch do not count here: it walks its slice in blocks of trials
     that each bound them by ``_CHUNK_BYTES`` of their own (see
@@ -427,7 +427,7 @@ def _detect(prep: _Prepared, drawn: _Drawn, slices: list[tuple[int, int, int]]) 
     received = np.concatenate([drawn.sent[lo:hi] + prep.noise_scale[p] * drawn.noise[lo:hi]
                                for lo, hi, p in slices])
     if len(slices) == 1:
-        # a view: gathering copies h and its factorizations
+        # a view: gathering copies h and its QR
         rows = slice(*slices[0][:2])
     else:
         rows = np.concatenate([np.arange(lo, hi) for lo, hi, _ in slices])

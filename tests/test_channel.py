@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csmimo import channel as channel_module
 from csmimo.channel import ChannelRealization, NoiseSpec, apply_channel, gains, sample_channel
 from csmimo.detection import channel_is_usable
 from csmimo.errors import DimensionMismatch, SpecError
@@ -94,15 +93,16 @@ class TestFactorizations:
     @settings(max_examples=80, deadline=None)
     def test_slices_share_the_stacks_factorizations(self, nr, m, n, data, stack_first, seed):
         """``channel[lo:hi]`` and ``channel[rows]``, for an index array that
-        may repeat and reorder draws, have, bit for bit, the pseudo-inverse
-        and the QR of a stack of their own draws, and the usability flags
-        that ``channel_is_usable`` reads off them.  They are the stack's
-        rows: whether the stack or a part reads them first, the stack's
-        inverse is made once (one stacked ``inv``, or one per matrix after
-        an exactly singular draw, here a zero one, fails the stacked call),
-        and slicing or gathering after that, a slice of a slice included,
-        makes no further inverse or QR.  A wide stack has flags, all false,
-        and no inverse."""
+        may repeat and reorder draws, have, bit for bit, the QR of a stack
+        of their own draws and the usability flags ``channel_is_usable``
+        gives that stack.  The QR is the stack's rows: whether the stack or
+        a part reads it first, it is made once, and slicing or gathering
+        after that, a slice of a slice included, makes no further complete
+        QR.  The flags are not cached: each ``channel_is_usable`` call makes
+        exactly one stacked ``inv`` (and, for a tall stack, the reduced QR
+        it inverts), also when an exactly singular draw, here a zero one,
+        fails that ``inv``.  A wide stack has flags, all false, and no
+        inverse."""
         lo = data.draw(st.integers(0, n - 1))
         hi = data.draw(st.integers(lo + 1, n))
         rows = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)))
@@ -111,10 +111,9 @@ class TestFactorizations:
         if zero is not None:
             h[zero] = 0.0
         wide = m > nr
-        reads = [channel_is_usable, lambda c: c.qr] + ([] if wide else [lambda c: c.pinv])
+        reads = [channel_is_usable, lambda c: c.qr]
         channel = ChannelRealization(h)
-        with mock.patch("csmimo.channel._pinv", wraps=channel_module._pinv) as pinv, \
-                mock.patch("numpy.linalg.inv", wraps=np.linalg.inv) as inv, \
+        with mock.patch("numpy.linalg.inv", wraps=np.linalg.inv) as inv, \
                 mock.patch("numpy.linalg.qr", wraps=np.linalg.qr) as qr:
             if stack_first:
                 [read(channel) for read in reads]
@@ -125,11 +124,11 @@ class TestFactorizations:
             gathered = channel[rows]
             got_gathered = [read(gathered) for read in reads]
             whole = [read(channel) for read in reads]
-        singular = zero is not None and not wide
-        assert pinv.call_count == (0 if wide else 1)
-        assert inv.call_count == (0 if wide else 1 + n if singular else 1)
-        # the complete QR, and the reduced one of a tall channel's inverse
-        assert qr.call_count == 1 + (nr > m)
+        checks = 4 + stack_first
+        assert inv.call_count == (0 if wide else checks)
+        complete = [c for c in qr.call_args_list if c.kwargs.get("mode") == "complete"]
+        assert len(complete) == 1
+        assert qr.call_count == 1 + (checks if nr > m else 0)
         own = ChannelRealization(h[lo:hi].copy())
         want = [read(own) for read in reads]
         for w, a, b in zip(*(_arrays(v) for v in (want, got, got_again)), strict=True):
@@ -144,8 +143,8 @@ class TestFactorizations:
         np.testing.assert_array_equal(gathered.h, h[rows])
         if wide:
             assert not channel_is_usable(channel).any()
-        elif singular:
-            assert not channel_is_usable(channel)[zero] and np.isnan(channel.pinv[zero]).all()
+        elif zero is not None:
+            assert not channel_is_usable(channel)[zero]
 
     def test_only_a_stack_is_sliced(self):
         """Slicing or gathering by a 1-D integer array cuts trials off the
@@ -166,7 +165,7 @@ class TestFactorizations:
         rng = np.random.default_rng(9)
         channel = ChannelRealization(np.stack([sample_channel(4, 4, rng).h for _ in range(3)]))
         with mock.patch("numpy.linalg.svd", wraps=np.linalg.svd) as svd:
-            channel.pinv, channel_is_usable(channel), channel.qr
+            channel_is_usable(channel), channel.qr
             assert svd.call_count == 0
             kappa = channel.condition_number
             assert channel.condition_number is kappa

@@ -10,8 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from csmimo import detection, harness
-from csmimo.channel import (RANK_TOL, ChannelRealization, NoiseSpec, apply_channel, noisy,
-                            sample_channel, unit_noise)
+from csmimo.channel import (ChannelRealization, NoiseSpec, apply_channel, noisy, sample_channel,
+                            unit_noise)
 from csmimo.csmux import (
     MeasurementMatrix,
     MuxConfig,
@@ -20,6 +20,7 @@ from csmimo.csmux import (
     transmit_gain,
 )
 from csmimo.detection import (
+    RANK_TOL,
     SOLVERS,
     Codebook,
     channel_is_usable,
@@ -81,10 +82,17 @@ class TestZfEqualize:
             np.testing.assert_array_equal(got[t], zf_equalize(y[t], ChannelRealization(h[t])))
 
     def test_duplicated_column_rejected(self):
+        """A channel with a duplicated column is refused: a tall one, whose
+        QR has ``R[1, 1]`` of order 1e-16 rather than 0, and a square
+        Gaussian one that ``np.linalg.solve`` accepts without raising, so
+        the rank rule is the certificate, not an exactly singular solve."""
         col = np.array([1.0, 2.0, 3.0 + 1j])
-        h = ChannelRealization(np.stack([col, col], axis=1))
-        with pytest.raises(RankDeficientChannel):
-            zf_equalize(np.zeros(3), h)
+        square = sample_channel(3, 3, np.random.default_rng(0)).h.copy()
+        square[:, 1] = square[:, 0]
+        np.linalg.solve(square, np.ones(3))
+        for h in (np.stack([col, col], axis=1), square):
+            with pytest.raises(RankDeficientChannel, match="is not below 1/RANK_TOL"):
+                zf_equalize(np.zeros(3), ChannelRealization(h))
 
     def test_underdetermined_rejected(self):
         h = sample_channel(2, 4, np.random.default_rng(0))
@@ -125,7 +133,8 @@ class TestUsability:
         SVD, ``s[-1] > RANK_TOL * s[0]`` (false for every wide channel).
         Only a channel whose ``κ`` is at least 1e8 or that is singular
         reaches an SVD: below that the Frobenius bound, at most
-        ``min(nr, m)·κ``, clears it."""
+        ``min(nr, m)·κ``, clears it.  The channels that reach it share one
+        stacked SVD call."""
         rng = np.random.default_rng(seed)
         k = min(nr, m)
         h = np.empty((len(log_kappa), nr, m), dtype=complex)
@@ -149,7 +158,9 @@ class TestUsability:
         np.testing.assert_array_equal(got, want)
         assert got.dtype == bool and got.shape == (len(log_kappa),)
         unclear = {t for t, lk in enumerate(log_kappa) if lk >= 8.0} | set(spoiled)
-        assert svd.call_count <= (0 if m > nr else len(unclear))
+        assert svd.call_count <= (0 if m > nr else min(1, len(unclear)))
+        if spoiled and m <= nr:
+            assert svd.call_count == 1
         for t in range(len(log_kappa)):
             assert channel_is_usable(ChannelRealization(h[t])) == want[t]
 
@@ -178,7 +189,7 @@ class TestZfAgainstSvd:
     )
     @settings(max_examples=100, deadline=None)
     def test_inverse_form_matches_svd_form(self, rows, j, extra, constellation, stack, snr, seed):
-        """``zf_equalize``'s ``h.pinv @ y`` equals the SVD form to rounding,
+        """``zf_equalize``'s ``H⁺y`` equals the SVD form to rounding,
         on square and tall stacks at a finite SNR, and the ``zf`` slicer and
         the ``ml`` scan decide exactly as on the SVD form's estimate."""
         rng = np.random.default_rng(seed)
@@ -852,12 +863,30 @@ class TestStackedTrials:
         return x, h
 
     def test_usability_per_trial(self, pipeline, qpsk):
+        """Each trial of a stack gets its own flag.  An exactly singular
+        member fails the stacked inverse as a whole: then every trial gets
+        the SVD's flag, from one ``np.linalg.svd`` call, and ``zf_equalize``
+        names the first unusable trial."""
         cfg, _, _ = pipeline
         _, h = self._trials(cfg, qpsk)
         h[4, :, 1] = h[4, :, 0]
         channel = ChannelRealization(h.reshape(self.STACK + h.shape[1:]))
         assert channel_is_usable(channel).tolist() == [[True] * 3, [True, False, True]]
         with pytest.raises(RankDeficientChannel):
+            zf_equalize(np.zeros(self.STACK + (cfg.nr,)), channel)
+        # a zero column (κ = inf) ahead of a zero matrix (κ = nan)
+        h[2, :, 0] = 0.0
+        h[4] = 0.0
+        channel = ChannelRealization(h.reshape(self.STACK + h.shape[1:]))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(channel.h)
+        with mock.patch("numpy.linalg.svd", wraps=np.linalg.svd) as svd:
+            got = channel_is_usable(channel)
+        assert svd.call_count == 1
+        s = np.linalg.svd(channel.h, full_matrices=False)[1]
+        np.testing.assert_array_equal(got, s[..., -1] > RANK_TOL * s[..., 0])
+        assert got.tolist() == [[True, True, False], [True, False, True]]
+        with pytest.raises(RankDeficientChannel, match="^condition number inf is not below"):
             zf_equalize(np.zeros(self.STACK + (cfg.nr,)), channel)
 
     @pytest.mark.parametrize("solver", ["ml", "omp", "oneshot"])

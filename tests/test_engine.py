@@ -441,6 +441,23 @@ def _recipe(name, **kw):
     return replace(load_spec(files("csmimo") / "recipes" / f"{name}.json"), **kw)
 
 
+@pytest.mark.parametrize("constellation", ["qpsk", "qam16"])
+@pytest.mark.parametrize("recipe", RECIPES)
+def test_zf_baseline_is_the_scheme_at_one_symbol_sub_blocks(recipe, constellation):
+    """A ``zf`` baseline sweep's rows equal the scheme's ``ml`` rows at
+    ``l = j = m``: each 1 x 1 sub-block's compression is a scalar of unit
+    gain, so the ``ml`` scan decides what the baseline's slicer decides on
+    the same ZF estimate.  Every shipped recipe, both alphabets, early stop
+    off, noiseless point included."""
+    spec = _recipe(recipe, snr_db=(0.0, 10.0, 20.0, float("inf")), early_stop_errors=0)
+    m = spec.config.m
+    cfg = replace(spec.config, constellation=constellation)
+    spec = replace(spec, config=cfg, trials=100 if m == 20 else 400)
+    zf = run_sweep(replace(spec, baseline="zf")).rows
+    assert zf[0].bit_errors > 0
+    assert run_sweep(replace(spec, config=replace(cfg, l=m, j=m))).rows == zf
+
+
 @given(
     recipe=st.sampled_from(RECIPES),
     baseline=st.sampled_from([None, "zf", "overload"]),
@@ -614,8 +631,8 @@ _FACTORED = ([(mode, recipe, None) for mode in (None, "zf") for recipe in RECIPE
 def test_a_sweep_makes_no_svd_and_inverts_each_chunk_once(mode, recipe, nr):
     """A shipped recipe's ``ml`` sweep and its ``zf`` baseline, with no
     near-singular channel, make no SVD: ``zf_equalize`` clears every
-    channel on its Frobenius bound, and every SNR point's ZF reads the
-    pseudo-inverse made once for its drawn chunk.  A ``oneshot`` sweep,
+    channel on its Frobenius bound, and every SNR point's ZF estimate reads
+    the one ``zf_equalize`` of its drawn chunk, which inverts it once.  A ``oneshot`` sweep,
     square or tall, checks no channel: it makes no inverse and no SVD,
     and exactly one QR per chunk, the complete one its search reads."""
     spec = _recipe(recipe, snr_db=(0.0, 10.0, 20.0), trials=300)
