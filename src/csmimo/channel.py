@@ -9,7 +9,8 @@ dimensions, so ``sigma2 = m_tx / 10**(snr_db/10)``.
 
 A :class:`ChannelRealization` may hold a stack of draws with leading trial
 axes, shape ``(..., nr, m_tx)``, and caches for the whole stack the QR of
-the one-shot search.  A channel is not checked when it is drawn: only
+the one-shot search; a sweep factors each chunk's channels itself and
+keeps no channel object.  A channel is not checked when it is drawn: only
 zero-forcing needs full column rank, and
 :func:`~csmimo.detection.zf_equalize` inverts and checks the channels it
 is handed.  :func:`gains` and :func:`unit_noise` turn standard normals
@@ -21,7 +22,7 @@ already sent through their channels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -36,20 +37,14 @@ class ChannelRealization:
     draws of shape ``(..., nr, m_tx)`` with one leading index per trial.
 
     Its QR is cached per object, made once for the whole stack: every
-    receiver that is handed the same object shares it, and so does every
-    part of the stack taken by a slice ``channel[lo:hi]`` or an index array
-    ``channel[rows]``.  The QR and the condition number raise
-    :class:`SpecError` for a channel that is not finite.
-    The object keeps the caller's array, so whoever writes into ``h``
-    afterwards must build a new object.  Two realizations compare and hash
-    by identity.
+    receiver that is handed the same object shares it.  The QR and the
+    condition number raise :class:`SpecError` for a channel that is not
+    finite.  The object keeps the caller's array, so whoever writes into
+    ``h`` afterwards must build a new object.  Two realizations compare and
+    hash by identity.
     """
 
     h: np.ndarray
-    # (stack, rows) for a part made by __getitem__, whose QR is those rows
-    # of the stack's
-    _whole: tuple[ChannelRealization, slice | np.ndarray] | None = field(
-        default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         h = np.asarray(self.h, dtype=np.complex128)
@@ -76,22 +71,6 @@ class ChannelRealization:
             raise SpecError("channel must be finite")
         return self.h
 
-    def __getitem__(self, rows: slice | np.ndarray) -> ChannelRealization:
-        """The draws ``rows`` of the leading trial axis, a slice (a view) or a
-        1-D integer array, which may repeat and reorder draws (a copy).  The
-        part shares this stack's QR: its ``qr`` is those rows of the
-        stack's, made once for the whole stack on first use by the stack or
-        any of its parts, so it raises if any draw of the stack is not
-        finite."""
-        gathered = (isinstance(rows, np.ndarray) and rows.ndim == 1
-                    and np.issubdtype(rows.dtype, np.integer))
-        if not (isinstance(rows, slice) or gathered) or not self.stack_shape:
-            raise TypeError("a channel stack is sliced or gathered along its leading trial"
-                            " axis only")
-        part = ChannelRealization(self.h[rows])
-        object.__setattr__(part, "_whole", (self, rows))
-        return part
-
     @cached_property
     def condition_number(self) -> float | np.ndarray:
         """``σ_max/σ_min`` of every matrix from its thin SVD, computed when
@@ -104,11 +83,7 @@ class ChannelRealization:
     def qr(self) -> tuple[np.ndarray, np.ndarray]:
         """Complete QR ``(q, r)`` of every matrix, computed once per draw:
         ``q`` is ``(..., nr, nr)`` and ``r`` is ``(..., nr, m_tx)``."""
-        if self._whole is None:
-            return np.linalg.qr(self._finite(), mode="complete")
-        whole, rows = self._whole
-        q, r = whole.qr
-        return q[rows], r[rows]
+        return np.linalg.qr(self._finite(), mode="complete")
 
 
 @dataclass(frozen=True)

@@ -22,15 +22,16 @@ Eriksson, Vardy & Zeger, IEEE T-IT 48(8), 2002).  Every solver hands
 back the decided point indices; the rest of its :class:`RecoveryResult`
 is formed only when read.
 
-The QR of the one-shot search is cached on the
-:class:`ChannelRealization`, made once per stack of channels: a one-shot
-caller that detects the same channels at several SNR points passes the
-same object, or slices or gathered rows of it, to every point.  ZF is one
-stacked product with the channel's left inverse, which each
-:func:`zf_equalize` call forms once for its whole stack, and it is linear:
-``H⁺(Hz + s·u) = z + s·H⁺u``, so a caller that detects the same sent
-vectors ``z`` and unit noise ``u`` at several noise scales ``s`` equalizes
-``u`` once and hands :func:`demux` ``z + s·H⁺u`` at each.  ZF is the one
+Both steps are linear in the receive vector.  ZF is one stacked product
+with the channel's left inverse, which each :func:`zf_equalize` call forms
+once for its whole stack: ``H⁺(Hz + s·u) = z + s·H⁺u``, so a caller that
+detects the same sent vectors ``z`` and unit noise ``u`` at several noise
+scales ``s`` equalizes ``u`` once and hands :func:`demux` ``z + s·H⁺u`` at
+each.  The one-shot search reads ``Qᴴy`` for the complete QR ``h = QR``,
+which :func:`demux` rotates by the QR cached on the
+:class:`ChannelRealization`; ``Qᴴ(Hz + s·u) = Rz + s·Qᴴu``, so a sweep
+factors a chunk once, keeps ``R``, ``Rz`` and ``Qᴴu``, and searches
+``Rz + s·Qᴴu`` at each point with :func:`_demux_oneshot`.  ZF is the one
 step that needs a channel of full column rank, so :func:`zf_equalize` is
 the one place that checks a channel, on the inverse it has just formed;
 the one-shot search forms no inverse and checks nothing.  The check clears
@@ -439,7 +440,9 @@ def demux(y: np.ndarray, code: Codebook, solver: str = "ml", *,
             )
         if not np.isfinite(y).all():
             raise SpecError("receive vector and channel must be finite")
-        return _demux_oneshot(y, h, code)
+        q, r = h.qr
+        # stacked matrix-vector products, bit for bit the single-channel ones
+        return _demux_oneshot((q.conj().swapaxes(-1, -2) @ y[..., None])[..., 0], r, code)
     if h is not None:
         raise SpecError(f"{solver} reads the ZF estimate and takes no channel h")
     if y.shape[-1:] != (cfg.m,):
@@ -464,12 +467,13 @@ def demux(y: np.ndarray, code: Codebook, solver: str = "ml", *,
     })
 
 
-def _demux_oneshot(y, h, code):
+def _demux_oneshot(yq, r, code):
     """Exact joint ML over all per-block index combinations by sphere search.
 
-    Works on the raw receive vector with the composed channel, compression
-    and dictionary, so no equalization (or channel invertibility) is
-    needed.  After ``h = QR`` the metric ``||Q^H y - R z||^2`` is
+    Works on the rotated receive vectors ``yq = Qᴴy``, ``(..., nr)``, of
+    channels ``h = QR`` with the complete QR's ``r``, ``(..., nr, m)``, and
+    the composed compression and dictionary, so no equalization (or channel
+    invertibility) is needed.  The metric ``||Qᴴy - R z||^2`` is
     block-upper-triangular, so a depth-first search fixes the last
     sub-block first, visits each level's ``d`` candidates in increasing
     partial metric (Schnorr-Euchner order) and prunes a branch as soon as
@@ -477,27 +481,23 @@ def _demux_oneshot(y, h, code):
     to the lowest joint index ``sum k_j d**j``.  ``_ONESHOT_CAP`` bounds the
     number of candidates scored (visited nodes times ``d``); running out raises
     :class:`DictionaryTooLarge` rather than returning a truncated answer.
-    The QR is ``h.qr``, one stacked factorization per channel stack, which
-    its slices and gathered rows share, so the SNR points of a sweep that
-    detect parts of one stack share it too; every trial is rotated by ``Q^H`` in one
-    stacked product.  :func:`_sphere_search` then searches the trials in
-    lockstep, in blocks of consecutive trials whose candidate contributions
-    ``R_i a``, read as a real and an imaginary part, each fit in
-    ``_CHUNK_BYTES``; each trial's decision and budget are those of its own
-    depth-first search.
+    :func:`_sphere_search` searches the trials in lockstep, in blocks of
+    consecutive trials whose candidate contributions ``R_i a``, read as a
+    real and an imaginary part, each fit in ``_CHUNK_BYTES``; each trial's
+    decision and budget are those of its own depth-first search.  The
+    inputs are checked by :func:`demux`, or formed by a sweep from drawn
+    channels.
     """
     cfg, c = code.cfg, code.alphabet
     a = code.sensing * code.gain
-    q, r = h.qr
-    # stacked matrix-vector products, bit for bit the single-channel ones
-    yq = (q.conj().swapaxes(-1, -2) @ y[..., None])[..., 0]
+    stack, nr = yq.shape[:-1], yq.shape[-1]
     # blocks[..., i, :, :]: the columns of r that sub-block i multiplies
-    blocks = r.reshape(h.stack_shape + (h.nr, cfg.j, cfg.subblock_rows)).swapaxes(-3, -2)
-    flat_yq, flat_blocks = yq.reshape(-1, h.nr), blocks.reshape((-1,) + blocks.shape[-3:])
+    blocks = r.reshape(stack + (nr, cfg.j, cfg.subblock_rows)).swapaxes(-3, -2)
+    flat_yq, flat_blocks = yq.reshape(-1, nr), blocks.reshape((-1,) + blocks.shape[-3:])
     trials = flat_yq.shape[0]
     indices = np.empty((trials, cfg.j), dtype=np.int64)
     best = np.empty(trials)
-    size = max(1, _CHUNK_BYTES // (8 * cfg.j * h.nr * a.shape[1]))
+    size = max(1, _CHUNK_BYTES // (8 * cfg.j * nr * a.shape[1]))
     for lo in range(0, trials, size):
         part = slice(lo, lo + size)
         # contrib[t, i, :, k]: rotated receive contribution of candidate k
@@ -505,15 +505,15 @@ def _demux_oneshot(y, h, code):
         # upper triangular
         indices[part], best[part] = _sphere_search(flat_yq[part], flat_blocks[part] @ a,
                                                    cfg.subblock_rows)
-    indices = indices.reshape(h.stack_shape + (cfg.j,))
-    x_indices = digits(indices, c.order, cfg.subblock_cols).reshape(h.stack_shape + (cfg.l,))
+    indices = indices.reshape(stack + (cfg.j,))
+    x_indices = digits(indices, c.order, cfg.subblock_cols).reshape(stack + (cfg.l,))
 
     def residuals() -> np.ndarray:
         # rows of Q^H y below m are out of reach of every R z; stacked dot
         # products, bit for bit the single-vector ones
         out = yq[..., cfg.m :, None]
         out = out.real.swapaxes(-1, -2) @ out.real + out.imag.swapaxes(-1, -2) @ out.imag
-        return np.sqrt(best.reshape(h.stack_shape + (1,)) + out[..., 0])
+        return np.sqrt(best.reshape(stack + (1,)) + out[..., 0])
 
     return RecoveryResult(x_indices, {
         "s_indices": lambda: indices, "x_hat": lambda: c.points[x_indices], "residuals": residuals,

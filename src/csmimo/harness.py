@@ -29,20 +29,20 @@ keep the sent vectors ``z``, equalize the noise once per chunk,
 receive vector to rounding, and at a noiseless point exactly ``z``.  That
 one :func:`~csmimo.detection.zf_equalize` is the only check of the chunk's
 channels: it raises :class:`~csmimo.errors.RankDeficientChannel` for one
-without full column rank.  The ``oneshot`` search reads the receive vector
-itself and needs no inverse, so it checks no channel, keeps ``Hz`` and
-``u`` and detects ``Hz + s·u`` (:func:`~csmimo.channel.noisy`).
+without full column rank.  The ``oneshot`` search reads the receive
+vector rotated by ``Qᴴ`` for the complete QR ``H = QR`` and needs no
+inverse, so it checks no channel.  It is linear too,
+``Qᴴ(Hz + s·u) = Rz + s·Qᴴu``: the chunk's channels are factored once,
+and the search keeps ``R``, ``Rz`` and ``Qᴴu`` and searches
+``Rz + s·Qᴴu`` with ``R`` at every point.  No chunk keeps its channels.
 Each SNR point still running then walks the chunk in slices of its own
 size.  The slices run in passes: a pass stacks the next slice of every
 point still walking the chunk, up to the working-set budget, and runs the
 same receiver functions a single trial uses once on the stack, so every
-decision is bit for bit the one-at-a-time result.  A ZF chunk's channels
-are inverted once, by the one ``zf_equalize`` of the chunk when it is
-drawn; a ``oneshot`` pass reads a slice or gathered rows of the chunk's
-channels, which share its QR, so that too is made once per chunk.  A
-point's slices follow from a fixed working-set budget and from its own
-early-stop progress, never from the other points or the passes, and the
-chunk is the largest slice any running point asks for at its start.  A
+decision is bit for bit the one-at-a-time result.  A point's slices
+follow from a fixed working-set budget and from its own early-stop
+progress, never from the other points or the passes, and the chunk is
+the largest slice any running point asks for at its start.  A
 point cuts its last slice back to the trial where its early stop fires
 and leaves the sweep, so the CSV does not depend on the chunk, slice or
 pass sizes.
@@ -72,7 +72,7 @@ import numpy as np
 
 from .channel import ChannelRealization, NoiseSpec, gains, unit_noise
 from .csmux import MuxConfig, gen_phi, multiplex
-from .detection import _CHUNK_BYTES, Codebook, demux, zf_equalize
+from .detection import _CHUNK_BYTES, Codebook, _demux_oneshot, demux, zf_equalize
 from .errors import SpecError
 from .modem import Constellation, get_constellation, nearest_point_indices, symbol_indices
 from .spec import SCAN_BYTES, ExperimentSpec, block_width, checked
@@ -212,8 +212,9 @@ def _chunk_cap(cfg: MuxConfig, solver: str | None) -> int:
     ``J`` blocks, :data:`~csmimo.spec.SCAN_BYTES` for the ``ml`` scan and
     the ``omp`` pick.  The ZF receivers hold the pseudo-inverse that
     ``zf_equalize`` forms, ``nr·m`` entries, while it equalizes the chunk's
-    noise once; the ``oneshot`` search holds the cached QR, ``q``, its
-    ``q.conj()`` temporary and ``r``.  The search's candidate contributions
+    noise once; the ``oneshot`` search holds the chunk's complete QR while
+    it rotates the noise, ``q``, its ``q.conj()`` temporary and ``r``, and
+    keeps ``r``.  The search's candidate contributions
     and scratch do not count here: it walks its slice in blocks of trials
     that each bound them by ``_CHUNK_BYTES`` of their own (see
     ``detection._demux_oneshot``).  Complex entries count 16 B.  ``None``
@@ -240,18 +241,19 @@ def _prepare(spec: ExperimentSpec) -> _Prepared:
 
 class _Drawn(NamedTuple):
     """What a chunk of ``n`` trials sends, the same at every SNR point:
-    symbol indices ``(n, streams)``, whose labels are the trials' bits,
-    their channels, and the sent vectors and unit noise in the receiver's
-    own space, so that a point of noise scale ``s`` detects
-    ``sent + s·noise``.  The ZF receivers hold the
-    transmit vectors ``z`` ``(n, m)`` and the equalized noise ``H⁺u``; the
-    ``oneshot`` search, which reads the receive vector, holds ``h z`` and
-    the :func:`unit_noise` ``u`` of the noise normals, ``(n, nr)`` each."""
+    symbol indices ``(n, streams)``, whose labels are the trials' bits, and
+    the sent vectors and unit noise in the receiver's own space, so that a
+    point of noise scale ``s`` detects ``sent + s·noise``.  The ZF
+    receivers hold the transmit vectors ``z`` ``(n, m)`` and the equalized
+    noise ``H⁺u``; the ``oneshot`` search holds, for the complete QR
+    ``H = QR`` of each channel, ``R z`` and the rotated :func:`unit_noise`
+    ``Qᴴu``, ``(n, nr)`` each, and the ``r`` ``(n, nr, m)`` it searches
+    with, which is ``None`` for the ZF receivers."""
 
     tx_idx: np.ndarray
-    channel: ChannelRealization
     sent: np.ndarray
     noise: np.ndarray
+    r: np.ndarray | None = None
 
 
 class _Chunk(NamedTuple):
@@ -391,7 +393,8 @@ def _draw_chunk(prep: _Prepared, t0: int, n: int) -> _Drawn:
     a baseline) and put in the receiver's space: the ZF receivers keep the
     sent vectors and equalize the unit noise once through the channels,
     which raises :class:`~csmimo.errors.RankDeficientChannel` if one is not
-    of full column rank, and ``oneshot`` sends the vectors through them."""
+    of full column rank, and ``oneshot`` factors the channels once and
+    rotates the unit noise by their ``Qᴴ``."""
     spec, cfg, c = prep.spec, prep.spec.config, prep.modem
     nbits = spec.streams * c.bits_per_symbol
     tx_bits, h, normals = _draw(spec.master_seed, t0, n, nbits, cfg.nr, cfg.m)
@@ -403,12 +406,15 @@ def _draw_chunk(prep: _Prepared, t0: int, n: int) -> _Drawn:
         z = (prep.spread @ x[..., None])[..., 0]
     else:
         z = multiplex(x, prep.code)
-    channel, unit = ChannelRealization(h), unit_noise(normals)
+    unit = unit_noise(normals)
     if prep.solver == "oneshot":
+        # Qᴴ(Hz + s·u) = Rz + s·Qᴴu: one factorization for every point, and
         # stacked matrix-vector products, bit for bit the single-draw ones
-        return _Drawn(tx_idx, channel, (h @ z[..., None])[..., 0], unit)
+        q, r = np.linalg.qr(h, mode="complete")
+        rotated = (q.conj().swapaxes(-1, -2) @ unit[..., None])[..., 0]
+        return _Drawn(tx_idx, (r @ z[..., None])[..., 0], rotated, r)
     # ZF is linear, H⁺(Hz + s·u) = z + s·H⁺u: one equalization for every point
-    return _Drawn(tx_idx, channel, z, zf_equalize(unit, channel))
+    return _Drawn(tx_idx, z, zf_equalize(unit, ChannelRealization(h)))
 
 
 def _detect(prep: _Prepared, drawn: _Drawn, slices: list[tuple[int, int, int]]) -> list[_Chunk]:
@@ -417,9 +423,9 @@ def _detect(prep: _Prepared, drawn: _Drawn, slices: list[tuple[int, int, int]]) 
     slice's ``sent + s_p·noise`` is formed at its point's noise scale and
     stacked, and the receiver runs once on the stack.  A baseline slices
     ``S^T`` of that ZF estimate to the nearest points; the scheme takes the
-    point indices :func:`demux` decided on it, and ``oneshot`` on the
-    receive vectors with their channels, a view of the chunk's for one
-    slice and their gathered rows otherwise, which share the chunk's QR.
+    point indices :func:`demux` decided on it, and ``oneshot`` those that
+    the search decided on the rotated receive vectors with their rows of
+    the chunk's ``r``, a view for one slice and gathered otherwise.
     A trial's bit errors are the label Hamming distances of its sent and
     decided points, the count its demapped bits would give.  Returns one
     outcome per slice, bit for bit the slice's own pass."""
@@ -427,7 +433,7 @@ def _detect(prep: _Prepared, drawn: _Drawn, slices: list[tuple[int, int, int]]) 
     received = np.concatenate([drawn.sent[lo:hi] + prep.noise_scale[p] * drawn.noise[lo:hi]
                                for lo, hi, p in slices])
     if len(slices) == 1:
-        # a view: gathering copies h and its QR
+        # a view: gathering copies r
         rows = slice(*slices[0][:2])
     else:
         rows = np.concatenate([np.arange(lo, hi) for lo, hi, _ in slices])
@@ -435,9 +441,10 @@ def _detect(prep: _Prepared, drawn: _Drawn, slices: list[tuple[int, int, int]]) 
         # S has orthonormal rows, so S^T H^+ = (H S)^+
         x_hat = received @ prep.spread
         rx_idx = nearest_point_indices(x_hat, c).reshape(len(received), spec.streams)
+    elif prep.solver == "oneshot":
+        rx_idx = _demux_oneshot(received, drawn.r[rows], prep.code).x_indices
     else:
-        h = drawn.channel[rows] if prep.solver == "oneshot" else None
-        rx_idx = demux(received, prep.code, prep.solver, h=h).x_indices
+        rx_idx = demux(received, prep.code, prep.solver).x_indices
     tx_idx = drawn.tx_idx[rows]
     bit_errors = c.label_distances[tx_idx, rx_idx].sum(axis=1)
     symbol_errors = (tx_idx != rx_idx).sum(axis=1)

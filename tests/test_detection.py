@@ -291,6 +291,58 @@ class TestNoiseSpace:
                 np.testing.assert_array_equal(nearest_point_indices(decide(got), c),
                                               nearest_point_indices(decide(want), c))
 
+    @given(
+        constellation=st.sampled_from(["qpsk", "qam16"]),
+        rows=st.integers(1, 2),
+        tall=st.booleans(),
+        defect=st.sampled_from([None, "zero", "copy"]),
+        stack=st.sampled_from([(1,), (6,), (2, 3)]),
+        snr=st.floats(-5.0, 40.0),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_oneshot_in_noise_space_decides_as_demux(
+        self, constellation, rows, tall, defect, stack, snr, seed, data
+    ):
+        """On square and tall (``nr = m + 2``) stacks at a finite SNR, the
+        search a sweep runs on ``Rz + s·Qᴴu`` with each channel's ``R``
+        picks the ``s_indices`` that :func:`demux` picks on the receive
+        vector ``Hz + s·u`` with its channel, also where a channel column is
+        zero or a scaled copy of another (an exact copy makes candidates tie,
+        leaving the pick to rounding).  Each trial searched alone gives bit
+        for bit its row of the stack."""
+        rng = np.random.default_rng(seed)
+        d = get_constellation(constellation).order ** rows
+        j = data.draw(st.integers(1, max(k for k in range(1, 5) if d**k <= 65536)))
+        m = rows * j
+        nr = m + 2 if tall else m
+        cfg = MuxConfig(nt=m, nr=nr, l=m, j=j, phi_seed=seed % 1000, constellation=constellation)
+        code = Codebook(cfg, gen_phi(cfg))
+        c = code.alphabet
+        z = multiplex(c.points[rng.integers(0, c.order, stack + (cfg.l,))], code)
+        h = (rng.standard_normal(stack + (nr, m))
+             + 1j * rng.standard_normal(stack + (nr, m))) * np.sqrt(0.5)
+        src, dst = rng.permutation(m + 1)[:2] % m
+        if defect == "zero":
+            h[..., dst] = 0.0
+        elif defect == "copy" and src != dst:
+            h[..., dst] = (rng.standard_normal() + 1j * rng.standard_normal()) * h[..., src]
+        noise = NoiseSpec.from_snr(snr, m)
+        u = unit_noise(rng.standard_normal(stack + (2 * nr,)))
+        q, r = np.linalg.qr(h, mode="complete")
+        rotated = (r @ z[..., None])[..., 0] + noise.scale * (q.conj().swapaxes(-1, -2)
+                                                               @ u[..., None])[..., 0]
+        got = detection._demux_oneshot(rotated, r, code)
+        y = noisy((h @ z[..., None])[..., 0], noise, u)
+        want = demux(y, code, "oneshot", h=ChannelRealization(h))
+        np.testing.assert_array_equal(got.s_indices, want.s_indices)
+        for t in np.ndindex(stack):
+            one = detection._demux_oneshot(rotated[t], r[t], code)
+            for alone, stacked in zip((one.s_indices, one.x_hat, one.residuals),
+                                      (got.s_indices, got.x_hat, got.residuals)):
+                np.testing.assert_array_equal(alone, stacked[t])
+
 
 def _ml_demux(z, code):
     """``demux``'s ``ml`` receiver on the ``(..., J, rows)`` blocks ``z``,

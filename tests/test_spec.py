@@ -361,7 +361,6 @@ def test_fuzz_simulate_argv(tmp_path, capsys, name, flags, data):
 # the package's raises of a plain ValueError or TypeError, as (module,
 # innermost function, exception): none is a caller-input error
 PLAIN_RAISES = sorted([
-    ("channel.py", "__getitem__", "TypeError"),  # Python's indexing convention
     ("harness.py", "generate_state", "ValueError"),  # a guard on numpy's seeding request
     ("spec.py", "db_point", "TypeError"),  # caught on the next line
 ])
